@@ -106,6 +106,46 @@ let time_updates f ops =
   let dt = Sys.time () -. t0 in
   dt *. 1e9 /. float_of_int (Array.length ops)
 
+(* The install path every workload takes: the whole table through
+   [Router.add_route] into a fresh router, whose route cache is cold.
+   Each write invalidates the cache; while it is empty that costs no
+   line, so the scan-work row is 0 on any host and gated.  Host ns per
+   route is best of [install_reps]. *)
+let install_reps = 3
+
+let router_install_segment () =
+  let rng = Sim.Rng.create seed in
+  let base = Iproute.Gen.bgp_table ~rng ~n:top ~n_ports in
+  let config =
+    { Router.default_config with Router.route_engine = Iproute.Table.Poptrie }
+  in
+  let one () =
+    let r = Router.create ~config () in
+    let t0 = Sys.time () in
+    Array.iter (fun (p, port) -> Router.add_route r p ~port) base;
+    let dt = Sys.time () -. t0 in
+    (float_of_int top /. dt, Iproute.Table.cache_scan_cost r.Router.routes)
+  in
+  let runs = List.init install_reps (fun _ -> one ()) in
+  let rates = List.map fst runs in
+  let scan = List.fold_left (fun acc (_, s) -> max acc s) 0 runs in
+  let ns = 1e9 /. List.fold_left Float.max 0. rates in
+  let spread = Perf.spread_of rates in
+  Report.info
+    "router install %d routes: %.0f ns/route (best of %d, spread %.1f%%), \
+     %d cache slots scanned"
+    top ns install_reps (100. *. spread) scan;
+  Report.row ~unit_:"ns" ~name:"router install ns/route [n=1000000]"
+    ~paper:1_000. ~measured:ns;
+  Report.row ~unit_:"slots" ~name:"router install scan work [n=1000000]"
+    ~paper:0. ~measured:(float_of_int scan);
+  Report.row ~unit_:"frac" ~name:"run spread (router install)" ~paper:0.10
+    ~measured:spread;
+  if scan > 0 then begin
+    incr failures;
+    Report.info "  FIB FAILURE: cold install scanned %d route-cache slots" scan
+  end
+
 (* The RIP segment: a storm of announce/withdraw updates driven through
    the daemon's own [apply] path against a live router with the poptrie
    engine and selective invalidation, while a data-plane fiber keeps
@@ -331,6 +371,8 @@ let run () =
   Report.row ~unit_:"ns"
     ~name:(Printf.sprintf "cpe update ns [n=%d]" cpe_cap)
     ~paper:1_000. ~measured:cpe_up_ns;
+  Report.section "Route install through the router (cold route cache)";
+  router_install_segment ();
   Report.section
     "RIP churn against the live poptrie table (simulated time)";
   rip_segment ()

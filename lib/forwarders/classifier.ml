@@ -199,7 +199,19 @@ let compare_tuple a b =
   | None, Some _ -> 1
   | None, None -> Stdlib.compare a.tkey b.tkey
 
-let resort t = t.tuples <- List.sort compare_tuple t.tuples
+(* [t.tuples] stays sorted by [compare_tuple] across writes without a
+   re-sort: a write moves at most the one tuple that was created, whose
+   minimum changed, or that emptied.  [compare_tuple] is a strict total
+   order ([tkey] breaks ties), so the result is the sorted list. *)
+let rec insert_sorted tbl = function
+  | x :: rest when compare_tuple x tbl < 0 -> x :: insert_sorted tbl rest
+  | l -> tbl :: l
+
+let unlink t tbl = t.tuples <- List.filter (fun x -> x != tbl) t.tuples
+
+let reposition t tbl =
+  unlink t tbl;
+  t.tuples <- insert_sorted tbl t.tuples
 
 let bucket_min tbl =
   Hashtbl.fold
@@ -222,7 +234,6 @@ let add t r =
           { tkey = tk; table = Hashtbl.create 16; t_rules = 0; t_min = None }
         in
         Hashtbl.add t.by_tkey tk tbl;
-        t.tuples <- tbl :: t.tuples;
         tbl
   in
   let mk = mkey_of_rule r in
@@ -236,8 +247,9 @@ let add t r =
     t.rules <- t.rules + 1;
     (match tbl.t_min with
     | Some m when compare_rule m r <= 0 -> ()
-    | _ -> tbl.t_min <- Some r);
-    resort t;
+    | _ ->
+        tbl.t_min <- Some r;
+        reposition t tbl);
     invalidate t
   end
 
@@ -258,14 +270,17 @@ let remove t r =
             else Hashtbl.replace tbl.table mk bucket;
             tbl.t_rules <- tbl.t_rules - 1;
             t.rules <- t.rules - 1;
-            (match tbl.t_min with
-            | Some m when compare_rule m r = 0 -> tbl.t_min <- bucket_min tbl
-            | _ -> ());
             if tbl.t_rules = 0 then begin
               Hashtbl.remove t.by_tkey tk;
-              t.tuples <- List.filter (fun x -> x != tbl) t.tuples
+              unlink t tbl
+            end
+            else begin
+              match tbl.t_min with
+              | Some m when compare_rule m r = 0 ->
+                  tbl.t_min <- bucket_min tbl;
+                  reposition t tbl
+              | _ -> ()
             end;
-            resort t;
             invalidate t;
             true
           end

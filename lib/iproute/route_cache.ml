@@ -10,6 +10,7 @@ type 'a t = {
   hash : int -> int;
   keys : int array; (* -1 = empty line *)
   vals : 'a option array; (* dense mirror; [Some] refreshed per insert *)
+  mutable live : int; (* occupied lines *)
   mutable hits : int;
   mutable misses : int;
   mutable scan_cost : int;
@@ -38,6 +39,7 @@ let create ?hash ~slots () =
     hash;
     keys = Array.make slots (-1);
     vals = Array.make slots None;
+    live = 0;
     hits = 0;
     misses = 0;
     scan_cost = 0;
@@ -74,29 +76,42 @@ let find c a = find_i c (key_of_addr a)
 
 let insert_i c k v =
   let l = line c k in
+  if c.keys.(l) < 0 then c.live <- c.live + 1;
   c.keys.(l) <- k;
   c.vals.(l) <- Some v
 
 let insert c a v = insert_i c (key_of_addr a) v
 
+(* Every invalidation returns at once on an empty cache, so a route
+   install into a cold cache — a whole table loaded at start-up — costs
+   the table write alone, not a pass over every line. *)
 let invalidate c =
-  Array.fill c.keys 0 (Array.length c.keys) (-1);
-  Array.fill c.vals 0 (Array.length c.vals) None
+  if c.live > 0 then begin
+    let slots = Array.length c.keys in
+    c.scan_cost <- c.scan_cost + slots;
+    Array.fill c.keys 0 slots (-1);
+    Array.fill c.vals 0 slots None;
+    c.live <- 0
+  end
 
 let drop_line c l =
   c.keys.(l) <- -1;
-  c.vals.(l) <- None
+  c.vals.(l) <- None;
+  c.live <- c.live - 1
 
 let invalidate_matching c pred =
-  c.scan_cost <- c.scan_cost + Array.length c.keys;
-  Array.iteri
-    (fun i k -> if k >= 0 && pred (Int32.of_int k) then drop_line c i)
-    c.keys
+  if c.live > 0 then begin
+    c.scan_cost <- c.scan_cost + Array.length c.keys;
+    Array.iteri
+      (fun i k -> if k >= 0 && pred (Int32.of_int k) then drop_line c i)
+      c.keys
+  end
 
 let invalidate_covered c p =
   let host = 32 - Prefix.length p in
   let slots = Array.length c.keys in
-  if host < Sys.int_size - 1 && 1 lsl host < slots then begin
+  if c.live = 0 then ()
+  else if host < Sys.int_size - 1 && 1 lsl host < slots then begin
     (* Few covered addresses: probe each one's line directly instead of
        scanning every slot — a /32 change touches exactly one line. *)
     let base = Int32.to_int (Prefix.addr p) land 0xFFFFFFFF in

@@ -32,24 +32,30 @@ val insert_i : 'a t -> int -> 'a -> unit
 (** {!insert} keyed by native-int address bits. *)
 
 val invalidate : 'a t -> unit
-(** Drop every line (route table changed). *)
+(** Drop every line (route table changed).  Clearing an occupied cache
+    costs O(slots); an empty one costs nothing. *)
 
 val invalidate_matching : 'a t -> (Packet.Ipv4.addr -> bool) -> unit
 (** Drop only the lines whose key satisfies the predicate — selective
-    invalidation for a single-prefix table change.  Always scans every
-    line: O(slots) predicate calls per route change. *)
+    invalidation for a single-prefix table change.  Scans every line,
+    O(slots) predicate calls, unless the cache is empty, when it returns
+    at once. *)
 
 val invalidate_covered : 'a t -> Prefix.t -> unit
 (** Drop the lines whose key falls inside the prefix.  When the prefix
     covers fewer addresses than the cache has slots (any prefix longer
     than /[32 - log2 slots]), each covered address's line is probed
     directly — a /32 change costs one probe instead of a full scan.
-    Wide prefixes fall back to {!invalidate_matching}. *)
+    Wide prefixes fall back to {!invalidate_matching}.  An empty cache
+    returns at once. *)
 
 val scan_cost : 'a t -> int
-(** Cumulative invalidation work: slots visited by predicate scans plus
-    addresses probed by covered-prefix invalidation.  The regression
-    tests pin that host-route churn stays O(1) per change. *)
+(** Cumulative invalidation work: slots cleared by a full {!invalidate}
+    of a non-empty cache, slots visited by predicate scans, and
+    addresses probed by covered-prefix invalidation.  Invalidating an
+    empty cache adds nothing.  The regression tests pin that host-route
+    churn stays O(1) per change and that installing a table into a cold
+    cache costs 0. *)
 
 val hits : 'a t -> int
 val misses : 'a t -> int

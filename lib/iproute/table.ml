@@ -13,7 +13,6 @@ type t = {
   backend : backend;
   cache : nexthop Route_cache.t;
   selective : bool;
-  mutable n : int;
 }
 
 let create ?(engine = Cpe) ?(cache_slots = 1024)
@@ -30,19 +29,11 @@ let create ?(engine = Cpe) ?(cache_slots = 1024)
     backend;
     cache = Route_cache.create ~slots:cache_slots ();
     selective = selective_invalidation;
-    n = 0;
   }
 
 let on_change t p =
   if t.selective then Route_cache.invalidate_covered t.cache p
   else Route_cache.invalidate t.cache
-
-let backend_size = function
-  | B_linear l -> List.length !l
-  | B_trie r -> Btrie.size !r
-  | B_pat r -> Patricia.size !r
-  | B_cpe c -> Cpe.size c
-  | B_pop pt -> Poptrie.size pt
 
 let add t p nh =
   (match t.backend with
@@ -52,8 +43,7 @@ let add t p nh =
   | B_pat r -> r := Patricia.add !r p nh
   | B_cpe c -> Cpe.add c p nh
   | B_pop pt -> Poptrie.add pt p nh);
-  on_change t p;
-  t.n <- backend_size t.backend
+  on_change t p
 
 let remove t p =
   (match t.backend with
@@ -62,8 +52,7 @@ let remove t p =
   | B_pat r -> r := Patricia.remove !r p
   | B_cpe c -> Cpe.remove c p
   | B_pop pt -> Poptrie.remove pt p);
-  on_change t p;
-  t.n <- backend_size t.backend
+  on_change t p
 
 let lookup t a =
   match t.backend with
@@ -116,7 +105,13 @@ let lookup_cached_i t k ~hit =
     | None -> no_route
   end
 
-let size t = t.n
+let size t =
+  match t.backend with
+  | B_linear l -> List.length !l
+  | B_trie r -> Btrie.size !r
+  | B_pat r -> Patricia.size !r
+  | B_cpe c -> Cpe.size c
+  | B_pop pt -> Poptrie.size pt
 
 let bindings t =
   match t.backend with

@@ -28,10 +28,13 @@ val create :
     cache — cheap control-plane churn at the cost of a per-line scan. *)
 
 val add : t -> Prefix.t -> nexthop -> unit
-(** Insert/replace a route; invalidates the cache. *)
+(** Insert/replace a route; invalidates the cache.  The invalidation
+    costs nothing while the cache is empty, so loading a table before
+    traffic costs the engine writes alone; against a warm cache it costs
+    O(slots), or the covered lines under [selective_invalidation]. *)
 
 val remove : t -> Prefix.t -> unit
-(** Delete a route; invalidates the cache. *)
+(** Delete a route; invalidates the cache like {!add}. *)
 
 val lookup : t -> Packet.Ipv4.addr -> nexthop option
 (** Full longest-prefix match (no cache) — what the StrongARM runs. *)
@@ -52,7 +55,8 @@ val lookup_cached_i : t -> int -> hit:bool ref -> nexthop
     Allocation-free on a cache hit. *)
 
 val size : t -> int
-(** Number of routes. *)
+(** Number of routes, counted when called: O(1) on [Poptrie], a full
+    traversal on the other engines.  Not for the packet path. *)
 
 val bindings : t -> (Prefix.t * nexthop) list
 (** Every installed route, order unspecified — the differential tests
@@ -66,7 +70,8 @@ val cache_hit_rate : t -> float
 
 val cache_scan_cost : t -> int
 (** Cumulative route-cache invalidation work (see
-    {!Route_cache.scan_cost}). *)
+    {!Route_cache.scan_cost}): 0 after any number of changes made while
+    the cache was empty. *)
 
 val engine_name : t -> string
 

@@ -343,9 +343,66 @@ let batch_memo_semantics () =
   | _ -> Alcotest.fail "memo served a stale answer across churn");
   Alcotest.(check int) "churn invalidated the memo" 2 (hits ())
 
+(* The tuple list is kept in order incrementally: after any sequence of
+   adds and removes (duplicate adds, removals of absent rules, priority
+   ties) every key gets the same rule, after the same number of tuple
+   probes, as from a classifier built fresh from the surviving rules. *)
+let incremental_order_qcheck =
+  QCheck.Test.make
+    ~name:"add/remove churn = fresh build, answers and probe counts"
+    ~count:150
+    QCheck.(
+      pair (int_bound 1_000_000)
+        (list_of_size (Gen.int_bound 150) (pair bool (int_bound 39))))
+    (fun (seed, ops) ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      (* Three priority levels over 40 rules: ties everywhere, and writes
+         that move a tuple's best rule both ways. *)
+      let pool =
+        Array.of_list
+          (List.mapi
+             (fun i r -> { r with Classifier.prio = i mod 3 })
+             (Classifier.Gen.rules ~rng ~n:40 ()))
+      in
+      let t = Classifier.create () in
+      let live = Hashtbl.create 64 in
+      List.iter
+        (fun (add, i) ->
+          let r = pool.(i) in
+          if add then begin
+            Classifier.add t r;
+            Hashtbl.replace live r ()
+          end
+          else if Classifier.remove t r then Hashtbl.remove live r)
+        ops;
+      (* Best rule last, so the fresh build moves tuples on most adds. *)
+      let fresh =
+        of_rules
+          (List.sort
+             (fun a b -> Classifier.compare_rule b a)
+             (Hashtbl.fold (fun r () acc -> r :: acc) live []))
+      in
+      let probed c k =
+        let p0 = Classifier.probes c in
+        let r = Classifier.lookup c k in
+        (r, Classifier.probes c - p0)
+      in
+      Classifier.n_tuples t = Classifier.n_tuples fresh
+      && Classifier.n_rules t = Classifier.n_rules fresh
+      && List.for_all
+           (fun k ->
+             let a, pa = probed t k and b, pb = probed fresh k in
+             pa = pb
+             &&
+             match (a, b) with
+             | None, None -> true
+             | Some x, Some y -> Classifier.compare_rule x y = 0
+             | _ -> false)
+           (List.init 60 (fun _ -> gen_key rng)))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ differential_qcheck; permutation_qcheck ]
+    [ differential_qcheck; permutation_qcheck; incremental_order_qcheck ]
 
 let tests =
   [

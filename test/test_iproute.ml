@@ -657,6 +657,76 @@ let table_covered_invalidation () =
   done;
   Alcotest.(check int) "no unrelated line flushed" 100 !survivors
 
+let table_size_counts_routes () =
+  (* [size] is counted from the engine when called; on the trie it must
+     track installs, replacements and removals exactly. *)
+  let rng = Sim.Rng.create 23L in
+  let base = Iproute.Gen.bgp_table ~rng ~n:20_000 ~n_ports:8 in
+  let t = Iproute.Table.create ~engine:Iproute.Table.Trie () in
+  let nh port = { Iproute.Table.out_port = port; gateway_mac = 0 } in
+  Array.iter (fun (p, v) -> Iproute.Table.add t p (nh v)) base;
+  Array.iteri
+    (fun i (p, _) -> if i mod 7 = 0 then Iproute.Table.add t p (nh 9))
+    base;
+  Array.iter
+    (function
+      | Iproute.Gen.Announce (p, v) -> Iproute.Table.add t p (nh v)
+      | Iproute.Gen.Withdraw p -> Iproute.Table.remove t p)
+    (Iproute.Gen.churn ~rng ~base ~n_ports:8 ~steps:5_000);
+  (* The second removal is of an absent route. *)
+  Iproute.Table.remove t (pfx_of "203.0.113.77/32");
+  Iproute.Table.remove t (pfx_of "203.0.113.77/32");
+  Alcotest.(check int) "size = bindings"
+    (List.length (Iproute.Table.bindings t))
+    (Iproute.Table.size t)
+
+(* The router's route cache has 8192 lines. *)
+let router_cache_slots = 8192
+
+let cold_install_scan_cost () =
+  (* Loading a table before traffic costs the engine writes alone: with
+     the cache empty no route change scans or clears a line, selective
+     or not.  Once the cache is warm, one non-selective change clears
+     every slot once, and the next change finds the cache empty again. *)
+  let base =
+    Iproute.Gen.bgp_table ~rng:(Sim.Rng.create 11L) ~n:100_000 ~n_ports:8
+  in
+  List.iter
+    (fun selective_invalidation ->
+      let config =
+        {
+          Router.default_config with
+          Router.route_engine = Iproute.Table.Poptrie;
+          selective_invalidation;
+        }
+      in
+      let r = Router.create ~config () in
+      let routes = r.Router.routes in
+      Array.iter (fun (p, port) -> Router.add_route r p ~port) base;
+      Alcotest.(check int)
+        (Printf.sprintf "cold install scans nothing (selective=%b)"
+           selective_invalidation)
+        0
+        (Iproute.Table.cache_scan_cost routes);
+      Alcotest.(check int) "every route installed" (Array.length base)
+        (Iproute.Table.size routes);
+      if not selective_invalidation then begin
+        let rng = Sim.Rng.create 12L in
+        for _ = 1 to 1_000 do
+          ignore
+            (Iproute.Table.lookup_cached routes (Iproute.Gen.hit_addr ~rng base))
+        done;
+        Router.add_route r (fst base.(1)) ~port:0;
+        Alcotest.(check int) "one warm change clears every slot"
+          router_cache_slots
+          (Iproute.Table.cache_scan_cost routes);
+        Router.add_route r (fst base.(2)) ~port:0;
+        Alcotest.(check int) "the next change finds it empty"
+          router_cache_slots
+          (Iproute.Table.cache_scan_cost routes)
+      end)
+    [ false; true ]
+
 let bgp_table_shape () =
   let rng = Sim.Rng.create 7L in
   let n = 50_000 in
@@ -696,11 +766,123 @@ let bgp_table_shape () =
     true
     (announces > 200 && announces < 800)
 
+(* ---- Route cache against a model that always flushes ----
+
+   The cache skips invalidation while no line is occupied; the model
+   below clears on every invalidation, so the two agree only if the
+   cache's count of occupied lines is never wrong.  Both sides pick a
+   line as [model_hash a mod model_slots]. *)
+
+let model_slots = 8
+
+let model_hash a =
+  let k = Int32.to_int a land 0xFFFFFFFF in
+  k lxor (k lsr 16)
+
+let model_line a = model_hash a mod model_slots
+
+(* Sixteen addresses under 10.0.0.0/16: they collide on lines and repeat,
+   and prefixes of every length cover a few of them. *)
+let cache_key i = Int32.of_int (0x0A000000 lor ((i * i * 97) land 0xFFFF))
+
+(* One address per line, to fill the cache. *)
+let line_fillers =
+  List.init model_slots (fun l ->
+      let rec find j =
+        let a = Int32.of_int (0x0A000000 lor j) in
+        if model_line a = l then a else find (j + 1)
+      in
+      find 0)
+
+type cache_op =
+  | C_insert of Packet.Ipv4.addr * int
+  | C_find of Packet.Ipv4.addr
+  | C_flush
+  | C_covered of Iproute.Prefix.t
+  | C_matching of Iproute.Prefix.t
+
+let cache_op_of (code, key, aux) =
+  let a = cache_key key in
+  match code with
+  | 0 | 1 -> C_insert (a, aux)
+  | 2 | 3 -> C_find a
+  | 4 -> C_flush
+  | 5 -> C_covered (Iproute.Prefix.make a aux)
+  | _ -> C_matching (Iproute.Prefix.make a aux)
+
+let run_against_model ops =
+  let c = Iproute.Route_cache.create ~hash:model_hash ~slots:model_slots () in
+  let keys = Array.make model_slots None and vals = Array.make model_slots 0 in
+  let hits = ref 0 and misses = ref 0 and ok = ref true in
+  let drop_if pred =
+    Array.iteri
+      (fun l k -> match k with Some a when pred a -> keys.(l) <- None | _ -> ())
+      keys
+  in
+  let step = function
+    | C_insert (a, v) ->
+        Iproute.Route_cache.insert c a v;
+        keys.(model_line a) <- Some a;
+        vals.(model_line a) <- v
+    | C_find a ->
+        let l = model_line a in
+        let expect =
+          if keys.(l) = Some a then begin
+            incr hits;
+            Some vals.(l)
+          end
+          else begin
+            incr misses;
+            None
+          end
+        in
+        if Iproute.Route_cache.find c a <> expect then ok := false
+    | C_flush ->
+        Iproute.Route_cache.invalidate c;
+        drop_if (fun _ -> true)
+    | C_covered p ->
+        Iproute.Route_cache.invalidate_covered c p;
+        drop_if (Iproute.Prefix.matches p)
+    | C_matching p ->
+        Iproute.Route_cache.invalidate_matching c (Iproute.Prefix.matches p);
+        drop_if (Iproute.Prefix.matches p)
+  in
+  let find_all () = List.iter (fun a -> step (C_find a)) line_fillers in
+  (* Empty cache: every invalidation is a no-op and every find misses. *)
+  List.iter step
+    [
+      C_flush;
+      C_covered (Iproute.Prefix.make (cache_key 3) 32);
+      C_covered (Iproute.Prefix.make (cache_key 3) 8);
+      C_matching (Iproute.Prefix.make (cache_key 5) 16);
+      C_find (cache_key 3);
+    ];
+  List.iter step ops;
+  (* A full cache, then a prefix wide enough to fall back to a scan. *)
+  List.iteri (fun i a -> step (C_insert (a, 1000 + i))) line_fillers;
+  if Array.exists Option.is_none keys then ok := false;
+  find_all ();
+  step (C_covered (Iproute.Prefix.make (List.hd line_fillers) 28));
+  find_all ();
+  List.iteri (fun i a -> step (C_insert (a, 2000 + i))) line_fillers;
+  step C_flush;
+  find_all ();
+  !ok
+  && Iproute.Route_cache.hits c = !hits
+  && Iproute.Route_cache.misses c = !misses
+
+let route_cache_model =
+  QCheck.Test.make ~name:"route cache = always-flushing model" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_bound 200)
+        (triple (int_bound 6) (int_bound 15) (int_bound 32)))
+    (fun ops -> run_against_model (List.map cache_op_of ops))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       engines_agree; cpe_incremental_add; patricia_add_remove;
-      poptrie_diff_ops; covered_equiv;
+      poptrie_diff_ops; covered_equiv; route_cache_model;
     ]
 
 let tests =
@@ -724,6 +906,10 @@ let tests =
       covered_invalidation_unit;
     Alcotest.test_case "table /32 change costs one probe" `Quick
       table_covered_invalidation;
+    Alcotest.test_case "table size = bindings on the trie" `Quick
+      table_size_counts_routes;
+    Alcotest.test_case "cold table install scans no cache line" `Quick
+      cold_install_scan_cost;
     Alcotest.test_case "bgp table shape + determinism" `Quick bgp_table_shape;
     Alcotest.test_case "poptrie vs btrie at one million routes" `Slow
       poptrie_million;
