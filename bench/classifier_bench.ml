@@ -56,8 +56,14 @@ let same_rule a b =
   | _ -> false
 
 (* Best-of-reps wall-clock ns per lookup (same throttling hedge as
-   bench/fib.ml). *)
-let time_ns ?(reps = 2) ~iters t keys =
+   bench/fib.ml).  The widest spread of any timed row ([Perf.spread_of]
+   over the reps' lookup rates) becomes the experiment's run-spread row,
+   which [bench/gate.py --refresh] checks before accepting the file as a
+   baseline. *)
+let timing_reps = 3
+let worst_spread = ref 0.
+
+let time_ns ~iters t keys =
   let k = Array.length keys in
   for i = 0 to k - 1 do
     ignore (Classifier.lookup t keys.(i))
@@ -72,12 +78,13 @@ let time_ns ?(reps = 2) ~iters t keys =
     done;
     (Sys.time () -. t0) *. 1e9 /. float_of_int iters
   in
-  let best = ref (one ()) in
-  for _ = 2 to reps do
-    let ns = one () in
-    if ns < !best then best := ns
-  done;
-  !best
+  let runs = List.init timing_reps (fun _ -> one ()) in
+  let spread = Perf.spread_of (List.map (fun ns -> 1. /. ns) runs) in
+  Report.info "  timing reps: %s ns/lookup, spread %.1f%%"
+    (String.concat " " (List.map (Printf.sprintf "%.0f") runs))
+    (100. *. spread);
+  worst_spread := Float.max !worst_spread spread;
+  List.fold_left Float.min infinity runs
 
 (* --- rule-set scale curve -------------------------------------------- *)
 
@@ -359,4 +366,6 @@ let run () =
   Report.section
     "Classified cluster: delivery-schedule identity, batch {1,16} x domains \
      {1,2}";
-  classified_identity ()
+  classified_identity ();
+  Report.row ~unit_:"frac" ~name:"run spread (lookup ns)" ~paper:0.10
+    ~measured:!worst_spread

@@ -59,79 +59,196 @@ let specificity r =
   + (match r.proto with Some _ -> 8 | None -> 0)
   + match r.dscp with Some _ -> 6 | None -> 0
 
-let compare_rule (a : rule) (b : rule) =
-  let c = compare a.prio b.prio in
-  if c <> 0 then c
-  else
-    let c = compare (specificity b) (specificity a) in
-    if c <> 0 then c else Stdlib.compare a b
+(* [compare_rule] on precomputed order keys [(prio, specificity)]: two
+   int compares, and the canonical-content compare only on an exact
+   tie. *)
+let compare_keyed a_prio a_spec (a : rule) b_prio b_spec (b : rule) =
+  if a_prio <> b_prio then compare (a_prio : int) b_prio
+  else if a_spec <> b_spec then compare (b_spec : int) a_spec
+  else Stdlib.compare a b
 
-(* A tuple is one mask combination; its table hashes the masked fields. *)
-type tkey = {
-  t_src_len : int;
-  t_dst_len : int;
-  t_sport : bool;
-  t_dport : bool;
-  t_proto : bool;
-  t_dscp : bool;
-}
+let compare_rule a b =
+  compare_keyed a.prio (specificity a) a b.prio (specificity b) b
 
-type mkey = {
-  m_src : Packet.Ipv4.addr;
-  m_dst : Packet.Ipv4.addr;
-  m_sport : int;
-  m_dport : int;
-  m_proto : int;
-  m_dscp : int;
-}
+(* --- packed keys ---------------------------------------------------------
 
-let tkey_of_rule r =
-  {
-    t_src_len = r.src_len;
-    t_dst_len = r.dst_len;
-    t_sport = r.src_port <> None;
-    t_dport = r.dst_port <> None;
-    t_proto = r.proto <> None;
-    t_dscp = r.dscp <> None;
-  }
+   A key packs into two native ints, [hi = src:32|sport:16] and
+   [lo = dst:32|dport:16|proto:8|dscp:6] (62 bits, so never negative).
+   Masking a key for a tuple is then two [land]s with the tuple's
+   precomputed masks, and a probe compares two ints.  Packing is
+   injective only while every field fits its wire width, so [lookup]
+   refuses wider keys and [add] wider rules. *)
 
-let opt_field b v = if b then v else 0
+let u32 (a : Packet.Ipv4.addr) = Int32.to_int a land 0xFFFF_FFFF
+let pack_hi src sport = (src lsl 16) lor sport
 
-let mkey_of_rule r =
-  {
-    m_src = r.src;
-    m_dst = r.dst;
-    m_sport = (match r.src_port with Some p -> p | None -> 0);
-    m_dport = (match r.dst_port with Some p -> p | None -> 0);
-    m_proto = (match r.proto with Some p -> p | None -> 0);
-    m_dscp = (match r.dscp with Some d -> d | None -> 0);
-  }
+let pack_lo dst dport proto dscp =
+  (dst lsl 30) lor (dport lsl 14) lor (proto lsl 6) lor dscp
 
-let mkey_of_five tk (k : Packet.Flow.five) =
-  {
-    m_src = mask_addr k.f_src tk.t_src_len;
-    m_dst = mask_addr k.f_dst tk.t_dst_len;
-    m_sport = opt_field tk.t_sport k.f_src_port;
-    m_dport = opt_field tk.t_dport k.f_dst_port;
-    m_proto = opt_field tk.t_proto k.f_proto;
-    m_dscp = opt_field tk.t_dscp k.f_dscp;
-  }
+let key_in_width (k : Packet.Flow.five) =
+  (k.f_src_port lor k.f_dst_port) lsr 16 = 0
+  && k.f_proto lsr 8 = 0
+  && k.f_dscp lsr 6 = 0
 
-type tuple_tbl = {
-  tkey : tkey;
-  table : (mkey, rule list) Hashtbl.t;  (** buckets sorted by priority *)
+let key_hi (k : Packet.Flow.five) = pack_hi (u32 k.f_src) k.f_src_port
+
+let key_lo (k : Packet.Flow.five) =
+  pack_lo (u32 k.f_dst) k.f_dst_port k.f_proto k.f_dscp
+
+let opt_in_width bits = function None -> true | Some v -> v lsr bits = 0
+let opt_value = function None -> 0 | Some v -> v
+
+let rule_in_width r =
+  r.src_len >= 0 && r.src_len <= 32 && r.dst_len >= 0 && r.dst_len <= 32
+  && opt_in_width 16 r.src_port
+  && opt_in_width 16 r.dst_port
+  && opt_in_width 8 r.proto && opt_in_width 6 r.dscp
+
+(* The rule's own field values, unmasked: a rule built by hand with host
+   bits below its prefix length packs outside the tuple's masks and so,
+   exactly as [matches] says, matches nothing. *)
+let rule_hi r = pack_hi (u32 r.src) (opt_value r.src_port)
+
+let rule_lo r =
+  pack_lo (u32 r.dst) (opt_value r.dst_port) (opt_value r.proto)
+    (opt_value r.dscp)
+
+let addr_mask len =
+  if len = 0 then 0 else (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
+
+let exact field bits = if Option.is_some field then (1 lsl bits) - 1 else 0
+
+(* Multiply-xorshift over both halves; the table index is its low bits. *)
+let hash hi lo =
+  let h = (hi * 0x2545F4914F6CDD1D) + lo in
+  let h = (h lxor (h lsr 32)) * 0x1B873593A2C4E6B5 in
+  h lxor (h lsr 29)
+
+(* --- tuples --------------------------------------------------------------
+
+   A tuple is one mask combination.  Its table is open-addressed with
+   linear probing.  Slot [i] keeps its masked key in [t_keys] ([hi] at
+   [2i], [lo] at [2i + 1], so a probe that misses reads one cache line)
+   and the bucket of rules sharing that key in [t_bucket].  [t_head.(i)]
+   is the bucket's best rule, already wrapped in the option [lookup]
+   returns, so a probe hands back a preallocated value. *)
+
+(* Marks a free slot's [hi]; a packed [hi] is never negative. *)
+let free = -1
+
+(* The fields a probe reads come first, so the walk reads the front of
+   each tuple's record and no rule record. *)
+type tuple = {
+  hi_mask : int;
+  lo_mask : int;
+  spec : int;  (** {!specificity} of every rule of this shape *)
+  mutable t_min_prio : int;  (** [t_min.prio] *)
+  mutable t_keys : int array;
+  mutable t_head : rule option array;  (** [None] in a free slot *)
+  mutable t_min : rule;  (** best rule in this tuple *)
+  code : int;  (** the mask shape: prefix lengths and exact fields *)
+  mutable t_bucket : rule list array;  (** sorted by [compare_rule] *)
+  mutable t_used : int;  (** occupied slots *)
   mutable t_rules : int;
-  mutable t_min : rule option;  (** best-priority rule in this tuple *)
 }
 
-type cache_entry = { ce_gen : int; ce_rule : rule option }
+let tuple_code r =
+  let bit b v = if Option.is_some b then v else 0 in
+  (r.src_len lsl 10) lor (r.dst_len lsl 4) lor bit r.src_port 8
+  lor bit r.dst_port 4 lor bit r.proto 2 lor bit r.dscp 1
+
+let new_tuple r =
+  let slots = 8 in
+  {
+    hi_mask = pack_hi (addr_mask r.src_len) (exact r.src_port 16);
+    lo_mask =
+      pack_lo (addr_mask r.dst_len) (exact r.dst_port 16) (exact r.proto 8)
+        (exact r.dscp 6);
+    spec = specificity r;
+    t_min_prio = r.prio;
+    t_keys = Array.make (2 * slots) free;
+    t_head = Array.make slots None;
+    t_min = r;
+    code = tuple_code r;
+    t_bucket = Array.make slots [];
+    t_used = 0;
+    t_rules = 0;
+  }
+
+let set_min tb r =
+  tb.t_min <- r;
+  tb.t_min_prio <- r.prio
+
+(* The slot holding [(hi, lo)], or the free slot that ends its run. *)
+let rec slot_from keys hi lo mask i =
+  let h = keys.(2 * i) in
+  if h = free || (h = hi && keys.((2 * i) + 1) = lo) then i
+  else slot_from keys hi lo mask ((i + 1) land mask)
+
+let find_slot tb hi lo =
+  let mask = Array.length tb.t_head - 1 in
+  slot_from tb.t_keys hi lo mask (hash hi lo land mask)
+
+(* The probe proper: the bucket's best rule, or [None]. *)
+let probe tb hi lo = tb.t_head.(find_slot tb hi lo)
+
+let set_slot tb i hi lo head bucket =
+  tb.t_keys.(2 * i) <- hi;
+  tb.t_keys.((2 * i) + 1) <- lo;
+  tb.t_head.(i) <- head;
+  tb.t_bucket.(i) <- bucket
+
+let grow_tuple tb =
+  let keys = tb.t_keys and head = tb.t_head and bucket = tb.t_bucket in
+  let n = 2 * Array.length head in
+  tb.t_keys <- Array.make (2 * n) free;
+  tb.t_head <- Array.make n None;
+  tb.t_bucket <- Array.make n [];
+  Array.iteri
+    (fun j h ->
+      if Option.is_some h then begin
+        let hi = keys.(2 * j) and lo = keys.((2 * j) + 1) in
+        set_slot tb (find_slot tb hi lo) hi lo h bucket.(j)
+      end)
+    head
+
+(* Backward-shift deletion: walk the run after the freed [hole] and pull
+   back every entry whose home slot does not lie cyclically in
+   [(hole, j]], so no probe run ever crosses a free slot. *)
+let rec close_hole tb mask hole j =
+  let j = (j + 1) land mask in
+  let hi = tb.t_keys.(2 * j) and lo = tb.t_keys.((2 * j) + 1) in
+  if hi = free then set_slot tb hole free 0 None []
+  else if (j - (hash hi lo land mask)) land mask >= (j - hole) land mask
+  then begin
+    set_slot tb hole hi lo tb.t_head.(j) tb.t_bucket.(j);
+    close_hole tb mask j j
+  end
+  else close_hole tb mask hole j
+
+let delete_slot tb i =
+  close_hole tb (Array.length tb.t_head - 1) i i;
+  tb.t_used <- tb.t_used - 1
+
+(* [compare_rule] between the best rule of [tb] and a rule [b] whose
+   precomputed order key is [(b_prio, b_spec)]: two int compares, and
+   the canonical-content compare only on an exact tie. *)
+let compare_min tb b_prio b_spec b =
+  compare_keyed tb.t_min_prio tb.spec tb.t_min b_prio b_spec b
 
 type t = {
-  by_tkey : (tkey, tuple_tbl) Hashtbl.t;
-  mutable tuples : tuple_tbl list;  (** sorted by (t_min, tkey) *)
+  by_code : (int, tuple) Hashtbl.t;
+  mutable tuples : tuple list;  (** sorted by (t_min, code) *)
   mutable rules : int;
   mutable gen : int;
-  cache : (Packet.Flow.five, cache_entry) Hashtbl.t;
+  (* The flow cache: open-addressed, keyed by the packed pair.  A slot
+     is occupied iff its stored epoch is the current [epoch], so a flush
+     is one increment.  Entries are never deleted otherwise: a stale one
+     (older stored generation) is rewritten in place. *)
+  mutable c_keys : int array;
+  mutable c_rule : rule option array;
+  mutable c_count : int;  (** occupied slots, stale ones included *)
+  mutable epoch : int;
   cache_capacity : int;
   (* Batch-span memo: within one context activation (an open
      [Sim.Engine] batch span) bursts are strongly flow-local, so the
@@ -143,7 +260,8 @@ type t = {
      invalidates it exactly like the cache). *)
   mutable memo_span : int;  (** 0 = memo empty / outside any span *)
   mutable memo_gen : int;
-  mutable memo_key : Packet.Flow.five;
+  mutable memo_hi : int;
+  mutable memo_lo : int;
   mutable memo_rule : rule option;
   hits : Sim.Stats.Counter.t;
   misses : Sim.Stats.Counter.t;
@@ -152,36 +270,24 @@ type t = {
   memo_hits : Sim.Stats.Counter.t;
 }
 
-let dummy_five : Packet.Flow.five =
-  {
-    f_src = 0l;
-    f_src_port = 0;
-    f_dst = 0l;
-    f_dst_port = 0;
-    f_proto = 0;
-    f_dscp = 0;
-  }
-
-let five_eq (a : Packet.Flow.five) (b : Packet.Flow.five) =
-  Int32.equal a.f_src b.f_src
-  && Int32.equal a.f_dst b.f_dst
-  && a.f_src_port = b.f_src_port
-  && a.f_dst_port = b.f_dst_port
-  && a.f_proto = b.f_proto
-  && a.f_dscp = b.f_dscp
+let cache_slots = 512
 
 let create ?(cache_capacity = 4096) () =
   if cache_capacity < 1 then invalid_arg "Classifier.create: cache_capacity";
   {
-    by_tkey = Hashtbl.create 64;
+    by_code = Hashtbl.create 64;
     tuples = [];
     rules = 0;
     gen = 0;
-    cache = Hashtbl.create 256;
+    c_keys = Array.make (4 * cache_slots) 0;
+    c_rule = Array.make cache_slots None;
+    c_count = 0;
+    epoch = 1;
     cache_capacity;
     memo_span = 0;
     memo_gen = 0;
-    memo_key = dummy_five;
+    memo_hi = 0;
+    memo_lo = 0;
     memo_rule = None;
     hits = Sim.Stats.Counter.create "classifier.cache_hit";
     misses = Sim.Stats.Counter.create "classifier.cache_miss";
@@ -191,18 +297,13 @@ let create ?(cache_capacity = 4096) () =
   }
 
 let compare_tuple a b =
-  match (a.t_min, b.t_min) with
-  | Some x, Some y ->
-      let c = compare_rule x y in
-      if c <> 0 then c else Stdlib.compare a.tkey b.tkey
-  | Some _, None -> -1
-  | None, Some _ -> 1
-  | None, None -> Stdlib.compare a.tkey b.tkey
+  let c = compare_min a b.t_min_prio b.spec b.t_min in
+  if c <> 0 then c else Int.compare a.code b.code
 
 (* [t.tuples] stays sorted by [compare_tuple] across writes without a
    re-sort: a write moves at most the one tuple that was created, whose
    minimum changed, or that emptied.  [compare_tuple] is a strict total
-   order ([tkey] breaks ties), so the result is the sorted list. *)
+   order ([code] breaks ties), so the result is the sorted list. *)
 let rec insert_sorted tbl = function
   | x :: rest when compare_tuple x tbl < 0 -> x :: insert_sorted tbl rest
   | l -> tbl :: l
@@ -213,158 +314,207 @@ let reposition t tbl =
   unlink t tbl;
   t.tuples <- insert_sorted tbl t.tuples
 
-let bucket_min tbl =
-  Hashtbl.fold
-    (fun _ rules acc ->
-      match (rules, acc) with
-      | [], _ -> acc
-      | r :: _, None -> Some r
-      | r :: _, Some m -> if compare_rule r m < 0 then Some r else acc)
-    tbl.table None
+let bucket_min tb =
+  Array.fold_left
+    (fun acc head ->
+      match (head, acc) with
+      | None, _ -> acc
+      | Some _, None -> head
+      | Some r, Some m -> if compare_rule r m < 0 then head else acc)
+    None tb.t_head
+  |> Option.get
+
+(* Store a non-empty sorted bucket, rewrapping its head only when the
+   best rule changed. *)
+let set_bucket tb i bucket =
+  tb.t_bucket.(i) <- bucket;
+  let h = List.hd bucket in
+  match tb.t_head.(i) with
+  | Some x when x == h -> ()
+  | _ -> tb.t_head.(i) <- Some h
 
 let invalidate t = t.gen <- t.gen + 1
 
 let add t r =
-  let tk = tkey_of_rule r in
-  let tbl =
-    match Hashtbl.find_opt t.by_tkey tk with
-    | Some tbl -> tbl
+  if not (rule_in_width r) then
+    invalid_arg "Classifier.add: rule field exceeds its wire width";
+  let code = tuple_code r in
+  let tb, fresh =
+    match Hashtbl.find_opt t.by_code code with
+    | Some tb -> (tb, false)
     | None ->
-        let tbl =
-          { tkey = tk; table = Hashtbl.create 16; t_rules = 0; t_min = None }
-        in
-        Hashtbl.add t.by_tkey tk tbl;
-        tbl
+        let tb = new_tuple r in
+        Hashtbl.add t.by_code code tb;
+        (tb, true)
   in
-  let mk = mkey_of_rule r in
-  let bucket =
-    match Hashtbl.find_opt tbl.table mk with Some b -> b | None -> []
-  in
+  if 2 * (tb.t_used + 1) > Array.length tb.t_head then grow_tuple tb;
+  let hi = rule_hi r and lo = rule_lo r in
+  let i = find_slot tb hi lo in
+  let bucket = tb.t_bucket.(i) in
   if not (List.exists (fun x -> compare_rule x r = 0) bucket) then begin
-    Hashtbl.replace tbl.table mk
-      (List.sort compare_rule (r :: bucket));
-    tbl.t_rules <- tbl.t_rules + 1;
+    if bucket = [] then begin
+      set_slot tb i hi lo (Some r) [ r ];
+      tb.t_used <- tb.t_used + 1
+    end
+    else set_bucket tb i (List.sort compare_rule (r :: bucket));
+    tb.t_rules <- tb.t_rules + 1;
     t.rules <- t.rules + 1;
-    (match tbl.t_min with
-    | Some m when compare_rule m r <= 0 -> ()
-    | _ ->
-        tbl.t_min <- Some r;
-        reposition t tbl);
+    if fresh then t.tuples <- insert_sorted tb t.tuples
+    else if compare_rule tb.t_min r > 0 then begin
+      set_min tb r;
+      reposition t tb
+    end;
     invalidate t
   end
 
 let remove t r =
-  let tk = tkey_of_rule r in
-  match Hashtbl.find_opt t.by_tkey tk with
+  rule_in_width r
+  &&
+  match Hashtbl.find_opt t.by_code (tuple_code r) with
   | None -> false
-  | Some tbl -> (
-      let mk = mkey_of_rule r in
-      match Hashtbl.find_opt tbl.table mk with
-      | None -> false
-      | Some bucket ->
-          if List.exists (fun x -> compare_rule x r = 0) bucket then begin
-            let bucket =
-              List.filter (fun x -> compare_rule x r <> 0) bucket
-            in
-            if bucket = [] then Hashtbl.remove tbl.table mk
-            else Hashtbl.replace tbl.table mk bucket;
-            tbl.t_rules <- tbl.t_rules - 1;
-            t.rules <- t.rules - 1;
-            if tbl.t_rules = 0 then begin
-              Hashtbl.remove t.by_tkey tk;
-              unlink t tbl
-            end
-            else begin
-              match tbl.t_min with
-              | Some m when compare_rule m r = 0 ->
-                  tbl.t_min <- bucket_min tbl;
-                  reposition t tbl
-              | _ -> ()
-            end;
-            invalidate t;
-            true
-          end
-          else false)
+  | Some tb ->
+      let i = find_slot tb (rule_hi r) (rule_lo r) in
+      let bucket = tb.t_bucket.(i) in
+      if List.exists (fun x -> compare_rule x r = 0) bucket then begin
+        (match List.filter (fun x -> compare_rule x r <> 0) bucket with
+        | [] -> delete_slot tb i
+        | bucket -> set_bucket tb i bucket);
+        tb.t_rules <- tb.t_rules - 1;
+        t.rules <- t.rules - 1;
+        if tb.t_rules = 0 then begin
+          Hashtbl.remove t.by_code tb.code;
+          unlink t tb
+        end
+        else if compare_rule tb.t_min r = 0 then begin
+          set_min tb (bucket_min tb);
+          reposition t tb
+        end;
+        invalidate t;
+        true
+      end
+      else false
 
-let best_in_bucket tbl mk =
-  match Hashtbl.find_opt tbl.table mk with
-  | None | Some [] -> None
-  | Some (r :: _) -> Some r
-
-let search t k =
-  (* Tuples are sorted by their best rule, so once [best] beats the next
-     tuple's minimum no remaining tuple can improve the answer. *)
-  let rec walk best = function
-    | [] -> best
-    | tbl :: rest -> (
-        let prune =
-          match (best, tbl.t_min) with
-          | Some b, Some m -> compare_rule b m <= 0
-          | _, None -> true
-          | None, Some _ -> false
-        in
-        if prune then best
-        else begin
+(* The pruned tuple walk.  Tuples are sorted by their best rule, so once
+   [best] (order key [(b_prio, b_spec)]) beats the next tuple's minimum
+   no remaining tuple can improve the answer.  Every value it returns is
+   a preallocated [t_head] option, so the walk allocates nothing. *)
+let rec walk t hi lo best b_prio b_spec = function
+  | [] -> best
+  | tb :: rest -> (
+      match best with
+      | Some b when compare_min tb b_prio b_spec b >= 0 -> best
+      | _ -> (
           Sim.Stats.Counter.incr t.probe_count;
-          match best_in_bucket tbl (mkey_of_five tbl.tkey k) with
-          | Some r
-            when matches r k
-                 && (match best with
-                    | None -> true
-                    | Some b -> compare_rule r b < 0) ->
-              walk (Some r) rest
-          | _ -> walk best rest
-        end)
-  in
-  walk None t.tuples
+          match probe tb (hi land tb.hi_mask) (lo land tb.lo_mask) with
+          | Some r as cand
+            when match best with
+                 | None -> true
+                 | Some b ->
+                     compare_keyed r.prio tb.spec r b_prio b_spec b < 0 ->
+              walk t hi lo cand r.prio tb.spec rest
+          | _ -> walk t hi lo best b_prio b_spec rest))
+
+let search t hi lo = walk t hi lo None 0 0 t.tuples
+
+(* Flow-cache slot [i] keeps [hi; lo; epoch; gen] at [4i .. 4i + 3] of
+   [c_keys], and its answer in [c_rule.(i)]. *)
+let rec cache_slot_from keys epoch hi lo mask i =
+  let s = 4 * i in
+  if keys.(s + 2) <> epoch || (keys.(s) = hi && keys.(s + 1) = lo) then i
+  else cache_slot_from keys epoch hi lo mask ((i + 1) land mask)
+
+let cache_slot t hi lo =
+  let mask = Array.length t.c_rule - 1 in
+  cache_slot_from t.c_keys t.epoch hi lo mask (hash hi lo land mask)
+
+let grow_cache t =
+  let keys = t.c_keys and rule = t.c_rule in
+  let n = 2 * Array.length rule in
+  t.c_keys <- Array.make (4 * n) 0;
+  t.c_rule <- Array.make n None;
+  for j = 0 to Array.length rule - 1 do
+    let s = 4 * j in
+    if keys.(s + 2) = t.epoch then begin
+      let i = cache_slot t keys.(s) keys.(s + 1) in
+      Array.blit keys s t.c_keys (4 * i) 4;
+      t.c_rule.(i) <- rule.(j)
+    end
+  done
+
+let lookup_packed t hi lo =
+  let i = cache_slot t hi lo in
+  let keys = t.c_keys in
+  if keys.((4 * i) + 2) = t.epoch && keys.((4 * i) + 3) = t.gen then begin
+    Sim.Stats.Counter.incr t.hits;
+    t.c_rule.(i)
+  end
+  else begin
+    Sim.Stats.Counter.incr t.misses;
+    let r = search t hi lo in
+    (* A miss flushes a full cache before inserting, whether or not the
+       key holds a stale entry. *)
+    if t.c_count >= t.cache_capacity then begin
+      t.epoch <- t.epoch + 1;
+      t.c_count <- 0;
+      Sim.Stats.Counter.incr t.flushes
+    end;
+    let i =
+      if keys.((4 * i) + 2) = t.epoch then i
+      else begin
+        if 2 * (t.c_count + 1) > Array.length t.c_rule then grow_cache t;
+        let i = cache_slot t hi lo in
+        t.c_keys.(4 * i) <- hi;
+        t.c_keys.((4 * i) + 1) <- lo;
+        t.c_keys.((4 * i) + 2) <- t.epoch;
+        t.c_count <- t.c_count + 1;
+        i
+      end
+    in
+    t.c_keys.((4 * i) + 3) <- t.gen;
+    t.c_rule.(i) <- r;
+    r
+  end
+
+let check_key fn k =
+  if not (key_in_width k) then
+    invalid_arg ("Classifier." ^ fn ^ ": key field exceeds its wire width")
 
 let lookup t k =
-  match Hashtbl.find_opt t.cache k with
-  | Some e when e.ce_gen = t.gen ->
-      Sim.Stats.Counter.incr t.hits;
-      e.ce_rule
-  | _ ->
-      Sim.Stats.Counter.incr t.misses;
-      let r = search t k in
-      if Hashtbl.length t.cache >= t.cache_capacity then begin
-        Hashtbl.reset t.cache;
-        Sim.Stats.Counter.incr t.flushes
-      end;
-      Hashtbl.replace t.cache k { ce_gen = t.gen; ce_rule = r };
-      r
+  check_key "lookup" k;
+  lookup_packed t (key_hi k) (key_lo k)
 
 let lookup_span t ~span k =
+  check_key "lookup_span" k;
+  let hi = key_hi k and lo = key_lo k in
   if
-    span <> 0 && span = t.memo_span && t.memo_gen = t.gen
-    && five_eq t.memo_key k
+    span <> 0 && span = t.memo_span && t.memo_gen = t.gen && t.memo_hi = hi
+    && t.memo_lo = lo
   then begin
     Sim.Stats.Counter.incr t.memo_hits;
     t.memo_rule
   end
   else begin
-    let r = lookup t k in
+    let r = lookup_packed t hi lo in
     t.memo_span <- span;
     t.memo_gen <- t.gen;
-    t.memo_key <- k;
+    t.memo_hi <- hi;
+    t.memo_lo <- lo;
     t.memo_rule <- r;
     r
   end
 
 let lookup_linear t k =
-  Hashtbl.fold
-    (fun _ tbl acc ->
-      Hashtbl.fold
-        (fun _ bucket acc ->
-          List.fold_left
-            (fun acc r ->
-              if matches r k then
-                match acc with
-                | None -> Some r
-                | Some b -> if compare_rule r b < 0 then Some r else acc
-              else acc)
-            acc bucket)
-        tbl.table acc)
-    t.by_tkey None
+  List.fold_left
+    (fun acc tb ->
+      Array.fold_left
+        (List.fold_left (fun acc r ->
+             if matches r k then
+               match acc with
+               | None -> Some r
+               | Some b -> if compare_rule r b < 0 then Some r else acc
+             else acc))
+        acc tb.t_bucket)
+    None t.tuples
 
 let n_rules t = t.rules
 let n_tuples t = List.length t.tuples
@@ -378,7 +528,7 @@ let attach t scope =
   Telemetry.Scope.gauge_int scope "tuples" (fun () -> n_tuples t);
   Telemetry.Scope.gauge_int scope "rules" (fun () -> n_rules t);
   Telemetry.Scope.gauge_int scope "cache_entries" (fun () ->
-      Hashtbl.length t.cache);
+      t.c_count);
   Telemetry.Scope.register_counter scope ~name:"cache_hit" t.hits;
   Telemetry.Scope.register_counter scope ~name:"cache_miss" t.misses;
   Telemetry.Scope.register_counter scope ~name:"cache_flush" t.flushes;

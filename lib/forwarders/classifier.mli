@@ -19,7 +19,27 @@
     test battery proves this at 10k ops).
 
     Decisions are priority-stable under insertion order: ties on [prio]
-    break on canonical rule content, never on arrival sequence. *)
+    break on canonical rule content, never on arrival sequence.
+
+    {b Packed keys.}  A key packs into two native ints,
+    [hi = src:32|sport:16] and [lo = dst:32|dport:16|proto:8|dscp:6].
+    Each tuple precomputes its masks in the same layout, so masking a key
+    for a tuple is two [land]s.  Tuple tables and the flow cache are
+    open-addressed arrays keyed by the packed pair, and a tuple's slot
+    holds its bucket's best rule already wrapped as the [rule option]
+    {!lookup} returns.  A probe is then one hash of two ints and one
+    two-int compare, and a lookup allocates nothing from the flow-cache
+    probe through the pruned walk to the cache insert (the cache grows
+    in place up to its capacity; a flush is an epoch bump).  Pruning
+    compares the precomputed order key [(prio, specificity)] and reads
+    rule content only on an exact tie.  A probe costs ~30–40 ns on a
+    2-vCPU x86 container (~180 ns with boxed keys); a cache-missing
+    lookup over 10k rules makes ~87 of them.
+
+    Packing is injective only while every field fits its wire width
+    (ports 16 bits, protocol 8, DSCP 6): {!lookup} refuses a wider key
+    and {!add} a wider rule with [Invalid_argument], so one key can never
+    be served another's cached answer. *)
 
 type action =
   | Accept  (** admit; continue down the forwarder chain to routing *)
@@ -69,7 +89,9 @@ val create : ?cache_capacity:int -> unit -> t
 
 val add : t -> rule -> unit
 (** Insert a rule (idempotent: re-adding an identical rule is a no-op).
-    Invalidates the flow cache by generation bump. *)
+    Invalidates the flow cache by generation bump.  Raises
+    [Invalid_argument] if a prefix length lies outside 0..32 or a port,
+    protocol or DSCP value exceeds its wire width. *)
 
 val remove : t -> rule -> bool
 (** Remove a rule matching exactly (same canonical content); [false] if
@@ -77,7 +99,8 @@ val remove : t -> rule -> bool
 
 val lookup : t -> Packet.Flow.five -> rule option
 (** The winning rule via flow cache + pruned tuple walk, or [None] when
-    nothing matches. *)
+    nothing matches.  Raises [Invalid_argument] if a port, protocol or
+    DSCP field of the key exceeds its wire width ({!lookup_span} too). *)
 
 val lookup_span : t -> span:int -> Packet.Flow.five -> rule option
 (** {!lookup} behind a one-entry batch-span memo: when [span] is nonzero

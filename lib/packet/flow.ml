@@ -7,24 +7,30 @@ type tuple = {
 
 type t = All | Tuple of tuple
 
-let of_frame f =
-  if Frame.len f < Ipv4.offset + Ipv4.min_header_len then None
+(* The offset of the TCP/UDP ports, or -1 when [f] carries neither or
+   is too short to hold them. *)
+let ports_offset f =
+  if Frame.len f < Ipv4.offset + Ipv4.min_header_len then -1
   else begin
     let proto = Ipv4.get_proto f in
-    if proto <> Ipv4.proto_tcp && proto <> Ipv4.proto_udp then None
+    if proto <> Ipv4.proto_tcp && proto <> Ipv4.proto_udp then -1
     else begin
       let base = Ipv4.payload_offset f in
-      if Frame.len f < base + 4 then None
-      else
-        Some
-          {
-            src_addr = Ipv4.get_src f;
-            src_port = Frame.get_u16 f base;
-            dst_addr = Ipv4.get_dst f;
-            dst_port = Frame.get_u16 f (base + 2);
-          }
+      if Frame.len f < base + 4 then -1 else base
     end
   end
+
+let of_frame f =
+  let base = ports_offset f in
+  if base < 0 then None
+  else
+    Some
+      {
+        src_addr = Ipv4.get_src f;
+        src_port = Frame.get_u16 f base;
+        dst_addr = Ipv4.get_dst f;
+        dst_port = Frame.get_u16 f (base + 2);
+      }
 
 type five = {
   f_src : Ipv4.addr;
@@ -36,18 +42,18 @@ type five = {
 }
 
 let five_of_frame f =
-  match of_frame f with
-  | None -> None
-  | Some t ->
-      Some
-        {
-          f_src = t.src_addr;
-          f_src_port = t.src_port;
-          f_dst = t.dst_addr;
-          f_dst_port = t.dst_port;
-          f_proto = Ipv4.get_proto f;
-          f_dscp = Ipv4.dscp f;
-        }
+  let base = ports_offset f in
+  if base < 0 then None
+  else
+    Some
+      {
+        f_src = Ipv4.get_src f;
+        f_src_port = Frame.get_u16 f base;
+        f_dst = Ipv4.get_dst f;
+        f_dst_port = Frame.get_u16 f (base + 2);
+        f_proto = Ipv4.get_proto f;
+        f_dscp = Ipv4.dscp f;
+      }
 
 let reverse t =
   {

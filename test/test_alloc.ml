@@ -86,6 +86,76 @@ let test_steady_state_gc () =
     "no minor collections in the measured window" 0
     (Sim.Gc_stats.minor_collections gc)
 
+(* --- classifier miss path ---------------------------------------------- *)
+
+(* A flow-cache miss walks the pruned tuple list, and every probe masks
+   the packed key and reads preallocated slots, so a miss allocates
+   nothing per probe.  The cache-entry insert writes the cache's arrays
+   in place; it allocates only when the cache grows, which the warm-up
+   pass finishes.  The per-lookup bound below is what measurement leaves
+   room for: a single boxed option or key record per miss would already
+   cost 2 words, a per-probe one ~80 times that. *)
+let classifier_words_per_lookup_budget = 0.05
+
+let classifier_keys rng n =
+  let seen = Hashtbl.create n in
+  let rec draw acc k =
+    if k = 0 then Array.of_list acc
+    else
+      let a () =
+        Int32.of_int
+          ((10 lsl 24)
+          lor (Sim.Rng.int rng 16 lsl 16)
+          lor (1 + Sim.Rng.int rng 256))
+      in
+      let key =
+        {
+          Packet.Flow.f_src = a ();
+          f_src_port = 1024 + Sim.Rng.int rng 4096;
+          f_dst = a ();
+          f_dst_port = (if Sim.Rng.bool rng then 80 else 443);
+          f_proto = (if Sim.Rng.bool rng then 6 else 17);
+          f_dscp = Sim.Rng.int rng 8 lsl 3;
+        }
+      in
+      if Hashtbl.mem seen key then draw acc k
+      else begin
+        Hashtbl.add seen key ();
+        draw (key :: acc) (k - 1)
+      end
+  in
+  draw [] n
+
+let test_classifier_miss_alloc () =
+  let module C = Forwarders.Classifier in
+  let rng = Sim.Rng.create 2027L in
+  let t = C.create ~cache_capacity:4096 () in
+  List.iter (C.add t) (C.Gen.rules ~rng ~n:10_000 ());
+  (* Three cache capacities of distinct keys, cycled: every entry is
+     flushed before its key recurs, so every lookup misses. *)
+  let keys = classifier_keys rng (3 * 4096) in
+  let n = Array.length keys in
+  Array.iter (fun k -> ignore (C.lookup t k : C.rule option)) keys;
+  let misses0 = C.cache_misses t and probes0 = C.probes t in
+  let gc = Sim.Gc_stats.create () in
+  for i = 0 to n - 1 do
+    ignore (C.lookup t keys.(i) : C.rule option)
+  done;
+  let words = Sim.Gc_stats.minor_words gc in
+  let misses = C.cache_misses t - misses0 in
+  let probes = C.probes t - probes0 in
+  Alcotest.(check int) "every measured lookup missed the cache" n misses;
+  let probes_per_miss = float_of_int probes /. float_of_int misses in
+  if probes_per_miss < 10. then
+    Alcotest.failf "only %.1f probes per miss: the walk is not exercised"
+      probes_per_miss;
+  let w = words /. float_of_int n in
+  if w > classifier_words_per_lookup_budget then
+    Alcotest.failf
+      "classifier misses allocate %.3f words/lookup over %.1f probes each \
+       (budget %.2f)"
+      w probes_per_miss classifier_words_per_lookup_budget
+
 (* --- pool recycling never aliases live frames -------------------------- *)
 
 (* Interpret a random op sequence against a small pool, tracking the live
@@ -198,6 +268,8 @@ let test_rng_matches_reference () =
 let tests =
   [
     Alcotest.test_case "steady-state GC audit" `Slow test_steady_state_gc;
+    Alcotest.test_case "classifier miss path allocates nothing per probe"
+      `Quick test_classifier_miss_alloc;
     QCheck_alcotest.to_alcotest pool_no_aliasing;
     Alcotest.test_case "limb RNG = int64 reference" `Quick
       test_rng_matches_reference;

@@ -400,9 +400,147 @@ let incremental_order_qcheck =
              | _ -> false)
            (List.init 60 (fun _ -> gen_key rng)))
 
+(* Gen's rules and keys all live in 10.0.0.0/8 with mid-range ports, so
+   they never set the top address bit (a negative [Int32]) or a field's
+   top value.  This battery draws rules and keys from the edges of every
+   field's wire width instead, where a packed key would first lose or
+   alias a bit: addresses with the top bit set, /0 and /32 prefixes,
+   ports 0 and 65535, protocol 255 and DSCP 63. *)
+let edge_addrs =
+  Array.map addr
+    [|
+      "0.0.0.0"; "0.0.0.1"; "10.1.2.3"; "127.255.255.255"; "128.0.0.0";
+      "200.0.0.0"; "200.0.0.1"; "200.255.255.255"; "255.255.255.254";
+      "255.255.255.255";
+    |]
+
+let edge_lens = [| 0; 1; 8; 24; 31; 32 |]
+let edge_ports = [| 0; 1; 80; 32768; 65535 |]
+let edge_protos = [| 0; 6; 17; 255 |]
+let edge_dscps = [| 0; 46; 63 |]
+
+(* Fixed rules at the field edges, present in every drawn set. *)
+let edge_fixed =
+  [
+    Classifier.rule ~prio:3 ~src:(addr "200.0.0.0", 8) Classifier.Drop;
+    Classifier.rule ~prio:3
+      ~dst:(addr "255.255.255.255", 32)
+      ~dst_port:65535 ~proto:255 (Classifier.Forward 1);
+    Classifier.rule ~prio:3 ~src:(addr "255.255.255.255", 32) ~src_port:0
+      ~dscp:63 (Classifier.Mark 63);
+  ]
+
+let edge_rule rng =
+  let pick a = Sim.Rng.pick rng a in
+  let opt v = if Sim.Rng.bool rng then Some (v ()) else None in
+  Classifier.rule
+    ~prio:(Sim.Rng.int rng 4)
+    ~src:(pick edge_addrs, pick edge_lens)
+    ~dst:(pick edge_addrs, pick edge_lens)
+    ?src_port:(opt (fun () -> pick edge_ports))
+    ?dst_port:(opt (fun () -> pick edge_ports))
+    ?proto:(opt (fun () -> pick edge_protos))
+    ?dscp:(opt (fun () -> pick edge_dscps))
+    Classifier.Accept
+
+let edge_key rng =
+  let pick a = Sim.Rng.pick rng a in
+  {
+    Packet.Flow.f_src = pick edge_addrs;
+    f_src_port = pick edge_ports;
+    f_dst = pick edge_addrs;
+    f_dst_port = pick edge_ports;
+    f_proto = pick edge_protos;
+    f_dscp = pick edge_dscps;
+  }
+
+let edge_differential_qcheck =
+  QCheck.Test.make ~name:"edge-width keys and rules = linear oracle"
+    ~count:150
+    QCheck.(pair (int_bound 40) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Sim.Rng.create (Int64.of_int seed) in
+      let rules = edge_fixed @ List.init n (fun _ -> edge_rule rng) in
+      let t = of_rules rules in
+      let keys = List.init 60 (fun _ -> edge_key rng) in
+      let agree k =
+        let same a b =
+          match (a, b) with
+          | None, None -> true
+          | Some x, Some y -> Classifier.compare_rule x y = 0
+          | _ -> false
+        in
+        let orc = oracle rules k in
+        same (Classifier.lookup t k) orc
+        && same (Classifier.lookup_linear t k) orc
+      in
+      (* Twice over: the second pass answers from the flow cache. *)
+      List.for_all agree keys && List.for_all agree keys
+      && Classifier.cache_hits t > 0)
+
+(* A key field beyond its wire width would spill into its neighbour's
+   bits in the packed key: sport 65536 at 10.0.0.1 packs like sport 0 at
+   10.0.0.2.  [lookup] must refuse such a key rather than serve (or
+   cache) another key's answer, and [add] must refuse such a rule. *)
+let wire_width_guard () =
+  let host2 =
+    Classifier.rule ~prio:1 ~src:(addr "10.0.0.2", 32) Classifier.Drop
+  in
+  let proto7 = Classifier.rule ~prio:1 ~proto:7 (Classifier.Forward 2) in
+  let t = of_rules [ host2; proto7 ] in
+  let in_width = five ~src:"10.0.0.2" ~sport:0 ~proto:6 () in
+  let spill_sport = five ~src:"10.0.0.1" ~sport:65536 ~proto:6 () in
+  let spill_dscp = five ~src:"10.9.9.9" ~proto:6 ~dscp:64 () in
+  check_same_rule "in-width key" (Classifier.lookup t in_width) (Some host2);
+  let refuses name k =
+    (match Classifier.lookup t k with
+    | _ -> Alcotest.failf "lookup accepted the %s key" name
+    | exception Invalid_argument _ -> ());
+    match Classifier.lookup_span t ~span:5 k with
+    | _ -> Alcotest.failf "lookup_span accepted the %s key" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (name, k) -> refuses name k)
+    [
+      ("sport 65536", spill_sport);
+      ("dscp 64", spill_dscp);
+      ("dport -1", five ~dport:(-1) ());
+      ("proto 256", five ~proto:256 ());
+    ];
+  (* The oracle still answers them by field semantics: neither spills
+     into a rule it does not match. *)
+  check_same_rule "linear on sport spill"
+    (Classifier.lookup_linear t spill_sport)
+    None;
+  check_same_rule "linear on dscp spill"
+    (Classifier.lookup_linear t spill_dscp)
+    None;
+  (* Refused keys left nothing behind: the cached in-width answer is
+     still its own, and the key dscp 64 would alias (proto 7, dscp 0)
+     still gets that key's answer. *)
+  check_same_rule "cached in-width key"
+    (Classifier.lookup t in_width)
+    (Some host2);
+  check_same_rule "proto 7 key"
+    (Classifier.lookup t (five ~src:"10.9.9.9" ~proto:7 ()))
+    (Some proto7);
+  let wide = { host2 with Classifier.src_port = Some 65536 } in
+  (match Classifier.add t wide with
+  | () -> Alcotest.fail "add accepted a 17-bit port"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool)
+    "remove of a too-wide rule" false (Classifier.remove t wide);
+  Alcotest.(check int) "rule set unchanged" 2 (Classifier.n_rules t)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ differential_qcheck; permutation_qcheck; incremental_order_qcheck ]
+    [
+      differential_qcheck;
+      permutation_qcheck;
+      incremental_order_qcheck;
+      edge_differential_qcheck;
+    ]
 
 let tests =
   [
@@ -414,6 +552,7 @@ let tests =
     Alcotest.test_case "cache transparency" `Quick cache_transparency;
     Alcotest.test_case "batch-span memo semantics" `Quick batch_memo_semantics;
     Alcotest.test_case "admission budget" `Quick admission_budget;
+    Alcotest.test_case "wire-width guard" `Quick wire_width_guard;
     Alcotest.test_case "classified delivery identity" `Quick
       classified_delivery_identity;
   ]
