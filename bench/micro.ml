@@ -16,11 +16,6 @@ let lookup_tests =
       (fun t (p, v) -> Iproute.Btrie.add t p v)
       Iproute.Btrie.empty bindings
   in
-  let pat =
-    List.fold_left
-      (fun t (p, v) -> Iproute.Patricia.add t p v)
-      Iproute.Patricia.empty bindings
-  in
   let cpe = Iproute.Cpe.build bindings in
   let cache = Iproute.Route_cache.create ~slots:1024 () in
   Iproute.Route_cache.insert cache (addr "10.0.0.1") 1;
@@ -37,9 +32,6 @@ let lookup_tests =
   [
     Test.make ~name:"lpm/btrie-10k"
       (Staged.stage (fun () -> ignore (Iproute.Btrie.lookup bt (next_addr ()))));
-    Test.make ~name:"lpm/patricia-10k"
-      (Staged.stage (fun () ->
-           ignore (Iproute.Patricia.lookup pat (next_addr ()))));
     Test.make ~name:"lpm/cpe-10k"
       (Staged.stage (fun () -> ignore (Iproute.Cpe.lookup cpe (next_addr ()))));
     Test.make ~name:"lpm/route-cache-hit"

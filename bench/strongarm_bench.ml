@@ -28,11 +28,16 @@ let run_mode wakeup =
     | Ok fid -> fid
     | Error es -> failwith (String.concat ";" es)
   in
-  (* Divert every packet to the StrongARM, charging the usual trivial
-     classification on the way. *)
+  (* Divert every packet to the StrongARM, charging section 3's trivial
+     classifier on the way: destination hash, route-cache probe. *)
+  let cm = config.Router.cm in
   let process t ctx frame ~in_port =
     ignore in_port;
-    match Router.Classifier.classify_null t.Router.classifier ctx frame with
+    Router.Chip_ctx.exec ctx cm.Router.Cost_model.classify_null_instr;
+    Router.Chip_ctx.hash_charge ctx;
+    Router.Chip_ctx.sram_read ctx
+      ~bytes:(4 * cm.Router.Cost_model.classify_null_sram_reads);
+    match Router.Classifier.classify_functional t.Router.classifier frame with
     | Router.Classifier.Invalid -> Router.Input_loop.Drop_it
     | Router.Classifier.Classified { route; _ } ->
         let out_port =

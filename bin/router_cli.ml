@@ -98,9 +98,7 @@ let run_cmd =
     let engine =
       Arg.enum
         [
-          ("linear", Iproute.Table.Linear);
           ("trie", Iproute.Table.Trie);
-          ("patricia", Iproute.Table.Patricia);
           ("cpe", Iproute.Table.Cpe);
           ("poptrie", Iproute.Table.Poptrie);
         ]
@@ -108,7 +106,8 @@ let run_cmd =
     Arg.(value & opt engine Router.default_config.Router.route_engine
          & info [ "fib" ] ~docv:"ENGINE"
              ~doc:"Longest-prefix-match engine behind the route cache: \
-                   $(b,linear), $(b,trie), $(b,patricia), $(b,cpe), or \
+                   $(b,trie) (the unibit reference trie), $(b,cpe) \
+                   (controlled prefix expansion, the default), or \
                    $(b,poptrie) (the compressed bitmap trie sized for \
                    million-route tables under churn).")
   in

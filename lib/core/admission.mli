@@ -44,8 +44,9 @@ val admit_me :
     load record is updated to reflect the reservation. *)
 
 val release_me : t -> me_load -> Forwarder.t -> per_flow:bool -> unit
-(** Return a forwarder's reservation (inverse of {!admit_me}; per-flow
-    maxima are recomputed conservatively by the caller via {!recompute}). *)
+(** Return a forwarder's reservation (inverse of {!admit_me}, except that
+    the caller recomputes [parallel_max_cycles] from the per-flow
+    forwarders still bound, as {!Iface.remove} does). *)
 
 type pe_load = { mutable cycle_rate : float; mutable pkt_rate : float }
 

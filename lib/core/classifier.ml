@@ -21,11 +21,11 @@ type t = {
   routes : Iproute.Table.t;
   flows : (Packet.Flow.tuple, entry) Hashtbl.t;
   mutable general : entry list;
-  (* Scratch outcome of the [_s] classifiers.  One packet is classified
-     at a time per classifier value within a charging window: the caller
-     must copy these fields out before its next hardware charge, because
-     a charge can suspend (classic mode) and let a sibling context
-     re-fill the scratch. *)
+  (* Scratch verdict of [decide].  One packet is classified at a time
+     per classifier value within a charging window: the caller must copy
+     these fields out before its next hardware charge, because a charge
+     can suspend (classic mode) and let a sibling context re-fill the
+     scratch. *)
   mutable s_per_flow : entry option;
   mutable s_general : entry list;
   mutable s_route : Iproute.Table.nexthop; (* Table.no_route = none *)
@@ -86,41 +86,15 @@ let find_fid t fid =
 let general_chain t = t.general
 let flow_count t = Hashtbl.length t.flows
 
+(* The one decision procedure.  The verdict goes into the scratch
+   fields rather than a fresh record, the route probe is the native-int
+   sentinel form, and the flow hash is skipped outright when no per-flow
+   entry is installed (the table probe on an empty table is a pure
+   no-op, but [Flow.of_frame] boxes a key per packet).  The ethertype
+   check matters: a frame whose type field is damaged on the wire can
+   still carry an intact IP header behind it, and without this guard it
+   would be forwarded with a garbage ethertype. *)
 let decide t frame =
-  (* The ethertype check matters: a frame whose type field is damaged on
-     the wire can still carry an intact IP header behind it, and without
-     this guard it would be forwarded with a garbage ethertype. *)
-  if
-    Packet.Frame.len frame < 14
-    || Packet.Ethernet.get_ethertype frame <> Packet.Ethernet.ethertype_ipv4
-    || not (Packet.Ipv4.valid frame)
-  then Invalid
-  else begin
-    let per_flow =
-      match Packet.Flow.of_frame frame with
-      | None -> None
-      | Some k -> (
-          match Hashtbl.find_opt t.flows k with
-          | Some e ->
-              e.matches <- e.matches + 1;
-              Some e
-          | None -> None)
-    in
-    let dst = Packet.Ipv4.get_dst frame in
-    let route, hit =
-      match Iproute.Table.lookup_cached t.routes dst with
-      | `Hit nh -> (Some nh, true)
-      | `Miss r -> (r, false)
-    in
-    Classified { per_flow; general = t.general; route; route_cache_hit = hit }
-  end
-
-(* Allocation-free twin of [decide]: the verdict goes into the scratch
-   fields instead of a fresh [Classified] record, the route probe is the
-   native-int sentinel form, and the flow hash is skipped outright when
-   no per-flow entry is installed (the table probe on an empty table is
-   a pure no-op, but [Flow.of_frame] boxes a key per packet). *)
-let decide_s t frame =
   if
     Packet.Frame.len frame < 14
     || Packet.Ethernet.get_ethertype frame <> Packet.Ethernet.ethertype_ipv4
@@ -151,46 +125,26 @@ let scratch_general t = t.s_general
 let scratch_route t = t.s_route
 let scratch_route_cache_hit t = t.s_route_cache_hit
 
-(* A frame too short to hold an IP header never reaches the field reads:
-   the validation branch rejects it first (on silicon the registers would
-   simply hold stale bytes; here an out-of-range read is a crash, so the
-   guard is explicit). *)
-let dst_or_zero frame =
-  if Packet.Frame.len frame >= Packet.Ipv4.offset + Packet.Ipv4.min_header_len
-  then Packet.Ipv4.get_dst frame
-  else 0l
-
-let classify_null t ctx frame =
-  let cm = t.cm in
-  Chip_ctx.exec ctx cm.Cost_model.classify_null_instr;
-  ignore (Chip_ctx.hash ctx (Int64.of_int32 (dst_or_zero frame)));
-  Chip_ctx.sram_read ctx ~bytes:(cm.Cost_model.classify_null_sram_reads * 4);
-  decide t frame
-
-let classify_full t ctx frame =
-  let cm = t.cm in
-  Chip_ctx.exec ctx cm.Cost_model.classify_full_instr;
-  ignore (Chip_ctx.hash ctx (Int64.of_int32 (dst_or_zero frame)));
-  ignore (Chip_ctx.hash ctx (Int64.of_int (Packet.Frame.len frame)));
-  Chip_ctx.sram_read ctx ~bytes:cm.Cost_model.classify_full_sram_bytes;
-  decide t frame
-
-(* Same hardware charges as the [outcome] forms — the hash value was
-   always discarded, so [hash_charge] books the identical delay without
-   boxing the operand. *)
-let classify_null_s t ctx frame =
-  let cm = t.cm in
-  Chip_ctx.exec ctx cm.Cost_model.classify_null_instr;
-  Chip_ctx.hash_charge ctx;
-  Chip_ctx.sram_read ctx ~bytes:(cm.Cost_model.classify_null_sram_reads * 4);
-  decide_s t frame
-
-let classify_full_s t ctx frame =
+(* Section 4.5's charges.  The decision does not use the hash values
+   (the model keys its tables itself), so [hash_charge] books each
+   hash's latency without an operand to box. *)
+let classify t ctx frame =
   let cm = t.cm in
   Chip_ctx.exec ctx cm.Cost_model.classify_full_instr;
   Chip_ctx.hash_charge ctx;
   Chip_ctx.hash_charge ctx;
   Chip_ctx.sram_read ctx ~bytes:cm.Cost_model.classify_full_sram_bytes;
-  decide_s t frame
+  decide t frame
 
-let classify_functional t frame = decide t frame
+let classify_functional t frame =
+  if not (decide t frame) then Invalid
+  else
+    Classified
+      {
+        per_flow = t.s_per_flow;
+        general = t.s_general;
+        route =
+          (if t.s_route == Iproute.Table.no_route then None
+           else Some t.s_route);
+        route_cache_hit = t.s_route_cache_hit;
+      }

@@ -8,10 +8,11 @@
     forwarder (if any), the general forwarder chain, and the routing
     decision (a route-cache probe on the fast path).
 
-    Two cost profiles exist: the trivial classifier of the section 3
-    infrastructure experiments (destination hash, route-cache hit assumed)
-    and the full classifier of section 4.5 (56 instructions, 20 bytes of
-    SRAM, two hardware hashes, counted against the VRP budget). *)
+    The router charges section 4.5's classifier (56 instructions, 20 bytes
+    of SRAM, two hardware hashes, counted against the VRP budget).  The
+    trivial classifier of the section 3 infrastructure experiments
+    (destination hash, route-cache hit assumed) has no flow table and is
+    charged inline by {!Fixed_infra}. *)
 
 type entry = {
   fid : int;  (** the install handle *)
@@ -52,31 +53,14 @@ val flow_count : t -> int
 
 (** {1 Data-plane lookups} *)
 
-val classify_null : t -> Chip_ctx.t -> Packet.Frame.t -> outcome
-(** Section 3's trivial classifier: one hardware hash of the destination
-    address plus a route-cache probe; no flow table, no general chain
-    beyond what is installed. *)
-
-val classify_full : t -> Chip_ctx.t -> Packet.Frame.t -> outcome
-(** Section 4.5's classifier: validate, hash IP and TCP headers, read flow
-    metadata from SRAM, resolve the route. *)
-
-val classify_functional : t -> Packet.Frame.t -> outcome
-(** The same decision procedure with no hardware charging — for the
-    StrongARM/Pentium (which receive the metadata pointer and "do not have
-    to re-classify"), tests, and examples. *)
-
-(** {1 Allocation-free fast path}
-
-    The [_s] forms charge exactly like their [outcome] twins but write
-    the verdict into scratch fields of [t] instead of allocating a
-    [Classified] record: [false] means Invalid (drop); [true] means the
-    scratch accessors below hold this packet's decision.  The caller
-    MUST copy the scratch out before its next hardware charge — a charge
-    can suspend, and the next context to classify overwrites it. *)
-
-val classify_null_s : t -> Chip_ctx.t -> Packet.Frame.t -> bool
-val classify_full_s : t -> Chip_ctx.t -> Packet.Frame.t -> bool
+val classify : t -> Chip_ctx.t -> Packet.Frame.t -> bool
+(** Section 4.5's classifier: charge its instructions, two hardware
+    hashes and flow-metadata SRAM read, then validate, probe the flow
+    table and resolve the route.  Allocation-free: [false] means Invalid
+    (drop); [true] means the scratch accessors below hold this packet's
+    decision.  The caller MUST copy the scratch out before its next
+    hardware charge — a charge can suspend, and the next context to
+    classify overwrites it. *)
 
 val scratch_per_flow : t -> entry option
 val scratch_general : t -> entry list
@@ -85,3 +69,8 @@ val scratch_route : t -> Iproute.Table.nexthop
 (** Physically equal to {!Iproute.Table.no_route} when no route matched. *)
 
 val scratch_route_cache_hit : t -> bool
+
+val classify_functional : t -> Packet.Frame.t -> outcome
+(** The same decision with no hardware charging, as an [outcome] — for
+    tests, microbenchmarks and benches that charge their own classifier.
+    It also overwrites the scratch. *)

@@ -2,6 +2,7 @@ type where = ME | SA | PE
 
 type binding = {
   fid : int;
+  key : Packet.Flow.t;
   fwdr : Forwarder.t;
   where : where;
   istore_handles : (Ixp.Istore.t * int) list;
@@ -68,7 +69,7 @@ let install_istore t (f : Forwarder.t) ~per_flow =
   in
   go [] t.istores
 
-let install t ~key ~fwdr ~where ?(expected_pps = 0.) () =
+let bind t ~key ~fwdr ~where ~expected_pps =
   let per_flow = key <> Packet.Flow.All in
   let admit =
     match where with
@@ -121,27 +122,47 @@ let install t ~key ~fwdr ~where ?(expected_pps = 0.) () =
       in
       Classifier.add t.classifier entry;
       t.bindings <-
-        { fid; fwdr; where; istore_handles; expected_pps } :: t.bindings;
+        { fid; key; fwdr; where; istore_handles; expected_pps } :: t.bindings;
       (match (where, t.pe_add) with
       | PE, Some add -> add ~fid entry
       | _ -> ());
       Ok fid
+
+(* The classifier holds one forwarder per flow key, so a second binding
+   on a bound key is refused before admission reserves anything for it. *)
+let install t ~key ~fwdr ~where ?(expected_pps = 0.) () =
+  match
+    List.find_opt (fun b -> key <> Packet.Flow.All && b.key = key) t.bindings
+  with
+  | Some b ->
+      Error
+        [
+          Printf.sprintf "flow key already bound to fid %d (%S)" b.fid
+            b.fwdr.Forwarder.name;
+        ]
+  | None -> bind t ~key ~fwdr ~where ~expected_pps
 
 let remove t fid =
   match List.find_opt (fun b -> b.fid = fid) t.bindings with
   | None -> Error (Printf.sprintf "unknown fid %d" fid)
   | Some b ->
       t.bindings <- List.filter (fun x -> x.fid <> fid) t.bindings;
-      let entry = Classifier.remove t.classifier fid in
-      let per_flow =
-        match entry with
-        | Some e -> e.Classifier.key <> Packet.Flow.All
-        | None -> false
-      in
+      ignore (Classifier.remove t.classifier fid);
+      let per_flow = b.key <> Packet.Flow.All in
       (match b.where with
       | ME ->
           List.iter (fun (st, h) -> Ixp.Istore.remove st h) b.istore_handles;
-          Admission.release_me t.adm t.me_load b.fwdr ~per_flow
+          Admission.release_me t.adm t.me_load b.fwdr ~per_flow;
+          (* Per-flow forwarders run in parallel, so only the dearest
+             still bound counts against the budget. *)
+          if per_flow then
+            t.me_load.Admission.parallel_max_cycles <-
+              List.fold_left
+                (fun m x ->
+                  if x.where = ME && x.key <> Packet.Flow.All then
+                    max m (Admission.me_cycles_required t.adm x.fwdr)
+                  else m)
+                0 t.bindings
       | SA -> ()
       | PE ->
           Admission.release_pe t.pe_load ~expected_pps:b.expected_pps

@@ -48,7 +48,9 @@ val install :
   (int, string list) result
 (** Admission-check and bind a data forwarder; returns its [fid].
     [expected_pps] is required for [PE] installs (the Pentium admission
-    test multiplies it by the forwarder's cycle cost). *)
+    test multiplies it by the forwarder's cycle cost).  A flow key that
+    already has a per-flow forwarder is refused, naming the bound fid:
+    the classifier dispatches one forwarder per key. *)
 
 val remove : t -> int -> (unit, string) result
 (** Unbind, free ISTORE/SRAM reservations, drop scheduler clients. *)

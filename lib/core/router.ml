@@ -25,14 +25,9 @@ type config = {
   uplink_mbps : float;
   n_input_contexts : int;
   n_output_contexts : int;
-  full_classifier : bool;
   sa_wakeup : Strongarm.wakeup;
-  sa_full_copy : bool;
-  pe_flow_queues : int;
-  pe_buffers : int;
   queue_capacity : int;
   route_engine : Iproute.Table.engine;
-  divert_on_cache_miss : bool;
   selective_invalidation : bool;
   circular_buffers : bool;
   batch_mps : int;
@@ -49,14 +44,9 @@ let default_config =
     uplink_mbps = 1000.;
     n_input_contexts = 16;
     n_output_contexts = 8;
-    full_classifier = true;
     sa_wakeup = Strongarm.Polling;
-    sa_full_copy = false;
-    pe_flow_queues = 4;
-    pe_buffers = 128;
     queue_capacity = 2048;
     route_engine = Iproute.Table.Cpe;
-    divert_on_cache_miss = true;
     selective_invalidation = false;
     circular_buffers = true;
     batch_mps = 16;
@@ -219,10 +209,8 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
     Int32.of_int ((10 lsl 24) lor (254 lsl 16) lor ((port land 0xFF) lsl 8) lor 1)
   in
   let sa =
-    Strongarm.create chip config.cm ~wakeup:config.sa_wakeup
-      ~pe_flow_queues:config.pe_flow_queues ~pe_buffers:config.pe_buffers
-      ~full_copy:config.sa_full_copy ~icmp_addr ~lookup_fid ~routes
-      ~out_enqueue ()
+    Strongarm.create chip config.cm ~wakeup:config.sa_wakeup ~icmp_addr
+      ~lookup_fid ~routes ~out_enqueue ()
   in
   let pe =
     Pentium.create chip config.cm ~from_sa:sa.Strongarm.to_pe
@@ -462,7 +450,7 @@ let set_frame_pool t pool =
 let qid_sa_local t = total_ports t.config
 
 let qid_sa_pe t h =
-  total_ports t.config + 1 + (abs h mod t.config.pe_flow_queues)
+  total_ports t.config + 1 + (abs h mod Array.length t.sa.Strongarm.pe_qs)
 
 let add_route t prefix ~port =
   Iproute.Table.add t.routes prefix
@@ -549,14 +537,12 @@ let slow_chain t ctx frame ~in_port ~per_flow ~general ~route ~route_cache_hit
   in
   let rec chain = function
     | [] ->
-        (* The built-in minimal IP tail.  Packets with options, no
-           route, or a route-cache miss are exceptional: the StrongARM
-           services them (section 3.2), warming the cache on the
-           way. *)
-        if Packet.Ipv4.has_options frame then divert_sa (-1)
-        else if t.config.divert_on_cache_miss && not route_cache_hit then
+        (* The built-in minimal IP tail.  Packets with options or a
+           route-cache miss (which covers no route: the cache holds only
+           real next hops) are exceptional: the StrongARM services them
+           (section 3.2), warming the cache on the way. *)
+        if Packet.Ipv4.has_options frame || not route_cache_hit then
           divert_sa (-1)
-        else if no_route then divert_sa (-1)
         else finish_ip t ctx frame route
     | e :: rest -> run_entry e (fun () -> chain rest)
   in
@@ -565,11 +551,7 @@ let slow_chain t ctx frame ~in_port ~per_flow ~general ~route ~route_cache_hit
 
 let default_process t ctx frame ~in_port =
   let c = t.classifier in
-  let ok =
-    if t.config.full_classifier then Classifier.classify_full_s c ctx frame
-    else Classifier.classify_null_s c ctx frame
-  in
-  if not ok then Input_loop.Drop_it
+  if not (Classifier.classify c ctx frame) then Input_loop.Drop_it
   else begin
     (* Copy the classifier's scratch verdict out before any further
        hardware charge: a charge can suspend (classic mode) and let a
@@ -589,10 +571,8 @@ let default_process t ctx frame ~in_port =
     match (per_flow, general) with
     | None, [] ->
         (* No installed forwarders: the minimal IP tail, allocation-free. *)
-        if Packet.Ipv4.has_options frame then divert_sa_fast t routed_out
-        else if t.config.divert_on_cache_miss && not route_cache_hit then
+        if Packet.Ipv4.has_options frame || not route_cache_hit then
           divert_sa_fast t routed_out
-        else if route == Iproute.Table.no_route then divert_sa_fast t routed_out
         else finish_ip t ctx frame route
     | _ ->
         slow_chain t ctx frame ~in_port ~per_flow ~general ~route

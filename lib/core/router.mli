@@ -50,19 +50,9 @@ type config = {
   uplink_mbps : float;
   n_input_contexts : int;
   n_output_contexts : int;
-  full_classifier : bool;
-      (** section 4.5's classifier (hashes + flow table) vs the trivial
-          one of section 3 *)
   sa_wakeup : Strongarm.wakeup;
-  sa_full_copy : bool;  (** ship whole packets over PCI (Table 4 mode) *)
-  pe_flow_queues : int;
-  pe_buffers : int;
   queue_capacity : int;
   route_engine : Iproute.Table.engine;
-  divert_on_cache_miss : bool;
-      (** route-cache misses are exceptional packets serviced by the
-          StrongARM (section 3.2/3.6); false resolves them inline for
-          synthetic workloads with no locality *)
   selective_invalidation : bool;
       (** route changes drop only the covered cache lines (see
           {!Iproute.Table.create}) *)
@@ -80,8 +70,8 @@ type config = {
 }
 
 val default_config : config
-(** The prototype: 8 x 100 Mbps ports, 16 input + 8 output contexts, full
-    classifier, polling StrongARM, lazy PCI copies. *)
+(** The prototype: 8 x 100 Mbps ports, 16 input + 8 output contexts,
+    polling StrongARM, lazy PCI copies. *)
 
 type t = {
   config : config;

@@ -1,11 +1,9 @@
 type nexthop = { out_port : int; gateway_mac : Packet.Ethernet.mac }
 
-type engine = Linear | Trie | Patricia | Cpe | Poptrie
+type engine = Trie | Cpe | Poptrie
 
 type backend =
-  | B_linear of (Prefix.t * nexthop) list ref
   | B_trie of nexthop Btrie.t ref
-  | B_pat of nexthop Patricia.t ref
   | B_cpe of nexthop Cpe.t
   | B_pop of nexthop Poptrie.t
 
@@ -19,9 +17,7 @@ let create ?(engine = Cpe) ?(cache_slots = 1024)
     ?(selective_invalidation = false) () =
   let backend =
     match engine with
-    | Linear -> B_linear (ref [])
     | Trie -> B_trie (ref Btrie.empty)
-    | Patricia -> B_pat (ref Patricia.empty)
     | Cpe -> B_cpe (Cpe.build ~strides:[ 16; 8; 8 ] [])
     | Poptrie -> B_pop (Poptrie.create ())
   in
@@ -37,39 +33,21 @@ let on_change t p =
 
 let add t p nh =
   (match t.backend with
-  | B_linear l ->
-      l := (p, nh) :: List.filter (fun (q, _) -> not (Prefix.equal p q)) !l
   | B_trie r -> r := Btrie.add !r p nh
-  | B_pat r -> r := Patricia.add !r p nh
   | B_cpe c -> Cpe.add c p nh
   | B_pop pt -> Poptrie.add pt p nh);
   on_change t p
 
 let remove t p =
   (match t.backend with
-  | B_linear l -> l := List.filter (fun (q, _) -> not (Prefix.equal p q)) !l
   | B_trie r -> r := Btrie.remove !r p
-  | B_pat r -> r := Patricia.remove !r p
   | B_cpe c -> Cpe.remove c p
   | B_pop pt -> Poptrie.remove pt p);
   on_change t p
 
 let lookup t a =
   match t.backend with
-  | B_linear l ->
-      let best =
-        List.fold_left
-          (fun acc (p, nh) ->
-            if Prefix.matches p a then
-              match acc with
-              | Some (q, _) when Prefix.length q >= Prefix.length p -> acc
-              | _ -> Some (p, nh)
-            else acc)
-          None !l
-      in
-      Option.map snd best
   | B_trie r -> Option.map snd (Btrie.lookup !r a)
-  | B_pat r -> Option.map snd (Patricia.lookup !r a)
   | B_cpe c -> Option.map snd (Cpe.lookup c a)
   | B_pop pt -> Option.map snd (Poptrie.lookup pt a)
 
@@ -107,25 +85,19 @@ let lookup_cached_i t k ~hit =
 
 let size t =
   match t.backend with
-  | B_linear l -> List.length !l
   | B_trie r -> Btrie.size !r
-  | B_pat r -> Patricia.size !r
   | B_cpe c -> Cpe.size c
   | B_pop pt -> Poptrie.size pt
 
 let bindings t =
   match t.backend with
-  | B_linear l -> !l
   | B_trie r -> Btrie.bindings !r
-  | B_pat r -> Patricia.bindings !r
   | B_cpe c -> Cpe.bindings c
   | B_pop pt -> Poptrie.bindings pt
 
 let node_count t =
   match t.backend with
-  | B_linear l -> List.length !l
   | B_trie r -> Btrie.node_count !r
-  | B_pat r -> Patricia.node_count !r
   | B_cpe c -> Cpe.memory_entries c
   | B_pop pt -> Poptrie.node_count pt
 
@@ -134,9 +106,7 @@ let cache_scan_cost t = Route_cache.scan_cost t.cache
 
 let engine_name t =
   match t.backend with
-  | B_linear _ -> "linear"
   | B_trie _ -> "trie"
-  | B_pat _ -> "patricia"
   | B_cpe _ -> "cpe"
   | B_pop _ -> "poptrie"
 

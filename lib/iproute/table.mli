@@ -11,11 +11,11 @@ type nexthop = {
   gateway_mac : Packet.Ethernet.mac;  (** next hop's MAC address *)
 }
 
-type engine = Linear | Trie | Patricia | Cpe | Poptrie
-(** Lookup engine: linear scan (testing baseline), unibit trie,
-    path-compressed trie, controlled prefix expansion, and the
-    compressed stride-6 bitmap trie ({!Poptrie}) sized for
-    million-route tables under incremental churn. *)
+type engine = Trie | Cpe | Poptrie
+(** Lookup engine: the unibit trie ({!Btrie}, the reference), controlled
+    prefix expansion ({!Cpe}, the paper's ref [22]), and the compressed
+    stride-6 bitmap trie ({!Poptrie}) sized for million-route tables
+    under incremental churn. *)
 
 type t
 
@@ -63,8 +63,8 @@ val bindings : t -> (Prefix.t * nexthop) list
     rebuild a reference {!Btrie} from this set mid-churn. *)
 
 val node_count : t -> int
-(** Engine memory footprint in its native unit (trie nodes, expanded
-    CPE entries, or list length). *)
+(** Engine memory footprint in its native unit (trie nodes or expanded
+    CPE entries). *)
 
 val cache_hit_rate : t -> float
 

@@ -158,19 +158,107 @@ let per_port_damage () =
   Alcotest.(check bool) "burst-loss port counted lost frames" true
     (Ixp.Mac_port.rx_lost r.Router.chip.Ixp.Chip.ports.(3) > 0)
 
+let hit_frame () =
+  Packet.Build.tcp ~src:(addr "10.250.0.1") ~dst:(addr "10.1.0.5")
+    ~src_port:1 ~dst_port:2 ()
+
+(* A classifier with one route (10.1.0.0/16) and one per-flow entry
+   (fid 7), keyed on [hit_frame]'s flow.  Built fresh per call so two
+   copies start from identical route-cache and match-counter state. *)
+let fuzz_classifier () =
+  let routes = Iproute.Table.create () in
+  Iproute.Table.add routes
+    (Iproute.Prefix.of_string "10.1.0.0/16")
+    { Iproute.Table.out_port = 1; gateway_mac = 0 };
+  let cl = Router.Classifier.create Router.Cost_model.default ~routes in
+  Router.Classifier.add cl
+    {
+      Router.Classifier.fid = 7;
+      key =
+        Packet.Flow.Tuple (Option.get (Packet.Flow.of_frame (hit_frame ())));
+      where = Router.Desc.Microengine;
+      fwdr =
+        Router.Forwarder.make ~name:"watch" ~code:[] ~state_bytes:0
+          (fun ~state:_ _ ~in_port:_ -> Router.Forwarder.Continue);
+      state = Bytes.empty;
+      matches = 0;
+    };
+  cl
+
+(* A verdict with the forwarders reduced to their fids and the route to
+   its port, so two classifiers' verdicts compare structurally. *)
+let verdict ~per_flow ~general ~route ~route_cache_hit =
+  let fid (e : Router.Classifier.entry) = e.Router.Classifier.fid in
+  Some
+    ( Option.map fid per_flow,
+      List.map fid general,
+      Option.map (fun nh -> nh.Iproute.Table.out_port) route,
+      route_cache_hit )
+
+let verdict_of = function
+  | Router.Classifier.Invalid -> None
+  | Router.Classifier.Classified { per_flow; general; route; route_cache_hit }
+    ->
+      verdict ~per_flow ~general ~route ~route_cache_hit
+
+let scratch_verdict cl ok =
+  if not ok then None
+  else
+    let route = Router.Classifier.scratch_route cl in
+    verdict
+      ~per_flow:(Router.Classifier.scratch_per_flow cl)
+      ~general:(Router.Classifier.scratch_general cl)
+      ~route:(if route == Iproute.Table.no_route then None else Some route)
+      ~route_cache_hit:(Router.Classifier.scratch_route_cache_hit cl)
+
+(* Garbage bytes mostly, plus valid frames that hit the per-flow entry or
+   find no route.  The charged [classify], run in an engine fiber on a
+   twin classifier, must reach [classify_functional]'s verdict and book
+   exactly section 4.5's instructions, two hashes and its SRAM read. *)
 let fuzz_classifier_never_raises =
   QCheck.Test.make ~name:"classifier total on arbitrary bytes" ~count:500
-    QCheck.(pair int64 (int_range 14 200))
-    (fun (seed, len) ->
+    QCheck.(triple int64 (int_range 14 200) (int_bound 5))
+    (fun (seed, len, kind) ->
       let rng = Sim.Rng.create seed in
-      let routes = Iproute.Table.create () in
-      let cl = Router.Classifier.create Router.Cost_model.default ~routes in
-      let f = Packet.Frame.alloc len in
-      for i = 0 to len - 1 do
-        Packet.Frame.set_u8 f i (Sim.Rng.int rng 256)
-      done;
-      match Router.Classifier.classify_functional cl f with
-      | Router.Classifier.Invalid | Router.Classifier.Classified _ -> true)
+      let f =
+        match kind with
+        | 0 -> hit_frame ()
+        | 1 ->
+            Packet.Build.udp ~src:(addr "10.250.0.1")
+              ~dst:(addr "192.168.0.1") ~src_port:1 ~dst_port:2 ()
+        | _ ->
+            let f = Packet.Frame.alloc len in
+            for i = 0 to len - 1 do
+              Packet.Frame.set_u8 f i (Sim.Rng.int rng 256)
+            done;
+            f
+      in
+      let expect =
+        verdict_of
+          (Router.Classifier.classify_functional (fuzz_classifier ()) f)
+      in
+      let cl = fuzz_classifier () in
+      let engine = Sim.Engine.create () in
+      let chip = Ixp.Chip.create engine in
+      let ctx = Router.Chip_ctx.make chip ~ctx_id:0 in
+      let got = ref None in
+      Sim.Engine.spawn engine "classify" (fun () ->
+          let ok = Router.Classifier.classify cl ctx f in
+          got := Some (scratch_verdict cl ok));
+      Sim.Engine.run_until_idle engine;
+      let cm = Router.Cost_model.default in
+      let sram = chip.Ixp.Chip.sram in
+      (match (kind, expect) with
+      | 0, Some (Some 7, _, Some 1, _) | 1, Some (None, _, None, _) -> true
+      | 0, _ | 1, _ -> false
+      | _ -> true)
+      && !got = Some expect
+      && Ixp.Microengine.instructions (Ixp.Chip.context_me chip 0)
+         = cm.Router.Cost_model.classify_full_instr
+      && Ixp.Hash_unit.uses chip.Ixp.Chip.hash = 2
+      && Ixp.Mem.ops_completed sram
+         = Ixp.Mem.read_ops sram
+             ~bytes:cm.Router.Cost_model.classify_full_sram_bytes)
 
 let fuzz_decoders_total =
   QCheck.Test.make ~name:"RIP/MPLS/flow decoders total on arbitrary bytes"

@@ -88,20 +88,13 @@ let engines_agree =
           Iproute.Btrie.empty bindings
       in
       let cpe = Iproute.Cpe.build bindings in
-      let pat =
-        List.fold_left
-          (fun t (p, v) -> Iproute.Patricia.add t p v)
-          Iproute.Patricia.empty bindings
-      in
       let ok = ref true in
       for _ = 1 to 200 do
         let a = Sim.Rng.int32 rng in
         let expect = Option.map snd (linear_lookup bindings a) in
         let got_bt = Option.map snd (Iproute.Btrie.lookup bt a) in
         let got_cpe = Option.map snd (Iproute.Cpe.lookup cpe a) in
-        let got_pat = Option.map snd (Iproute.Patricia.lookup pat a) in
-        if got_bt <> expect || got_cpe <> expect || got_pat <> expect then
-          ok := false
+        if got_bt <> expect || got_cpe <> expect then ok := false
       done;
       !ok)
 
@@ -186,9 +179,7 @@ let table_engines_consistent () =
   in
   let engines =
     [
-      mk Iproute.Table.Linear;
       mk Iproute.Table.Trie;
-      mk Iproute.Table.Patricia;
       mk Iproute.Table.Cpe;
       mk Iproute.Table.Poptrie;
     ]
@@ -239,56 +230,6 @@ let selective_invalidation_scope () =
   | `Hit _ -> ()
   | `Miss _ -> Alcotest.fail "10.1 should have survived"
 
-let patricia_compression () =
-  let t =
-    List.fold_left
-      (fun t (s, v) -> Iproute.Patricia.add t (pfx_of s) v)
-      Iproute.Patricia.empty
-      [ ("10.0.0.0/8", 1); ("10.128.0.0/9", 2); ("10.129.0.0/16", 3);
-        ("192.168.42.0/24", 4) ]
-  in
-  Alcotest.(check int) "size" 4 (Iproute.Patricia.size t);
-  Alcotest.(check bool) "compressed (nodes <= 2*size)" true
-    (Iproute.Patricia.node_count t <= 2 * Iproute.Patricia.size t);
-  Alcotest.(check bool) "shallow lookups" true
-    (Iproute.Patricia.depth t (addr "10.129.5.5") <= 4);
-  Alcotest.(check (option int)) "longest wins" (Some 3)
-    (Option.map snd (Iproute.Patricia.lookup t (addr "10.129.5.5")));
-  Alcotest.(check (option int)) "mid" (Some 2)
-    (Option.map snd (Iproute.Patricia.lookup t (addr "10.130.0.1")));
-  Alcotest.(check (option int)) "exact find" (Some 4)
-    (Iproute.Patricia.find t (pfx_of "192.168.42.0/24"));
-  Alcotest.(check (option reject)) "absent exact" None
-    (Iproute.Patricia.find t (pfx_of "192.168.0.0/16"))
-
-let patricia_add_remove =
-  QCheck.Test.make ~name:"patricia add/remove = rebuild without" ~count:60
-    QCheck.(pair int64 (int_range 2 40))
-    (fun (seed, n) ->
-      let rng = Sim.Rng.create seed in
-      let bindings = dedup (List.init n (fun i -> (random_prefix rng, i))) in
-      match bindings with
-      | [] -> true
-      | (victim, _) :: rest ->
-          let with_all =
-            List.fold_left
-              (fun t (p, v) -> Iproute.Patricia.add t p v)
-              Iproute.Patricia.empty bindings
-          in
-          let removed = Iproute.Patricia.remove with_all victim in
-          let without =
-            List.fold_left
-              (fun t (p, v) -> Iproute.Patricia.add t p v)
-              Iproute.Patricia.empty rest
-          in
-          let ok = ref (Iproute.Patricia.size removed = List.length rest) in
-          for _ = 1 to 100 do
-            let a = Sim.Rng.int32 rng in
-            if Iproute.Patricia.lookup removed a <> Iproute.Patricia.lookup without a
-            then ok := false
-          done;
-          !ok)
-
 (* Differential check of all engines against the linear specification on
    one table, over [n_addrs] addresses biased toward actual table hits
    (uniform random addresses mostly exercise only the default route). *)
@@ -297,11 +238,6 @@ let check_engines_on ~what ~rng ~n_addrs bindings =
     List.fold_left
       (fun t (p, v) -> Iproute.Btrie.add t p v)
       Iproute.Btrie.empty bindings
-  in
-  let pat =
-    List.fold_left
-      (fun t (p, v) -> Iproute.Patricia.add t p v)
-      Iproute.Patricia.empty bindings
   in
   let cpe = Iproute.Cpe.build bindings in
   let pop = Iproute.Poptrie.create () in
@@ -318,7 +254,6 @@ let check_engines_on ~what ~rng ~n_addrs bindings =
         expect got
     in
     say "btrie" (Option.map snd (Iproute.Btrie.lookup bt a));
-    say "patricia" (Option.map snd (Iproute.Patricia.lookup pat a));
     say "cpe" (Option.map snd (Iproute.Cpe.lookup cpe a));
     say "poptrie" (Option.map snd (Iproute.Poptrie.lookup pop a))
   done
@@ -881,7 +816,7 @@ let route_cache_model =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      engines_agree; cpe_incremental_add; patricia_add_remove;
+      engines_agree; cpe_incremental_add;
       poptrie_diff_ops; covered_equiv; route_cache_model;
     ]
 
@@ -900,7 +835,6 @@ let tests =
       table_engines_consistent;
     Alcotest.test_case "selective cache invalidation" `Quick
       selective_invalidation_scope;
-    Alcotest.test_case "patricia compression" `Quick patricia_compression;
     Alcotest.test_case "poptrie basics" `Quick poptrie_basic;
     Alcotest.test_case "covered invalidation fast path" `Quick
       covered_invalidation_unit;

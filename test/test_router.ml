@@ -288,6 +288,46 @@ let iface_istore_exhaustion () =
         (String.length e >= 6 && String.sub e 0 6 = "cycles")
   | _ -> Alcotest.fail "expected rejection"
 
+(* The classifier holds one forwarder per flow key.  A second install on
+   a bound key must be refused before admission reserves anything, or
+   removing the shadowed fid would release a reservation it never held
+   and leave the VRP budget over-admitting (section 4.6). *)
+let iface_one_forwarder_per_flow_key () =
+  let _, _, _, iface = mk_router_env () in
+  let frame =
+    Packet.Build.tcp ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2") ~src_port:1
+      ~dst_port:2 ()
+  in
+  let key = Packet.Flow.Tuple (Option.get (Packet.Flow.of_frame frame)) in
+  let install name =
+    Iface.install iface ~key ~where:Iface.ME
+      ~fwdr:
+        (Forwarder.make ~name ~code:[ Vrp.Instr 40 ] ~state_bytes:4
+           (fun ~state:_ _ ~in_port:_ -> Forwarder.Continue))
+      ()
+  in
+  for _ = 1 to 3 do
+    let fid =
+      match install "first" with
+      | Ok fid -> fid
+      | Error es -> Alcotest.fail (String.concat "; " es)
+    in
+    (match install "second" with
+    | Ok _ -> Alcotest.fail "second forwarder on a bound key admitted"
+    | Error es ->
+        Alcotest.(check (list string))
+          "refusal names the bound fid"
+          [ Printf.sprintf "flow key already bound to fid %d (\"first\")" fid ]
+          es);
+    Alcotest.(check bool) "first still dispatched" true
+      (Option.is_some (Iface.find iface fid));
+    Alcotest.(check bool) "remove" true (Iface.remove iface fid = Ok ())
+  done;
+  Alcotest.(check bool) "me_load back to empty" true
+    (Iface.me_load iface = Admission.empty_me_load ());
+  Alcotest.(check int) "nothing installed" 0
+    (List.length (Iface.installed iface))
+
 let capacity_paper_arithmetic () =
   let c = Capacity.default in
   let delay = Capacity.packet_delay_cycles c in
@@ -392,6 +432,8 @@ let tests =
     Alcotest.test_case "iface SA boot set" `Quick iface_sa_requires_boot_set;
     Alcotest.test_case "iface PE needs rate" `Quick iface_pe_needs_rate;
     Alcotest.test_case "iface budget exhaustion" `Quick iface_istore_exhaustion;
+    Alcotest.test_case "iface one forwarder per flow key" `Quick
+      iface_one_forwarder_per_flow_key;
     Alcotest.test_case "capacity: paper arithmetic" `Quick
       capacity_paper_arithmetic;
     Alcotest.test_case "capacity: budget inversion" `Quick
