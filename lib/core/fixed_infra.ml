@@ -269,10 +269,7 @@ let run ?telemetry cfg =
       (* Null forwarder plus any synthetic VRP blocks under test. *)
       Chip_ctx.exec ctx cm.Cost_model.forward_null_instr;
       if cfg.vrp_blocks <> [] then
-        Vrp.execute
-          ~op_overhead:
-            (cm.Cost_model.vrp_mem_op_instr, cm.Cost_model.vrp_mem_op_wait)
-          ctx cfg.vrp_blocks;
+        Vrp.execute_generic cm ctx cfg.vrp_blocks;
       (* Dynamic-allocation ablation: pay the scheduling work queue. *)
       (if cfg.input_disc = I_dynamic then begin
          Chip_ctx.scratch_read ctx

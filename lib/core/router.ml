@@ -76,13 +76,14 @@ type t = {
   vrp_detected : int ref;
   delivery_digests : string array option ref;
   mutable frame_pool : Packet.Frame_pool.t option;
-  (* Preallocated input-loop targets for the per-packet fast path: the
-     forwarding verdict for plain routed traffic is one of a small fixed
-     set of [To_queue] records, so they are built once here instead of
-     per packet.  [sa_targets] is indexed by [routed_out + 1] (the divert
-     verdict varies only in which port the route named, -1 for none);
-     entries beyond these shapes (installed forwarders, garbage ports)
-     still allocate on their rare paths. *)
+  (* Preallocated input-loop targets for the per-packet path: the
+     verdict for routed traffic, a forwarder's fixed-port steer and a
+     plain StrongARM divert is one of a small fixed set of [To_queue]
+     records, so they are built once here instead of per packet.
+     [sa_targets] is indexed by [routed_out + 1] (the divert verdict
+     varies only in which port the route named, -1 for none).  Verdicts
+     beyond these shapes (diverts naming an installed forwarder, garbage
+     ports) still allocate on their rare paths. *)
   port_targets : Input_loop.target array;
   sa_targets : Input_loop.target array;
   sa_ttl_target : Input_loop.target;
@@ -488,66 +489,68 @@ let divert_sa_fast t routed_out =
   else
     Input_loop.To_queue { qid = qid_sa_local t; out_port = routed_out; fid = -1 }
 
-(* The installed-forwarder chain: entries exist, so this packet is off
-   the plain-forwarding fast path and per-verdict allocation is fine.
-   [route] uses {!Iproute.Table.no_route} as its none sentinel. *)
-let slow_chain t ctx frame ~in_port ~per_flow ~general ~route ~route_cache_hit
-    ~routed_out =
-  let no_route = route == Iproute.Table.no_route in
-  let divert_sa fid =
-    Input_loop.To_queue { qid = qid_sa_local t; out_port = routed_out; fid }
+(* [route] uses {!Iproute.Table.no_route} as its none sentinel; the
+   descriptor carries -1 for it. *)
+let routed_out route =
+  if route == Iproute.Table.no_route then -1
+  else route.Iproute.Table.out_port
+
+(* Diverts that name an installed forwarder's [fid]: rare paths, so
+   they build their verdict. *)
+let divert_sa t route fid =
+  Input_loop.To_queue { qid = qid_sa_local t; out_port = routed_out route; fid }
+
+let divert_pe t frame route fid =
+  let h =
+    match Packet.Flow.of_frame frame with
+    | Some k -> Hashtbl.hash k
+    | None -> 0
   in
-  let divert_pe fid =
-    let h =
-      match Packet.Flow.of_frame frame with
-      | Some k -> Hashtbl.hash k
-      | None -> 0
-    in
-    Input_loop.To_queue { qid = qid_sa_pe t h; out_port = routed_out; fid }
-  in
-  let run_entry (e : Classifier.entry) k =
-    match e.Classifier.where with
-    | Desc.Strongarm -> divert_sa e.Classifier.fid
-    | Desc.Pentium -> divert_pe e.Classifier.fid
-    | Desc.Microengine -> (
-        Vrp.execute
-          ~op_overhead:
-            ( t.config.cm.Cost_model.vrp_mem_op_instr,
-              t.config.cm.Cost_model.vrp_mem_op_wait )
-          ctx e.Classifier.fwdr.Forwarder.code;
-        match
-          e.Classifier.fwdr.Forwarder.action ~state:e.Classifier.state frame
-            ~in_port
-        with
-        | Forwarder.Continue -> k ()
-        | Forwarder.Drop -> Input_loop.Drop_it
-        | Forwarder.Forward p ->
-            (* A verdict naming a non-existent port is forwarder
-               misbehavior (OCaml's [mod] is negative for negative
-               [p], so indexing with it would crash the context);
-               contain it as a drop. *)
-            if p >= 0 && p < total_ports t.config then
-              Input_loop.To_queue { qid = p; out_port = p; fid = -1 }
-            else Input_loop.Drop_it
-        | Forwarder.Forward_routed ->
-            if no_route then divert_sa (-1) else finish_ip t ctx frame route
-        | Forwarder.Divert Desc.Strongarm -> divert_sa e.Classifier.fid
-        | Forwarder.Divert Desc.Pentium -> divert_pe e.Classifier.fid
-        | Forwarder.Divert Desc.Microengine -> k ())
-  in
-  let rec chain = function
-    | [] ->
-        (* The built-in minimal IP tail.  Packets with options or a
-           route-cache miss (which covers no route: the cache holds only
-           real next hops) are exceptional: the StrongARM services them
-           (section 3.2), warming the cache on the way. *)
-        if Packet.Ipv4.has_options frame || not route_cache_hit then
-          divert_sa (-1)
-        else finish_ip t ctx frame route
-    | e :: rest -> run_entry e (fun () -> chain rest)
-  in
-  let entries = match per_flow with Some e -> e :: general | None -> general in
-  chain entries
+  Input_loop.To_queue { qid = qid_sa_pe t h; out_port = routed_out route; fid }
+
+(* The forwarder chain: the per-flow entry, then the general entries in
+   order, then the built-in minimal IP tail.  Plain mutual recursion
+   over the entry list, and every verdict for a fixed port or a plain
+   StrongARM divert is a preallocated target, so a packet whose
+   forwarders all run on the MicroEngines allocates nothing here. *)
+let rec run_chain t ctx frame ~in_port ~route ~route_cache_hit = function
+  | [] ->
+      (* Packets with options or a route-cache miss (which covers no
+         route: the cache holds only real next hops) are exceptional: the
+         StrongARM services them (section 3.2), warming the cache on the
+         way. *)
+      if Packet.Ipv4.has_options frame || not route_cache_hit then
+        divert_sa_fast t (routed_out route)
+      else finish_ip t ctx frame route
+  | e :: rest -> run_entry t ctx frame ~in_port ~route ~route_cache_hit e rest
+
+and run_entry t ctx frame ~in_port ~route ~route_cache_hit
+    (e : Classifier.entry) rest =
+  match e.Classifier.where with
+  | Desc.Strongarm -> divert_sa t route e.Classifier.fid
+  | Desc.Pentium -> divert_pe t frame route e.Classifier.fid
+  | Desc.Microengine -> (
+      Vrp.execute_generic t.config.cm ctx e.Classifier.fwdr.Forwarder.code;
+      match
+        e.Classifier.fwdr.Forwarder.action ~state:e.Classifier.state frame
+          ~in_port
+      with
+      | Forwarder.Continue | Forwarder.Divert Desc.Microengine ->
+          run_chain t ctx frame ~in_port ~route ~route_cache_hit rest
+      | Forwarder.Drop -> Input_loop.Drop_it
+      | Forwarder.Forward p ->
+          (* A verdict naming a non-existent port is forwarder
+             misbehavior (OCaml's [mod] is negative for negative [p], so
+             indexing with it would crash the context); contain it as a
+             drop. *)
+          if p >= 0 && p < total_ports t.config then t.port_targets.(p)
+          else Input_loop.Drop_it
+      | Forwarder.Forward_routed ->
+          if route == Iproute.Table.no_route then divert_sa_fast t (-1)
+          else finish_ip t ctx frame route
+      | Forwarder.Divert Desc.Strongarm -> divert_sa t route e.Classifier.fid
+      | Forwarder.Divert Desc.Pentium ->
+          divert_pe t frame route e.Classifier.fid)
 
 let default_process t ctx frame ~in_port =
   let c = t.classifier in
@@ -555,28 +558,17 @@ let default_process t ctx frame ~in_port =
   else begin
     (* Copy the classifier's scratch verdict out before any further
        hardware charge: a charge can suspend (classic mode) and let a
-       sibling context re-classify over the same scratch. *)
-    let per_flow = Classifier.scratch_per_flow c in
+       sibling context re-classify over the same scratch.  The routing
+       decision travels up the hierarchy in the descriptor (the paper's
+       8-byte internal routing header), so higher levels need not
+       re-classify. *)
     let general = Classifier.scratch_general c in
     let route = Classifier.scratch_route c in
     let route_cache_hit = Classifier.scratch_route_cache_hit c in
-    (* The routing decision travels up the hierarchy in the descriptor
-       (the paper's 8-byte internal routing header), so higher levels
-       need not re-classify; -1 marks "no route yet" and the StrongARM's
-       slow path resolves it. *)
-    let routed_out =
-      if route == Iproute.Table.no_route then -1
-      else route.Iproute.Table.out_port
-    in
-    match (per_flow, general) with
-    | None, [] ->
-        (* No installed forwarders: the minimal IP tail, allocation-free. *)
-        if Packet.Ipv4.has_options frame || not route_cache_hit then
-          divert_sa_fast t routed_out
-        else finish_ip t ctx frame route
-    | _ ->
-        slow_chain t ctx frame ~in_port ~per_flow ~general ~route
-          ~route_cache_hit ~routed_out
+    match Classifier.scratch_per_flow c with
+    | None -> run_chain t ctx frame ~in_port ~route ~route_cache_hit general
+    | Some e ->
+        run_entry t ctx frame ~in_port ~route ~route_cache_hit e general
   end
 
 let start ?process t =

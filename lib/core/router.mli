@@ -108,8 +108,9 @@ type t = {
       (** attached via {!set_frame_pool}; [None] leaves every allocation
           path exactly as before *)
   port_targets : Input_loop.target array;
-      (** preallocated routed-out verdicts, one per port — the fast
-          path's [To_queue] records, built once at {!create} *)
+      (** preallocated routed-out verdicts, one per port — the
+          [To_queue] records for routed packets and forwarder steers,
+          built once at {!create} *)
   sa_targets : Input_loop.target array;
       (** preallocated StrongARM diverts (fid -1), indexed by the routed
           port + 1 (index 0 = no route) *)

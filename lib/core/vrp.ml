@@ -94,36 +94,43 @@ let istore_slots code =
   1 (* trailing indirect jump (Figure 11) *)
   + List.fold_left (fun acc op -> acc + per_op op) 0 code
 
-let execute ?(op_overhead = (0, 0)) (ctx : Chip_ctx.t) code =
-  let oh_instr, oh_wait = op_overhead in
-  let overhead () =
-    if oh_instr > 0 then Chip_ctx.exec ctx oh_instr;
-    if oh_wait > 0 then Chip_ctx.wait_cycles ctx oh_wait
-  in
-  List.iter
-    (fun op ->
-      match op with
+(* A plain recursive walk with the per-op overhead passed as two ints,
+   so executing an op list allocates nothing.  The hash's value is
+   unused, so it is charged, not computed. *)
+let overhead ctx oh_instr oh_wait =
+  if oh_instr > 0 then Chip_ctx.exec ctx oh_instr;
+  if oh_wait > 0 then Chip_ctx.wait_cycles ctx oh_wait
+
+let rec run ctx oh_instr oh_wait = function
+  | [] -> ()
+  | op :: rest ->
+      (match op with
       | Instr n -> Chip_ctx.exec ctx n
       | Sram_read b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.sram_read ctx ~bytes:b
       | Sram_write b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.sram_write ctx ~bytes:b
       | Scratch_read b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.scratch_read ctx ~bytes:b
       | Scratch_write b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.scratch_write ctx ~bytes:b
       | Dram_read b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.dram_read ctx ~bytes:b
       | Dram_write b ->
-          overhead ();
+          overhead ctx oh_instr oh_wait;
           Chip_ctx.dram_write ctx ~bytes:b
-      | Hash -> ignore (Chip_ctx.hash ctx 0L))
-    code
+      | Hash -> Chip_ctx.hash_charge ctx);
+      run ctx oh_instr oh_wait rest
+
+let execute ctx code = run ctx 0 0 code
+
+let execute_generic (cm : Cost_model.t) ctx code =
+  run ctx cm.vrp_mem_op_instr cm.vrp_mem_op_wait code
 
 type budget = {
   b_cycles : int;

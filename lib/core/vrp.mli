@@ -52,13 +52,16 @@ val istore_slots : code -> int
 (** Instruction-store footprint: register instructions plus one issue slot
     per memory/hash operation, plus the trailing indirect jump. *)
 
-val execute : ?op_overhead:int * int -> Chip_ctx.t -> code -> unit
+val execute : Chip_ctx.t -> code -> unit
 (** [execute ctx code] (inside a MicroEngine context fiber) charges every
-    op against the simulated hardware.  [op_overhead = (instr, wait)] adds
-    a per-memory-op cost for the VRP's generic load/store sequence —
-    address computation, transfer-register shuffling, context swap — that
-    the Router Infrastructure's hand-scheduled assembly avoids; default
-    [(0, 0)]. *)
+    op against the simulated hardware, in order.  It allocates nothing. *)
+
+val execute_generic : Cost_model.t -> Chip_ctx.t -> code -> unit
+(** {!execute} plus, before each memory op, the cost model's
+    [vrp_mem_op_instr] instructions and [vrp_mem_op_wait] stall cycles:
+    the VRP's generic load/store sequence — address computation,
+    transfer-register shuffling, context swap — that the Router
+    Infrastructure's hand-scheduled assembly avoids. *)
 
 (** {1 Budgets} *)
 

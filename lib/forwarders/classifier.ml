@@ -1,5 +1,5 @@
-(* Tuple-space multi-field classification with a generation-stamped flow
-   cache.  See classifier.mli for the design. *)
+(* Tuple-space multi-field classification with a flow cache that rule
+   writes invalidate selectively.  See classifier.mli for the design. *)
 
 type action = Accept | Drop | Forward of int | Mark of int
 
@@ -240,11 +240,11 @@ type t = {
   by_code : (int, tuple) Hashtbl.t;
   mutable tuples : tuple list;  (** sorted by (t_min, code) *)
   mutable rules : int;
-  mutable gen : int;
   (* The flow cache: open-addressed, keyed by the packed pair.  A slot
      is occupied iff its stored epoch is the current [epoch], so a flush
-     is one increment.  Entries are never deleted otherwise: a stale one
-     (older stored generation) is rewritten in place. *)
+     is one increment.  Entries are never deleted otherwise: a rule write
+     marks the entries it may have changed {!stale}, and a stale one is
+     rewritten in place by its next miss. *)
   mutable c_keys : int array;
   mutable c_rule : rule option array;
   mutable c_count : int;  (** occupied slots, stale ones included *)
@@ -254,12 +254,10 @@ type t = {
      [Sim.Engine] batch span) bursts are strongly flow-local, so the
      previous frame's decision usually answers the next frame too.  The
      memo is a single (span, key, rule) triple checked before the flow
-     cache — a hit skips even the cache's hash probe.  Validity is the
-     conjunction of span identity (a real suspension breaks the span, so
-     nothing can have interleaved) and generation identity (rule churn
-     invalidates it exactly like the cache). *)
+     cache — a hit skips even the cache's hash probe.  Validity is span
+     identity (a real suspension breaks the span, so nothing can have
+     interleaved); a rule write empties the memo. *)
   mutable memo_span : int;  (** 0 = memo empty / outside any span *)
-  mutable memo_gen : int;
   mutable memo_hi : int;
   mutable memo_lo : int;
   mutable memo_rule : rule option;
@@ -278,14 +276,12 @@ let create ?(cache_capacity = 4096) () =
     by_code = Hashtbl.create 64;
     tuples = [];
     rules = 0;
-    gen = 0;
-    c_keys = Array.make (4 * cache_slots) 0;
+    c_keys = Array.make (3 * cache_slots) 0;
     c_rule = Array.make cache_slots None;
     c_count = 0;
     epoch = 1;
     cache_capacity;
     memo_span = 0;
-    memo_gen = 0;
     memo_hi = 0;
     memo_lo = 0;
     memo_rule = None;
@@ -333,7 +329,32 @@ let set_bucket tb i bucket =
   | Some x when x == h -> ()
   | _ -> tb.t_head.(i) <- Some h
 
-let invalidate t = t.gen <- t.gen + 1
+(* Flow-cache slot [i] keeps [hi; lo; epoch] at [3i .. 3i + 2] of
+   [c_keys], and its answer in [c_rule.(i)].  [stale] is the answer of
+   an entry a rule write may have changed: it is never returned, and a
+   lookup that finds it misses and rewrites it. *)
+let stale : rule option = Some (rule Accept)
+
+(* A write of rule [r] (of tuple [tb]) can change the answer only for
+   keys [r] matches: an add for any of them, a remove for those whose
+   answer was [r].  So only the cached keys that [r]'s masks map onto
+   its own packed value go stale.  A write into an empty cache costs
+   nothing. *)
+let invalidate t tb r =
+  t.memo_span <- 0;
+  if t.c_count > 0 then begin
+    let keys = t.c_keys and answers = t.c_rule and epoch = t.epoch in
+    let hi = rule_hi r and lo = rule_lo r in
+    let hi_mask = tb.hi_mask and lo_mask = tb.lo_mask in
+    for i = 0 to Array.length answers - 1 do
+      let s = 3 * i in
+      if
+        keys.(s) land hi_mask = hi
+        && keys.(s + 1) land lo_mask = lo
+        && keys.(s + 2) = epoch
+      then answers.(i) <- stale
+    done
+  end
 
 let add t r =
   if not (rule_in_width r) then
@@ -364,7 +385,7 @@ let add t r =
       set_min tb r;
       reposition t tb
     end;
-    invalidate t
+    invalidate t tb r
   end
 
 let remove t r =
@@ -389,7 +410,7 @@ let remove t r =
           set_min tb (bucket_min tb);
           reposition t tb
         end;
-        invalidate t;
+        invalidate t tb r;
         true
       end
       else false
@@ -416,10 +437,8 @@ let rec walk t hi lo best b_prio b_spec = function
 
 let search t hi lo = walk t hi lo None 0 0 t.tuples
 
-(* Flow-cache slot [i] keeps [hi; lo; epoch; gen] at [4i .. 4i + 3] of
-   [c_keys], and its answer in [c_rule.(i)]. *)
 let rec cache_slot_from keys epoch hi lo mask i =
-  let s = 4 * i in
+  let s = 3 * i in
   if keys.(s + 2) <> epoch || (keys.(s) = hi && keys.(s + 1) = lo) then i
   else cache_slot_from keys epoch hi lo mask ((i + 1) land mask)
 
@@ -430,23 +449,23 @@ let cache_slot t hi lo =
 let grow_cache t =
   let keys = t.c_keys and rule = t.c_rule in
   let n = 2 * Array.length rule in
-  t.c_keys <- Array.make (4 * n) 0;
+  t.c_keys <- Array.make (3 * n) 0;
   t.c_rule <- Array.make n None;
   for j = 0 to Array.length rule - 1 do
-    let s = 4 * j in
+    let s = 3 * j in
     if keys.(s + 2) = t.epoch then begin
       let i = cache_slot t keys.(s) keys.(s + 1) in
-      Array.blit keys s t.c_keys (4 * i) 4;
+      Array.blit keys s t.c_keys (3 * i) 3;
       t.c_rule.(i) <- rule.(j)
     end
   done
 
 let lookup_packed t hi lo =
   let i = cache_slot t hi lo in
-  let keys = t.c_keys in
-  if keys.((4 * i) + 2) = t.epoch && keys.((4 * i) + 3) = t.gen then begin
+  let keys = t.c_keys and cached = t.c_rule.(i) in
+  if keys.((3 * i) + 2) = t.epoch && cached != stale then begin
     Sim.Stats.Counter.incr t.hits;
-    t.c_rule.(i)
+    cached
   end
   else begin
     Sim.Stats.Counter.incr t.misses;
@@ -459,18 +478,17 @@ let lookup_packed t hi lo =
       Sim.Stats.Counter.incr t.flushes
     end;
     let i =
-      if keys.((4 * i) + 2) = t.epoch then i
+      if keys.((3 * i) + 2) = t.epoch then i
       else begin
         if 2 * (t.c_count + 1) > Array.length t.c_rule then grow_cache t;
         let i = cache_slot t hi lo in
-        t.c_keys.(4 * i) <- hi;
-        t.c_keys.((4 * i) + 1) <- lo;
-        t.c_keys.((4 * i) + 2) <- t.epoch;
+        t.c_keys.(3 * i) <- hi;
+        t.c_keys.((3 * i) + 1) <- lo;
+        t.c_keys.((3 * i) + 2) <- t.epoch;
         t.c_count <- t.c_count + 1;
         i
       end
     in
-    t.c_keys.((4 * i) + 3) <- t.gen;
     t.c_rule.(i) <- r;
     r
   end
@@ -483,12 +501,9 @@ let lookup t k =
   check_key "lookup" k;
   lookup_packed t (key_hi k) (key_lo k)
 
-let lookup_span t ~span k =
-  check_key "lookup_span" k;
-  let hi = key_hi k and lo = key_lo k in
+let lookup_span_packed t span hi lo =
   if
-    span <> 0 && span = t.memo_span && t.memo_gen = t.gen && t.memo_hi = hi
-    && t.memo_lo = lo
+    span <> 0 && span = t.memo_span && t.memo_hi = hi && t.memo_lo = lo
   then begin
     Sim.Stats.Counter.incr t.memo_hits;
     t.memo_rule
@@ -496,12 +511,15 @@ let lookup_span t ~span k =
   else begin
     let r = lookup_packed t hi lo in
     t.memo_span <- span;
-    t.memo_gen <- t.gen;
     t.memo_hi <- hi;
     t.memo_lo <- lo;
     t.memo_rule <- r;
     r
   end
+
+let lookup_span t ~span k =
+  check_key "lookup_span" k;
+  lookup_span_packed t span (key_hi k) (key_lo k)
 
 let lookup_linear t k =
   List.fold_left
@@ -544,27 +562,40 @@ let forwarder ?(max_probes = 4) ~(cm : Router.Cost_model.t) t =
       Router.Vrp.Sram_read (max_probes * cm.mf_probe_sram_bytes);
     ]
   in
+  (* The key packs straight from the frame: every field read is within
+     its wire width, so no [five] is built and no width check is due. *)
   let action ~state:_ frame ~in_port:_ =
-    match Packet.Flow.five_of_frame frame with
-    | None -> Router.Forwarder.Continue
-    | Some k -> (
-        (* Inside a batch span consecutive frames of a burst share the
-           activation — and usually the flow — so route through the
-           span memo.  Outside any span [current_span] is 0 and
-           [lookup_span] degrades to plain [lookup]. *)
-        let span =
-          match Sim.Engine.current_engine () with
-          | Some e -> Sim.Engine.current_span e
-          | None -> 0
-        in
-        match lookup_span t ~span k with
-        | None | Some { act = Accept; _ } -> Router.Forwarder.Continue
-        | Some { act = Drop; _ } -> Router.Forwarder.Drop
-        | Some { act = Forward p; _ } -> Router.Forwarder.Forward p
-        | Some { act = Mark d; _ } ->
-            Packet.Ipv4.set_tos frame (d lsl 2);
-            Packet.Ipv4.fill_cksum frame;
-            Router.Forwarder.Continue)
+    let base = Packet.Flow.ports_offset frame in
+    if base < 0 then Router.Forwarder.Continue
+    else begin
+      let hi =
+        pack_hi (Packet.Ipv4.get_src_i frame) (Packet.Frame.get_u16 frame base)
+      and lo =
+        pack_lo
+          (Packet.Ipv4.get_dst_i frame)
+          (Packet.Frame.get_u16 frame (base + 2))
+          (Packet.Ipv4.get_proto frame) (Packet.Ipv4.dscp frame)
+      in
+      (* Inside a batch span consecutive frames of a burst share the
+         activation — and usually the flow — so route through the span
+         memo.  Outside any span [current_span] is 0 and the memo is
+         bypassed. *)
+      let span =
+        match Sim.Engine.current_engine () with
+        | Some e -> Sim.Engine.current_span e
+        | None -> 0
+      in
+      match lookup_span_packed t span hi lo with
+      | None | Some { act = Accept; _ } -> Router.Forwarder.Continue
+      | Some { act = Drop; _ } -> Router.Forwarder.Drop
+      | Some { act = Forward p; _ } -> Router.Forwarder.Forward p
+      | Some { act = Mark d; _ } ->
+          (* DSCP is TOS [7:2]; the ECN bits [1:0] (RFC 3168) stay. *)
+          Packet.Ipv4.set_tos frame
+            ((d lsl 2) lor (Packet.Ipv4.get_tos frame land 3));
+          Packet.Ipv4.fill_cksum frame;
+          Router.Forwarder.Continue
+    end
   in
   Router.Forwarder.make ~name:"mf-classifier" ~code ~state_bytes:0 action
 

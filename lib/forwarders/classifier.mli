@@ -13,10 +13,17 @@
 
     In front of the tuple walk sits an exact-match {e flow cache}:
     Zipf-skewed traffic concentrates on few flows, so most packets hit
-    one hash probe.  Cache entries are stamped with the table's
-    generation counter and every rule add/remove bumps it, so a stale
-    answer can never be served across churn (the staleness audit in the
-    test battery proves this at 10k ops).
+    one hash probe.  A rule write invalidates it {e selectively}: adding
+    or removing rule [r] can change the answer only for keys [r]
+    matches, so the write marks stale exactly the cached keys whose
+    packed halves, masked by [r]'s tuple masks, equal [r]'s own, and
+    every other flow stays cached.  A stale entry is never served: its
+    next lookup misses and rewrites it (the staleness audit in the test
+    battery checks this at 10k ops).  The write also empties the
+    batch-span memo.  Its cost is one pass over the cache's slot table,
+    whose size is bounded by [cache_capacity] (at most
+    [max 512 (4 * cache_capacity)] slots); a write into an empty cache
+    costs nothing.
 
     Decisions are priority-stable under insertion order: ties on [prio]
     break on canonical rule content, never on arrival sequence.
@@ -89,13 +96,15 @@ val create : ?cache_capacity:int -> unit -> t
 
 val add : t -> rule -> unit
 (** Insert a rule (idempotent: re-adding an identical rule is a no-op).
-    Invalidates the flow cache by generation bump.  Raises
+    Invalidates only the cached flows the rule matches, at the cost of
+    one pass over the flow cache (none when it is empty).  Raises
     [Invalid_argument] if a prefix length lies outside 0..32 or a port,
     protocol or DSCP value exceeds its wire width. *)
 
 val remove : t -> rule -> bool
 (** Remove a rule matching exactly (same canonical content); [false] if
-    absent.  Invalidates the flow cache. *)
+    absent.  Invalidates only the cached flows the rule matches, like
+    {!add}; a remove of an absent rule invalidates nothing. *)
 
 val lookup : t -> Packet.Flow.five -> rule option
 (** The winning rule via flow cache + pruned tuple walk, or [None] when
@@ -104,8 +113,8 @@ val lookup : t -> Packet.Flow.five -> rule option
 
 val lookup_span : t -> span:int -> Packet.Flow.five -> rule option
 (** {!lookup} behind a one-entry batch-span memo: when [span] is nonzero
-    and equals the span of the previous call with the same key (and the
-    rule set has not churned), the previous answer is returned without
+    and equals the span of the previous call with the same key (and no
+    rule was written since), the previous answer is returned without
     touching the flow cache.  Bursts inside one context activation are
     strongly flow-local, so the memo absorbs most of a burst after its
     first frame.  Pass [Sim.Engine.current_span]; [span = 0] (outside
@@ -148,7 +157,9 @@ val forwarder :
     {!Router.Vrp.prototype_budget} like any other over-budget forwarder.
     Verdicts: no match or [Accept] continue the chain, [Drop] drops,
     [Forward p] steers, [Mark d] rewrites DSCP (checksum fixed) and
-    continues.  Non-IP/fragmented frames continue unclassified. *)
+    continues, keeping the ECN bits.  The key is read straight from
+    the frame, so running the forwarder allocates nothing.  Frames that
+    carry neither TCP nor UDP continue unclassified. *)
 
 (** Seeded realistic rule sets for tests and benches. *)
 module Gen : sig

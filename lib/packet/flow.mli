@@ -26,6 +26,11 @@ type five = {
 (** The multi-field classifier's key: the 5-tuple plus the DiffServ code
     point. *)
 
+val ports_offset : Frame.t -> int
+(** The byte offset of [f]'s TCP/UDP source and destination ports, or
+    [-1] when [f] carries neither or is too short to hold them.  With
+    {!Ipv4.get_src_i} and friends it reads a key without building one. *)
+
 val five_of_frame : Frame.t -> five option
 (** [five_of_frame f] extracts the classifier key if [f] carries TCP or
     UDP with an intact header. *)

@@ -9,6 +9,9 @@
      window must stay within the words-per-packet budget and promote
      nothing to the major heap (steady state lives and dies entirely in
      the minor arena);
+   - a per-call audit of the classified forwarder chain: with the
+     multi-field classifier installed, [Router.default_process] stays
+     within a few words per packet and promotes nothing;
    - a qcheck property that frame-pool recycling never aliases two live
      descriptors (the pool closing the allocation loop must not hand
      the same frame out twice);
@@ -156,6 +159,92 @@ let test_classifier_miss_alloc () =
        (budget %.2f)"
       w probes_per_miss classifier_words_per_lookup_budget
 
+(* --- classified forwarder chain ------------------------------------------ *)
+
+(* With the multi-field classifier installed as a general forwarder every
+   packet runs the installed-forwarder chain: the VRP charges, the key
+   read straight from the frame, the lookup and a preallocated verdict.
+   None of it needs a fresh value, so what is left per call is the rare
+   flow-cache growth.  A single closure, boxed key or verdict record per
+   packet would already cost more than this budget allows. *)
+let classified_words_per_call_budget = 16.
+
+let test_classified_chain_alloc () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
+  let module C = Forwarders.Classifier in
+  let config = Router.default_config in
+  let n_ports = config.Router.n_ports in
+  let r = Router.create ~config () in
+  let pool =
+    Packet.Frame_pool.create ~max_frames:16_384 ~frame_bytes:1536 ()
+  in
+  Router.set_frame_pool r pool;
+  for p = 0 to n_ports - 1 do
+    Router.add_route r
+      (Iproute.Prefix.of_string (Printf.sprintf "10.%d.0.0/16" p))
+      ~port:p
+  done;
+  let cls = C.create () in
+  List.iter (C.add cls)
+    (C.Gen.rules ~rng:(Sim.Rng.create 99L) ~n:2_000 ~n_ports ());
+  (match
+     Router.Iface.install r.Router.iface ~key:Packet.Flow.All
+       ~fwdr:(C.forwarder ~cm:config.Router.cm cls)
+       ~where:Router.Iface.ME ()
+   with
+  | Ok _ -> ()
+  | Error es -> Alcotest.failf "install: %s" (String.concat "; " es));
+  (* Words are counted per call, and only over calls that did not
+     suspend: a suspension runs other fibers inside the window. *)
+  let measuring = ref false and calls = ref 0 and words = ref 0 in
+  let minor_words () = int_of_float (Gc.minor_words ()) in
+  Router.start r ~process:(fun r ->
+      let process = Router.default_process r in
+      fun ctx f ~in_port ->
+        if not !measuring then process ctx f ~in_port
+        else begin
+          let s0 = Sim.Engine.now_i () in
+          let w0 = minor_words () in
+          let v = process ctx f ~in_port in
+          let w1 = minor_words () in
+          if Sim.Engine.now_i () = s0 then begin
+            incr calls;
+            words := !words + (w1 - w0)
+          end;
+          v
+        end);
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  for p = 0 to n_ports - 1 do
+    let fl =
+      Workload.Flows.create ~pool ~rng:(Sim.Rng.split rng)
+        { Workload.Flows.default with pps = 60_000.; n_hosts = 4096 }
+    in
+    ignore
+      (Workload.Flows.spawn fl r.Router.engine
+         ~name:(Printf.sprintf "gen%d" p)
+         ~offer:(fun f ->
+           let ok = Router.inject r ~port:p f in
+           if not ok then Packet.Frame_pool.give pool f;
+           ok))
+  done;
+  Router.run_for r ~us:2_000.;
+  measuring := true;
+  let gc = Sim.Gc_stats.create () in
+  Router.run_for r ~us:10_000.;
+  if !calls < 1_000 then
+    Alcotest.failf "only %d unsuspended process calls measured" !calls;
+  Alcotest.(check bool) "the classifier ran" true (C.cache_hits cls > 0);
+  let w = float_of_int !words /. float_of_int !calls in
+  if w > classified_words_per_call_budget then
+    Alcotest.failf
+      "the classified chain allocates %.1f minor words/call over %d calls \
+       (budget %.0f)"
+      w !calls classified_words_per_call_budget;
+  let promoted = Sim.Gc_stats.promoted_words gc in
+  if promoted > 0. then
+    Alcotest.failf "the classified run promoted %.0f words to the major heap"
+      promoted
+
 (* --- pool recycling never aliases live frames -------------------------- *)
 
 (* Interpret a random op sequence against a small pool, tracking the live
@@ -270,6 +359,8 @@ let tests =
     Alcotest.test_case "steady-state GC audit" `Slow test_steady_state_gc;
     Alcotest.test_case "classifier miss path allocates nothing per probe"
       `Quick test_classifier_miss_alloc;
+    Alcotest.test_case "classified forwarder chain allocation" `Slow
+      test_classified_chain_alloc;
     QCheck_alcotest.to_alcotest pool_no_aliasing;
     Alcotest.test_case "limb RNG = int64 reference" `Quick
       test_rng_matches_reference;

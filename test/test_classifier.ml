@@ -165,7 +165,8 @@ let permutation_qcheck =
 
 (* Churn fuzz: 10k interleaved add/remove/lookup operations; every
    lookup is checked against the oracle over the live rule list, so one
-   stale cache entry surviving a generation bump fails loudly. *)
+   stale cache entry surviving a write that changed its answer fails
+   loudly. *)
 let churn_staleness_audit () =
   let ops = 10_000 in
   let rng = Sim.Rng.create 2026L in
@@ -176,7 +177,7 @@ let churn_staleness_audit () =
   let live = Hashtbl.create 64 in
   let stale = ref 0 in
   (* A small key pool so lookups repeat and the cache is genuinely in
-     the line of fire across generation bumps. *)
+     the line of fire across rule writes. *)
   let key_pool = Array.init 48 (fun _ -> gen_key rng) in
   for _ = 1 to ops do
     match Sim.Rng.int rng 4 with
@@ -221,6 +222,49 @@ let cache_transparency () =
     keys;
   Alcotest.(check int) "second pass all hits" misses (Classifier.cache_misses t);
   Alcotest.(check int) "20 hits" 20 (Classifier.cache_hits t)
+
+(* A rule write invalidates only the cached flows the written rule
+   matches: an add or a remove can change no other key's answer, so
+   every other entry keeps serving hits.  A full flush on each write
+   fails the unrelated-key checks; a write that invalidates too little
+   serves the pre-write answer. *)
+let write_locality () =
+  let base = Classifier.rule ~prio:5 Classifier.Accept in
+  let shadow =
+    Classifier.rule ~prio:1 ~dst:(addr "10.2.0.0", 16) Classifier.Drop
+  in
+  let t = of_rules [ base ] in
+  let a = five ~dst:"10.2.0.2" () and b = five ~dst:"10.3.0.3" () in
+  Alcotest.(check bool) "shadow matches A" true (Classifier.matches shadow a);
+  Alcotest.(check bool) "shadow misses B" false (Classifier.matches shadow b);
+  ignore (Classifier.lookup t a);
+  ignore (Classifier.lookup t b);
+  (* [lookup t k] must answer [expect], from the cache iff [hit]. *)
+  let step name k ~hit expect =
+    let h0 = Classifier.cache_hits t and m0 = Classifier.cache_misses t in
+    check_same_rule name (Classifier.lookup t k) (Some expect);
+    Alcotest.(check (pair int int))
+      (name ^ ": (hits, misses) delta")
+      (if hit then (1, 0) else (0, 1))
+      (Classifier.cache_hits t - h0, Classifier.cache_misses t - m0)
+  in
+  step "warm A" a ~hit:true base;
+  step "warm B" b ~hit:true base;
+  Classifier.add t shadow;
+  step "after add, B" b ~hit:true base;
+  step "after add, A" a ~hit:false shadow;
+  Alcotest.(check bool) "remove" true (Classifier.remove t shadow);
+  step "after remove, A" a ~hit:false base;
+  step "after remove, B" b ~hit:true base;
+  (* Writes that change nothing invalidate nothing. *)
+  Classifier.add t base;
+  Alcotest.(check bool)
+    "absent remove" false (Classifier.remove t shadow);
+  Alcotest.(check bool)
+    "absent wildcard remove" false
+    (Classifier.remove t (Classifier.rule ~prio:9 Classifier.Drop));
+  step "after no-op writes, A" a ~hit:true base;
+  step "after no-op writes, B" b ~hit:true base
 
 (* Admission: the declared probe ceiling is what the budget sees. *)
 let admission_budget () =
@@ -298,8 +342,8 @@ let classified_delivery_identity () =
     [ 1; 16 ]
 
 (* The batch-span memo must be pure acceleration: same answers as
-   [lookup], hits only within one span on a repeated key, and churn
-   (generation bump) invalidates it like the flow cache. *)
+   [lookup], hits only within one span on a repeated key, and any rule
+   write empties it. *)
 let batch_memo_semantics () =
   let t =
     of_rules
@@ -551,6 +595,8 @@ let tests =
       churn_staleness_audit;
     Alcotest.test_case "cache transparency" `Quick cache_transparency;
     Alcotest.test_case "batch-span memo semantics" `Quick batch_memo_semantics;
+    Alcotest.test_case "rule writes invalidate only matching flows" `Quick
+      write_locality;
     Alcotest.test_case "admission budget" `Quick admission_budget;
     Alcotest.test_case "wire-width guard" `Quick wire_width_guard;
     Alcotest.test_case "classified delivery identity" `Quick

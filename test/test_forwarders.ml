@@ -258,7 +258,17 @@ let dscp_extraction_regression () =
   Alcotest.(check bool) "mark continues" true
     (fst (run_action f frame) = Forwarder.Continue);
   Alcotest.(check int) "marked EF" 46 (Packet.Ipv4.dscp frame);
-  Alcotest.(check bool) "checksum refilled" true (Packet.Ipv4.valid frame)
+  Alcotest.(check bool) "checksum refilled" true (Packet.Ipv4.valid frame);
+  (* Marking rewrites only the DSCP: a congestion-experienced frame
+     (ECN = 0b11, RFC 3168) keeps its ECN bits. *)
+  let ce =
+    Packet.Build.udp ~src:(addr "1.1.1.1") ~dst:(addr "2.2.2.2") ~src_port:1
+      ~dst_port:2 ~tos:0x03 ()
+  in
+  ignore (run_action f ce);
+  Alcotest.(check int) "EF keeps CE" 0xBB (Packet.Ipv4.get_tos ce);
+  Alcotest.(check bool) "CE frame checksum refilled" true
+    (Packet.Ipv4.valid ce)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ splicer_checksum_qcheck ]
 
