@@ -27,7 +27,7 @@ let run_case ~use_wfq =
   let wfq = Router.Wfq.create ~link_pps:line_pps ~shares:[| 3.; 1. |] () in
   let delivered = [| 0; 0 |] in
   (* Two input contexts, one per class, on separate MicroEngines. *)
-  let ring = Sim.Token_ring.create ~members:2 () in
+  let ring = Sim.Token_ring.create ~members:2 engine in
   let frame_of cls =
     Packet.Build.udp
       ~src:(addr (Printf.sprintf "10.250.0.%d" (1 + cls)))
@@ -83,7 +83,7 @@ let run_case ~use_wfq =
     [ 0; 4 ];
   (* One output context draining both queues in priority order, paced by
      the port's 100 Mbps wire. *)
-  let oring = Sim.Token_ring.create ~members:1 () in
+  let oring = Sim.Token_ring.create ~members:1 engine in
   let ostats = Router.Output_loop.make_stats () in
   let ol =
     {

@@ -134,6 +134,11 @@ let cluster_clock t () =
 
 let now_us t = Sim.Engine.seconds (cluster_clock t ()) *. 1e6
 
+(* [now_us] from inside a fiber of member [m], read off the engine the
+   cluster holds instead of the domain-local lookup. *)
+let member_now_us t m =
+  Sim.Engine.seconds (Sim.Engine.time t.engines.(m)) *. 1e6
+
 (* Long enough for anything launched before the damage ended to settle:
    both fabric hops plus slack. *)
 let grace_us t = (4. *. t.switch_latency_us) +. 100.
@@ -356,7 +361,7 @@ let uplink_tx t ~dst (port, f) =
    {!uplink_tx} synchronously, reproducing the pre-queueing fabric
    byte for byte. *)
 let deliver_fabric t ~dst ~port f =
-  let at_us = now_us t in
+  let at_us = member_now_us t dst in
   let h = t.health.(dst) in
   let rng = t.ingress_rng.(dst) in
   if not h.up then settle t ~dst t.in_dropped_down
@@ -422,13 +427,13 @@ let drain_inbox t m ~parity =
    uplink queue goes onto the wire into the switch.  Runs inside the
    sending member's fiber (the uplink queue's service completion — or
    the sender's own fiber under bypass).  Damage draws use the sender's
-   stream; the frame is copied at the switch ingress (store-and-forward
-   — the fabric owns its own bytes), which also keeps the sender's
-   recycling buffer pool from reusing a frame the receiving domain still
-   holds.  The copy is unpooled, so the receiver's recycler ignores
-   it. *)
+   stream.  The fabric owns the frame it carries: the uplink MAC handed
+   it over as a fresh unpooled [prefix_copy] (see {!send_fabric}), so
+   the sender's recycling buffer pool can never reuse bytes the
+   receiving domain still holds, and the receiver's recycler ignores
+   it.  The corrupt path damages a copy. *)
 let launch_fabric t ~src (port, f) =
-  let at_us = now_us t in
+  let at_us = member_now_us t src in
   let rng = t.egress_rng.(src) in
   if fires rng (Fault.Cluster_scenario.drop_rate t.faults ~member:src ~at_us)
   then t.eg_dropped_link.(src) <- t.eg_dropped_link.(src) + 1
@@ -441,7 +446,7 @@ let launch_fabric t ~src (port, f) =
         t.eg_corrupted.(src) <- t.eg_corrupted.(src) + 1;
         corrupt_copy rng f
       end
-      else Packet.Frame.copy f
+      else f
     in
     let unknown () =
       t.eg_dropped_unknown.(src) <- t.eg_dropped_unknown.(src) + 1
@@ -463,7 +468,9 @@ let launch_fabric t ~src (port, f) =
         in
         (* Integer arithmetic keeps the conservative bound exact:
            arrival - send >= latency_ps >= lookahead_ps. *)
-        let arrival = Sim.Engine.now_i () + t.latency_ps + stall_ps in
+        let arrival =
+          Sim.Engine.clock_i t.engines.(src) + t.latency_ps + stall_ps
+        in
         let seq = t.send_seq.(src) in
         t.send_seq.(src) <- seq + 1;
         let msg =
@@ -859,9 +866,10 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
   if minor_heap_words < 0 then invalid_arg "Cluster.create: minor_heap_words";
   (* Size this domain's minor arena up front (never down — respect a
      larger ambient setting); worker domains spawned by [run_epochs]
-     apply the same floor on entry.  With the data path pooled the
-     steady-state allocation rate is ~100 words/packet, so a few
-     megawords of arena keeps whole epochs collection-free. *)
+     apply the same floor on entry.  Every fabric crossing still
+     allocates its frame (the uplink MAC's copy) on top of the pooled
+     data path, so a few megawords of arena keep whole epochs
+     collection-free. *)
   (let cur = Gc.get () in
    if cur.Gc.minor_heap_size < minor_heap_words then
      Gc.set { cur with Gc.minor_heap_size = minor_heap_words });

@@ -30,17 +30,18 @@ let make_cpu chip clock =
    plane is watching. *)
 let set_defer t on = t.defer <- on
 
-let vnow t = Sim.Engine.now_i () + t.pending
+let engine t = t.chip.Ixp.Chip.engine
+let vnow t = Sim.Engine.clock_i (engine t) + t.pending
 
 let commit t =
   if t.pending > 0 then begin
     let d = t.pending in
     t.pending <- 0;
-    Sim.Engine.wait_i d
+    Sim.Engine.wait_in (engine t) d
   end
 
-let now_ps t = Int64.add (Sim.Engine.now ()) (Int64.of_int t.pending)
-let now_ps_i t = Sim.Engine.now_i () + t.pending
+let now_ps t = Int64.of_int (vnow t)
+let now_ps_i = vnow
 
 let exec t n =
   match t.host with
@@ -48,7 +49,7 @@ let exec t n =
       if t.defer then
         t.pending <- t.pending + Ixp.Microengine.exec_booked me ~now:(vnow t) n
       else Ixp.Microengine.exec me n
-  | Cpu clock -> Sim.Engine.Clock.wait_cycles clock n
+  | Cpu clock -> Sim.Engine.Clock.wait_cycles (engine t) clock n
 
 let exec_wait t ~instr ~wait =
   match t.host with
@@ -57,7 +58,7 @@ let exec_wait t ~instr ~wait =
         t.pending <-
           t.pending + Ixp.Microengine.exec_wait_booked me ~now:(vnow t) ~instr ~wait
       else Ixp.Microengine.exec_wait me ~instr ~wait
-  | Cpu clock -> Sim.Engine.Clock.wait_cycles clock (instr + wait)
+  | Cpu clock -> Sim.Engine.Clock.wait_cycles (engine t) clock (instr + wait)
 
 (* Variant for charges made while holding the token (the input DMA / output
    FIFO serial sections): under per-batch charging these must not queue on
@@ -77,7 +78,7 @@ let wait_cycles t n =
   in
   if t.defer && n > 0 then
     t.pending <- t.pending + Sim.Engine.Clock.ps_of_cycles_i clock n
-  else Sim.Engine.Clock.wait_cycles clock n
+  else Sim.Engine.Clock.wait_cycles (engine t) clock n
 
 let mem_op t m booked plain ~bytes =
   if t.defer && Ixp.Mem.bookable m then

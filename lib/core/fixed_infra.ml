@@ -188,7 +188,7 @@ let run ?telemetry cfg =
       ~pass_ps:
         (Sim.Engine.Clock.ps_of_cycles chip.Ixp.Chip.me_clock
            hw.Ixp.Config.token_pass_cycles)
-      ~members:cfg.n_input_contexts ()
+      ~members:cfg.n_input_contexts chip.Ixp.Chip.engine
   in
   let choose_qid ctx_seq = if cfg.contention then 0 else ctx_seq mod cfg.n_queues in
   let enq =
@@ -318,7 +318,7 @@ let run ?telemetry cfg =
       ~pass_ps:
         (Sim.Engine.Clock.ps_of_cycles chip.Ixp.Chip.me_clock
            hw.Ixp.Config.token_pass_cycles)
-      ~members:(max 1 cfg.n_output_contexts) ()
+      ~members:(max 1 cfg.n_output_contexts) chip.Ixp.Chip.engine
   in
   let run_output = cfg.stage = Both || cfg.stage = Output_only in
   if run_output then begin
@@ -355,7 +355,7 @@ let run ?telemetry cfg =
               Some
                 (fun desc _ ->
                   Sim.Stats.Histogram.observe_i latency
-                    (Sim.Engine.now_i () - desc.Desc.arrival));
+                    (Sim.Engine.clock_i engine - desc.Desc.arrival));
             idle_backoff_cycles = 64;
             scope = output_scope;
           }
@@ -375,7 +375,7 @@ let run ?telemetry cfg =
                   ignore
                     (Squeue.push q
                        (Desc.make ~buf ~len:cfg.frame_len ~in_port:0
-                          ~out_port:i ~arrival:(Sim.Engine.now_i ()) ()))
+                          ~out_port:i ~arrival:(Sim.Engine.clock_i engine) ()))
                 done)
               queues;
             Sim.Engine.wait (Sim.Engine.ps_of_ns 2000.);

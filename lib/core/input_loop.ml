@@ -192,7 +192,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
         Chip_ctx.dram_write ctx ~bytes:Packet.Mp.size
   in
   Sim.Engine.spawn chip.Chip.engine name (fun () ->
-      let engine = Sim.Engine.self_engine () in
+      let engine = chip.Chip.engine in
       (* Reusable park cell: the continuation slot and the registration
          closure are built once, so an idle-park/wake cycle allocates
          nothing (the suspend-based form built a waker per park). *)

@@ -249,7 +249,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
     let rec activation () =
       serial_section ();
       if infl.active || next_packet () then begin
-        let engine = Sim.Engine.self_engine () in
+        let engine = chip.Chip.engine in
         let span = Sim.Engine.batch_begin engine in
         frames := 0;
         mps := 0;
@@ -286,7 +286,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
             end
             else begin
               (* Sleep exactly until the wire frees the slot. *)
-              Sim.Engine.wait_i wait;
+              Sim.Engine.wait_in chip.Chip.engine wait;
               advance ()
             end
           end
@@ -309,7 +309,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
     let soonest = ref max_int in
     let rec activation () =
       serial_section ();
-      let engine = Sim.Engine.self_engine () in
+      let engine = chip.Chip.engine in
       let span = Sim.Engine.batch_begin engine in
       frames := 0;
       mps := 0;
@@ -381,7 +381,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
           end
           else if try_start () then step ()
           else begin
-            Sim.Engine.wait_i r;
+            Sim.Engine.wait_in chip.Chip.engine r;
             step ()
           end
         end

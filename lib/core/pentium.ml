@@ -60,12 +60,14 @@ let client_for t fid =
   | None -> t.default_client
 
 let busy t f =
-  let t0 = Sim.Engine.now () in
+  let e = t.chip.Ixp.Chip.engine in
+  let t0 = Sim.Engine.clock_i e in
   let r = f () in
-  t.busy_ps <- Int64.add t.busy_ps (Int64.sub (Sim.Engine.now ()) t0);
+  t.busy_ps <-
+    Int64.add t.busy_ps (Int64.of_int (Sim.Engine.clock_i e - t0));
   r
 
-let exec t n = Sim.Engine.Clock.wait_cycles t.clock n
+let exec t n = Sim.Engine.Clock.wait_cycles t.chip.Ixp.Chip.engine t.clock n
 
 let process t (p : Strongarm.payload) =
   busy t (fun () ->

@@ -75,6 +75,7 @@ type t = {
   invalid_escapes : int ref;
   vrp_detected : int ref;
   delivery_digests : string array option ref;
+  digest_scratch : Bytes.t ref;
   mutable frame_pool : Packet.Frame_pool.t option;
   (* Preallocated input-loop targets for the per-packet path: the
      verdict for routed traffic, a forwarder's fixed-port steer and a
@@ -90,6 +91,34 @@ type t = {
 }
 
 let mes_used ~n = (n + 3) / 4
+
+(* Writes the decimal digits of [n >= 0] at [pos]; returns the end. *)
+let write_decimal b pos n =
+  let rec width n k = if n < 10 then k else width (n / 10) (k + 1) in
+  let stop = pos + width n 1 in
+  let rec fill n i =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+    if n >= 10 then fill (n / 10) (i - 1)
+  in
+  fill n (stop - 1);
+  stop
+
+(* One link of a port's delivery-digest chain:
+   [MD5 (prev ^ string_of_int time ^ "|" ^ frame bytes)], with the input
+   assembled in [scratch] (grown on demand), so a delivered frame costs
+   the MD5 and its 16-byte result only. *)
+let digest_fold scratch prev ~time f =
+  if time < 0 then invalid_arg "Router.digest_fold: negative time";
+  let plen = String.length prev and len = Packet.Frame.len f in
+  let need = plen + 21 + len in
+  if Bytes.length !scratch < need then
+    scratch := Bytes.create (max need (2 * Bytes.length !scratch));
+  let b = !scratch in
+  Bytes.blit_string prev 0 b 0 plen;
+  let bar = write_decimal b plen time in
+  Bytes.unsafe_set b bar '|';
+  Bytes.blit f.Packet.Frame.data 0 b (bar + 1) len;
+  Digest.subbytes b 0 (bar + 1 + len)
 
 let total_ports config = config.n_ports + config.uplink_ports
 
@@ -137,16 +166,13 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
      produce identical digests on every port — and it costs nothing until
      {!enable_delivery_digest} arms it. *)
   let delivery_digests = ref None in
+  let digest_scratch = ref (Bytes.create 256) in
   let digest_note i f =
     match !delivery_digests with
     | None -> ()
     | Some d ->
         d.(i) <-
-          Digest.string
-            (d.(i)
-            ^ Int64.to_string (Sim.Engine.time engine)
-            ^ "|"
-            ^ Bytes.sub_string f.Packet.Frame.data 0 (Packet.Frame.len f))
+          digest_fold digest_scratch d.(i) ~time:(Sim.Engine.clock_i engine) f
   in
   let deliver_to i =
     match injector with
@@ -365,6 +391,12 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
       Sim.Engine.elided_waits engine);
   Telemetry.Scope.gauge_int sim_scope "wheel_far_hits" (fun () ->
       Sim.Engine.far_hits engine);
+  (* Clock reads and waits that found this engine through the
+     domain-local key rather than a held handle: the data path holds
+     its engine, so this grows with control-plane and harness calls,
+     not with forwarded packets. *)
+  Telemetry.Scope.gauge_int sim_scope "ambient_lookups" (fun () ->
+      Sim.Engine.ambient_lookups engine);
   (* Batch telemetry: [batched_activations] counts context activations
      that processed at least one frame inside a batch span,
      [batch_frames_total] the frames they covered (their ratio is
@@ -428,6 +460,7 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
     invalid_escapes;
     vrp_detected;
     delivery_digests;
+    digest_scratch;
     frame_pool = None;
     port_targets =
       Array.init n_all (fun p ->
@@ -611,7 +644,7 @@ let start ?process t =
       ~pass_ps:
         (Sim.Engine.Clock.ps_of_cycles t.chip.Ixp.Chip.me_clock
            cfg.hw.Ixp.Config.token_pass_cycles)
-      ~members:cfg.n_input_contexts ()
+      ~members:cfg.n_input_contexts t.engine
   in
   let n_in_me = mes_used ~n:cfg.n_input_contexts in
   let n_all = total_ports cfg in
@@ -705,7 +738,7 @@ let start ?process t =
       ~pass_ps:
         (Sim.Engine.Clock.ps_of_cycles t.chip.Ixp.Chip.me_clock
            cfg.hw.Ixp.Config.token_pass_cycles)
-      ~members:n_out ()
+      ~members:n_out t.engine
   in
   (* Each transmit port's [Some] is built once: [port_for] runs per MP,
      and a fresh option per call was steady minor-heap traffic. *)
@@ -755,7 +788,7 @@ let start ?process t =
               Some
                 (fun desc _ ->
                   Sim.Stats.Histogram.observe_i t.latency
-                    (Sim.Engine.now_i () - desc.Desc.arrival));
+                    (Sim.Engine.clock_i t.engine - desc.Desc.arrival));
             idle_backoff_cycles = 128;
             scope = Some t.output_scope;
           }
@@ -783,11 +816,8 @@ let connect t ~port deliver =
       | None -> ()
       | Some d ->
           d.(port) <-
-            Digest.string
-              (d.(port)
-              ^ Int64.to_string (Sim.Engine.time engine)
-              ^ "|"
-              ^ Bytes.sub_string f.Packet.Frame.data 0 (Packet.Frame.len f)));
+            digest_fold t.digest_scratch d.(port)
+              ~time:(Sim.Engine.clock_i engine) f);
       Sim.Stats.Counter.incr counter;
       deliver f)
 

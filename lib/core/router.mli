@@ -104,6 +104,8 @@ type t = {
   delivery_digests : string array option ref;
       (** per-port chained delivery digests; [None] until
           {!enable_delivery_digest} *)
+  digest_scratch : Bytes.t ref;
+      (** the buffer {!digest_fold} assembles each digest input in *)
   mutable frame_pool : Packet.Frame_pool.t option;
       (** attached via {!set_frame_pool}; [None] leaves every allocation
           path exactly as before *)
@@ -167,6 +169,14 @@ val enable_delivery_digest : t -> unit
     observable: two executions are equivalent iff every port's digest
     matches, regardless of how activations were coalesced internally.
     Disabled (the default) it costs one ref read per delivery. *)
+
+val digest_fold :
+  Bytes.t ref -> Digest.t -> time:int -> Packet.Frame.t -> Digest.t
+(** [digest_fold scratch prev ~time f] is one link of a delivery-digest
+    chain: [Digest.string (prev ^ string_of_int time ^ "|" ^ bytes)]
+    where [bytes] are [f]'s [len] bytes, computed in [scratch] (grown when
+    too small) without building the string.  [time] is the delivery
+    instant in picoseconds; a negative one raises [Invalid_argument]. *)
 
 val port_delivery_digests : t -> string array
 (** Per-port digests (hex).  Raises [Invalid_argument] unless

@@ -99,9 +99,10 @@ let register_telemetry scope t =
 (* Native-int timestamps: this brackets every slow-path dequeue and
    process step, and the int64 form boxed four values per call. *)
 let busy t f =
-  let t0 = Sim.Engine.now_i () in
+  let e = t.ctx.Chip_ctx.chip.Ixp.Chip.engine in
+  let t0 = Sim.Engine.clock_i e in
   let r = f () in
-  t.busy_ps <- t.busy_ps + (Sim.Engine.now_i () - t0);
+  t.busy_ps <- t.busy_ps + (Sim.Engine.clock_i e - t0);
   r
 
 let busy_cycles t =
@@ -195,7 +196,10 @@ let process_local t desc =
                     let d =
                       Desc.make ~buf ~len:(Packet.Frame.len reply)
                         ~in_port:desc.Desc.in_port ~out_port:port
-                        ~arrival:(Sim.Engine.now_i ()) ()
+                        ~arrival:
+                          (Sim.Engine.clock_i
+                             t.ctx.Chip_ctx.chip.Ixp.Chip.engine)
+                        ()
                     in
                     Sim.Stats.Counter.incr t.stats.icmp_sent;
                     finish t d)

@@ -30,15 +30,16 @@ let create ?(cfg = Config.default) ?(ports = eval_board_ports)
     engine;
     me_clock;
     pentium_clock = Config.pentium_clock cfg;
-    dram = Mem.create me_clock ~name:"dram" cfg.dram;
-    sram = Mem.create me_clock ~name:"sram" cfg.sram;
-    scratch = Mem.create me_clock ~name:"scratch" cfg.scratch;
+    dram = Mem.create engine me_clock ~name:"dram" cfg.dram;
+    sram = Mem.create engine me_clock ~name:"sram" cfg.sram;
+    scratch = Mem.create engine me_clock ~name:"scratch" cfg.scratch;
     mes =
-      Array.init cfg.n_microengines (fun id -> Microengine.create me_clock ~id);
+      Array.init cfg.n_microengines (fun id ->
+          Microengine.create engine me_clock ~id);
     istores = Array.init cfg.n_microengines (fun _ -> Istore.create cfg);
     in_fifo = Fifo.create ~slots:cfg.fifo_slots ();
     out_fifo = Fifo.create ~slots:cfg.fifo_slots ();
-    hash = Hash_unit.create me_clock ~cycles:cfg.hash_cycles;
+    hash = Hash_unit.create engine me_clock ~cycles:cfg.hash_cycles;
     ports =
       Array.of_list
         (List.mapi

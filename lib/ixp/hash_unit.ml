@@ -1,10 +1,11 @@
 type t = {
+  engine : Sim.Engine.t;
   clock : Sim.Engine.Clock.clock;
   cycles : int;
   mutable uses : int;
 }
 
-let create clock ~cycles = { clock; cycles; uses = 0 }
+let create engine clock ~cycles = { engine; clock; cycles; uses = 0 }
 
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -17,7 +18,7 @@ let hash_free t v =
 
 let hash t v =
   t.uses <- t.uses + 1;
-  Sim.Engine.Clock.wait_cycles t.clock t.cycles;
+  Sim.Engine.Clock.wait_cycles t.engine t.clock t.cycles;
   hash_free t v
 
 (* Booked form: count the use and return the charge in picoseconds for
@@ -32,7 +33,7 @@ let hash_booked t v =
    mixing work, identical timing and [uses] accounting. *)
 let charge t =
   t.uses <- t.uses + 1;
-  Sim.Engine.Clock.wait_cycles t.clock t.cycles
+  Sim.Engine.Clock.wait_cycles t.engine t.clock t.cycles
 
 let charge_booked t =
   t.uses <- t.uses + 1;

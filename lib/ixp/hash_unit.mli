@@ -7,7 +7,9 @@
 
 type t
 
-val create : Sim.Engine.Clock.clock -> cycles:int -> t
+val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> cycles:int -> t
+(** [create engine clock ~cycles] is a unit of [cycles] latency used by
+    fibers of [engine]. *)
 
 val hash : t -> int64 -> int
 (** [hash u v] (inside a fiber) charges the unit's latency and returns a

@@ -8,6 +8,7 @@ type rx_item = { tag : Packet.Mp.tag; index : int; frame : Packet.Frame.t }
    parallel arrays. *)
 type t = {
   id : int;
+  engine : Sim.Engine.t; (* the transmit pacing clock *)
   mbps : float;
   rx_slots : int;
   r_meta : int array;
@@ -58,7 +59,7 @@ type t = {
 let mp_wire_ps ~mbps ~bytes =
   Int64.to_int (Int64.of_float (float_of_int (bytes * 8) /. mbps *. 1e6))
 
-let create _engine ~id ~mbps ~rx_slots ?sink () =
+let create engine ~id ~mbps ~rx_slots ?sink () =
   let cap =
     let c = ref 1 in
     while !c < rx_slots do
@@ -72,6 +73,7 @@ let create _engine ~id ~mbps ~rx_slots ?sink () =
   in
   {
     id;
+    engine;
     mbps;
     rx_slots;
     r_meta = Array.make cap 0;
@@ -258,7 +260,7 @@ let tx_pace_ok t ~last =
   if not (tx_gate_open t) then false
   else begin
     let wire = if last then t.wire_last else t.wire_mid in
-    let now = Sim.Engine.now_i () in
+    let now = Sim.Engine.clock_i t.engine in
     if t.tx_horizon - now > wire then false
     else begin
       t.tx_horizon <- (if t.tx_horizon > now then t.tx_horizon else now) + wire;
@@ -273,7 +275,7 @@ let tx_try_pace t ~tag =
       match tag with Packet.Mp.Last | Packet.Mp.Only -> true | _ -> false
     in
     let wire = if last then t.wire_last else t.wire_mid in
-    let now = Sim.Engine.now_i () in
+    let now = Sim.Engine.clock_i t.engine in
     if t.tx_horizon - now > wire then
       `Wait (Int64.of_int (t.tx_horizon - (now + wire)))
     else begin
@@ -288,7 +290,7 @@ let tx_try_pace_i t ~last =
   if not (tx_gate_open t) then t.wire_last
   else begin
     let wire = if last then t.wire_last else t.wire_mid in
-    let now = Sim.Engine.now_i () in
+    let now = Sim.Engine.clock_i t.engine in
     if t.tx_horizon - now > wire then t.tx_horizon - (now + wire)
     else begin
       t.tx_horizon <- (if t.tx_horizon > now then t.tx_horizon else now) + wire;

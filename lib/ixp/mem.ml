@@ -12,11 +12,11 @@ type t = {
   mutable faults : Fault.Injector.t option;
 }
 
-let create clock ~name timing =
+let create engine clock ~name timing =
   {
     clock;
     timing;
-    server = Sim.Server.create ~name ();
+    server = Sim.Server.create ~name engine;
     occupancy_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.occupancy_cycles;
     read_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.read_cycles;
     write_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.write_cycles;

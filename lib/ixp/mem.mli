@@ -18,8 +18,13 @@
 type t
 
 val create :
-  Sim.Engine.Clock.clock -> name:string -> Config.mem_timing -> t
-(** [create clock ~name timing] is an idle channel. *)
+  Sim.Engine.t ->
+  Sim.Engine.Clock.clock ->
+  name:string ->
+  Config.mem_timing ->
+  t
+(** [create engine clock ~name timing] is an idle channel serving the
+    fibers of [engine]. *)
 
 val set_faults : t -> Fault.Injector.t -> unit
 (** Enable fault injection on this channel: per-operation drops (the

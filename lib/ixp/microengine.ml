@@ -1,15 +1,17 @@
 type t = {
   id : int;
+  engine : Sim.Engine.t;
   clock : Sim.Engine.Clock.clock;
   core : Sim.Server.t;
   mutable instructions : int;
 }
 
-let create clock ~id =
+let create engine clock ~id =
   {
     id;
+    engine;
     clock;
-    core = Sim.Server.create ~name:(Printf.sprintf "me%d" id) ();
+    core = Sim.Server.create ~name:(Printf.sprintf "me%d" id) engine;
     instructions = 0;
   }
 
@@ -39,9 +41,7 @@ let exec_booked t ~now n =
    start = max(busy_until, now) semantics this is timing-identical to
    exec-then-wait in every contention case, in half the events. *)
 let exec_wait t ~instr ~wait =
-  if instr <= 0 then (
-    if wait > 0 then
-      Sim.Engine.wait_i (Sim.Engine.Clock.ps_of_cycles_i t.clock wait))
+  if instr <= 0 then Sim.Engine.Clock.wait_cycles t.engine t.clock wait
   else begin
     let d = Sim.Engine.Clock.ps_of_cycles_i t.clock instr in
     let w = if wait > 0 then Sim.Engine.Clock.ps_of_cycles_i t.clock wait else 0 in

@@ -10,7 +10,9 @@
 
 type t
 
-val create : Sim.Engine.Clock.clock -> id:int -> t
+val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> id:int -> t
+(** [create engine clock ~id] is an idle core whose contexts are fibers
+    of [engine]. *)
 
 val id : t -> int
 

@@ -11,7 +11,7 @@ type t = {
 let create engine (cfg : Config.t) =
   {
     engine;
-    bus = Sim.Server.create ~name:"pci" ();
+    bus = Sim.Server.create ~name:"pci" engine;
     ps_per_byte = 1e12 /. (cfg.pci_mbytes_per_s *. 1e6);
     pio_read_ps = Sim.Engine.ps_of_ns cfg.pci_pio_read_ns;
     pio_write_ps = Sim.Engine.ps_of_ns cfg.pci_pio_write_ns;

@@ -39,6 +39,7 @@ type t = {
   (* Same trick for [park]: the cell rides here so the perform carries
      no payload block.  Initialized to a dummy self-cell at [create]. *)
   mutable park_arg : cell;
+  mutable ambient : int; (* lookups of this engine through [current_key] *)
 }
 
 (* A reusable park point: one cell per (fiber, resource) pair replaces
@@ -74,19 +75,26 @@ type _ Effect.t +=
   | Suspend : (waker -> unit) -> unit Effect.t
   | Park : cell -> unit Effect.t
   | Park0 : unit Effect.t (* cell in [park_arg]; constant, no box *)
-  | Now : int64 Effect.t
   | Spawn_here : (string * (unit -> unit)) -> unit Effect.t
   | Self : t Effect.t
 
-(* The engine currently dispatching events on THIS domain, so [now] and
-   the scheduler's own bookkeeping can read the clock without performing
-   an effect.  Domain-local (not a process-global ref): engines on
-   sibling domains must never alias each other's dispatch state.  Saved
-   and restored around [run]/[run_until_idle] to keep nested runs (an
-   engine driven from inside another engine's fiber) correct. *)
+(* The engine currently dispatching events on THIS domain, for callers
+   that hold no engine handle (the ambient [now_i]/[wait_i] wrappers).
+   Domain-local (not a process-global ref): engines on sibling domains
+   must never alias each other's dispatch state.  Saved and restored
+   around [run]/[run_until_idle] to keep nested runs (an engine driven
+   from inside another engine's fiber) correct.  A lookup costs several
+   times a field read, so the data path reads the engine it holds, and
+   every lookup is counted on the engine it finds. *)
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let current () = Domain.DLS.get current_key
+let current () =
+  match Domain.DLS.get current_key with
+  | Some t as c ->
+      t.ambient <- t.ambient + 1;
+      c
+  | None -> None
+
 let current_engine = current
 
 let create () =
@@ -109,6 +117,7 @@ let create () =
       batch_frames = 0;
       wait_arg = 0;
       park_arg = dummy;
+      ambient = 0;
     }
   and dummy =
     { occupied = false; pk = None; pengine = t; wake_fn = ignore;
@@ -117,6 +126,7 @@ let create () =
   t
 
 let time t = Int64.of_int t.clock
+let clock_i t = t.clock
 
 let schedule_event t ~at ev =
   let seq = t.seq in
@@ -216,10 +226,6 @@ let rec exec_fiber t name fn =
                   | None -> c.pk <- Some { kk = k });
                   c.occupied <- true;
                   c.register ())
-          | Now ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  continue k (Int64.of_int t.clock))
           | Spawn_here (n, g) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -256,48 +262,52 @@ let run t ~until =
   let until = Int64.to_int until in
   acquire t "run";
   t.limit <- until;
-  let saved = current () in
+  let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some t);
   Fun.protect
     ~finally:(fun () ->
       t.running <- false;
       Domain.DLS.set current_key saved)
     (fun () ->
+      let q = t.queue in
       let rec loop () =
-        match Wheel.pop_until t.queue ~until with
-        | Some (at, _, ev) ->
-            t.clock <- at;
+        (* Queue drained: the clock stays at the last event.  Events
+           remain beyond [until]: the clock advances to it. *)
+        if not (Wheel.is_empty q) then
+          if Wheel.min_time q <= until then begin
+            let ev = Wheel.pop q in
+            t.clock <- Wheel.popped_time q;
             dispatch ev;
             loop ()
-        | None ->
-            (* Queue drained: the clock stays at the last event.  Events
-               remain beyond [until]: the clock advances to it. *)
-            if not (Wheel.is_empty t.queue) then t.clock <- until
+          end
+          else t.clock <- until
       in
       loop ())
 
 let run_until_idle t =
   acquire t "run_until_idle";
   t.limit <- max_int;
-  let saved = current () in
+  let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some t);
   Fun.protect
     ~finally:(fun () ->
       t.running <- false;
       Domain.DLS.set current_key saved)
     (fun () ->
+      let q = t.queue in
       let rec loop () =
-        match Wheel.pop t.queue with
-        | None ->
-            if t.live > 0 then
-              raise
-                (Deadlock
-                   (Fmt.str "%d fiber(s) suspended with no pending event"
-                      t.live))
-        | Some (at, _, ev) ->
-            t.clock <- at;
-            dispatch ev;
-            loop ()
+        if Wheel.is_empty q then begin
+          if t.live > 0 then
+            raise
+              (Deadlock
+                 (Fmt.str "%d fiber(s) suspended with no pending event" t.live))
+        end
+        else begin
+          let ev = Wheel.pop q in
+          t.clock <- Wheel.popped_time q;
+          dispatch ev;
+          loop ()
+        end
       in
       loop ())
 
@@ -305,6 +315,7 @@ let live_fibers t = t.live
 let events_scheduled t = t.seq
 let elided_waits t = t.elided
 let far_hits t = Wheel.far_hits t.queue
+let ambient_lookups t = t.ambient
 
 (* Activation coalescing control + batch-span accounting.  A span is
    opened by a context about to work through a burst of frames; it
@@ -335,74 +346,71 @@ let absorbed_waits t = t.absorbed
 let batched_activations t = t.batched_activations
 let batch_frames_total t = t.batch_frames
 
-(* Reading the dispatching engine's clock directly skips a continuation
-   capture per call; the effect remains as the fallback so [now] still
-   fails loudly (Effect.Unhandled) outside any engine. *)
-let now_i () =
-  match current () with
-  | Some t -> t.clock
-  | None -> Int64.to_int (Effect.perform Now)
+(* Wait elision: when [t] has no pending event inside the wait window
+   (and the window stays inside the active run's horizon), the fiber
+   that called [wait_in] is exactly the event the scheduler would pop
+   next — so advance the clock in place and keep running it.  No
+   continuation capture, no queue traffic, no stack switch; the executed
+   event sequence is identical by construction.  Ties are excluded
+   ([min_time] must be strictly beyond the target) because a pending
+   event at the same time holds a smaller sequence number and must run
+   first.  An engine that is not dispatching falls back to the generic
+   effect, which fails loudly outside any fiber. *)
+let wait_in t d =
+  if t.running && d >= 0 then begin
+    if
+      t.coalescing
+      &&
+      let target = t.clock + d in
+      target <= t.limit && Wheel.min_time t.queue > target
+    then begin
+      (* Inside a batch span the wait is part of one coalesced
+         activation, not an independently elided event: keep the two
+         gauges disjoint so their sum stays meaningful. *)
+      if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
+      else t.elided <- t.elided + 1;
+      t.clock <- t.clock + d
+    end
+    else begin
+      (* Boxless suspension: duration via [wait_arg] + constant effect,
+         handled by the fiber's preallocated [Wait0] arm. *)
+      t.wait_arg <- d;
+      Effect.perform Wait0
+    end
+  end
+  else Effect.perform (Wait d)
 
-let now () =
-  match current () with
-  | Some t -> Int64.of_int t.clock
-  | None -> Effect.perform Now
+(* The ambient forms: one lookup, then the handle form.  Outside any
+   engine [self_engine] performs [Self], which fails loudly
+   (Effect.Unhandled). *)
+let self_engine () =
+  match current () with Some t -> t | None -> Effect.perform Self
 
-(* Wait elision: when the dispatching engine has no pending event inside
-   the wait window (and the window stays inside the active run's
-   horizon), the fiber that called [wait_i] is exactly the event the
-   scheduler would pop next — so advance the clock in place and keep
-   running it.  No continuation capture, no queue traffic, no stack
-   switch; the executed event sequence is identical by construction.
-   Ties are excluded ([min_time] must be strictly beyond the target)
-   because a pending event at the same time holds a smaller sequence
-   number and must run first. *)
-let wait_i d =
-  match current () with
-  | Some t when d >= 0 ->
-      if
-        t.coalescing
-        &&
-        let target = t.clock + d in
-        target <= t.limit && Wheel.min_time t.queue > target
-      then begin
-        (* Inside a batch span the wait is part of one coalesced
-           activation, not an independently elided event: keep the two
-           gauges disjoint so their sum stays meaningful. *)
-        if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
-        else t.elided <- t.elided + 1;
-        t.clock <- t.clock + d
-      end
-      else begin
-        (* Boxless suspension: duration via [wait_arg] + constant
-           effect, handled by the fiber's preallocated [Wait0] arm. *)
-        t.wait_arg <- d;
-        Effect.perform Wait0
-      end
-  | _ -> Effect.perform (Wait d)
+let now_i () = clock_i (self_engine ())
+let now () = Int64.of_int (now_i ())
+let wait_i d = wait_in (self_engine ()) d
 
+(* [wait] never elides: every call is a real suspension. *)
 let wait d =
-  (* Keep the negative check exact across the int conversion. *)
   if d < 0L then Effect.perform (Wait (-1))
-  else
-    match current () with
-    | Some t ->
-        t.wait_arg <- Int64.to_int d;
-        Effect.perform Wait0
-    | None -> Effect.perform (Wait (Int64.to_int d))
+  else begin
+    let t = self_engine () in
+    t.wait_arg <- Int64.to_int d;
+    Effect.perform Wait0
+  end
 
 let suspend f = Effect.perform (Suspend f)
 
+(* The cell knows its engine, so parking needs no lookup. *)
 let park c =
-  match current () with
-  | Some t when t == c.pengine ->
-      t.park_arg <- c;
-      Effect.perform Park0
-  | _ -> Effect.perform (Park c)
-let spawn_here name fn = Effect.perform (Spawn_here (name, fn))
+  let t = c.pengine in
+  if t.running then begin
+    t.park_arg <- c;
+    Effect.perform Park0
+  end
+  else Effect.perform (Park c)
 
-let self_engine () =
-  match current () with Some t -> t | None -> Effect.perform Self
+let spawn_here name fn = Effect.perform (Spawn_here (name, fn))
 
 module Clock = struct
   type clock = { ps : int }
@@ -414,7 +422,7 @@ module Clock = struct
   let ps_of_cycles c n = Int64.of_int (c.ps * n)
   let ps_of_cycles_i c n = c.ps * n
   let cycles_of_ps c ps = Int64.to_float ps /. float_of_int c.ps
-  let wait_cycles c n = if n > 0 then wait_i (c.ps * n)
+  let wait_cycles t c n = if n > 0 then wait_in t (c.ps * n)
 end
 
 let ps_of_ns x = Int64.of_float (Float.round (x *. 1000.))

@@ -2,10 +2,22 @@
 
     Fibers (simulated threads of control: MicroEngine contexts, the
     StrongARM, the Pentium, traffic sources, ...) are OCaml functions run
-    under an effect handler.  A fiber advances simulated time by performing
-    {!wait}, parks itself on a resource with {!suspend}, and reads the clock
-    with {!now}.  The engine interleaves fibers in strict timestamp order
-    with FIFO tie-breaking, so a run is a pure function of its inputs.
+    under an effect handler.  A fiber advances simulated time with
+    {!wait_in}, parks itself on a resource with {!park} or {!suspend},
+    and reads the clock with {!clock_i}.  The engine interleaves fibers
+    in strict timestamp order with FIFO tie-breaking, so a run is a pure
+    function of its inputs.
+
+    {b Handle versus ambient.}  Code that holds the engine — every
+    device, loop and source built with one — reads and waits on it
+    through the handle forms {!clock_i} and {!wait_in}: a field read.
+    The ambient forms ({!now_i}, {!now}, {!wait_i}, {!wait},
+    {!self_engine}) first find the dispatching engine through a
+    domain-local key, which costs several times a field read per call.
+    They are one-line wrappers over the handle forms, kept for callers
+    that have no handle: the control plane, tests and harnesses.  Every
+    ambient lookup is counted ({!ambient_lookups}), so a data-path
+    caller that slips back to the ambient form shows up in telemetry.
 
     Time is measured in integer picoseconds so that the 200 MHz IXP clock
     (5000 ps) and the 733 MHz Pentium clock (1364 ps) share an exact common
@@ -27,6 +39,17 @@ val create : unit -> t
 val time : t -> int64
 (** [time t] is the current simulated time in picoseconds (valid inside and
     outside fibers). *)
+
+val clock_i : t -> int
+(** [clock_i t] is {!time} as a native int: the allocation-free clock
+    read of the data path. *)
+
+val wait_in : t -> int -> unit
+(** [wait_in t d] advances the calling fiber, which must be running on
+    [t], [d] picoseconds; the handle form of {!wait_i}.  When no other
+    event falls inside the window the clock advances in place without
+    queueing an event (wait elision, see {!set_coalescing}).  [d < 0]
+    raises [Invalid_argument] in the fiber. *)
 
 val spawn : t -> string -> (unit -> unit) -> unit
 (** [spawn t name fn] registers fiber [fn], to start at the current
@@ -76,6 +99,11 @@ val elided_waits : t -> int
     {e outside} any batch span; waits absorbed inside a span are counted
     in {!absorbed_waits} instead.  [events_scheduled t + elided_waits t
     + absorbed_waits t] approximates the logical event count. *)
+
+val ambient_lookups : t -> int
+(** [ambient_lookups t] counts the times a caller without a handle found
+    [t] through the domain-local dispatching-engine key ({!now_i},
+    {!wait_i}, {!now}, {!wait}, {!self_engine}, {!current_engine}). *)
 
 val far_hits : t -> int
 (** [far_hits t] is the number of events pushed beyond the timing
@@ -148,18 +176,19 @@ val current_engine : unit -> t option
 (** {1 Operations valid only inside a fiber} *)
 
 val now : unit -> int64
-(** [now ()] is the current simulated time, from inside a fiber. *)
+(** [now ()] is the current simulated time, from inside a fiber (an
+    ambient lookup). *)
 
 val now_i : unit -> int
-(** [now_i ()] is {!now} as a native int — the allocation-free form the
-    per-event path uses (an [int64] result is a fresh box per call). *)
+(** [now_i ()] is [clock_i (self_engine ())]: the ambient {!clock_i}. *)
 
 val wait : int64 -> unit
-(** [wait d] advances this fiber [d] picoseconds.  [wait 0L] yields to other
-    fibers scheduled at the same instant. *)
+(** [wait d] advances this fiber [d] picoseconds as a real suspension,
+    never elided.  [wait 0L] yields to other fibers scheduled at the
+    same instant. *)
 
 val wait_i : int -> unit
-(** [wait_i d] is {!wait} on a native-int duration, allocation-free. *)
+(** [wait_i d] is [wait_in (self_engine ()) d]: the ambient {!wait_in}. *)
 
 val suspend : (waker -> unit) -> unit
 (** [suspend f] parks the calling fiber and hands [f] a waker that any other
@@ -196,13 +225,15 @@ val cell_waker : cell -> waker
 
 val park : cell -> unit
 (** [park c] parks the calling fiber on [c] (must be called by the same
-    fiber each time; a cell holds at most one continuation). *)
+    fiber each time, running on the cell's engine; a cell holds at most
+    one continuation). *)
 
 val spawn_here : string -> (unit -> unit) -> unit
 (** [spawn_here name fn] spawns a sibling fiber from inside a fiber. *)
 
 val self_engine : unit -> t
-(** [self_engine ()] is the engine running the calling fiber. *)
+(** [self_engine ()] is the engine running the calling fiber (an
+    ambient lookup). *)
 
 (** {1 Clocks} *)
 
@@ -226,8 +257,9 @@ module Clock : sig
   val cycles_of_ps : clock -> int64 -> float
   (** [cycles_of_ps c ps] converts a duration back to (fractional) cycles. *)
 
-  val wait_cycles : clock -> int -> unit
-  (** [wait_cycles c n] is [wait (ps_of_cycles c n)] (inside a fiber). *)
+  val wait_cycles : t -> clock -> int -> unit
+  (** [wait_cycles t c n] is [wait_in t (ps_of_cycles_i c n)] for
+      [n > 0] and nothing otherwise (inside a fiber on [t]). *)
 end
 
 val ps_of_ns : float -> int64

@@ -4,14 +4,22 @@
    on every update. *)
 type t = {
   name : string;
+  engine : Engine.t; (* the clock the busy horizon is packed from *)
   mutable busy_until : int;
   mutable busy_time : int;
   mutable requests : int;
   mutable queue_delay_total : int;
 }
 
-let create ?(name = "server") () =
-  { name; busy_until = 0; busy_time = 0; requests = 0; queue_delay_total = 0 }
+let create ?(name = "server") engine =
+  {
+    name;
+    engine;
+    busy_until = 0;
+    busy_time = 0;
+    requests = 0;
+    queue_delay_total = 0;
+  }
 
 let name s = s.name
 
@@ -31,7 +39,7 @@ let name s = s.name
    while a requester still queues whenever the packed horizon passes its
    own clock (the server genuinely has more work than time). *)
 let book_i s ~now ~occupancy ~latency =
-  let floor = Engine.now_i () in
+  let floor = Engine.clock_i s.engine in
   let base = if s.busy_until > floor then s.busy_until else floor in
   let qdelay = if base > now then base - now else 0 in
   s.busy_until <- base + occupancy;
@@ -51,7 +59,8 @@ let record_i s ~occupancy =
   s.requests <- s.requests + 1
 
 let access_i s ~occupancy ~latency =
-  Engine.wait_i (book_i s ~now:(Engine.now_i ()) ~occupancy ~latency)
+  let e = s.engine in
+  Engine.wait_in e (book_i s ~now:(Engine.clock_i e) ~occupancy ~latency)
 
 let access s ~occupancy ~latency =
   access_i s ~occupancy:(Int64.to_int occupancy) ~latency:(Int64.to_int latency)

@@ -11,8 +11,9 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-(** [create ~name ()] is an idle server. *)
+val create : ?name:string -> Engine.t -> t
+(** [create ~name engine] is an idle server whose requesters are fibers
+    of [engine]. *)
 
 val name : t -> string
 (** [name s] is the server's diagnostic name. *)

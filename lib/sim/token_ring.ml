@@ -26,6 +26,7 @@ let no_waiter : Engine.waker =
 
 type t = {
   name : string;
+  engine : Engine.t; (* every member is a fiber of this engine *)
   pass_ps : int;
   n : int;
   claimed : bool array;
@@ -40,10 +41,11 @@ type t = {
   mutable hold_time : int;
 }
 
-let create ?(name = "ring") ?(pass_ps = 0L) ~members () =
+let create ?(name = "ring") ?(pass_ps = 0L) ~members engine =
   if members <= 0 then invalid_arg "Token_ring.create: members <= 0";
   {
     name;
+    engine;
     pass_ps = Int64.to_int pass_ps;
     n = members;
     claimed = Array.make members false;
@@ -70,9 +72,9 @@ let hops t from_ to_ = (to_ - from_ + t.n) mod t.n
 
 let take t =
   (* The token may still be in flight toward this slot. *)
-  let now = Engine.now_i () in
-  if t.available_at > now then Engine.wait_i (t.available_at - now);
-  t.hold_start <- Engine.now_i ();
+  let now = Engine.clock_i t.engine in
+  if t.available_at > now then Engine.wait_in t.engine (t.available_at - now);
+  t.hold_start <- Engine.clock_i t.engine;
   t.rotations
 
 let acquire t idx =
@@ -82,7 +84,7 @@ let acquire t idx =
     t.held <- true;
     let h = hops t t.pos idx in
     t.pos <- idx;
-    let now = Engine.now_i () in
+    let now = Engine.clock_i t.engine in
     let base = if t.available_at > now then t.available_at else now in
     t.available_at <- base + (h * t.pass_ps);
     take t
@@ -94,7 +96,7 @@ let acquire t idx =
       match t.cells.(idx) with
       | Some c -> c
       | None ->
-          let c = Engine.make_cell (Engine.self_engine ()) in
+          let c = Engine.make_cell t.engine in
           let w = Engine.cell_waker c in
           Engine.on_park c (fun () -> t.waiters.(idx) <- w);
           t.cells.(idx) <- Some c;
@@ -108,7 +110,7 @@ let acquire t idx =
 let release t idx =
   if not t.held then invalid_arg (t.name ^ ": release without hold");
   if t.pos <> idx then invalid_arg (t.name ^ ": release from wrong slot");
-  let now = Engine.now_i () in
+  let now = Engine.clock_i t.engine in
   t.hold_time <- t.hold_time + (now - t.hold_start);
   (* Virtual strict-rotation bookkeeping: one slot per release, exactly
      as the original rotating token advanced, so [rotations] keeps

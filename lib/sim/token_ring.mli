@@ -23,9 +23,10 @@
 
 type t
 
-val create : ?name:string -> ?pass_ps:int64 -> members:int -> unit -> t
-(** [create ~members ()] is a ring of [members] slots with the token parked
-    at slot 0, unheld.  [pass_ps] is the signalling delay per hand-off. *)
+val create : ?name:string -> ?pass_ps:int64 -> members:int -> Engine.t -> t
+(** [create ~members engine] is a ring of [members] slots, whose members
+    are fibers of [engine], with the token parked at slot 0, unheld.
+    [pass_ps] is the signalling delay per hand-off. *)
 
 val members : t -> int
 (** Number of slots in the rotation. *)

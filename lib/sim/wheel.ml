@@ -84,6 +84,7 @@ type 'a t = {
   mutable far_min : int;
   far : 'a Heap.t;
   mutable far_hits : int; (* pushes that overflowed the horizon *)
+  mutable popped_time : int; (* key time of the last pop *)
 }
 
 let create () =
@@ -103,6 +104,7 @@ let create () =
     far_min = max_int;
     far = Heap.create ();
     far_hits = 0;
+    popped_time = 0;
   }
 
 let size t = t.near + Heap.size t.far
@@ -201,8 +203,7 @@ let min_in_bucket t slot =
 let take_from_bucket t slot i =
   let len = t.b_len.(slot) - 1 in
   let keys = t.b_key.(slot) and vals = t.b_val.(slot) in
-  let time = Array.unsafe_get keys (2 * i)
-  and seq = Array.unsafe_get keys ((2 * i) + 1) in
+  let time = Array.unsafe_get keys (2 * i) in
   let v = Array.unsafe_get vals i in
   (* Swap-with-last removal; within-bucket order is irrelevant.  [i] and
      [len] are in bounds by construction ([i < b_len], [len = b_len-1]),
@@ -221,12 +222,13 @@ let take_from_bucket t slot i =
   t.floor <- time;
   t.cursor <- slot;
   t.min_ok <- false;
-  (time, seq, v)
+  t.popped_time <- time;
+  v
 
 let pop_far t =
   match Heap.pop t.far with
-  | None -> None
-  | Some (time, seq, v) ->
+  | None -> invalid_arg "Wheel.pop: empty queue"
+  | Some (time, _, v) ->
       t.min_ok <- false;
       t.far_min <-
         (match Heap.peek_time t.far with
@@ -234,49 +236,14 @@ let pop_far t =
         | Some ht -> Int64.to_int ht);
       t.floor <- Int64.to_int time;
       t.cursor <- (t.floor lsr res_bits) land slot_mask;
-      Some (t.floor, seq, v)
+      t.popped_time <- t.floor;
+      v
 
 (* Far-vs-wheel tie: the far entry wins only on a strictly smaller seq,
    looked up only in this rare case (same-time events in different
    tiers). *)
 let far_wins_tie t ws =
   match Heap.peek t.far with Some (_, hs) -> hs < ws | None -> false
-
-let pop t =
-  if t.near = 0 then pop_far t
-  else begin
-    let slot = first_bucket t in
-    let i = min_in_bucket t slot in
-    let keys = t.b_key.(slot) in
-    let wt = keys.(2 * i) and ws = keys.((2 * i) + 1) in
-    if t.far_min < wt || (t.far_min = wt && far_wins_tie t ws) then pop_far t
-    else Some (take_from_bucket t slot i)
-  end
-
-(* [pop] gated at [until] — the engine's inner loop.  The wait-elision
-   probe ([min_time]) that precedes almost every pop leaves the
-   minimum's exact position in the cache, so the common case takes the
-   entry with no rescan. *)
-let pop_until t ~until =
-  if t.min_ok then begin
-    if t.cached_min > until then None
-    else if t.min_slot >= 0 then
-      Some (take_from_bucket t t.min_slot t.min_idx)
-    else pop_far t
-  end
-  else if t.near = 0 then begin
-    if t.far_min <= until then pop_far t else None
-  end
-  else begin
-    let slot = first_bucket t in
-    let i = min_in_bucket t slot in
-    let keys = t.b_key.(slot) in
-    let wt = keys.(2 * i) and ws = keys.((2 * i) + 1) in
-    if t.far_min < wt || (t.far_min = wt && far_wins_tie t ws) then
-      if t.far_min <= until then pop_far t else None
-    else if wt <= until then Some (take_from_bucket t slot i)
-    else None
-  end
 
 (* Earliest pending time across both tiers ([max_int] when empty): the
    engine consults this on every wait to decide whether the wait can be
@@ -318,3 +285,15 @@ let min_time t = if t.min_ok then t.cached_min else recompute_min t
 let peek_time t =
   let m = min_time t in
   if m = max_int then None else Some m
+
+(* The engine's inner loop probes [min_time] (to test its horizon)
+   right before popping, so the common pop takes the cached position
+   with no rescan.  The key time goes to [popped_time], not into a
+   returned tuple, so a pop runs once per event without boxing. *)
+let pop t =
+  if is_empty t then invalid_arg "Wheel.pop: empty queue";
+  if not t.min_ok then ignore (recompute_min t : int);
+  if t.min_slot >= 0 then take_from_bucket t t.min_slot t.min_idx
+  else pop_far t
+
+let popped_time t = t.popped_time

@@ -31,13 +31,16 @@ val push : 'a t -> now:int -> time:int -> seq:int -> 'a -> unit
     Requires [time >= now] and [now] at or after the last popped time.
     Times are native-int picoseconds, matching the engine's clock. *)
 
-val pop : 'a t -> (int * int * 'a) option
-(** [pop t] removes and returns the event with the smallest key. *)
+val pop : 'a t -> 'a
+(** [pop t] removes the event with the smallest key and returns its
+    value; the key's time is then {!popped_time}.  Raises
+    [Invalid_argument] on an empty queue.  A wheel-tier pop allocates
+    nothing.  A bounded pop is [min_time t <= until] followed by
+    [pop t]; the [min_time] probe leaves the minimum's position cached
+    for the pop. *)
 
-val pop_until : 'a t -> until:int -> (int * int * 'a) option
-(** [pop_until t ~until] is [pop t] if the smallest key time is at most
-    [until], else [None] with the queue untouched.  One scan instead of
-    a peek-then-pop pair — the engine's inner loop. *)
+val popped_time : 'a t -> int
+(** Key time of the event the last {!pop} returned. *)
 
 val peek_time : 'a t -> int option
 (** [peek_time t] is the key time of the next event without removing it. *)

@@ -16,7 +16,7 @@ let spawn_with_gap engine ~name ~next_gap ~gen ~offer ?stats () =
         (* Eliding-capable wait: at line rate this is the single most
            frequent timer in the system, and when no other event falls
            inside the gap the source never needs the run queue. *)
-        Sim.Engine.wait_i (Int64.to_int (next_gap ()));
+        Sim.Engine.wait_in engine (Int64.to_int (next_gap ()));
         Sim.Stats.Counter.incr stats.offered;
         if offer (gen i) then Sim.Stats.Counter.incr stats.accepted;
         emit (i + 1)

@@ -8,7 +8,10 @@
    - a GC audit of the full line-rate router: after warm-up, a measured
      window must stay within the words-per-packet budget and promote
      nothing to the major heap (steady state lives and dies entirely in
-     the minor arena);
+     the minor arena), and its data path must read the engine it holds,
+     leaving the domain-local engine lookup at a handful per forwarded
+     packet; a second run adds the delivery digest and connected sinks
+     under their own budget;
    - a per-call audit of the classified forwarder chain: with the
      multi-field classifier installed, [Router.default_process] stays
      within a few words per packet and promotes nothing;
@@ -22,7 +25,17 @@ let seed = 42
 
 (* Matches the bench/alloc.ml ceiling: the local budget the CI baseline
    ratio-gate sits on top of. *)
-let words_per_packet_budget = 150.
+let words_per_packet_budget = 90.
+
+(* The same router with the delivery digest armed and every port's sink
+   connected: each delivered frame adds the MAC's copy for the external
+   sink and the digest's 16-byte result, and nothing else. *)
+let digest_words_per_packet_budget = 100.
+
+(* Domain-local engine lookups per forwarded packet.  The data path
+   holds its engine; what is left comes from the few callers with no
+   handle. *)
+let ambient_lookups_per_packet_budget = 5.
 
 (* --- steady-state GC audit -------------------------------------------- *)
 
@@ -62,32 +75,61 @@ let line_rate_router () =
   done;
   r
 
-let test_steady_state_gc () =
+(* Runs [r] through a warm-up and a measured window; returns the
+   packets forwarded, the GC counters and the ambient engine lookups
+   over the measured window. *)
+let measure_window r =
   (* A minor arena big enough that the measured window cannot fill it:
      any promotion observed is then a real steady-state leak to the
      major heap, not collection pressure. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  let r = line_rate_router () in
   Router.run_for r ~us:2_000.;
-  let out0 =
+  let pkts_out () =
     Sim.Stats.Counter.value r.Router.ostats.Router.Output_loop.pkts_out
   in
+  let out0 = pkts_out () in
+  let lookups0 = Sim.Engine.ambient_lookups r.Router.engine in
   let gc = Sim.Gc_stats.create () in
   Router.run_for r ~us:10_000.;
-  let out =
-    Sim.Stats.Counter.value r.Router.ostats.Router.Output_loop.pkts_out - out0
-  in
+  let out = pkts_out () - out0 in
+  let lookups = Sim.Engine.ambient_lookups r.Router.engine - lookups0 in
   Alcotest.(check bool) "forwarded enough packets to measure" true (out > 1_000);
+  (out, gc, lookups)
+
+let check_gc_budget ~what ~budget out gc =
   let w = Sim.Gc_stats.minor_words gc /. float_of_int out in
-  if w > words_per_packet_budget then
-    Alcotest.failf "steady state allocates %.1f minor words/packet (budget %.0f)"
-      w words_per_packet_budget;
+  if w > budget then
+    Alcotest.failf "%s allocates %.1f minor words/packet (budget %.0f)" what w
+      budget;
   let promoted = Sim.Gc_stats.promoted_words gc in
   if promoted > 0. then
-    Alcotest.failf "steady state promoted %.0f words to the major heap" promoted;
+    Alcotest.failf "%s promoted %.0f words to the major heap" what promoted;
   Alcotest.(check int)
     "no minor collections in the measured window" 0
     (Sim.Gc_stats.minor_collections gc)
+
+let test_steady_state_gc () =
+  let out, gc, lookups = measure_window (line_rate_router ()) in
+  check_gc_budget ~what:"steady state" ~budget:words_per_packet_budget out gc;
+  let per_pkt = float_of_int lookups /. float_of_int out in
+  if per_pkt > ambient_lookups_per_packet_budget then
+    Alcotest.failf
+      "the data path finds its engine through the domain-local key %.2f \
+       times per packet (budget %.0f)"
+      per_pkt ambient_lookups_per_packet_budget
+
+let test_digest_gc () =
+  let r = line_rate_router () in
+  Router.enable_delivery_digest r;
+  let delivered = ref 0 in
+  for p = 0 to r.Router.config.Router.n_ports - 1 do
+    Router.connect r ~port:p (fun _ -> incr delivered)
+  done;
+  let out, gc, _ = measure_window r in
+  Alcotest.(check bool) "the connected sinks saw the traffic" true
+    (!delivered >= out);
+  check_gc_budget ~what:"with the delivery digest"
+    ~budget:digest_words_per_packet_budget out gc
 
 (* --- classifier miss path ---------------------------------------------- *)
 
@@ -357,6 +399,8 @@ let test_rng_matches_reference () =
 let tests =
   [
     Alcotest.test_case "steady-state GC audit" `Slow test_steady_state_gc;
+    Alcotest.test_case "GC audit with the delivery digest" `Slow
+      test_digest_gc;
     Alcotest.test_case "classifier miss path allocates nothing per probe"
       `Quick test_classifier_miss_alloc;
     Alcotest.test_case "classified forwarder chain allocation" `Slow

@@ -441,7 +441,7 @@ let wfq_fairness_under_stalled_class () =
   let delivered = [| 0; 0; 0 |] in
   Ixp.Mac_port.set_faults chip.Ixp.Chip.ports.(2)
     (Fault.Injector.create (scenario_of "mac_loss:1.0"));
-  let ring = Sim.Token_ring.create ~members:3 () in
+  let ring = Sim.Token_ring.create ~members:3 engine in
   let frame_of cls =
     Packet.Build.udp
       ~src:(addr (Printf.sprintf "10.250.0.%d" (1 + cls)))
@@ -488,7 +488,7 @@ let wfq_fairness_under_stalled_class () =
         ~source:(Router.Input_loop.Port in_port)
         ~stats:(Router.Input_loop.make_stats ()))
     [ 0; 4; 8 ];
-  let oring = Sim.Token_ring.create ~members:1 () in
+  let oring = Sim.Token_ring.create ~members:1 engine in
   let ol =
     {
       Router.Output_loop.cm;

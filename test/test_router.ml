@@ -412,9 +412,49 @@ let wfq_within_budget () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ vrp_execute_charges ]
 
+(* The delivery digest's scratch-buffer fold must reproduce the chain it
+   replaced, [MD5 (prev ^ decimal time ^ "|" ^ frame bytes)], byte for
+   byte: every committed delivery digest is a chain of these links.  The
+   scratch starts too small so its growth is exercised, and one frame
+   carries headroom beyond its length, as pooled frames do. *)
+let digest_fold_matches_concat () =
+  let concat prev ~time f =
+    Digest.string
+      (prev ^ Int64.to_string (Int64.of_int time) ^ "|"
+      ^ Bytes.sub_string f.Packet.Frame.data 0 (Packet.Frame.len f))
+  in
+  let frame ?(headroom = 0) len seed =
+    let f = Packet.Frame.alloc ~headroom len in
+    Bytes.iteri
+      (fun i _ ->
+        Bytes.set f.Packet.Frame.data i (Char.chr (((i * 31) + seed) land 255)))
+      f.Packet.Frame.data;
+    f
+  in
+  let frames = [ frame 64 1; frame 1518 2; frame ~headroom:16 64 3 ] in
+  let times = [ 0; 9; 10; 1_000_000_000_000; 123_456_789_012_345; max_int ] in
+  let scratch = ref (Bytes.create 8) in
+  let want = ref (Digest.string "") and got = ref (Digest.string "") in
+  List.iter
+    (fun time ->
+      List.iter
+        (fun f ->
+          want := concat !want ~time f;
+          got := Router.digest_fold scratch !got ~time f;
+          Alcotest.(check string)
+            (Printf.sprintf "%d B at %d ps" (Packet.Frame.len f) time)
+            (Digest.to_hex !want) (Digest.to_hex !got))
+        frames)
+    times;
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Router.digest_fold: negative time") (fun () ->
+      ignore (Router.digest_fold scratch !got ~time:(-1) (List.hd frames)))
+
 let tests =
   [
     Alcotest.test_case "cost model matches Table 2" `Quick cost_model_table2;
+    Alcotest.test_case "delivery digest fold = concatenated MD5 chain" `Quick
+      digest_fold_matches_concat;
     Alcotest.test_case "vrp static cost" `Quick vrp_static_cost;
     Alcotest.test_case "vrp istore slots" `Quick vrp_istore_slots;
     Alcotest.test_case "vrp budget check" `Quick vrp_budget_check;

@@ -102,7 +102,7 @@ let deadlock_detected () =
 
 let server_serializes () =
   let e = Sim.Engine.create () in
-  let s = Sim.Server.create () in
+  let s = Sim.Server.create e in
   let done_at = Array.make 3 0L in
   for i = 0 to 2 do
     Sim.Engine.spawn e
@@ -118,7 +118,7 @@ let server_serializes () =
 let server_latency_exceeds_occupancy () =
   (* Pipelined device: second requester queues only behind occupancy. *)
   let e = Sim.Engine.create () in
-  let s = Sim.Server.create () in
+  let s = Sim.Server.create e in
   let done_at = Array.make 2 0L in
   for i = 0 to 1 do
     Sim.Engine.spawn e
@@ -133,7 +133,7 @@ let server_latency_exceeds_occupancy () =
 
 let token_ring_strict_rotation () =
   let e = Sim.Engine.create () in
-  let ring = Sim.Token_ring.create ~members:4 () in
+  let ring = Sim.Token_ring.create ~members:4 e in
   let order = ref [] in
   for i = 0 to 3 do
     Sim.Engine.spawn e
@@ -154,7 +154,7 @@ let token_ring_strict_rotation () =
 
 let token_ring_mutual_exclusion () =
   let e = Sim.Engine.create () in
-  let ring = Sim.Token_ring.create ~members:3 () in
+  let ring = Sim.Token_ring.create ~members:3 e in
   let inside = ref 0 in
   let max_inside = ref 0 in
   for i = 0 to 2 do
@@ -176,7 +176,7 @@ let token_ring_mutual_exclusion () =
 
 let token_ring_pass_delay () =
   let e = Sim.Engine.create () in
-  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:2 () in
+  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:2 e in
   let times = ref [] in
   for i = 0 to 1 do
     Sim.Engine.spawn e
@@ -198,7 +198,7 @@ let token_ring_pass_delay () =
 
 let token_ring_on_demand () =
   let e = Sim.Engine.create () in
-  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:4 () in
+  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:4 e in
   let times = ref [] in
   (* Members 0, 1 and 3 join but never acquire; an idle station must not
      block (or slow) the token's travel to the one member that works. *)
@@ -221,7 +221,7 @@ let token_ring_on_demand () =
 
 let token_ring_contended_handoff () =
   let e = Sim.Engine.create () in
-  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:4 () in
+  let ring = Sim.Token_ring.create ~pass_ps:5L ~members:4 e in
   let log = ref [] in
   (* m1 pulls the token one hop from station 0 (granted at 5) and holds
      it for 7; m3 asks at t=1 and must wait parked (not spin) until the
@@ -358,6 +358,32 @@ let spawn_here_and_self () =
   Alcotest.(check bool) "self_engine" true !same_engine;
   Alcotest.(check int64) "child starts at parent's now" 75L !child_ran
 
+(* The handle forms read the engine they are given; only the ambient
+   wrappers go through the domain-local key, and each such lookup is
+   counted on the engine it finds.  Waits on the handle still elide or
+   suspend exactly as the ambient ones do. *)
+let ambient_lookups_counted () =
+  let e = Sim.Engine.create () in
+  let seen = ref [] in
+  Sim.Engine.spawn e "a" (fun () ->
+      Sim.Engine.wait_in e 10;
+      seen := Sim.Engine.clock_i e :: !seen;
+      Sim.Engine.wait_i 5;
+      seen := Sim.Engine.now_i () :: !seen;
+      ignore (Sim.Engine.now () : int64));
+  Sim.Engine.spawn e "b" (fun () ->
+      Sim.Engine.wait_in e 12;
+      seen := Sim.Engine.clock_i e :: !seen);
+  Sim.Engine.run_until_idle e;
+  Alcotest.(check (list int)) "clock reads" [ 15; 12; 10 ] !seen;
+  Alcotest.(check int) "ambient lookups" 3 (Sim.Engine.ambient_lookups e);
+  Alcotest.(check bool) "no ambient engine outside a run" true
+    (match Sim.Engine.now_i () with
+    | _ -> false
+    | exception Effect.Unhandled _ -> true);
+  Alcotest.(check int) "a failed lookup counts nowhere" 3
+    (Sim.Engine.ambient_lookups e)
+
 let trace_ring_and_filter () =
   let tr = Sim.Trace.create ~capacity:4 () in
   let e = Sim.Engine.create () in
@@ -390,7 +416,7 @@ let server_utilization_bound =
     (fun (seed, nfibers) ->
       let rng = Sim.Rng.create seed in
       let e = Sim.Engine.create () in
-      let s = Sim.Server.create () in
+      let s = Sim.Server.create e in
       for i = 0 to nfibers - 1 do
         let occ = Int64.of_int (1 + Sim.Rng.int rng 500) in
         Sim.Engine.spawn e
@@ -423,10 +449,17 @@ let wheel_matches_heap =
       let seq = ref 0 in
       let ok = ref true in
       let expect cond = if not cond then ok := false in
+      (* The wheel's pop hands back the value, here the event's seq,
+         and leaves the key time in [popped_time]. *)
+      let pop_wheel () =
+        let s = Sim.Wheel.pop w in
+        (Sim.Wheel.popped_time w, s)
+      in
       let pop_pair () =
-        match (Sim.Wheel.pop w, Sim.Heap.pop h) with
-        | None, None -> false
-        | Some (t, s, _), Some (t', s', _) ->
+        match (Sim.Wheel.is_empty w, Sim.Heap.pop h) with
+        | true, None -> false
+        | false, Some (t', s', _) ->
+            let t, s = pop_wheel () in
             expect (Int64.of_int t = t' && s = s');
             now := t;
             true
@@ -453,18 +486,21 @@ let wheel_matches_heap =
         | 2 -> (
             (* Bounded pop, exactly the engine's inner loop. *)
             let until = !now + Sim.Rng.int rng 20_000 in
-            match Sim.Wheel.pop_until w ~until with
-            | Some (t, s, _) ->
-                expect (t <= until);
-                (match Sim.Heap.pop h with
-                | Some (t', s', _) ->
-                    expect (Int64.of_int t = t' && s = s');
-                    now := t
-                | None -> expect false)
-            | None -> (
-                match Sim.Heap.peek_time h with
-                | Some t' -> expect (t' > Int64.of_int until)
-                | None -> ()))
+            if
+              (not (Sim.Wheel.is_empty w)) && Sim.Wheel.min_time w <= until
+            then begin
+              let t, s = pop_wheel () in
+              expect (t <= until);
+              match Sim.Heap.pop h with
+              | Some (t', s', _) ->
+                  expect (Int64.of_int t = t' && s = s');
+                  now := t
+              | None -> expect false
+            end
+            else
+              match Sim.Heap.peek_time h with
+              | Some t' -> expect (t' > Int64.of_int until)
+              | None -> ())
         | _ ->
             (* Peeks must agree and must not disturb later pops. *)
             expect
@@ -482,6 +518,27 @@ let wheel_matches_heap =
       done;
       expect (Sim.Wheel.is_empty w && Sim.Heap.is_empty h);
       !ok)
+
+(* The qcheck draws above rarely leave a wheel-tier event behind a
+   pending far-tier one, so pin that case: F goes to the far heap (it
+   lies beyond the ~8.4 us horizon when pushed at 0), the clock then
+   moves to 8 us, and B, pushed after F's time but inside the new
+   horizon, lands in the wheel.  F must pop first, and a same-time
+   wheel entry pushed later must wait behind it. *)
+let wheel_far_tier_order () =
+  let w = Sim.Wheel.create () in
+  Sim.Wheel.push w ~now:0 ~time:8_000_000 ~seq:0 "a";
+  Sim.Wheel.push w ~now:0 ~time:9_000_000 ~seq:1 "f";
+  Alcotest.(check string) "near first" "a" (Sim.Wheel.pop w);
+  let now = Sim.Wheel.popped_time w in
+  Sim.Wheel.push w ~now ~time:10_000_000 ~seq:2 "b";
+  Sim.Wheel.push w ~now ~time:9_000_000 ~seq:3 "tie";
+  Alcotest.(check int) "min is the far event" 9_000_000 (Sim.Wheel.min_time w);
+  let pops = List.init 3 (fun _ -> Sim.Wheel.pop w) in
+  Alcotest.(check (list string)) "key order" [ "f"; "tie"; "b" ] pops;
+  Alcotest.(check int) "last key time" 10_000_000 (Sim.Wheel.popped_time w);
+  Alcotest.check_raises "empty" (Invalid_argument "Wheel.pop: empty queue")
+    (fun () -> ignore (Sim.Wheel.pop w : string))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -520,5 +577,9 @@ let tests =
     Alcotest.test_case "counter: rate" `Quick counter_rate;
     Alcotest.test_case "trace: ring + filter" `Quick trace_ring_and_filter;
     Alcotest.test_case "engine: spawn_here/self" `Quick spawn_here_and_self;
+    Alcotest.test_case "engine: ambient lookups counted" `Quick
+      ambient_lookups_counted;
+    Alcotest.test_case "wheel: far tier merges in key order" `Quick
+      wheel_far_tier_order;
   ]
   @ qsuite
