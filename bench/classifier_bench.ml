@@ -1,20 +1,19 @@
 (* Multi-field classification at flow scale: the tuple-space engine
-   under rule-set growth (10 to 100k rules), Zipf-skewed flow caching,
-   10k-operation rule churn, and a classified cluster replay across
-   batch capacities and domain counts.
+   under rule-set growth (10 to 100k rules), Zipf-skewed flow caching
+   and 10k-operation rule churn.  The classified cluster replay across
+   batch capacities and domain counts is an arm of bench/equivalence.ml.
 
    Evidence, split the way the gate can hold it steady:
 
    - Deterministic rows (rule/tuple counts, differential divergences,
-     probes per miss, flow-cache hit rates, churn staleness, delivered
-     frames and identity mismatches — everything derived from seeds and
-     simulated time) are identical on every host, so CI gates them both
-     ways against the committed BENCH_classifier.json.
+     probes per miss, flow-cache hit rates, churn staleness — everything
+     derived from seeds) are identical on every host, so CI gates them
+     both ways against the committed BENCH_classifier.json.
    - Wall-clock ns/lookup rows depend on the runner and are archived as
      the ns-per-packet-vs-rules curve, not gated.
    - [failures] makes the harness exit nonzero on any differential
-     divergence, stale churn answer, or delivery-schedule mismatch —
-     after the JSON evidence is written. *)
+     divergence or stale churn answer — after the JSON evidence is
+     written. *)
 
 open Forwarders
 
@@ -250,111 +249,6 @@ let churn_fuzz () =
     Report.info "  CLASSIFIER FAILURE: churn audit exercised no cache hits"
   end
 
-(* --- classified cluster identity ------------------------------------- *)
-
-let members = 4
-let ports_per_member = 4
-
-(* One arm: drive the 4-member cluster with the flows workload and the
-   classifier installed on every member; return every member's per-port
-   delivery digests. *)
-let digest_run ~batch_mps ~domains ~coalesce =
-  let config = { Router.default_config with Router.batch_mps } in
-  let c =
-    Cluster.create ~members ~ports_per_member ~domains ~config
-      ~frame_pool:true ()
-  in
-  Array.iter Router.enable_delivery_digest c.Cluster.members;
-  if not coalesce then
-    Array.iter (fun e -> Sim.Engine.set_coalescing e false) c.Cluster.engines;
-  Array.iter
-    (fun (r : Router.t) ->
-      let cls = Classifier.create () in
-      List.iter (Classifier.add cls)
-        (Classifier.Gen.rules
-           ~rng:(Sim.Rng.create seed)
-           ~n:256 ~n_ports:ports_per_member ());
-      match
-        Router.Iface.install r.Router.iface ~key:Packet.Flow.All
-          ~fwdr:(Classifier.forwarder ~cm:config.Router.cm cls)
-          ~where:Router.Iface.ME ()
-      with
-      | Ok _ -> ()
-      | Error es ->
-          failwith ("classifier_bench: install: " ^ String.concat "; " es))
-    c.Cluster.members;
-  let n_global = members * ports_per_member in
-  let rng = Sim.Rng.create seed in
-  for g = 0 to n_global - 1 do
-    let m, _ = Cluster.member_of_global_port c g in
-    let pool = Option.get (Cluster.frame_pool c m) in
-    let rng = Sim.Rng.split rng in
-    let fl =
-      Workload.Flows.create ~pool ~rng
-        {
-          Workload.Flows.default with
-          pps = 130_000.;
-          n_hosts = 65_536;
-          n_subnets = n_global;
-        }
-    in
-    ignore
-      (Workload.Flows.spawn fl
-         (Cluster.engine_of_global_port c g)
-         ~name:(Printf.sprintf "gen%d" g)
-         ~offer:(fun f ->
-           let ok = Cluster.inject c ~global_port:g f in
-           if not ok then Packet.Frame_pool.give pool f;
-           ok))
-  done;
-  for _ = 1 to 3 do
-    Cluster.run_for c ~us:400.
-  done;
-  (match Cluster.violations c with
-  | [] -> ()
-  | (src, v) :: _ ->
-      incr failures;
-      Report.info
-        "  CLASSIFIER FAILURE: invariant violation [batch=%d domains=%d \
-         coalesce=%b]: [%s] %s: %s"
-        batch_mps domains coalesce src v.Fault.Invariant.name
-        v.Fault.Invariant.detail);
-  let digests =
-    Array.to_list c.Cluster.members
-    |> List.concat_map (fun m -> Array.to_list (Router.port_delivery_digests m))
-  in
-  (Cluster.delivered_total c, digests)
-
-let classified_identity () =
-  let mismatches = ref 0 in
-  List.iter
-    (fun batch_mps ->
-      List.iter
-        (fun domains ->
-          let d_on, g_on = digest_run ~batch_mps ~domains ~coalesce:true in
-          let d_off, g_off = digest_run ~batch_mps ~domains ~coalesce:false in
-          let ok = d_on = d_off && g_on = g_off in
-          Report.info
-            "batch=%2d domains=%d: delivered %d coalesced / %d granular — %s"
-            batch_mps domains d_on d_off
-            (if ok then "identical schedules" else "MISMATCH");
-          if not ok then incr mismatches;
-          Report.row ~unit_:"frames"
-            ~name:
-              (Printf.sprintf "classified delivered [batch=%d domains=%d]"
-                 batch_mps domains)
-            ~paper:1_000. ~measured:(float_of_int d_on))
-        [ 1; 2 ])
-    [ 1; 16 ];
-  Report.row ~unit_:"configs" ~name:"classified identity mismatches"
-    ~paper:0. ~measured:(float_of_int !mismatches);
-  if !mismatches > 0 then begin
-    failures := !failures + !mismatches;
-    Report.info
-      "  CLASSIFIER FAILURE: %d classified delivery-schedule mismatch(es)"
-      !mismatches
-  end
-
 let run () =
   Report.section
     "Tuple-space classifier: rule-set scale, 10 to 100k rules (extension)";
@@ -363,9 +257,5 @@ let run () =
   zipf_sweep ();
   Report.section "Rule churn with staleness audit (10k operations)";
   churn_fuzz ();
-  Report.section
-    "Classified cluster: delivery-schedule identity, batch {1,16} x domains \
-     {1,2}";
-  classified_identity ();
   Report.row ~unit_:"frac" ~name:"run spread (lookup ns)" ~paper:0.10
     ~measured:!worst_spread

@@ -9,28 +9,16 @@
 let run () =
   Report.section "Cluster of 4 Pentium/IXP pairs (section 6, future work)";
   let c = Cluster.create ~members:4 () in
-  let rng = Sim.Rng.create 23L in
-  let n_global = 32 in
   let offered = Sim.Stats.Counter.create "offered" in
-  for g = 0 to n_global - 1 do
-    let rng = Sim.Rng.split rng in
-    ignore
-      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
-         ~name:(Printf.sprintf "ext%d" g)
-         ~mbps:100. ~frame_len:64
-         ~gen:(fun i ->
-           ignore i;
-           Sim.Stats.Counter.incr offered;
-           Packet.Build.udp
-             ~src:(Workload.Mix.subnet_addr ~subnet:(100 + g) ~host:1)
-             ~dst:
-               (Workload.Mix.subnet_addr
-                  ~subnet:(Sim.Rng.int rng n_global)
-                  ~host:(1 + Sim.Rng.int rng 50))
-             ~src_port:1000 ~dst_port:2000 ())
-         ~offer:(fun f -> Cluster.inject c ~global_port:g f)
-         ())
-  done;
+  Equivalence.spawn_line_rate c ~seed:23 ~ports:(List.init 32 Fun.id)
+    ~gen:(fun ~rng g _ ->
+      Sim.Stats.Counter.incr offered;
+      Packet.Build.udp
+        ~src:(Workload.Mix.subnet_addr ~subnet:(100 + g) ~host:1)
+        ~dst:
+          (Workload.Mix.subnet_addr ~subnet:(Sim.Rng.int rng 32)
+             ~host:(1 + Sim.Rng.int rng 50))
+        ~src_port:1000 ~dst_port:2000 ());
   Cluster.run_for c ~us:15_000.;
   let secs = Sim.Engine.seconds (Cluster.time c) in
   let offered_mpps =

@@ -1,34 +1,24 @@
 (* Cluster simulator throughput: wall-clock packets per second for the
-   4-member cluster at 1, 2 and 4 worker domains, plus the property that
+   4-member cluster at 1, 2 and 4 worker domains.  The property that
    makes the parallelism admissible at all — a parallel run is
-   bit-for-bit identical to a sequential one.
+   bit-for-bit identical to a sequential one — is gated by
+   bench/equivalence.ml.
 
-   Two different gates come out of this file:
-
-   - The {e portability} gate mirrors bench/perf.ml: raw pps divided by
-     the in-process checksum calibration gives a host-independent score
-     for the domains=1 configuration, and CI fails on >15% regression
-     against the committed BENCH_cluster_perf.json.  Only domains=1 is
-     scored because the parallel speedup depends on how many physical
-     cores the host grants (CI containers often grant one), which would
-     make a speedup-based gate flap.
-
-   - The {e identity} gate replays every scenario of
-     {!Fault.Cluster_scenario.matrix} across seeds sequentially and at
-     2 and 4 domains and compares per-member telemetry digests.  Any
-     mismatch increments [failures], which makes the harness exit
-     nonzero: a lookahead bug cannot land as a "perf tradeoff".
+   The gate mirrors bench/perf.ml: raw pps divided by the in-process
+   checksum calibration gives a host-independent score for the
+   domains=1 configuration, and CI fails on >15% regression against the
+   committed BENCH_cluster_perf.json.  Only domains=1 is scored because
+   the parallel speedup depends on how many physical cores the host
+   grants (CI containers often grant one), which would make a
+   speedup-based gate flap.
 
    The measured speedup curve is recorded honestly alongside the host's
    core count ([Domain.recommended_domain_count]); on a multicore host
    the 4-domain row is expected to reach the 1.7x target, on a 1-core
    container it documents the barrier overhead instead. *)
 
-let failures = ref 0
-
 let members = 4
 let ports_per_member = 4
-let seeds = [ 11; 42 ]
 let domain_counts = [ 1; 2; 4 ]
 
 let warmup_us = 1_000.
@@ -42,32 +32,12 @@ let reps = 3
 let baseline_d1_pps = 25_800.
 let baseline_score = 0.0197
 
-let spawn_sources c ~seed =
-  let n_global = members * ports_per_member in
-  let rng = Sim.Rng.create (Int64.of_int seed) in
-  for g = 0 to n_global - 1 do
-    let m, _ = Cluster.member_of_global_port c g in
-    let pool = Option.get (Cluster.frame_pool c m) in
-    let rng = Sim.Rng.split rng in
-    ignore
-      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
-         ~name:(Printf.sprintf "gen%d" g)
-         ~mbps:100. ~frame_len:64
-         ~gen:(Workload.Mix.udp_uniform ~pool ~rng ~n_subnets:n_global
-                 ~frame_len:64 ())
-         ~offer:(fun f ->
-           let ok = Cluster.inject c ~global_port:g f in
-           if not ok then Packet.Frame_pool.give pool f;
-           ok)
-         ())
-  done
-
 (* One timed run: warm up, then measure wall-clock (not CPU) seconds —
    with several domains the CPU clock counts every core and would hide
    the speedup being measured. *)
 let measure ~domains () =
   let c = Cluster.create ~members ~ports_per_member ~domains ~frame_pool:true () in
-  spawn_sources c ~seed:42;
+  Equivalence.spawn_line_rate c ~seed:42;
   Cluster.run_for c ~us:warmup_us;
   let d0 = Cluster.delivered_total c in
   let t0 = Unix.gettimeofday () in
@@ -82,66 +52,6 @@ let best ~domains () =
   ignore (measure ~domains () : float);
   let runs = List.init reps (fun _ -> measure ~domains ()) in
   (List.fold_left max (List.hd runs) (List.tl runs), runs)
-
-(* The identity sweep: the full fault matrix, sequential vs parallel,
-   compared member by member. *)
-let digest_run spec ~seed ~domains =
-  let faults =
-    match Fault.Cluster_scenario.parse spec with
-    | Ok s -> Fault.Cluster_scenario.with_seed s (Int64.of_int seed)
-    | Error msg -> failwith ("cluster_perf: bad spec " ^ spec ^ ": " ^ msg)
-  in
-  let c =
-    Cluster.create ~members ~ports_per_member ~domains ~faults
-      ~frame_pool:true ()
-  in
-  spawn_sources c ~seed;
-  (* Multiple barriers so crash/restart windows and their audits are
-     crossed mid-run, exactly as the fault matrix does. *)
-  for _ = 1 to 3 do
-    Cluster.run_for c ~us:500.
-  done;
-  Array.init members (fun m -> Cluster.member_metrics_md5 c m)
-
-let identity_sweep () =
-  let mismatches = ref 0 in
-  let results = ref [] in
-  List.iter
-    (fun (spec, what) ->
-      List.iter
-        (fun seed ->
-          let reference = digest_run spec ~seed ~domains:1 in
-          List.iter
-            (fun domains ->
-              let got = digest_run spec ~seed ~domains in
-              let same = got = reference in
-              if not same then begin
-                incr mismatches;
-                incr failures;
-                Report.info
-                  "  IDENTITY FAILURE [%s seed=%d domains=%d]: member \
-                   digests diverge from sequential"
-                  spec seed domains;
-                Array.iteri
-                  (fun m d ->
-                    if d <> reference.(m) then
-                      Report.info "    member %d: %s (sequential %s)" m d
-                        reference.(m))
-                  got;
-                Report.info
-                  "  repro: router_cli cluster --cluster-faults '%s' --seed \
-                   %d --domains %d -d 1.5 --members %d --ports-per-member %d"
-                  spec seed domains members ports_per_member
-              end;
-              results :=
-                ( Printf.sprintf "%s seed=%d domains=%d" spec seed domains,
-                  Telemetry.Json.Bool same )
-                :: !results)
-            (List.filter (fun d -> d > 1) domain_counts);
-          ignore what)
-        seeds)
-    Fault.Cluster_scenario.matrix;
-  (!mismatches, List.rev !results)
 
 let run () =
   Report.section
@@ -179,10 +89,6 @@ let run () =
   (* paper = the refresh-acceptance ceiling (see bench/perf.ml). *)
   Report.row ~unit_:"frac" ~name:"run spread (domains=1)" ~paper:0.10
     ~measured:d1_spread;
-  let mismatches, identity = identity_sweep () in
-  Report.row ~unit_:"mismatches"
-    ~name:"parallel vs sequential digest mismatches" ~paper:0.
-    ~measured:(float_of_int mismatches);
   Report.attach "cluster_perf"
     (Telemetry.Json.Obj
        [
@@ -195,5 +101,4 @@ let run () =
                 curve) );
          ("speedup_4v1", Telemetry.Json.Float (d4_pps /. d1_pps));
          ("normalized_score_d1", Telemetry.Json.Float score);
-         ("identity", Telemetry.Json.Obj identity);
        ])

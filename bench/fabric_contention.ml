@@ -10,13 +10,9 @@
    per-port rate sweeps 10..40 Mbps.  Everything is simulated time, so
    every number here is deterministic: the committed BENCH_fabric.json
    gates regressions at 15% in CI even though the curves replay
-   exactly.
-
-   A queued parallel-identity spot check rides along: the congestion
-   chaser scenario replayed at 1, 2 and 4 domains with queueing enabled
-   must produce bit-identical per-member digests.  Mismatches (or any
-   invariant violation during the sweep) increment [failures], which
-   makes the harness exit nonzero. *)
+   exactly.  Any invariant violation during the sweep increments
+   [failures], which makes the harness exit nonzero.  The queued
+   parallel-identity check lives in bench/equivalence.ml. *)
 
 let failures = ref 0
 
@@ -48,29 +44,22 @@ let queue_cfg spec =
    IP precedence field spreads frames across service classes so the
    per-class disciplines have classes to arbitrate. *)
 let spawn_converging c ~load =
-  let rng = Sim.Rng.create (Int64.of_int seed) in
-  for g = ports_per_member to (members * ports_per_member) - 1 do
-    let rng = Sim.Rng.split rng in
-    ignore
-      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
-         ~name:(Printf.sprintf "conv%d" g)
-         ~mbps:(load *. 100.) ~frame_len
-         ~gen:(fun _ ->
-           let f =
-             Packet.Build.udp
-               ~src:(Workload.Mix.subnet_addr ~subnet:(100 + g) ~host:1)
-               ~dst:
-                 (Workload.Mix.subnet_addr
-                    ~subnet:(Sim.Rng.int rng ports_per_member)
-                    ~host:2)
-               ~src_port:1000 ~dst_port:2000 ()
-           in
-           Packet.Ipv4.set_tos f (Sim.Rng.int rng 4 lsl 5);
-           Packet.Ipv4.fill_cksum f;
-           f)
-         ~offer:(fun f -> Cluster.inject c ~global_port:g f)
-         ())
-  done
+  Equivalence.spawn_line_rate c ~seed ~mbps:(load *. 100.)
+    ~ports:
+      (List.init ((members - 1) * ports_per_member) (( + ) ports_per_member))
+    ~gen:(fun ~rng g _ ->
+      let f =
+        Packet.Build.udp
+          ~src:(Workload.Mix.subnet_addr ~subnet:(100 + g) ~host:1)
+          ~dst:
+            (Workload.Mix.subnet_addr
+               ~subnet:(Sim.Rng.int rng ports_per_member)
+               ~host:2)
+          ~src_port:1000 ~dst_port:2000 ()
+      in
+      Packet.Ipv4.set_tos f (Sim.Rng.int rng 4 lsl 5);
+      Packet.Ipv4.fill_cksum f;
+      f)
 
 type sample = {
   served : int;
@@ -114,45 +103,6 @@ let contention_run spec ~load =
     red_drops = Fq.dropped_red q;
     bp_refused = fc.Cluster.bp_refused;
   }
-
-(* The queued parallel-identity spot check, mirroring the test-suite
-   sweep on the scenario built for it. *)
-let identity_spec = "link_stall:1:200:500:40;link_drop:1:700:600:0.6"
-
-let digest_run ~domains =
-  let faults =
-    match Fault.Cluster_scenario.parse identity_spec with
-    | Ok s -> Fault.Cluster_scenario.with_seed s (Int64.of_int seed)
-    | Error msg -> failwith ("fabric_contention: bad spec: " ^ msg)
-  in
-  let c =
-    Cluster.create ~members ~ports_per_member ~domains ~faults
-      ~frame_pool:true
-      ~fabric_queue:(queue_cfg "red:24:6:18:0.5@300")
-      ()
-  in
-  let n_global = members * ports_per_member in
-  let rng = Sim.Rng.create (Int64.of_int seed) in
-  for g = 0 to n_global - 1 do
-    let m, _ = Cluster.member_of_global_port c g in
-    let pool = Option.get (Cluster.frame_pool c m) in
-    let rng = Sim.Rng.split rng in
-    ignore
-      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
-         ~name:(Printf.sprintf "gen%d" g)
-         ~mbps:100. ~frame_len
-         ~gen:(Workload.Mix.udp_uniform ~pool ~rng ~n_subnets:n_global
-                 ~frame_len ())
-         ~offer:(fun f ->
-           let ok = Cluster.inject c ~global_port:g f in
-           if not ok then Packet.Frame_pool.give pool f;
-           ok)
-         ())
-  done;
-  for _ = 1 to 3 do
-    Cluster.run_for c ~us:500.
-  done;
-  Array.init members (fun m -> Cluster.member_metrics_md5 c m)
 
 let run () =
   Report.section
@@ -214,23 +164,5 @@ let run () =
             :: !attachments)
         loads)
     disciplines;
-  let reference = digest_run ~domains:1 in
-  let mismatches =
-    List.fold_left
-      (fun acc domains ->
-        let got = digest_run ~domains in
-        if got = reference then acc
-        else begin
-          incr failures;
-          Report.info
-            "  IDENTITY FAILURE [%s domains=%d]: queued digests diverge \
-             from sequential"
-            identity_spec domains;
-          acc + 1
-        end)
-      0 [ 2; 4 ]
-  in
-  Report.row ~unit_:"mismatches" ~name:"queued parallel identity mismatches"
-    ~paper:0. ~measured:(float_of_int mismatches);
   Report.attach "fabric_contention"
     (Telemetry.Json.Obj (List.rev !attachments))

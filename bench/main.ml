@@ -30,9 +30,6 @@ let experiments =
     ("cluster", "Extension: four-member cluster (section 6)", Cluster_bench.run);
     ("fault_matrix", "Extension: invariants under fault injection",
      Fault_matrix.run);
-    ("cluster_fault_matrix",
-     "Extension: cluster invariants under link damage and member crashes",
-     Cluster_fault_matrix.run);
     ("fabric_contention",
      "Extension: fabric queue disciplines under offered-load sweeps",
      Fabric_contention.run);
@@ -40,13 +37,14 @@ let experiments =
     ("classifier",
      "Extension: tuple-space multi-field classifier with flow cache",
      Classifier_bench.run);
-    ("batch_identity",
-     "Extension: batched vs event-granular delivery-schedule identity",
-     Batch_identity.run);
+    ("equivalence",
+     "Extension: delivery-schedule identity across batching, domains, \
+      queueing and classification, under the cluster fault matrix",
+     Equivalence.run);
     ("perf", "Infrastructure: simulator packets-per-wall-second", Perf.run);
     ("alloc", "Infrastructure: steady-state allocation budget", Alloc.run);
     ("cluster_perf",
-     "Infrastructure: domain-parallel cluster throughput and identity",
+     "Infrastructure: domain-parallel cluster throughput",
      Cluster_perf.run);
   ]
 
@@ -114,48 +112,21 @@ let () =
   | Some file ->
       Report.write_json file;
       Format.printf "@.wrote %s@." file);
-  (* The fault matrix gates CI: violations fail the run, but only after
-     the JSON artifact is written so the evidence is archived. *)
-  if !Fault_matrix.failures > 0 then begin
-    Printf.eprintf "fault_matrix: %d invariant violation(s)\n"
-      !Fault_matrix.failures;
-    exit 1
-  end;
-  if !Cluster_fault_matrix.failures > 0 then begin
-    Printf.eprintf "cluster_fault_matrix: %d invariant violation(s)\n"
-      !Cluster_fault_matrix.failures;
-    exit 1
-  end;
-  if !Fabric_contention.failures > 0 then begin
-    Printf.eprintf
-      "fabric_contention: %d identity/invariant failure(s)\n"
-      !Fabric_contention.failures;
-    exit 1
-  end;
-  if !Fib.failures > 0 then begin
-    Printf.eprintf "fib: %d divergence/staleness/speedup failure(s)\n"
-      !Fib.failures;
-    exit 1
-  end;
-  if !Classifier_bench.failures > 0 then begin
-    Printf.eprintf
-      "classifier: %d divergence/staleness/identity failure(s)\n"
-      !Classifier_bench.failures;
-    exit 1
-  end;
-  if !Batch_identity.failures > 0 then begin
-    Printf.eprintf
-      "batch_identity: %d delivery-schedule identity failure(s)\n"
-      !Batch_identity.failures;
-    exit 1
-  end;
-  if !Cluster_perf.failures > 0 then begin
-    Printf.eprintf
-      "cluster_perf: %d parallel-vs-sequential identity failure(s)\n"
-      !Cluster_perf.failures;
-    exit 1
-  end;
-  if !Alloc.failures > 0 then begin
-    Printf.eprintf "alloc: %d allocation-budget failure(s)\n" !Alloc.failures;
-    exit 1
-  end
+  (* Harness failures gate CI, but only after the JSON artifact is
+     written so the evidence is archived. *)
+  let failed =
+    List.filter
+      (fun (_, n) -> !n > 0)
+      [
+        ("fault_matrix", Fault_matrix.failures);
+        ("equivalence", Equivalence.failures);
+        ("fabric_contention", Fabric_contention.failures);
+        ("fib", Fib.failures);
+        ("classifier", Classifier_bench.failures);
+        ("alloc", Alloc.failures);
+      ]
+  in
+  List.iter
+    (fun (name, n) -> Printf.eprintf "%s: %d failure(s)\n" name !n)
+    failed;
+  if failed <> [] then exit 1

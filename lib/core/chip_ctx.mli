@@ -32,7 +32,7 @@ val make_cpu : Ixp.Chip.t -> Sim.Engine.Clock.clock -> t
     StrongARM) sharing the chip's memories. *)
 
 val set_defer : t -> bool -> unit
-(** Enable per-batch charging ([Cost_model.charge_per_batch]): each
+(** Enable per-batch charging ([Cost_model.per_burst]): each
     charge books its server access at the context's virtual clock
     (engine time + delays already booked, so horizons and utilization
     stats are exactly those of the per-operation path when uncontended)

@@ -40,9 +40,7 @@ type t = {
   dyn_sched_scratch_reads : int;
   dyn_sched_scratch_writes : int;
   dyn_sched_instr : int;
-  input_serial_per_burst : bool;
-  output_serial_per_burst : bool;
-  charge_per_batch : bool;
+  per_burst : bool;
   sa_poll_backoff_cycles : int;
 }
 
@@ -89,9 +87,7 @@ let default =
     dyn_sched_scratch_reads = 2;
     dyn_sched_scratch_writes = 2;
     dyn_sched_instr = 20;
-    input_serial_per_burst = true;
-    output_serial_per_burst = true;
-    charge_per_batch = true;
+    per_burst = true;
     sa_poll_backoff_cycles = 512;
   }
 

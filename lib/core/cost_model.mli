@@ -84,21 +84,20 @@ type t = {
   dyn_sched_scratch_writes : int;
   dyn_sched_instr : int;
   (* Batched execution (Snabb-style burst loops). *)
-  input_serial_per_burst : bool;
-      (** charge the input token serial section (the DMA/CSR round trip)
-          once per burst instead of once per MP — the DMA engine is
-          programmed with a run of slots, which is what Table 2's
-          per-transfer (not per-MP) CSR cost permits *)
-  output_serial_per_burst : bool;
-      (** likewise for the output FIFO slot-activation section *)
-  charge_per_batch : bool;
-      (** accumulate a context's Table 2 charges arithmetically
-          ({!Sim.Server.book_i}) and pay them as one wait at the next
-          shared-state interaction (queue, token, MAC, park), instead of
-          one engine event per charge.  Identical totals and identical
-          batched/unbatched delivery schedules; contention interleaving
-          is resolved at batch rather than operation granularity, so the
-          calibration apparatus ({!Fixed_infra}) keeps it off *)
+  per_burst : bool;
+      (** the router's per-burst activation (true) vs the paper's
+          measured one-MP-per-activation loop (false).  When true, the
+          input and output token serial sections (the DMA/CSR round
+          trip, the FIFO slot activation) are charged once per burst
+          rather than once per MP, which Table 2's per-transfer (not
+          per-MP) CSR cost permits; and a context's Table 2 charges
+          accumulate arithmetically ({!Sim.Server.book_i}) and are paid
+          as one wait at the next shared-state interaction (queue,
+          token, MAC, park), instead of one engine event per charge.
+          Per-batch charging resolves contention at batch rather than
+          operation granularity — it pays the enqueue critical section
+          before the mutex — so the calibration apparatus
+          ({!Fixed_infra}) keeps this off *)
   sa_poll_backoff_cycles : int;
       (** StrongARM polling-mode idle backoff ceiling: with event-driven
           ME loops the SA's poll is the background noise floor, so its

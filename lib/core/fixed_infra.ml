@@ -28,13 +28,7 @@ let default =
        which activate a context per MP; per-burst serial amortization is
        a departure from that hardware and would shift every Table 1 /
        Figure 7 number it was calibrated against. *)
-    cm =
-      {
-        Cost_model.default with
-        Cost_model.input_serial_per_burst = false;
-        output_serial_per_burst = false;
-        charge_per_batch = false;
-      };
+    cm = { Cost_model.default with Cost_model.per_burst = false };
     hw = Ixp.Config.default;
     n_input_contexts = 16;
     n_output_contexts = 8;

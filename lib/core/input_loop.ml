@@ -105,17 +105,15 @@ let enqueue_private cm ctx q desc =
    charges (copy, loop bookkeeping, protocol processing, DRAM landing,
    enqueue) are identical to the classic one-MP-per-rotation loop; only
    the token + CSR serial section amortizes across the burst (gated by
-   [input_serial_per_burst] — off forces burst size 1, which IS the
+   [Cost_model.per_burst] — off forces burst size 1, which IS the
    classic loop).  An idle context parks on its port's rx waiter list
    instead of polling. *)
 let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
   let open Ixp in
   let ctx = Chip_ctx.make chip ~ctx_id in
   let cm = t.cm in
-  Chip_ctx.set_defer ctx cm.Cost_model.charge_per_batch;
-  let burst_mps =
-    if cm.Cost_model.input_serial_per_burst then max 1 burst_mps else 1
-  in
+  Chip_ctx.set_defer ctx cm.Cost_model.per_burst;
+  let burst_mps = if cm.Cost_model.per_burst then max 1 burst_mps else 1 in
   Sim.Token_ring.join ring slot;
   (* Replay emulates an infinitely fast port: the frame's MP sequence
      (first/intermediate/last tags included) repeats forever. *)

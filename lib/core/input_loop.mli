@@ -82,9 +82,9 @@ val spawn_context :
     ring position and its FIFO slot; [ctx_id] selects the hosting
     MicroEngine.  [burst_mps] (default 16, one transfer FIFO's worth)
     bounds how many MPs one token acquisition may drain; it is forced to
-    1 when the cost model charges the serial section per MP
-    ([input_serial_per_burst = false]), which reproduces the classic
-    one-MP-per-rotation loop exactly. *)
+    1 when the cost model activates per MP ([Cost_model.per_burst =
+    false]), which reproduces the classic one-MP-per-rotation loop
+    exactly. *)
 
 val enqueue_private : Cost_model.t -> Chip_ctx.t -> Squeue.t -> Desc.t -> bool
 (** I.1: tail pointer in registers, no synchronization. *)

@@ -124,7 +124,7 @@ let finish_mp t chip stats infl ~port =
 
 (* Batched transmit loop.  One token acquisition (the serialized FIFO
    slot-activation section) covers a whole burst of MPs — gated by
-   [output_serial_per_burst]; off forces burst size 1, the classic
+   [Cost_model.per_burst]; off forces burst size 1, the classic
    one-MP-per-rotation Figure 6 loop.  Wire pacing uses the MAC's exact
    slot-free time ([tx_try_pace_i]) instead of exponential polling, and
    an idle context parks on its queues' push waiters instead of
@@ -133,10 +133,8 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
   let open Ixp in
   let ctx = Chip_ctx.make chip ~ctx_id in
   let cm = t.cm in
-  Chip_ctx.set_defer ctx cm.Cost_model.charge_per_batch;
-  let burst_mps =
-    if cm.Cost_model.output_serial_per_burst then max 1 burst_mps else 1
-  in
+  Chip_ctx.set_defer ctx cm.Cost_model.per_burst;
+  let burst_mps = if cm.Cost_model.per_burst then max 1 burst_mps else 1 in
   Sim.Token_ring.join ring slot;
   let batch = ref 0 in
   let name = Printf.sprintf "output.ctx%d" ctx_id in

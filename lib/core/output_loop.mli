@@ -56,7 +56,7 @@ val spawn_context :
   unit
 (** Start one output context as a fiber.  [burst_mps] (default 16)
     bounds how many MPs one token acquisition may stream to the wire;
-    forced to 1 when [output_serial_per_burst = false], which reproduces
+    forced to 1 when [Cost_model.per_burst = false], which reproduces
     the classic one-MP-per-rotation Figure 6 loop exactly.  Idle
     contexts park on their queues' push waiters; wire pacing sleeps for
     the MAC's exact slot-free time. *)

@@ -61,8 +61,8 @@ type config = {
           per-buffer stack pool it declined to build (section 3.2.3) *)
   batch_mps : int;
       (** MPs one context activation may cover per token acquisition
-          (default 16, one transfer FIFO's worth); forced to 1 when the
-          cost model's per-burst serial charging is off *)
+          (default 16, one transfer FIFO's worth); forced to 1 when
+          [Cost_model.per_burst] is off *)
   faults : Fault.Scenario.t;
       (** fault-injection scenario; {!Fault.Scenario.zero} (the default)
           builds no injector at all, so the fault-free router is

@@ -441,6 +441,22 @@ let calibration_headline () =
   Alcotest.(check bool) "input token is the bottleneck" true
     (r.Router.Fixed_infra.input_token_hold > 0.9)
 
+(* Why the calibration apparatus keeps per-operation charging: per-burst
+   charging pays the enqueue critical section before the hardware mutex,
+   so I.3's "max contention" would run as fast as uncontended I.2 and
+   Table 1's contention row would vanish. *)
+let contention_survives_calibration () =
+  let open Router.Fixed_infra in
+  let input contention =
+    (run { default with stage = Input_only; contention }).in_mpps
+  in
+  let free = input false and contended = input true in
+  Alcotest.(check bool)
+    (Printf.sprintf "contended %.3f < 0.7 x uncontended %.3f Mpps" contended
+       free)
+    true
+    (contended < 0.7 *. free)
+
 (* Frame recycling is purely an allocation concern: a run with a frame
    pool attached must deliver exactly the same packets in exactly the
    same simulated schedule as one without, with the pool's conservation
@@ -507,6 +523,8 @@ let tests =
       pooled_run_is_identical;
     Alcotest.test_case "calibration headline (3.47 Mpps)" `Quick
       calibration_headline;
+    Alcotest.test_case "I.2 contention survives calibration" `Quick
+      contention_survives_calibration;
     Alcotest.test_case "pentium flow isolation" `Slow pentium_flow_isolation;
     Alcotest.test_case "SA interrupts slower (3.6)" `Slow
       sa_interrupt_mode_slower;
