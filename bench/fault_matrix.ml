@@ -10,6 +10,19 @@ let failures = ref 0
 
 let seed = 42
 
+(* Every site that fired in any scenario.  A site no scenario reaches is
+   a fault key that parses but never touches a router. *)
+let injected_sites = Hashtbl.create 16
+
+let note_sites = function
+  | None -> ()
+  | Some inj ->
+      List.iter
+        (fun site ->
+          if Fault.Injector.count inj site > 0 then
+            Hashtbl.replace injected_sites site ())
+        Fault.Injector.all_sites
+
 (* A slice of every scenario's traffic belongs to this Pentium-bound flow:
    without it the host CPU blocks on an empty I2O queue and the pe_crash
    site never gets a chance to fire. *)
@@ -101,6 +114,7 @@ let attempt spec =
   for _ = 1 to 4 do
     Router.run_for r ~us:500.
   done;
+  note_sites r.Router.injector;
   {
     injected =
       (match r.Router.injector with
@@ -249,6 +263,7 @@ let classified_churn () =
         if not (same (Classifier.lookup cls k) (oracle k)) then incr stale)
       keys
   done;
+  note_sites r.Router.injector;
   let injected =
     match r.Router.injector with
     | None -> 0
@@ -331,6 +346,18 @@ let run () =
       attachments := (spec, o.fault_json) :: !attachments)
     scenarios;
   classified_churn ();
+  let never =
+    List.filter
+      (fun site -> not (Hashtbl.mem injected_sites site))
+      Fault.Injector.all_sites
+  in
+  if never <> [] then begin
+    failures := !failures + List.length never;
+    Report.info "  FAULT MATRIX FAILURE: site(s) never injected: %s"
+      (String.concat " " (List.map Fault.Injector.site_name never))
+  end;
+  Report.row ~unit_:"sites" ~name:"fault sites never injected" ~paper:0.
+    ~measured:(float_of_int (List.length never));
   Report.attach "fault_matrix"
     (Telemetry.Json.Obj (List.rev !attachments));
   Report.row ~unit_:"violations" ~name:"total invariant violations" ~paper:0.

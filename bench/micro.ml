@@ -58,9 +58,6 @@ let packet_tests =
       (Staged.stage (fun () ->
            Packet.Ipv4.set_ttl small 64;
            ignore (Packet.Ipv4.decrement_ttl small)));
-    Test.make ~name:"mp/split-join-1518B"
-      (Staged.stage (fun () ->
-           ignore (Packet.Mp.join (Packet.Mp.split frame) ~len:1518)));
     Test.make ~name:"flow/of_frame"
       (Staged.stage (fun () -> ignore (Packet.Flow.of_frame small)));
   ]

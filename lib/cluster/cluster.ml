@@ -53,12 +53,9 @@ type t = {
   engines : Sim.Engine.t array;
   members : Router.t array;
   switch_latency_us : float;
-  lookahead_us : float;
   domains : int;
   faults : Fault.Cluster_scenario.t;
-  latency_ps : int; (* switch_latency_us, integer picoseconds *)
-  lookahead_ps : int; (* epoch length, integer picoseconds *)
-  minor_heap_words : int; (* per-domain minor arena floor *)
+  latency_ps : int; (* switch_latency_us = epoch length, integer ps *)
   clock_ps : int ref; (* cluster barrier clock *)
   mutable epoch : int; (* epochs completed since create *)
   (* Deterministic per-member damage streams: egress draws on the
@@ -467,7 +464,7 @@ let launch_fabric t ~src (port, f) =
           else 0
         in
         (* Integer arithmetic keeps the conservative bound exact:
-           arrival - send >= latency_ps >= lookahead_ps. *)
+           arrival - send >= latency_ps, the epoch length. *)
         let arrival =
           Sim.Engine.clock_i t.engines.(src) + t.latency_ps + stall_ps
         in
@@ -567,11 +564,26 @@ module Barrier = struct
     end
 end
 
-(* Advance every member to [target_ps] in lookahead-sized epochs.
+(* A floor on a domain's minor arena (never lowered — a larger ambient
+   setting stands), applied by [create] and by every worker domain
+   [run_epochs] spawns.  Every fabric crossing still allocates its frame
+   (the uplink MAC's copy) on top of the pooled data path, so a few
+   megawords of arena keep whole epochs collection-free.  GC pacing is
+   invisible to the simulation (the determinism digests exclude host-GC
+   gauges), so this is pure throughput. *)
+let minor_heap_words = 4 * 1024 * 1024
+
+let ensure_minor_heap () =
+  let cur = Gc.get () in
+  if cur.Gc.minor_heap_size < minor_heap_words then
+    Gc.set { cur with Gc.minor_heap_size = minor_heap_words }
+
+(* Advance every member to [target_ps] in epochs of the fabric's minimum
+   latency (the lookahead).
 
    Conservative-lookahead argument: a frame sent at time s pays at least
-   [latency_ps >= lookahead_ps], so its arrival satisfies
-   arrival = s + latency + stall > e_{k-1} + lookahead = e_k for any
+   [latency_ps], the epoch length, so its arrival satisfies
+   arrival = s + latency + stall > e_{k-1} + latency = e_k for any
    send inside epoch k = (e_{k-1}, e_k].  Hence nothing sent during an
    epoch can arrive within that same epoch, and draining each mailbox at
    the *next* epoch's start schedules every arrival before its receiver
@@ -587,13 +599,12 @@ let run_epochs t ~target_ps =
   if target_ps > start then begin
     let members = Array.length t.members in
     let nd = t.domains in
-    let l = t.lookahead_ps in
+    let l = t.latency_ps in
     let n_epochs = (target_ps - start + l - 1) / l in
     let barrier = if nd > 1 then Some (Barrier.create nd) else None in
     let stop = Atomic.make false in
     let errors = Array.make nd None in
     let epoch0 = t.epoch in
-    let minor_words = t.minor_heap_words in
     let body did k =
       let e = min target_ps (start + ((k + 1) * l)) in
       let parity = (epoch0 + k) land 1 in
@@ -610,15 +621,8 @@ let run_epochs t ~target_ps =
        after the join, with its original backtrace. *)
     let worker did () =
       (* Freshly spawned domains start on the runtime's default minor
-         arena; size it like the creating domain's so an epoch of
-         steady-state forwarding never minor-collects mid-run.  GC pacing
-         is invisible to the simulation (the determinism digests exclude
-         host-GC gauges), so this is pure throughput. *)
-      if did > 0 then begin
-        let cur = Gc.get () in
-        if cur.Gc.minor_heap_size < minor_words then
-          Gc.set { cur with Gc.minor_heap_size = minor_words }
-      end;
+         arena. *)
+      if did > 0 then ensure_minor_heap ();
       for k = 0 to n_epochs - 1 do
         (if not (Atomic.get stop) then
            try body did k
@@ -858,21 +862,11 @@ let register_telemetry t =
     t.member_scopes
 
 let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
-    ?lookahead_us ?(domains = 1) ?(config = Router.default_config)
+    ?(domains = 1) ?(config = Router.default_config)
     ?(faults = Fault.Cluster_scenario.zero) ?(frame_pool = false)
-    ?(fabric_queue = Fabric_queue.bypass)
-    ?(minor_heap_words = 4 * 1024 * 1024) () =
+    ?(fabric_queue = Fabric_queue.bypass) () =
   if members < 2 then invalid_arg "Cluster.create: members < 2";
-  if minor_heap_words < 0 then invalid_arg "Cluster.create: minor_heap_words";
-  (* Size this domain's minor arena up front (never down — respect a
-     larger ambient setting); worker domains spawned by [run_epochs]
-     apply the same floor on entry.  Every fabric crossing still
-     allocates its frame (the uplink MAC's copy) on top of the pooled
-     data path, so a few megawords of arena keep whole epochs
-     collection-free. *)
-  (let cur = Gc.get () in
-   if cur.Gc.minor_heap_size < minor_heap_words then
-     Gc.set { cur with Gc.minor_heap_size = minor_heap_words });
+  ensure_minor_heap ();
   let named = Fault.Cluster_scenario.max_member faults in
   if named >= members then
     invalid_arg
@@ -881,30 +875,17 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
           %d members"
          named members);
   if domains < 1 then invalid_arg "Cluster.create: domains < 1";
-  let lookahead_us =
-    match lookahead_us with None -> switch_latency_us | Some l -> l
-  in
   (* The conservative bound: the fabric's minimum latency is the switch
-     latency (stalls only add), so a member may run at most that far
-     ahead of its peers.  A larger lookahead would let a frame arrive in
-     the past of a receiver that already simulated beyond it. *)
-  if lookahead_us <= 0. then
-    invalid_arg "Cluster.create: lookahead_us must be positive";
-  if lookahead_us > switch_latency_us then
-    invalid_arg
-      (Printf.sprintf
-         "Cluster.create: lookahead_us (%g) exceeds the minimum fabric \
-          latency (switch_latency_us = %g): members could outrun in-flight \
-          frames"
-         lookahead_us switch_latency_us);
+     latency (stalls only add), so it is also the epoch length — how far
+     a member may run ahead of its peers.  A zero epoch would never
+     advance the clock. *)
+  if not (switch_latency_us > 0.) then
+    invalid_arg "Cluster.create: switch_latency_us must be positive";
   let latency_ps =
     Int64.to_int (Sim.Engine.of_seconds (switch_latency_us *. 1e-6))
   in
-  let lookahead_ps =
-    Int64.to_int (Sim.Engine.of_seconds (lookahead_us *. 1e-6))
-  in
-  if lookahead_ps <= 0 then
-    invalid_arg "Cluster.create: lookahead_us rounds to zero picoseconds";
+  if latency_ps <= 0 then
+    invalid_arg "Cluster.create: switch_latency_us rounds to zero picoseconds";
   let domains = min domains members in
   let engines = Array.init members (fun _ -> Sim.Engine.create ()) in
   (* Two 1 Gbps uplinks per member (the evaluation board's pair): cross
@@ -1001,12 +982,9 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
       engines;
       members = rs;
       switch_latency_us;
-      lookahead_us;
       domains;
       faults;
       latency_ps;
-      lookahead_ps;
-      minor_heap_words;
       clock_ps;
       epoch = 0;
       egress_rng;

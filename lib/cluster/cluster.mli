@@ -104,13 +104,10 @@ type inbox = { ilock : Mutex.t; pending : fabric_msg list array }
 type t = {
   engines : Sim.Engine.t array;  (** one engine per member *)
   members : Router.t array;
-  switch_latency_us : float;
-  lookahead_us : float;  (** epoch length; <= [switch_latency_us] *)
+  switch_latency_us : float;  (** fabric minimum latency = epoch length *)
   domains : int;  (** worker domains used by {!run_for} *)
   faults : Fault.Cluster_scenario.t;
   latency_ps : int;
-  lookahead_ps : int;
-  minor_heap_words : int;  (** per-domain minor-arena floor *)
   clock_ps : int ref;  (** cluster barrier clock *)
   mutable epoch : int;
   egress_rng : Sim.Rng.t array;
@@ -159,13 +156,11 @@ val create :
   ?members:int ->
   ?ports_per_member:int ->
   ?switch_latency_us:float ->
-  ?lookahead_us:float ->
   ?domains:int ->
   ?config:Router.config ->
   ?faults:Fault.Cluster_scenario.t ->
   ?frame_pool:bool ->
   ?fabric_queue:Fabric_queue.config ->
-  ?minor_heap_words:int ->
   unit ->
   t
 (** [create ()] builds a 4-member cluster (8 external ports each), routes
@@ -174,15 +169,15 @@ val create :
     [config] overrides the per-member router configuration (the uplink
     ports are added to it).
 
-    [lookahead_us] (default [switch_latency_us]) is the epoch length of
-    the conservative scheduler.  Raises [Invalid_argument] if it is not
-    positive or exceeds [switch_latency_us], the fabric's minimum
-    latency — a larger lookahead would let a member simulate past a
-    frame still in flight towards it.
+    [switch_latency_us] (default 2) is the fabric's minimum latency and
+    so the epoch length of the conservative scheduler.  Raises
+    [Invalid_argument] unless it is positive and at least 1 ps.
 
     [domains] (default 1, clamped to [members]) spreads each epoch's
     member work across that many OCaml domains.  Any value yields the
-    identical simulation; [> 1] only changes wall-clock time.
+    identical simulation; [> 1] only changes wall-clock time.  Every
+    simulating domain's minor arena is raised to a 4M-word floor (never
+    lowered), so whole epochs run without a minor collection.
 
     [faults] injects the cluster scenario; the default [zero] builds no
     driver fibers and draws no randomness, so a faultless cluster is
@@ -195,15 +190,7 @@ val create :
     The bypass default delivers synchronously, draws nothing and never
     pauses, so an unqueued cluster behaves exactly as before; RED's
     drop draws come from dedicated per-hop streams split after the
-    damage streams, so enabling queueing never shifts existing draws.
-
-    [minor_heap_words] (default 4M words) is a floor on the minor-arena
-    size applied to the creating domain and to every worker domain
-    [run_for] spawns — with the data path pooled the steady-state
-    allocation rate is low enough that whole epochs then run without a
-    single minor collection.  The floor never shrinks a larger ambient
-    setting, and GC pacing is invisible to the simulation (host-GC
-    gauges are excluded from the determinism digests). *)
+    damage streams, so enabling queueing never shifts existing draws. *)
 
 val uplink_mac : int -> Packet.Ethernet.mac
 (** The MAC identifying member [m]'s uplink on the fabric. *)

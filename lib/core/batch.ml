@@ -1,6 +1,6 @@
 (* Parallel arrays rather than an array of records: a burst is refilled
-   on every context activation of the batched input loop, and boxing an
-   rx_item per MP would allocate on the per-MP hot path the batching
+   on every context activation of the batched input loop, and boxing a
+   record per MP would allocate on the per-MP hot path the batching
    exists to shorten.  The meta word encoding is Mac_port's ring
    encoding, copied verbatim by [fill_from_port]. *)
 type t = {
@@ -26,10 +26,6 @@ let create ~capacity =
     dummy;
   }
 
-let capacity t = Array.length t.meta
-let length t = t.len
-let is_empty t = t.len = 0
-
 let clear t =
   for i = 0 to t.len - 1 do
     t.frames.(i) <- t.dummy
@@ -44,7 +40,6 @@ let push t ~tag ~index frame =
 
 let frame t i = t.frames.(i)
 let tag t i = Ixp.Mac_port.tag_of_meta t.meta.(i)
-let mp_index t i = Ixp.Mac_port.index_of_meta t.meta.(i)
 
 let is_head t i =
   let c = t.meta.(i) land 3 in
@@ -59,52 +54,3 @@ let fill_from_port t port ~max =
   in
   t.len <- n;
   n
-
-(* In-place stable compaction: keep entries [pred] accepts, in order.
-   Returns the new length.  Dropped slots beyond the new length are
-   cleared so they don't pin frames live. *)
-let filter_in_place t pred =
-  let w = ref 0 in
-  for r = 0 to t.len - 1 do
-    if pred r then begin
-      if !w <> r then begin
-        t.meta.(!w) <- t.meta.(r);
-        t.frames.(!w) <- t.frames.(r)
-      end;
-      incr w
-    end
-  done;
-  for i = !w to t.len - 1 do
-    t.frames.(i) <- t.dummy
-  done;
-  t.len <- !w;
-  !w
-
-(* Stable in-place partition: entries [pred] accepts move (in order) to
-   the front, the rest (in order) follow.  Returns the boundary.  Uses a
-   scratch pass over rejected entries; capacity-bounded, no per-call
-   allocation beyond the closure. *)
-let partition_in_place t pred =
-  let n = t.len in
-  let rej_meta = Array.make (if n = 0 then 1 else n) 0 in
-  let rej_fr = Array.make (if n = 0 then 1 else n) t.dummy in
-  let w = ref 0 and nr = ref 0 in
-  for r = 0 to n - 1 do
-    if pred r then begin
-      if !w <> r then begin
-        t.meta.(!w) <- t.meta.(r);
-        t.frames.(!w) <- t.frames.(r)
-      end;
-      incr w
-    end
-    else begin
-      rej_meta.(!nr) <- t.meta.(r);
-      rej_fr.(!nr) <- t.frames.(r);
-      incr nr
-    end
-  done;
-  for k = 0 to !nr - 1 do
-    t.meta.(!w + k) <- rej_meta.(k);
-    t.frames.(!w + k) <- rej_fr.(k)
-  done;
-  !w

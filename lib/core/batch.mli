@@ -15,10 +15,6 @@ val create : capacity:int -> t
     degenerates the batched loop to the classic one-MP-per-activation
     behavior. *)
 
-val capacity : t -> int
-val length : t -> int
-val is_empty : t -> bool
-
 val clear : t -> unit
 (** Empty the batch and unpin all frame references. *)
 
@@ -28,7 +24,6 @@ val push : t -> tag:Packet.Mp.tag -> index:int -> Packet.Frame.t -> unit
 
 val frame : t -> int -> Packet.Frame.t
 val tag : t -> int -> Packet.Mp.tag
-val mp_index : t -> int -> int
 
 val is_head : t -> int -> bool
 (** Is entry [i] a frame head (tag [Only] or [First])? *)
@@ -37,12 +32,3 @@ val fill_from_port : t -> Ixp.Mac_port.t -> max:int -> int
 (** [fill_from_port b port ~max] clears [b] and drains up to
     [min max (capacity b)] MPs from [port]'s receive ring into it,
     returning the count. *)
-
-val filter_in_place : t -> (int -> bool) -> int
-(** [filter_in_place b pred] keeps entries whose index satisfies [pred],
-    stable and in place, returning (and setting) the new length. *)
-
-val partition_in_place : t -> (int -> bool) -> int
-(** [partition_in_place b pred] stably reorders entries so those
-    satisfying [pred] come first, returning the boundary.  The length is
-    unchanged. *)

@@ -7,45 +7,22 @@ type verdict =
 
 type action = state:Bytes.t -> Packet.Frame.t -> in_port:int -> verdict
 
-type batch_action =
-  state:Bytes.t ->
-  Packet.Frame.t array ->
-  n:int ->
-  in_port:int ->
-  verdicts:verdict array ->
-  unit
-
 type t = {
   name : string;
   code : Vrp.code;
   state_bytes : int;
   host_cycles : int;
   action : action;
-  batch : batch_action option;
 }
 
-let make ~name ~code ~state_bytes ?host_cycles ?batch action =
+let make ~name ~code ~state_bytes ?host_cycles action =
   if state_bytes < 0 then invalid_arg "Forwarder.make: state_bytes";
   let host_cycles =
     match host_cycles with
     | Some c -> c
     | None -> Vrp.cycles_estimate Ixp.Config.default (Vrp.static_cost code)
   in
-  { name; code; state_bytes; host_cycles; action; batch }
-
-(* Batch entry: a native batch implementation when the forwarder
-   provides one, else the per-frame shim.  The VRP admission path only
-   ever inspects [code]/[state_bytes], so a batch implementation changes
-   nothing about what gets admitted or charged. *)
-let run_batch t ~state frames ~n ~in_port ~verdicts =
-  if n > Array.length frames || n > Array.length verdicts then
-    invalid_arg "Forwarder.run_batch: n";
-  match t.batch with
-  | Some f -> f ~state frames ~n ~in_port ~verdicts
-  | None ->
-      for i = 0 to n - 1 do
-        verdicts.(i) <- t.action ~state frames.(i) ~in_port
-      done
+  { name; code; state_bytes; host_cycles; action }
 
 let null =
   {
@@ -54,7 +31,6 @@ let null =
     state_bytes = 0;
     host_cycles = 0;
     action = (fun ~state:_ _ ~in_port:_ -> Forward_routed);
-    batch = None;
   }
 
 let cost t = Vrp.static_cost t.code

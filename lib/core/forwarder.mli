@@ -23,18 +23,6 @@ type action = state:Bytes.t -> Packet.Frame.t -> in_port:int -> verdict
     state (the SRAM block [getdata]/[setdata] share with the control
     plane); mutations to it and to the frame are the forwarder's effect. *)
 
-type batch_action =
-  state:Bytes.t ->
-  Packet.Frame.t array ->
-  n:int ->
-  in_port:int ->
-  verdicts:verdict array ->
-  unit
-(** Batch form: judge frames [0..n-1] of the array in one call, writing
-    one verdict per frame.  Must be observationally identical to running
-    {!action} per frame in order (state mutations included) — the
-    equivalence the forwarder test suite checks. *)
-
 type t = {
   name : string;
   code : Vrp.code;  (** declared per-MP cost, for admission + charging *)
@@ -44,27 +32,11 @@ type t = {
           in the VRP (e.g. full IP at 660 cycles, a TCP proxy at 800 —
           section 4.4); defaults to the VRP code's cycle estimate *)
   action : action;
-  batch : batch_action option;
-      (** native batch implementation; [None] means {!run_batch} shims
-          the per-frame action *)
 }
 
 val make :
   name:string -> code:Vrp.code -> state_bytes:int -> ?host_cycles:int ->
-  ?batch:batch_action -> action -> t
-
-val run_batch :
-  t ->
-  state:Bytes.t ->
-  Packet.Frame.t array ->
-  n:int ->
-  in_port:int ->
-  verdicts:verdict array ->
-  unit
-(** The batch entry point every caller should use: dispatches to the
-    native batch implementation when present, else applies the per-frame
-    action to each frame in order.  VRP admission (code inspection,
-    budget charging) is untouched by which path runs. *)
+  action -> t
 
 val null : t
 (** The null forwarder of section 3: no code, no state, routes onward. *)

@@ -126,7 +126,7 @@ let finish_mp t chip stats infl ~port =
    slot-activation section) covers a whole burst of MPs — gated by
    [Cost_model.per_burst]; off forces burst size 1, the classic
    one-MP-per-rotation Figure 6 loop.  Wire pacing uses the MAC's exact
-   slot-free time ([tx_try_pace_i]) instead of exponential polling, and
+   slot-free time ([tx_try_pace]) instead of exponential polling, and
    an idle context parks on its queues' push waiters instead of
    spinning. *)
 let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
@@ -273,7 +273,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
               match port with
               | None -> -1
               | Some p ->
-                  Mac_port.tx_try_pace_i p ~last:(infl.next = infl.total - 1)
+                  Mac_port.tx_try_pace p ~last:(infl.next = infl.total - 1)
             in
             if wait < 0 then begin
               let done_ = infl.next = infl.total - 1 in
@@ -329,7 +329,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
                 match port with
                 | None -> -1
                 | Some p ->
-                    Mac_port.tx_try_pace_i p ~last:(infl.next = infl.total - 1)
+                    Mac_port.tx_try_pace p ~last:(infl.next = infl.total - 1)
               in
               if wait < 0 then begin
                 let done_ = infl.next = infl.total - 1 in

@@ -1,8 +1,6 @@
 type site =
-  | Mem_flip
   | Mem_delay
   | Mem_drop
-  | Fifo_flip
   | Mac_corrupt
   | Mac_truncate
   | Mac_garbage
@@ -15,16 +13,13 @@ type site =
 
 let all_sites =
   [
-    Mem_flip; Mem_delay; Mem_drop; Fifo_flip; Mac_corrupt; Mac_truncate;
-    Mac_garbage; Mac_loss; Pool_fail; Vrp_overrun; Rogue_forwarder; Sa_crash;
-    Pe_crash;
+    Mem_delay; Mem_drop; Mac_corrupt; Mac_truncate; Mac_garbage; Mac_loss;
+    Pool_fail; Vrp_overrun; Rogue_forwarder; Sa_crash; Pe_crash;
   ]
 
 let site_name = function
-  | Mem_flip -> "mem_flip"
   | Mem_delay -> "mem_delay"
   | Mem_drop -> "mem_drop"
-  | Fifo_flip -> "fifo_flip"
   | Mac_corrupt -> "mac_corrupt"
   | Mac_truncate -> "mac_truncate"
   | Mac_garbage -> "mac_garbage"
@@ -36,19 +31,17 @@ let site_name = function
   | Pe_crash -> "pe_crash"
 
 let site_index = function
-  | Mem_flip -> 0
-  | Mem_delay -> 1
-  | Mem_drop -> 2
-  | Fifo_flip -> 3
-  | Mac_corrupt -> 4
-  | Mac_truncate -> 5
-  | Mac_garbage -> 6
-  | Mac_loss -> 7
-  | Pool_fail -> 8
-  | Vrp_overrun -> 9
-  | Rogue_forwarder -> 10
-  | Sa_crash -> 11
-  | Pe_crash -> 12
+  | Mem_delay -> 0
+  | Mem_drop -> 1
+  | Mac_corrupt -> 2
+  | Mac_truncate -> 3
+  | Mac_garbage -> 4
+  | Mac_loss -> 5
+  | Pool_fail -> 6
+  | Vrp_overrun -> 7
+  | Rogue_forwarder -> 8
+  | Sa_crash -> 9
+  | Pe_crash -> 10
 
 let n_sites = List.length all_sites
 
@@ -84,10 +77,8 @@ let create ?scope scenario =
 let scenario t = t.scenario
 
 let rate t = function
-  | Mem_flip -> t.scenario.Scenario.mem_flip
   | Mem_delay -> t.scenario.Scenario.mem_delay
   | Mem_drop -> t.scenario.Scenario.mem_drop
-  | Fifo_flip -> t.scenario.Scenario.fifo_flip
   | Mac_corrupt -> t.scenario.Scenario.mac_corrupt
   | Mac_truncate -> t.scenario.Scenario.mac_truncate
   | Mac_garbage -> t.scenario.Scenario.mac_garbage

@@ -13,10 +13,8 @@
     zero-fault path costs one branch. *)
 
 type site =
-  | Mem_flip
   | Mem_delay
   | Mem_drop
-  | Fifo_flip
   | Mac_corrupt
   | Mac_truncate
   | Mac_garbage

@@ -1,10 +1,8 @@
 type t = {
   seed : int64;
-  mem_flip : float;
   mem_delay : float;
   mem_delay_cycles : int;
   mem_drop : float;
-  fifo_flip : float;
   mac_corrupt : float;
   mac_truncate : float;
   mac_garbage : float;
@@ -22,11 +20,9 @@ type t = {
 let zero =
   {
     seed = 0L;
-    mem_flip = 0.;
     mem_delay = 0.;
     mem_delay_cycles = 100;
     mem_drop = 0.;
-    fifo_flip = 0.;
     mac_corrupt = 0.;
     mac_truncate = 0.;
     mac_garbage = 0.;
@@ -43,10 +39,8 @@ let zero =
 
 let rates t =
   [
-    ("mem_flip", t.mem_flip);
     ("mem_delay", t.mem_delay);
     ("mem_drop", t.mem_drop);
-    ("fifo_flip", t.fifo_flip);
     ("mac_corrupt", t.mac_corrupt);
     ("mac_truncate", t.mac_truncate);
     ("mac_garbage", t.mac_garbage);
@@ -88,12 +82,10 @@ let set t key v =
   in
   let ( let* ) = Result.bind in
   match key with
-  | "mem_flip" -> let* r = rate v in Ok { t with mem_flip = r }
   | "mem_delay" -> let* r = rate v in Ok { t with mem_delay = r }
   | "mem_delay_cycles" ->
       let* n = posint key v in Ok { t with mem_delay_cycles = n }
   | "mem_drop" -> let* r = rate v in Ok { t with mem_drop = r }
-  | "fifo_flip" -> let* r = rate v in Ok { t with fifo_flip = r }
   | "mac_corrupt" -> let* r = rate v in Ok { t with mac_corrupt = r }
   | "mac_truncate" -> let* r = rate v in Ok { t with mac_truncate = r }
   | "mac_garbage" -> let* r = rate v in Ok { t with mac_garbage = r }

@@ -6,15 +6,19 @@
     fault rate is per received frame, a memory fault rate is per memory
     operation, a crash rate is per service-loop iteration.  {!zero}
     (every rate 0) is the distinguished "faults off" value; the router
-    builds no injector for it, so the zero-fault path costs nothing. *)
+    builds no injector for it, so the zero-fault path costs nothing.
+
+    Every rate names a site some router component draws on.  Bytes are
+    damaged only on the wire (the [mac_*] keys): memory channels and
+    the transfer FIFOs carry accounting, not payload — the FIFOs are
+    Table 2 cost-model charges, not slot objects — so there is no
+    memory or FIFO bit-flip key, and {!parse} rejects one as unknown. *)
 
 type t = {
   seed : int64;  (** seeds the injector's RNG stream *)
-  mem_flip : float;  (** bit flip per DRAM/SRAM/Scratch operation *)
   mem_delay : float;  (** stalled memory operation *)
   mem_delay_cycles : int;  (** extra latency of a stalled operation *)
   mem_drop : float;  (** memory operation silently dropped *)
-  fifo_flip : float;  (** bit flip per FIFO slot load *)
   mac_corrupt : float;  (** received frame has 1-4 bytes corrupted *)
   mac_truncate : float;  (** received frame cut short on the wire *)
   mac_garbage : float;  (** received frame replaced by random bytes *)

@@ -19,36 +19,10 @@ let action ~state frame ~in_port:_ =
       in
       if blocked 0 then Router.Forwarder.Drop else Router.Forwarder.Continue
 
-(* Native batch form: decode the five filter ranges once per burst
-   instead of once per frame.  The filter state is read-only with
-   respect to the data path, so hoisting the range loads out of the
-   per-frame loop is observationally identical to [action] per frame. *)
-let batch ~state frames ~n ~in_port:_ ~verdicts =
-  let ranges = Array.make 5 (0, 0) in
-  for slot = 0 to 4 do
-    ranges.(slot) <-
-      (Fstate.get_u16 state (4 * slot), Fstate.get_u16 state ((4 * slot) + 2))
-  done;
-  for i = 0 to n - 1 do
-    verdicts.(i) <-
-      (match dst_port frames.(i) with
-      | None -> Router.Forwarder.Continue
-      | Some port ->
-          let rec blocked slot =
-            if slot >= 5 then false
-            else
-              let lo, hi = ranges.(slot) in
-              ((lo lor hi) <> 0 && port >= lo && port <= hi)
-              || blocked (slot + 1)
-          in
-          if blocked 0 then Router.Forwarder.Drop
-          else Router.Forwarder.Continue)
-  done
-
 let forwarder =
   Router.Forwarder.make ~name:"port-filter"
     ~code:[ Router.Vrp.Instr 26; Router.Vrp.Sram_read 20 ]
-    ~state_bytes:20 ~batch action
+    ~state_bytes:20 action
 
 let set_range state ~slot ~lo ~hi =
   if slot < 0 || slot > 4 then invalid_arg "Port_filter.set_range: slot";

@@ -8,8 +8,6 @@ type t = {
   scratch : Mem.t;
   mes : Microengine.t array;
   istores : Istore.t array;
-  in_fifo : Fifo.t;
-  out_fifo : Fifo.t;
   hash : Hash_unit.t;
   ports : Mac_port.t array;
   pci : Pci.t;
@@ -37,8 +35,6 @@ let create ?(cfg = Config.default) ?(ports = eval_board_ports)
       Array.init cfg.n_microengines (fun id ->
           Microengine.create engine me_clock ~id);
     istores = Array.init cfg.n_microengines (fun _ -> Istore.create cfg);
-    in_fifo = Fifo.create ~slots:cfg.fifo_slots ();
-    out_fifo = Fifo.create ~slots:cfg.fifo_slots ();
     hash = Hash_unit.create engine me_clock ~cycles:cfg.hash_cycles;
     ports =
       Array.of_list
@@ -58,8 +54,6 @@ let set_faults t inj =
   Mem.set_faults t.dram inj;
   Mem.set_faults t.sram inj;
   Mem.set_faults t.scratch inj;
-  Fifo.set_faults t.in_fifo inj;
-  Fifo.set_faults t.out_fifo inj;
   Array.iter (fun p -> Mac_port.set_faults p inj) t.ports;
   Buffer_pool.set_faults t.buffers inj
 

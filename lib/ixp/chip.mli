@@ -1,6 +1,11 @@
 (** The assembled IXP1200 evaluation system: one engine, one chip's worth
-    of MicroEngines, memories, FIFOs, hash unit, instruction stores, MAC
-    ports, and the PCI interface (paper Figure 3). *)
+    of MicroEngines, memories, hash unit, instruction stores, MAC ports,
+    and the PCI interface (paper Figure 3).
+
+    The transfer FIFOs have no object here.  An MP's trip between a MAC
+    port and DRAM is booked as Table 2 charges by the input and output
+    loops ([Cost_model.input_copy_instr], [output_serial_wait] and
+    [output_mp_instr]); the bytes stay in one DRAM frame. *)
 
 type t = {
   cfg : Config.t;
@@ -12,8 +17,6 @@ type t = {
   scratch : Mem.t;
   mes : Microengine.t array;
   istores : Istore.t array;  (** one per MicroEngine *)
-  in_fifo : Fifo.t;
-  out_fifo : Fifo.t;
   hash : Hash_unit.t;
   ports : Mac_port.t array;
   pci : Pci.t;
@@ -37,8 +40,8 @@ val create :
     circular buffer pool; false selects the stack-pool alternative. *)
 
 val set_faults : t -> Fault.Injector.t -> unit
-(** Arm every fault point on the chip — memory channels, transfer FIFOs,
-    MAC ports, and the buffer pool — with one shared injector. *)
+(** Arm every fault point on the chip — memory channels, MAC ports, and
+    the buffer pool — with one shared injector. *)
 
 val context_me : t -> int -> Microengine.t
 (** [context_me chip ctx] is the MicroEngine hosting global context number

@@ -16,7 +16,6 @@ type t = {
   dram_bytes : int;
   sram_bytes : int;
   scratch_bytes : int;
-  fifo_slots : int;
   buffer_count : int;
   buffer_bytes : int;
   istore_slots : int;
@@ -46,7 +45,6 @@ let default =
     dram_bytes = 32 * 1024 * 1024;
     sram_bytes = 2 * 1024 * 1024;
     scratch_bytes = 4 * 1024;
-    fifo_slots = 16;
     buffer_count = 8192;
     buffer_bytes = 2048;
     istore_slots = 1024;

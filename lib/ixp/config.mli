@@ -23,7 +23,6 @@ type t = {
   dram_bytes : int;  (** 32 MB *)
   sram_bytes : int;  (** 2 MB *)
   scratch_bytes : int;  (** 4 KB *)
-  fifo_slots : int;  (** 16 input + 16 output, 64 bytes each *)
   buffer_count : int;  (** 8192 x 2 KB circular DRAM buffers *)
   buffer_bytes : int;  (** 2048 *)
   istore_slots : int;  (** instructions per MicroEngine store *)

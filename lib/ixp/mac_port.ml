@@ -1,9 +1,7 @@
-type rx_item = { tag : Packet.Mp.tag; index : int; frame : Packet.Frame.t }
-
 (* Receive-side port memory is a preallocated ring of MP slots rather
    than a linked queue: one frame fans out into up to rx_slots entries
-   per arrival, and the input contexts drain one entry per token
-   rotation, so this is a per-MP hot path on both sides.  Each entry is
+   per arrival, and the input contexts drain it in bursts, so this is a
+   per-MP hot path on both sides.  Each entry is
    an int (index lsl 2 lor tag code) plus the frame reference, held in
    parallel arrays. *)
 type t = {
@@ -25,7 +23,6 @@ type t = {
      [prefix_copy] per packet.  Cleared by [set_sink]: an external sink
      may hold the frame past the call, and the buffer is recycled. *)
   mutable sink_borrows : bool;
-  mutable tx_partial : Packet.Mp.t list; (* reversed *)
   mutable tx_horizon : int; (* ps: when the wire finishes what it has *)
   wire_mid : int; (* ps on the wire for a non-final MP *)
   wire_last : int; (* ps for the final MP incl. preamble + gap *)
@@ -33,7 +30,6 @@ type t = {
   mutable rx_dropped : int;
   mutable rx_lost : int;
   mutable tx_frames : int;
-  mutable tx_errors : int;
   mutable faults : Fault.Injector.t option;
   mutable link_up : bool;
   mutable rx_link_down : int;
@@ -85,7 +81,6 @@ let create engine ~id ~mbps ~rx_slots ?sink () =
     sink;
     sink_present;
     sink_borrows = false;
-    tx_partial = [];
     tx_horizon = 0;
     wire_mid = mp_wire_ps ~mbps ~bytes:Packet.Mp.size;
     wire_last = mp_wire_ps ~mbps ~bytes:(Packet.Mp.size + 20);
@@ -93,7 +88,6 @@ let create engine ~id ~mbps ~rx_slots ?sink () =
     rx_dropped = 0;
     rx_lost = 0;
     tx_frames = 0;
-    tx_errors = 0;
     faults = None;
     link_up = true;
     rx_link_down = 0;
@@ -187,8 +181,6 @@ let offer t f =
             false
         | Some f -> offer_clean t f)
 
-let rdy t = t.r_len > 0
-
 (* Park a context until this port has receive work.  Fires immediately
    when MPs are already queued, so the usual pattern
    [Engine.suspend (fun w -> park_rx port w)] never misses work that
@@ -209,26 +201,12 @@ let park_rx t w =
 let tag_of_code =
   [| Packet.Mp.Only; Packet.Mp.First; Packet.Mp.Intermediate; Packet.Mp.Last |]
 
-let take_mp t =
-  if t.r_len = 0 then None
-  else begin
-    let h = t.r_head in
-    let m = Array.unsafe_get t.r_meta h in
-    let f = Array.unsafe_get t.r_fr h in
-    (* Clear the slot so the ring does not pin a drained frame live. *)
-    Array.unsafe_set t.r_fr h t.dummy;
-    t.r_head <- (h + 1) land t.r_mask;
-    t.r_len <- t.r_len - 1;
-    Some { tag = Array.unsafe_get tag_of_code (m land 3); index = m lsr 2; frame = f }
-  end
-
 (* Burst drain into caller-provided parallel arrays (the carrier is a
    Batch.t upstream; taking raw arrays here keeps this library free of
    core types).  Copies raw meta words — (index lsl 2) lor tag code —
-   straight out of the ring: no per-MP option/record allocation.  MPs of
-   one frame are contiguous in the ring, so a burst takes whole frames
-   in order, possibly splitting the last frame's tail MPs into the next
-   burst (exactly as the per-MP path could interleave them). *)
+   straight out of the ring: no per-MP allocation.  MPs of one frame
+   are contiguous in the ring, so a burst takes whole frames in order,
+   possibly splitting the last frame's tail MPs into the next burst. *)
 let take_burst t ~meta ~frames ~max:max_mps =
   let cap = min (Array.length meta) (Array.length frames) in
   let n = min t.r_len (min max_mps cap) in
@@ -255,38 +233,10 @@ let frame_time_ps t ~bytes =
 
 (* An MP occupies the wire for its 64 bytes; the frame's final MP also
    carries the preamble + inter-frame-gap overhead (20 bytes).  One MP of
-   headroom: accept while the wire is at most one MP ahead. *)
-let tx_pace_ok t ~last =
-  if not (tx_gate_open t) then false
-  else begin
-    let wire = if last then t.wire_last else t.wire_mid in
-    let now = Sim.Engine.clock_i t.engine in
-    if t.tx_horizon - now > wire then false
-    else begin
-      t.tx_horizon <- (if t.tx_horizon > now then t.tx_horizon else now) + wire;
-      true
-    end
-  end
-
-let tx_try_pace t ~tag =
-  if not (tx_gate_open t) then `Wait (Int64.of_int t.wire_last)
-  else begin
-    let last =
-      match tag with Packet.Mp.Last | Packet.Mp.Only -> true | _ -> false
-    in
-    let wire = if last then t.wire_last else t.wire_mid in
-    let now = Sim.Engine.clock_i t.engine in
-    if t.tx_horizon - now > wire then
-      `Wait (Int64.of_int (t.tx_horizon - (now + wire)))
-    else begin
-      t.tx_horizon <- (if t.tx_horizon > now then t.tx_horizon else now) + wire;
-      `Ok
-    end
-  end
-
-(* [tx_try_pace] without the [`Wait d] box: -1 reserves the slot, any
-   other value is the strictly positive wait in ps. *)
-let tx_try_pace_i t ~last =
+   headroom: accept while the wire is at most one MP ahead.  Int-coded
+   so the output loop's per-MP call allocates nothing: -1 reserves the
+   slot, any other value is the strictly positive wait in ps. *)
+let tx_try_pace t ~last =
   if not (tx_gate_open t) then t.wire_last
   else begin
     let wire = if last then t.wire_last else t.wire_mid in
@@ -311,38 +261,6 @@ let transmit_frame t frame ~len =
       else t.sink (Packet.Frame.prefix_copy frame ~len)
   end
 
-let transmit_mp t mp ~len_hint =
-  let open Packet.Mp in
-  let finish mps =
-    if not t.link_up then begin
-      t.tx_partial <- [];
-      t.tx_link_down <- t.tx_link_down + 1
-    end
-    else begin
-      t.tx_partial <- [];
-      match join mps ~len:len_hint with
-      | f ->
-          t.tx_frames <- t.tx_frames + 1;
-          t.sink f
-      | exception Invalid_argument _ -> t.tx_errors <- t.tx_errors + 1
-    end
-  in
-  match mp.tag with
-  | Only ->
-      if t.tx_partial <> [] then begin
-        t.tx_errors <- t.tx_errors + 1;
-        t.tx_partial <- []
-      end;
-      finish [ mp ]
-  | First ->
-      if t.tx_partial <> [] then begin
-        t.tx_errors <- t.tx_errors + 1;
-        t.tx_partial <- []
-      end;
-      t.tx_partial <- [ mp ]
-  | Intermediate -> t.tx_partial <- mp :: t.tx_partial
-  | Last -> finish (List.rev (mp :: t.tx_partial))
-
 let rx_frames t = t.rx_frames
 let tx_gated t = t.tx_gated
 let rx_link_down t = t.rx_link_down
@@ -350,5 +268,4 @@ let tx_link_down t = t.tx_link_down
 let rx_dropped t = t.rx_dropped
 let rx_lost t = t.rx_lost
 let tx_frames t = t.tx_frames
-let tx_errors t = t.tx_errors
 let occupancy t = t.r_len

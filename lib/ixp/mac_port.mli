@@ -1,13 +1,20 @@
 (** A MAC Ethernet port (paper section 2.2: 8 x 100 Mbps + 2 x 1 Gbps).
 
     Receive side: the MAC segments each arriving frame into 64-byte MPs in
-    its small port memory; input contexts poll {!rdy} and DMA one MP at a
-    time into the input FIFO.  If port memory overflows because the
-    MicroEngines fall behind line rate, frames drop here — exactly the
-    receive pressure the paper's line-speed requirement exists to avoid.
+    its small port memory, a ring of packed (tag, index) words beside the
+    frame reference; input contexts drain it in bursts with
+    {!take_burst}.  If port memory overflows because the MicroEngines
+    fall behind line rate, frames drop here — exactly the receive
+    pressure the paper's line-speed requirement exists to avoid.
 
-    Transmit side: the port reassembles outgoing MPs and delivers completed
-    frames to the attached sink, pacing at line rate. *)
+    The transfer FIFOs between this memory and DRAM are not modelled as
+    slot objects: the MP-to-DRAM copy and the transmit-side FIFO work are
+    Table 2 charges the input and output loops book per MP
+    ([Cost_model.input_copy_instr], [output_serial_wait] and
+    [output_mp_instr]), and the bytes stay in the one DRAM frame.
+
+    Transmit side: {!tx_try_pace} paces each outgoing MP at line rate and
+    {!transmit_frame} hands the finished frame to the attached sink. *)
 
 type t
 
@@ -47,7 +54,7 @@ val link_up : t -> bool
 
 val set_tx_gate : t -> (unit -> bool) -> unit
 (** Install an upstream transmit gate.  While the gate returns [false],
-    {!tx_pace_ok} and {!tx_try_pace} report the wire busy (counted in
+    {!tx_try_pace} reports the wire busy (counted in
     {!tx_gated}), so the output loop backs off and frames accumulate in
     the router's own queues instead of a congested downstream hop — how
     fabric-queue backpressure reaches a member's egress path.  Ports
@@ -66,28 +73,12 @@ val offer : t -> Packet.Frame.t -> bool
     arriving.  Returns false — and counts a drop — if port memory cannot
     hold its MPs. *)
 
-type rx_item = {
-  tag : Packet.Mp.tag;
-  index : int;  (** MP position within its frame *)
-  frame : Packet.Frame.t;  (** the frame this MP belongs to *)
-}
-(** One received MP as the input loop sees it.  The frame reference rides
-    along so protocol processing on the first MP can read real headers
-    without a reassembly step the hardware would not perform either. *)
-
-val rdy : t -> bool
-(** Is at least one received MP waiting? (The input loop's [port_rdy].) *)
-
-val take_mp : t -> rx_item option
-(** Remove the next received MP (the receive DMA's read side). *)
-
 val take_burst : t -> meta:int array -> frames:Packet.Frame.t array -> max:int -> int
 (** [take_burst p ~meta ~frames ~max] drains up to [max] received MPs
     into the parallel arrays (raw meta word + frame reference per MP),
     returning how many were taken.  Decode the meta words with
-    {!tag_of_meta} / {!index_of_meta}.  Allocation-free: no per-MP
-    {!rx_item} is built.  MPs arrive in ring order, whole frames
-    contiguous. *)
+    {!tag_of_meta} / {!index_of_meta}.  Allocation-free.  MPs arrive in
+    ring order, whole frames contiguous. *)
 
 val tag_of_meta : int -> Packet.Mp.tag
 (** Decode a {!take_burst} meta word's MP tag. *)
@@ -108,39 +99,22 @@ val frame_time_ps : t -> bytes:int -> int64
 
 (** {1 Transmit (router to wire)} *)
 
-val tx_try_pace : t -> tag:Packet.Mp.tag -> [ `Ok | `Wait of int64 ]
-(** [tx_try_pace p ~tag] asks the MAC for a transmit slot: the wire drains
-    at line rate, with one MP of headroom so preparing the next MP
-    overlaps transmitting the current one.  [`Ok] reserves the slot;
-    [`Wait d] means the slot frees in [d] ps — the caller should poll
-    again (with a short backoff, not by sleeping the whole [d]: an output
-    context that naps stalls the token rotation for everyone). *)
-
-val tx_try_pace_i : t -> last:bool -> int
-(** {!tx_try_pace} without the variant box: [-1] reserves the slot
-    ([`Ok]); any other value is the strictly positive wait in ps.
-    [last] marks the frame's final MP (pays preamble + gap time). *)
-
-val tx_pace_ok : t -> last:bool -> bool
-(** Allocation-free form of {!tx_try_pace} for the per-MP output loop:
-    [tx_pace_ok p ~last] reserves a transmit slot (returning [true]) or
-    reports the wire is full ([false]); [last] marks the frame's final MP,
-    which also pays the preamble + inter-frame-gap wire time. *)
+val tx_try_pace : t -> last:bool -> int
+(** [tx_try_pace p ~last] asks the MAC for a transmit slot for one MP:
+    the wire drains at line rate, with one MP of headroom so preparing
+    the next MP overlaps transmitting the current one.  [-1] reserves
+    the slot; any other value is the strictly positive wait in ps until
+    the slot frees.  [last] marks the frame's final MP, which also pays
+    the preamble + inter-frame-gap wire time.  Allocation-free. *)
 
 val transmit_frame : t -> Packet.Frame.t -> len:int -> unit
 (** [transmit_frame p f ~len] transmits a whole frame whose bytes already
     sit assembled in [f] (the DRAM buffer): the MAC counts it and delivers
-    a fresh [len]-byte copy to the sink.  The per-MP wire pacing still
-    happens through {!tx_pace_ok}; this is the data movement only, so the
-    output loop never re-splits and re-joins a frame that was never
-    scattered. *)
-
-val transmit_mp : t -> Packet.Mp.t -> len_hint:int -> unit
-(** [transmit_mp p mp ~len_hint] hands one MP to the MAC.  On the packet's
-    final MP the frame (of [len_hint] bytes) is reassembled and delivered
-    to the sink.  Misordered MPs count as {!tx_errors} and the fragment is
-    discarded — the "garbage data sent to a non-existent port" failure the
-    static FIFO discipline prevents. *)
+    a fresh [len]-byte copy to the sink — or [f] itself, to a borrowing
+    sink when [len] matches (see {!set_sink_borrows}).  While the link is
+    down the frame is counted in {!tx_link_down} and never delivered.
+    The per-MP wire pacing happens through {!tx_try_pace}; this is the
+    data movement only. *)
 
 (** {1 Counters} *)
 
@@ -161,8 +135,6 @@ val tx_link_down : t -> int
 
 val tx_frames : t -> int
 (** Frames fully transmitted. *)
-
-val tx_errors : t -> int
 
 val tx_gated : t -> int
 (** Transmit slots refused because the upstream gate was closed. *)

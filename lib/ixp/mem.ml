@@ -62,10 +62,6 @@ let transfer t ~bytes ~latency_ps =
                   (Fault.Injector.scenario inj).Fault.Scenario.mem_delay_cycles
             else latency_ps
           in
-          (* Data corruption is timing-invisible here (this channel moves
-             only accounting, not payload); the flip is counted so the
-             invariant layer can correlate it with downstream damage. *)
-          ignore (Fault.Injector.fires inj Mem_flip : bool);
           Sim.Server.access_i t.server ~occupancy:t.occupancy_ps
             ~latency;
           t.ops <- t.ops + 1

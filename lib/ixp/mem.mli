@@ -12,8 +12,9 @@
     requester blocks for [latency + (n-1) * occupancy] — unit fills
     stream back to back, as the IXP's burst-capable SDRAM/SRAM
     interfaces do.  With an injector installed the units are issued one
-    by one so per-operation fault draws (drop/delay/flip) keep their
-    exact seeded sequence. *)
+    by one so per-operation fault draws (drop/delay) keep their exact
+    seeded sequence.  A channel moves accounting, not payload, so there
+    are no bit flips to inject here: byte damage enters at the MAC. *)
 
 type t
 
@@ -28,8 +29,8 @@ val create :
 
 val set_faults : t -> Fault.Injector.t -> unit
 (** Enable fault injection on this channel: per-operation drops (the
-    operation consumes no bus time), stalls ([mem_delay_cycles] extra
-    latency), and counted bit flips. *)
+    operation consumes no bus time) and stalls ([mem_delay_cycles] extra
+    latency). *)
 
 val read : t -> bytes:int -> unit
 (** [read ch ~bytes] (inside a fiber) performs [ceil (bytes/unit)] read

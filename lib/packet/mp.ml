@@ -2,44 +2,4 @@ let size = 64
 
 type tag = Only | First | Intermediate | Last
 
-type t = { tag : tag; index : int; data : Bytes.t }
-
 let count len = if len <= 0 then 1 else (len + size - 1) / size
-
-let tag_for ~index ~total =
-  if total = 1 then Only
-  else if index = 0 then First
-  else if index = total - 1 then Last
-  else Intermediate
-
-let split f =
-  let len = Frame.len f in
-  let total = count len in
-  List.init total (fun index ->
-      let data = Bytes.make size '\000' in
-      let off = index * size in
-      let n = min size (len - off) in
-      if n > 0 then Bytes.blit f.Frame.data off data 0 n;
-      { tag = tag_for ~index ~total; index; data })
-
-let join mps ~len =
-  let total = count len in
-  if List.length mps <> total then invalid_arg "Mp.join: wrong MP count";
-  let f = Frame.alloc len in
-  List.iteri
-    (fun i mp ->
-      if mp.index <> i then invalid_arg "Mp.join: out-of-order MP";
-      if mp.tag <> tag_for ~index:i ~total then invalid_arg "Mp.join: bad tag";
-      let off = i * size in
-      let n = min size (len - off) in
-      if n > 0 then Bytes.blit mp.data 0 f.Frame.data off n)
-    mps;
-  f
-
-let pp_tag ppf t =
-  Format.pp_print_string ppf
-    (match t with
-    | Only -> "only"
-    | First -> "first"
-    | Intermediate -> "intermediate"
-    | Last -> "last")

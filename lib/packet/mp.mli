@@ -13,19 +13,6 @@ val size : int
 
 type tag = Only | First | Intermediate | Last
 
-type t = { tag : tag; index : int; data : Bytes.t }
-(** One MP: [data] is exactly {!size} bytes (the tail MP of a packet is
-    zero-padded); [index] is its position within the packet. *)
-
 val count : int -> int
 (** [count len] is the number of MPs a [len]-byte frame occupies (>= 1).
     A 1500-byte IP packet in a 1518-byte Ethernet frame takes 24. *)
-
-val split : Frame.t -> t list
-(** [split f] segments a frame into tagged MPs. *)
-
-val join : t list -> len:int -> Frame.t
-(** [join mps ~len] reassembles MPs (in order) into a frame of [len] bytes.
-    Raises [Invalid_argument] on inconsistent tags or count. *)
-
-val pp_tag : Format.formatter -> tag -> unit

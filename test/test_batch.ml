@@ -242,83 +242,6 @@ let fault_matrix_all_domains () =
         [ 1; 2; 4 ])
     Fault.Cluster_scenario.matrix
 
-(* The forwarder batch shim: a forwarder without a native batch form
-   must judge a batch exactly as its per-frame action would, state
-   mutations included; and port_filter's native batch form must agree
-   with the shim over its own action. *)
-let forwarder_shim_equivalence () =
-  let mk_frame i =
-    Packet.Build.udp
-      ~src:(Packet.Ipv4.addr_of_string "10.250.0.1")
-      ~dst:(Packet.Ipv4.addr_of_string "10.1.0.9")
-      ~src_port:1000 ~dst_port:(2000 + (i * 37 mod 5000)) ()
-  in
-  let frames = Array.init 12 mk_frame in
-  let n = Array.length frames in
-  (* A stateful per-frame action: drop every third matching packet. *)
-  let counting_action ~state frame ~in_port:_ =
-    ignore frame;
-    let c = Bytes.get_uint8 state 0 in
-    Bytes.set_uint8 state 0 ((c + 1) land 0xff);
-    if (c + 1) mod 3 = 0 then Router.Forwarder.Drop
-    else Router.Forwarder.Continue
-  in
-  let f =
-    Router.Forwarder.make ~name:"count" ~code:[] ~state_bytes:4
-      counting_action
-  in
-  let state_a = Bytes.make 4 '\x00' and state_b = Bytes.make 4 '\x00' in
-  let va = Array.make n Router.Forwarder.Continue in
-  Router.Forwarder.run_batch f ~state:state_a frames ~n ~in_port:0
-    ~verdicts:va;
-  let vb =
-    Array.map (fun fr -> counting_action ~state:state_b fr ~in_port:0) frames
-  in
-  Alcotest.(check bool) "shim verdicts = per-frame verdicts" true (va = vb);
-  Alcotest.(check bytes) "shim state = per-frame state" state_b state_a;
-  (* port_filter: native batch vs shimmed action. *)
-  let pf = Forwarders.Port_filter.forwarder in
-  let state_n = Bytes.make pf.Router.Forwarder.state_bytes '\x00' in
-  Forwarders.Port_filter.set_range state_n ~slot:0 ~lo:2100 ~hi:4000;
-  let state_s = Bytes.copy state_n in
-  let vn = Array.make n Router.Forwarder.Continue in
-  Router.Forwarder.run_batch pf ~state:state_n frames ~n ~in_port:0
-    ~verdicts:vn;
-  let vs =
-    Array.map
-      (fun fr -> pf.Router.Forwarder.action ~state:state_s fr ~in_port:0)
-      frames
-  in
-  Alcotest.(check bool) "port_filter native batch = shim" true (vn = vs);
-  Alcotest.(check bool) "some verdicts actually drop" true
-    (Array.exists (fun v -> v = Router.Forwarder.Drop) vn)
-
-(* FIFO burst transfers: load_burst/take_burst move the same bytes as
-   per-slot load/take, and fault draws stay per-MP. *)
-let fifo_burst_roundtrip () =
-  let mk i =
-    let data = Bytes.make Packet.Mp.size (Char.chr (i + 65)) in
-    { Packet.Mp.tag = Packet.Mp.Intermediate; index = i; data }
-  in
-  let burst = Array.init 4 mk in
-  let f1 = Ixp.Fifo.create ~slots:16 () in
-  Ixp.Fifo.load_burst f1 ~start:4 burst;
-  let into = Array.make 4 (mk 0) in
-  Ixp.Fifo.take_burst f1 ~start:4 ~into;
-  let f2 = Ixp.Fifo.create ~slots:16 () in
-  Array.iteri (fun i mp -> Ixp.Fifo.load f2 (4 + i) mp) (Array.init 4 mk);
-  let singles = Array.init 4 (fun i -> Ixp.Fifo.take f2 (4 + i)) in
-  for i = 0 to 3 do
-    Alcotest.(check bytes)
-      (Printf.sprintf "slot %d bytes agree" i)
-      singles.(i).Packet.Mp.data into.(i).Packet.Mp.data;
-    Alcotest.(check int)
-      (Printf.sprintf "slot %d index agrees" i)
-      singles.(i).Packet.Mp.index into.(i).Packet.Mp.index
-  done;
-  Alcotest.(check int) "burst counts one transfer per MP"
-    (Ixp.Fifo.transfers f2) (Ixp.Fifo.transfers f1)
-
 let tests =
   [
     Alcotest.test_case "capacity-1 identity" `Slow capacity_one_identity;
@@ -332,7 +255,4 @@ let tests =
                         1/2/4)" `Slow backpressure_batch_split;
     Alcotest.test_case "cluster fault matrix, arms agree (domains 1/2/4)"
       `Slow fault_matrix_all_domains;
-    Alcotest.test_case "forwarder batch shim equivalence" `Quick
-      forwarder_shim_equivalence;
-    Alcotest.test_case "fifo burst roundtrip" `Quick fifo_burst_roundtrip;
   ]

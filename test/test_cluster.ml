@@ -567,23 +567,27 @@ let parallel_smoke () =
     (matrix_digests "none" ~seed:7 ~domains:2)
 
 let lookahead_validated () =
-  (* A lookahead beyond the fabric's minimum latency would let a member
-     simulate past a frame still in flight towards it; [create] must
-     refuse rather than silently lose determinism. *)
+  (* The epoch length (the lookahead) is the switch latency, the fabric's
+     minimum; one that is not positive, or rounds to zero picoseconds,
+     would never advance the clock.  [create] must refuse rather than
+     hang or silently lose determinism. *)
   let expect_invalid what fn =
     match fn () with
     | (_ : Cluster.t) -> Alcotest.failf "%s: expected Invalid_argument" what
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "lookahead above fabric latency" (fun () ->
-      Cluster.create ~switch_latency_us:5. ~lookahead_us:5.5 ());
-  expect_invalid "zero lookahead" (fun () ->
-      Cluster.create ~lookahead_us:0. ());
-  expect_invalid "negative lookahead" (fun () ->
-      Cluster.create ~lookahead_us:(-1.) ());
+  expect_invalid "zero switch latency" (fun () ->
+      Cluster.create ~switch_latency_us:0. ());
+  expect_invalid "negative switch latency" (fun () ->
+      Cluster.create ~switch_latency_us:(-1.) ());
+  expect_invalid "NaN switch latency" (fun () ->
+      Cluster.create ~switch_latency_us:Float.nan ());
+  expect_invalid "sub-picosecond switch latency" (fun () ->
+      Cluster.create ~switch_latency_us:1e-7 ());
   expect_invalid "zero domains" (fun () -> Cluster.create ~domains:0 ());
-  (* The boundary itself is legal: lookahead = fabric latency. *)
-  ignore (Cluster.create ~switch_latency_us:5. ~lookahead_us:5. () : Cluster.t)
+  expect_invalid "one member" (fun () -> Cluster.create ~members:1 ());
+  (* The smallest legal epoch: one picosecond. *)
+  ignore (Cluster.create ~switch_latency_us:1e-6 () : Cluster.t)
 
 let tests =
   [

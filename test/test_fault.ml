@@ -42,17 +42,34 @@ let scenario_parse () =
         (Fault.Scenario.to_spec rich)
         (Fault.Scenario.to_spec again)
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg);
+  (* Every rejection names the offending key. *)
   let bad spec =
+    let key =
+      match String.index_opt spec ':' with
+      | Some i -> String.sub spec 0 i
+      | None -> spec
+    in
+    let names_key msg =
+      let n = String.length key in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = key || at (i + 1))
+      in
+      at 0
+    in
     match Fault.Scenario.parse spec with
     | Ok _ -> Alcotest.failf "expected %S to be rejected" spec
-    | Error _ -> ()
+    | Error msg ->
+        if not (names_key msg) then
+          Alcotest.failf "error for %S does not name %S: %s" spec key msg
   in
   bad "mac_corrupt:1.5";
   bad "mac_corrupt:-0.1";
   bad "no_such_fault:0.1";
   bad "mac_corrupt";
   bad "mac_corrupt:abc";
-  bad "mac_burst:2.5"
+  bad "mac_burst:2.5";
+  (* Payload bit flips have no site: memory and FIFO carry no bytes. *)
+  List.iter (fun unit_ -> bad (unit_ ^ "_flip:0.1")) [ "fifo"; "mem" ]
 
 (* --- injector -------------------------------------------------------- *)
 
@@ -131,24 +148,6 @@ let frame_mangling () =
 
 (* --- per-site component wiring --------------------------------------- *)
 
-let fifo_flip_one_bit () =
-  let f = Ixp.Fifo.create ~slots:4 () in
-  Ixp.Fifo.set_faults f (Fault.Injector.create (scenario_of "fifo_flip:1.0"));
-  let data = Bytes.make Packet.Mp.size '\x00' in
-  Ixp.Fifo.load f 0 { Packet.Mp.tag = Packet.Mp.Only; index = 0; data };
-  let out = Ixp.Fifo.take f 0 in
-  let bits = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let b = Char.code c in
-      for k = 0 to 7 do
-        if b land (1 lsl k) <> 0 then incr bits
-      done)
-    out.Packet.Mp.data;
-  Alcotest.(check int) "exactly one bit flipped" 1 !bits;
-  Alcotest.(check bool) "source MP untouched" true
-    (Bytes.for_all (fun c -> c = '\x00') data)
-
 let mac_loss_never_enters_port () =
   let e = Sim.Engine.create () in
   let p = Ixp.Mac_port.create e ~id:0 ~mbps:100. ~rx_slots:64 () in
@@ -168,11 +167,11 @@ let mac_corrupt_copies () =
   let f = some_udp () in
   let snapshot = Packet.Frame.copy f in
   Alcotest.(check bool) "offer accepted" true (Ixp.Mac_port.offer p f);
-  (match Ixp.Mac_port.take_mp p with
-  | None -> Alcotest.fail "no MP after accepted offer"
-  | Some item ->
-      Alcotest.(check bool) "rx frame is a damaged copy" true
-        (diff_bytes item.Ixp.Mac_port.frame snapshot > 0));
+  let meta = Array.make 4 0 and frames = Array.make 4 f in
+  Alcotest.(check bool) "MPs after accepted offer" true
+    (Ixp.Mac_port.take_burst p ~meta ~frames ~max:4 > 0);
+  Alcotest.(check bool) "rx frame is a damaged copy" true
+    (frames.(0) != f && diff_bytes frames.(0) snapshot > 0);
   Alcotest.(check int) "source frame untouched" 0 (diff_bytes f snapshot)
 
 let pool_fail_raises_cleanly () =
@@ -527,7 +526,6 @@ let tests =
       zero_rate_draws_nothing;
     Alcotest.test_case "burst loss" `Quick burst_loss;
     Alcotest.test_case "frame mangling on copies" `Quick frame_mangling;
-    Alcotest.test_case "fifo flip is one bit" `Quick fifo_flip_one_bit;
     Alcotest.test_case "mac loss never enters port" `Quick
       mac_loss_never_enters_port;
     Alcotest.test_case "mac corruption copies" `Quick mac_corrupt_copies;

@@ -81,19 +81,6 @@ let stack_pool_recycles () =
   Alcotest.(check (option reject)) "old handle stale" None
     (Ixp.Buffer_pool.read pool h1)
 
-let fifo_slot_ownership () =
-  let f = Ixp.Fifo.create ~slots:4 () in
-  let mp =
-    { Packet.Mp.tag = Packet.Mp.Only; index = 0; data = Bytes.make 64 'x' }
-  in
-  Ixp.Fifo.load f 2 mp;
-  Alcotest.check_raises "double load" (Invalid_argument "Fifo.load: slot occupied")
-    (fun () -> Ixp.Fifo.load f 2 mp);
-  let got = Ixp.Fifo.take f 2 in
-  Alcotest.(check bool) "same mp" true (got == mp);
-  Alcotest.check_raises "take empty" (Invalid_argument "Fifo.take: slot empty")
-    (fun () -> ignore (Ixp.Fifo.take f 2))
-
 let istore_accounting () =
   let st = Ixp.Istore.create Ixp.Config.default in
   Alcotest.(check int) "vrp capacity" 650 (Ixp.Istore.capacity_vrp st);
@@ -119,6 +106,9 @@ let mac_port_rx_overflow () =
   Alcotest.(check bool) "fourth drops" false (Ixp.Mac_port.offer p small);
   Alcotest.(check int) "drop counted" 1 (Ixp.Mac_port.rx_dropped p)
 
+(* The MAC segments a received frame into MPs that all reference the one
+   buffer; the transmit side hands that buffer on whole, with no
+   scatter/gather step. *)
 let mac_port_reassembly () =
   let e = Sim.Engine.create () in
   let got = ref None in
@@ -133,28 +123,63 @@ let mac_port_reassembly () =
       ~dst:(Packet.Ipv4.addr_of_string "5.6.7.8")
       ~src_port:1 ~dst_port:2 ~payload:"reassemble me" ()
   in
-  List.iter
-    (fun mp -> Ixp.Mac_port.transmit_mp p mp ~len_hint:200)
-    (Packet.Mp.split f);
+  Alcotest.(check bool) "offer accepted" true (Ixp.Mac_port.offer p f);
+  let meta = Array.make 8 0 and frames = Array.make 8 f in
+  let n = Ixp.Mac_port.take_burst p ~meta ~frames ~max:8 in
+  Alcotest.(check int) "one MP per 64 bytes" (Packet.Mp.count 200) n;
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) "MP carries its frame" true (frames.(i) == f);
+    Alcotest.(check int) "MP index" i (Ixp.Mac_port.index_of_meta meta.(i))
+  done;
+  Ixp.Mac_port.transmit_frame p frames.(0) ~len:200;
   (match !got with
   | Some g -> Alcotest.(check bool) "frame intact" true (Packet.Frame.equal f g)
   | None -> Alcotest.fail "no frame delivered");
   Alcotest.(check int) "tx count" 1 (Ixp.Mac_port.tx_frames p)
 
-let mac_port_misorder_detected () =
+(* What a sink receives from [transmit_frame]: a private copy unless it
+   borrows, the DRAM frame itself only when a borrowing sink asks for
+   the frame's full length, and nothing while the link is down. *)
+let mac_transmit_frame_sinks () =
   let e = Sim.Engine.create () in
-  let p = Ixp.Mac_port.create e ~id:2 ~mbps:100. ~rx_slots:64 () in
-  let f = Packet.Frame.alloc 200 in
-  (match Packet.Mp.split f with
-  | _first :: mid :: _ -> Ixp.Mac_port.transmit_mp p mid ~len_hint:200
-  | _ -> Alcotest.fail "expected multiple MPs");
-  (* An Intermediate with no First in progress is absorbed; following Last
-     without full set errors. *)
-  let last =
-    { Packet.Mp.tag = Packet.Mp.Last; index = 3; data = Bytes.make 64 ' ' }
+  let got = ref [] in
+  let p = Ixp.Mac_port.create e ~id:3 ~mbps:100. ~rx_slots:8 () in
+  Ixp.Mac_port.set_sink_borrows p true;
+  Ixp.Mac_port.set_sink p (fun g -> got := g :: !got);
+  let f =
+    Packet.Build.udp ~frame_len:128
+      ~src:(Packet.Ipv4.addr_of_string "1.2.3.4")
+      ~dst:(Packet.Ipv4.addr_of_string "5.6.7.8")
+      ~src_port:1 ~dst_port:2 ()
   in
-  Ixp.Mac_port.transmit_mp p last ~len_hint:200;
-  Alcotest.(check bool) "error counted" true (Ixp.Mac_port.tx_errors p >= 1)
+  let snapshot = Packet.Frame.copy f in
+  let last () =
+    match !got with g :: _ -> g | [] -> Alcotest.fail "no frame delivered"
+  in
+  (* [set_sink] cleared the borrow flag: an external sink owns a copy. *)
+  Ixp.Mac_port.transmit_frame p f ~len:128;
+  let g = last () in
+  Alcotest.(check bool) "external sink gets a copy" true (g != f);
+  Packet.Frame.set_u8 g 20 (Packet.Frame.get_u8 g 20 lxor 0xFF);
+  Alcotest.(check bool) "mutating the copy leaves DRAM intact" true
+    (Packet.Frame.equal f snapshot);
+  Ixp.Mac_port.set_sink_borrows p true;
+  Ixp.Mac_port.transmit_frame p f ~len:128;
+  Alcotest.(check bool) "borrowing sink, same len: the frame itself" true
+    (last () == f);
+  Ixp.Mac_port.transmit_frame p f ~len:100;
+  let g = last () in
+  Alcotest.(check bool) "borrowing sink, other len: a copy" true (g != f);
+  Alcotest.(check int) "copy cut to len" 100 (Packet.Frame.len g);
+  Alcotest.(check bool) "copy is the prefix" true
+    (Packet.Frame.equal g (Packet.Frame.prefix_copy f ~len:100));
+  Alcotest.(check int) "three delivered" 3 (List.length !got);
+  Ixp.Mac_port.set_link_up p false;
+  Ixp.Mac_port.transmit_frame p f ~len:128;
+  Alcotest.(check int) "link down counted" 1 (Ixp.Mac_port.tx_link_down p);
+  Alcotest.(check int) "nothing delivered while down" 3 (List.length !got);
+  Alcotest.(check int) "tx frames exclude the dead PHY" 3
+    (Ixp.Mac_port.tx_frames p)
 
 let mac_frame_time () =
   let e = Sim.Engine.create () in
@@ -206,11 +231,11 @@ let tests =
     Alcotest.test_case "circular pool single-pass lifetime" `Quick
       circular_pool_single_pass;
     Alcotest.test_case "stack pool recycles" `Quick stack_pool_recycles;
-    Alcotest.test_case "fifo slot ownership" `Quick fifo_slot_ownership;
     Alcotest.test_case "istore accounting" `Quick istore_accounting;
     Alcotest.test_case "mac port rx overflow" `Quick mac_port_rx_overflow;
     Alcotest.test_case "mac port reassembly" `Quick mac_port_reassembly;
-    Alcotest.test_case "mac port misorder" `Quick mac_port_misorder_detected;
+    Alcotest.test_case "mac transmit_frame sink contract" `Quick
+      mac_transmit_frame_sinks;
     Alcotest.test_case "mac frame wire time" `Quick mac_frame_time;
     Alcotest.test_case "pci bandwidth" `Quick pci_bandwidth;
     Alcotest.test_case "i2o roundtrip + backpressure" `Quick

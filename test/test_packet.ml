@@ -136,28 +136,23 @@ let mp_split_counts () =
   Alcotest.(check int) "64B -> 1" 1 (Packet.Mp.count 64);
   Alcotest.(check int) "65B -> 2" 2 (Packet.Mp.count 65);
   Alcotest.(check int) "1518B -> 24" 24 (Packet.Mp.count 1518);
+  (* The MAC tags each MP as it segments the frame into port memory;
+     the input loop reads the tags off the burst's meta words. *)
   let f = sample_udp ~frame_len:200 () in
-  let mps = Packet.Mp.split f in
-  Alcotest.(check int) "4 MPs" 4 (List.length mps);
-  match mps with
-  | a :: rest ->
-      Alcotest.(check bool) "first tag" true (a.Packet.Mp.tag = Packet.Mp.First);
-      let last = List.nth rest (List.length rest - 1) in
-      Alcotest.(check bool) "last tag" true (last.Packet.Mp.tag = Packet.Mp.Last)
-  | [] -> Alcotest.fail "no MPs"
-
-let mp_roundtrip =
-  QCheck.Test.make ~name:"MP split/join identity" ~count:200
-    QCheck.(int_range 64 1518)
-    (fun len ->
-      let f =
-        Packet.Build.udp ~frame_len:len ~src:(addr "10.0.0.1")
-          ~dst:(addr "10.2.0.9") ~src_port:9 ~dst_port:10
-          ~payload:(String.init (min 64 len) (fun i -> Char.chr (i land 0xFF)))
-          ()
-      in
-      let g = Packet.Mp.join (Packet.Mp.split f) ~len in
-      Packet.Frame.equal f g)
+  let p =
+    Ixp.Mac_port.create (Sim.Engine.create ()) ~id:0 ~mbps:100. ~rx_slots:8 ()
+  in
+  Alcotest.(check bool) "offer accepted" true (Ixp.Mac_port.offer p f);
+  let meta = Array.make 8 0 and frames = Array.make 8 f in
+  let n = Ixp.Mac_port.take_burst p ~meta ~frames ~max:8 in
+  Alcotest.(check int) "4 MPs" 4 n;
+  let tag i = Ixp.Mac_port.tag_of_meta meta.(i) in
+  Alcotest.(check bool) "first tag" true (tag 0 = Packet.Mp.First);
+  Alcotest.(check bool) "intermediate tags" true
+    (tag 1 = Packet.Mp.Intermediate && tag 2 = Packet.Mp.Intermediate);
+  Alcotest.(check bool) "last tag" true (tag 3 = Packet.Mp.Last);
+  Alcotest.(check (list int)) "indices in order" [ 0; 1; 2; 3 ]
+    (List.init n (fun i -> Ixp.Mac_port.index_of_meta meta.(i)))
 
 let options_insertion () =
   let f = sample_udp () in
@@ -330,7 +325,6 @@ let qsuite =
       ttl_qcheck;
       checksum_rfc1624_update;
       checksum_verify_roundtrip;
-      mp_roundtrip;
       udp_codec_roundtrip;
       tcp_codec_roundtrip;
       icmp_codec_roundtrip;
