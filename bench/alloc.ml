@@ -71,11 +71,11 @@ let suspension_row () =
   let n = 20_000 in
   Sim.Engine.spawn e "a" (fun () ->
       for _ = 1 to n do
-        Sim.Engine.wait_i 1_000
+        Sim.Engine.wait_in e 1_000
       done);
   Sim.Engine.spawn e "b" (fun () ->
       for _ = 1 to n do
-        Sim.Engine.wait_i 1_000
+        Sim.Engine.wait_in e 1_000
       done);
   let gc = Sim.Gc_stats.create () in
   Sim.Engine.run_until_idle e;

@@ -190,9 +190,8 @@ let classified_churn () =
   Router.start r;
   let writes = ref 0 in
   Sim.Engine.spawn r.Router.engine "classifier-churn" (fun () ->
-      let period = Sim.Engine.of_seconds 20e-6 in
       while true do
-        Sim.Engine.wait period;
+        Sim.Engine.wait_in r.Router.engine 20_000_000;
         let ru = Sim.Rng.pick crng pool in
         if Hashtbl.mem live ru then begin
           ignore (Classifier.remove cls ru);

@@ -193,7 +193,7 @@ let rip_segment () =
                   Control.Rip.prefix = p;
                   metric = Control.Rip.infinity_metric;
                 });
-          Sim.Engine.wait 100_000L)
+          Sim.Engine.wait_in r.Router.engine 100_000)
         ops)
   ;
   let stale = ref 0 and cache_hits = ref 0 and probes = ref 0 in
@@ -220,7 +220,7 @@ let rip_segment () =
                 incr stale
           | `Miss _ -> ()
         done;
-        Sim.Engine.wait 1_000_000L
+        Sim.Engine.wait_in r.Router.engine 1_000_000
       done);
   Router.start r;
   Router.run_for r ~us:2_000.;

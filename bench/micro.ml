@@ -103,7 +103,7 @@ let sim_tests =
            let e = Sim.Engine.create () in
            Sim.Engine.spawn e "w" (fun () ->
                for _ = 1 to 1000 do
-                 Sim.Engine.wait 5000L
+                 Sim.Engine.wait_in e 5000
                done);
            Sim.Engine.run_until_idle e));
   ]

@@ -22,14 +22,14 @@ let probe ~loaded =
     done;
   let results = ref [] in
   Sim.Engine.spawn engine "probe" (fun () ->
-      Sim.Engine.wait (Sim.Engine.of_seconds 1e-6);
+      Sim.Engine.wait_in engine 1_000_000;
       let sample name mem bytes =
         let avg_over op =
-          let t0 = Sim.Engine.now () in
+          let t0 = Sim.Engine.clock_i engine in
           for _ = 1 to 100 do
             op ()
           done;
-          Int64.to_float (Int64.sub (Sim.Engine.now ()) t0) /. 100. /. 5000.
+          float_of_int (Sim.Engine.clock_i engine - t0) /. 100. /. 5000.
         in
         let rd = avg_over (fun () -> Ixp.Mem.read mem ~bytes) in
         let wr = avg_over (fun () -> Ixp.Mem.write mem ~bytes) in

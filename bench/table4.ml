@@ -45,9 +45,9 @@ let run_path ~frame_len =
           ignore
             (Router.Squeue.push q
                (Router.Desc.make ~buf ~len:frame_len ~in_port:0 ~out_port:0
-                  ~arrival:(Sim.Engine.now_i ()) ()))
+                  ~arrival:(Sim.Engine.clock_i engine) ()))
         done;
-        Sim.Engine.wait (Sim.Engine.of_seconds 20e-6);
+        Sim.Engine.wait_in engine 20_000_000;
         top_up ()
       in
       top_up ());

@@ -42,7 +42,7 @@ let run_case ~use_wfq =
     let qid =
       if use_wfq then begin
         Router.Vrp.execute ctx Router.Wfq.vrp_code;
-        match Router.Wfq.pick wfq ~class_id:cls ~now:(Sim.Engine.now ()) with
+        match Router.Wfq.pick wfq ~class_id:cls ~now:(Sim.Engine.time engine) with
         | `High -> 0
         | `Low -> 1
       end

@@ -97,17 +97,12 @@ let run_cmd =
   let fib =
     let engine =
       Arg.enum
-        [
-          ("trie", Iproute.Table.Trie);
-          ("cpe", Iproute.Table.Cpe);
-          ("poptrie", Iproute.Table.Poptrie);
-        ]
+        [ ("cpe", Iproute.Table.Cpe); ("poptrie", Iproute.Table.Poptrie) ]
     in
     Arg.(value & opt engine Router.default_config.Router.route_engine
          & info [ "fib" ] ~docv:"ENGINE"
              ~doc:"Longest-prefix-match engine behind the route cache: \
-                   $(b,trie) (the unibit reference trie), $(b,cpe) \
-                   (controlled prefix expansion, the default), or \
+                   $(b,cpe) (controlled prefix expansion, the default) or \
                    $(b,poptrie) (the compressed bitmap trie sized for \
                    million-route tables under churn).")
   in

@@ -79,15 +79,16 @@ let () =
        ~offer:(fun f -> Router.inject r ~port:0 f)
        ());
   (* Congestion: for the middle third of the run, a burst floods port 2. *)
-  Sim.Engine.spawn r.Router.engine "burst" (fun () ->
-      Sim.Engine.wait (Sim.Engine.of_seconds 4e-3);
+  let engine = r.Router.engine in
+  Sim.Engine.spawn engine "burst" (fun () ->
+      Sim.Engine.wait_in engine 4_000_000_000;
       let gen = Workload.Mix.udp_fixed ~dst:(addr "10.2.0.200") () in
-      let stop_at = Sim.Engine.of_seconds 8e-3 in
-      let gap = Sim.Engine.of_seconds (1. /. 130_000.) in
+      let stop_at = 8_000_000_000 in
+      let gap = Int64.to_int (Sim.Engine.of_seconds (1. /. 130_000.)) in
       let rec blast i =
-        if Sim.Engine.now () < stop_at then begin
+        if Sim.Engine.clock_i engine < stop_at then begin
           ignore (Router.inject r ~port:1 (gen i));
-          Sim.Engine.wait gap;
+          Sim.Engine.wait_in engine gap;
           blast (i + 1)
         end
       in

@@ -121,20 +121,20 @@ let member_of_uplink_mac mac =
 
 let time t = Int64.of_int !(t.clock_ps)
 
-(* Inside a fiber this is the acting member's engine clock (identical in
-   sequential and parallel runs — the member executes the same events at
-   the same times); at a barrier it is the cluster clock. *)
-let cluster_clock t () =
-  match Sim.Engine.current_engine () with
-  | Some e -> Sim.Engine.time e
-  | None -> time t
+(* The cluster clock, as the barrier audits read it. *)
+let now_us t = Sim.Engine.seconds (time t) *. 1e6
 
-let now_us t = Sim.Engine.seconds (cluster_clock t ()) *. 1e6
-
-(* [now_us] from inside a fiber of member [m], read off the engine the
-   cluster holds instead of the domain-local lookup. *)
+(* The clock of member [m]'s engine: what code running in one of [m]'s
+   fibers reads (identical in sequential and parallel runs — the member
+   executes the same events at the same times). *)
 let member_now_us t m =
   Sim.Engine.seconds (Sim.Engine.time t.engines.(m)) *. 1e6
+
+(* A scope event stamped with member [m]'s engine clock. *)
+let member_event t m what =
+  Telemetry.Scope.event_at t.member_scopes.(m)
+    ~at:(Sim.Engine.time t.engines.(m))
+    what
 
 (* Long enough for anything launched before the damage ended to settle:
    both fabric hops plus slack. *)
@@ -167,11 +167,11 @@ let do_crash t m =
      queue towards the member keeps draining — its frames die at the
      dead PHY as dropped_down, the accounted path. *)
   ignore (Fabric_queue.flush t.eg_queues.(m) : int);
-  Telemetry.Scope.event t.member_scopes.(m) "crash"
+  member_event t m "crash"
 
 let snapshot_quiet t m =
   let h = t.health.(m) in
-  h.quiet_since_us <- now_us t;
+  h.quiet_since_us <- member_now_us t m;
   h.attempts_at_quiet <- t.attempts_to.(m);
   h.delivered_at_quiet <- t.delivered_to.(m);
   h.refused_at_quiet <- t.refused_to.(m)
@@ -188,10 +188,10 @@ let do_restart t m =
       :: t.pending_violations.(m);
   set_member_links t m true;
   h.up <- true;
-  h.up_since_us <- now_us t;
+  h.up_since_us <- member_now_us t m;
   h.awaiting_recovery <- true;
   snapshot_quiet t m;
-  Telemetry.Scope.event t.member_scopes.(m) "restart"
+  member_event t m "restart"
 
 (* The deterministic fault drivers: per member, one fiber walking that
    member's crash/restart/window-end boundaries in time order on the
@@ -225,9 +225,11 @@ let spawn_drivers t =
         Sim.Engine.spawn engine "cluster-fault-driver" (fun () ->
             List.iter
               (fun (at_us, act) ->
-                let target = Sim.Engine.of_seconds (at_us *. 1e-6) in
-                let d = Int64.sub target (Sim.Engine.now ()) in
-                if Int64.compare d 0L > 0 then Sim.Engine.wait d;
+                let target =
+                  Int64.to_int (Sim.Engine.of_seconds (at_us *. 1e-6))
+                in
+                let d = target - Sim.Engine.clock_i engine in
+                if d > 0 then Sim.Engine.wait_in engine d;
                 match act with
                 | `Crash -> do_crash t m
                 | `Restart -> do_restart t m
@@ -251,21 +253,21 @@ let spawn_churn_fibers t =
       List.iter
         (fun e ->
           Sim.Engine.spawn engine "cluster-route-churn" (fun () ->
-              let start_ps = Sim.Engine.of_seconds (e.start_us *. 1e-6) in
-              let d = Int64.sub start_ps (Sim.Engine.now ()) in
-              if Int64.compare d 0L > 0 then Sim.Engine.wait d;
-              let period_ps =
-                Int64.of_float (Float.max 1. (1e12 /. e.param))
+              let ps_of_us us =
+                Int64.to_int (Sim.Engine.of_seconds (us *. 1e-6))
               in
+              let d = ps_of_us e.start_us - Sim.Engine.clock_i engine in
+              if d > 0 then Sim.Engine.wait_in engine d;
+              let period_ps = int_of_float (Float.max 1. (1e12 /. e.param)) in
               let end_ps =
-                if e.dur_us <= 0. then Int64.max_int
-                else Sim.Engine.of_seconds ((e.start_us +. e.dur_us) *. 1e-6)
+                if e.dur_us <= 0. then max_int
+                else ps_of_us (e.start_us +. e.dur_us)
               in
               let rng = t.churn_rng.(m) in
               let routes = t.members.(m).Router.routes in
               let ppm = t.members.(m).Router.config.Router.n_ports in
               let installed = ref [] in
-              while Int64.compare (Sim.Engine.now ()) end_ps < 0 do
+              while Sim.Engine.clock_i engine < end_ps do
                 (* A crashed member's control plane is down with it: no
                    writes and no draws until it rejoins, so the stream
                    stays aligned with the deterministic health
@@ -290,7 +292,7 @@ let spawn_churn_fibers t =
                       installed := p :: !installed);
                   t.churn_writes.(m) <- t.churn_writes.(m) + 1
                 end;
-                Sim.Engine.wait period_ps
+                Sim.Engine.wait_in engine period_ps
               done))
         (churn_events t.faults ~member:m))
     t.engines
@@ -339,7 +341,7 @@ let uplink_tx t ~dst (port, f) =
     t.attempts_to.(dst) <- t.attempts_to.(dst) + 1;
     if Router.inject t.members.(dst) ~port f then begin
       if h.awaiting_recovery then begin
-        h.recovery_latency_us <- now_us t -. h.up_since_us;
+        h.recovery_latency_us <- member_now_us t dst -. h.up_since_us;
         h.awaiting_recovery <- false
       end;
       settle t ~dst t.delivered_to
@@ -379,7 +381,8 @@ let deliver_fabric t ~dst ~port f =
     let stall = Fault.Cluster_scenario.stall_us t.faults ~member:dst ~at_us in
     if stall > 0. then begin
       t.in_stalled.(dst) <- t.in_stalled.(dst) + 1;
-      Sim.Engine.wait (Sim.Engine.of_seconds (stall *. 1e-6))
+      Sim.Engine.wait_in t.engines.(dst)
+        (Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6)))
     end;
     if
       not
@@ -971,10 +974,7 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
   let invariants =
     Fault.Invariant.create
       ~scope:(Telemetry.Registry.scope telemetry "invariant")
-      ~clock:(fun () ->
-        match Sim.Engine.current_engine () with
-        | Some e -> Sim.Engine.time e
-        | None -> Int64.of_int !clock_ps)
+      ~clock:(fun () -> Int64.of_int !clock_ps)
       ()
   in
   let t =
@@ -1042,15 +1042,17 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
      nothing from the queue streams. *)
   t.eg_queues <-
     Array.init members (fun m ->
-        Fabric_queue.create ~cfg:fabric_queue ~rng:eg_q_rng.(m)
+        Fabric_queue.create ~engine:engines.(m) ~cfg:fabric_queue
+          ~rng:eg_q_rng.(m)
           ~deliver:(fun item -> launch_fabric t ~src:m item)
           ());
   t.in_queues <-
     Array.init members (fun m ->
-        Fabric_queue.create ~cfg:fabric_queue ~rng:in_q_rng.(m)
+        Fabric_queue.create ~engine:engines.(m) ~cfg:fabric_queue
+          ~rng:in_q_rng.(m)
           ~deliver:(fun item -> uplink_tx t ~dst:m item)
           ());
-  Telemetry.Registry.set_clock telemetry (cluster_clock t);
+  Telemetry.Registry.set_clock telemetry (fun () -> time t);
   register_telemetry t;
   register_invariants t;
   wire_switch t;

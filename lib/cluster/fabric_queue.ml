@@ -127,6 +127,7 @@ let red_drop_prob ~min_th ~max_th ~max_p ~avg =
 type 'a item = { payload : 'a; cls : int; len : int; enq_ps : int }
 
 type 'a t = {
+  engine : Sim.Engine.t;
   cfg : config;
   rng : Sim.Rng.t;
   deliver : 'a -> unit;
@@ -152,10 +153,11 @@ type 'a t = {
   mutable delay_ps : int;
 }
 
-let create ~cfg ~rng ~deliver () =
+let create ~engine ~cfg ~rng ~deliver () =
   let n = classes cfg in
   let weights = match cfg.disc with Wrr { weights } -> weights | _ -> [||] in
   {
+    engine;
     cfg;
     rng;
     deliver;
@@ -256,7 +258,7 @@ let rec serve t =
   | None -> t.busy <- false
   | Some it ->
       let g = t.gen in
-      Sim.Engine.wait_i (service_ps t ~len:it.len);
+      Sim.Engine.wait_in t.engine (service_ps t ~len:it.len);
       if t.gen <> g then begin
         (* The link was cut (crash) while this frame was in service:
            strand it, accounted as flushed. *)
@@ -267,7 +269,7 @@ let rec serve t =
         dec_occ t;
         t.n_serviced <- t.n_serviced + 1;
         t.per_class.(it.cls) <- t.per_class.(it.cls) + 1;
-        t.delay_ps <- t.delay_ps + (Sim.Engine.now_i () - it.enq_ps);
+        t.delay_ps <- t.delay_ps + (Sim.Engine.clock_i t.engine - it.enq_ps);
         t.deliver it.payload
       end;
       serve t
@@ -297,7 +299,7 @@ let offer t ~cls ~len x =
       else begin
         let cls = min (max cls 0) (Array.length t.queues - 1) in
         Queue.push
-          { payload = x; cls; len; enq_ps = Sim.Engine.now_i () }
+          { payload = x; cls; len; enq_ps = Sim.Engine.clock_i t.engine }
           t.queues.(cls);
         t.occ <- t.occ + 1;
         t.n_enqueued <- t.n_enqueued + 1;
@@ -308,7 +310,7 @@ let offer t ~cls ~len x =
         end;
         if not t.busy then begin
           t.busy <- true;
-          Sim.Engine.spawn_here "fabric-queue" (fun () -> serve t)
+          Sim.Engine.spawn t.engine "fabric-queue" (fun () -> serve t)
         end;
         true
       end

@@ -67,9 +67,16 @@ type 'a t
     operation must run inside a fiber on the owning member's engine. *)
 
 val create :
-  cfg:config -> rng:Sim.Rng.t -> deliver:('a -> unit) -> unit -> 'a t
-(** [deliver] is called from the server fiber when a payload finishes its
-    service time (synchronously from {!offer} under [Bypass]). *)
+  engine:Sim.Engine.t ->
+  cfg:config ->
+  rng:Sim.Rng.t ->
+  deliver:('a -> unit) ->
+  unit ->
+  'a t
+(** [engine] is the owning member's engine: the server fiber runs on it
+    and service times and sojourns are measured on its clock.  [deliver]
+    is called from the server fiber when a payload finishes its service
+    time (synchronously from {!offer} under [Bypass]). *)
 
 val offer : 'a t -> cls:int -> len:int -> 'a -> bool
 (** Admit a [len]-byte frame of class [cls] (clamped to the configured

@@ -100,7 +100,7 @@ let run ?telemetry cfg =
   in
   let spinlocks =
     Array.init cfg.n_queues (fun _ ->
-        Sim.Spinlock.create
+        Sim.Spinlock.create ~engine
           ~retry_ps:(Sim.Engine.Clock.ps_of_cycles chip.Ixp.Chip.me_clock 8)
           ())
   in
@@ -372,7 +372,7 @@ let run ?telemetry cfg =
                           ~out_port:i ~arrival:(Sim.Engine.clock_i engine) ()))
                 done)
               queues;
-            Sim.Engine.wait (Sim.Engine.ps_of_ns 2000.);
+            Sim.Engine.wait_in engine 2_000_000;
             top_up ()
           in
           top_up ())
@@ -385,7 +385,7 @@ let run ?telemetry cfg =
     Sim.Engine.spawn engine "drainer" (fun () ->
         let rec drain () =
           Array.iter (fun q -> while Squeue.pop q <> None do () done) queues;
-          Sim.Engine.wait (Sim.Engine.ps_of_ns 1000.);
+          Sim.Engine.wait_in engine 1_000_000;
           drain ()
         in
         drain ());

@@ -144,10 +144,11 @@ let spawn t chip =
                and scheduler backlog survive in memory; service just
                pauses for the reboot. *)
             t.crashes <- t.crashes + 1;
-            Sim.Engine.wait
-              (Sim.Engine.of_seconds
-                 ((Fault.Injector.scenario inj).Fault.Scenario.pe_restart_us
-                 *. 1e-6))
+            Sim.Engine.wait_in t.chip.Ixp.Chip.engine
+              (Int64.to_int
+                 (Sim.Engine.of_seconds
+                    ((Fault.Injector.scenario inj).Fault.Scenario.pe_restart_us
+                    *. 1e-6)))
         | _ -> ());
         (if Psched.backlog t.sched = 0 then begin
            (* Idle: block on the full queue.  Only the PIO stalls count as
@@ -167,10 +168,11 @@ let spawn t chip =
       loop ())
 
 let spawn_control t chip ~name ~period_us ~cycles f =
-  Sim.Engine.spawn chip.Ixp.Chip.engine ("control." ^ name) (fun () ->
-      let period = Sim.Engine.of_seconds (period_us *. 1e-6) in
+  let engine = chip.Ixp.Chip.engine in
+  Sim.Engine.spawn engine ("control." ^ name) (fun () ->
+      let period = Int64.to_int (Sim.Engine.of_seconds (period_us *. 1e-6)) in
       let rec tick () =
-        Sim.Engine.wait period;
+        Sim.Engine.wait_in engine period;
         busy t (fun () -> exec t cycles);
         if f () then tick ()
       in

@@ -497,10 +497,8 @@ let add_route t prefix ~port =
    incremental checksum (charged per Table 5's IP row), MAC rewrite, out
    the routed port. *)
 let finish_ip t ctx frame nh =
-  let cm = t.config.cm in
   Chip_ctx.exec ctx 32;
   Chip_ctx.sram_read ctx ~bytes:24;
-  ignore cm;
   if not (Packet.Ipv4.decrement_ttl frame) then
     (* TTL expired: the slow path owns ICMP generation. *)
     t.sa_ttl_target

@@ -247,7 +247,8 @@ let bridge_up t desc =
       Sim.Stats.Counter.incr t.stats.bridged
 
 let spawn t chip =
-  Sim.Engine.spawn chip.Ixp.Chip.engine "strongarm" (fun () ->
+  let engine = chip.Ixp.Chip.engine in
+  Sim.Engine.spawn engine "strongarm" (fun () ->
       let rec loop backoff =
         (match t.faults with
         | Some inj when Fault.Injector.fires inj Sa_crash ->
@@ -255,10 +256,11 @@ let spawn t chip =
                Queues live in SRAM and survive; in-flight state does not
                accumulate because the loop head is a quiescent point. *)
             t.crashes <- t.crashes + 1;
-            Sim.Engine.wait
-              (Sim.Engine.of_seconds
-                 ((Fault.Injector.scenario inj).Fault.Scenario.sa_restart_us
-                 *. 1e-6))
+            Sim.Engine.wait_in engine
+              (Int64.to_int
+                 (Sim.Engine.of_seconds
+                    ((Fault.Injector.scenario inj).Fault.Scenario.sa_restart_us
+                    *. 1e-6)))
         | _ -> ());
         (* Highest priority: packets coming back down from the Pentium sit
            in a descriptor ring in IXP memory (posted writes by the host);

@@ -250,14 +250,15 @@ type t = {
   mutable c_count : int;  (** occupied slots, stale ones included *)
   mutable epoch : int;
   cache_capacity : int;
-  (* Batch-span memo: within one context activation (an open
-     [Sim.Engine] batch span) bursts are strongly flow-local, so the
-     previous frame's decision usually answers the next frame too.  The
-     memo is a single (span, key, rule) triple checked before the flow
-     cache — a hit skips even the cache's hash probe.  Validity is span
-     identity (a real suspension breaks the span, so nothing can have
-     interleaved); a rule write empties the memo. *)
-  mutable memo_span : int;  (** 0 = memo empty / outside any span *)
+  (* Last-key memo: bursts are strongly flow-local, so the previous
+     forwarder lookup's decision usually answers the next frame too.
+     The memo is a single (key, rule) pair checked before the flow cache
+     — a hit skips even the cache's hash probe.  It holds while
+     [memo_epoch] is the cache's [epoch]: a flush bumps the epoch and a
+     rule write zeroes [memo_epoch], and nothing else can evict or
+     change the memoized key's cache entry, so a memo hit stands in for
+     exactly one flow-cache hit with the same answer. *)
+  mutable memo_epoch : int;  (** 0 = memo empty *)
   mutable memo_hi : int;
   mutable memo_lo : int;
   mutable memo_rule : rule option;
@@ -281,7 +282,7 @@ let create ?(cache_capacity = 4096) () =
     c_count = 0;
     epoch = 1;
     cache_capacity;
-    memo_span = 0;
+    memo_epoch = 0;
     memo_hi = 0;
     memo_lo = 0;
     memo_rule = None;
@@ -341,7 +342,7 @@ let stale : rule option = Some (rule Accept)
    its own packed value go stale.  A write into an empty cache costs
    nothing. *)
 let invalidate t tb r =
-  t.memo_span <- 0;
+  t.memo_epoch <- 0;
   if t.c_count > 0 then begin
     let keys = t.c_keys and answers = t.c_rule and epoch = t.epoch in
     let hi = rule_hi r and lo = rule_lo r in
@@ -501,25 +502,23 @@ let lookup t k =
   check_key "lookup" k;
   lookup_packed t (key_hi k) (key_lo k)
 
-let lookup_span_packed t span hi lo =
-  if
-    span <> 0 && span = t.memo_span && t.memo_hi = hi && t.memo_lo = lo
-  then begin
+let lookup_memo_packed t hi lo =
+  if t.memo_epoch = t.epoch && t.memo_hi = hi && t.memo_lo = lo then begin
     Sim.Stats.Counter.incr t.memo_hits;
     t.memo_rule
   end
   else begin
     let r = lookup_packed t hi lo in
-    t.memo_span <- span;
+    t.memo_epoch <- t.epoch;
     t.memo_hi <- hi;
     t.memo_lo <- lo;
     t.memo_rule <- r;
     r
   end
 
-let lookup_span t ~span k =
-  check_key "lookup_span" k;
-  lookup_span_packed t span (key_hi k) (key_lo k)
+let lookup_memo t k =
+  check_key "lookup_memo" k;
+  lookup_memo_packed t (key_hi k) (key_lo k)
 
 let lookup_linear t k =
   List.fold_left
@@ -576,16 +575,7 @@ let forwarder ?(max_probes = 4) ~(cm : Router.Cost_model.t) t =
           (Packet.Frame.get_u16 frame (base + 2))
           (Packet.Ipv4.get_proto frame) (Packet.Ipv4.dscp frame)
       in
-      (* Inside a batch span consecutive frames of a burst share the
-         activation — and usually the flow — so route through the span
-         memo.  Outside any span [current_span] is 0 and the memo is
-         bypassed. *)
-      let span =
-        match Sim.Engine.current_engine () with
-        | Some e -> Sim.Engine.current_span e
-        | None -> 0
-      in
-      match lookup_span_packed t span hi lo with
+      match lookup_memo_packed t hi lo with
       | None | Some { act = Accept; _ } -> Router.Forwarder.Continue
       | Some { act = Drop; _ } -> Router.Forwarder.Drop
       | Some { act = Forward p; _ } -> Router.Forwarder.Forward p

@@ -20,7 +20,7 @@
     every other flow stays cached.  A stale entry is never served: its
     next lookup misses and rewrites it (the staleness audit in the test
     battery checks this at 10k ops).  The write also empties the
-    batch-span memo.  Its cost is one pass over the cache's slot table,
+    last-key memo.  Its cost is one pass over the cache's slot table,
     whose size is bounded by [cache_capacity] (at most
     [max 512 (4 * cache_capacity)] slots); a write into an empty cache
     costs nothing.
@@ -109,16 +109,18 @@ val remove : t -> rule -> bool
 val lookup : t -> Packet.Flow.five -> rule option
 (** The winning rule via flow cache + pruned tuple walk, or [None] when
     nothing matches.  Raises [Invalid_argument] if a port, protocol or
-    DSCP field of the key exceeds its wire width ({!lookup_span} too). *)
+    DSCP field of the key exceeds its wire width ({!lookup_memo} too).
+    [lookup] neither reads nor fills the last-key memo. *)
 
-val lookup_span : t -> span:int -> Packet.Flow.five -> rule option
-(** {!lookup} behind a one-entry batch-span memo: when [span] is nonzero
-    and equals the span of the previous call with the same key (and no
-    rule was written since), the previous answer is returned without
-    touching the flow cache.  Bursts inside one context activation are
-    strongly flow-local, so the memo absorbs most of a burst after its
-    first frame.  Pass [Sim.Engine.current_span]; [span = 0] (outside
-    any batch span) bypasses the memo entirely. *)
+val lookup_memo : t -> Packet.Flow.five -> rule option
+(** {!lookup} behind a one-entry last-key memo, as the {!forwarder} runs
+    it: when the key equals that of the previous [lookup_memo] call and
+    neither a rule write nor a flow-cache flush came in between, the
+    previous answer is returned without touching the flow cache.  Bursts
+    are strongly flow-local, so the memo absorbs most of a burst after
+    its first frame.  A memo hit always replaces a flow-cache hit with
+    the same answer, so verdicts, {!cache_misses} and {!probes} are
+    those of a memo-free {!lookup} sequence. *)
 
 val lookup_linear : t -> Packet.Flow.five -> rule option
 (** The naive oracle: scan every installed rule, keep the best by
@@ -138,7 +140,7 @@ val probes : t -> int
     tuples touched per miss). *)
 
 val batch_memo_hits : t -> int
-(** Lookups answered by the batch-span memo ({!lookup_span}) without
+(** Lookups answered by the last-key memo ({!lookup_memo}) without
     touching the flow cache. *)
 
 val attach : t -> Telemetry.Scope.t -> unit
@@ -148,7 +150,8 @@ val attach : t -> Telemetry.Scope.t -> unit
 
 val forwarder :
   ?max_probes:int -> cm:Router.Cost_model.t -> t -> Router.Forwarder.t
-(** A general (match-all) forwarder running {!lookup} on every packet.
+(** A general (match-all) forwarder running {!lookup_memo} on every
+    packet.
     Declared VRP cost: the flow-cache probe ([mf_cache_instr] + one
     hash) plus [max_probes] (default 4) worst-case tuple probes at
     [mf_probe_instr] instructions and [mf_probe_sram_bytes] of rule

@@ -92,7 +92,7 @@ let create engine ~addr ~send () =
   in
   Sim.Engine.spawn engine "host-pump" (fun () ->
       let rec tick () =
-        Sim.Engine.wait (Sim.Engine.of_seconds 150e-6);
+        Sim.Engine.wait_in engine 150_000_000;
         pump t;
         tick ()
       in

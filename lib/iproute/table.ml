@@ -1,9 +1,8 @@
 type nexthop = { out_port : int; gateway_mac : Packet.Ethernet.mac }
 
-type engine = Trie | Cpe | Poptrie
+type engine = Cpe | Poptrie
 
 type backend =
-  | B_trie of nexthop Btrie.t ref
   | B_cpe of nexthop Cpe.t
   | B_pop of nexthop Poptrie.t
 
@@ -17,7 +16,6 @@ let create ?(engine = Cpe) ?(cache_slots = 1024)
     ?(selective_invalidation = false) () =
   let backend =
     match engine with
-    | Trie -> B_trie (ref Btrie.empty)
     | Cpe -> B_cpe (Cpe.build ~strides:[ 16; 8; 8 ] [])
     | Poptrie -> B_pop (Poptrie.create ())
   in
@@ -33,21 +31,18 @@ let on_change t p =
 
 let add t p nh =
   (match t.backend with
-  | B_trie r -> r := Btrie.add !r p nh
   | B_cpe c -> Cpe.add c p nh
   | B_pop pt -> Poptrie.add pt p nh);
   on_change t p
 
 let remove t p =
   (match t.backend with
-  | B_trie r -> r := Btrie.remove !r p
   | B_cpe c -> Cpe.remove c p
   | B_pop pt -> Poptrie.remove pt p);
   on_change t p
 
 let lookup t a =
   match t.backend with
-  | B_trie r -> Option.map snd (Btrie.lookup !r a)
   | B_cpe c -> Option.map snd (Cpe.lookup c a)
   | B_pop pt -> Option.map snd (Poptrie.lookup pt a)
 
@@ -85,19 +80,16 @@ let lookup_cached_i t k ~hit =
 
 let size t =
   match t.backend with
-  | B_trie r -> Btrie.size !r
   | B_cpe c -> Cpe.size c
   | B_pop pt -> Poptrie.size pt
 
 let bindings t =
   match t.backend with
-  | B_trie r -> Btrie.bindings !r
   | B_cpe c -> Cpe.bindings c
   | B_pop pt -> Poptrie.bindings pt
 
 let node_count t =
   match t.backend with
-  | B_trie r -> Btrie.node_count !r
   | B_cpe c -> Cpe.memory_entries c
   | B_pop pt -> Poptrie.node_count pt
 
@@ -106,7 +98,6 @@ let cache_scan_cost t = Route_cache.scan_cost t.cache
 
 let engine_name t =
   match t.backend with
-  | B_trie _ -> "trie"
   | B_cpe _ -> "cpe"
   | B_pop _ -> "poptrie"
 

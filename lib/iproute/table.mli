@@ -11,11 +11,11 @@ type nexthop = {
   gateway_mac : Packet.Ethernet.mac;  (** next hop's MAC address *)
 }
 
-type engine = Trie | Cpe | Poptrie
-(** Lookup engine: the unibit trie ({!Btrie}, the reference), controlled
-    prefix expansion ({!Cpe}, the paper's ref [22]), and the compressed
-    stride-6 bitmap trie ({!Poptrie}) sized for million-route tables
-    under incremental churn. *)
+type engine = Cpe | Poptrie
+(** Lookup engine: controlled prefix expansion ({!Cpe}, the paper's ref
+    [22]), or the compressed stride-6 bitmap trie ({!Poptrie}) sized for
+    million-route tables under incremental churn.  The unibit {!Btrie}
+    stays outside the table, as the differential tests' reference. *)
 
 type t
 
@@ -56,15 +56,15 @@ val lookup_cached_i : t -> int -> hit:bool ref -> nexthop
 
 val size : t -> int
 (** Number of routes, counted when called: O(1) on [Poptrie], a full
-    traversal on the other engines.  Not for the packet path. *)
+    traversal on [Cpe].  Not for the packet path. *)
 
 val bindings : t -> (Prefix.t * nexthop) list
 (** Every installed route, order unspecified — the differential tests
     rebuild a reference {!Btrie} from this set mid-churn. *)
 
 val node_count : t -> int
-(** Engine memory footprint in its native unit (trie nodes or expanded
-    CPE entries). *)
+(** Engine memory footprint in its native unit (expanded CPE entries or
+    poptrie nodes). *)
 
 val cache_hit_rate : t -> float
 

@@ -30,7 +30,7 @@ type t = {
   mutable absorbed : int; (* waits absorbed into batch activations *)
   mutable batched_activations : int; (* spans completed without queueing *)
   mutable batch_frames : int; (* frames processed through batch spans *)
-  (* Payload slot for the boxless wait path: [wait_i]/[wait] stash the
+  (* Payload slot for the boxless wait path: [wait_in] stashes the
      duration here and perform the constant [Wait0] instead of
      allocating a [Wait d] block per suspension.  Valid only between
      the perform and the handler reading it back — nothing can run in
@@ -75,27 +75,15 @@ type _ Effect.t +=
   | Suspend : (waker -> unit) -> unit Effect.t
   | Park : cell -> unit Effect.t
   | Park0 : unit Effect.t (* cell in [park_arg]; constant, no box *)
-  | Spawn_here : (string * (unit -> unit)) -> unit Effect.t
-  | Self : t Effect.t
 
-(* The engine currently dispatching events on THIS domain, for callers
-   that hold no engine handle (the ambient [now_i]/[wait_i] wrappers).
-   Domain-local (not a process-global ref): engines on sibling domains
-   must never alias each other's dispatch state.  Saved and restored
-   around [run]/[run_until_idle] to keep nested runs (an engine driven
-   from inside another engine's fiber) correct.  A lookup costs several
-   times a field read, so the data path reads the engine it holds, and
-   every lookup is counted on the engine it finds. *)
+(* The engine currently dispatching events on THIS domain, read only by
+   the ambient [now_i]/[wait_i] pair.  Domain-local (not a
+   process-global ref): engines on sibling domains must never alias
+   each other's dispatch state.  Saved and restored around
+   [run]/[run_until_idle] to keep nested runs (an engine driven from
+   inside another engine's fiber) correct.  Every lookup is counted on
+   the engine it finds. *)
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current () =
-  match Domain.DLS.get current_key with
-  | Some t as c ->
-      t.ambient <- t.ambient + 1;
-      c
-  | None -> None
-
-let current_engine = current
 
 let create () =
   (* The dummy cell breaks the [t]/[cell] knot so [park_arg] never needs
@@ -198,7 +186,7 @@ let rec exec_fiber t name fn =
                 (fun (k : (a, unit) continuation) ->
                   t.cur_span <- 0;
                   if d < 0 then
-                    discontinue k (Invalid_argument "Engine.wait: negative")
+                    discontinue k (Invalid_argument "Engine.wait_in: negative")
                   else schedule_event t ~at:(t.clock + d) (Resume k))
           | Suspend f ->
               Some
@@ -226,12 +214,6 @@ let rec exec_fiber t name fn =
                   | None -> c.pk <- Some { kk = k });
                   c.occupied <- true;
                   c.register ())
-          | Spawn_here (n, g) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  spawn t n g;
-                  continue k ())
-          | Self -> Some (fun (k : (a, unit) continuation) -> continue k t)
           | _ -> None);
     }
 
@@ -341,7 +323,6 @@ let batch_end t span ~frames =
   if frames > 0 then t.batched_activations <- t.batched_activations + 1;
   if t.cur_span = span then t.cur_span <- 0
 
-let current_span t = t.cur_span
 let absorbed_waits t = t.absorbed
 let batched_activations t = t.batched_activations
 let batch_frames_total t = t.batch_frames
@@ -380,24 +361,16 @@ let wait_in t d =
   end
   else Effect.perform (Wait d)
 
-(* The ambient forms: one lookup, then the handle form.  Outside any
-   engine [self_engine] performs [Self], which fails loudly
-   (Effect.Unhandled). *)
-let self_engine () =
-  match current () with Some t -> t | None -> Effect.perform Self
+(* The ambient pair: one counted lookup, then the handle form. *)
+let ambient who =
+  match Domain.DLS.get current_key with
+  | Some t ->
+      t.ambient <- t.ambient + 1;
+      t
+  | None -> invalid_arg ("Engine." ^ who ^ ": no engine is running")
 
-let now_i () = clock_i (self_engine ())
-let now () = Int64.of_int (now_i ())
-let wait_i d = wait_in (self_engine ()) d
-
-(* [wait] never elides: every call is a real suspension. *)
-let wait d =
-  if d < 0L then Effect.perform (Wait (-1))
-  else begin
-    let t = self_engine () in
-    t.wait_arg <- Int64.to_int d;
-    Effect.perform Wait0
-  end
+let now_i () = clock_i (ambient "now_i")
+let wait_i d = wait_in (ambient "wait_i") d
 
 let suspend f = Effect.perform (Suspend f)
 
@@ -410,15 +383,12 @@ let park c =
   end
   else Effect.perform (Park c)
 
-let spawn_here name fn = Effect.perform (Spawn_here (name, fn))
-
 module Clock = struct
   type clock = { ps : int }
 
   let of_mhz f =
     { ps = Int64.to_int (Int64.of_float (Float.round (1_000_000. /. f))) }
 
-  let ps_per_cycle c = Int64.of_int c.ps
   let ps_of_cycles c n = Int64.of_int (c.ps * n)
   let ps_of_cycles_i c n = c.ps * n
   let cycles_of_ps c ps = Int64.to_float ps /. float_of_int c.ps

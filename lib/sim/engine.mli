@@ -8,16 +8,13 @@
     in strict timestamp order with FIFO tie-breaking, so a run is a pure
     function of its inputs.
 
-    {b Handle versus ambient.}  Code that holds the engine — every
-    device, loop and source built with one — reads and waits on it
-    through the handle forms {!clock_i} and {!wait_in}: a field read.
-    The ambient forms ({!now_i}, {!now}, {!wait_i}, {!wait},
-    {!self_engine}) first find the dispatching engine through a
-    domain-local key, which costs several times a field read per call.
-    They are one-line wrappers over the handle forms, kept for callers
-    that have no handle: the control plane, tests and harnesses.  Every
-    ambient lookup is counted ({!ambient_lookups}), so a data-path
-    caller that slips back to the ambient form shows up in telemetry.
+    {b One handle.}  Every fiber, device, loop and source reaches the
+    engine through the handle it was built with: {!clock_i} and
+    {!wait_in} read and advance it, {!spawn} starts a sibling fiber on
+    it.  Nothing finds "the current engine" implicitly, so a cluster
+    member, a device or a test reads exactly the clock it names.  The
+    one exception is the counted pair {!now_i}/{!wait_i}, kept only for
+    the end-to-end benchmark harness until it is rewritten.
 
     Time is measured in integer picoseconds so that the 200 MHz IXP clock
     (5000 ps) and the 733 MHz Pentium clock (1364 ps) share an exact common
@@ -46,10 +43,11 @@ val clock_i : t -> int
 
 val wait_in : t -> int -> unit
 (** [wait_in t d] advances the calling fiber, which must be running on
-    [t], [d] picoseconds; the handle form of {!wait_i}.  When no other
-    event falls inside the window the clock advances in place without
-    queueing an event (wait elision, see {!set_coalescing}).  [d < 0]
-    raises [Invalid_argument] in the fiber. *)
+    [t], [d] picoseconds.  When no other event falls inside the window
+    the clock advances in place without queueing an event (wait
+    elision, see {!set_coalescing}); otherwise the fiber suspends, so
+    [wait_in t 0] yields to events already due at the same instant.
+    [d < 0] raises [Invalid_argument] in the fiber. *)
 
 val spawn : t -> string -> (unit -> unit) -> unit
 (** [spawn t name fn] registers fiber [fn], to start at the current
@@ -101,9 +99,8 @@ val elided_waits : t -> int
     + absorbed_waits t] approximates the logical event count. *)
 
 val ambient_lookups : t -> int
-(** [ambient_lookups t] counts the times a caller without a handle found
-    [t] through the domain-local dispatching-engine key ({!now_i},
-    {!wait_i}, {!now}, {!wait}, {!self_engine}, {!current_engine}). *)
+(** [ambient_lookups t] counts the times {!now_i} or {!wait_i} found [t]
+    through the domain-local dispatching-engine key. *)
 
 val far_hits : t -> int
 (** [far_hits t] is the number of events pushed beyond the timing
@@ -144,13 +141,6 @@ val batch_end : t -> int -> frames:int -> unit
     coalesced activation only if it was never broken by a real
     suspension. *)
 
-val current_span : t -> int
-(** [current_span t] is the id of the currently open batch span, or [0]
-    when outside any span (or after the span was broken by a real
-    suspension).  Per-batch memo caches key their validity on this id:
-    a cached decision is reusable only while the span that filled it is
-    still open. *)
-
 val absorbed_waits : t -> int
 (** [absorbed_waits t] is the number of waits satisfied in place inside
     a batch span.  Disjoint from {!elided_waits}: a wait is counted in
@@ -166,29 +156,22 @@ val batch_frames_total : t -> int
     through batch spans ([batch_frames_total / batched_activations]
     approximates the mean realized batch size). *)
 
-val current_engine : unit -> t option
-(** [current_engine ()] is the engine currently dispatching events on
-    the calling domain, if any.  Unlike {!self_engine} it never performs
-    an effect, so it is safe to call from plain (non-fiber) code — e.g.
-    a telemetry clock that wants engine time inside a fiber and falls
-    back to another clock outside. *)
+(** {1 Ambient clock, for the benchmark harness only}
 
-(** {1 Operations valid only inside a fiber} *)
-
-val now : unit -> int64
-(** [now ()] is the current simulated time, from inside a fiber (an
-    ambient lookup). *)
+    These two find the engine dispatching on the calling domain through
+    a domain-local key and count the lookup ({!ambient_lookups}).  They
+    exist only for the end-to-end benchmark harness; everything else
+    passes the engine it holds. *)
 
 val now_i : unit -> int
-(** [now_i ()] is [clock_i (self_engine ())]: the ambient {!clock_i}. *)
-
-val wait : int64 -> unit
-(** [wait d] advances this fiber [d] picoseconds as a real suspension,
-    never elided.  [wait 0L] yields to other fibers scheduled at the
-    same instant. *)
+(** [now_i ()] is {!clock_i} of the engine running the calling fiber.
+    Raises [Invalid_argument] outside any {!run}. *)
 
 val wait_i : int -> unit
-(** [wait_i d] is [wait_in (self_engine ()) d]: the ambient {!wait_in}. *)
+(** [wait_i d] is {!wait_in} on the engine running the calling fiber.
+    Raises [Invalid_argument] outside any {!run}. *)
+
+(** {1 Operations valid only inside a fiber} *)
 
 val suspend : (waker -> unit) -> unit
 (** [suspend f] parks the calling fiber and hands [f] a waker that any other
@@ -228,13 +211,6 @@ val park : cell -> unit
     fiber each time, running on the cell's engine; a cell holds at most
     one continuation). *)
 
-val spawn_here : string -> (unit -> unit) -> unit
-(** [spawn_here name fn] spawns a sibling fiber from inside a fiber. *)
-
-val self_engine : unit -> t
-(** [self_engine ()] is the engine running the calling fiber (an
-    ambient lookup). *)
-
 (** {1 Clocks} *)
 
 module Clock : sig
@@ -243,9 +219,6 @@ module Clock : sig
 
   val of_mhz : float -> clock
   (** [of_mhz f] is the clock of an [f] MHz processor. *)
-
-  val ps_per_cycle : clock -> int64
-  (** Picoseconds per cycle, rounded to nearest. *)
 
   val ps_of_cycles : clock -> int -> int64
   (** [ps_of_cycles c n] converts [n] cycles to picoseconds. *)

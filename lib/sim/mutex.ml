@@ -3,20 +3,17 @@ type t = {
   mutable locked : bool;
   waiters : Engine.waker Queue.t;
   mutable contended : int;
-  mutable wait_time : int64;
 }
 
 let create ?(name = "mutex") () =
-  { name; locked = false; waiters = Queue.create (); contended = 0; wait_time = 0L }
+  { name; locked = false; waiters = Queue.create (); contended = 0 }
 
 let lock m =
   if not m.locked then m.locked <- true
   else begin
     m.contended <- m.contended + 1;
-    let t0 = Engine.now () in
-    Engine.suspend (fun w -> Queue.push w m.waiters);
-    (* The unlocker transferred ownership to us; the lock stays held. *)
-    m.wait_time <- Int64.add m.wait_time (Int64.sub (Engine.now ()) t0)
+    (* The unlocker transfers ownership to us; the lock stays held. *)
+    Engine.suspend (fun w -> Queue.push w m.waiters)
   end
 
 let unlock m =
@@ -36,5 +33,4 @@ let with_lock m f =
       raise e
 
 let contended_acquires m = m.contended
-let wait_time_total m = m.wait_time
 let locked m = m.locked

@@ -23,8 +23,5 @@ val with_lock : t -> (unit -> 'a) -> 'a
 val contended_acquires : t -> int
 (** Number of {!lock} calls that had to block. *)
 
-val wait_time_total : t -> int64
-(** Cumulative time fibers spent blocked on this mutex. *)
-
 val locked : t -> bool
 (** [locked m] is true while some fiber holds [m]. *)

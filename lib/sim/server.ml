@@ -72,8 +72,3 @@ let queue_delay_total s = Int64.of_int s.queue_delay_total
 let utilization s ~total =
   if total = 0L then 0.
   else float_of_int s.busy_time /. Int64.to_float total
-
-let reset_stats s =
-  s.busy_time <- 0;
-  s.requests <- 0;
-  s.queue_delay_total <- 0

@@ -62,6 +62,3 @@ val queue_delay_total : t -> int64
 
 val utilization : t -> total:int64 -> float
 (** [utilization s ~total] is [busy_time / total]. *)
-
-val reset_stats : t -> unit
-(** [reset_stats s] zeroes the counters (not the busy horizon). *)

@@ -1,19 +1,27 @@
 type t = {
   name : string;
-  retry_ps : int64;
+  engine : Engine.t;
+  retry_ps : int;
   mutable locked : bool;
   mutable attempts : int;
   mutable acquisitions : int;
 }
 
-let create ?(name = "spinlock") ~retry_ps () =
-  { name; retry_ps; locked = false; attempts = 0; acquisitions = 0 }
+let create ?(name = "spinlock") ~engine ~retry_ps () =
+  {
+    name;
+    engine;
+    retry_ps = Int64.to_int retry_ps;
+    locked = false;
+    attempts = 0;
+    acquisitions = 0;
+  }
 
 let rec lock l ~attempt =
   l.attempts <- l.attempts + 1;
   attempt ();
   if l.locked then begin
-    Engine.wait l.retry_ps;
+    Engine.wait_in l.engine l.retry_ps;
     lock l ~attempt
   end
   else begin

@@ -12,9 +12,9 @@
 
 type t
 
-val create : ?name:string -> retry_ps:int64 -> unit -> t
-(** [create ~retry_ps ()] is an unlocked spin lock whose failed attempts
-    retry after [retry_ps]. *)
+val create : ?name:string -> engine:Engine.t -> retry_ps:int64 -> unit -> t
+(** [create ~engine ~retry_ps ()] is an unlocked spin lock whose failed
+    attempts retry after [retry_ps] on [engine]. *)
 
 val lock : t -> attempt:(unit -> unit) -> unit
 (** [lock l ~attempt] spins, charging [attempt] per try, until acquired. *)

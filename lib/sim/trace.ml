@@ -22,9 +22,6 @@ let record t ~at ~who ~what =
     t.count <- t.count + 1
   end
 
-let emit t ~who ~what =
-  if t.on then record t ~at:(Engine.now ()) ~who ~what
-
 let events t =
   let cap = Array.length t.ring in
   let n = min t.count cap in

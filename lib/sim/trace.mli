@@ -1,8 +1,8 @@
 (** Event tracing: a bounded ring of timestamped events for debugging
     simulated pipelines.
 
-    Tracing is opt-in and cheap when disabled: {!emit} on a disabled trace
-    is a single branch, so instrumentation can stay in place.  The ring
+    Tracing is opt-in and cheap when disabled: {!record} on a disabled
+    trace is a single branch, so instrumentation can stay in place.  The ring
     overwrites its oldest entries, keeping the most recent window — the
     part that matters when a run ends in a surprise. *)
 
@@ -18,12 +18,9 @@ val enable : t -> unit
 val disable : t -> unit
 val enabled : t -> bool
 
-val emit : t -> who:string -> what:string -> unit
-(** Record an event at the current simulated time (inside a fiber); no-op
-    when disabled. *)
-
 val record : t -> at:int64 -> who:string -> what:string -> unit
-(** Like {!emit} with an explicit timestamp (usable outside fibers). *)
+(** Record an event stamped [at] (simulated picoseconds); no-op when
+    disabled. *)
 
 val events : t -> event list
 (** Oldest first, at most [capacity]. *)

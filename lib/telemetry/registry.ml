@@ -73,7 +73,7 @@ module Scope = struct
   let gauge_int s name f = register s name (Gauge_int f)
   let dynamic s name f = register s name (Dynamic f)
 
-  let event s what =
+  let event_at s ~at what =
     if s.reg.on then begin
       let ring =
         match s.ring with
@@ -84,8 +84,10 @@ module Scope = struct
             s.ring <- Some r;
             r
       in
-      Sim.Trace.record ring ~at:(s.reg.clock ()) ~who:s.path ~what
+      Sim.Trace.record ring ~at ~who:s.path ~what
     end
+
+  let event s what = if s.reg.on then event_at s ~at:(s.reg.clock ()) what
 
   let events s =
     match s.ring with None -> [] | Some r -> Sim.Trace.events r

@@ -59,6 +59,11 @@ module Scope : sig
       the scope path).  A single branch when the registry is disabled:
       nothing is allocated or recorded. *)
 
+  val event_at : t -> at:int64 -> string -> unit
+  (** {!event} stamped [at] instead of the registry clock: for a scope
+      whose events happen on a clock of their own, like a cluster
+      member's engine. *)
+
   val events : t -> Sim.Trace.event list
   (** Events recorded so far (oldest first, bounded by the ring). *)
 end

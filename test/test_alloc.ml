@@ -8,13 +8,14 @@
    - a GC audit of the full line-rate router: after warm-up, a measured
      window must stay within the words-per-packet budget and promote
      nothing to the major heap (steady state lives and dies entirely in
-     the minor arena), and its data path must read the engine it holds,
-     leaving the domain-local engine lookup at a handful per forwarded
-     packet; a second run adds the delivery digest and connected sinks
-     under their own budget;
+     the minor arena); a second run adds the delivery digest and
+     connected sinks under their own budget;
    - a per-call audit of the classified forwarder chain: with the
      multi-field classifier installed, [Router.default_process] stays
      within a few words per packet and promotes nothing;
+   - on each of those routers, and on a cluster whose queued fabric
+     carries cross-member frames, every fiber reads the engine it
+     holds: no run finds its engine through the domain-local key;
    - a qcheck property that frame-pool recycling never aliases two live
      descriptors (the pool closing the allocation loop must not hand
      the same frame out twice);
@@ -32,10 +33,16 @@ let words_per_packet_budget = 90.
    sink and the digest's 16-byte result, and nothing else. *)
 let digest_words_per_packet_budget = 100.
 
-(* Domain-local engine lookups per forwarded packet.  The data path
-   holds its engine; what is left comes from the few callers with no
-   handle. *)
-let ambient_lookups_per_packet_budget = 5.
+(* Every fiber holds its engine, so a run finds none through the
+   domain-local key (the ambient pair kept only for the end-to-end
+   benchmark harness). *)
+let check_no_ambient_lookups ~what engines =
+  let n =
+    Array.fold_left (fun n e -> n + Sim.Engine.ambient_lookups e) 0 engines
+  in
+  if n > 0 then
+    Alcotest.failf "%s found its engine through the domain-local key %d times"
+      what n
 
 (* --- steady-state GC audit -------------------------------------------- *)
 
@@ -76,8 +83,7 @@ let line_rate_router () =
   r
 
 (* Runs [r] through a warm-up and a measured window; returns the
-   packets forwarded, the GC counters and the ambient engine lookups
-   over the measured window. *)
+   packets forwarded and the GC counters over the measured window. *)
 let measure_window r =
   (* A minor arena big enough that the measured window cannot fill it:
      any promotion observed is then a real steady-state leak to the
@@ -88,13 +94,11 @@ let measure_window r =
     Sim.Stats.Counter.value r.Router.ostats.Router.Output_loop.pkts_out
   in
   let out0 = pkts_out () in
-  let lookups0 = Sim.Engine.ambient_lookups r.Router.engine in
   let gc = Sim.Gc_stats.create () in
   Router.run_for r ~us:10_000.;
   let out = pkts_out () - out0 in
-  let lookups = Sim.Engine.ambient_lookups r.Router.engine - lookups0 in
   Alcotest.(check bool) "forwarded enough packets to measure" true (out > 1_000);
-  (out, gc, lookups)
+  (out, gc)
 
 let check_gc_budget ~what ~budget out gc =
   let w = Sim.Gc_stats.minor_words gc /. float_of_int out in
@@ -109,14 +113,10 @@ let check_gc_budget ~what ~budget out gc =
     (Sim.Gc_stats.minor_collections gc)
 
 let test_steady_state_gc () =
-  let out, gc, lookups = measure_window (line_rate_router ()) in
+  let r = line_rate_router () in
+  let out, gc = measure_window r in
   check_gc_budget ~what:"steady state" ~budget:words_per_packet_budget out gc;
-  let per_pkt = float_of_int lookups /. float_of_int out in
-  if per_pkt > ambient_lookups_per_packet_budget then
-    Alcotest.failf
-      "the data path finds its engine through the domain-local key %.2f \
-       times per packet (budget %.0f)"
-      per_pkt ambient_lookups_per_packet_budget
+  check_no_ambient_lookups ~what:"the line-rate router" [| r.Router.engine |]
 
 let test_digest_gc () =
   let r = line_rate_router () in
@@ -125,7 +125,7 @@ let test_digest_gc () =
   for p = 0 to r.Router.config.Router.n_ports - 1 do
     Router.connect r ~port:p (fun _ -> incr delivered)
   done;
-  let out, gc, _ = measure_window r in
+  let out, gc = measure_window r in
   Alcotest.(check bool) "the connected sinks saw the traffic" true
     (!delivered >= out);
   check_gc_budget ~what:"with the delivery digest"
@@ -245,11 +245,11 @@ let test_classified_chain_alloc () =
       fun ctx f ~in_port ->
         if not !measuring then process ctx f ~in_port
         else begin
-          let s0 = Sim.Engine.now_i () in
+          let s0 = Sim.Engine.clock_i r.Router.engine in
           let w0 = minor_words () in
           let v = process ctx f ~in_port in
           let w1 = minor_words () in
-          if Sim.Engine.now_i () = s0 then begin
+          if Sim.Engine.clock_i r.Router.engine = s0 then begin
             incr calls;
             words := !words + (w1 - w0)
           end;
@@ -285,7 +285,44 @@ let test_classified_chain_alloc () =
   let promoted = Sim.Gc_stats.promoted_words gc in
   if promoted > 0. then
     Alcotest.failf "the classified run promoted %.0f words to the major heap"
-      promoted
+      promoted;
+  Alcotest.(check bool) "the memo answered bursts" true
+    (C.batch_memo_hits cls > 0);
+  check_no_ambient_lookups ~what:"the classified router" [| r.Router.engine |]
+
+(* --- queued cluster fabric --------------------------------------------- *)
+
+(* Member 1's ports send to member 0's subnets, so every frame crosses
+   the fabric through member 1's uplink queue and member 0's ingress
+   queue, each served by a fiber on its own member's engine. *)
+let test_queued_fabric_engines () =
+  let fabric_queue =
+    match Cluster.Fabric_queue.parse "taildrop:64" with
+    | Ok q -> q
+    | Error m -> Alcotest.fail m
+  in
+  let c = Cluster.create ~members:2 ~ports_per_member:4 ~fabric_queue () in
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  for g = 4 to 7 do
+    let rng = Sim.Rng.split rng in
+    ignore
+      (Workload.Source.spawn_constant (Cluster.engine_of_global_port c g)
+         ~name:(Printf.sprintf "cross%d" g)
+         ~pps:50_000.
+         ~gen:(fun _ ->
+           Packet.Build.udp
+             ~src:(Workload.Mix.subnet_addr ~subnet:(200 + g) ~host:1)
+             ~dst:
+               (Workload.Mix.subnet_addr ~subnet:(Sim.Rng.int rng 4) ~host:2)
+             ~src_port:1000 ~dst_port:2000 ())
+         ~offer:(fun f -> Cluster.inject c ~global_port:g f)
+         ())
+  done;
+  Cluster.run_for c ~us:1_000.;
+  let served = Cluster.Fabric_queue.serviced c.Cluster.in_queues.(0) in
+  if served < 100 then
+    Alcotest.failf "only %d frames crossed the queued fabric" served;
+  check_no_ambient_lookups ~what:"the queued cluster" c.Cluster.engines
 
 (* --- pool recycling never aliases live frames -------------------------- *)
 
@@ -405,6 +442,8 @@ let tests =
       `Quick test_classifier_miss_alloc;
     Alcotest.test_case "classified forwarder chain allocation" `Slow
       test_classified_chain_alloc;
+    Alcotest.test_case "queued cluster fabric reads its engines" `Quick
+      test_queued_fabric_engines;
     QCheck_alcotest.to_alcotest pool_no_aliasing;
     Alcotest.test_case "limb RNG = int64 reference" `Quick
       test_rng_matches_reference;

@@ -341,51 +341,110 @@ let classified_delivery_identity () =
         g g')
     [ 1; 16 ]
 
-(* The batch-span memo must be pure acceleration: same answers as
-   [lookup], hits only within one span on a repeated key, and any rule
-   write empties it. *)
-let batch_memo_semantics () =
-  let t =
-    of_rules
-      [
-        Classifier.rule ~prio:1 ~dst:(addr "10.2.0.0", 16) Classifier.Drop;
-        Classifier.rule ~prio:2 ~src:(addr "10.1.0.0", 16) Classifier.Accept;
-      ]
+(* The last-key memo must be pure acceleration: a repeated key hits it,
+   a rule write or a flow-cache flush empties it, every answer is the
+   linear oracle's, and a memo hit only ever stands in for a flow-cache
+   hit — misses and probes are those of the memo-free [lookup]. *)
+let last_key_memo_semantics () =
+  let rules =
+    [
+      Classifier.rule ~prio:1 ~dst:(addr "10.2.0.0", 16) Classifier.Drop;
+      Classifier.rule ~prio:2 ~src:(addr "10.1.0.0", 16) Classifier.Accept;
+    ]
   in
-  let k = five () in
+  let t = Classifier.create ~cache_capacity:2 () in
+  List.iter (Classifier.add t) rules;
+  let k = five () and k2 = five ~dst:"10.9.0.9" () and k3 = five ~sport:7 () in
   let hits () = Classifier.batch_memo_hits t in
-  (* span 0 = outside any batch: plain lookups, never memoized. *)
-  let r0 = Classifier.lookup_span t ~span:0 k in
-  let r0' = Classifier.lookup_span t ~span:0 k in
-  Alcotest.(check int) "span 0 never hits the memo" 0 (hits ());
-  Alcotest.(check bool) "span 0 answers agree" true (r0 = r0');
-  (* Same span, same key: second call is a memo hit with the same rule. *)
-  let r1 = Classifier.lookup_span t ~span:7 k in
-  let r2 = Classifier.lookup_span t ~span:7 k in
-  Alcotest.(check int) "repeat in span hits" 1 (hits ());
+  let r1 = Classifier.lookup_memo t k in
+  let r2 = Classifier.lookup_memo t k in
+  Alcotest.(check int) "a repeated key hits" 1 (hits ());
   Alcotest.(check bool) "memo answer identical" true (r1 == r2);
-  Alcotest.(check bool) "memo agrees with lookup" true
-    (r1 = Classifier.lookup t k);
-  (* A different key in the same span misses, then memoizes. *)
-  let k2 = five ~dst:"10.9.0.9" () in
-  ignore (Classifier.lookup_span t ~span:7 k2);
-  Alcotest.(check int) "key change misses" 1 (hits ());
-  ignore (Classifier.lookup_span t ~span:7 k2);
+  ignore (Classifier.lookup_memo t k2);
+  Alcotest.(check int) "a new key misses" 1 (hits ());
+  ignore (Classifier.lookup_memo t k2);
   Alcotest.(check int) "then hits" 2 (hits ());
-  (* A new span misses even on the memoized key. *)
-  ignore (Classifier.lookup_span t ~span:8 k2);
-  Alcotest.(check int) "span change misses" 2 (hits ());
-  (* Rule churn invalidates: the memo must not serve the pre-churn
-     answer. *)
-  ignore (Classifier.lookup_span t ~span:9 k);
+  (* [lookup] neither reads nor refills the memo. *)
+  ignore (Classifier.lookup t k);
+  ignore (Classifier.lookup_memo t k2);
+  Alcotest.(check int) "lookup leaves the memo alone" 3 (hits ());
+  (* A rule write empties it: the pre-write answer must not be served. *)
   let shadow =
     Classifier.rule ~prio:0 ~dst:(addr "10.2.0.0", 16) (Classifier.Forward 3)
   in
+  ignore (Classifier.lookup_memo t k);
   Classifier.add t shadow;
-  (match Classifier.lookup_span t ~span:9 k with
+  (match Classifier.lookup_memo t k with
   | Some r when Classifier.compare_rule r shadow = 0 -> ()
-  | _ -> Alcotest.fail "memo served a stale answer across churn");
-  Alcotest.(check int) "churn invalidated the memo" 2 (hits ())
+  | _ -> Alcotest.fail "memo served a stale answer across a rule write");
+  Alcotest.(check int) "the write emptied the memo" 3 (hits ());
+  (* A flush empties it: two fresh keys fill the 2-entry cache, so the
+     second flushes it, and the memoized key must miss the cache. *)
+  ignore (Classifier.lookup_memo t k);
+  Alcotest.(check int) "refilled" 4 (hits ());
+  let flushes = Classifier.cache_flushes t in
+  ignore (Classifier.lookup t k2);
+  ignore (Classifier.lookup t k3);
+  Alcotest.(check bool) "the cache flushed" true
+    (Classifier.cache_flushes t > flushes);
+  let misses = Classifier.cache_misses t in
+  ignore (Classifier.lookup_memo t k);
+  Alcotest.(check int) "the flush emptied the memo" 4 (hits ());
+  Alcotest.(check int) "and the key missed the cache" (misses + 1)
+    (Classifier.cache_misses t)
+
+let memo_matches_memo_free =
+  QCheck.Test.make ~name:"last-key memo = memo-free lookup" ~count:50
+    QCheck.(pair int64 (int_range 1 16))
+    (fun (seed, capacity) ->
+      let rng = Sim.Rng.create seed in
+      let rules = Classifier.Gen.rules ~rng ~n:200 () in
+      let spare = Array.of_list (Classifier.Gen.rules ~rng ~n:20 ()) in
+      let memo = Classifier.create ~cache_capacity:capacity () in
+      let plain = Classifier.create ~cache_capacity:capacity () in
+      List.iter (fun r -> Classifier.add memo r; Classifier.add plain r) rules;
+      let keys =
+        Array.init 12 (fun _ ->
+            let a () =
+              Printf.sprintf "10.%d.%d.%d" (Sim.Rng.int rng 256)
+                (Sim.Rng.int rng 4) (1 + Sim.Rng.int rng 8)
+            in
+            five ~src:(a ()) ~dst:(a ())
+              ~sport:(1024 + Sim.Rng.int rng 4)
+              ~dport:(Sim.Rng.pick rng [| 80; 443; 53 |])
+              ~proto:(Sim.Rng.pick rng [| 6; 17 |])
+              ~dscp:(Sim.Rng.int rng 8 lsl 3) ())
+      in
+      let k = ref keys.(0) in
+      for i = 1 to 400 do
+        (* Runs of one key, as bursts of one flow arrive. *)
+        if Sim.Rng.int rng 3 = 0 then k := Sim.Rng.pick rng keys;
+        if i mod 37 = 0 then begin
+          let r = Sim.Rng.pick rng spare in
+          if Sim.Rng.bool rng then (
+            Classifier.add memo r;
+            Classifier.add plain r)
+          else (
+            ignore (Classifier.remove memo r : bool);
+            ignore (Classifier.remove plain r : bool))
+        end;
+        let got = Classifier.lookup_memo memo !k in
+        let want = Classifier.lookup plain !k in
+        let linear = Classifier.lookup_linear memo !k in
+        let same a b =
+          match (a, b) with
+          | None, None -> true
+          | Some a, Some b -> Classifier.compare_rule a b = 0
+          | _ -> false
+        in
+        if not (same got want && same got linear) then
+          QCheck.Test.fail_reportf "lookup %d: the memo's answer differs" i
+      done;
+      Classifier.batch_memo_hits memo > 0
+      && Classifier.cache_misses memo = Classifier.cache_misses plain
+      && Classifier.probes memo = Classifier.probes plain
+      && Classifier.cache_hits memo + Classifier.batch_memo_hits memo
+         = Classifier.cache_hits plain)
 
 (* The tuple list is kept in order incrementally: after any sequence of
    adds and removes (duplicate adds, removals of absent rules, priority
@@ -540,8 +599,8 @@ let wire_width_guard () =
     (match Classifier.lookup t k with
     | _ -> Alcotest.failf "lookup accepted the %s key" name
     | exception Invalid_argument _ -> ());
-    match Classifier.lookup_span t ~span:5 k with
-    | _ -> Alcotest.failf "lookup_span accepted the %s key" name
+    match Classifier.lookup_memo t k with
+    | _ -> Alcotest.failf "lookup_memo accepted the %s key" name
     | exception Invalid_argument _ -> ()
   in
   List.iter
@@ -584,6 +643,7 @@ let qsuite =
       permutation_qcheck;
       incremental_order_qcheck;
       edge_differential_qcheck;
+      memo_matches_memo_free;
     ]
 
 let tests =
@@ -594,7 +654,7 @@ let tests =
     Alcotest.test_case "10k-op churn staleness audit" `Quick
       churn_staleness_audit;
     Alcotest.test_case "cache transparency" `Quick cache_transparency;
-    Alcotest.test_case "batch-span memo semantics" `Quick batch_memo_semantics;
+    Alcotest.test_case "last-key memo semantics" `Quick last_key_memo_semantics;
     Alcotest.test_case "rule writes invalidate only matching flows" `Quick
       write_locality;
     Alcotest.test_case "admission budget" `Quick admission_budget;

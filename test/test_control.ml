@@ -205,7 +205,7 @@ let rip_churn_fuzz () =
      may land it a tick early, hence the 40 us floor). *)
   let changes = Control.Rip.table_changes daemon in
   Sim.Engine.spawn r.Router.engine "tick" (fun () ->
-      Sim.Engine.wait 50_000_000L);
+      Sim.Engine.wait_in r.Router.engine 50_000_000);
   Router.run_for r ~us:50.;
   Alcotest.(check int) "no writes after the storm" changes
     (Control.Rip.table_changes daemon);

@@ -18,7 +18,7 @@ let drive ?(seed = 7L) ?(body = fun _ -> ()) config arrivals =
   let e = Sim.Engine.create () in
   let out = ref [] in
   let q =
-    Fq.create ~cfg:config ~rng:(Sim.Rng.create seed)
+    Fq.create ~engine:e ~cfg:config ~rng:(Sim.Rng.create seed)
       ~deliver:(fun i -> out := i :: !out)
       ()
   in
@@ -27,7 +27,7 @@ let drive ?(seed = 7L) ?(body = fun _ -> ()) config arrivals =
         (fun i (gap, cls, len) ->
           (* wait 0 would yield to the server fiber mid-batch; keep
              same-instant offers atomic so t = 0 backlogs are real *)
-          if gap > 0 then Sim.Engine.wait_i gap;
+          if gap > 0 then Sim.Engine.wait_in e gap;
           ignore (Fq.offer q ~cls ~len i : bool))
         arrivals;
       body q);
@@ -220,7 +220,7 @@ let flush_strands_in_service () =
   let e = Sim.Engine.create () in
   let out = ref 0 in
   let q =
-    Fq.create ~cfg:(cfg "taildrop:8@100") ~rng:(Sim.Rng.create 3L)
+    Fq.create ~engine:e ~cfg:(cfg "taildrop:8@100") ~rng:(Sim.Rng.create 3L)
       ~deliver:(fun _ -> incr out)
       ()
   in
@@ -230,7 +230,7 @@ let flush_strands_in_service () =
       done;
       (* 84-byte frames at 100 Mbps: 6.72 us each.  At 8 us frame 0 is
          delivered and frame 1 is on the wire; four frames are queued. *)
-      Sim.Engine.wait_i 8_000_000;
+      Sim.Engine.wait_in e 8_000_000;
       let n = Fq.flush q in
       Alcotest.(check int) "flush returns the queued frames" 4 n);
   Sim.Engine.run_until_idle e;

@@ -454,7 +454,7 @@ let wfq_fairness_under_stalled_class () =
     Router.Chip_ctx.sram_read ctx ~bytes:8;
     Router.Vrp.execute ctx Router.Wfq.vrp_code;
     let qid =
-      match Router.Wfq.pick wfq ~class_id:cls ~now:(Sim.Engine.now ()) with
+      match Router.Wfq.pick wfq ~class_id:cls ~now:(Sim.Engine.time engine) with
       | `High -> 0
       | `Low -> 1
     in

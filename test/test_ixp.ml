@@ -9,11 +9,11 @@ let mem_latency_matches_table3 () =
   let probe mem bytes expect_read expect_write =
     let t0 = ref 0L and t1 = ref 0L and t2 = ref 0L in
     Sim.Engine.spawn e "probe" (fun () ->
-        t0 := Sim.Engine.now ();
+        t0 := Sim.Engine.time e;
         Ixp.Mem.read mem ~bytes;
-        t1 := Sim.Engine.now ();
+        t1 := Sim.Engine.time e;
         Ixp.Mem.write mem ~bytes;
-        t2 := Sim.Engine.now ());
+        t2 := Sim.Engine.time e);
     Sim.Engine.run_until_idle e;
     let cycles d = Int64.to_int (Int64.div d 5000L) in
     Alcotest.(check int) "read cycles" expect_read (cycles (Int64.sub !t1 !t0));
@@ -39,7 +39,7 @@ let mem_contention_queues () =
       (Printf.sprintf "c%d" i)
       (fun () ->
         Ixp.Mem.read chip.Ixp.Chip.dram ~bytes:32;
-        finished := (i, Sim.Engine.now ()) :: !finished)
+        finished := (i, Sim.Engine.time e) :: !finished)
   done;
   Sim.Engine.run_until_idle e;
   let times = List.rev_map snd !finished in
@@ -194,7 +194,7 @@ let pci_bandwidth () =
   let t_done = ref 0L in
   Sim.Engine.spawn e "dma" (fun () ->
       Ixp.Pci.dma_blocking pci ~bytes:1330;
-      t_done := Sim.Engine.now ());
+      t_done := Sim.Engine.time e);
   Sim.Engine.run_until_idle e;
   (* 1330 B at 133 MB/s = 10 us (chunked transfers round per chunk). *)
   Alcotest.(check bool) "transfer time ~10us" true
@@ -213,7 +213,7 @@ let i2o_roundtrip_and_backpressure () =
       done);
   Sim.Engine.spawn e "consumer" (fun () ->
       for _ = 1 to 5 do
-        Sim.Engine.wait 2_000_000L;
+        Sim.Engine.wait_in e 2_000_000;
         received := Ixp.I2o.recv q ~consumer_clock:clock :: !received
       done);
   Sim.Engine.run_until_idle e;

@@ -58,9 +58,9 @@ let vrp_execute_charges =
       let code = [ Vrp.Instr instr; Vrp.Sram_read (4 * reads) ] in
       let elapsed = ref 0L in
       Sim.Engine.spawn e "run" (fun () ->
-          let t0 = Sim.Engine.now () in
+          let t0 = Sim.Engine.time e in
           Vrp.execute ctx code;
-          elapsed := Int64.sub (Sim.Engine.now ()) t0);
+          elapsed := Int64.sub (Sim.Engine.time e) t0);
       Sim.Engine.run_until_idle e;
       let est = Vrp.cycles_estimate Ixp.Config.default (Vrp.static_cost code) in
       Int64.to_int (Int64.div !elapsed 5000L) >= est)

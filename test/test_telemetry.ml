@@ -83,7 +83,7 @@ let run_once () =
   Scope.gauge_int q "depth" (fun () -> 2);
   Sim.Engine.spawn engine "drops" (fun () ->
       for _ = 1 to 3 do
-        Sim.Engine.wait 100L;
+        Sim.Engine.wait_in engine 100;
         Sim.Stats.Counter.incr pkts;
         Scope.event input "drop: queue full"
       done);
@@ -99,9 +99,9 @@ let events_carry_sim_timestamps () =
   Registry.set_clock reg (fun () -> Sim.Engine.time engine);
   let s = Registry.scope reg "vrp" in
   Sim.Engine.spawn engine "f" (fun () ->
-      Sim.Engine.wait 42L;
+      Sim.Engine.wait_in engine 42;
       Scope.event s "budget overrun";
-      Sim.Engine.wait 8L;
+      Sim.Engine.wait_in engine 8;
       Scope.event s "budget overrun");
   Sim.Engine.run_until_idle engine;
   Alcotest.(check (list int64))
