@@ -22,12 +22,6 @@ let seed = 20010L
 let n_ports = 8
 let sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]
 
-(* CPE rebuilds expanded stride levels from the stored prefix list on
-   every update, so million-route tables are out of reach for it; it
-   joins the comparison only up to this size — which is the point the
-   update-cost section makes. *)
-let cpe_cap = 10_000
-
 let top = 1_000_000
 
 (* Half uniformly random (mostly default-route traffic), half drawn
@@ -100,10 +94,6 @@ let apply_op_btrie bt = function
   | Iproute.Gen.Announce (p, v) -> bt := Iproute.Btrie.add !bt p v
   | Iproute.Gen.Withdraw p -> bt := Iproute.Btrie.remove !bt p
 
-let apply_op_cpe cpe = function
-  | Iproute.Gen.Announce (p, v) -> Iproute.Cpe.add cpe p v
-  | Iproute.Gen.Withdraw p -> Iproute.Cpe.remove cpe p
-
 (* ns per update applying [ops] via [f], wall-clocked once (updates are
    measured in bulk, so throttling noise amortizes). *)
 let time_updates f ops =
@@ -122,11 +112,8 @@ let install_reps = 3
 let router_install_segment () =
   let rng = Sim.Rng.create seed in
   let base = Iproute.Gen.bgp_table ~rng ~n:top ~n_ports in
-  let config =
-    { Router.default_config with Router.route_engine = Iproute.Table.Poptrie }
-  in
   let one () =
-    let r = Router.create ~config () in
+    let r = Router.create () in
     let t0 = Sys.time () in
     Array.iter (fun (p, port) -> Router.add_route r p ~port) base;
     let dt = Sys.time () -. t0 in
@@ -160,11 +147,7 @@ let router_install_segment () =
    the convergence rows are bit-deterministic. *)
 let rip_segment () =
   let config =
-    {
-      Router.default_config with
-      Router.route_engine = Iproute.Table.Poptrie;
-      Router.selective_invalidation = true;
-    }
+    { Router.default_config with Router.selective_invalidation = true }
   in
   let r = Router.create ~config () in
   let rip = Control.Rip.create r in
@@ -301,19 +284,6 @@ let run () =
       Report.row ~unit_:"ns"
         ~name:(Printf.sprintf "btrie lookup ns [n=%d]" n)
         ~paper:100. ~measured:bt_ns;
-      if n <= cpe_cap then begin
-        let cpe = Iproute.Cpe.build (Array.to_list base) in
-        let cpe_ns =
-          let one = timer ~iters (fun a -> Iproute.Cpe.lookup cpe a) addrs in
-          Float.min (one ()) (one ())
-        in
-        Report.info "n=%7d: cpe lookup %5.0f ns (%d expanded entries)" n
-          cpe_ns
-          (Iproute.Cpe.memory_entries cpe);
-        Report.row ~unit_:"ns"
-          ~name:(Printf.sprintf "cpe lookup ns [n=%d]" n)
-          ~paper:100. ~measured:cpe_ns
-      end;
       if bad > 0 then begin
         failures := !failures + bad;
         Report.info "  FIB FAILURE: %d lookup divergence(s) at n=%d" bad n
@@ -368,17 +338,6 @@ let run () =
         end
       end)
     sizes;
-  (* CPE's update cost at its own ceiling, for the vs-Cpe comparison. *)
-  let rng = Sim.Rng.create seed in
-  let base = Iproute.Gen.bgp_table ~rng ~n:cpe_cap ~n_ports in
-  let cpe = Iproute.Cpe.build (Array.to_list base) in
-  let ops = Iproute.Gen.churn ~rng ~base ~n_ports ~steps:300 in
-  let cpe_up_ns = time_updates (apply_op_cpe cpe) ops in
-  Report.info "churn 300 ops at %d: %.0f us/update cpe" cpe_cap
-    (cpe_up_ns /. 1e3);
-  Report.row ~unit_:"ns"
-    ~name:(Printf.sprintf "cpe update ns [n=%d]" cpe_cap)
-    ~paper:1_000. ~measured:cpe_up_ns;
   Report.section "Route install through the router (cold route cache)";
   router_install_segment ();
   Report.section

@@ -16,7 +16,8 @@ let lookup_tests =
       (fun t (p, v) -> Iproute.Btrie.add t p v)
       Iproute.Btrie.empty bindings
   in
-  let cpe = Iproute.Cpe.build bindings in
+  let pop = Iproute.Poptrie.create () in
+  List.iter (fun (p, v) -> Iproute.Poptrie.add pop p v) bindings;
   let cache = Iproute.Route_cache.create ~slots:1024 () in
   Iproute.Route_cache.insert cache (addr "10.0.0.1") 1;
   (* Pre-draw the address stream so the generator is not what's measured. *)
@@ -32,8 +33,9 @@ let lookup_tests =
   [
     Test.make ~name:"lpm/btrie-10k"
       (Staged.stage (fun () -> ignore (Iproute.Btrie.lookup bt (next_addr ()))));
-    Test.make ~name:"lpm/cpe-10k"
-      (Staged.stage (fun () -> ignore (Iproute.Cpe.lookup cpe (next_addr ()))));
+    Test.make ~name:"lpm/poptrie-10k"
+      (Staged.stage (fun () ->
+           ignore (Iproute.Poptrie.lookup pop (next_addr ()))));
     Test.make ~name:"lpm/route-cache-hit"
       (Staged.stage (fun () ->
            ignore (Iproute.Route_cache.find cache (addr "10.0.0.1"))));

@@ -94,20 +94,8 @@ let run_cmd =
                  lib/fault/scenario.mli for the keys).  Seeded from \
                  --seed, so a failing run replays exactly.")
   in
-  let fib =
-    let engine =
-      Arg.enum
-        [ ("cpe", Iproute.Table.Cpe); ("poptrie", Iproute.Table.Poptrie) ]
-    in
-    Arg.(value & opt engine Router.default_config.Router.route_engine
-         & info [ "fib" ] ~docv:"ENGINE"
-             ~doc:"Longest-prefix-match engine behind the route cache: \
-                   $(b,cpe) (controlled prefix expansion, the default) or \
-                   $(b,poptrie) (the compressed bitmap trie sized for \
-                   million-route tables under churn).")
-  in
   let run duration seed mbps frame_len exceptional syn_monitor workload
-      classifier_rules faults fib metrics =
+      classifier_rules faults metrics =
     let scenario =
       match Fault.Scenario.parse faults with
       | Ok s -> Fault.Scenario.with_seed s (Int64.of_int seed)
@@ -126,7 +114,7 @@ let run_cmd =
     in
     let config =
       { Router.default_config with Router.port_mbps = mbps;
-        Router.faults = scenario; Router.route_engine = fib }
+        Router.faults = scenario }
     in
     let r = Router.create ~config ~alloc_gauges:true () in
     subnet_routes r config.Router.n_ports;
@@ -232,8 +220,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Drive the full three-level router at line rate.")
     Term.(
       const run $ duration $ seed $ mbps $ frame_len $ exceptional
-      $ syn_monitor $ workload $ classifier_rules $ faults $ fib
-      $ metrics_arg)
+      $ syn_monitor $ workload $ classifier_rules $ faults $ metrics_arg)
 
 (* --- peak ------------------------------------------------------------ *)
 

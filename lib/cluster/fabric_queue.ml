@@ -145,7 +145,6 @@ type 'a t = {
   mutable n_pauses : int;
   mutable n_enqueued : int;
   mutable n_serviced : int;
-  per_class : int array;
   mutable n_dropped_tail : int;
   mutable n_dropped_red : int;
   mutable n_flushed : int;
@@ -175,7 +174,6 @@ let create ~engine ~cfg ~rng ~deliver () =
     n_pauses = 0;
     n_enqueued = 0;
     n_serviced = 0;
-    per_class = Array.make n 0;
     n_dropped_tail = 0;
     n_dropped_red = 0;
     n_flushed = 0;
@@ -185,10 +183,8 @@ let create ~engine ~cfg ~rng ~deliver () =
 
 let occupancy t = t.occ
 let paused t = t.is_paused
-let avg_occupancy t = t.avg
 let enqueued t = t.n_enqueued
 let serviced t = t.n_serviced
-let serviced_class t c = t.per_class.(c)
 let dropped_tail t = t.n_dropped_tail
 let dropped_red t = t.n_dropped_red
 let dropped t = t.n_dropped_tail + t.n_dropped_red
@@ -268,7 +264,6 @@ let rec serve t =
       else begin
         dec_occ t;
         t.n_serviced <- t.n_serviced + 1;
-        t.per_class.(it.cls) <- t.per_class.(it.cls) + 1;
         t.delay_ps <- t.delay_ps + (Sim.Engine.clock_i t.engine - it.enq_ps);
         t.deliver it.payload
       end;
@@ -279,7 +274,6 @@ let offer t ~cls ~len x =
   | Bypass ->
       t.n_enqueued <- t.n_enqueued + 1;
       t.n_serviced <- t.n_serviced + 1;
-      t.per_class.(0) <- t.per_class.(0) + 1;
       t.deliver x;
       true
   | disc ->

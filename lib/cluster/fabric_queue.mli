@@ -99,14 +99,8 @@ val paused : 'a t -> bool
 (** Backpressure: occupancy crossed the high watermark (3/4 capacity)
     and has not yet drained below the low one (1/2). *)
 
-val avg_occupancy : 'a t -> float
-(** RED's EWMA of occupancy (0 for other disciplines). *)
-
 val enqueued : 'a t -> int
 val serviced : 'a t -> int
-
-val serviced_class : 'a t -> int -> int
-(** Services delivered to one class (index < {!classes}). *)
 
 val dropped_tail : 'a t -> int
 val dropped_red : 'a t -> int

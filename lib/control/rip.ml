@@ -199,8 +199,6 @@ let add_neighbor t ~addr ~via_port =
   Router.Iface.install t.router.Router.iface ~key ~fwdr:(listener_forwarder t)
     ~where:Router.Iface.PE ~expected_pps:2_000. ()
 
-let remove_neighbor t fid = Router.Iface.remove t.router.Router.iface fid
-
 let best_metric t prefix =
   Option.map (fun e -> e.metric) (Hashtbl.find_opt t.rib prefix)
 

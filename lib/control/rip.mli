@@ -76,8 +76,6 @@ val add_neighbor :
     {!port}) — control traffic rides the same classify-and-divert
     machinery as everything else.  Returns the forwarder's fid. *)
 
-val remove_neighbor : t -> int -> (unit, string) result
-
 val best_metric : t -> Iproute.Prefix.t -> int option
 (** Current metric for a prefix, if routed by this daemon. *)
 

@@ -84,7 +84,6 @@ let find_fid t fid =
       !found
 
 let general_chain t = t.general
-let flow_count t = Hashtbl.length t.flows
 
 (* The one decision procedure.  The verdict goes into the scratch
    fields rather than a fresh record, the route probe is the native-int

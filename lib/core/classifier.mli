@@ -49,7 +49,6 @@ val remove : t -> int -> entry option
 
 val find_fid : t -> int -> entry option
 val general_chain : t -> entry list
-val flow_count : t -> int
 
 (** {1 Data-plane lookups} *)
 

@@ -26,14 +26,14 @@ let make ~buf ~len ~in_port ~out_port ?(fid = -1) ~arrival () =
    cross-domain pointer.  Keyed in DLS rather than threaded through the
    loop records so every construction site of [Input_loop.t] /
    [Output_loop.t] stays untouched. *)
-type pool = { mutable items : t array; mutable n : int; mutable reused : int }
+type pool = { mutable items : t array; mutable n : int }
 
 let dummy =
   { buf = -1; len = 0; in_port = -1; out_port = -1; fid = -1; arrival = 0;
     pooled = false }
 
 let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { items = Array.make 256 dummy; n = 0; reused = 0 })
+  Domain.DLS.new_key (fun () -> { items = Array.make 256 dummy; n = 0 })
 
 let take ~buf ~len ~in_port ~out_port ~fid ~arrival =
   let p = Domain.DLS.get pool_key in
@@ -42,7 +42,6 @@ let take ~buf ~len ~in_port ~out_port ~fid ~arrival =
     p.n <- p.n - 1;
     let d = p.items.(p.n) in
     p.items.(p.n) <- dummy;
-    p.reused <- p.reused + 1;
     d.pooled <- false;
     d.buf <- buf;
     d.len <- len;
@@ -66,13 +65,3 @@ let release d =
     p.items.(p.n) <- d;
     p.n <- p.n + 1
   end
-
-let pool_reused () = (Domain.DLS.get pool_key).reused
-let pool_free () = (Domain.DLS.get pool_key).n
-
-let pp_level ppf l =
-  Format.pp_print_string ppf
-    (match l with
-    | Microengine -> "ME"
-    | Strongarm -> "SA"
-    | Pentium -> "PE")

@@ -52,12 +52,3 @@ val release : t -> unit
 (** Return a descriptor to the calling domain's free list.  Safe to call
     twice (the second is a no-op), but the caller must not touch the
     descriptor afterwards. *)
-
-val pool_reused : unit -> int
-(** Descriptors handed out from the free list (vs freshly allocated)
-    on the calling domain — the reuse gauge. *)
-
-val pool_free : unit -> int
-(** Descriptors currently parked on the calling domain's free list. *)
-
-val pp_level : Format.formatter -> level -> unit

@@ -35,10 +35,3 @@ let null =
 
 let cost t = Vrp.static_cost t.code
 let istore_slots t = Vrp.istore_slots t.code
-
-let pp_verdict ppf = function
-  | Continue -> Format.pp_print_string ppf "continue"
-  | Forward p -> Format.fprintf ppf "forward(port %d)" p
-  | Forward_routed -> Format.pp_print_string ppf "forward(routed)"
-  | Drop -> Format.pp_print_string ppf "drop"
-  | Divert l -> Format.fprintf ppf "divert(%a)" Desc.pp_level l

@@ -43,5 +43,3 @@ val null : t
 
 val cost : t -> Vrp.cost
 val istore_slots : t -> int
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -188,18 +188,8 @@ let setdata t fid data =
 
 let find t fid = Classifier.find_fid t.classifier fid
 
-let install_cost_cycles t (f : Forwarder.t) =
-  match t.istores with
-  | [] -> 0
-  | st :: _ -> Ixp.Istore.write_cost_cycles st ~slots:(Forwarder.istore_slots f)
-
 let installed t =
   List.map (fun b -> (b.fid, b.fwdr.Forwarder.name, b.where)) t.bindings
 
 let me_load t = t.me_load
 let pe_load t = t.pe_load
-
-let sram_state_in_use t =
-  List.fold_left
-    (fun acc b -> acc + b.fwdr.Forwarder.state_bytes)
-    0 t.bindings

@@ -65,12 +65,7 @@ val setdata : t -> int -> Bytes.t -> (unit, string) result
 val find : t -> int -> Classifier.entry option
 (** [fid] dispatch for the StrongARM/Pentium loops. *)
 
-val install_cost_cycles : t -> Forwarder.t -> int
-(** MicroEngine-disabled cycles an [ME] install spends rewriting ISTOREs
-    (two memory accesses per instruction, section 4.5). *)
-
 val installed : t -> (int * string * where) list
 
 val me_load : t -> Admission.me_load
 val pe_load : t -> Admission.pe_load
-val sram_state_in_use : t -> int

@@ -57,9 +57,7 @@ let charge t c work =
 
 let backlog t = t.backlog
 let client_name c = c.name
-let client_share c = c.share
 let served c = c.served
-let work_done c = c.work
 
 let register_telemetry scope t =
   Telemetry.Scope.gauge_int scope "backlog" (fun () -> t.backlog);

@@ -38,13 +38,9 @@ val backlog : 'a t -> int
 (** Total queued items. *)
 
 val client_name : 'a client -> string
-val client_share : 'a client -> float
 
 val served : 'a client -> int
 (** Items dispatched to this client so far. *)
-
-val work_done : 'a client -> float
-(** Total work charged to this client. *)
 
 val register_telemetry : Telemetry.Scope.t -> 'a t -> unit
 (** Register the backlog gauge and a snapshot-time per-client table

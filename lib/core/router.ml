@@ -46,7 +46,7 @@ let default_config =
     n_output_contexts = 8;
     sa_wakeup = Strongarm.Polling;
     queue_capacity = 2048;
-    route_engine = Iproute.Table.Cpe;
+    route_engine = Iproute.Table.Poptrie;
     selective_invalidation = false;
     circular_buffers = true;
     batch_mps = 16;
@@ -208,7 +208,7 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
     (fun p -> Ixp.Mac_port.set_sink_borrows p true)
     chip.Ixp.Chip.ports;
   let routes =
-    Iproute.Table.create ~engine:config.route_engine ~cache_slots:8192
+    Iproute.Table.create ~cache_slots:8192
       ~selective_invalidation:config.selective_invalidation ()
   in
   let classifier = Classifier.create config.cm ~routes in

@@ -53,6 +53,9 @@ type config = {
   sa_wakeup : Strongarm.wakeup;
   queue_capacity : int;
   route_engine : Iproute.Table.engine;
+      (** read by nothing: {!Iproute.Table} has one engine.  Kept only
+          because the end-to-end benchmark harness sets it; the next
+          benchmark change deletes it with {!Iproute.Table.engine}. *)
   selective_invalidation : bool;
       (** route changes drop only the covered cache lines (see
           {!Iproute.Table.create}) *)

@@ -154,17 +154,6 @@ let prototype_budget =
     b_istore_slots = 650;
   }
 
-let budget_json b =
-  let open Telemetry.Json in
-  Obj
-    [
-      ("cycles", Int b.b_cycles);
-      ("sram_transfers", Int b.b_sram_transfers);
-      ("hashes", Int b.b_hashes);
-      ("state_bytes", Int b.b_state_bytes);
-      ("istore_slots", Int b.b_istore_slots);
-    ]
-
 let check b cost ~state_bytes ~slots =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in

@@ -93,6 +93,3 @@ val check_recorded :
   (unit, string list) result
 (** {!check}, additionally counting the check (and any overrun, with one
     event per violated dimension) under a telemetry scope when given. *)
-
-val budget_json : budget -> Telemetry.Json.t
-(** The budget's dimensions as a JSON object (for BENCH.json rows). *)

@@ -3,7 +3,6 @@ type cls = {
   burst : float;
   mutable tokens : float;
   mutable last : int64;
-  mutable high : int;
   mutable low : int;
 }
 
@@ -23,7 +22,6 @@ let create ~link_pps ~shares ?(burst = 16.) () =
             burst;
             tokens = burst;
             last = 0L;
-            high = 0;
             low = 0;
           })
         shares;
@@ -38,7 +36,6 @@ let pick t ~class_id ~now =
   c.tokens <- Float.min c.burst (c.tokens +. (dt *. c.rate_pps));
   if c.tokens >= 1. then begin
     c.tokens <- c.tokens -. 1.;
-    c.high <- c.high + 1;
     `High
   end
   else begin
@@ -50,5 +47,4 @@ let pick t ~class_id ~now =
    store it back. *)
 let vrp_code = [ Vrp.Sram_read 4; Vrp.Instr 12; Vrp.Sram_write 4 ]
 
-let in_profile t ~class_id = t.classes.(class_id).high
 let demoted t ~class_id = t.classes.(class_id).low

@@ -36,7 +36,4 @@ val vrp_code : Vrp.code
 (** The declared per-packet cost of running the selector in the VRP:
     what admission control charges for it. *)
 
-val in_profile : t -> class_id:int -> int
-(** Packets the class sent at high priority so far. *)
-
 val demoted : t -> class_id:int -> int

@@ -51,7 +51,6 @@ let rate t kind' ~member ~at_us =
 
 let drop_rate t ~member ~at_us = rate t Link_drop ~member ~at_us
 let corrupt_rate t ~member ~at_us = rate t Link_corrupt ~member ~at_us
-let churn_rate t ~member ~at_us = rate t Route_churn ~member ~at_us
 
 let churn_events t ~member =
   List.filter (fun e -> e.kind = Route_churn && e.member = member) t.events

@@ -65,10 +65,6 @@ val drop_rate : t -> member:int -> at_us:float -> float
 val corrupt_rate : t -> member:int -> at_us:float -> float
 val stall_us : t -> member:int -> at_us:float -> float
 
-val churn_rate : t -> member:int -> at_us:float -> float
-(** Route updates per simulated second in force for [member] at
-    [at_us] (max over overlapping windows; 0 when idle). *)
-
 val churn_events : t -> member:int -> event list
 (** The [Route_churn] windows targeting [member], in spec order — the
     cluster's churn driver walks these directly. *)

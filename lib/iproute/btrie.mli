@@ -1,8 +1,8 @@
 (** Unibit binary trie: the reference longest-prefix-match structure.
 
     One bit per level, so a lookup inspects up to 32 nodes.  Slow but
-    obviously correct; {!Cpe} and the qcheck equivalence properties are
-    validated against it. *)
+    obviously correct; {!Poptrie} is validated against it by the qcheck
+    equivalence properties. *)
 
 type 'a t
 
@@ -28,4 +28,4 @@ val size : 'a t -> int
 (** Number of stored prefixes. *)
 
 val node_count : 'a t -> int
-(** Number of trie nodes (memory-cost comparison against {!Cpe}). *)
+(** Number of trie nodes (memory-cost comparison against {!Poptrie}). *)

@@ -13,8 +13,8 @@
     Updates are incremental: an add or remove touches only the nodes on
     the prefix's path (splicing one rank-compressed array per level),
     never rebuilding the structure — the property that makes continuous
-    RIP announce/withdraw churn affordable, where {!Cpe.remove} rebuilds
-    the whole table.  The structure is mutable, like {!Cpe}.
+    RIP announce/withdraw churn affordable.  The structure is mutable.
+    It is the one engine behind {!Table}.
 
     Correctness at scale is established differentially: the qcheck suite
     and the million-route battery in [test/test_iproute.ml] check
@@ -50,8 +50,7 @@ val size : 'a t -> int
 (** Number of stored prefixes (O(1)). *)
 
 val node_count : 'a t -> int
-(** Allocated trie nodes (memory-cost comparison against {!Btrie} and
-    {!Cpe.memory_entries}). *)
+(** Allocated trie nodes (memory-cost comparison against {!Btrie}). *)
 
 val memory_words : 'a t -> int
 (** Approximate heap words held by the structure: per-node overhead plus

@@ -1,26 +1,16 @@
 type nexthop = { out_port : int; gateway_mac : Packet.Ethernet.mac }
 
-type engine = Cpe | Poptrie
-
-type backend =
-  | B_cpe of nexthop Cpe.t
-  | B_pop of nexthop Poptrie.t
+type engine = Poptrie
 
 type t = {
-  backend : backend;
+  fib : nexthop Poptrie.t;
   cache : nexthop Route_cache.t;
   selective : bool;
 }
 
-let create ?(engine = Cpe) ?(cache_slots = 1024)
-    ?(selective_invalidation = false) () =
-  let backend =
-    match engine with
-    | Cpe -> B_cpe (Cpe.build ~strides:[ 16; 8; 8 ] [])
-    | Poptrie -> B_pop (Poptrie.create ())
-  in
+let create ?(cache_slots = 1024) ?(selective_invalidation = false) () =
   {
-    backend;
+    fib = Poptrie.create ();
     cache = Route_cache.create ~slots:cache_slots ();
     selective = selective_invalidation;
   }
@@ -30,21 +20,14 @@ let on_change t p =
   else Route_cache.invalidate t.cache
 
 let add t p nh =
-  (match t.backend with
-  | B_cpe c -> Cpe.add c p nh
-  | B_pop pt -> Poptrie.add pt p nh);
+  Poptrie.add t.fib p nh;
   on_change t p
 
 let remove t p =
-  (match t.backend with
-  | B_cpe c -> Cpe.remove c p
-  | B_pop pt -> Poptrie.remove pt p);
+  Poptrie.remove t.fib p;
   on_change t p
 
-let lookup t a =
-  match t.backend with
-  | B_cpe c -> Option.map snd (Cpe.lookup c a)
-  | B_pop pt -> Option.map snd (Poptrie.lookup pt a)
+let lookup t a = Option.map snd (Poptrie.lookup t.fib a)
 
 let lookup_cached t a =
   match Route_cache.find t.cache a with
@@ -78,29 +61,7 @@ let lookup_cached_i t k ~hit =
     | None -> no_route
   end
 
-let size t =
-  match t.backend with
-  | B_cpe c -> Cpe.size c
-  | B_pop pt -> Poptrie.size pt
-
-let bindings t =
-  match t.backend with
-  | B_cpe c -> Cpe.bindings c
-  | B_pop pt -> Poptrie.bindings pt
-
-let node_count t =
-  match t.backend with
-  | B_cpe c -> Cpe.memory_entries c
-  | B_pop pt -> Poptrie.node_count pt
-
+let size t = Poptrie.size t.fib
+let bindings t = Poptrie.bindings t.fib
 let cache_hit_rate t = Route_cache.hit_rate t.cache
 let cache_scan_cost t = Route_cache.scan_cost t.cache
-
-let engine_name t =
-  match t.backend with
-  | B_cpe _ -> "cpe"
-  | B_pop _ -> "poptrie"
-
-let pp_nexthop ppf nh =
-  Format.fprintf ppf "port %d via %a" nh.out_port Packet.Ethernet.pp_mac
-    nh.gateway_mac

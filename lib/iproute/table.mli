@@ -1,36 +1,35 @@
-(** The router's routing table: next-hop entries behind a pluggable
-    longest-prefix-match engine with a route cache in front.
+(** The router's routing table: next-hop entries in a {!Poptrie} with a
+    route cache in front.
 
     The control plane (OSPF on the Pentium, in the paper) updates the
     table; updates invalidate the cache.  The data plane calls
     {!lookup_cached}, which is a cache probe on the fast path and a full
-    LPM + refill on a miss. *)
+    LPM + refill on a miss.  The simulated cost of that LPM is the cost
+    model's fixed StrongARM charge, whatever structure answers it here. *)
 
 type nexthop = {
   out_port : int;  (** which router port forwards this packet *)
   gateway_mac : Packet.Ethernet.mac;  (** next hop's MAC address *)
 }
 
-type engine = Cpe | Poptrie
-(** Lookup engine: controlled prefix expansion ({!Cpe}, the paper's ref
-    [22]), or the compressed stride-6 bitmap trie ({!Poptrie}) sized for
-    million-route tables under incremental churn.  The unibit {!Btrie}
-    stays outside the table, as the differential tests' reference. *)
+type engine = Poptrie
+(** The one longest-prefix-match engine.  Nothing reads this type; it
+    stays only because the end-to-end benchmark harness sets
+    [Router.config.route_engine], and goes with that field in the next
+    benchmark change. *)
 
 type t
 
-val create :
-  ?engine:engine -> ?cache_slots:int -> ?selective_invalidation:bool ->
-  unit -> t
-(** [create ()] is an empty table (default engine [Cpe], 1024-line cache).
-    With [selective_invalidation] (default false), a route change only
-    drops the cache lines the changed prefix covers, instead of the whole
+val create : ?cache_slots:int -> ?selective_invalidation:bool -> unit -> t
+(** [create ()] is an empty table with a 1024-line cache.  With
+    [selective_invalidation] (default false), a route change only drops
+    the cache lines the changed prefix covers, instead of the whole
     cache — cheap control-plane churn at the cost of a per-line scan. *)
 
 val add : t -> Prefix.t -> nexthop -> unit
 (** Insert/replace a route; invalidates the cache.  The invalidation
     costs nothing while the cache is empty, so loading a table before
-    traffic costs the engine writes alone; against a warm cache it costs
+    traffic costs the trie writes alone; against a warm cache it costs
     O(slots), or the covered lines under [selective_invalidation]. *)
 
 val remove : t -> Prefix.t -> unit
@@ -55,16 +54,11 @@ val lookup_cached_i : t -> int -> hit:bool ref -> nexthop
     Allocation-free on a cache hit. *)
 
 val size : t -> int
-(** Number of routes, counted when called: O(1) on [Poptrie], a full
-    traversal on [Cpe].  Not for the packet path. *)
+(** Number of routes (O(1)). *)
 
 val bindings : t -> (Prefix.t * nexthop) list
 (** Every installed route, order unspecified — the differential tests
     rebuild a reference {!Btrie} from this set mid-churn. *)
-
-val node_count : t -> int
-(** Engine memory footprint in its native unit (expanded CPE entries or
-    poptrie nodes). *)
 
 val cache_hit_rate : t -> float
 
@@ -72,7 +66,3 @@ val cache_scan_cost : t -> int
 (** Cumulative route-cache invalidation work (see
     {!Route_cache.scan_cost}): 0 after any number of changes made while
     the cache was empty. *)
-
-val engine_name : t -> string
-
-val pp_nexthop : Format.formatter -> nexthop -> unit

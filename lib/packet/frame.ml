@@ -57,9 +57,3 @@ let equal a b =
     || Bytes.unsafe_get a.data i = Bytes.unsafe_get b.data i && eq (i + 1)
   in
   a.data == b.data || eq 0
-
-let pp_hex ppf f =
-  for i = 0 to f.len - 1 do
-    if i > 0 && i mod 16 = 0 then Format.pp_print_newline ppf ();
-    Format.fprintf ppf "%02x " (get_u8 f i)
-  done

@@ -54,6 +54,3 @@ val blit_string : string -> t -> int -> unit
 
 val equal : t -> t -> bool
 (** Byte equality over the live length. *)
-
-val pp_hex : Format.formatter -> t -> unit
-(** Hex dump (for tests and examples). *)

@@ -32,7 +32,7 @@ type t = {
   mutable batch_frames : int; (* frames processed through batch spans *)
   (* Payload slot for the boxless wait path: [wait_in] stashes the
      duration here and perform the constant [Wait0] instead of
-     allocating a [Wait d] block per suspension.  Valid only between
+     allocating an effect block per suspension.  Valid only between
      the perform and the handler reading it back — nothing can run in
      between. *)
   mutable wait_arg : int;
@@ -70,10 +70,8 @@ type waker = unit -> unit
 exception Deadlock of string
 
 type _ Effect.t +=
-  | Wait : int -> unit Effect.t
   | Wait0 : unit Effect.t (* duration in [wait_arg]; constant, no box *)
   | Suspend : (waker -> unit) -> unit Effect.t
-  | Park : cell -> unit Effect.t
   | Park0 : unit Effect.t (* cell in [park_arg]; constant, no box *)
 
 (* The engine currently dispatching events on THIS domain, read only by
@@ -181,13 +179,6 @@ let rec exec_fiber t name fn =
           match eff with
           | Wait0 -> (some_wait0 : ((a, unit) continuation -> unit) option)
           | Park0 -> (some_park0 : ((a, unit) continuation -> unit) option)
-          | Wait d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.cur_span <- 0;
-                  if d < 0 then
-                    discontinue k (Invalid_argument "Engine.wait_in: negative")
-                  else schedule_event t ~at:(t.clock + d) (Resume k))
           | Suspend f ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -202,18 +193,6 @@ let rec exec_fiber t name fn =
                     end
                   in
                   f waker)
-          | Park c ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.cur_span <- 0;
-                  if c.occupied then
-                    invalid_arg
-                      ("Engine: park cell already occupied (" ^ name ^ ")");
-                  (match c.pk with
-                  | Some s -> s.kk <- k
-                  | None -> c.pk <- Some { kk = k });
-                  c.occupied <- true;
-                  c.register ())
           | _ -> None);
     }
 
@@ -335,31 +314,32 @@ let batch_frames_total t = t.batch_frames
    event sequence is identical by construction.  Ties are excluded
    ([min_time] must be strictly beyond the target) because a pending
    event at the same time holds a smaller sequence number and must run
-   first.  An engine that is not dispatching falls back to the generic
-   effect, which fails loudly outside any fiber. *)
+   first.  Only a fiber of [t] may wait on [t], and such a fiber runs
+   only while [t] dispatches: on an engine that is not dispatching the
+   caller is a fiber of some other engine, or no fiber at all, and
+   suspending it would resume it on its own engine's clock. *)
 let wait_in t d =
-  if t.running && d >= 0 then begin
-    if
-      t.coalescing
-      &&
-      let target = t.clock + d in
-      target <= t.limit && Wheel.min_time t.queue > target
-    then begin
-      (* Inside a batch span the wait is part of one coalesced
-         activation, not an independently elided event: keep the two
-         gauges disjoint so their sum stays meaningful. *)
-      if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
-      else t.elided <- t.elided + 1;
-      t.clock <- t.clock + d
-    end
-    else begin
-      (* Boxless suspension: duration via [wait_arg] + constant effect,
-         handled by the fiber's preallocated [Wait0] arm. *)
-      t.wait_arg <- d;
-      Effect.perform Wait0
-    end
+  if d < 0 then invalid_arg "Engine.wait_in: negative duration";
+  if not t.running then invalid_arg "Engine.wait_in: engine is not running";
+  if
+    t.coalescing
+    &&
+    let target = t.clock + d in
+    target <= t.limit && Wheel.min_time t.queue > target
+  then begin
+    (* Inside a batch span the wait is part of one coalesced
+       activation, not an independently elided event: keep the two
+       gauges disjoint so their sum stays meaningful. *)
+    if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
+    else t.elided <- t.elided + 1;
+    t.clock <- t.clock + d
   end
-  else Effect.perform (Wait d)
+  else begin
+    (* Boxless suspension: duration via [wait_arg] + constant effect,
+       handled by the fiber's preallocated [Wait0] arm. *)
+    t.wait_arg <- d;
+    Effect.perform Wait0
+  end
 
 (* The ambient pair: one counted lookup, then the handle form. *)
 let ambient who =
@@ -374,14 +354,15 @@ let wait_i d = wait_in (ambient "wait_i") d
 
 let suspend f = Effect.perform (Suspend f)
 
-(* The cell knows its engine, so parking needs no lookup. *)
+(* The cell knows its engine, so parking needs no lookup.  A cell whose
+   engine is not dispatching cannot belong to the calling fiber (see
+   [wait_in]): its engine's run loop would resume a continuation of
+   another engine. *)
 let park c =
   let t = c.pengine in
-  if t.running then begin
-    t.park_arg <- c;
-    Effect.perform Park0
-  end
-  else Effect.perform (Park c)
+  if not t.running then invalid_arg "Engine.park: cell's engine is not running";
+  t.park_arg <- c;
+  Effect.perform Park0
 
 module Clock = struct
   type clock = { ps : int }

@@ -47,7 +47,8 @@ val wait_in : t -> int -> unit
     the clock advances in place without queueing an event (wait
     elision, see {!set_coalescing}); otherwise the fiber suspends, so
     [wait_in t 0] yields to events already due at the same instant.
-    [d < 0] raises [Invalid_argument] in the fiber. *)
+    Raises [Invalid_argument] if [d < 0], or if [t] is not dispatching
+    (the caller is then a fiber of another engine, or no fiber). *)
 
 val spawn : t -> string -> (unit -> unit) -> unit
 (** [spawn t name fn] registers fiber [fn], to start at the current
@@ -209,7 +210,8 @@ val cell_waker : cell -> waker
 val park : cell -> unit
 (** [park c] parks the calling fiber on [c] (must be called by the same
     fiber each time, running on the cell's engine; a cell holds at most
-    one continuation). *)
+    one continuation).  Raises [Invalid_argument] if the cell's engine
+    is not dispatching. *)
 
 (** {1 Clocks} *)
 

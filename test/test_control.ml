@@ -136,11 +136,7 @@ let unconfigured_neighbor_ignored () =
    oracle rebuilt from its own bindings at checkpoints. *)
 let rip_churn_fuzz () =
   let config =
-    {
-      Router.default_config with
-      Router.route_engine = Iproute.Table.Poptrie;
-      Router.selective_invalidation = true;
-    }
+    { Router.default_config with Router.selective_invalidation = true }
   in
   let r = Router.create ~config () in
   let daemon = Control.Rip.create r in

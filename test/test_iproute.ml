@@ -1,4 +1,6 @@
-(* Tests for prefixes and the three longest-prefix-match engines. *)
+(* Tests for prefixes, the route cache, the routing table and its
+   longest-prefix-match engine (Poptrie), against the Btrie reference
+   and a linear-scan specification. *)
 
 let addr = Packet.Ipv4.addr_of_string
 
@@ -44,12 +46,6 @@ let btrie_basic () =
     | Some (_, v) -> v
     | None -> "none")
 
-let cpe_strides_sum () =
-  let lens = [ 8; 16; 16; 24; 24; 24; 32 ] in
-  let s = Iproute.Cpe.optimal_strides ~max_levels:4 lens in
-  Alcotest.(check int) "sum 32" 32 (List.fold_left ( + ) 0 s);
-  Alcotest.(check bool) "levels bound" true (List.length s <= 4)
-
 let random_prefix rng =
   let len = 1 + Sim.Rng.int rng 32 in
   Iproute.Prefix.make (Sim.Rng.int32 rng) len
@@ -75,7 +71,7 @@ let dedup bindings =
     [] bindings
 
 let engines_agree =
-  QCheck.Test.make ~name:"btrie = cpe = linear on random tables" ~count:60
+  QCheck.Test.make ~name:"btrie = poptrie = linear, random FIBs" ~count:60
     QCheck.(pair int64 (int_range 1 60))
     (fun (seed, n) ->
       let rng = Sim.Rng.create seed in
@@ -87,57 +83,33 @@ let engines_agree =
           (fun t (p, v) -> Iproute.Btrie.add t p v)
           Iproute.Btrie.empty bindings
       in
-      let cpe = Iproute.Cpe.build bindings in
+      let pop = Iproute.Poptrie.create () in
+      List.iter (fun (p, v) -> Iproute.Poptrie.add pop p v) bindings;
       let ok = ref true in
       for _ = 1 to 200 do
         let a = Sim.Rng.int32 rng in
         let expect = Option.map snd (linear_lookup bindings a) in
         let got_bt = Option.map snd (Iproute.Btrie.lookup bt a) in
-        let got_cpe = Option.map snd (Iproute.Cpe.lookup cpe a) in
-        if got_bt <> expect || got_cpe <> expect then ok := false
+        let got_pop = Option.map snd (Iproute.Poptrie.lookup pop a) in
+        if got_bt <> expect || got_pop <> expect then ok := false
       done;
       !ok)
 
-let cpe_incremental_add =
-  QCheck.Test.make ~name:"cpe incremental add = rebuild" ~count:40
-    QCheck.(pair int64 (int_range 2 40))
-    (fun (seed, n) ->
-      let rng = Sim.Rng.create seed in
-      let bindings = dedup (List.init n (fun i -> (random_prefix rng, i))) in
-      let all = Iproute.Cpe.build bindings in
-      let incr = Iproute.Cpe.build [] in
-      List.iter (fun (p, v) -> Iproute.Cpe.add incr p v) (List.rev bindings);
-      let ok = ref true in
-      for _ = 1 to 200 do
-        let a = Sim.Rng.int32 rng in
-        if Iproute.Cpe.lookup all a <> Iproute.Cpe.lookup incr a then
-          ok := false
-      done;
-      !ok)
-
-let cpe_remove () =
+let poptrie_remove () =
+  (* Both prefixes are shorter than the jump table's 18 bits: the first
+     lookup caches the /9 in a jump slot, so removing the /9 must clear
+     that slot for the second lookup to find the /8. *)
   let p1 = Iproute.Prefix.of_string "10.0.0.0/8" in
   let p2 = Iproute.Prefix.of_string "10.128.0.0/9" in
-  let t = Iproute.Cpe.build [ (p1, 1); (p2, 2) ] in
+  let t = Iproute.Poptrie.create () in
+  Iproute.Poptrie.add t p1 1;
+  Iproute.Poptrie.add t p2 2;
   Alcotest.(check (option int)) "longest" (Some 2)
-    (Option.map snd (Iproute.Cpe.lookup t (addr "10.200.0.1")));
-  Iproute.Cpe.remove t p2;
+    (Option.map snd (Iproute.Poptrie.lookup t (addr "10.200.0.1")));
+  Iproute.Poptrie.remove t p2;
   Alcotest.(check (option int)) "fallback" (Some 1)
-    (Option.map snd (Iproute.Cpe.lookup t (addr "10.200.0.1")));
-  Alcotest.(check int) "size" 1 (Iproute.Cpe.size t)
-
-let cpe_lookup_levels () =
-  let t =
-    Iproute.Cpe.build ~strides:[ 16; 8; 8 ]
-      [
-        (Iproute.Prefix.of_string "10.0.0.0/8", 1);
-        (Iproute.Prefix.of_string "10.1.1.0/24", 2);
-      ]
-  in
-  Alcotest.(check int) "short prefix: 1 level" 1
-    (Iproute.Cpe.lookup_levels t (addr "11.0.0.1"));
-  Alcotest.(check bool) "deep prefix: more levels" true
-    (Iproute.Cpe.lookup_levels t (addr "10.1.1.5") >= 2)
+    (Option.map snd (Iproute.Poptrie.lookup t (addr "10.200.0.1")));
+  Alcotest.(check int) "size" 1 (Iproute.Poptrie.size t)
 
 let route_cache_behavior () =
   let c = Iproute.Route_cache.create ~slots:4 () in
@@ -168,28 +140,28 @@ let table_cached_lookup () =
   | _ -> Alcotest.fail "expected miss after remove (cache invalidated)"
 
 let table_engines_consistent () =
-  let mk engine =
-    let t = Iproute.Table.create ~engine () in
-    List.iter
-      (fun (s, p) ->
-        Iproute.Table.add t (Iproute.Prefix.of_string s)
-          { Iproute.Table.out_port = p; gateway_mac = 0 })
-      [ ("0.0.0.0/0", 0); ("10.0.0.0/8", 1); ("10.64.0.0/10", 2) ];
-    t
+  (* The table's engine against the Btrie reference on one table. *)
+  let routes = [ ("0.0.0.0/0", 0); ("10.0.0.0/8", 1); ("10.64.0.0/10", 2) ] in
+  let t = Iproute.Table.create () in
+  List.iter
+    (fun (s, p) ->
+      Iproute.Table.add t (Iproute.Prefix.of_string s)
+        { Iproute.Table.out_port = p; gateway_mac = 0 })
+    routes;
+  let bt =
+    List.fold_left
+      (fun bt (s, p) -> Iproute.Btrie.add bt (Iproute.Prefix.of_string s) p)
+      Iproute.Btrie.empty routes
   in
-  let engines = [ mk Iproute.Table.Cpe; mk Iproute.Table.Poptrie ] in
   List.iter
     (fun (a, expect) ->
-      List.iter
-        (fun t ->
-          Alcotest.(check (option int))
-            (Format.asprintf "%s via %a" (Iproute.Table.engine_name t)
-               Packet.Ipv4.pp_addr a)
-            expect
-            (Option.map
-               (fun nh -> nh.Iproute.Table.out_port)
-               (Iproute.Table.lookup t a)))
-        engines)
+      let what = Format.asprintf "%a" Packet.Ipv4.pp_addr a in
+      Alcotest.(check (option int)) ("btrie " ^ what) expect
+        (Option.map snd (Iproute.Btrie.lookup bt a));
+      Alcotest.(check (option int)) ("table " ^ what) expect
+        (Option.map
+           (fun nh -> nh.Iproute.Table.out_port)
+           (Iproute.Table.lookup t a)))
     [
       (addr "10.65.0.1", Some 2);
       (addr "10.1.0.1", Some 1);
@@ -224,16 +196,16 @@ let selective_invalidation_scope () =
   | `Hit _ -> ()
   | `Miss _ -> Alcotest.fail "10.1 should have survived"
 
-(* Differential check of all engines against the linear specification on
-   one table, over [n_addrs] addresses biased toward actual table hits
-   (uniform random addresses mostly exercise only the default route). *)
+(* Differential check of Poptrie and Btrie against the linear
+   specification on one table, over [n_addrs] addresses biased toward
+   actual table hits (uniform random addresses mostly exercise only the
+   default route). *)
 let check_engines_on ~what ~rng ~n_addrs bindings =
   let bt =
     List.fold_left
       (fun t (p, v) -> Iproute.Btrie.add t p v)
       Iproute.Btrie.empty bindings
   in
-  let cpe = Iproute.Cpe.build bindings in
   let pop = Iproute.Poptrie.create () in
   List.iter (fun (p, v) -> Iproute.Poptrie.add pop p v) bindings;
   for i = 1 to n_addrs do
@@ -248,7 +220,6 @@ let check_engines_on ~what ~rng ~n_addrs bindings =
         expect got
     in
     say "btrie" (Option.map snd (Iproute.Btrie.lookup bt a));
-    say "cpe" (Option.map snd (Iproute.Cpe.lookup cpe a));
     say "poptrie" (Option.map snd (Iproute.Poptrie.lookup pop a))
   done
 
@@ -566,8 +537,7 @@ let table_covered_invalidation () =
   (* End-to-end through Table: a /32 route change costs one cache probe
      and leaves every unrelated warm line untouched. *)
   let t =
-    Iproute.Table.create ~engine:Iproute.Table.Poptrie ~cache_slots:4096
-      ~selective_invalidation:true ()
+    Iproute.Table.create ~cache_slots:4096 ~selective_invalidation:true ()
   in
   let nh p = { Iproute.Table.out_port = p; gateway_mac = 0 } in
   Iproute.Table.add t (pfx_of "10.0.0.0/8") (nh 1);
@@ -587,14 +557,11 @@ let table_covered_invalidation () =
   Alcotest.(check int) "no unrelated line flushed" 100 !survivors
 
 let table_size_counts_routes () =
-  (* [size] is counted from the engine when called; on CPE, whose
-     expanded entries hold many copies of a route, it must track
-     installs, replacements and removals exactly.  CPE rebuilds its
-     65536-slot root on every replacement and remove (~20 ms each), so
-     the table is kept small. *)
+  (* [size] is the engine's count; it must track installs,
+     replacements and removals exactly. *)
   let rng = Sim.Rng.create 23L in
-  let base = Iproute.Gen.bgp_table ~rng ~n:500 ~n_ports:8 in
-  let t = Iproute.Table.create ~engine:Iproute.Table.Cpe () in
+  let base = Iproute.Gen.bgp_table ~rng ~n:20_000 ~n_ports:8 in
+  let t = Iproute.Table.create () in
   let nh port = { Iproute.Table.out_port = port; gateway_mac = 0 } in
   Array.iter (fun (p, v) -> Iproute.Table.add t p (nh v)) base;
   Array.iteri
@@ -604,7 +571,7 @@ let table_size_counts_routes () =
     (function
       | Iproute.Gen.Announce (p, v) -> Iproute.Table.add t p (nh v)
       | Iproute.Gen.Withdraw p -> Iproute.Table.remove t p)
-    (Iproute.Gen.churn ~rng ~base ~n_ports:8 ~steps:100);
+    (Iproute.Gen.churn ~rng ~base ~n_ports:8 ~steps:5_000);
   (* The second removal is of an absent route. *)
   Iproute.Table.remove t (pfx_of "203.0.113.77/32");
   Iproute.Table.remove t (pfx_of "203.0.113.77/32");
@@ -625,13 +592,7 @@ let cold_install_scan_cost () =
   in
   List.iter
     (fun selective_invalidation ->
-      let config =
-        {
-          Router.default_config with
-          Router.route_engine = Iproute.Table.Poptrie;
-          selective_invalidation;
-        }
-      in
+      let config = { Router.default_config with selective_invalidation } in
       let r = Router.create ~config () in
       let routes = r.Router.routes in
       Array.iter (fun (p, port) -> Router.add_route r p ~port) base;
@@ -813,8 +774,7 @@ let route_cache_model =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
-      engines_agree; cpe_incremental_add;
-      poptrie_diff_ops; covered_equiv; route_cache_model;
+      engines_agree; poptrie_diff_ops; covered_equiv; route_cache_model;
     ]
 
 let tests =
@@ -823,9 +783,7 @@ let tests =
     Alcotest.test_case "prefix matches" `Quick prefix_matches;
     Alcotest.test_case "prefix expand" `Quick prefix_expand;
     Alcotest.test_case "btrie basics" `Quick btrie_basic;
-    Alcotest.test_case "cpe DP strides sum to 32" `Quick cpe_strides_sum;
-    Alcotest.test_case "cpe remove" `Quick cpe_remove;
-    Alcotest.test_case "cpe lookup levels" `Quick cpe_lookup_levels;
+    Alcotest.test_case "poptrie remove" `Quick poptrie_remove;
     Alcotest.test_case "route cache" `Quick route_cache_behavior;
     Alcotest.test_case "table cached lookup" `Quick table_cached_lookup;
     Alcotest.test_case "table engines consistent" `Quick
@@ -837,7 +795,7 @@ let tests =
       covered_invalidation_unit;
     Alcotest.test_case "table /32 change costs one probe" `Quick
       table_covered_invalidation;
-    Alcotest.test_case "table size = bindings on cpe" `Quick
+    Alcotest.test_case "table size = bindings" `Quick
       table_size_counts_routes;
     Alcotest.test_case "cold table install scans no cache line" `Quick
       cold_install_scan_cost;

@@ -47,6 +47,38 @@ let wait_advances_clock () =
   check64 "clock" 123L !seen;
   check "no live fibers" 0 (Sim.Engine.live_fibers e)
 
+(* A fiber of [a] may neither wait on [b]'s clock nor park on a cell of
+   [b]: suspending it there would resume it on [a]'s own clock, or let
+   [b]'s run loop resume a continuation of [a]. *)
+let outcome f =
+  match f () with
+  | () -> "returned"
+  | exception Invalid_argument _ -> "Invalid_argument"
+
+let cross_engine_wait_rejected () =
+  let a = Sim.Engine.create () and b = Sim.Engine.create () in
+  let got = ref "not run" and negative = ref "not run" in
+  Sim.Engine.spawn a "waits on b" (fun () ->
+      got := outcome (fun () -> Sim.Engine.wait_in b 5000);
+      negative := outcome (fun () -> Sim.Engine.wait_in a (-1)));
+  Sim.Engine.run_until_idle a;
+  Alcotest.(check string) "wait_in b from a fiber of a" "Invalid_argument" !got;
+  Alcotest.(check string) "negative wait" "Invalid_argument" !negative;
+  check64 "a's clock unmoved" 0L (Sim.Engine.time a);
+  check64 "b's clock unmoved" 0L (Sim.Engine.time b);
+  check "b scheduled nothing" 0 (Sim.Engine.events_scheduled b)
+
+let cross_engine_park_rejected () =
+  let a = Sim.Engine.create () and b = Sim.Engine.create () in
+  let c = Sim.Engine.make_cell b in
+  let got = ref "not run" in
+  Sim.Engine.spawn a "parks on b's cell" (fun () ->
+      got := outcome (fun () -> Sim.Engine.park c));
+  Sim.Engine.run_until_idle a;
+  Alcotest.(check string) "park on b's cell from a fiber of a"
+    "Invalid_argument" !got;
+  check "no fiber left parked" 0 (Sim.Engine.live_fibers a)
+
 let run_until_bounds_time () =
   let e = Sim.Engine.create () in
   let ticks = ref 0 in
@@ -538,6 +570,10 @@ let tests =
       interleaving_is_deterministic;
     Alcotest.test_case "engine: suspend/wake" `Quick suspend_and_wake;
     Alcotest.test_case "engine: deadlock detection" `Quick deadlock_detected;
+    Alcotest.test_case "engine: wait on another engine raises" `Quick
+      cross_engine_wait_rejected;
+    Alcotest.test_case "engine: park on another engine's cell raises" `Quick
+      cross_engine_park_rejected;
     Alcotest.test_case "server: FIFO serialization" `Quick server_serializes;
     Alcotest.test_case "server: pipelined latency" `Quick
       server_latency_exceeds_occupancy;
