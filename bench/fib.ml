@@ -183,25 +183,30 @@ let rip_segment () =
   Sim.Engine.spawn r.Router.engine "fib-dataplane" (fun () ->
       (* A small recurring flow population (rather than fresh random
          addresses) so probes re-hit warm cache lines — the staleness
-         check only means something on the `Hit path. *)
+         check only means something on a cache hit. *)
       let rng = Sim.Rng.create 77L in
       let pool =
         Array.init 256 (fun i ->
             if i land 3 = 0 then Sim.Rng.int32 rng
             else Iproute.Gen.hit_addr ~rng base)
       in
+      let hit = ref false in
       let i = ref 0 in
       while Sim.Engine.time r.Router.engine < end_ps do
         for _ = 1 to 4 do
           let a = pool.(!i land 255) in
           incr i;
           incr probes;
-          match Iproute.Table.lookup_cached r.Router.routes a with
-          | `Hit nh ->
-              incr cache_hits;
-              if Iproute.Table.lookup r.Router.routes a <> Some nh then
-                incr stale
-          | `Miss _ -> ()
+          let nh =
+            Iproute.Table.lookup_cached r.Router.routes
+              (Int32.to_int a land 0xFFFFFFFF)
+              ~hit
+          in
+          if !hit then begin
+            incr cache_hits;
+            if Iproute.Table.lookup r.Router.routes a <> Some nh then
+              incr stale
+          end
         done;
         Sim.Engine.wait_in r.Router.engine 1_000_000
       done);

@@ -19,7 +19,8 @@ let lookup_tests =
   let pop = Iproute.Poptrie.create () in
   List.iter (fun (p, v) -> Iproute.Poptrie.add pop p v) bindings;
   let cache = Iproute.Route_cache.create ~slots:1024 () in
-  Iproute.Route_cache.insert cache (addr "10.0.0.1") 1;
+  let key = Int32.to_int (addr "10.0.0.1") land 0xFFFFFFFF in
+  Iproute.Route_cache.insert cache key 1;
   (* Pre-draw the address stream so the generator is not what's measured. *)
   let arng = Sim.Rng.create 5L in
   let addrs =
@@ -38,7 +39,7 @@ let lookup_tests =
            ignore (Iproute.Poptrie.lookup pop (next_addr ()))));
     Test.make ~name:"lpm/route-cache-hit"
       (Staged.stage (fun () ->
-           ignore (Iproute.Route_cache.find cache (addr "10.0.0.1"))));
+           ignore (Iproute.Route_cache.find_or cache key ~default:0)));
   ]
 
 let packet_tests =
@@ -83,9 +84,8 @@ let router_tests =
   let c1 = Router.Psched.add_client sched ~name:"a" ~share:2.0 in
   let _c2 = Router.Psched.add_client sched ~name:"b" ~share:1.0 in
   [
-    Test.make ~name:"classifier/functional"
-      (Staged.stage (fun () ->
-           ignore (Router.Classifier.classify_functional cl frame)));
+    Test.make ~name:"classifier/decide"
+      (Staged.stage (fun () -> ignore (Router.Classifier.decide cl frame)));
     Test.make ~name:"squeue/push-pop"
       (Staged.stage (fun () ->
            ignore (Router.Squeue.push q d);

@@ -37,16 +37,15 @@ let run_mode wakeup =
     Router.Chip_ctx.hash_charge ctx;
     Router.Chip_ctx.sram_read ctx
       ~bytes:(4 * cm.Router.Cost_model.classify_null_sram_reads);
-    match Router.Classifier.classify_functional t.Router.classifier frame with
-    | Router.Classifier.Invalid -> Router.Input_loop.Drop_it
-    | Router.Classifier.Classified { route; _ } ->
-        let out_port =
-          match route with
-          | Some nh -> nh.Iproute.Table.out_port
-          | None -> -1
-        in
-        Router.Input_loop.To_queue
-          { qid = Router.qid_sa_local t; out_port; fid }
+    let cl = t.Router.classifier in
+    if not (Router.Classifier.decide cl frame) then Router.Input_loop.Drop_it
+    else
+      let route = Router.Classifier.scratch_route cl in
+      let out_port =
+        if route == Iproute.Table.no_route then -1
+        else route.Iproute.Table.out_port
+      in
+      Router.Input_loop.To_queue { qid = Router.qid_sa_local t; out_port; fid }
   in
   Router.start ~process r;
   let rng = Sim.Rng.create 2L in

@@ -19,7 +19,11 @@ let classes c =
 
 (* --- spec grammar ------------------------------------------------------ *)
 
-let num v = Printf.sprintf "%g" v
+(* [%g] where it parses back exactly, else every digit: [to_spec] must
+   round-trip. *)
+let num v =
+  let s = Printf.sprintf "%g" v in
+  if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
 let to_spec c =
   let body =
@@ -50,8 +54,8 @@ let parse spec =
         let body = String.sub s 0 i in
         let r = String.sub s (i + 1) (String.length s - i - 1) in
         match float_of_string_opt (String.trim r) with
-        | Some v when v > 0. -> Ok (body, v)
-        | _ -> Error (Printf.sprintf "bad service rate %S (Mbps > 0)" r))
+        | Some v when v > 0. && Float.is_finite v -> Ok (body, v)
+        | _ -> Error (Printf.sprintf "bad service rate %S (finite Mbps > 0)" r))
   in
   let int_field name s =
     match int_of_string_opt (String.trim s) with
@@ -60,8 +64,11 @@ let parse spec =
   in
   let float_field name s =
     match float_of_string_opt (String.trim s) with
-    | Some v when v >= 0. -> Ok v
-    | _ -> Error (Printf.sprintf "%s must be a non-negative number, got %S" name s)
+    | Some v when v >= 0. && Float.is_finite v -> Ok v
+    | _ ->
+        Error
+          (Printf.sprintf "%s must be a finite non-negative number, got %S"
+             name s)
   in
   let cap s =
     let* c = int_field "capacity" s in

@@ -52,7 +52,8 @@ val parse : string -> (config, string) result
     wrr:CAP:W0,W1,...
     v}
     any of which may take an [@MBPS] suffix overriding the default
-    1000 Mbps drain rate, e.g. [taildrop:64@300]. *)
+    1000 Mbps drain rate, e.g. [taildrop:64@300].  Every number must be
+    finite. *)
 
 val to_spec : config -> string
 (** Inverse of {!parse} (canonical form). *)

@@ -7,15 +7,6 @@ type entry = {
   mutable matches : int;
 }
 
-type outcome =
-  | Invalid
-  | Classified of {
-      per_flow : entry option;
-      general : entry list;
-      route : Iproute.Table.nexthop option;
-      route_cache_hit : bool;
-    }
-
 type t = {
   cm : Cost_model.t;
   routes : Iproute.Table.t;
@@ -113,7 +104,7 @@ let decide t frame =
              | None -> None));
     t.s_general <- t.general;
     t.s_route <-
-      Iproute.Table.lookup_cached_i t.routes (Packet.Ipv4.get_dst_i frame)
+      Iproute.Table.lookup_cached t.routes (Packet.Ipv4.get_dst_i frame)
         ~hit:t.s_hit;
     t.s_route_cache_hit <- !(t.s_hit);
     true
@@ -134,16 +125,3 @@ let classify t ctx frame =
   Chip_ctx.hash_charge ctx;
   Chip_ctx.sram_read ctx ~bytes:cm.Cost_model.classify_full_sram_bytes;
   decide t frame
-
-let classify_functional t frame =
-  if not (decide t frame) then Invalid
-  else
-    Classified
-      {
-        per_flow = t.s_per_flow;
-        general = t.s_general;
-        route =
-          (if t.s_route == Iproute.Table.no_route then None
-           else Some t.s_route);
-        route_cache_hit = t.s_route_cache_hit;
-      }

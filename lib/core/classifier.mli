@@ -23,15 +23,6 @@ type entry = {
   mutable matches : int;
 }
 
-type outcome =
-  | Invalid  (** malformed header: drop *)
-  | Classified of {
-      per_flow : entry option;
-      general : entry list;  (** serial chain, minimal IP last *)
-      route : Iproute.Table.nexthop option;
-      route_cache_hit : bool;
-    }
-
 type t
 
 val create : Cost_model.t -> routes:Iproute.Table.t -> t
@@ -61,6 +52,11 @@ val classify : t -> Chip_ctx.t -> Packet.Frame.t -> bool
     hardware charge — a charge can suspend, and the next context to
     classify overwrites it. *)
 
+val decide : t -> Packet.Frame.t -> bool
+(** {!classify} without the hardware charges: the same decision into
+    the same scratch — for tests, microbenchmarks and benches that
+    charge their own classifier. *)
+
 val scratch_per_flow : t -> entry option
 val scratch_general : t -> entry list
 
@@ -68,8 +64,3 @@ val scratch_route : t -> Iproute.Table.nexthop
 (** Physically equal to {!Iproute.Table.no_route} when no route matched. *)
 
 val scratch_route_cache_hit : t -> bool
-
-val classify_functional : t -> Packet.Frame.t -> outcome
-(** The same decision with no hardware charging, as an [outcome] — for
-    tests, microbenchmarks and benches that charge their own classifier.
-    It also overwrites the scratch. *)

@@ -23,14 +23,9 @@ type t = {
   mutable pe_remove : (fid:int -> unit) option;
 }
 
-let create ?admission ~chip ~classifier ~input_mes () =
-  let adm =
-    match admission with
-    | Some a -> a
-    | None -> Admission.default chip.Ixp.Chip.cfg
-  in
+let create ~chip ~classifier ~input_mes () =
   {
-    adm;
+    adm = Admission.default chip.Ixp.Chip.cfg;
     chip;
     classifier;
     istores = List.map (fun i -> chip.Ixp.Chip.istores.(i)) input_mes;

@@ -18,7 +18,6 @@ type where = ME | SA | PE
 type t
 
 val create :
-  ?admission:Admission.t ->
   chip:Ixp.Chip.t ->
   classifier:Classifier.t ->
   input_mes:int list ->
@@ -27,7 +26,8 @@ val create :
 (** [create ~chip ~classifier ~input_mes ()] manages installs for the given
     router.  [input_mes] are the MicroEngines whose ISTOREs hold VRP
     extensions (code is replicated into each, as the paper loads "the
-    ISTORE of all the input contexts"). *)
+    ISTORE of all the input contexts").  Admission control is
+    {!Admission.default} for the chip's configuration. *)
 
 val register_sa_boot_forwarder : t -> Forwarder.t -> unit
 (** The StrongARM "boots with a fixed set of forwarders, and the install

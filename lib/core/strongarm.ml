@@ -47,9 +47,11 @@ type t = {
   mutable crashes : int;
 }
 
-let create chip cm ?(wakeup = Polling) ?(pe_flow_queues = 4)
-    ?(pe_buffers = 128) ?(full_copy = false) ?icmp_addr ~lookup_fid ~routes
-    ~out_enqueue () =
+(* Pentium-bound flow queues, served round-robin. *)
+let pe_flow_queues = 4
+
+let create chip cm ?(wakeup = Polling) ?(pe_buffers = 128) ?(full_copy = false)
+    ?icmp_addr ~lookup_fid ~routes ~out_enqueue () =
   {
     cm;
     ctx = Chip_ctx.make_cpu chip chip.Ixp.Chip.me_clock;

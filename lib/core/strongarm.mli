@@ -68,7 +68,6 @@ val create :
   Ixp.Chip.t ->
   Cost_model.t ->
   ?wakeup:wakeup ->
-  ?pe_flow_queues:int ->
   ?pe_buffers:int ->
   ?full_copy:bool ->
   ?icmp_addr:(int -> Packet.Ipv4.addr) ->

@@ -88,11 +88,12 @@ let parse_event item =
       in
       let num name s =
         match float_of_string_opt (String.trim s) with
-        | Some v when v >= 0. -> Ok v
+        | Some v when v >= 0. && Float.is_finite v -> Ok v
         | _ ->
             Error
-              (Printf.sprintf "%s: %s must be a non-negative number, got %S"
-                 kind_s name s)
+              (Printf.sprintf
+                 "%s: %s must be a finite non-negative number, got %S" kind_s
+                 name s)
       in
       let* start_us = num "start" start_s in
       let* dur_us = num "dur" dur_s in
@@ -136,7 +137,11 @@ let parse spec =
            (Ok [])
            (String.split_on_char ';' spec))
 
-let num v = Printf.sprintf "%g" v
+(* [%g] where it parses back exactly, else every digit: [to_spec] must
+   round-trip. *)
+let num v =
+  let s = Printf.sprintf "%g" v in
+  if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
 let event_to_spec e =
   let base =

@@ -48,7 +48,8 @@ val max_member : t -> int
 
 val parse : string -> (t, string) result
 (** Parse a spec string (seed 0; combine with [with_seed]).  [""] and
-    ["none"] parse to [zero]. *)
+    ["none"] parse to [zero].  Every number must be finite and
+    non-negative. *)
 
 val to_spec : t -> string
 (** Inverse of [parse] (modulo whitespace); [zero] prints as ["none"]. *)

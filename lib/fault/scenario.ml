@@ -73,7 +73,7 @@ let set t key v =
     else Ok r
   in
   let posint name r =
-    if r < 0. || Float.rem r 1. <> 0. then
+    if r < 0. || r >= 0x1p62 || Float.rem r 1. <> 0. then
       Error (Printf.sprintf "%s: expected a non-negative integer" name)
     else Ok (int_of_float r)
   in
@@ -119,15 +119,19 @@ let parse spec =
                   in
                   match float_of_string_opt v with
                   | None -> Error (Printf.sprintf "%s: bad value %S" key v)
+                  | Some f when not (Float.is_finite f) ->
+                      Error
+                        (Printf.sprintf "%s: %S is not a finite number" key v)
                   | Some v -> set t key v)))
         (Ok zero)
         (String.split_on_char ',' spec)
 
 let to_spec t =
   let num v =
-    (* Shortest exact decimal, so specs stay readable and round-trip. *)
+    (* Twelve digits where they parse back exactly, else every digit:
+       specs stay readable and round-trip. *)
     let s = Printf.sprintf "%.12g" v in
-    s
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
   in
   let fields =
     List.filter_map

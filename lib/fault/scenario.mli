@@ -45,8 +45,8 @@ val with_seed : t -> int64 -> t
 val parse : string -> (t, string) result
 (** [parse spec] reads a comma-separated [key:value] list, e.g.
     ["mac_corrupt:0.01,pool_fail:0.005,mac_burst:8"].  [""] and ["none"]
-    are {!zero}.  Unknown keys, malformed values, rates outside [0, 1]
-    and negative parameters are errors. *)
+    are {!zero}.  Unknown keys, malformed or non-finite values, rates
+    outside [0, 1] and negative parameters are errors. *)
 
 val to_spec : t -> string
 (** Canonical spec string (non-zero fields only, sorted); [parse

@@ -250,23 +250,10 @@ type t = {
   mutable c_count : int;  (** occupied slots, stale ones included *)
   mutable epoch : int;
   cache_capacity : int;
-  (* Last-key memo: bursts are strongly flow-local, so the previous
-     forwarder lookup's decision usually answers the next frame too.
-     The memo is a single (key, rule) pair checked before the flow cache
-     — a hit skips even the cache's hash probe.  It holds while
-     [memo_epoch] is the cache's [epoch]: a flush bumps the epoch and a
-     rule write zeroes [memo_epoch], and nothing else can evict or
-     change the memoized key's cache entry, so a memo hit stands in for
-     exactly one flow-cache hit with the same answer. *)
-  mutable memo_epoch : int;  (** 0 = memo empty *)
-  mutable memo_hi : int;
-  mutable memo_lo : int;
-  mutable memo_rule : rule option;
   hits : Sim.Stats.Counter.t;
   misses : Sim.Stats.Counter.t;
   flushes : Sim.Stats.Counter.t;
   probe_count : Sim.Stats.Counter.t;
-  memo_hits : Sim.Stats.Counter.t;
 }
 
 let cache_slots = 512
@@ -282,15 +269,10 @@ let create ?(cache_capacity = 4096) () =
     c_count = 0;
     epoch = 1;
     cache_capacity;
-    memo_epoch = 0;
-    memo_hi = 0;
-    memo_lo = 0;
-    memo_rule = None;
     hits = Sim.Stats.Counter.create "classifier.cache_hit";
     misses = Sim.Stats.Counter.create "classifier.cache_miss";
     flushes = Sim.Stats.Counter.create "classifier.cache_flush";
     probe_count = Sim.Stats.Counter.create "classifier.probes";
-    memo_hits = Sim.Stats.Counter.create "classifier.mf_batch_memo_hits";
   }
 
 let compare_tuple a b =
@@ -342,7 +324,6 @@ let stale : rule option = Some (rule Accept)
    its own packed value go stale.  A write into an empty cache costs
    nothing. *)
 let invalidate t tb r =
-  t.memo_epoch <- 0;
   if t.c_count > 0 then begin
     let keys = t.c_keys and answers = t.c_rule and epoch = t.epoch in
     let hi = rule_hi r and lo = rule_lo r in
@@ -502,24 +483,6 @@ let lookup t k =
   check_key "lookup" k;
   lookup_packed t (key_hi k) (key_lo k)
 
-let lookup_memo_packed t hi lo =
-  if t.memo_epoch = t.epoch && t.memo_hi = hi && t.memo_lo = lo then begin
-    Sim.Stats.Counter.incr t.memo_hits;
-    t.memo_rule
-  end
-  else begin
-    let r = lookup_packed t hi lo in
-    t.memo_epoch <- t.epoch;
-    t.memo_hi <- hi;
-    t.memo_lo <- lo;
-    t.memo_rule <- r;
-    r
-  end
-
-let lookup_memo t k =
-  check_key "lookup_memo" k;
-  lookup_memo_packed t (key_hi k) (key_lo k)
-
 let lookup_linear t k =
   List.fold_left
     (fun acc tb ->
@@ -539,7 +502,7 @@ let cache_hits t = Sim.Stats.Counter.value t.hits
 let cache_misses t = Sim.Stats.Counter.value t.misses
 let cache_flushes t = Sim.Stats.Counter.value t.flushes
 let probes t = Sim.Stats.Counter.value t.probe_count
-let batch_memo_hits t = Sim.Stats.Counter.value t.memo_hits
+let batch_memo_hits _ = 0
 
 let attach t scope =
   Telemetry.Scope.gauge_int scope "tuples" (fun () -> n_tuples t);
@@ -549,8 +512,7 @@ let attach t scope =
   Telemetry.Scope.register_counter scope ~name:"cache_hit" t.hits;
   Telemetry.Scope.register_counter scope ~name:"cache_miss" t.misses;
   Telemetry.Scope.register_counter scope ~name:"cache_flush" t.flushes;
-  Telemetry.Scope.register_counter scope ~name:"probes" t.probe_count;
-  Telemetry.Scope.register_counter scope ~name:"mf_batch_memo_hits" t.memo_hits
+  Telemetry.Scope.register_counter scope ~name:"probes" t.probe_count
 
 let forwarder ?(max_probes = 4) ~(cm : Router.Cost_model.t) t =
   if max_probes < 1 then invalid_arg "Classifier.forwarder: max_probes";
@@ -575,7 +537,7 @@ let forwarder ?(max_probes = 4) ~(cm : Router.Cost_model.t) t =
           (Packet.Frame.get_u16 frame (base + 2))
           (Packet.Ipv4.get_proto frame) (Packet.Ipv4.dscp frame)
       in
-      match lookup_memo_packed t hi lo with
+      match lookup_packed t hi lo with
       | None | Some { act = Accept; _ } -> Router.Forwarder.Continue
       | Some { act = Drop; _ } -> Router.Forwarder.Drop
       | Some { act = Forward p; _ } -> Router.Forwarder.Forward p

@@ -19,11 +19,10 @@
     packed halves, masked by [r]'s tuple masks, equal [r]'s own, and
     every other flow stays cached.  A stale entry is never served: its
     next lookup misses and rewrites it (the staleness audit in the test
-    battery checks this at 10k ops).  The write also empties the
-    last-key memo.  Its cost is one pass over the cache's slot table,
-    whose size is bounded by [cache_capacity] (at most
-    [max 512 (4 * cache_capacity)] slots); a write into an empty cache
-    costs nothing.
+    battery checks this at 10k ops).  Its cost is one pass over the
+    cache's slot table, whose size is bounded by [cache_capacity] (at
+    most [max 512 (4 * cache_capacity)] slots); a write into an empty
+    cache costs nothing.
 
     Decisions are priority-stable under insertion order: ties on [prio]
     break on canonical rule content, never on arrival sequence.
@@ -109,18 +108,8 @@ val remove : t -> rule -> bool
 val lookup : t -> Packet.Flow.five -> rule option
 (** The winning rule via flow cache + pruned tuple walk, or [None] when
     nothing matches.  Raises [Invalid_argument] if a port, protocol or
-    DSCP field of the key exceeds its wire width ({!lookup_memo} too).
-    [lookup] neither reads nor fills the last-key memo. *)
-
-val lookup_memo : t -> Packet.Flow.five -> rule option
-(** {!lookup} behind a one-entry last-key memo, as the {!forwarder} runs
-    it: when the key equals that of the previous [lookup_memo] call and
-    neither a rule write nor a flow-cache flush came in between, the
-    previous answer is returned without touching the flow cache.  Bursts
-    are strongly flow-local, so the memo absorbs most of a burst after
-    its first frame.  A memo hit always replaces a flow-cache hit with
-    the same answer, so verdicts, {!cache_misses} and {!probes} are
-    those of a memo-free {!lookup} sequence. *)
+    DSCP field of the key exceeds its wire width.  The {!forwarder}
+    runs the same lookup on a key packed straight from the frame. *)
 
 val lookup_linear : t -> Packet.Flow.five -> rule option
 (** The naive oracle: scan every installed rule, keep the best by
@@ -140,17 +129,19 @@ val probes : t -> int
     tuples touched per miss). *)
 
 val batch_memo_hits : t -> int
-(** Lookups answered by the last-key memo ({!lookup_memo}) without
-    touching the flow cache. *)
+(** Always 0: every lookup probes the flow cache, so every repeat of a
+    flow counts in {!cache_hits}.  Stays only because the end-to-end
+    benchmark harness reads it, and goes with that read in the next
+    benchmark change. *)
 
 val attach : t -> Telemetry.Scope.t -> unit
 (** Register gauges ([tuples], [rules], [cache_entries]) and counters
-    ([cache_hit], [cache_miss], [cache_flush], [probes],
-    [mf_batch_memo_hits]) under a scope. *)
+    ([cache_hit], [cache_miss], [cache_flush], [probes]) under a
+    scope. *)
 
 val forwarder :
   ?max_probes:int -> cm:Router.Cost_model.t -> t -> Router.Forwarder.t
-(** A general (match-all) forwarder running {!lookup_memo} on every
+(** A general (match-all) forwarder running {!lookup} on every
     packet.
     Declared VRP cost: the flow-cache probe ([mf_cache_instr] + one
     hash) plus [max_probes] (default 4) worst-case tuple probes at

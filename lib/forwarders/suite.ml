@@ -11,10 +11,10 @@ let table5 =
 let general_suite =
   [ Syn_monitor.forwarder; Perf_monitor.forwarder; Port_filter.forwarder ]
 
-let per_flow_suite =
-  [ Tcp_splicer.forwarder; Wavelet_dropper.forwarder; Ack_monitor.forwarder ]
+(* Admission's branch-delay inflation of instruction counts. *)
+let branch_factor = 1.05
 
-let full_budget_suite ?(branch_factor = 1.05) ~budget () =
+let full_budget_suite ~budget () =
   let base = general_suite in
   let used =
     List.fold_left

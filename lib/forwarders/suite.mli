@@ -8,14 +8,10 @@ val general_suite : Router.Forwarder.t list
 (** The general ([All]-key) forwarders that can run together on the
     MicroEngines: SYN monitor, performance monitor, port filter. *)
 
-val per_flow_suite : Router.Forwarder.t list
-(** The per-flow examples: TCP splicer, wavelet dropper, ACK monitor. *)
-
 val full_budget_suite :
-  ?branch_factor:float -> budget:Router.Vrp.budget -> unit ->
-  Router.Forwarder.t list
+  budget:Router.Vrp.budget -> unit -> Router.Forwarder.t list
 (** A synthetic general-forwarder suite sized to "utilize the full VRP
     budget" (section 4.7's first robustness experiment): the Table 5
     general forwarders plus a padding forwarder consuming whatever cycles
     and SRAM transfers remain after admission's branch-delay inflation
-    ([branch_factor], default 1.05). *)
+    (a factor of 1.05). *)

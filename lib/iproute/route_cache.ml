@@ -3,8 +3,7 @@
    probe, and the tuple-in-option line layout forced a [Some v] per hit.
    Lines are now two parallel arrays — an int key array ([-1] = empty;
    no masked address is negative) and a value array — so the fast-path
-   probe {!find_or} touches no allocator at all.  The [addr]-typed API
-   survives as wrappers for the control plane and tests. *)
+   probe {!find_or} touches no allocator at all. *)
 
 type 'a t = {
   hash : int -> int;
@@ -26,15 +25,8 @@ let default_hash_i x =
   let x = x lxor (x lsr 13) in
   x land max_int
 
-let key_of_addr a = Int32.to_int a land 0xFFFFFFFF
-
-let create ?hash ~slots () =
+let create ?(hash = default_hash_i) ~slots () =
   if slots <= 0 then invalid_arg "Route_cache.create: slots <= 0";
-  let hash =
-    match hash with
-    | None -> default_hash_i
-    | Some h -> fun k -> h (Int32.of_int k)
-  in
   {
     hash;
     keys = Array.make slots (-1);
@@ -61,26 +53,11 @@ let find_or c k ~default =
     default
   end
 
-let find_i c k =
-  let l = line c k in
-  if c.keys.(l) = k then begin
-    c.hits <- c.hits + 1;
-    c.vals.(l)
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    None
-  end
-
-let find c a = find_i c (key_of_addr a)
-
-let insert_i c k v =
+let insert c k v =
   let l = line c k in
   if c.keys.(l) < 0 then c.live <- c.live + 1;
   c.keys.(l) <- k;
   c.vals.(l) <- Some v
-
-let insert c a v = insert_i c (key_of_addr a) v
 
 (* Every invalidation returns at once on an empty cache, so a route
    install into a cold cache — a whole table loaded at start-up — costs

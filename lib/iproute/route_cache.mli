@@ -7,29 +7,21 @@
 
 type 'a t
 
-val create : ?hash:(Packet.Ipv4.addr -> int) -> slots:int -> unit -> 'a t
+val create : ?hash:(int -> int) -> slots:int -> unit -> 'a t
 (** [create ~slots ()] is an empty cache of [slots] lines ([slots > 0]).
+    Keys are the 32 address bits as a native int ([0 .. 2^32-1]).
     [hash] defaults to a multiplicative hash standing in for the IXP1200
     hardware hash unit. *)
 
-val find : 'a t -> Packet.Ipv4.addr -> 'a option
-(** [find c a] is the cached value for exactly [a], if its line holds it. *)
-
 val find_or : 'a t -> int -> default:'a -> 'a
-(** [find_or c k ~default] is the hot-path probe: the cached value for
-    key [k] (the 32 address bits as a native int), or [default] on a
-    miss.  Counts a hit or miss like {!find}; allocates nothing — the
-    caller distinguishes a miss by physical comparison with its own
-    sentinel value. *)
+(** [find_or c k ~default] is the one probe: the cached value for
+    exactly key [k] if its line holds it, or [default] on a miss.
+    Counts a hit or a miss and allocates nothing — the caller
+    distinguishes a miss by physical comparison with its own sentinel
+    value. *)
 
-val find_i : 'a t -> int -> 'a option
-(** {!find} keyed by native-int address bits. *)
-
-val insert : 'a t -> Packet.Ipv4.addr -> 'a -> unit
-(** [insert c a v] fills [a]'s line, evicting any previous occupant. *)
-
-val insert_i : 'a t -> int -> 'a -> unit
-(** {!insert} keyed by native-int address bits. *)
+val insert : 'a t -> int -> 'a -> unit
+(** [insert c k v] fills [k]'s line, evicting any previous occupant. *)
 
 val invalidate : 'a t -> unit
 (** Drop every line (route table changed).  Clearing an occupied cache

@@ -29,24 +29,14 @@ let remove t p =
 
 let lookup t a = Option.map snd (Poptrie.lookup t.fib a)
 
-let lookup_cached t a =
-  match Route_cache.find t.cache a with
-  | Some nh -> `Hit nh
-  | None -> (
-      match lookup t a with
-      | Some nh ->
-          Route_cache.insert t.cache a nh;
-          `Miss (Some nh)
-      | None -> `Miss None)
-
-(* Hot-path form: the miss sentinel replaces the option, the [hit] out-
-   parameter replaces the polymorphic-variant wrapper, and the key is
-   the 32 address bits as a native int — a cache hit allocates nothing.
-   The full LPM on a miss still boxes its [int32] key; misses are the
-   divert path and pay far more than one box anyway. *)
+(* A cache hit allocates nothing: a miss is the [no_route] sentinel,
+   whether the line answered comes back through [hit], and the key is
+   the 32 address bits as a native int.  The full LPM on a miss still
+   boxes its [int32] key; misses are the divert path and pay far more
+   than one box anyway. *)
 let no_route = { out_port = min_int; gateway_mac = 0 }
 
-let lookup_cached_i t k ~hit =
+let lookup_cached t k ~hit =
   let nh = Route_cache.find_or t.cache k ~default:no_route in
   if nh != no_route then begin
     hit := true;
@@ -56,7 +46,7 @@ let lookup_cached_i t k ~hit =
     hit := false;
     match lookup t (Int32.of_int k) with
     | Some nh ->
-        Route_cache.insert_i t.cache k nh;
+        Route_cache.insert t.cache k nh;
         nh
     | None -> no_route
   end

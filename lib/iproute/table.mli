@@ -38,20 +38,17 @@ val remove : t -> Prefix.t -> unit
 val lookup : t -> Packet.Ipv4.addr -> nexthop option
 (** Full longest-prefix match (no cache) — what the StrongARM runs. *)
 
-val lookup_cached : t -> Packet.Ipv4.addr -> [ `Hit of nexthop | `Miss of nexthop option ]
-(** Fast-path lookup: [`Hit] on a cache hit; on a miss, runs the full match,
-    refills the cache on success, and reports what it found. *)
-
 val no_route : nexthop
-(** Sentinel returned by {!lookup_cached_i} when no route matches
+(** Sentinel returned by {!lookup_cached} when no route matches
     (compare physically).  Its [out_port] is [min_int], which no real
     route carries. *)
 
-val lookup_cached_i : t -> int -> hit:bool ref -> nexthop
-(** [lookup_cached_i t k ~hit] is {!lookup_cached} keyed by the 32
-    destination-address bits as a native int: sets [hit] to whether the
-    cache line held the answer, returns the next hop or {!no_route}.
-    Allocation-free on a cache hit. *)
+val lookup_cached : t -> int -> hit:bool ref -> nexthop
+(** [lookup_cached t k ~hit] is the fast-path lookup, keyed by the 32
+    destination-address bits as a native int: a cache probe, and on a
+    miss the full match plus a cache refill when a route matched.  Sets
+    [hit] to whether the cache line held the answer and returns the
+    next hop or {!no_route}.  Allocation-free on a cache hit. *)
 
 val size : t -> int
 (** Number of routes (O(1)). *)

@@ -35,13 +35,9 @@ let create () =
 let stats t = t.stats
 
 let add_ilm t ~label nhlfe = Hashtbl.replace t.ilm label nhlfe
-let remove_ilm t ~label = Hashtbl.remove t.ilm label
-let ilm_size t = Hashtbl.length t.ilm
 
 let add_ftn t prefix ~push_label ~out_port =
   t.ftn <- Iproute.Btrie.add t.ftn prefix (push_label, out_port)
-
-let remove_ftn t prefix = t.ftn <- Iproute.Btrie.remove t.ftn prefix
 
 let lookup_ftn t addr = Option.map snd (Iproute.Btrie.lookup t.ftn addr)
 

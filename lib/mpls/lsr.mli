@@ -41,13 +41,9 @@ val stats : t -> stats
 (** {1 Table management (the control plane / LDP's job)} *)
 
 val add_ilm : t -> label:int -> nhlfe -> unit
-val remove_ilm : t -> label:int -> unit
-val ilm_size : t -> int
 
 val add_ftn : t -> Iproute.Prefix.t -> push_label:int -> out_port:int -> unit
 (** Bind a FEC: unlabelled packets matching the prefix enter the LSP. *)
-
-val remove_ftn : t -> Iproute.Prefix.t -> unit
 
 val lookup_ftn : t -> Packet.Ipv4.addr -> (int * int) option
 (** [(push_label, out_port)] for the longest matching FEC. *)

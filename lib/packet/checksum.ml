@@ -54,8 +54,3 @@ let pseudo_header_sum_i ~src ~dst ~proto ~len =
   ((src lsr 16) land 0xFFFF) + (src land 0xFFFF)
   + ((dst lsr 16) land 0xFFFF)
   + (dst land 0xFFFF) + proto + len
-
-let pseudo_header_sum ~src ~dst ~proto ~len =
-  let hi32 v = Int32.to_int (Int32.shift_right_logical v 16) land 0xFFFF in
-  let lo32 v = Int32.to_int v land 0xFFFF in
-  hi32 src + lo32 src + hi32 dst + lo32 dst + proto + len

@@ -25,12 +25,9 @@ val update16 : old_cksum:int -> old_word:int -> new_word:int -> int
 (** [update16 ~old_cksum ~old_word ~new_word] is the RFC 1624 incremental
     update of a checksum after one 16-bit word of covered data changed. *)
 
-val pseudo_header_sum :
-  src:int32 -> dst:int32 -> proto:int -> len:int -> int
-(** [pseudo_header_sum ~src ~dst ~proto ~len] is the unfinished sum of the
-    TCP/UDP pseudo header. *)
-
 val pseudo_header_sum_i :
   src:int -> dst:int -> proto:int -> len:int -> int
-(** Native-int addresses ([0 .. 2^32-1]): the allocation-free form for
-    the per-frame L4 checksum fills. *)
+(** [pseudo_header_sum_i ~src ~dst ~proto ~len] is the unfinished sum of
+    the TCP/UDP pseudo header, with native-int addresses
+    ([0 .. 2^32-1]): the allocation-free form for the per-frame L4
+    checksum fills. *)

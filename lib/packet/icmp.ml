@@ -8,7 +8,6 @@ let type_time_exceeded = 11
 let base f = Ipv4.payload_offset f
 
 let get_type f = Frame.get_u8 f (base f)
-let get_code f = Frame.get_u8 f (base f + 1)
 
 let icmp_len f = Ipv4.get_total_len f - Ipv4.header_len f
 

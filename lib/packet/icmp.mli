@@ -14,7 +14,6 @@ val type_echo_request : int
 val type_time_exceeded : int
 
 val get_type : Frame.t -> int
-val get_code : Frame.t -> int
 
 val checksum_ok : Frame.t -> bool
 (** Verify the ICMP checksum over the ICMP message. *)

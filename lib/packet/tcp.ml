@@ -13,9 +13,7 @@ let set_flags f v = Frame.set_u8 f (base f + 13) v
 let get_cksum f = Frame.get_u16 f (base f + 16)
 let set_cksum f v = Frame.set_u16 f (base f + 16) v
 
-let flag_fin = 0x01
 let flag_syn = 0x02
-let flag_rst = 0x04
 let flag_ack = 0x10
 
 let has_flag f flag = get_flags f land flag <> 0

@@ -18,9 +18,7 @@ val set_flags : Frame.t -> int -> unit
 val get_cksum : Frame.t -> int
 val set_cksum : Frame.t -> int -> unit
 
-val flag_fin : int
 val flag_syn : int
-val flag_rst : int
 val flag_ack : int
 
 val has_flag : Frame.t -> int -> bool

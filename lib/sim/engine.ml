@@ -17,6 +17,9 @@ type t = {
   mutable limit : int; (* horizon of the active [run], for wait elision *)
   mutable elided : int; (* waits satisfied in place, never queued *)
   mutable running : bool; (* ownership: set while [run]/[run_until_idle] *)
+  (* Set while [running] and no nested run of another engine has
+     interrupted this one: only then is the calling fiber one of ours. *)
+  mutable dispatching : bool;
   (* Activation coalescing.  [coalescing] gates the in-place wait fast
      path as a whole: with it off, every wait becomes a queued event and
      the run is fully event-granular — the "unbatched" arm of the
@@ -95,6 +98,7 @@ let create () =
       limit = 0;
       elided = 0;
       running = false;
+      dispatching = false;
       coalescing = true;
       span_ctr = 0;
       cur_span = 0;
@@ -219,17 +223,35 @@ let acquire t who =
     invalid_arg (Fmt.str "Engine.%s: engine is already running" who);
   t.running <- true
 
-let run t ~until =
-  let until = Int64.to_int until in
-  acquire t "run";
-  t.limit <- until;
+(* [run]/[run_until_idle] driven from inside a fiber of another engine
+   interrupt it: that engine stops dispatching until the nested run
+   returns, so a fiber of the nested engine can neither wait on its
+   clock nor park on one of its cells. *)
+let with_dispatch t who f =
+  acquire t who;
   let saved = Domain.DLS.get current_key in
+  let outer_dispatching =
+    match saved with
+    | Some o ->
+        let d = o.dispatching in
+        o.dispatching <- false;
+        d
+    | None -> false
+  in
   Domain.DLS.set current_key (Some t);
+  t.dispatching <- true;
   Fun.protect
     ~finally:(fun () ->
       t.running <- false;
+      t.dispatching <- false;
+      Option.iter (fun o -> o.dispatching <- outer_dispatching) saved;
       Domain.DLS.set current_key saved)
-    (fun () ->
+    f
+
+let run t ~until =
+  let until = Int64.to_int until in
+  with_dispatch t "run" (fun () ->
+      t.limit <- until;
       let q = t.queue in
       let rec loop () =
         (* Queue drained: the clock stays at the last event.  Events
@@ -246,15 +268,8 @@ let run t ~until =
       loop ())
 
 let run_until_idle t =
-  acquire t "run_until_idle";
-  t.limit <- max_int;
-  let saved = Domain.DLS.get current_key in
-  Domain.DLS.set current_key (Some t);
-  Fun.protect
-    ~finally:(fun () ->
-      t.running <- false;
-      Domain.DLS.set current_key saved)
-    (fun () ->
+  with_dispatch t "run_until_idle" (fun () ->
+      t.limit <- max_int;
       let q = t.queue in
       let rec loop () =
         if Wheel.is_empty q then begin
@@ -315,12 +330,14 @@ let batch_frames_total t = t.batch_frames
    ([min_time] must be strictly beyond the target) because a pending
    event at the same time holds a smaller sequence number and must run
    first.  Only a fiber of [t] may wait on [t], and such a fiber runs
-   only while [t] dispatches: on an engine that is not dispatching the
+   only while [t] dispatches: on an engine that is not dispatching (not
+   running, or interrupted by a nested run of another engine) the
    caller is a fiber of some other engine, or no fiber at all, and
    suspending it would resume it on its own engine's clock. *)
 let wait_in t d =
   if d < 0 then invalid_arg "Engine.wait_in: negative duration";
-  if not t.running then invalid_arg "Engine.wait_in: engine is not running";
+  if not t.dispatching then
+    invalid_arg "Engine.wait_in: engine is not dispatching";
   if
     t.coalescing
     &&
@@ -360,7 +377,8 @@ let suspend f = Effect.perform (Suspend f)
    another engine. *)
 let park c =
   let t = c.pengine in
-  if not t.running then invalid_arg "Engine.park: cell's engine is not running";
+  if not t.dispatching then
+    invalid_arg "Engine.park: cell's engine is not dispatching";
   t.park_arg <- c;
   Effect.perform Park0
 

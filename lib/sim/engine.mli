@@ -74,7 +74,9 @@ val run : t -> until:int64 -> unit
     different} engine from inside a fiber remains legal — the
     dispatching-engine pointer is saved and restored, and is
     domain-local, so engines running concurrently on separate domains
-    never alias. *)
+    never alias.  The interrupted engine stops dispatching until the
+    nested run returns: {!wait_in} on it, or {!park} on one of its
+    cells, from a fiber of the nested engine raises. *)
 
 val run_until_idle : t -> unit
 (** [run_until_idle t] executes events until none remain.  Raises

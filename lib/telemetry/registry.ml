@@ -17,8 +17,10 @@ and registry = {
   mutable on : bool;
   mutable scopes : scope list; (* reversed creation order *)
   mutable clock : unit -> int64;
-  event_capacity : int;
 }
+
+(* Entries in each scope's event ring. *)
+let event_capacity = 256
 
 type t = registry
 
@@ -79,7 +81,7 @@ module Scope = struct
         match s.ring with
         | Some r -> r
         | None ->
-            let r = Sim.Trace.create ~capacity:s.reg.event_capacity () in
+            let r = Sim.Trace.create ~capacity:event_capacity () in
             Sim.Trace.enable r;
             s.ring <- Some r;
             r
@@ -93,14 +95,8 @@ module Scope = struct
     match s.ring with None -> [] | Some r -> Sim.Trace.events r
 end
 
-let create ?(enabled = true) ?(event_capacity = 256) () =
-  let rec reg =
-    {
-      on = enabled;
-      scopes = [ root ];
-      clock = (fun () -> 0L);
-      event_capacity;
-    }
+let create ?(enabled = true) () =
+  let rec reg = { on = enabled; scopes = [ root ]; clock = (fun () -> 0L) }
   and root = { reg; path = ""; labels = []; metrics = []; ring = None } in
   reg
 

@@ -68,9 +68,9 @@ module Scope : sig
   (** Events recorded so far (oldest first, bounded by the ring). *)
 end
 
-val create : ?enabled:bool -> ?event_capacity:int -> unit -> t
+val create : ?enabled:bool -> unit -> t
 (** [create ()] is an enabled registry whose per-scope event rings hold
-    [event_capacity] (default 256) entries. *)
+    256 entries. *)
 
 val enabled : t -> bool
 val enable : t -> unit

@@ -171,16 +171,23 @@ let parse spec =
             | Some (_, _, set) -> (
                 match float_of_string_opt v with
                 | None -> Error (Printf.sprintf "bad value %S for %s" v k)
+                | Some f when not (Float.is_finite f) ->
+                    Error (Printf.sprintf "%s: %S is not a finite number" k v)
                 | Some f -> fold (set c f) rest)))
   in
   fold default fields
+
+(* [%g] where it parses back exactly, else every digit: [to_spec] must
+   round-trip. *)
+let num v =
+  let s = Printf.sprintf "%g" v in
+  if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
 let to_spec c =
   let fields =
     List.filter_map
       (fun (name, get, _) ->
-        if get c = get default then None
-        else Some (Printf.sprintf "%s=%g" name (get c)))
+        if get c = get default then None else Some (name ^ "=" ^ num (get c)))
       keys
   in
   if fields = [] then "flows"

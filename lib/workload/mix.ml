@@ -19,19 +19,6 @@ let udp_fixed ~dst ?(frame_len = Packet.Build.min_frame) () i =
     ~src:(subnet_addr ~subnet:250 ~host:i)
     ~dst ~src_port:4000 ~dst_port:5000 ()
 
-let tcp_stream ~flow ?(frame_len = Packet.Build.min_frame) ?(payload = "") ()
-    i =
-  let seg = String.length payload in
-  let seq = Int32.of_int (1000 + (i * max 1 seg)) in
-  let pure_ack = i mod 4 = 3 in
-  Packet.Build.tcp ~frame_len ~src:flow.Packet.Flow.src_addr
-    ~dst:flow.Packet.Flow.dst_addr ~src_port:flow.Packet.Flow.src_port
-    ~dst_port:flow.Packet.Flow.dst_port ~seq
-    ~ack:(Int32.of_int (5000 + (i / 4)))
-    ~flags:Packet.Tcp.flag_ack
-    ~payload:(if pure_ack then "" else payload)
-    ()
-
 let syn_flood ~rng ~dst ~dst_port i =
   Packet.Build.tcp
     ~src:(Sim.Rng.int32 rng)

@@ -21,16 +21,6 @@ val udp_fixed :
   dst:Packet.Ipv4.addr -> ?frame_len:int -> unit -> int -> Packet.Frame.t
 (** Every frame to one destination (the port-contention workload). *)
 
-val tcp_stream :
-  flow:Packet.Flow.tuple ->
-  ?frame_len:int ->
-  ?payload:string ->
-  unit ->
-  int ->
-  Packet.Frame.t
-(** An in-order TCP segment stream on one flow (sequence numbers advance
-    by the payload length; every 4th segment is a pure ACK). *)
-
 val syn_flood :
   rng:Sim.Rng.t -> dst:Packet.Ipv4.addr -> dst_port:int -> int -> Packet.Frame.t
 (** SYN packets from random spoofed sources — what the SYN monitor is for. *)

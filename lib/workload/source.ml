@@ -40,7 +40,9 @@ let line_rate_pps ~mbps ~frame_len =
   (* Preamble+SFD (8 bytes) and inter-frame gap (12 bytes). *)
   mbps *. 1e6 /. (float_of_int ((frame_len + 20) * 8))
 
-let spawn_line_rate engine ~name ~mbps ~frame_len ?(efficiency = 0.95) ~gen
-    ~offer () =
+(* The testbed's 141 of 148.8 Kpps. *)
+let efficiency = 0.95
+
+let spawn_line_rate engine ~name ~mbps ~frame_len ~gen ~offer () =
   let pps = efficiency *. line_rate_pps ~mbps ~frame_len in
   spawn_constant engine ~name ~pps ~gen ~offer ()

@@ -60,10 +60,9 @@ val spawn_line_rate :
   name:string ->
   mbps:float ->
   frame_len:int ->
-  ?efficiency:float ->
   gen:(int -> Packet.Frame.t) ->
   offer:(Packet.Frame.t -> bool) ->
   unit ->
   stats
-(** A generator pinned at [efficiency] (default 0.95, the testbed's 141 of
-    148.8 Kpps) of line rate. *)
+(** A generator pinned at 95% of line rate (the testbed's 141 of
+    148.8 Kpps). *)

@@ -159,7 +159,7 @@ let rip_churn_fuzz () =
       Iproute.Btrie.empty
       (Iproute.Table.bindings r.Router.routes)
   in
-  let hits = ref 0 in
+  let hits = ref 0 and hit = ref false in
   Array.iteri
     (fun i op ->
       (match op with
@@ -167,13 +167,13 @@ let rip_churn_fuzz () =
       | Iproute.Gen.Withdraw p -> apply p Control.Rip.infinity_metric);
       for k = 0 to 2 do
         let a = pool.(((3 * i) + k) land 127) in
-        let cached =
-          match Iproute.Table.lookup_cached r.Router.routes a with
-          | `Hit nh ->
-              incr hits;
-              Some nh
-          | `Miss nh -> nh
+        let nh =
+          Iproute.Table.lookup_cached r.Router.routes
+            (Int32.to_int a land 0xFFFFFFFF)
+            ~hit
         in
+        if !hit then incr hits;
+        let cached = if nh == Iproute.Table.no_route then None else Some nh in
         if cached <> Iproute.Table.lookup r.Router.routes a then
           Alcotest.failf "stale cached next-hop after op %d" i
       done;

@@ -185,36 +185,26 @@ let fuzz_classifier () =
     };
   cl
 
-(* A verdict with the forwarders reduced to their fids and the route to
-   its port, so two classifiers' verdicts compare structurally. *)
-let verdict ~per_flow ~general ~route ~route_cache_hit =
-  let fid (e : Router.Classifier.entry) = e.Router.Classifier.fid in
-  Some
-    ( Option.map fid per_flow,
-      List.map fid general,
-      Option.map (fun nh -> nh.Iproute.Table.out_port) route,
-      route_cache_hit )
-
-let verdict_of = function
-  | Router.Classifier.Invalid -> None
-  | Router.Classifier.Classified { per_flow; general; route; route_cache_hit }
-    ->
-      verdict ~per_flow ~general ~route ~route_cache_hit
-
+(* A classifier's scratch verdict with the forwarders reduced to their
+   fids and the route to its port, so two classifiers' verdicts compare
+   structurally. *)
 let scratch_verdict cl ok =
   if not ok then None
   else
+    let fid (e : Router.Classifier.entry) = e.Router.Classifier.fid in
     let route = Router.Classifier.scratch_route cl in
-    verdict
-      ~per_flow:(Router.Classifier.scratch_per_flow cl)
-      ~general:(Router.Classifier.scratch_general cl)
-      ~route:(if route == Iproute.Table.no_route then None else Some route)
-      ~route_cache_hit:(Router.Classifier.scratch_route_cache_hit cl)
+    Some
+      ( Option.map fid (Router.Classifier.scratch_per_flow cl),
+        List.map fid (Router.Classifier.scratch_general cl),
+        (if route == Iproute.Table.no_route then None
+         else Some route.Iproute.Table.out_port),
+        Router.Classifier.scratch_route_cache_hit cl )
 
 (* Garbage bytes mostly, plus valid frames that hit the per-flow entry or
    find no route.  The charged [classify], run in an engine fiber on a
-   twin classifier, must reach [classify_functional]'s verdict and book
-   exactly section 4.5's instructions, two hashes and its SRAM read. *)
+   twin classifier, must leave the scratch verdict the uncharged
+   [decide] leaves, and book exactly section 4.5's instructions, two
+   hashes and its SRAM read. *)
 let fuzz_classifier_never_raises =
   QCheck.Test.make ~name:"classifier total on arbitrary bytes" ~count:500
     QCheck.(triple int64 (int_range 14 200) (int_bound 5))
@@ -234,8 +224,8 @@ let fuzz_classifier_never_raises =
             f
       in
       let expect =
-        verdict_of
-          (Router.Classifier.classify_functional (fuzz_classifier ()) f)
+        let twin = fuzz_classifier () in
+        scratch_verdict twin (Router.Classifier.decide twin f)
       in
       let cl = fuzz_classifier () in
       let engine = Sim.Engine.create () in
@@ -275,9 +265,117 @@ let fuzz_decoders_total =
       ignore (Packet.Mpls.is_mpls f && Packet.Mpls.payload_is_ipv4 f);
       true)
 
+(* --- spec grammars ------------------------------------------------------- *)
+
+(* Numbers for the spec fields: in-range values, and the edges a float
+   parser lets through — NaN, infinities, negative zero, values past
+   every range or past 2^62, and empty fields. *)
+let spec_numbers =
+  [|
+    "0"; "1"; "2"; "4"; "0.5"; "0.25"; "64"; "100"; "300"; "1e6";
+    "123456789"; "0.3333333333333333"; "nan"; "-nan"; "inf"; "-inf";
+    "infinity"; "-0"; "1e300"; "4611686018427387904"; ""; "-1";
+  |]
+
+(* One spec of a grammar drawn from its fields and [spec_numbers]. *)
+let gen_spec rng =
+  let num () = Sim.Rng.pick rng spec_numbers in
+  let fields n f = String.concat "" (List.init n (fun _ -> f ())) in
+  let list sep n f = String.concat sep (List.init n (fun _ -> f ())) in
+  match Sim.Rng.int rng 4 with
+  | 0 ->
+      let key () =
+        Sim.Rng.pick rng
+          [|
+            "mem_delay"; "mem_delay_cycles"; "mem_drop"; "mac_corrupt";
+            "mac_loss"; "mac_burst"; "pool_fail"; "rogue"; "sa_crash";
+            "sa_restart_us"; "pe_crash"; "pe_restart_us"; "seed";
+          |]
+      in
+      `Scenario
+        (list "," (1 + Sim.Rng.int rng 3) (fun () -> key () ^ ":" ^ num ()))
+  | 1 ->
+      let event () =
+        let kind =
+          Sim.Rng.pick rng
+            [|
+              "link_drop"; "link_corrupt"; "link_stall"; "crash"; "route_churn";
+            |]
+        in
+        let member = Sim.Rng.pick rng [| "0"; "1"; "3"; "-1"; "nan" |] in
+        kind ^ ":" ^ member ^ ":" ^ num () ^ ":" ^ num ()
+        ^ fields (Sim.Rng.int rng 2) (fun () -> ":" ^ num ())
+      in
+      `Cluster (list ";" (1 + Sim.Rng.int rng 2) event)
+  | 2 ->
+      let cap () = Sim.Rng.pick rng [| "1"; "16"; "64"; "0"; "-0"; "" |] in
+      let body =
+        match Sim.Rng.int rng 5 with
+        | 0 -> "none"
+        | 1 -> "taildrop:" ^ cap ()
+        | 2 ->
+            "red:" ^ cap () ^ ":4:12:" ^ num ()
+            ^ fields (Sim.Rng.int rng 2) (fun () -> ":" ^ num ())
+        | 3 -> "prio:" ^ cap () ^ ":" ^ Sim.Rng.pick rng [| "2"; "4"; "9" |]
+        | _ -> "wrr:" ^ cap () ^ ":" ^ list "," (1 + Sim.Rng.int rng 3) cap
+      in
+      `Fabric (body ^ fields (Sim.Rng.int rng 2) (fun () -> "@" ^ num ()))
+  | _ ->
+      let key () =
+        Sim.Rng.pick rng
+          [|
+            "pps"; "hosts"; "subnets"; "zipf"; "pareto"; "minpkts"; "maxpkts";
+            "conc"; "burst"; "burst_us"; "idle_us"; "frame"; "udp"; "dscp";
+          |]
+      in
+      `Flows
+        ("flows:"
+        ^ list "," (1 + Sim.Rng.int rng 3) (fun () -> key () ^ "=" ^ num ()))
+
+(* [round_trip parse to_spec norm s]: [parse s] raises nothing, and an
+   accepted spec prints with no NaN or infinity and parses back to the
+   same value ([norm] drops what [to_spec] leaves out). *)
+let round_trip parse to_spec norm s =
+  match parse s with
+  | Error _ -> true
+  | Ok v ->
+      let printed = to_spec v in
+      let has sub =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length printed
+          && (String.sub printed i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      if has "nan" || has "inf" then
+        QCheck.Test.fail_reportf "%S accepted as %S" s printed
+      else if parse printed <> Ok (norm v) then
+        QCheck.Test.fail_reportf "%S printed as %S does not parse back" s
+          printed
+      else true
+
+let fuzz_spec_grammars =
+  QCheck.Test.make ~name:"spec grammars total, round-trip" ~count:2000
+    QCheck.int64
+    (fun seed ->
+      match gen_spec (Sim.Rng.create seed) with
+      | `Scenario s ->
+          round_trip Fault.Scenario.parse Fault.Scenario.to_spec
+            (fun t -> Fault.Scenario.with_seed t 0L)
+            s
+      | `Cluster s ->
+          round_trip Fault.Cluster_scenario.parse
+            Fault.Cluster_scenario.to_spec Fun.id s
+      | `Fabric s ->
+          round_trip Cluster.Fabric_queue.parse Cluster.Fabric_queue.to_spec
+            Fun.id s
+      | `Flows s ->
+          round_trip Workload.Flows.parse Workload.Flows.to_spec Fun.id s)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ fuzz_classifier_never_raises; fuzz_decoders_total ]
+    [ fuzz_classifier_never_raises; fuzz_decoders_total; fuzz_spec_grammars ]
 
 (* --- cluster fabric under random link-damage schedules ----------------- *)
 

@@ -4,6 +4,23 @@
 
 let addr = Packet.Ipv4.addr_of_string
 
+(* The route cache's key: the 32 address bits as a native int. *)
+let key a = Int32.to_int a land 0xFFFFFFFF
+
+(* [find c a] is the cache's one probe, with [None] for a miss. *)
+let find c a = Iproute.Route_cache.find_or c (key a) ~default:None
+
+let insert c a v = Iproute.Route_cache.insert c (key a) (Some v)
+
+(* [cached t a] runs the data path's cached lookup: whether the cache
+   line answered, and the next hop's port ([None] = no route). *)
+let cached t a =
+  let hit = ref false in
+  let nh = Iproute.Table.lookup_cached t (key a) ~hit in
+  ( !hit,
+    if nh == Iproute.Table.no_route then None
+    else Some nh.Iproute.Table.out_port )
+
 let prefix_canonical () =
   let p = Iproute.Prefix.make (addr "10.1.2.3") 16 in
   Alcotest.(check string) "host bits cleared" "10.1.0.0/16"
@@ -113,31 +130,29 @@ let poptrie_remove () =
 
 let route_cache_behavior () =
   let c = Iproute.Route_cache.create ~slots:4 () in
-  Alcotest.(check (option int)) "empty miss" None
-    (Iproute.Route_cache.find c (addr "10.0.0.1"));
-  Iproute.Route_cache.insert c (addr "10.0.0.1") 7;
-  Alcotest.(check (option int)) "hit" (Some 7)
-    (Iproute.Route_cache.find c (addr "10.0.0.1"));
+  Alcotest.(check (option int)) "empty miss" None (find c (addr "10.0.0.1"));
+  insert c (addr "10.0.0.1") 7;
+  Alcotest.(check (option int)) "hit" (Some 7) (find c (addr "10.0.0.1"));
   Iproute.Route_cache.invalidate c;
   Alcotest.(check (option int)) "after invalidate" None
-    (Iproute.Route_cache.find c (addr "10.0.0.1"));
-  Alcotest.(check int) "misses counted" 2 (Iproute.Route_cache.misses c)
+    (find c (addr "10.0.0.1"));
+  Alcotest.(check int) "misses counted" 2 (Iproute.Route_cache.misses c);
+  Alcotest.(check int) "hits counted" 1 (Iproute.Route_cache.hits c)
 
 let table_cached_lookup () =
   let t = Iproute.Table.create () in
   Iproute.Table.add t
     (Iproute.Prefix.of_string "10.0.0.0/8")
     { Iproute.Table.out_port = 3; gateway_mac = 0x020000000001 };
-  (match Iproute.Table.lookup_cached t (addr "10.5.5.5") with
-  | `Miss (Some nh) -> Alcotest.(check int) "port" 3 nh.Iproute.Table.out_port
-  | _ -> Alcotest.fail "expected refill miss");
-  (match Iproute.Table.lookup_cached t (addr "10.5.5.5") with
-  | `Hit nh -> Alcotest.(check int) "port" 3 nh.Iproute.Table.out_port
-  | _ -> Alcotest.fail "expected hit");
+  let a = addr "10.5.5.5" in
+  let check name want got =
+    Alcotest.(check (pair bool (option int))) name want got
+  in
+  check "refill miss" (false, Some 3) (cached t a);
+  check "hit" (true, Some 3) (cached t a);
   Iproute.Table.remove t (Iproute.Prefix.of_string "10.0.0.0/8");
-  match Iproute.Table.lookup_cached t (addr "10.5.5.5") with
-  | `Miss None -> ()
-  | _ -> Alcotest.fail "expected miss after remove (cache invalidated)"
+  check "miss after remove (cache invalidated)" (false, None) (cached t a);
+  check "no route is never cached" (false, None) (cached t a)
 
 let table_engines_consistent () =
   (* The table's engine against the Btrie reference on one table. *)
@@ -175,26 +190,20 @@ let selective_invalidation_scope () =
   let nh p = { Iproute.Table.out_port = p; gateway_mac = 0 } in
   Iproute.Table.add t (pfx_of "10.1.0.0/16") (nh 1);
   Iproute.Table.add t (pfx_of "10.2.0.0/16") (nh 2);
+  let check name want a =
+    Alcotest.(check (pair bool (option int))) name want (cached t (addr a))
+  in
   (* Warm both cache lines. *)
-  ignore (Iproute.Table.lookup_cached t (addr "10.1.0.5"));
-  ignore (Iproute.Table.lookup_cached t (addr "10.2.0.5"));
-  (match Iproute.Table.lookup_cached t (addr "10.1.0.5") with
-  | `Hit _ -> ()
-  | `Miss _ -> Alcotest.fail "expected warm 10.1");
+  check "cold 10.1" (false, Some 1) "10.1.0.5";
+  check "cold 10.2" (false, Some 2) "10.2.0.5";
+  check "warm 10.1" (true, Some 1) "10.1.0.5";
   (* A change to an unrelated prefix must not evict either line... *)
   Iproute.Table.add t (pfx_of "192.168.0.0/16") (nh 3);
-  (match Iproute.Table.lookup_cached t (addr "10.1.0.5") with
-  | `Hit _ -> ()
-  | `Miss _ -> Alcotest.fail "unrelated change evicted 10.1");
+  check "unrelated change kept 10.1" (true, Some 1) "10.1.0.5";
   (* ...but a change covering 10.2 must evict exactly that line. *)
   Iproute.Table.add t (pfx_of "10.2.0.0/24") (nh 4);
-  (match Iproute.Table.lookup_cached t (addr "10.2.0.5") with
-  | `Miss (Some nh') ->
-      Alcotest.(check int) "more specific now wins" 4 nh'.Iproute.Table.out_port
-  | _ -> Alcotest.fail "expected 10.2 evicted and rerouted");
-  match Iproute.Table.lookup_cached t (addr "10.1.0.5") with
-  | `Hit _ -> ()
-  | `Miss _ -> Alcotest.fail "10.1 should have survived"
+  check "10.2 evicted, the more specific now wins" (false, Some 4) "10.2.0.5";
+  check "10.1 survived" (true, Some 1) "10.1.0.5"
 
 (* Differential check of Poptrie and Btrie against the linear
    specification on one table, over [n_addrs] addresses biased toward
@@ -473,7 +482,7 @@ let covered_invalidation_unit () =
   let mk () =
     let c = Iproute.Route_cache.create ~slots:256 () in
     List.iter
-      (fun a -> Iproute.Route_cache.insert c (addr a) a)
+      (fun a -> insert c (addr a) a)
       [ "10.1.2.3"; "10.1.2.4"; "10.2.0.1"; "192.168.0.1" ];
     c
   in
@@ -483,19 +492,19 @@ let covered_invalidation_unit () =
   Alcotest.(check int) "one probe for a /32" 1
     (Iproute.Route_cache.scan_cost c - cost0);
   Alcotest.(check (option string)) "victim gone" None
-    (Iproute.Route_cache.find c (addr "10.1.2.3"));
+    (find c (addr "10.1.2.3"));
   Alcotest.(check (option string)) "sibling kept" (Some "10.1.2.4")
-    (Iproute.Route_cache.find c (addr "10.1.2.4"));
+    (find c (addr "10.1.2.4"));
   Alcotest.(check (option string)) "unrelated kept" (Some "192.168.0.1")
-    (Iproute.Route_cache.find c (addr "192.168.0.1"));
+    (find c (addr "192.168.0.1"));
   let c = mk () in
   Iproute.Route_cache.invalidate_covered c (pfx_of "10.0.0.0/8");
   Alcotest.(check bool) "/8 falls back to a full scan" true
     (Iproute.Route_cache.scan_cost c >= 256);
   Alcotest.(check (option string)) "covered gone" None
-    (Iproute.Route_cache.find c (addr "10.2.0.1"));
+    (find c (addr "10.2.0.1"));
   Alcotest.(check (option string)) "uncovered kept" (Some "192.168.0.1")
-    (Iproute.Route_cache.find c (addr "192.168.0.1"))
+    (find c (addr "192.168.0.1"))
 
 let covered_equiv =
   QCheck.Test.make
@@ -523,14 +532,14 @@ let covered_equiv =
       in
       let fill () =
         let c = Iproute.Route_cache.create ~slots:64 () in
-        List.iteri (fun i k -> Iproute.Route_cache.insert c k i) keys;
+        List.iteri (fun i k -> insert c k i) keys;
         c
       in
       let a = fill () and b = fill () in
       Iproute.Route_cache.invalidate_covered a p;
       Iproute.Route_cache.invalidate_matching b (Iproute.Prefix.matches p);
       List.for_all
-        (fun k -> Iproute.Route_cache.find a k = Iproute.Route_cache.find b k)
+        (fun k -> find a k = find b k)
         keys)
 
 let table_covered_invalidation () =
@@ -541,8 +550,9 @@ let table_covered_invalidation () =
   in
   let nh p = { Iproute.Table.out_port = p; gateway_mac = 0 } in
   Iproute.Table.add t (pfx_of "10.0.0.0/8") (nh 1);
+  let warm i = cached t (addr (Printf.sprintf "10.7.%d.1" i)) in
   for i = 0 to 99 do
-    ignore (Iproute.Table.lookup_cached t (addr (Printf.sprintf "10.7.%d.1" i)))
+    ignore (warm i)
   done;
   let cost0 = Iproute.Table.cache_scan_cost t in
   Iproute.Table.add t (pfx_of "10.9.9.9/32") (nh 2);
@@ -550,9 +560,7 @@ let table_covered_invalidation () =
     (Iproute.Table.cache_scan_cost t - cost0);
   let survivors = ref 0 in
   for i = 0 to 99 do
-    match Iproute.Table.lookup_cached t (addr (Printf.sprintf "10.7.%d.1" i)) with
-    | `Hit _ -> incr survivors
-    | `Miss _ -> ()
+    if fst (warm i) then incr survivors
   done;
   Alcotest.(check int) "no unrelated line flushed" 100 !survivors
 
@@ -606,8 +614,7 @@ let cold_install_scan_cost () =
       if not selective_invalidation then begin
         let rng = Sim.Rng.create 12L in
         for _ = 1 to 1_000 do
-          ignore
-            (Iproute.Table.lookup_cached routes (Iproute.Gen.hit_addr ~rng base))
+          ignore (cached routes (Iproute.Gen.hit_addr ~rng base))
         done;
         Router.add_route r (fst base.(1)) ~port:0;
         Alcotest.(check int) "one warm change clears every slot"
@@ -668,11 +675,8 @@ let bgp_table_shape () =
 
 let model_slots = 8
 
-let model_hash a =
-  let k = Int32.to_int a land 0xFFFFFFFF in
-  k lxor (k lsr 16)
-
-let model_line a = model_hash a mod model_slots
+let model_hash k = k lxor (k lsr 16)
+let model_line a = model_hash (key a) mod model_slots
 
 (* Sixteen addresses under 10.0.0.0/16: they collide on lines and repeat,
    and prefixes of every length cover a few of them. *)
@@ -714,7 +718,7 @@ let run_against_model ops =
   in
   let step = function
     | C_insert (a, v) ->
-        Iproute.Route_cache.insert c a v;
+        insert c a v;
         keys.(model_line a) <- Some a;
         vals.(model_line a) <- v
     | C_find a ->
@@ -729,7 +733,7 @@ let run_against_model ops =
             None
           end
         in
-        if Iproute.Route_cache.find c a <> expect then ok := false
+        if find c a <> expect then ok := false
     | C_flush ->
         Iproute.Route_cache.invalidate c;
         drop_if (fun _ -> true)

@@ -182,8 +182,8 @@ let classifier_flow_dispatch () =
   (match Iface.install iface ~key ~fwdr:f ~where:Iface.ME () with
   | Ok _ -> ()
   | Error es -> Alcotest.fail (String.concat "; " es));
-  (match Classifier.classify_functional cl frame with
-  | Classifier.Classified { per_flow = Some e; _ } ->
+  (match (Classifier.decide cl frame, Classifier.scratch_per_flow cl) with
+  | true, Some e ->
       Alcotest.(check string) "matched" "watch" e.Classifier.fwdr.Forwarder.name
   | _ -> Alcotest.fail "expected per-flow match");
   (* A different flow does not match. *)
@@ -191,8 +191,8 @@ let classifier_flow_dispatch () =
     Packet.Build.tcp ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2") ~src_port:9
       ~dst_port:2 ()
   in
-  match Classifier.classify_functional cl other with
-  | Classifier.Classified { per_flow = None; _ } -> ()
+  match (Classifier.decide cl other, Classifier.scratch_per_flow cl) with
+  | true, None -> ()
   | _ -> Alcotest.fail "expected no match"
 
 let classifier_general_order_ip_last () =

@@ -79,6 +79,39 @@ let cross_engine_park_rejected () =
     "Invalid_argument" !got;
   check "no fiber left parked" 0 (Sim.Engine.live_fibers a)
 
+(* A nested run interrupts the engine that started it: a fiber of [b],
+   run from inside a fiber of [a], is no fiber of [a] and may neither
+   wait on [a] nor park on [a]'s cell.  Once the nested run returns, the
+   fiber of [a] waits on [a] again. *)
+let nested_wait_rejected () =
+  let a = Sim.Engine.create () and b = Sim.Engine.create () in
+  let got = ref "not run" and after = ref "not run" in
+  Sim.Engine.spawn b "waits on a" (fun () ->
+      got := outcome (fun () -> Sim.Engine.wait_in a 100));
+  Sim.Engine.spawn a "runs b" (fun () ->
+      Sim.Engine.run_until_idle b;
+      after := outcome (fun () -> Sim.Engine.wait_in a 7));
+  Sim.Engine.run_until_idle a;
+  Alcotest.(check string) "wait_in a from a nested fiber of b"
+    "Invalid_argument" !got;
+  Alcotest.(check string) "a's fiber waits again after the nested run"
+    "returned" !after;
+  check64 "a's clock moved only by its own fiber" 7L (Sim.Engine.time a);
+  check64 "b's clock unmoved" 0L (Sim.Engine.time b)
+
+let nested_park_rejected () =
+  let a = Sim.Engine.create () and b = Sim.Engine.create () in
+  let c = Sim.Engine.make_cell a in
+  let got = ref "not run" in
+  Sim.Engine.spawn b "parks on a's cell" (fun () ->
+      got := outcome (fun () -> Sim.Engine.park c));
+  Sim.Engine.spawn a "runs b" (fun () -> Sim.Engine.run_until_idle b);
+  Sim.Engine.run_until_idle a;
+  Alcotest.(check string) "park on a's cell from a nested fiber of b"
+    "Invalid_argument" !got;
+  check "no fiber of b left parked" 0 (Sim.Engine.live_fibers b);
+  check "no fiber of a left parked" 0 (Sim.Engine.live_fibers a)
+
 let run_until_bounds_time () =
   let e = Sim.Engine.create () in
   let ticks = ref 0 in
@@ -574,6 +607,10 @@ let tests =
       cross_engine_wait_rejected;
     Alcotest.test_case "engine: park on another engine's cell raises" `Quick
       cross_engine_park_rejected;
+    Alcotest.test_case "engine: nested run rejects outer wait" `Quick
+      nested_wait_rejected;
+    Alcotest.test_case "engine: nested run rejects outer park" `Quick
+      nested_park_rejected;
     Alcotest.test_case "server: FIFO serialization" `Quick server_serializes;
     Alcotest.test_case "server: pipelined latency" `Quick
       server_latency_exceeds_occupancy;
