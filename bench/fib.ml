@@ -106,7 +106,9 @@ let time_updates f ops =
    [Router.add_route] into a fresh router, whose route cache is cold.
    Each write invalidates the cache; while it is empty that costs no
    line, so the scan-work row is 0 on any host and gated.  Host ns per
-   route is best of [install_reps]. *)
+   route is best of [install_reps].  The router table's footprint —
+   every word reachable from its [routes], next hops included — is
+   deterministic and gated too. *)
 let install_reps = 3
 
 let router_install_segment () =
@@ -117,21 +119,27 @@ let router_install_segment () =
     let t0 = Sys.time () in
     Array.iter (fun (p, port) -> Router.add_route r p ~port) base;
     let dt = Sys.time () -. t0 in
-    (float_of_int top /. dt, Iproute.Table.cache_scan_cost r.Router.routes)
+    ( float_of_int top /. dt,
+      Iproute.Table.cache_scan_cost r.Router.routes,
+      Obj.reachable_words (Obj.repr r.Router.routes) )
   in
   let runs = List.init install_reps (fun _ -> one ()) in
-  let rates = List.map fst runs in
-  let scan = List.fold_left (fun acc (_, s) -> max acc s) 0 runs in
+  let rates = List.map (fun (rate, _, _) -> rate) runs in
+  let scan = List.fold_left (fun acc (_, s, _) -> max acc s) 0 runs in
+  let words = List.fold_left (fun acc (_, _, w) -> max acc w) 0 runs in
+  let table_bytes = float_of_int (8 * words) /. float_of_int top in
   let ns = 1e9 /. List.fold_left Float.max 0. rates in
   let spread = Perf.spread_of rates in
   Report.info
     "router install %d routes: %.0f ns/route (best of %d, spread %.1f%%), \
-     %d cache slots scanned"
-    top ns install_reps (100. *. spread) scan;
+     %d cache slots scanned; table %.1f B/route"
+    top ns install_reps (100. *. spread) scan table_bytes;
   Report.row ~unit_:"ns" ~name:"router install ns/route [n=1000000]"
     ~paper:1_000. ~measured:ns;
   Report.row ~unit_:"slots" ~name:"router install scan work [n=1000000]"
     ~paper:0. ~measured:(float_of_int scan);
+  Report.row ~unit_:"B/route" ~name:"router table bytes per route [n=1000000]"
+    ~paper:64. ~measured:table_bytes;
   Report.row ~unit_:"frac" ~name:"run spread (router install)" ~paper:0.10
     ~measured:spread;
   if scan > 0 then begin

@@ -10,7 +10,7 @@ let encode ~src ~dst routes =
   List.iteri
     (fun i { prefix; metric } ->
       let off = 1 + (8 * i) in
-      let a = Int32.to_int (Iproute.Prefix.addr prefix) land 0xFFFFFFFF in
+      let a = Iproute.Prefix.bits prefix in
       Bytes.set payload off (Char.chr ((a lsr 24) land 0xFF));
       Bytes.set payload (off + 1) (Char.chr ((a lsr 16) land 0xFF));
       Bytes.set payload (off + 2) (Char.chr ((a lsr 8) land 0xFF));
@@ -163,10 +163,7 @@ let apply t ~via_port { prefix; metric } =
     else if better then begin
       Hashtbl.replace t.rib prefix { metric; via_port };
       Iproute.Table.add t.router.Router.routes prefix
-        {
-          Iproute.Table.out_port = via_port;
-          gateway_mac = Packet.Ethernet.mac_of_port (100 + via_port);
-        };
+        (Router.nexthop t.router via_port);
       touch t;
       Sim.Stats.Counter.incr t.stats.routes_installed
     end

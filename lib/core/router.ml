@@ -58,6 +58,7 @@ type t = {
   engine : Sim.Engine.t;
   chip : Ixp.Chip.t;
   routes : Iproute.Table.t;
+  nexthops : Iproute.Table.nexthop array;
   classifier : Classifier.t;
   iface : Iface.t;
   sa : Strongarm.t;
@@ -89,6 +90,13 @@ type t = {
   sa_targets : Input_loop.target array;
   sa_ttl_target : Input_loop.target;
 }
+
+(* A port's peer sits at MAC [100 + port]. *)
+let make_nexthop port =
+  {
+    Iproute.Table.out_port = port;
+    gateway_mac = Packet.Ethernet.mac_of_port (100 + port);
+  }
 
 let mes_used ~n = (n + 3) / 4
 
@@ -443,6 +451,7 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
     engine;
     chip;
     routes;
+    nexthops = Array.init n_all make_nexthop;
     classifier;
     iface;
     sa;
@@ -486,12 +495,11 @@ let qid_sa_local t = total_ports t.config
 let qid_sa_pe t h =
   total_ports t.config + 1 + (abs h mod Array.length t.sa.Strongarm.pe_qs)
 
-let add_route t prefix ~port =
-  Iproute.Table.add t.routes prefix
-    {
-      Iproute.Table.out_port = port;
-      gateway_mac = Packet.Ethernet.mac_of_port (100 + port);
-    }
+let nexthop t port =
+  if port >= 0 && port < Array.length t.nexthops then t.nexthops.(port)
+  else make_nexthop port
+
+let add_route t prefix ~port = Iproute.Table.add t.routes prefix (nexthop t port)
 
 (* Finish a routed packet: the minimal IP tail — TTL decrement with
    incremental checksum (charged per Table 5's IP row), MAC rewrite, out

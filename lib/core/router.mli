@@ -81,6 +81,9 @@ type t = {
   engine : Sim.Engine.t;
   chip : Ixp.Chip.t;
   routes : Iproute.Table.t;
+  nexthops : Iproute.Table.nexthop array;
+      (** one next hop per port, built once at {!create}: every route
+          {!add_route} or the RIP daemon installs shares its port's *)
   classifier : Classifier.t;
   iface : Iface.t;
   sa : Strongarm.t;
@@ -142,8 +145,13 @@ val set_frame_pool : t -> Packet.Frame_pool.t -> unit
     simulated timing, counters, and delivered traffic are identical with
     or without a pool. *)
 
+val nexthop : t -> int -> Iproute.Table.nexthop
+(** [nexthop t port] is the next hop out [port] via that port's peer
+    MAC: the shared record of {!field-nexthops} for a port of this
+    router, a fresh one for any other. *)
+
 val add_route : t -> Iproute.Prefix.t -> port:int -> unit
-(** Convenience: route a prefix out a port via that port's peer MAC. *)
+(** Convenience: route a prefix out a port via [nexthop t port]. *)
 
 val start :
   ?process:(t -> Chip_ctx.t -> Packet.Frame.t -> in_port:int -> Input_loop.target) ->

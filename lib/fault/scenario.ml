@@ -99,7 +99,10 @@ let set t key v =
   | "sa_restart_us" -> let* x = pos key v in Ok { t with sa_restart_us = x }
   | "pe_crash" -> let* r = rate v in Ok { t with pe_crash = r }
   | "pe_restart_us" -> let* x = pos key v in Ok { t with pe_restart_us = x }
-  | "seed" -> Ok { t with seed = Int64.of_float v }
+  | "seed" ->
+      (* The spec never prints the seed, and callers seed the stream
+         themselves, so a spec seed would be silently overridden. *)
+      Error "seed: not a spec key; set the seed with --seed (with_seed)"
   | _ -> Error (Printf.sprintf "unknown fault %S" key)
 
 let parse spec =

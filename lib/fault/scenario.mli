@@ -46,12 +46,13 @@ val parse : string -> (t, string) result
 (** [parse spec] reads a comma-separated [key:value] list, e.g.
     ["mac_corrupt:0.01,pool_fail:0.005,mac_burst:8"].  [""] and ["none"]
     are {!zero}.  Unknown keys, malformed or non-finite values, rates
-    outside [0, 1] and negative parameters are errors. *)
+    outside [0, 1] and negative parameters are errors.  So is a [seed]
+    key: the seed is set with {!with_seed}, never by the spec. *)
 
 val to_spec : t -> string
-(** Canonical spec string (non-zero fields only, sorted); [parse
-    (to_spec s)] round-trips everything but the seed.  ["none"] for
-    {!zero}.  This is what a failing run prints in its repro command. *)
+(** Canonical spec string (non-zero fields only, sorted): [parse
+    (to_spec s) = Ok s] for every parsed [s] (a spec carries no seed, so
+    a parsed scenario has seed 0).  ["none"] for {!zero}.  This is what a failing run prints in its repro command. *)
 
 val pp : Format.formatter -> t -> unit
 

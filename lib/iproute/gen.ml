@@ -35,8 +35,6 @@ let table ~rng ~n ~n_ports =
   (Prefix.default, 0)
   :: List.init (n - 1) (fun _ -> (fresh (), Sim.Rng.int rng n_ports))
 
-let u32 a = Int32.to_int a land 0xFFFFFFFF
-
 let bgp_table ~rng ~n ~n_ports =
   if n <= 0 || n_ports <= 0 then invalid_arg "Gen.bgp_table";
   let seen = Hashtbl.create (2 * n) in
@@ -73,9 +71,7 @@ let bgp_table ~rng ~n ~n_ports =
         Prefix.make (Sim.Rng.int32 rng) len
       else
         let bits = Sim.Rng.int rng (1 lsl (len - blen)) in
-        Prefix.make
-          (Int32.of_int (u32 (Prefix.addr b) lor (bits lsl (32 - len))))
-          len
+        Prefix.of_bits (Prefix.bits b lor (bits lsl (32 - len))) len
     in
     if emit p then misses := 0 else incr misses
   done;
@@ -113,10 +109,8 @@ let churn ~rng ~base ~n_ports ~steps =
             let len = min 32 (Prefix.length p + 1 + Sim.Rng.int rng 9) in
             let extra = len - Prefix.length p in
             let bits = Sim.Rng.int rng (1 lsl min 30 extra) in
-            let addr =
-              Int32.of_int (u32 (Prefix.addr p) lor (bits lsl (32 - len)))
-            in
-            Announce (Prefix.make addr len, Sim.Rng.int rng n_ports))
+            let addr = Prefix.bits p lor (bits lsl (32 - len)) in
+            Announce (Prefix.of_bits addr len, Sim.Rng.int rng n_ports))
 
 let hit_addr ~rng arr =
   let p, _ = Sim.Rng.pick rng arr in

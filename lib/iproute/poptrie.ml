@@ -4,31 +4,42 @@
    the node (relative length r = 0..5) live in the internal bitmap
    [ibm]: the prefix's top r chunk bits c give heap position
    pos = 2^r + (c >> (6-r)), numbered 1..63 and stored at bit (pos-1),
-   so the whole internal set fits one 63-bit OCaml int.  Children hang
-   off the external bitmap, one bit per 6-bit chunk value; 64 bits do
-   not fit a native int, so it is split into [elo] (chunks 0..31) and
-   [ehi] (chunks 32..63).  Values and children are packed into dense
-   arrays ordered by bitmap rank — popcount of the bits below the one of
-   interest indexes straight into the array, which is what keeps a
-   million-route table at a few words per route.
+   so the whole internal set fits one 63-bit OCaml int.  Prefixes of
+   relative length exactly 6 are leaves folded into the node (as in
+   Poptrie, Asai & Ohara, SIGCOMM 2015): one bit per 6-bit chunk value
+   in the leaf bitmap, split like the children's into [llo] (chunks
+   0..31) and [lhi] (32..63), since 64 bits do not fit a native int.  A
+   child node therefore exists only for prefixes longer than r = 6, and
+   a /24 sits in its depth-18 node instead of a node of its own.
+   Children hang off the external bitmap [elo]/[ehi], one bit per chunk
+   value.  Values and children are packed into dense arrays ordered by
+   bitmap rank — [ibm]'s values first, then the leaves' — so popcount
+   of the bits below the one of interest indexes straight into the
+   array, which is what keeps a million-route table at a few words per
+   route.
 
-   A lookup walks at most ceil(32/6) = 6 nodes.  At each node one
-   precomputed mask ANDed with [ibm] yields every internal prefix
-   matching the address at once; the most significant surviving bit is
-   the longest.  The walk remembers the deepest node with a non-empty
-   intersection and only materializes the winning entry at the end.
+   A lookup walks at most ceil(32/6) = 6 nodes.  At each node a set
+   leaf bit for the address's chunk is the longest match there;
+   otherwise one precomputed mask ANDed with [ibm] yields every internal
+   prefix matching the address at once, and the most significant
+   surviving bit is the longest.  The walk remembers the deepest node
+   with a match and only materializes the winning entry at the end.
 
    Direct pointing: the top [jump_bits] address bits index a lazily
    filled jump table that replays the skipped stride levels once per
    slot, caching the node at depth [jump_bits] (if any) and the
-   resolved best match among the shallower levels.  Every add/remove
-   clears the slots its prefix covers — one slot when the prefix is at
-   least [jump_bits] long, a power-of-two range otherwise — so a slot
-   can never go stale; it refills on the next lookup through it. *)
+   resolved best match among the shallower levels — lengths up to
+   [jump_bits] itself, since a /18 is a leaf of the depth-12 node, and
+   the whole slot shares it.  Every add/remove clears the slots its
+   prefix covers — one slot when the prefix is at least [jump_bits]
+   long, a power-of-two range otherwise — so a slot can never go stale;
+   it refills on the next lookup through it. *)
 
 type 'a node = {
   mutable ibm : int; (* internal prefixes, heap positions 1..63 *)
-  mutable ivals : 'a array; (* rank-ordered values for ibm's bits *)
+  mutable llo : int; (* leaf prefixes of length depth+6, chunks 0..31 *)
+  mutable lhi : int; (* leaf prefixes, chunks 32..63 *)
+  mutable ivals : 'a array; (* rank-ordered: ibm's values, then leaves' *)
   mutable elo : int; (* children bitmap, chunks 0..31 *)
   mutable ehi : int; (* children bitmap, chunks 32..63 *)
   mutable children : 'a node array; (* rank-ordered *)
@@ -107,7 +118,8 @@ let u32 a = Int32.to_int a land 0xFFFFFFFF
    zero fill, matching how canonical prefixes clear host bits. *)
 let chunk u d = if d <= 26 then (u lsr (26 - d)) land 63 else (u lsl (d - 26)) land 63
 
-let empty_node () = { ibm = 0; ivals = [||]; elo = 0; ehi = 0; children = [||] }
+let empty_node () =
+  { ibm = 0; llo = 0; lhi = 0; ivals = [||]; elo = 0; ehi = 0; children = [||] }
 
 let create () =
   {
@@ -119,20 +131,39 @@ let create () =
 let is_empty t = t.count = 0
 let size t = t.count
 
-let has_child n i =
-  if i < 32 then n.elo land (1 lsl i) <> 0 else n.ehi land (1 lsl (i - 32)) <> 0
+(* Chunk-indexed 64-bit maps (leaves, children) are split into 32-bit
+   halves [lo] (chunks 0..31) and [hi] (32..63). *)
+let has_bit lo hi i =
+  if i < 32 then lo land (1 lsl i) <> 0 else hi land (1 lsl (i - 32)) <> 0
 
-(* Rank of child i: how many children precede it in the packed array. *)
-let child_rank n i =
-  if i < 32 then pc32 (n.elo land ((1 lsl i) - 1))
-  else pc32 n.elo + pc32 (n.ehi land ((1 lsl (i - 32)) - 1))
+(* How many set bits precede bit i. *)
+let bit_rank lo hi i =
+  if i < 32 then pc32 (lo land ((1 lsl i) - 1))
+  else pc32 lo + pc32 (hi land ((1 lsl (i - 32)) - 1))
+
+let has_child n i = has_bit n.elo n.ehi i
+let child_rank n i = bit_rank n.elo n.ehi i
+let has_leaf n i = has_bit n.llo n.lhi i
+
+(* Leaf values are ranked after the internal prefixes' values. *)
+let leaf_rank n i = pc n.ibm + bit_rank n.llo n.lhi i
+
+let flip_child n i =
+  if i < 32 then n.elo <- n.elo lxor (1 lsl i)
+  else n.ehi <- n.ehi lxor (1 lsl (i - 32))
+
+let flip_leaf n i =
+  if i < 32 then n.llo <- n.llo lxor (1 lsl i)
+  else n.lhi <- n.lhi lxor (1 lsl (i - 32))
+
+let holds_nothing n = n.ibm lor n.llo lor n.lhi lor n.elo lor n.ehi = 0
 
 (* Drop every jump slot the prefix covers.  Canonical prefixes have
    zero host bits, so the first covered slot is just the shifted
    address. *)
 let invalidate t p =
   let len = Prefix.length p in
-  let base = u32 (Prefix.addr p) lsr (32 - jump_bits) in
+  let base = Prefix.bits p lsr (32 - jump_bits) in
   if len >= jump_bits then t.jump.(base) <- Unset
   else
     for i = base to base + (1 lsl (jump_bits - len)) - 1 do
@@ -156,14 +187,30 @@ let arr_remove a i =
     b
   end
 
+(* Where a prefix lives: the walk descends while the prefix is more
+   than 6 bits longer than the node's depth d, so a prefix stops at the
+   node with r = len - d in 1..6 (0 only for the root's /0).  r < 6 is
+   heap position 2^r + (chunk >> (6-r)) in [ibm]; r = 6 is the chunk's
+   bit in the leaf map. *)
+let heap_bit u d r = 1 lsl (((1 lsl r) lor (chunk u d lsr (6 - r))) - 1)
+
 let add t p v =
   invalidate t p;
-  let u = u32 (Prefix.addr p) and len = Prefix.length p in
+  let u = Prefix.bits p and len = Prefix.length p in
   let rec go node d =
-    if len - d < 6 then begin
-      let r = len - d in
-      let pos = (1 lsl r) lor (chunk u d lsr (6 - r)) in
-      let bit = 1 lsl (pos - 1) in
+    let r = len - d in
+    if r = 6 then begin
+      let c = chunk u d in
+      let rank = leaf_rank node c in
+      if has_leaf node c then node.ivals.(rank) <- v
+      else begin
+        flip_leaf node c;
+        node.ivals <- arr_insert node.ivals rank v;
+        t.count <- t.count + 1
+      end
+    end
+    else if r < 6 then begin
+      let bit = heap_bit u d r in
       let rank = pc (node.ibm land (bit - 1)) in
       if node.ibm land bit <> 0 then node.ivals.(rank) <- v
       else begin
@@ -179,8 +226,7 @@ let add t p v =
         else begin
           let ch = empty_node () in
           node.children <- arr_insert node.children (child_rank node i) ch;
-          if i < 32 then node.elo <- node.elo lor (1 lsl i)
-          else node.ehi <- node.ehi lor (1 lsl (i - 32));
+          flip_child node i;
           ch
         end
       in
@@ -191,12 +237,21 @@ let add t p v =
 
 let remove t p =
   invalidate t p;
-  let u = u32 (Prefix.addr p) and len = Prefix.length p in
+  let u = Prefix.bits p and len = Prefix.length p in
   let rec go node d =
-    if len - d < 6 then begin
-      let r = len - d in
-      let pos = (1 lsl r) lor (chunk u d lsr (6 - r)) in
-      let bit = 1 lsl (pos - 1) in
+    let r = len - d in
+    if r = 6 then begin
+      let c = chunk u d in
+      if not (has_leaf node c) then false
+      else begin
+        node.ivals <- arr_remove node.ivals (leaf_rank node c);
+        flip_leaf node c;
+        t.count <- t.count - 1;
+        true
+      end
+    end
+    else if r < 6 then begin
+      let bit = heap_bit u d r in
       if node.ibm land bit = 0 then false
       else begin
         let rank = pc (node.ibm land (bit - 1)) in
@@ -213,11 +268,10 @@ let remove t p =
         let rank = child_rank node i in
         let ch = node.children.(rank) in
         let removed = go ch (d + 6) in
-        (if removed && ch.ibm = 0 && ch.elo = 0 && ch.ehi = 0 then begin
-           node.children <- arr_remove node.children rank;
-           if i < 32 then node.elo <- node.elo lxor (1 lsl i)
-           else node.ehi <- node.ehi lxor (1 lsl (i - 32))
-         end);
+        if removed && holds_nothing ch then begin
+          node.children <- arr_remove node.children rank;
+          flip_child node i
+        end;
         removed
       end
     end
@@ -225,15 +279,16 @@ let remove t p =
   ignore (go t.root 0)
 
 let find t p =
-  let u = u32 (Prefix.addr p) and len = Prefix.length p in
+  let u = Prefix.bits p and len = Prefix.length p in
   let rec go node d =
-    if len - d < 6 then begin
-      let r = len - d in
-      let pos = (1 lsl r) lor (chunk u d lsr (6 - r)) in
-      let bit = 1 lsl (pos - 1) in
+    let r = len - d in
+    if r = 6 then
+      let c = chunk u d in
+      if has_leaf node c then Some node.ivals.(leaf_rank node c) else None
+    else if r < 6 then
+      let bit = heap_bit u d r in
       if node.ibm land bit = 0 then None
       else Some node.ivals.(pc (node.ibm land (bit - 1)))
-    end
     else
       let i = chunk u d in
       if has_child node i then go node.children.(child_rank node i) (d + 6)
@@ -241,26 +296,40 @@ let find t p =
   in
   go t.root 0
 
+(* What a node contributes to a lookup of chunk c: [-1] when c's leaf
+   is set (length d+6, longer than anything in [ibm]), else the
+   intersection of [ibm] with c's match mask (0 = nothing).  An
+   intersection has at most 6 bits set, so it is never [-1]; it may be
+   negative, since heap position 63 is the native int's sign bit. *)
+let hits_at node c =
+  if has_leaf node c then -1 else node.ibm land Array.unsafe_get match_masks c
+
 (* Heap positions grow with relative length, so the most significant
    surviving bit of the intersection is the longest match in the node. *)
-let resolve a best_node best_hits best_d =
-  let pos = 1 + msb best_hits in
-  let r = msb pos in
-  let rank = pc (best_node.ibm land ((1 lsl (pos - 1)) - 1)) in
-  Some (Prefix.make a (best_d + r), Array.unsafe_get best_node.ivals rank)
+let resolve u best_node best_hits best_d =
+  if best_hits = -1 then
+    Some
+      ( Prefix.of_bits u (best_d + 6),
+        Array.unsafe_get best_node.ivals (leaf_rank best_node (chunk u best_d)) )
+  else
+    let pos = 1 + msb best_hits in
+    let r = msb pos in
+    let rank = pc (best_node.ibm land ((1 lsl (pos - 1)) - 1)) in
+    Some (Prefix.of_bits u (best_d + r), Array.unsafe_get best_node.ivals rank)
 
 (* Replay the levels above [jump_bits] for one slot.  The cached best
-   match has length < jump_bits, so it only depends on address bits the
+   match has length <= jump_bits (a leaf of the last replayed node
+   reaches exactly jump_bits), so it only depends on address bits the
    whole slot shares. *)
-let fill t a u =
+let fill t u =
   let rec go node d best_node best_hits best_d =
     let c = chunk u d in
-    let hits = node.ibm land Array.unsafe_get match_masks c in
+    let hits = hits_at node c in
     let best_node, best_hits, best_d =
       if hits <> 0 then (node, hits, d) else (best_node, best_hits, best_d)
     in
     let jbest () =
-      if best_hits = 0 then None else resolve a best_node best_hits best_d
+      if best_hits = 0 then None else resolve u best_node best_hits best_d
     in
     if d + 6 = jump_bits then
       let jnode =
@@ -283,7 +352,7 @@ let lookup t a =
   let s =
     match Array.unsafe_get t.jump j with
     | Unset ->
-        let s = fill t a u in
+        let s = fill t u in
         Array.unsafe_set t.jump j s;
         s
     | s -> s
@@ -294,7 +363,7 @@ let lookup t a =
   | Jump { jnode = Some n; jbest } ->
       let rec go node d best_node best_hits best_d =
         let c = chunk u d in
-        let hits = node.ibm land Array.unsafe_get match_masks c in
+        let hits = hits_at node c in
         (* Deeper matches beat shallower ones, so any non-empty
            intersection supersedes the best seen so far. *)
         let best_node, best_hits, best_d =
@@ -305,7 +374,7 @@ let lookup t a =
             (Array.unsafe_get node.children (child_rank node c))
             (d + 6) best_node best_hits best_d
         else if best_hits = 0 then jbest
-        else resolve a best_node best_hits best_d
+        else resolve u best_node best_hits best_d
       in
       go n jump_bits n 0 0
 
@@ -322,9 +391,14 @@ let bindings t =
       let len = d + r in
       let addr = if len = 0 then 0 else path lor (bits lsl (32 - len)) in
       let rank = pc (node.ibm land ((1 lsl bitpos) - 1)) in
-      acc := (Prefix.make (Int32.of_int addr) len, node.ivals.(rank)) :: !acc
+      acc := (Prefix.of_bits addr len, node.ivals.(rank)) :: !acc
     done;
     for i = 0 to 63 do
+      if has_leaf node i then
+        acc :=
+          ( Prefix.of_bits (path lor (i lsl (26 - d))) (d + 6),
+            node.ivals.(leaf_rank node i) )
+          :: !acc;
       if has_child node i then
         go node.children.(child_rank node i) (d + 6) (path lor (i lsl (26 - d)))
     done
@@ -337,13 +411,13 @@ let node_count t =
   go t.root
 
 let memory_words t =
-  (* 5 fields + header per node, plus the two packed arrays, plus the
+  (* 7 fields + header per node, plus the two packed arrays, plus the
      direct-pointing jump table (its lazily-built slot records are
      bounded by the table length and counted as one word each). *)
   let rec go n =
     Array.fold_left
       (fun a c -> a + go c)
-      (6 + Array.length n.ivals + Array.length n.children)
+      (8 + Array.length n.ivals + Array.length n.children)
       n.children
   in
   go t.root + (2 * Array.length t.jump)

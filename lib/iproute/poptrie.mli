@@ -1,14 +1,16 @@
 (** Compressed multibit-trie FIB for internet-scale tables.
 
     A stride-6 multibit trie in the Poptrie/Tree-Bitmap family: each
-    node covers 6 address bits and holds two bitmaps — an {e internal}
+    node covers 6 address bits and holds three bitmaps — an {e internal}
     bitmap of the 63 heap-numbered prefixes ending inside the node
-    (lengths [depth .. depth+5]) and an {e external} bitmap of its up to
-    64 children — with the values and children packed into dense arrays
-    indexed by popcount rank.  A lookup is at most 6 node visits, each a
-    table-driven bitmap intersection plus one popcount, against the
-    reference {!Btrie}'s 32 pointer chases; a million-route table fits
-    in a few hundred thousand nodes.
+    (lengths [depth .. depth+5]), a {e leaf} bitmap of the up to 64
+    prefixes of length exactly [depth+6], folded into the node as in
+    Poptrie, and an {e external} bitmap of its up to 64 children, which
+    exist only for longer prefixes — with the values and children packed
+    into dense arrays indexed by popcount rank.  A lookup is at most 6
+    node visits, each a table-driven bitmap intersection plus one
+    popcount, against the reference {!Btrie}'s 32 pointer chases; a
+    million-route table fits in about 215 thousand nodes.
 
     Updates are incremental: an add or remove touches only the nodes on
     the prefix's path (splicing one rank-compressed array per level),
@@ -34,8 +36,8 @@ val add : 'a t -> Prefix.t -> 'a -> unit
     Touches only the [length p / 6 + 1] nodes on [p]'s path. *)
 
 val remove : 'a t -> Prefix.t -> unit
-(** Drop the exact prefix [p] (no-op if absent); empty nodes on the
-    path are pruned. *)
+(** Drop the exact prefix [p] (no-op if absent); nodes on the path
+    left with no prefix, leaf or child are pruned. *)
 
 val find : 'a t -> Prefix.t -> 'a option
 (** Exact-prefix lookup. *)

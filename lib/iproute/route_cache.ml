@@ -76,22 +76,23 @@ let drop_line c l =
   c.vals.(l) <- None;
   c.live <- c.live - 1
 
-let invalidate_matching c pred =
+(* Drop the occupied lines whose native-int key satisfies [pred]. *)
+let drop_where c pred =
   if c.live > 0 then begin
     c.scan_cost <- c.scan_cost + Array.length c.keys;
-    Array.iteri
-      (fun i k -> if k >= 0 && pred (Int32.of_int k) then drop_line c i)
-      c.keys
+    Array.iteri (fun i k -> if k >= 0 && pred k then drop_line c i) c.keys
   end
+
+let invalidate_matching c pred = drop_where c (fun k -> pred (Int32.of_int k))
 
 let invalidate_covered c p =
   let host = 32 - Prefix.length p in
+  let base = Prefix.bits p in
   let slots = Array.length c.keys in
   if c.live = 0 then ()
-  else if host < Sys.int_size - 1 && 1 lsl host < slots then begin
+  else if 1 lsl host < slots then begin
     (* Few covered addresses: probe each one's line directly instead of
        scanning every slot — a /32 change touches exactly one line. *)
-    let base = Int32.to_int (Prefix.addr p) land 0xFFFFFFFF in
     let n = 1 lsl host in
     c.scan_cost <- c.scan_cost + n;
     for i = 0 to n - 1 do
@@ -100,7 +101,10 @@ let invalidate_covered c p =
       if c.keys.(l) = k then drop_line c l
     done
   end
-  else invalidate_matching c (Prefix.matches p)
+  else
+    (* A shift by 32 clears every key bit, so a /0 covers every line. *)
+    let top = base lsr host in
+    drop_where c (fun k -> k lsr host = top)
 
 let scan_cost c = c.scan_cost
 let hits c = c.hits

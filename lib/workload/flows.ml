@@ -112,38 +112,46 @@ let validate c =
   else Ok c
 
 (* Spec keys, shared by parse and to_spec so the round-trip cannot
-   drift.  Each entry: key, read from config, write into config. *)
-let keys :
-    (string * (config -> float) * (config -> float -> config)) list =
+   drift.  Each entry: key, read from config, write into config — a
+   [Real] field takes any finite value, an [Int] field only integers. *)
+type setter =
+  | Real of (config -> float -> config)
+  | Int of (config -> int -> config)
+
+let keys : (string * (config -> float) * setter) list =
   [
-    ("pps", (fun c -> c.pps), fun c v -> { c with pps = v });
+    ("pps", (fun c -> c.pps), Real (fun c v -> { c with pps = v }));
     ( "hosts",
       (fun c -> float_of_int c.n_hosts),
-      fun c v -> { c with n_hosts = int_of_float v } );
+      Int (fun c v -> { c with n_hosts = v }) );
     ( "subnets",
       (fun c -> float_of_int c.n_subnets),
-      fun c v -> { c with n_subnets = int_of_float v } );
-    ("zipf", (fun c -> c.zipf_s), fun c v -> { c with zipf_s = v });
-    ("pareto", (fun c -> c.pareto_shape), fun c v -> { c with pareto_shape = v });
+      Int (fun c v -> { c with n_subnets = v }) );
+    ("zipf", (fun c -> c.zipf_s), Real (fun c v -> { c with zipf_s = v }));
+    ( "pareto",
+      (fun c -> c.pareto_shape),
+      Real (fun c v -> { c with pareto_shape = v }) );
     ( "minpkts",
       (fun c -> c.pareto_min_pkts),
-      fun c v -> { c with pareto_min_pkts = v } );
+      Real (fun c v -> { c with pareto_min_pkts = v }) );
     ( "maxpkts",
       (fun c -> float_of_int c.max_flow_pkts),
-      fun c v -> { c with max_flow_pkts = int_of_float v } );
+      Int (fun c v -> { c with max_flow_pkts = v }) );
     ( "conc",
       (fun c -> float_of_int c.concurrency),
-      fun c v -> { c with concurrency = int_of_float v } );
-    ("burst", (fun c -> c.burst_ratio), fun c v -> { c with burst_ratio = v });
-    ("burst_us", (fun c -> c.burst_us), fun c v -> { c with burst_us = v });
-    ("idle_us", (fun c -> c.idle_us), fun c v -> { c with idle_us = v });
+      Int (fun c v -> { c with concurrency = v }) );
+    ( "burst",
+      (fun c -> c.burst_ratio),
+      Real (fun c v -> { c with burst_ratio = v }) );
+    ("burst_us", (fun c -> c.burst_us), Real (fun c v -> { c with burst_us = v }));
+    ("idle_us", (fun c -> c.idle_us), Real (fun c v -> { c with idle_us = v }));
     ( "frame",
       (fun c -> float_of_int c.frame_len),
-      fun c v -> { c with frame_len = int_of_float v } );
-    ("udp", (fun c -> c.udp_share), fun c v -> { c with udp_share = v });
+      Int (fun c v -> { c with frame_len = v }) );
+    ("udp", (fun c -> c.udp_share), Real (fun c v -> { c with udp_share = v }));
     ( "dscp",
       (fun c -> float_of_int c.dscp_classes),
-      fun c v -> { c with dscp_classes = int_of_float v } );
+      Int (fun c v -> { c with dscp_classes = v }) );
   ]
 
 let parse spec =
@@ -169,11 +177,16 @@ let parse spec =
             match List.find_opt (fun (name, _, _) -> name = k) keys with
             | None -> Error (Printf.sprintf "unknown key %S" k)
             | Some (_, _, set) -> (
-                match float_of_string_opt v with
-                | None -> Error (Printf.sprintf "bad value %S for %s" v k)
-                | Some f when not (Float.is_finite f) ->
+                match (float_of_string_opt v, set) with
+                | None, _ -> Error (Printf.sprintf "bad value %S for %s" v k)
+                | Some f, _ when not (Float.is_finite f) ->
                     Error (Printf.sprintf "%s: %S is not a finite number" k v)
-                | Some f -> fold (set c f) rest)))
+                | Some f, Real set -> fold (set c f) rest
+                | Some f, Int _ when not (Float.is_integer f) ->
+                    Error (Printf.sprintf "%s: %S is not an integer" k v)
+                | Some f, Int _ when Float.abs f >= 0x1p62 ->
+                    Error (Printf.sprintf "%s: %S is out of range (|v| >= 2^62)" k v)
+                | Some f, Int set -> fold (set c (int_of_float f)) rest)))
   in
   fold default fields
 

@@ -65,8 +65,9 @@ val parse : string -> (config, string) result
     ["flows"] is optional) with keys [pps], [hosts], [subnets], [zipf],
     [pareto], [minpkts], [maxpkts], [conc], [burst] (the ratio),
     [burst_us], [idle_us], [frame], [udp], [dscp].  Unknown keys,
-    malformed or non-finite values, and out-of-range parameters are
-    errors. *)
+    malformed or non-finite values, fractions or magnitudes of 2^62 and
+    above for the integer keys ([hosts], [subnets], [maxpkts], [conc],
+    [frame], [dscp]), and out-of-range parameters are errors. *)
 
 val to_spec : config -> string
 (** Canonical spec string (non-default fields only, sorted);

@@ -268,14 +268,52 @@ let fuzz_decoders_total =
 (* --- spec grammars ------------------------------------------------------- *)
 
 (* Numbers for the spec fields: in-range values, and the edges a float
-   parser lets through — NaN, infinities, negative zero, values past
-   every range or past 2^62, and empty fields. *)
+   parser lets through — NaN, infinities, negative zero, fractions,
+   values past every range or at and around 2^62, and empty fields. *)
 let spec_numbers =
   [|
-    "0"; "1"; "2"; "4"; "0.5"; "0.25"; "64"; "100"; "300"; "1e6";
+    "0"; "1"; "2"; "4"; "0.5"; "0.25"; "1.5"; "64"; "100"; "300"; "1e6";
     "123456789"; "0.3333333333333333"; "nan"; "-nan"; "inf"; "-inf";
-    "infinity"; "-0"; "1e300"; "4611686018427387904"; ""; "-1";
+    "infinity"; "-0"; "1e300"; "1e18"; "4611686018427387904";
+    "4611686018427387903"; "-4611686018427387904"; ""; "-1";
   |]
+
+(* The [key<sep>value] items of a spec, split at [item_sep]. *)
+let spec_items ~item_sep ~sep s =
+  List.filter_map
+    (fun item ->
+      match String.index_opt item sep with
+      | None -> None
+      | Some i ->
+          Some
+            ( String.sub item 0 i,
+              String.sub item (i + 1) (String.length item - i - 1) ))
+    (String.split_on_char item_sep s)
+
+(* A spec naming [seed] must be refused: the seed comes from the
+   caller, and [to_spec] never prints one. *)
+let scenario_refuses_seed s =
+  match Fault.Scenario.parse s with
+  | Ok _ when List.mem_assoc "seed" (spec_items ~item_sep:',' ~sep:':' s) ->
+      QCheck.Test.fail_reportf "%S accepted with a seed key" s
+  | _ -> true
+
+(* An integer key with a fraction or a magnitude of 2^62 or more must be
+   refused, not truncated or wrapped. *)
+let flows_refuses_non_integers s =
+  let int_keys = [ "hosts"; "subnets"; "maxpkts"; "conc"; "frame"; "dscp" ] in
+  let body = String.sub s 6 (String.length s - 6) in
+  let bad (k, v) =
+    List.mem k int_keys
+    &&
+    match float_of_string_opt v with
+    | Some f -> Float.is_finite f && not (Float.is_integer f && Float.abs f < 0x1p62)
+    | None -> false
+  in
+  match Workload.Flows.parse s with
+  | Ok _ when List.exists bad (spec_items ~item_sep:',' ~sep:'=' body) ->
+      QCheck.Test.fail_reportf "%S accepted with a non-integer count" s
+  | _ -> true
 
 (* One spec of a grammar drawn from its fields and [spec_numbers]. *)
 let gen_spec rng =
@@ -361,9 +399,8 @@ let fuzz_spec_grammars =
     (fun seed ->
       match gen_spec (Sim.Rng.create seed) with
       | `Scenario s ->
-          round_trip Fault.Scenario.parse Fault.Scenario.to_spec
-            (fun t -> Fault.Scenario.with_seed t 0L)
-            s
+          scenario_refuses_seed s
+          && round_trip Fault.Scenario.parse Fault.Scenario.to_spec Fun.id s
       | `Cluster s ->
           round_trip Fault.Cluster_scenario.parse
             Fault.Cluster_scenario.to_spec Fun.id s
@@ -371,7 +408,8 @@ let fuzz_spec_grammars =
           round_trip Cluster.Fabric_queue.parse Cluster.Fabric_queue.to_spec
             Fun.id s
       | `Flows s ->
-          round_trip Workload.Flows.parse Workload.Flows.to_spec Fun.id s)
+          flows_refuses_non_integers s
+          && round_trip Workload.Flows.parse Workload.Flows.to_spec Fun.id s)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

@@ -775,10 +775,197 @@ let route_cache_model =
         (triple (int_bound 6) (int_bound 15) (int_bound 32)))
     (fun ops -> run_against_model (List.map cache_op_of ops))
 
+(* --- packed prefixes ------------------------------------------------------ *)
+
+(* The int32 reference the packed representation must agree with. *)
+let ref_mask len = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+
+let ref_compare (a, l) (b, m) =
+  let c = compare l m in
+  if c <> 0 then c else Int32.unsigned_compare a b
+
+(* Addresses that stress the packing: bit 31 set, all ones, zero, and
+   random draws. *)
+let draw_addr rng =
+  match Sim.Rng.int rng 5 with
+  | 0 -> Int32.logor 0x80000000l (Sim.Rng.int32 rng)
+  | 1 -> Sim.Rng.pick rng [| 0l; -1l; 0x80000000l; 0x7FFFFFFFl; 1l |]
+  | _ -> Sim.Rng.int32 rng
+
+let draw_len rng =
+  match Sim.Rng.int rng 4 with
+  | 0 -> Sim.Rng.pick rng [| 0; 32 |]
+  | _ -> Sim.Rng.int rng 33
+
+let prefix_packing =
+  QCheck.Test.make ~name:"packed prefix = int32 reference" ~count:500
+    QCheck.int64
+    (fun seed ->
+      let rng = Sim.Rng.create seed in
+      let module P = Iproute.Prefix in
+      let a = draw_addr rng and len = draw_len rng in
+      let p = P.make a len in
+      let canon = Int32.logand a (ref_mask len) in
+      let b = draw_addr rng and m = draw_len rng in
+      let q = P.make b m in
+      let sign x = compare x 0 in
+      let expand_ok =
+        let upto = min 32 (len + Sim.Rng.int rng 7) in
+        let expect =
+          List.init
+            (1 lsl (upto - len))
+            (fun i ->
+              ( Int32.logor canon
+                  (if i = 0 then 0l
+                   else Int32.shift_left (Int32.of_int i) (32 - upto)),
+                upto ))
+        in
+        List.map (fun r -> (P.addr r, P.length r)) (P.expand p upto) = expect
+      in
+      if P.length p <> len then QCheck.Test.fail_reportf "length of /%d" len
+      else if P.addr p <> canon then
+        QCheck.Test.fail_reportf "addr %lx/%d -> %lx" a len (P.addr p)
+      else if P.bits p <> Int32.to_int canon land 0xFFFFFFFF then
+        QCheck.Test.fail_reportf "bits %lx/%d" a len
+      else if not (P.equal (P.make (P.addr p) (P.length p)) p) then
+        QCheck.Test.fail_reportf "make of addr/length %lx/%d" a len
+      else if not (P.equal (P.of_bits (P.bits p) len) p) then
+        QCheck.Test.fail_reportf "of_bits of bits %lx/%d" a len
+      else if
+        List.exists
+          (fun x -> P.matches p x <> (Int32.logand x (ref_mask len) = canon))
+          [ a; b; canon; Int32.lognot a; Int32.logxor a 1l ]
+      then QCheck.Test.fail_reportf "matches %lx/%d" a len
+      else if
+        sign (P.compare p q)
+        <> sign (ref_compare (canon, len) (Int32.logand b (ref_mask m), m))
+        || sign (P.compare p (P.make b len))
+           <> sign (ref_compare (canon, len) (Int32.logand b (ref_mask len), len))
+      then QCheck.Test.fail_reportf "compare %lx/%d %lx/%d" a len b m
+      else if
+        not (P.equal (P.of_string (Format.asprintf "%a" P.pp p)) p)
+      then QCheck.Test.fail_reportf "of_string of %a" P.pp p
+      else if not expand_ok then QCheck.Test.fail_reportf "expand %a" P.pp p
+      else true)
+
+(* --- leaf folding ---------------------------------------------------------- *)
+
+(* Lengths on either side of every stride boundary: a length d+6 is a
+   leaf folded into the depth-d node, d+5 and d+7 are not, and 18 is
+   the jump table's width. *)
+let fold_lengths = [| 0; 5; 6; 7; 12; 17; 18; 19; 23; 24; 25; 30; 32 |]
+
+(* Addresses that share long prefixes (same /24, /23, /17, /31) so
+   folded leaves and child nodes sit under one another, plus bit 31
+   set, all ones and zero. *)
+let fold_addrs =
+  Array.map addr
+    [|
+      "10.1.2.3"; "10.1.2.131"; "10.1.3.3"; "10.1.66.3"; "200.200.200.200";
+      "255.255.255.255"; "0.0.0.0"; "10.1.2.2";
+    |]
+
+let fold_probes =
+  List.concat_map
+    (fun a ->
+      List.map
+        (fun flip -> Int32.logxor a flip)
+        [ 0l; 1l; 2l; 0x40l; 0x80l; 0x100l; 0x4000l; 0x8000l; 0x2000000l;
+          0x80000000l ])
+    (Array.to_list fold_addrs)
+
+(* Fixed opening ops (address index, length index): a /24 with a /25
+   child under it, the /18 folded into the depth-12 node, then the /24
+   removed while its child node stays, and a lone /24 (no child node)
+   added and removed. *)
+let fold_prelude =
+  [
+    (true, 0, 9); (true, 1, 10); (true, 0, 6); (false, 0, 9); (false, 0, 6);
+    (true, 2, 9); (false, 2, 9); (false, 1, 10);
+  ]
+
+let leaf_folding_ops ops =
+  let pop = Iproute.Poptrie.create () in
+  let bt = ref Iproute.Btrie.empty in
+  let model = ref [] in
+  let sorted l =
+    List.sort
+      (fun (p, a) (q, b) ->
+        let c = Iproute.Prefix.compare p q in
+        if c <> 0 then c else compare a b)
+      l
+  in
+  let check step =
+    List.iter
+      (fun a ->
+        let expect = linear_lookup !model a in
+        if Iproute.Poptrie.lookup pop a <> expect then
+          QCheck.Test.fail_reportf "step %d: poptrie lookup %a" step
+            Packet.Ipv4.pp_addr a;
+        if Iproute.Btrie.lookup !bt a <> expect then
+          QCheck.Test.fail_reportf "step %d: btrie lookup %a" step
+            Packet.Ipv4.pp_addr a)
+      fold_probes;
+    let m = sorted !model in
+    if sorted (Iproute.Poptrie.bindings pop) <> m then
+      QCheck.Test.fail_reportf "step %d: poptrie bindings" step;
+    if sorted (Iproute.Btrie.bindings !bt) <> m then
+      QCheck.Test.fail_reportf "step %d: btrie bindings" step;
+    if !model = [] && Iproute.Poptrie.node_count pop <> 1 then
+      QCheck.Test.fail_reportf "step %d: empty table keeps %d nodes" step
+        (Iproute.Poptrie.node_count pop)
+  in
+  List.iteri
+    (fun i (is_add, ai, li) ->
+      let p = Iproute.Prefix.make fold_addrs.(ai) fold_lengths.(li) in
+      model := List.filter (fun (q, _) -> not (Iproute.Prefix.equal p q)) !model;
+      if is_add then begin
+        model := (p, i) :: !model;
+        Iproute.Poptrie.add pop p i;
+        bt := Iproute.Btrie.add !bt p i
+      end
+      else begin
+        Iproute.Poptrie.remove pop p;
+        bt := Iproute.Btrie.remove !bt p
+      end;
+      check i)
+    (fold_prelude @ ops);
+  true
+
+let leaf_folding =
+  QCheck.Test.make ~name:"leaf-folded poptrie = btrie = linear under churn"
+    ~count:300
+    QCheck.(
+      list_of_size (Gen.int_bound 60)
+        (triple bool (int_bound 7) (int_bound 12)))
+    leaf_folding_ops
+
+let folded_leaves_take_no_node () =
+  (* A /24 sits in the depth-18 node's leaf map, a /18 in the depth-12
+     node's: neither adds a node.  Only a longer prefix needs a child. *)
+  let t = Iproute.Poptrie.create () in
+  let add s = Iproute.Poptrie.add t (pfx_of s) s in
+  add "10.1.2.0/24";
+  Alcotest.(check int) "root, depth 6, 12 and 18" 4
+    (Iproute.Poptrie.node_count t);
+  add "10.1.0.0/18";
+  add "10.0.0.0/6";
+  add "10.1.2.0/23";
+  Alcotest.(check int) "leaves and internal prefixes add none" 4
+    (Iproute.Poptrie.node_count t);
+  add "10.1.2.128/25";
+  Alcotest.(check int) "a /25 needs the depth-24 child" 5
+    (Iproute.Poptrie.node_count t);
+  Iproute.Poptrie.remove t (pfx_of "10.1.2.128/25");
+  Alcotest.(check int) "pruned again" 4 (Iproute.Poptrie.node_count t);
+  Alcotest.(check (option string)) "/24 still answers" (Some "10.1.2.0/24")
+    (Option.map snd (Iproute.Poptrie.lookup t (addr "10.1.2.200")))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       engines_agree; poptrie_diff_ops; covered_equiv; route_cache_model;
+      prefix_packing; leaf_folding;
     ]
 
 let tests =
@@ -795,6 +982,8 @@ let tests =
     Alcotest.test_case "selective cache invalidation" `Quick
       selective_invalidation_scope;
     Alcotest.test_case "poptrie basics" `Quick poptrie_basic;
+    Alcotest.test_case "folded leaves take no node" `Quick
+      folded_leaves_take_no_node;
     Alcotest.test_case "covered invalidation fast path" `Quick
       covered_invalidation_unit;
     Alcotest.test_case "table /32 change costs one probe" `Quick
