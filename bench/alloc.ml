@@ -15,6 +15,10 @@
      fiber actually suspending, paid ~events/packet times per packet
    - words/packet, events/packet, promoted words over the measured
      window for the whole router
+   - construction footprint: heap words reachable from a freshly built
+     default router, and from a 4-member cluster with frame pools — what
+     every router pays before its first packet (the Poptrie jump table
+     and the DRAM buffer pool dominated it once)
 
    Unlike wall-clock pps, allocation counts are exact and repeatable —
    the spread rows exist for gate.py --refresh symmetry and sit near
@@ -135,6 +139,21 @@ let router_alloc () =
     float_of_int ev /. pkts,
     Sim.Gc_stats.minor_collections gc )
 
+(* Words reachable from a value just built: exact and host-independent. *)
+let words_at_create v = float_of_int (Obj.reachable_words (Obj.repr v))
+
+let router_create_words () = words_at_create (Router.create ())
+
+let cluster_create_words () =
+  words_at_create (Cluster.create ~members:4 ~frame_pool:true ())
+
+(* Budgets for the construction rows (the paper column), in words,
+   with headroom over the measured ~40.5k and ~186k.  A default router
+   has an empty FIB, so it holds no Poptrie jump table; an accidental
+   eager one would add 2^18 words and show here. *)
+let router_words_budget = 64_000.
+let cluster_words_budget = 320_000.
+
 let run () =
   Report.section "Allocation budget (steady-state minor words per packet)";
   (* Same minor heap the perf run uses: 8M words, so the measured phase
@@ -147,6 +166,8 @@ let run () =
      (required by gate.py --refresh) only confirm run-to-run identity. *)
   let w1, p1, e1, _gcs1 = router_alloc () in
   let w2, p2, e2, gcs2 = router_alloc () in
+  let router_words = router_create_words () in
+  let cluster_words = cluster_create_words () in
   let w = Float.min w1 w2 and p = Float.min p1 p2 in
   let e = Float.min e1 e2 in
   let spread a b =
@@ -171,6 +192,10 @@ let run () =
   Report.row ~unit_:"w/pkt" ~name:"promoted words/packet" ~paper:10.0
     ~measured:p;
   Report.row ~unit_:"ev/pkt" ~name:"events/packet" ~paper:10.0 ~measured:e;
+  Report.row ~unit_:"words" ~name:"router words at create"
+    ~paper:router_words_budget ~measured:router_words;
+  Report.row ~unit_:"words" ~name:"cluster words at create"
+    ~paper:cluster_words_budget ~measured:cluster_words;
   Report.row ~unit_:"frac" ~name:"run spread (minor words)" ~paper:0.10
     ~measured:(spread w1 w2);
   Report.row ~unit_:"frac" ~name:"run spread (events)" ~paper:0.10

@@ -25,15 +25,21 @@
    surviving bit is the longest.  The walk remembers the deepest node
    with a match and only materializes the winning entry at the end.
 
-   Direct pointing: the top [jump_bits] address bits index a lazily
-   filled jump table that replays the skipped stride levels once per
-   slot, caching the node at depth [jump_bits] (if any) and the
-   resolved best match among the shallower levels — lengths up to
-   [jump_bits] itself, since a /18 is a leaf of the depth-12 node, and
-   the whole slot shares it.  Every add/remove clears the slots its
-   prefix covers — one slot when the prefix is at least [jump_bits]
-   long, a power-of-two range otherwise — so a slot can never go stale;
-   it refills on the next lookup through it. *)
+   Direct pointing: the top [jump_bits] address bits index a jump
+   table that replays the skipped stride levels once per slot, caching
+   the node at depth [jump_bits] (if any) and the best match among the
+   shallower levels — lengths up to [jump_bits] itself, since a /18 is
+   a leaf of the depth-12 node, and the whole slot shares it.  The
+   table (2^18 slots, 2 MB) pays only when a lookup can reach depth
+   [jump_bits], so it exists exactly while some node sits there: it is
+   allocated when the first depth-18 node is created and dropped when
+   [remove] prunes the last one.  Without it a lookup walks from the
+   root, at most 3 nodes, since every prefix up to /18 lives at depth
+   12 or above.  Whether it exists depends only on the trie's shape,
+   never on lookups.  Slots fill lazily on the first lookup through
+   them; every add/remove clears the slots its prefix covers — one slot
+   when the prefix is at least [jump_bits] long, a power-of-two range
+   otherwise — so a slot can never go stale. *)
 
 type 'a node = {
   mutable ibm : int; (* internal prefixes, heap positions 1..63 *)
@@ -52,7 +58,8 @@ type 'a jslot =
 type 'a t = {
   root : 'a node;
   mutable count : int;
-  jump : 'a jslot array;
+  mutable deep : int; (* nodes at depth [jump_bits] *)
+  mutable jump : 'a jslot array; (* [||] exactly while [deep = 0] *)
 }
 
 (* Must sit on the stride grid: the cached node lives at this depth. *)
@@ -121,12 +128,7 @@ let chunk u d = if d <= 26 then (u lsr (26 - d)) land 63 else (u lsl (d - 26)) l
 let empty_node () =
   { ibm = 0; llo = 0; lhi = 0; ivals = [||]; elo = 0; ehi = 0; children = [||] }
 
-let create () =
-  {
-    root = empty_node ();
-    count = 0;
-    jump = Array.make (1 lsl jump_bits) Unset;
-  }
+let create () = { root = empty_node (); count = 0; deep = 0; jump = [||] }
 
 let is_empty t = t.count = 0
 let size t = t.count
@@ -160,15 +162,17 @@ let holds_nothing n = n.ibm lor n.llo lor n.lhi lor n.elo lor n.ehi = 0
 
 (* Drop every jump slot the prefix covers.  Canonical prefixes have
    zero host bits, so the first covered slot is just the shifted
-   address. *)
+   address.  No table, nothing to drop. *)
 let invalidate t p =
-  let len = Prefix.length p in
-  let base = Prefix.bits p lsr (32 - jump_bits) in
-  if len >= jump_bits then t.jump.(base) <- Unset
-  else
-    for i = base to base + (1 lsl (jump_bits - len)) - 1 do
-      t.jump.(i) <- Unset
-    done
+  if Array.length t.jump > 0 then begin
+    let len = Prefix.length p in
+    let base = Prefix.bits p lsr (32 - jump_bits) in
+    if len >= jump_bits then t.jump.(base) <- Unset
+    else
+      for i = base to base + (1 lsl (jump_bits - len)) - 1 do
+        t.jump.(i) <- Unset
+      done
+  end
 
 let arr_insert a i v =
   let n = Array.length a in
@@ -227,6 +231,10 @@ let add t p v =
           let ch = empty_node () in
           node.children <- arr_insert node.children (child_rank node i) ch;
           flip_child node i;
+          if d + 6 = jump_bits then begin
+            t.deep <- t.deep + 1;
+            if t.deep = 1 then t.jump <- Array.make (1 lsl jump_bits) Unset
+          end;
           ch
         end
       in
@@ -270,7 +278,11 @@ let remove t p =
         let removed = go ch (d + 6) in
         if removed && holds_nothing ch then begin
           node.children <- arr_remove node.children rank;
-          flip_child node i
+          flip_child node i;
+          if d + 6 = jump_bits then begin
+            t.deep <- t.deep - 1;
+            if t.deep = 0 then t.jump <- [||]
+          end
         end;
         removed
       end
@@ -304,79 +316,101 @@ let find t p =
 let hits_at node c =
   if has_leaf node c then -1 else node.ibm land Array.unsafe_get match_masks c
 
-(* Heap positions grow with relative length, so the most significant
-   surviving bit of the intersection is the longest match in the node. *)
-let resolve u best_node best_hits best_d =
-  if best_hits = -1 then
-    Some
-      ( Prefix.of_bits u (best_d + 6),
-        Array.unsafe_get best_node.ivals (leaf_rank best_node (chunk u best_d)) )
+(* The value of the longest match in [node] at depth [d], given its
+   [hits_at] (non-zero).  Heap positions grow with relative length, so
+   the most significant surviving bit of an intersection is the longest
+   match in the node. *)
+let value_at u node hits d =
+  if hits = -1 then Array.unsafe_get node.ivals (leaf_rank node (chunk u d))
   else
-    let pos = 1 + msb best_hits in
-    let r = msb pos in
-    let rank = pc (best_node.ibm land ((1 lsl (pos - 1)) - 1)) in
-    Some (Prefix.of_bits u (best_d + r), Array.unsafe_get best_node.ivals rank)
+    let pos = 1 + msb hits in
+    Array.unsafe_get node.ivals (pc (node.ibm land ((1 lsl (pos - 1)) - 1)))
+
+let binding_at u node hits d =
+  let len = if hits = -1 then d + 6 else d + msb (1 + msb hits) in
+  Some (Prefix.of_bits u len, value_at u node hits d)
+
+(* The walk: descend from [node] at depth [d] along [u]'s path,
+   remembering the deepest node with a match, and finish with
+   [found u best_node best_hits best_d], or [default] when nothing on
+   the way matched.  Only the finisher and the default differ between
+   the two lookups, so the one that answers a bare value allocates
+   nothing. *)
+let rec walk u node d best_node best_hits best_d found default =
+  let c = chunk u d in
+  let hits = hits_at node c in
+  (* Deeper matches beat shallower ones, so any non-empty intersection
+     supersedes the best seen so far. *)
+  let best_node, best_hits, best_d =
+    if hits <> 0 then (node, hits, d) else (best_node, best_hits, best_d)
+  in
+  if has_child node c then
+    walk u
+      (Array.unsafe_get node.children (child_rank node c))
+      (d + 6) best_node best_hits best_d found default
+  else if best_hits = 0 then default
+  else found u best_node best_hits best_d
 
 (* Replay the levels above [jump_bits] for one slot.  The cached best
    match has length <= jump_bits (a leaf of the last replayed node
    reaches exactly jump_bits), so it only depends on address bits the
    whole slot shares. *)
 let fill t u =
-  let rec go node d best_node best_hits best_d =
+  let rec go node d bnode bhits bd =
     let c = chunk u d in
     let hits = hits_at node c in
-    let best_node, best_hits, best_d =
-      if hits <> 0 then (node, hits, d) else (best_node, best_hits, best_d)
+    let bnode, bhits, bd =
+      if hits <> 0 then (node, hits, d) else (bnode, bhits, bd)
     in
-    let jbest () =
-      if best_hits = 0 then None else resolve u best_node best_hits best_d
-    in
-    if d + 6 = jump_bits then
+    if has_child node c && d + 6 < jump_bits then
+      go
+        (Array.unsafe_get node.children (child_rank node c))
+        (d + 6) bnode bhits bd
+    else
       let jnode =
         if has_child node c then
           Some (Array.unsafe_get node.children (child_rank node c))
         else None
       in
-      Jump { jnode; jbest = jbest () }
-    else if has_child node c then
-      go
-        (Array.unsafe_get node.children (child_rank node c))
-        (d + 6) best_node best_hits best_d
-    else Jump { jnode = None; jbest = jbest () }
+      let jbest = if bhits = 0 then None else binding_at u bnode bhits bd in
+      Jump { jnode; jbest }
   in
   go t.root 0 t.root 0 0
 
+(* [u]'s jump slot, filled on first use; only called while the table
+   exists. *)
+let slot t u =
+  let j = u lsr (32 - jump_bits) in
+  match Array.unsafe_get t.jump j with
+  | Unset ->
+      let s = fill t u in
+      Array.unsafe_set t.jump j s;
+      s
+  | s -> s
+
+(* Without a table the walk starts at the root; with one, at the slot's
+   depth-[jump_bits] node, falling back to the slot's shallower best. *)
+let lookup_or t k ~default =
+  let u = k land 0xFFFFFFFF in
+  if Array.length t.jump = 0 then walk u t.root 0 t.root 0 0 value_at default
+  else
+    match slot t u with
+    | Unset -> default (* unreachable: fill never returns Unset *)
+    | Jump { jnode; jbest } -> (
+        let default = match jbest with Some (_, v) -> v | None -> default in
+        match jnode with
+        | Some n -> walk u n jump_bits n 0 0 value_at default
+        | None -> default)
+
 let lookup t a =
   let u = u32 a in
-  let j = u lsr (32 - jump_bits) in
-  let s =
-    match Array.unsafe_get t.jump j with
-    | Unset ->
-        let s = fill t u in
-        Array.unsafe_set t.jump j s;
-        s
-    | s -> s
-  in
-  match s with
-  | Unset -> None (* unreachable: fill never returns Unset *)
-  | Jump { jnode = None; jbest } -> jbest
-  | Jump { jnode = Some n; jbest } ->
-      let rec go node d best_node best_hits best_d =
-        let c = chunk u d in
-        let hits = hits_at node c in
-        (* Deeper matches beat shallower ones, so any non-empty
-           intersection supersedes the best seen so far. *)
-        let best_node, best_hits, best_d =
-          if hits <> 0 then (node, hits, d) else (best_node, best_hits, best_d)
-        in
-        if has_child node c then
-          go
-            (Array.unsafe_get node.children (child_rank node c))
-            (d + 6) best_node best_hits best_d
-        else if best_hits = 0 then jbest
-        else resolve u best_node best_hits best_d
-      in
-      go n jump_bits n 0 0
+  if Array.length t.jump = 0 then walk u t.root 0 t.root 0 0 binding_at None
+  else
+    match slot t u with
+    | Unset -> None (* unreachable: fill never returns Unset *)
+    | Jump { jnode = Some n; jbest } ->
+        walk u n jump_bits n 0 0 binding_at jbest
+    | Jump { jnode = None; jbest } -> jbest
 
 let bindings t =
   let acc = ref [] in
@@ -412,8 +446,9 @@ let node_count t =
 
 let memory_words t =
   (* 7 fields + header per node, plus the two packed arrays, plus the
-     direct-pointing jump table (its lazily-built slot records are
-     bounded by the table length and counted as one word each). *)
+     direct-pointing jump table while it exists (its lazily filled slot
+     records are bounded by the table length and counted as one word
+     each). *)
   let rec go n =
     Array.fold_left
       (fun a c -> a + go c)

@@ -45,6 +45,12 @@ val find : 'a t -> Prefix.t -> 'a option
 val lookup : 'a t -> Packet.Ipv4.addr -> (Prefix.t * 'a) option
 (** [lookup t a] is the longest prefix in [t] matching [a]. *)
 
+val lookup_or : 'a t -> int -> default:'a -> 'a
+(** [lookup_or t k ~default] is the value of the longest prefix matching
+    the address whose 32 bits are the native int [k], or [default] when
+    none does.  The same walk as {!lookup}, answering the bare value:
+    it allocates nothing once the address's jump slot is filled. *)
+
 val bindings : 'a t -> (Prefix.t * 'a) list
 (** All bindings, order unspecified. *)
 
@@ -56,7 +62,9 @@ val node_count : 'a t -> int
 
 val memory_words : 'a t -> int
 (** Approximate heap words held by the structure: per-node overhead plus
-    the rank-compressed value and child arrays. *)
+    the rank-compressed value and child arrays, plus 2·2{^18} for the
+    direct-pointing jump table, which exists only while some node sits
+    at depth 18, i.e. while the table holds a prefix of /19 or longer. *)
 
 val depth : 'a t -> Packet.Ipv4.addr -> int
 (** Nodes inspected by [lookup] for this address (at most 6). *)

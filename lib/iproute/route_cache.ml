@@ -3,12 +3,16 @@
    probe, and the tuple-in-option line layout forced a [Some v] per hit.
    Lines are now two parallel arrays — an int key array ([-1] = empty;
    no masked address is negative) and a value array — so the fast-path
-   probe {!find_or} touches no allocator at all. *)
+   probe {!find_or} touches no allocator at all.  The value array holds
+   values bare, not in options: it is built by the first insert, filled
+   with that value, so an insert allocates nothing either.  A line's
+   value means something only while its key is set; a dropped line
+   keeps its old value until the next insert overwrites it. *)
 
 type 'a t = {
   hash : int -> int;
   keys : int array; (* -1 = empty line *)
-  vals : 'a option array; (* dense mirror; [Some] refreshed per insert *)
+  mutable vals : 'a array; (* [||] until the first insert *)
   mutable live : int; (* occupied lines *)
   mutable hits : int;
   mutable misses : int;
@@ -30,7 +34,7 @@ let create ?(hash = default_hash_i) ~slots () =
   {
     hash;
     keys = Array.make slots (-1);
-    vals = Array.make slots None;
+    vals = [||];
     live = 0;
     hits = 0;
     misses = 0;
@@ -46,7 +50,7 @@ let find_or c k ~default =
   let l = line c k in
   if c.keys.(l) = k then begin
     c.hits <- c.hits + 1;
-    match c.vals.(l) with Some v -> v | None -> assert false
+    c.vals.(l)
   end
   else begin
     c.misses <- c.misses + 1;
@@ -57,7 +61,8 @@ let insert c k v =
   let l = line c k in
   if c.keys.(l) < 0 then c.live <- c.live + 1;
   c.keys.(l) <- k;
-  c.vals.(l) <- Some v
+  if Array.length c.vals = 0 then c.vals <- Array.make (Array.length c.keys) v
+  else c.vals.(l) <- v
 
 (* Every invalidation returns at once on an empty cache, so a route
    install into a cold cache — a whole table loaded at start-up — costs
@@ -67,13 +72,11 @@ let invalidate c =
     let slots = Array.length c.keys in
     c.scan_cost <- c.scan_cost + slots;
     Array.fill c.keys 0 slots (-1);
-    Array.fill c.vals 0 slots None;
     c.live <- 0
   end
 
 let drop_line c l =
   c.keys.(l) <- -1;
-  c.vals.(l) <- None;
   c.live <- c.live - 1
 
 (* Drop the occupied lines whose native-int key satisfies [pred]. *)

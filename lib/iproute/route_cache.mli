@@ -21,7 +21,9 @@ val find_or : 'a t -> int -> default:'a -> 'a
     value. *)
 
 val insert : 'a t -> int -> 'a -> unit
-(** [insert c k v] fills [k]'s line, evicting any previous occupant. *)
+(** [insert c k v] fills [k]'s line, evicting any previous occupant.
+    Allocates nothing after the cache's first insert, which builds its
+    value array. *)
 
 val invalidate : 'a t -> unit
 (** Drop every line (route table changed).  Clearing an occupied cache

@@ -27,14 +27,15 @@ let remove t p =
   Poptrie.remove t.fib p;
   on_change t p
 
-let lookup t a = Option.map snd (Poptrie.lookup t.fib a)
-
-(* A cache hit allocates nothing: a miss is the [no_route] sentinel,
-   whether the line answered comes back through [hit], and the key is
-   the 32 address bits as a native int.  The full LPM on a miss still
-   boxes its [int32] key; misses are the divert path and pay far more
-   than one box anyway. *)
+(* No lookup allocates past the answer: no match is the [no_route]
+   sentinel, whether the cache line answered comes back through [hit],
+   and the key is the 32 address bits as a native int, which the full
+   match on a miss takes as it is. *)
 let no_route = { out_port = min_int; gateway_mac = 0 }
+
+let lookup t a =
+  let nh = Poptrie.lookup_or t.fib (Int32.to_int a) ~default:no_route in
+  if nh == no_route then None else Some nh
 
 let lookup_cached t k ~hit =
   let nh = Route_cache.find_or t.cache k ~default:no_route in
@@ -44,11 +45,9 @@ let lookup_cached t k ~hit =
   end
   else begin
     hit := false;
-    match lookup t (Int32.of_int k) with
-    | Some nh ->
-        Route_cache.insert t.cache k nh;
-        nh
-    | None -> no_route
+    let nh = Poptrie.lookup_or t.fib k ~default:no_route in
+    if nh != no_route then Route_cache.insert t.cache k nh;
+    nh
   end
 
 let size t = Poptrie.size t.fib

@@ -48,7 +48,8 @@ val lookup_cached : t -> int -> hit:bool ref -> nexthop
     destination-address bits as a native int: a cache probe, and on a
     miss the full match plus a cache refill when a route matched.  Sets
     [hit] to whether the cache line held the answer and returns the
-    next hop or {!no_route}.  Allocation-free on a cache hit. *)
+    next hop or {!no_route}.  Allocation-free on a hit and on a miss
+    whose jump slot is filled. *)
 
 val size : t -> int
 (** Number of routes (O(1)). *)

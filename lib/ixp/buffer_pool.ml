@@ -15,21 +15,23 @@ let handle_generation h = h asr idx_bits
 
 exception Stale
 
-(* Slots hold frames directly, with a shared zero-length sentinel for
+(* Slots are parallel flat arrays, not a record per slot: 8192 records
+   cost ~41k words at every router's construction, the arrays ~16k.
+   Slots hold frames directly, with a shared zero-length sentinel for
    "empty" — an option field would cost a fresh [Some] per store. *)
 let no_frame = Packet.Frame.alloc 0
 
-type slot = {
-  mutable frame : Packet.Frame.t;
-  mutable generation : int;
-  mutable live : bool; (* stack mode: allocated and not yet freed *)
-}
-
-type mode = Circular of { mutable next : int } | Stack of int Stack.t
-
 type t = {
-  slots : slot array;
-  mode : mode;
+  frames : Packet.Frame.t array;
+  gens : int array;
+  live : Bytes.t; (* stack mode: '\001' while allocated and not yet freed *)
+  circular : bool;
+  mutable next : int; (* circular mode: the slot the next alloc takes *)
+  (* Stack mode: free slots as an int-array stack, top at
+     [free_len - 1]; a [Stack.t] allocates a cons per push.  Circular
+     mode has neither [live] nor [free] (both empty). *)
+  free : int array;
+  mutable free_len : int;
   mutable overwrites : int;
   mutable stale_reads : int;
   mutable in_use : int;
@@ -44,15 +46,19 @@ type t = {
 let set_faults t inj = t.faults <- Some inj
 let set_release t f = t.on_release <- Some f
 
-let make_slots count =
+let make ~circular ~count =
+  if count <= 0 then invalid_arg "Buffer_pool: count";
   if count > idx_mask + 1 then invalid_arg "Buffer_pool: count too large";
-  Array.init count (fun _ -> { frame = no_frame; generation = 0; live = false })
-
-let create_circular ~count () =
-  if count <= 0 then invalid_arg "Buffer_pool: count";
   {
-    slots = make_slots count;
-    mode = Circular { next = 0 };
+    frames = Array.make count no_frame;
+    gens = Array.make count 0;
+    live = (if circular then Bytes.empty else Bytes.make count '\000');
+    circular;
+    next = 0;
+    (* Slot 0 on top, so a fresh stack pool hands out 0, 1, 2, ... *)
+    free =
+      (if circular then [||] else Array.init count (fun i -> count - 1 - i));
+    free_len = (if circular then 0 else count);
     overwrites = 0;
     stale_reads = 0;
     in_use = 0;
@@ -60,48 +66,39 @@ let create_circular ~count () =
     on_release = None;
   }
 
-let create_stack ~count () =
-  if count <= 0 then invalid_arg "Buffer_pool: count";
-  let free = Stack.create () in
-  for i = count - 1 downto 0 do
-    Stack.push i free
-  done;
-  {
-    slots = make_slots count;
-    mode = Stack free;
-    overwrites = 0;
-    stale_reads = 0;
-    in_use = 0;
-    faults = None;
-    on_release = None;
-  }
+let create_circular ~count () = make ~circular:true ~count
+let create_stack ~count () = make ~circular:false ~count
 
 let alloc t frame =
   (match t.faults with
   | Some inj when Fault.Injector.fires inj Pool_fail ->
       failwith "Buffer_pool: injected allocation failure"
   | _ -> ());
-  match t.mode with
-  | Circular c ->
-      let index = c.next in
-      c.next <- (c.next + 1) mod Array.length t.slots;
-      let slot = t.slots.(index) in
-      if slot.frame != no_frame then begin
-        t.overwrites <- t.overwrites + 1;
-        match t.on_release with Some r -> r slot.frame | None -> ()
-      end;
-      slot.generation <- slot.generation + 1;
-      slot.frame <- frame;
-      handle_of ~index ~generation:slot.generation
-  | Stack free ->
-      if Stack.is_empty free then failwith "Buffer_pool: out of buffers";
-      let index = Stack.pop free in
-      let slot = t.slots.(index) in
-      slot.generation <- slot.generation + 1;
-      slot.frame <- frame;
-      slot.live <- true;
-      t.in_use <- t.in_use + 1;
-      handle_of ~index ~generation:slot.generation
+  if t.circular then begin
+    let index = t.next in
+    let next = index + 1 in
+    t.next <- (if next = Array.length t.frames then 0 else next);
+    let old = Array.unsafe_get t.frames index in
+    if old != no_frame then begin
+      t.overwrites <- t.overwrites + 1;
+      match t.on_release with Some r -> r old | None -> ()
+    end;
+    let generation = t.gens.(index) + 1 in
+    t.gens.(index) <- generation;
+    t.frames.(index) <- frame;
+    handle_of ~index ~generation
+  end
+  else begin
+    if t.free_len = 0 then failwith "Buffer_pool: out of buffers";
+    t.free_len <- t.free_len - 1;
+    let index = t.free.(t.free_len) in
+    let generation = t.gens.(index) + 1 in
+    t.gens.(index) <- generation;
+    t.frames.(index) <- frame;
+    Bytes.set t.live index '\001';
+    t.in_use <- t.in_use + 1;
+    handle_of ~index ~generation
+  end
 
 (* Non-raising form for the batched hot loop: allocation failure (an
    injected Pool_fail or a dry stack) is an expected per-frame outcome
@@ -114,51 +111,50 @@ let alloc_try t frame =
   match alloc t frame with h -> h | exception Failure _ -> -1
 
 let get t h =
-  let slot = t.slots.(h land idx_mask) in
-  if slot.generation <> h asr idx_bits then begin
+  let index = h land idx_mask in
+  if t.gens.(index) <> h asr idx_bits then begin
     t.stale_reads <- t.stale_reads + 1;
     raise Stale
   end
-  else slot.frame
+  else t.frames.(index)
 
 let read t h = match get t h with f -> Some f | exception Stale -> None
 
 let free t h =
-  match t.mode with
-  | Circular _ -> ()
-  | Stack free ->
-      let slot = t.slots.(handle_index h) in
-      if slot.live && slot.generation = handle_generation h then begin
-        slot.live <- false;
-        (match t.on_release with
-        | Some r when slot.frame != no_frame -> r slot.frame
-        | _ -> ());
-        slot.frame <- no_frame;
-        t.in_use <- t.in_use - 1;
-        Stack.push (handle_index h) free
-      end
+  if not t.circular then begin
+    let index = handle_index h in
+    if Bytes.get t.live index <> '\000' && t.gens.(index) = handle_generation h
+    then begin
+      Bytes.set t.live index '\000';
+      let frame = t.frames.(index) in
+      (match t.on_release with
+      | Some r when frame != no_frame -> r frame
+      | _ -> ());
+      t.frames.(index) <- no_frame;
+      t.in_use <- t.in_use - 1;
+      t.free.(t.free_len) <- index;
+      t.free_len <- t.free_len + 1
+    end
+  end
 
 let overwrites t = t.overwrites
 let stale_reads t = t.stale_reads
 let in_use t = t.in_use
-let count t = Array.length t.slots
+let count t = Array.length t.frames
 
 let check t =
-  match t.mode with
-  | Circular c ->
-      if c.next < 0 || c.next >= Array.length t.slots then
-        Some (Printf.sprintf "circular cursor %d outside pool of %d" c.next
-                (Array.length t.slots))
-      else None
-  | Stack free ->
-      let n = Array.length t.slots in
-      let live = ref 0 in
-      Array.iter (fun s -> if s.live then incr live) t.slots;
-      if !live <> t.in_use then
-        Some
-          (Printf.sprintf "live slots %d <> in_use %d" !live t.in_use)
-      else if Stack.length free + t.in_use <> n then
-        Some
-          (Printf.sprintf "free %d + in_use %d <> count %d"
-             (Stack.length free) t.in_use n)
-      else None
+  let n = Array.length t.frames in
+  if t.circular then
+    if t.next < 0 || t.next >= n then
+      Some (Printf.sprintf "circular cursor %d outside pool of %d" t.next n)
+    else None
+  else begin
+    let live = ref 0 in
+    Bytes.iter (fun b -> if b <> '\000' then incr live) t.live;
+    if !live <> t.in_use then
+      Some (Printf.sprintf "live slots %d <> in_use %d" !live t.in_use)
+    else if t.free_len + t.in_use <> n then
+      Some
+        (Printf.sprintf "free %d + in_use %d <> count %d" t.free_len t.in_use n)
+    else None
+  end

@@ -31,6 +31,7 @@ type t = {
   n : int;
   claimed : bool array;
   waiters : Engine.waker array; (* [no_waiter] = empty slot *)
+  mutable n_waiting : int; (* slots of [waiters] not [no_waiter] *)
   cells : Engine.cell option array;
   mutable pos : int; (* slot the token is parked at / travelling to *)
   mutable held : bool; (* true from grant (incl. in-flight) to release *)
@@ -50,6 +51,7 @@ let create ?(name = "ring") ?(pass_ps = 0L) ~members engine =
     n = members;
     claimed = Array.make members false;
     waiters = Array.make members no_waiter;
+    n_waiting = 0;
     cells = Array.make members None;
     pos = 0;
     held = false;
@@ -67,8 +69,12 @@ let join t idx =
   if t.claimed.(idx) then invalid_arg (t.name ^ ": slot already claimed");
   t.claimed.(idx) <- true
 
-(* Ring distance from [from_] forward to [to_]. *)
-let hops t from_ to_ = (to_ - from_ + t.n) mod t.n
+(* Ring distance from [from_] forward to [to_].  Slot indices lie in
+   [0, n), so one compare wraps it: no division on the per-packet
+   path. *)
+let hops t from_ to_ =
+  let d = to_ - from_ in
+  if d < 0 then d + t.n else d
 
 let take t =
   (* The token may still be in flight toward this slot. *)
@@ -98,7 +104,9 @@ let acquire t idx =
       | None ->
           let c = Engine.make_cell t.engine in
           let w = Engine.cell_waker c in
-          Engine.on_park c (fun () -> t.waiters.(idx) <- w);
+          Engine.on_park c (fun () ->
+              t.waiters.(idx) <- w;
+              t.n_waiting <- t.n_waiting + 1);
           t.cells.(idx) <- Some c;
           c
     in
@@ -106,6 +114,14 @@ let acquire t idx =
     (* Woken by a grant: [pos] and [available_at] already point here. *)
     take t
   end
+
+(* The first waiting slot in [s, stop), or -1.  An index, not an
+   option or a tuple, and a top-level function, not a closure over the
+   ring: granting is on the per-packet path. *)
+let rec first_waiter t s stop =
+  if s >= stop then -1
+  else if t.waiters.(s) != no_waiter then s
+  else first_waiter t (s + 1) stop
 
 let release t idx =
   if not t.held then invalid_arg (t.name ^ ": release without hold");
@@ -115,22 +131,26 @@ let release t idx =
   (* Virtual strict-rotation bookkeeping: one slot per release, exactly
      as the original rotating token advanced, so [rotations] keeps
      counting completed fairness rounds. *)
-  t.vpos <- (t.vpos + 1) mod t.n;
-  if t.vpos = 0 then t.rotations <- t.rotations + 1;
-  (* Grant to the nearest waiter in ring order after this slot.  The
-     scan returns the slot index (or -1), not a tuple: granting is on
-     the per-packet path and a [Some (s, k, w)] box per release would
-     undo the cell conversion's savings. *)
-  let rec scan k =
-    if k >= t.n then -1
+  let v = t.vpos + 1 in
+  if v = t.n then begin
+    t.vpos <- 0;
+    t.rotations <- t.rotations + 1
+  end
+  else t.vpos <- v;
+  (* Grant to the nearest waiter in ring order after this slot: scan
+     [idx+1, n) then [0, idx), which visits slots in the order
+     [(idx + k) mod n] for k = 1..n-1 without dividing, and not at all
+     when nobody waits. *)
+  let s =
+    if t.n_waiting = 0 then -1
     else
-      let s = (idx + k) mod t.n in
-      if t.waiters.(s) != no_waiter then s else scan (k + 1)
+      let s = first_waiter t (idx + 1) t.n in
+      if s >= 0 then s else first_waiter t 0 idx
   in
-  let s = scan 1 in
   if s >= 0 then begin
     let w = t.waiters.(s) in
     t.waiters.(s) <- no_waiter;
+    t.n_waiting <- t.n_waiting - 1;
     let h = hops t idx s in
     t.pos <- s;
     t.available_at <- now + (h * t.pass_ps);

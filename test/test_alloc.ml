@@ -201,6 +201,53 @@ let test_classifier_miss_alloc () =
        (budget %.2f)"
       w probes_per_miss classifier_words_per_lookup_budget
 
+(* --- route-cache miss ----------------------------------------------------- *)
+
+(* A route-cache miss runs the full longest-prefix match and refills the
+   line.  The match answers a bare next hop off a native-int key and the
+   refill stores it bare, so once the addresses' jump slots are filled a
+   miss allocates nothing, on a table deep enough to have a jump table
+   and whether or not a route matches. *)
+let test_route_cache_miss_alloc () =
+  let t = Iproute.Table.create ~cache_slots:1 () in
+  let nh port = { Iproute.Table.out_port = port; gateway_mac = 0 } in
+  let add s port = Iproute.Table.add t (Iproute.Prefix.of_string s) (nh port) in
+  add "10.1.0.0/16" 1;
+  add "10.1.2.0/24" 2;
+  add "10.1.2.64/30" 3;
+  add "10.2.128.0/19" 4;
+  (* Routed keys at every depth, and unrouted ones, alternating: with a
+     one-line cache every lookup evicts the previous key. *)
+  let keys =
+    Array.map
+      (fun s -> Int32.to_int (Packet.Ipv4.addr_of_string s) land 0xFFFFFFFF)
+      [| "10.1.9.9"; "10.1.2.7"; "10.1.2.65"; "10.2.130.1"; "11.0.0.1";
+         "10.2.0.1" |]
+  in
+  let hit = ref false and misses = ref 0 and routed = ref 0 in
+  let lookups n =
+    misses := 0;
+    routed := 0;
+    for i = 0 to n - 1 do
+      let k = keys.(i mod Array.length keys) in
+      let nh = Iproute.Table.lookup_cached t k ~hit in
+      if not !hit then incr misses;
+      if nh != Iproute.Table.no_route then incr routed
+    done
+  in
+  lookups (Array.length keys);
+  let n = 1_000 in
+  (* The raw counter, read unboxed: a [Gc_stats] baseline boxes the
+     float it stores, which would count here. *)
+  let w0 = Gc.minor_words () in
+  lookups n;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every measured lookup missed the cache" n !misses;
+  (* Keys 0..3 are routed: 166 full cycles of six, then keys 0..3. *)
+  Alcotest.(check int) "routed lookups" 668 !routed;
+  if words > 0. then
+    Alcotest.failf "%.0f minor words over %d route-cache misses" words n
+
 (* --- classified forwarder chain ------------------------------------------ *)
 
 (* With the multi-field classifier installed as a general forwarder every
@@ -438,6 +485,8 @@ let tests =
       test_digest_gc;
     Alcotest.test_case "classifier miss path allocates nothing per probe"
       `Quick test_classifier_miss_alloc;
+    Alcotest.test_case "route-cache miss allocates nothing" `Quick
+      test_route_cache_miss_alloc;
     Alcotest.test_case "classified forwarder chain allocation" `Slow
       test_classified_chain_alloc;
     Alcotest.test_case "queued cluster fabric reads its engines" `Quick

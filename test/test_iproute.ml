@@ -961,11 +961,116 @@ let folded_leaves_take_no_node () =
   Alcotest.(check (option string)) "/24 still answers" (Some "10.1.2.0/24")
     (Option.map snd (Iproute.Poptrie.lookup t (addr "10.1.2.200")))
 
+(* ---- The jump table exists exactly while a depth-18 node does ---- *)
+
+let jump_words = 2 * (1 lsl 18)
+
+let jump_table_lifecycle () =
+  let t = Iproute.Poptrie.create () in
+  let words () = Iproute.Poptrie.memory_words t in
+  let get a = Option.map snd (Iproute.Poptrie.lookup t (addr a)) in
+  Alcotest.(check int) "empty: the root alone" 8 (words ());
+  (* A /16 lives in the depth-12 node: no lookup reaches depth 18. *)
+  Iproute.Poptrie.add t (pfx_of "10.1.0.0/16") 16;
+  let shallow = words () in
+  Alcotest.(check bool) "a /16 builds no jump table" true (shallow < jump_words);
+  Alcotest.(check (option int)) "/16 answers" (Some 16) (get "10.1.2.3");
+  (* A /24 is a leaf of a new depth-18 node: the node (8 words, one
+     value), one more child in the depth-12 node, and the table. *)
+  Iproute.Poptrie.add t (pfx_of "10.1.2.0/24") 24;
+  Alcotest.(check int) "a /24 brings the jump table"
+    (shallow + 10 + jump_words) (words ());
+  Alcotest.(check (option int)) "/24 answers" (Some 24) (get "10.1.2.3");
+  Alcotest.(check (option int)) "warm slot answers" (Some 24) (get "10.1.2.3");
+  Alcotest.(check (option int)) "/16 beside it" (Some 16) (get "10.1.3.3");
+  Iproute.Poptrie.remove t (pfx_of "10.1.2.0/24");
+  Alcotest.(check int) "the last depth-18 node takes the table with it"
+    shallow (words ());
+  Alcotest.(check (option int)) "/16 answers again" (Some 16) (get "10.1.2.3");
+  Iproute.Poptrie.remove t (pfx_of "10.1.0.0/16");
+  Alcotest.(check int) "emptied: one node" 1 (Iproute.Poptrie.node_count t);
+  Alcotest.(check int) "emptied: the root alone" 8 (words ())
+
+(* Add/remove over a handful of prefixes, half of them /19 or longer
+   (a depth-18 node), so the table keeps crossing between having such a
+   node and not.  After every op, each probe is looked up twice — the
+   second through the slot the first filled — by both lookup forms,
+   against Btrie, and the jump term is in [memory_words] exactly while
+   a /19-or-longer prefix is stored. *)
+let jump_bases =
+  Array.map addr [| "10.1.2.3"; "10.1.2.200"; "10.1.130.7"; "10.9.0.9" |]
+
+let jump_lens = [| 16; 16; 19; 22; 24; 25; 30 |]
+
+let jump_probes =
+  Array.map addr
+    [|
+      "10.1.2.3"; "10.1.2.200"; "10.1.2.0"; "10.1.3.1"; "10.1.130.7";
+      "10.1.130.4"; "10.1.131.0"; "10.9.0.9"; "10.9.0.10"; "10.9.64.1";
+      "10.0.0.1"; "11.1.2.3";
+    |]
+
+let jump_crossing_ops ops =
+  let pop = Iproute.Poptrie.create () in
+  let bt = ref Iproute.Btrie.empty in
+  let ok = ref true in
+  let check () =
+    let deep =
+      List.exists
+        (fun (p, _) -> Iproute.Prefix.length p >= 19)
+        (Iproute.Btrie.bindings !bt)
+    in
+    let w = Iproute.Poptrie.memory_words pop in
+    if deep <> (w >= jump_words) || w >= jump_words + (1 lsl 18) then
+      ok := false;
+    Array.iter
+      (fun a ->
+        let expect = Option.map snd (Iproute.Btrie.lookup !bt a) in
+        for _ = 1 to 2 do
+          if Option.map snd (Iproute.Poptrie.lookup pop a) <> expect then
+            ok := false;
+          let v =
+            Iproute.Poptrie.lookup_or pop (Int32.to_int a) ~default:(-1)
+          in
+          if (if v < 0 then None else Some v) <> expect then ok := false
+        done)
+      jump_probes
+  in
+  List.iteri
+    (fun i (is_add, b, l) ->
+      let p =
+        Iproute.Prefix.make jump_bases.(b mod Array.length jump_bases)
+          jump_lens.(l mod Array.length jump_lens)
+      in
+      if is_add then begin
+        Iproute.Poptrie.add pop p i;
+        bt := Iproute.Btrie.add !bt p i
+      end
+      else begin
+        Iproute.Poptrie.remove pop p;
+        bt := Iproute.Btrie.remove !bt p
+      end;
+      check ())
+    ops;
+  List.iter (fun (p, _) -> Iproute.Poptrie.remove pop p)
+    (Iproute.Btrie.bindings !bt);
+  !ok
+  && Iproute.Poptrie.node_count pop = 1
+  && Iproute.Poptrie.memory_words pop = 8
+
+let jump_table_crossings =
+  QCheck.Test.make ~name:"poptrie = btrie as the jump table comes and goes"
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (triple bool (int_bound 3) (int_bound 6)))
+    jump_crossing_ops
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       engines_agree; poptrie_diff_ops; covered_equiv; route_cache_model;
-      prefix_packing; leaf_folding;
+      prefix_packing; leaf_folding; jump_table_crossings;
     ]
 
 let tests =
@@ -984,6 +1089,8 @@ let tests =
     Alcotest.test_case "poptrie basics" `Quick poptrie_basic;
     Alcotest.test_case "folded leaves take no node" `Quick
       folded_leaves_take_no_node;
+    Alcotest.test_case "jump table only under depth-18 nodes" `Quick
+      jump_table_lifecycle;
     Alcotest.test_case "covered invalidation fast path" `Quick
       covered_invalidation_unit;
     Alcotest.test_case "table /32 change costs one probe" `Quick

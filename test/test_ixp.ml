@@ -220,7 +220,181 @@ let i2o_roundtrip_and_backpressure () =
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !received);
   Alcotest.(check int) "all sent" 5 !sent
 
-let qsuite = []
+(* The pool as first written, one record per slot and a [Stack.t] free
+   list: the reference the flat arrays must match op for op.  Frames
+   are ids ([-1] = the empty slot). *)
+module Ref_pool = struct
+  type slot = {
+    mutable frame : int;
+    mutable generation : int;
+    mutable live : bool;
+  }
+
+  type t = {
+    slots : slot array;
+    circular : bool;
+    mutable next : int;
+    free : int Stack.t;
+    mutable overwrites : int;
+    mutable stale_reads : int;
+    mutable in_use : int;
+    mutable released : int list;
+  }
+
+  let create ~circular ~count =
+    let free = Stack.create () in
+    if not circular then
+      for i = count - 1 downto 0 do
+        Stack.push i free
+      done;
+    {
+      slots =
+        Array.init count (fun _ ->
+            { frame = -1; generation = 0; live = false });
+      circular;
+      next = 0;
+      free;
+      overwrites = 0;
+      stale_reads = 0;
+      in_use = 0;
+      released = [];
+    }
+
+  let handle index generation = Ixp.Buffer_pool.handle_of ~index ~generation
+
+  (* The handle, or -1 when a stack pool is dry. *)
+  let alloc t f =
+    if t.circular then begin
+      let index = t.next in
+      t.next <- (t.next + 1) mod Array.length t.slots;
+      let slot = t.slots.(index) in
+      if slot.frame >= 0 then begin
+        t.overwrites <- t.overwrites + 1;
+        t.released <- slot.frame :: t.released
+      end;
+      slot.generation <- slot.generation + 1;
+      slot.frame <- f;
+      handle index slot.generation
+    end
+    else if Stack.is_empty t.free then -1
+    else begin
+      let index = Stack.pop t.free in
+      let slot = t.slots.(index) in
+      slot.generation <- slot.generation + 1;
+      slot.frame <- f;
+      slot.live <- true;
+      t.in_use <- t.in_use + 1;
+      handle index slot.generation
+    end
+
+  (* The frame, or [None] for a stale handle. *)
+  let get t h =
+    let slot = t.slots.(Ixp.Buffer_pool.handle_index h) in
+    if slot.generation <> Ixp.Buffer_pool.handle_generation h then begin
+      t.stale_reads <- t.stale_reads + 1;
+      None
+    end
+    else Some slot.frame
+
+  let free t h =
+    if not t.circular then begin
+      let index = Ixp.Buffer_pool.handle_index h in
+      let slot = t.slots.(index) in
+      if slot.live && slot.generation = Ixp.Buffer_pool.handle_generation h
+      then begin
+        slot.live <- false;
+        if slot.frame >= 0 then t.released <- slot.frame :: t.released;
+        slot.frame <- -1;
+        t.in_use <- t.in_use - 1;
+        Stack.push index t.free
+      end
+    end
+end
+
+(* Random alloc/get/read/free in either mode, on pools of 1-6 buffers
+   so circular laps (stale reads, overwrites) and dry stacks come
+   often, with and without a release hook: every answer, counter and
+   release matches the reference, and [check] stays [None]. *)
+let pool_matches_reference =
+  QCheck.Test.make ~name:"flat buffer pool = record-per-slot reference"
+    ~count:400
+    QCheck.(
+      quad bool (int_range 1 6) bool
+        (list_of_size (Gen.int_bound 80) (pair (int_bound 6) (int_bound 30))))
+    (fun (circular, count, hook, ops) ->
+      let module P = Ixp.Buffer_pool in
+      let frames = Array.init 8 (fun _ -> Packet.Frame.alloc 64) in
+      let id_of f =
+        let rec go i =
+          if i = Array.length frames then -1
+          else if frames.(i) == f then i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let pool =
+        if circular then P.create_circular ~count ()
+        else P.create_stack ~count ()
+      in
+      let released = ref [] in
+      if hook then
+        P.set_release pool (fun f -> released := id_of f :: !released);
+      let m = Ref_pool.create ~circular ~count in
+      let issued = ref [||] in
+      let pick x =
+        let n = Array.length !issued in
+        if n = 0 then P.handle_of ~index:(x mod count) ~generation:0
+        else !issued.(x mod n)
+      in
+      let same_read h =
+        let got =
+          match P.get pool h with
+          | f -> Some (id_of f)
+          | exception P.Stale -> None
+        in
+        let read = Option.map id_of (P.read pool h) in
+        let expect = Ref_pool.get m h in
+        ignore (Ref_pool.get m h);
+        got = expect && read = expect
+      in
+      List.for_all
+        (fun (op, x) ->
+          let ok =
+            match op with
+            | 0 | 1 ->
+                let f = x mod Array.length frames in
+                let h =
+                  if op = 0 then P.alloc_try pool frames.(f)
+                  else
+                    match P.alloc pool frames.(f) with
+                    | h -> h
+                    | exception Failure _ -> -1
+                in
+                let expect = Ref_pool.alloc m f in
+                if h >= 0 then issued := Array.append !issued [| h |];
+                h = expect
+            | 2 | 3 -> same_read (pick x)
+            | 4 ->
+                (* A forged handle: any slot, generation 0..3. *)
+                same_read
+                  (P.handle_of ~index:(x mod count)
+                     ~generation:(x / count mod 4))
+            | _ ->
+                let h = pick x in
+                P.free pool h;
+                Ref_pool.free m h;
+                true
+          in
+          ok
+          && P.overwrites pool = m.Ref_pool.overwrites
+          && P.stale_reads pool = m.Ref_pool.stale_reads
+          && P.in_use pool = m.Ref_pool.in_use
+          && P.count pool = count
+          && P.check pool = None
+          && !released = (if hook then m.Ref_pool.released else []))
+        ops)
+
+let qsuite = List.map QCheck_alcotest.to_alcotest [ pool_matches_reference ]
 
 let tests =
   [

@@ -588,9 +588,94 @@ let wheel_far_tier_order () =
   Alcotest.check_raises "empty" (Invalid_argument "Wheel.pop: empty queue")
     (fun () -> ignore (Sim.Wheel.pop w : string))
 
+(* Grant order on release against the reference scan: the token goes
+   to the first waiting slot among [(idx + k) mod n], k = 1..n-1.
+   [ops] is one operation per 1000 ps step: [i < n] is member i asking
+   for the token (skipped while it holds or waits), [n] is the holder
+   releasing it (skipped while nobody holds).  The reference model
+   replays the schedule and yields each member's request times, the
+   release times and the expected grants with the rotation count each
+   grantee's [acquire] returns; member fibers then replay the same
+   schedule on a real ring, releasing at the first release step after
+   their grant.  Enough releases follow the random ops to drain every
+   waiter. *)
+let ring_step = 1_000
+
+let ring_reference n ops =
+  let holder = ref (-1) and waiting = Array.make n false in
+  let releases = ref 0 in
+  let reqs = Array.make n [] and rels = ref [] and grants = ref [] in
+  let grant s =
+    holder := s;
+    grants := (s, !releases / n) :: !grants
+  in
+  let rec scan idx k =
+    if k >= n then -1
+    else
+      let s = (idx + k) mod n in
+      if waiting.(s) then s else scan idx (k + 1)
+  in
+  List.iteri
+    (fun i op ->
+      let at = (i + 1) * ring_step in
+      if op < n then begin
+        if op <> !holder && not waiting.(op) then begin
+          reqs.(op) <- at :: reqs.(op);
+          if !holder < 0 then grant op else waiting.(op) <- true
+        end
+      end
+      else if !holder >= 0 then begin
+        rels := at :: !rels;
+        incr releases;
+        match scan !holder 1 with
+        | -1 -> holder := -1
+        | s ->
+            waiting.(s) <- false;
+            grant s
+      end)
+    (ops @ List.init (n + 1) (fun _ -> n));
+  (Array.map List.rev reqs, List.rev !rels, List.rev !grants, !releases / n)
+
+let ring_grants_match_reference =
+  QCheck.Test.make ~name:"token ring grants = reference (idx + k) mod n scan"
+    ~count:300
+    QCheck.(
+      pair (int_range 1 16) (list_of_size (Gen.int_bound 80) (int_bound 16)))
+    (fun (n, ops) ->
+      let ops = List.map (fun op -> op mod (n + 1)) ops in
+      let reqs, rels, expect, rotations = ring_reference n ops in
+      let e = Sim.Engine.create () in
+      let ring = Sim.Token_ring.create ~pass_ps:3L ~members:n e in
+      let got = ref [] in
+      let wait_until at =
+        let now = Sim.Engine.clock_i e in
+        if at > now then Sim.Engine.wait_in e (at - now)
+      in
+      for i = 0 to n - 1 do
+        Sim.Engine.spawn e (Printf.sprintf "m%d" i) (fun () ->
+            Sim.Token_ring.join ring i;
+            List.iter
+              (fun at ->
+                wait_until at;
+                let rot = Sim.Token_ring.acquire ring i in
+                got := (i, rot) :: !got;
+                let now = Sim.Engine.clock_i e in
+                match List.find_opt (fun r -> r > now) rels with
+                | Some r ->
+                    wait_until r;
+                    Sim.Token_ring.release ring i
+                | None -> ())
+              reqs.(i))
+      done;
+      Sim.Engine.run_until_idle e;
+      List.rev !got = expect && Sim.Token_ring.rotations ring = rotations)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ heap_qcheck; wheel_matches_heap; rng_bounds; server_utilization_bound ]
+    [
+      heap_qcheck; wheel_matches_heap; rng_bounds; server_utilization_bound;
+      ring_grants_match_reference;
+    ]
 
 let tests =
   [
