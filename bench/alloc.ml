@@ -15,6 +15,10 @@
      fiber actually suspending, paid ~events/packet times per packet
    - words/packet, events/packet, promoted words over the measured
      window for the whole router
+   - frames minted: how many frames the router's frame pool ever had to
+     create.  A DRAM buffer holds its frame only while the packet is in
+     flight, so this is the peak number in flight, not the 8192-slot
+     ring a pool pinning every frame until its slot came round needed
    - construction footprint: heap words reachable from a freshly built
      default router, and from a 4-member cluster with frame pools — what
      every router pays before its first packet (the Poptrie jump table
@@ -87,7 +91,8 @@ let suspension_row () =
 
 (* The bench/perf.ml line-rate router, instrumented for allocation:
    returns (minor words/pkt, promoted words/pkt, events/pkt, minor
-   collections) over the measured phase. *)
+   collections) over the measured phase, and the frames its pool minted
+   over the whole run. *)
 let router_alloc () =
   let config =
     {
@@ -137,7 +142,8 @@ let router_alloc () =
   ( Sim.Gc_stats.minor_words gc /. pkts,
     Sim.Gc_stats.promoted_words gc /. pkts,
     float_of_int ev /. pkts,
-    Sim.Gc_stats.minor_collections gc )
+    Sim.Gc_stats.minor_collections gc,
+    Packet.Frame_pool.minted pool )
 
 (* Words reachable from a value just built: exact and host-independent. *)
 let words_at_create v = float_of_int (Obj.reachable_words (Obj.repr v))
@@ -154,6 +160,10 @@ let cluster_create_words () =
 let router_words_budget = 64_000.
 let cluster_words_budget = 320_000.
 
+(* Budget for the frames-minted row, with headroom over the measured
+   ~258. *)
+let minted_budget = 1_024.
+
 let run () =
   Report.section "Allocation budget (steady-state minor words per packet)";
   (* Same minor heap the perf run uses: 8M words, so the measured phase
@@ -164,8 +174,8 @@ let run () =
   let susp_w = suspension_row () in
   (* Two repetitions: allocation counts are exact, so the spread rows
      (required by gate.py --refresh) only confirm run-to-run identity. *)
-  let w1, p1, e1, _gcs1 = router_alloc () in
-  let w2, p2, e2, gcs2 = router_alloc () in
+  let w1, p1, e1, _gcs1, _minted1 = router_alloc () in
+  let w2, p2, e2, gcs2, minted = router_alloc () in
   let router_words = router_create_words () in
   let cluster_words = cluster_create_words () in
   let w = Float.min w1 w2 and p = Float.min p1 p2 in
@@ -192,6 +202,8 @@ let run () =
   Report.row ~unit_:"w/pkt" ~name:"promoted words/packet" ~paper:10.0
     ~measured:p;
   Report.row ~unit_:"ev/pkt" ~name:"events/packet" ~paper:10.0 ~measured:e;
+  Report.row ~unit_:"frames" ~name:"frames minted (line64 scenario)"
+    ~paper:minted_budget ~measured:(float_of_int minted);
   Report.row ~unit_:"words" ~name:"router words at create"
     ~paper:router_words_budget ~measured:router_words;
   Report.row ~unit_:"words" ~name:"cluster words at create"

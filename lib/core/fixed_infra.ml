@@ -358,14 +358,15 @@ let run ?telemetry cfg =
           ~stats:ostats)
       output_ids;
     (* Output-only runs are "fooled into believing data was always
-       available": a zero-cost refiller keeps every queue topped up. *)
+       available": a zero-cost refiller keeps every queue topped up.
+       Each descriptor gets its own buffer, since transmit frees it. *)
     if cfg.stage = Output_only then begin
-      let buf = Ixp.Buffer_pool.alloc chip.Ixp.Chip.buffers frame in
       Sim.Engine.spawn engine "refiller" (fun () ->
           let rec top_up () =
             Array.iteri
               (fun i q ->
                 while Squeue.length q < 256 do
+                  let buf = Ixp.Buffer_pool.alloc chip.Ixp.Chip.buffers frame in
                   ignore
                     (Squeue.push q
                        (Desc.make ~buf ~len:cfg.frame_len ~in_port:0

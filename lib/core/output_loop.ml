@@ -98,9 +98,11 @@ let charge_mp t ctx inflight =
   Chip_ctx.commit ctx
 
 (* Finish the already-charged MP whose transmit slot is reserved.  On
-   the frame's final MP the packet retires: the frame goes to the wire,
-   the DRAM buffer is returned, and the descriptor is recycled — the
-   slot deactivates ([active] drops) for the next dequeue. *)
+   the frame's final MP the packet retires: the frame goes to the wire
+   and to [on_tx], then the DRAM buffer is freed — last, because freeing
+   hands the frame back to any upstream frame pool — and the descriptor
+   is recycled; the slot deactivates ([active] drops) for the next
+   dequeue. *)
 let finish_mp t chip stats infl ~port =
   let last = infl.next = infl.total - 1 in
   infl.next <- infl.next + 1;
@@ -113,12 +115,11 @@ let finish_mp t chip stats infl ~port =
           ~len:(Packet.Frame.len infl.frame)
     | None -> ());
     infl.active <- false;
-    (* Return the DRAM buffer (a no-op for the circular pool). *)
-    Ixp.Buffer_pool.free chip.Ixp.Chip.buffers infl.desc.Desc.buf;
     Sim.Stats.Counter.incr stats.pkts_out;
     (match t.on_tx with
     | Some f -> f infl.desc infl.frame
     | None -> ());
+    Ixp.Buffer_pool.free chip.Ixp.Chip.buffers infl.desc.Desc.buf;
     Desc.release infl.desc
   end
 

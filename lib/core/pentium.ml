@@ -92,8 +92,12 @@ let process t (p : Strongarm.payload) =
                 p.frame ~in_port:p.desc.Desc.in_port )
         | None -> (0, Forwarder.Forward_routed)
       in
+      let drop () =
+        Sim.Stats.Counter.incr t.stats.dropped;
+        Ixp.Buffer_pool.free t.chip.Ixp.Chip.buffers p.desc.Desc.buf
+      in
       (match verdict with
-      | Forwarder.Drop -> Sim.Stats.Counter.incr t.stats.dropped
+      | Forwarder.Drop -> drop ()
       | Forwarder.Forward port ->
           p.desc.Desc.out_port <- port;
           Sim.Stats.Counter.incr t.stats.processed;
@@ -109,7 +113,7 @@ let process t (p : Strongarm.payload) =
           Ixp.Pci.pio_write t.chip.Ixp.Chip.pci ~clock:t.clock
       | Forwarder.Divert _ ->
           (* Top of the hierarchy: nowhere further. *)
-          Sim.Stats.Counter.incr t.stats.dropped);
+          drop ());
       fwd_cycles + touch + t.cm.Cost_model.pe_loop_instr)
 
 let spawn t chip =

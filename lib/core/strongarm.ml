@@ -144,9 +144,14 @@ let dequeue_charged t q =
     Chip_ctx.exec t.ctx t.cm.Cost_model.sa_interrupt_cycles;
   Squeue.pop q
 
-let finish t desc =
-  if t.out_enqueue t.ctx desc then ()
-  else Sim.Stats.Counter.incr t.stats.dropped
+(* A packet the slow path consumes without transmitting it gives its
+   DRAM buffer back here, so the buffer holds its frame only while the
+   packet is in flight, as on the fast path. *)
+let drop t desc =
+  Sim.Stats.Counter.incr t.stats.dropped;
+  Ixp.Buffer_pool.free t.ctx.Chip_ctx.chip.Ixp.Chip.buffers desc.Desc.buf
+
+let finish t desc = if not (t.out_enqueue t.ctx desc) then drop t desc
 
 let process_local t desc =
   match t.read_buffer desc with
@@ -157,7 +162,7 @@ let process_local t desc =
   | Some frame -> (
       let handle_verdict v =
         match (v : Forwarder.verdict) with
-        | Forwarder.Drop -> Sim.Stats.Counter.incr t.stats.dropped
+        | Forwarder.Drop -> drop t desc
         | Forwarder.Forward p ->
             desc.Desc.out_port <- p;
             Sim.Stats.Counter.incr t.stats.local_done;
@@ -168,21 +173,25 @@ let process_local t desc =
                 desc.Desc.out_port <- p;
                 Sim.Stats.Counter.incr t.stats.local_done;
                 finish t desc
-            | None -> Sim.Stats.Counter.incr t.stats.dropped
+            | None -> drop t desc
           end
         | Forwarder.Divert Desc.Pentium ->
-            ignore (Squeue.push t.pe_qs.(0) desc)
+            if not (Squeue.push t.pe_qs.(0) desc) then drop t desc
         | Forwarder.Divert (Desc.Strongarm | Desc.Microengine) ->
             (* Nowhere further to divert locally. *)
-            Sim.Stats.Counter.incr t.stats.dropped
+            drop t desc
       in
-      (* Building and routing an ICMP error costs real StrongARM work. *)
+      (* Building and routing an ICMP error costs real StrongARM work.
+         The error replaces the packet, which is done with once the
+         reply is built. *)
       let send_icmp make =
         match t.icmp_addr with
-        | None -> Sim.Stats.Counter.incr t.stats.dropped
+        | None -> drop t desc
         | Some addr_of -> begin
             Chip_ctx.exec t.ctx 500;
             let reply = make ~router:(addr_of desc.Desc.in_port) frame in
+            Ixp.Buffer_pool.free t.ctx.Chip_ctx.chip.Ixp.Chip.buffers
+              desc.Desc.buf;
             match routed_port t reply with
             | None -> Sim.Stats.Counter.incr t.stats.dropped
             | Some port -> (
@@ -217,8 +226,7 @@ let process_local t desc =
           (* Exceptional IP slow path: full validation, option handling,
              ICMP generation for TTL expiry and routing failures. *)
           Chip_ctx.exec t.ctx t.cm.Cost_model.sa_poll_instr;
-          if not (Packet.Ipv4.valid frame) then
-            Sim.Stats.Counter.incr t.stats.dropped
+          if not (Packet.Ipv4.valid frame) then drop t desc
           else if Packet.Ipv4.get_ttl frame <= 1 then
             send_icmp Packet.Icmp.time_exceeded
           else begin

@@ -18,28 +18,31 @@ exception Stale
 (* Slots are parallel flat arrays, not a record per slot: 8192 records
    cost ~41k words at every router's construction, the arrays ~16k.
    Slots hold frames directly, with a shared zero-length sentinel for
-   "empty" — an option field would cost a fresh [Some] per store. *)
+   "empty" — an option field would cost a fresh [Some] per store.  A
+   slot holds its frame exactly while the packet is in flight: from
+   {!alloc} until {!free} (or, for a packet never freed, until the
+   circular cursor laps it).  So "holds a frame" is the liveness
+   bit in both modes, and generation 0 means "never written". *)
 let no_frame = Packet.Frame.alloc 0
 
 type t = {
   frames : Packet.Frame.t array;
   gens : int array;
-  live : Bytes.t; (* stack mode: '\001' while allocated and not yet freed *)
   circular : bool;
   mutable next : int; (* circular mode: the slot the next alloc takes *)
   (* Stack mode: free slots as an int-array stack, top at
-     [free_len - 1]; a [Stack.t] allocates a cons per push.  Circular
-     mode has neither [live] nor [free] (both empty). *)
+     [free_len - 1]; a [Stack.t] allocates a cons per push.  Empty in
+     circular mode. *)
   free : int array;
   mutable free_len : int;
   mutable overwrites : int;
   mutable stale_reads : int;
   mutable in_use : int;
   mutable faults : Fault.Injector.t option;
-  (* Called with a frame the pool no longer references: a stack-mode
-     free, or a circular-mode eviction.  Lets an upstream frame pool
-     recycle the storage; gated on [Some] so the default path and its
-     counters ([overwrites] included) are untouched. *)
+  (* Called with a frame the pool no longer references: a {!free}, or a
+     circular-mode eviction of a packet never freed.  Lets an upstream
+     frame pool recycle the storage; gated on [Some] so the default
+     path and its counters ([overwrites] included) are untouched. *)
   mutable on_release : (Packet.Frame.t -> unit) option;
 }
 
@@ -52,7 +55,6 @@ let make ~circular ~count =
   {
     frames = Array.make count no_frame;
     gens = Array.make count 0;
-    live = (if circular then Bytes.empty else Bytes.make count '\000');
     circular;
     next = 0;
     (* Slot 0 on top, so a fresh stack pool hands out 0, 1, 2, ... *)
@@ -78,12 +80,14 @@ let alloc t frame =
     let index = t.next in
     let next = index + 1 in
     t.next <- (if next = Array.length t.frames then 0 else next);
+    let generation = t.gens.(index) + 1 in
+    (* Every reuse of a written slot counts, whether or not its packet
+       was freed first: [overwrites] measures laps, not losses. *)
+    if generation > 1 then t.overwrites <- t.overwrites + 1;
     let old = Array.unsafe_get t.frames index in
     if old != no_frame then begin
-      t.overwrites <- t.overwrites + 1;
       match t.on_release with Some r -> r old | None -> ()
     end;
-    let generation = t.gens.(index) + 1 in
     t.gens.(index) <- generation;
     t.frames.(index) <- frame;
     handle_of ~index ~generation
@@ -95,7 +99,6 @@ let alloc t frame =
     let generation = t.gens.(index) + 1 in
     t.gens.(index) <- generation;
     t.frames.(index) <- frame;
-    Bytes.set t.live index '\001';
     t.in_use <- t.in_use + 1;
     handle_of ~index ~generation
   end
@@ -110,27 +113,27 @@ let alloc t frame =
 let alloc_try t frame =
   match alloc t frame with h -> h | exception Failure _ -> -1
 
+(* A freed slot keeps its generation, so the empty sentinel is what
+   marks its handle stale: a read never returns the sentinel, nor the
+   frame of a packet allocated since. *)
 let get t h =
   let index = h land idx_mask in
-  if t.gens.(index) <> h asr idx_bits then begin
+  let frame = t.frames.(index) in
+  if t.gens.(index) <> h asr idx_bits || frame == no_frame then begin
     t.stale_reads <- t.stale_reads + 1;
     raise Stale
   end
-  else t.frames.(index)
+  else frame
 
 let read t h = match get t h with f -> Some f | exception Stale -> None
 
 let free t h =
-  if not t.circular then begin
-    let index = handle_index h in
-    if Bytes.get t.live index <> '\000' && t.gens.(index) = handle_generation h
-    then begin
-      Bytes.set t.live index '\000';
-      let frame = t.frames.(index) in
-      (match t.on_release with
-      | Some r when frame != no_frame -> r frame
-      | _ -> ());
-      t.frames.(index) <- no_frame;
+  let index = handle_index h in
+  let frame = t.frames.(index) in
+  if frame != no_frame && t.gens.(index) = handle_generation h then begin
+    (match t.on_release with Some r -> r frame | None -> ());
+    t.frames.(index) <- no_frame;
+    if not t.circular then begin
       t.in_use <- t.in_use - 1;
       t.free.(t.free_len) <- index;
       t.free_len <- t.free_len + 1
@@ -150,7 +153,7 @@ let check t =
     else None
   else begin
     let live = ref 0 in
-    Bytes.iter (fun b -> if b <> '\000' then incr live) t.live;
+    Array.iter (fun f -> if f != no_frame then incr live) t.frames;
     if !live <> t.in_use then
       Some (Printf.sprintf "live slots %d <> in_use %d" !live t.in_use)
     else if t.free_len + t.in_use <> n then

@@ -8,6 +8,12 @@
     number per handle so a stale read is detected (the packet was "lost")
     rather than silently corrupted.
 
+    A buffer holds its frame only while the packet is in flight: {!alloc}
+    stores it, and {!free} at transmit releases it in either mode (the
+    circular cursor still moves on regardless; it releases a frame only
+    for a packet that was never freed).  A pool therefore pins no frame
+    that has left the wire.
+
     A per-port stack pool — the alternative the paper declined to build —
     is provided for the ablation benchmark. *)
 
@@ -34,8 +40,9 @@ val create_stack : count:int -> unit -> t
 
 val alloc : t -> Packet.Frame.t -> handle
 (** [alloc pool frame] stores [frame] in the next buffer.  In circular
-    mode this may silently overwrite the oldest in-flight buffer (counted
-    in {!overwrites}).  In stack mode it raises [Failure] when empty. *)
+    mode this takes the oldest buffer whether or not its packet was
+    freed, silently overwriting one still in flight.  In stack mode it
+    raises [Failure] when empty. *)
 
 val alloc_try : t -> Packet.Frame.t -> handle
 (** {!alloc} returning a negative handle instead of raising [Failure]
@@ -43,24 +50,30 @@ val alloc_try : t -> Packet.Frame.t -> handle
     input loop's drop-one-frame path, with no option box on success. *)
 
 exception Stale
-(** Raised by {!get} when the buffer was reused since the handle was
-    created (a lost packet). *)
+(** Raised by {!get} when the buffer was freed or reused since the handle
+    was created (a lost packet, or a read after transmit). *)
 
 val get : t -> handle -> Packet.Frame.t
 (** [get pool h] is the stored frame; raises {!Stale} (and counts a
-    stale read) if the buffer was reused since [h] was created.  The
+    stale read) if the buffer was freed or reused since [h] was created.
+    It never returns the empty slot or another packet's frame.  The
     allocation-free form of {!read}. *)
 
 val read : t -> handle -> Packet.Frame.t option
-(** [read pool h] is the stored frame, or [None] if the buffer was reused
-    since [h] was created (a lost packet). *)
+(** [read pool h] is the stored frame, or [None] (counted as for {!get})
+    if the buffer was freed or reused since [h] was created. *)
 
 val free : t -> handle -> unit
-(** Stack mode: return the buffer.  Circular mode: no-op. *)
+(** [free pool h] releases [h]'s frame (to the {!set_release} hook) and
+    empties the buffer, so [h] reads as {!Stale} from then on.  Stack
+    mode also returns the buffer to the free list; circular mode leaves
+    the cursor alone.  A stale or repeated [free] does nothing. *)
 
 val overwrites : t -> int
-(** Circular mode: buffers overwritten while still un-transmitted would
-    show up here as stale {!read}s; this counts generation laps. *)
+(** Circular mode: {!alloc}s that reused a buffer written before,
+    whether or not its packet was freed first (generation laps).  A
+    packet overwritten while still un-transmitted shows up as a stale
+    {!read}. *)
 
 val stale_reads : t -> int
 (** Packets lost to buffer reuse. *)
@@ -73,9 +86,10 @@ val count : t -> int
 
 val set_release : t -> (Packet.Frame.t -> unit) -> unit
 (** [set_release t f] calls [f frame] whenever the pool drops its last
-    reference to a frame — a stack-mode {!free} or a circular-mode
-    eviction at {!alloc} — so an upstream {!Packet.Frame_pool} can
-    recycle the storage.  Counters ({!overwrites} included) behave
+    reference to a frame — a {!free} in either mode, or a circular
+    {!alloc} overwriting a packet that was never freed — so an upstream
+    {!Packet.Frame_pool} can recycle the storage.  Each stored frame is
+    released at most once.  Counters ({!overwrites} included) behave
     identically with or without a hook installed. *)
 
 val set_faults : t -> Fault.Injector.t -> unit
@@ -84,6 +98,6 @@ val set_faults : t -> Fault.Injector.t -> unit
     out-of-buffers path. *)
 
 val check : t -> string option
-(** Conservation audit: in stack mode, live slots must equal {!in_use}
-    and free + in-use must equal {!count}; in circular mode the cursor
-    must lie inside the pool.  [Some detail] on violation. *)
+(** Conservation audit: in stack mode, slots holding a frame must equal
+    {!in_use} and free + in-use must equal {!count}; in circular mode the
+    cursor must lie inside the pool.  [Some detail] on violation. *)

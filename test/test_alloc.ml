@@ -46,7 +46,9 @@ let check_no_ambient_lookups ~what engines =
 
 (* --- steady-state GC audit -------------------------------------------- *)
 
-let line_rate_router () =
+(* [stopped] turns the sources off: each later frame goes straight back
+   to the pool, as a refused offer does. *)
+let line_rate_router ?(stopped = ref false) () =
   let config =
     {
       Router.default_config with
@@ -75,7 +77,7 @@ let line_rate_router () =
          ~name:(Printf.sprintf "gen%d" p)
          ~mbps:100. ~frame_len:64 ~gen
          ~offer:(fun f ->
-           let ok = Router.inject r ~port:p f in
+           let ok = (not !stopped) && Router.inject r ~port:p f in
            if not ok then Packet.Frame_pool.give pool f;
            ok)
          ())
@@ -406,6 +408,101 @@ let pool_no_aliasing =
       | None -> ());
       true)
 
+(* --- pools come home after a drain ------------------------------------- *)
+
+(* A DRAM buffer holds its frame only while the packet is in flight, so
+   once the sources stop and the queues drain, every frame a pool lent
+   out is back: [outstanding] is 0.  A circular pool that kept each
+   frame until its slot came round again would pin up to a ring's worth
+   (8192) of them here. *)
+let check_home what pool =
+  Alcotest.(check (option string)) (what ^ " conserved") None
+    (Packet.Frame_pool.check pool);
+  Alcotest.(check int) (what ^ " outstanding after drain") 0
+    (Packet.Frame_pool.outstanding pool)
+
+let test_router_pool_drains () =
+  let stopped = ref false in
+  let r = line_rate_router ~stopped () in
+  Router.run_for r ~us:5_000.;
+  let sent = Sim.Stats.Counter.value r.Router.ostats.Router.Output_loop.pkts_out in
+  if sent < 5_000 then Alcotest.failf "only %d packets forwarded" sent;
+  stopped := true;
+  Router.run_for r ~us:2_000.;
+  check_home "router pool" (Option.get r.Router.frame_pool)
+
+(* The slow path consumes packets too: each TTL-expired or unroutable
+   packet is answered with an ICMP error in a buffer of its own, so the
+   packet's buffer must give its frame back then, not when the ring
+   laps. *)
+let test_icmp_pool_drains () =
+  let r = Router.create () in
+  let pool = Packet.Frame_pool.create ~max_frames:1_024 ~frame_bytes:128 () in
+  Router.set_frame_pool r pool;
+  Router.add_route r (Iproute.Prefix.of_string "10.0.0.0/16") ~port:0;
+  Router.add_route r (Iproute.Prefix.of_string "10.3.0.0/16") ~port:3;
+  Router.start r;
+  for i = 0 to 199 do
+    let f = Packet.Frame_pool.take pool ~len:64 in
+    let dst = if i mod 2 = 0 then "10.3.0.1" else "192.168.0.1" in
+    let b =
+      Packet.Build.udp ~frame_len:64
+        ~src:(Packet.Ipv4.addr_of_string "10.0.0.1")
+        ~dst:(Packet.Ipv4.addr_of_string dst)
+        ~src_port:1 ~dst_port:2 ~ttl:(if i mod 2 = 0 then 1 else 64) ()
+    in
+    Bytes.blit b.Packet.Frame.data 0 f.Packet.Frame.data 0 64;
+    if not (Router.inject r ~port:(i mod 8) f) then Packet.Frame_pool.give pool f;
+    Router.run_for r ~us:20.
+  done;
+  Router.run_for r ~us:5_000.;
+  Alcotest.(check int) "every packet answered" 200
+    (Sim.Stats.Counter.value
+       r.Router.sa.Router.Strongarm.stats.Router.Strongarm.icmp_sent);
+  check_home "router pool" pool
+
+let test_cluster_pools_drain () =
+  let fabric_queue =
+    match Cluster.Fabric_queue.parse "taildrop:256" with
+    | Ok q -> q
+    | Error m -> Alcotest.fail m
+  in
+  let c =
+    Cluster.create ~members:4 ~ports_per_member:8 ~frame_pool:true
+      ~fabric_queue ()
+  in
+  let stopped = ref false in
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  for g = 0 to 31 do
+    let m, _ = Cluster.member_of_global_port c g in
+    let pool = Option.get (Cluster.frame_pool c m) in
+    let rng = Sim.Rng.split rng in
+    ignore
+      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
+         ~name:(Printf.sprintf "g%d" g)
+         ~mbps:100. ~frame_len:64
+         ~gen:(Workload.Mix.udp_uniform ~pool ~rng ~n_subnets:32 ~frame_len:64
+                 ())
+         ~offer:(fun f ->
+           let ok = (not !stopped) && Cluster.inject c ~global_port:g f in
+           if not ok then Packet.Frame_pool.give pool f;
+           ok)
+         ())
+  done;
+  Cluster.run_for c ~us:3_000.;
+  let delivered = Cluster.delivered_total c in
+  if delivered < 5_000 then Alcotest.failf "only %d packets delivered" delivered;
+  stopped := true;
+  (* Every route-cache miss is StrongARM work, and its backlog takes a
+     few milliseconds to clear. *)
+  Cluster.run_for c ~us:20_000.;
+  for m = 0 to 3 do
+    check_home
+      (Printf.sprintf "member %d pool" m)
+      (Option.get (Cluster.frame_pool c m))
+  done;
+  Alcotest.(check bool) "invariants hold" true (Cluster.invariants_ok c)
+
 (* --- limb RNG versus the int64 reference ------------------------------- *)
 
 (* Straight int64 splitmix64 (Steele et al.), the form the limb rewrite
@@ -492,6 +589,12 @@ let tests =
     Alcotest.test_case "queued cluster fabric reads its engines" `Quick
       test_queued_fabric_engines;
     QCheck_alcotest.to_alcotest pool_no_aliasing;
+    Alcotest.test_case "router frame pool comes home after a drain" `Quick
+      test_router_pool_drains;
+    Alcotest.test_case "ICMP errors give the packet's frame back" `Quick
+      test_icmp_pool_drains;
+    Alcotest.test_case "cluster frame pools come home after a drain" `Quick
+      test_cluster_pools_drain;
     Alcotest.test_case "limb RNG = int64 reference" `Quick
       test_rng_matches_reference;
   ]

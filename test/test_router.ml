@@ -410,7 +410,106 @@ let wfq_within_budget () =
        ~slots:(Router.Vrp.istore_slots Router.Wfq.vrp_code)
     = Ok ())
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ vrp_execute_charges ]
+(* Admission bookkeeping (section 4.6) under random use: random
+   straight-line forwarders on the general key or one of four flow keys
+   are installed in list order and removed in a random order, for three
+   cycles on one interface.  After every install or remove the reserved
+   load equals what admitting the still-bound forwarders into a fresh
+   load gives, and after every cycle it is [empty_me_load ()] again —
+   a shadowed or refused install that left a reservation behind, or a
+   remove that released one it never held, breaks it. *)
+let admission_load_returns_to_empty =
+  let op (kind, n) =
+    match kind with
+    | 0 -> Vrp.Instr n
+    | 1 -> Vrp.Sram_read n
+    | 2 -> Vrp.Sram_write n
+    | 3 -> Vrp.Scratch_read n
+    | 4 -> Vrp.Scratch_write n
+    | 5 -> Vrp.Dram_read n
+    | 6 -> Vrp.Dram_write n
+    | _ -> Vrp.Hash
+  in
+  let spec =
+    QCheck.(
+      triple (int_bound 4)
+        (list_of_size Gen.(0 -- 6) (pair (int_bound 7) (int_bound 40)))
+        (int_bound 32))
+  in
+  QCheck.Test.make ~name:"admission load returns to empty" ~count:200
+    QCheck.(pair (list_of_size Gen.(1 -- 10) spec) (triple int int int))
+    (fun (specs, (s1, s2, s3)) ->
+      let _, _, _, iface = mk_router_env () in
+      let adm = Admission.default Ixp.Config.default in
+      let key_of k =
+        if k = 0 then Packet.Flow.All
+        else
+          Packet.Flow.Tuple
+            (Option.get
+               (Packet.Flow.of_frame
+                  (Packet.Build.tcp ~src:(addr "10.0.0.1")
+                     ~dst:(addr "10.0.0.2") ~src_port:k ~dst_port:2 ())))
+      in
+      let fwdrs =
+        List.mapi
+          (fun i (k, code, state_bytes) ->
+            ( key_of k,
+              Forwarder.make
+                ~name:(Printf.sprintf "f%d" i)
+                ~code:(List.map op code) ~state_bytes
+                (fun ~state:_ _ ~in_port:_ -> Forwarder.Continue) ))
+          specs
+      in
+      (* [bound]: fid, forwarder, per-flow, newest first. *)
+      let bound = ref [] in
+      let load_matches () =
+        let fresh = Admission.empty_me_load () in
+        List.iter
+          (fun (_, f, per_flow) ->
+            match Admission.admit_me adm fresh f ~per_flow with
+            | Ok () -> ()
+            | Error es ->
+                QCheck.Test.fail_reportf "bound set refused afresh: %s"
+                  (String.concat "; " es))
+          (List.rev !bound);
+        Iface.me_load iface = fresh
+      in
+      let cycle seed =
+        List.iter
+          (fun (key, fwdr) ->
+            match Iface.install iface ~key ~fwdr ~where:Iface.ME () with
+            | Ok fid ->
+                bound := (fid, fwdr, key <> Packet.Flow.All) :: !bound;
+                if not (load_matches ()) then
+                  QCheck.Test.fail_reportf "load wrong after installing %s"
+                    fwdr.Forwarder.name
+            | Error _ ->
+                if not (load_matches ()) then
+                  QCheck.Test.fail_reportf "refused %s left a reservation"
+                    fwdr.Forwarder.name)
+          fwdrs;
+        let st = Random.State.make [| seed |] in
+        let order =
+          List.map snd
+            (List.sort compare
+               (List.map (fun b -> (Random.State.bits st, b)) !bound))
+        in
+        List.iter
+          (fun (fid, _, _) ->
+            if Iface.remove iface fid <> Ok () then
+              QCheck.Test.fail_reportf "remove %d failed" fid;
+            bound := List.filter (fun (f, _, _) -> f <> fid) !bound;
+            if not (load_matches ()) then
+              QCheck.Test.fail_reportf "load wrong after removing fid %d" fid)
+          order;
+        Iface.me_load iface = Admission.empty_me_load ()
+        && Iface.installed iface = []
+      in
+      cycle s1 && cycle s2 && cycle s3)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ vrp_execute_charges; admission_load_returns_to_empty ]
 
 (* The delivery digest's scratch-buffer fold must reproduce the chain it
    replaced, [MD5 (prev ^ decimal time ^ "|" ^ frame bytes)], byte for
