@@ -9,7 +9,7 @@
 let run () =
   Report.section "Cluster of 4 Pentium/IXP pairs (section 6, future work)";
   let c = Cluster.create ~members:4 () in
-  let offered = Sim.Stats.Counter.create "offered" in
+  let offered = Sim.Stats.Counter.create () in
   Equivalence.spawn_line_rate c ~seed:23 ~ports:(List.init 32 Fun.id)
     ~gen:(fun ~rng g _ ->
       Sim.Stats.Counter.incr offered;

@@ -11,7 +11,7 @@ let run_path ~frame_len =
   let engine = Sim.Engine.create () in
   let chip = Ixp.Chip.create ~ports:[] engine in
   let routes = Iproute.Table.create () in
-  let returned = Sim.Stats.Counter.create "returned" in
+  let returned = Sim.Stats.Counter.create () in
   let out_enqueue _ctx _desc =
     Sim.Stats.Counter.incr returned;
     true

@@ -36,6 +36,34 @@ let dump_metrics dest json =
           Format.eprintf "cannot write metrics: %s@." msg;
           exit 1)
 
+(* Range-checked number converters: a value outside the range the
+   simulation accepts is a usage error (exit 124) that names the option,
+   never an exception out of the run. *)
+let int_in ?(max = max_int) min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && n <= max -> Ok n
+    | Some _ when max = max_int -> Error (Printf.sprintf "%s is below %d" s min)
+    | Some _ -> Error (Printf.sprintf "%s is not in %d..%d" s min max)
+    | None -> Error (Printf.sprintf "%S is not an integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let float_where what ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | Some _ -> Error (Printf.sprintf "%s is not %s" s what)
+    | None -> Error (Printf.sprintf "%S is not a number" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
+let positive = float_where "a positive number" (fun x -> x > 0. && x < infinity)
+let share = float_where "a share in 0..1" (fun x -> x >= 0. && x <= 1.)
+
+(* Ethernet frame lengths the generators can build. *)
+let frame_bytes = int_in ~max:Packet.Build.max_frame Packet.Build.min_frame
+
 let subnet_routes r n_ports =
   for p = 0 to n_ports - 1 do
     Router.add_route r
@@ -54,17 +82,17 @@ let run_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
   in
   let mbps =
-    Arg.(value & opt float 100. & info [ "mbps" ] ~docv:"MBPS"
-           ~doc:"Per-port link speed.")
+    Arg.(value & opt positive 100. & info [ "mbps" ] ~docv:"MBPS"
+           ~doc:"Per-port link speed (positive).")
   in
   let frame_len =
-    Arg.(value & opt int 64 & info [ "frame" ] ~docv:"BYTES"
+    Arg.(value & opt frame_bytes 64 & info [ "frame" ] ~docv:"BYTES"
            ~doc:"Frame length (64..1518).")
   in
   let exceptional =
-    Arg.(value & opt float 0. & info [ "exceptional" ] ~docv:"SHARE"
+    Arg.(value & opt share 0. & info [ "exceptional" ] ~docv:"SHARE"
            ~doc:"Fraction of frames carrying IP options (divert to the \
-                 StrongARM).")
+                 StrongARM), in 0..1.")
   in
   let syn_monitor =
     Arg.(value & flag & info [ "syn-monitor" ]
@@ -260,10 +288,12 @@ let peak_cmd =
            ~doc:"Combination VRP blocks (10 instr + 4B SRAM) per packet.")
   in
   let in_ctx =
-    Arg.(value & opt int 16 & info [ "input-contexts" ] ~docv:"N" ~doc:"")
+    Arg.(value & opt (int_in 1) 16 & info [ "input-contexts" ] ~docv:"N"
+           ~doc:"Input-loop contexts (at least 1).")
   in
   let out_ctx =
-    Arg.(value & opt int 8 & info [ "output-contexts" ] ~docv:"N" ~doc:"")
+    Arg.(value & opt (int_in 1) 8 & info [ "output-contexts" ] ~docv:"N"
+           ~doc:"Output-loop contexts (at least 1).")
   in
   let run input_disc output_disc contention blocks in_ctx out_ctx metrics =
     let open Router.Fixed_infra in
@@ -330,19 +360,19 @@ let cluster_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
   in
   let members =
-    Arg.(value & opt int 4 & info [ "members" ] ~docv:"N"
-           ~doc:"Pentium/IXP pairs behind the switch.")
+    Arg.(value & opt (int_in 2) 4 & info [ "members" ] ~docv:"N"
+           ~doc:"Pentium/IXP pairs behind the switch (at least 2).")
   in
   let ports_per_member =
     Arg.(value & opt int 4 & info [ "ports-per-member" ] ~docv:"N"
            ~doc:"External 100 Mbps ports per member.")
   in
   let frame_len =
-    Arg.(value & opt int 64 & info [ "frame" ] ~docv:"BYTES"
+    Arg.(value & opt frame_bytes 64 & info [ "frame" ] ~docv:"BYTES"
            ~doc:"Frame length (64..1518).")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+    Arg.(value & opt (int_in 1) 1 & info [ "domains" ] ~docv:"N"
            ~doc:"OCaml domains to spread the members over (conservative \
                  lookahead execution).  Any value produces the bit-identical \
                  simulation; N > 1 only changes wall-clock time.")

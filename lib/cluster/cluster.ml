@@ -864,8 +864,7 @@ let register_telemetry t =
           Iproute.Table.size r.Router.routes))
     t.member_scopes
 
-let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
-    ?(domains = 1) ?(config = Router.default_config)
+let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Router.default_config)
     ?(faults = Fault.Cluster_scenario.zero) ?(frame_pool = false)
     ?(fabric_queue = Fabric_queue.bypass) () =
   if members < 2 then invalid_arg "Cluster.create: members < 2";
@@ -880,15 +879,11 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(switch_latency_us = 2.)
   if domains < 1 then invalid_arg "Cluster.create: domains < 1";
   (* The conservative bound: the fabric's minimum latency is the switch
      latency (stalls only add), so it is also the epoch length — how far
-     a member may run ahead of its peers.  A zero epoch would never
-     advance the clock. *)
-  if not (switch_latency_us > 0.) then
-    invalid_arg "Cluster.create: switch_latency_us must be positive";
+     a member may run ahead of its peers. *)
+  let switch_latency_us = 2. in
   let latency_ps =
     Int64.to_int (Sim.Engine.of_seconds (switch_latency_us *. 1e-6))
   in
-  if latency_ps <= 0 then
-    invalid_arg "Cluster.create: switch_latency_us rounds to zero picoseconds";
   let domains = min domains members in
   let engines = Array.init members (fun _ -> Sim.Engine.create ()) in
   (* Two 1 Gbps uplinks per member (the evaluation board's pair): cross

@@ -17,7 +17,7 @@
 
     {b Parallel execution.}  Every member runs its own {!Sim.Engine};
     members interact only through the fabric, whose minimum latency
-    ([switch_latency_us]) bounds how far one member may simulate ahead of
+    (the 2 us [switch_latency_us]) bounds how far one member may simulate ahead of
     its peers.  {!run_for} therefore advances the cluster in {e epochs}
     of that lookahead: frames sent during one epoch are parked in the
     destination's mailbox and scheduled — in a canonical
@@ -155,7 +155,6 @@ type t = {
 val create :
   ?members:int ->
   ?ports_per_member:int ->
-  ?switch_latency_us:float ->
   ?domains:int ->
   ?config:Router.config ->
   ?faults:Fault.Cluster_scenario.t ->
@@ -168,10 +167,6 @@ val create :
     through the switch, and starts every member on its own engine.
     [config] overrides the per-member router configuration (the uplink
     ports are added to it).
-
-    [switch_latency_us] (default 2) is the fabric's minimum latency and
-    so the epoch length of the conservative scheduler.  Raises
-    [Invalid_argument] unless it is positive and at least 1 ps.
 
     [domains] (default 1, clamped to [members]) spreads each epoch's
     member work across that many OCaml domains.  Any value yields the
@@ -192,9 +187,6 @@ val create :
     drop draws come from dedicated per-hop streams split after the
     damage streams, so enabling queueing never shifts existing draws. *)
 
-val uplink_mac : int -> Packet.Ethernet.mac
-(** The MAC identifying member [m]'s uplink on the fabric. *)
-
 val member_of_global_port : t -> int -> int * int
 (** [member_of_global_port t g] is [(member, local_port)]. *)
 
@@ -211,7 +203,7 @@ val inject : t -> global_port:int -> Packet.Frame.t -> bool
     full, the owning member is crashed — or the member's uplink queue
     has engaged backpressure (counted in [bp_refused]). *)
 
-val delivered : t -> global_port:int -> int
+val delivered : t -> global_port:int -> int [@@test_only]
 (** Frames transmitted out a global external port. *)
 
 val delivered_total : t -> int

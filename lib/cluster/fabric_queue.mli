@@ -39,9 +39,6 @@ type config = { disc : discipline; capacity : int; rate_mbps : float }
 val bypass : config
 val is_bypass : config -> bool
 
-val classes : config -> int
-(** Number of service classes (1 unless [Prio]/[Wrr]). *)
-
 val parse : string -> (config, string) result
 (** Spec grammar (the CLI's [--fabric-queue]):
     {v
@@ -59,6 +56,7 @@ val to_spec : config -> string
 (** Inverse of {!parse} (canonical form). *)
 
 val red_drop_prob : min_th:int -> max_th:int -> max_p:float -> avg:float -> float
+  [@@test_only]
 (** The pure RED drop-probability curve, exposed for the monotonicity
     property test: 0 below [min_th], linear ramp to [max_p] at [max_th],
     1 at or above [max_th]. *)

@@ -83,10 +83,10 @@ let create router =
       rib = Hashtbl.create 64;
       stats =
         {
-          announcements = Sim.Stats.Counter.create "rip.announcements";
-          routes_installed = Sim.Stats.Counter.create "rip.installed";
-          routes_withdrawn = Sim.Stats.Counter.create "rip.withdrawn";
-          rejected = Sim.Stats.Counter.create "rip.rejected";
+          announcements = Sim.Stats.Counter.create ();
+          routes_installed = Sim.Stats.Counter.create ();
+          routes_withdrawn = Sim.Stats.Counter.create ();
+          rejected = Sim.Stats.Counter.create ();
         };
       last_change_ps = -1L;
       table_changes = 0;
@@ -122,7 +122,6 @@ let touch t =
   t.last_change_ps <- Sim.Engine.time t.router.Router.engine;
   t.table_changes <- t.table_changes + 1
 
-let last_change_ps t = t.last_change_ps
 let table_changes t = t.table_changes
 
 let quiet_ps t =

@@ -10,12 +10,9 @@
     invalidates the route cache — the data-plane cost of control-plane
     activity, measured by `bench routing`).
 
-    Wire format (UDP, port {!port}): a count byte, then 8 bytes per route:
+    Wire format (UDP, port 520): a count byte, then 8 bytes per route:
     prefix address (4), prefix length (1), metric (1), 2 bytes padding.
     Metric 16 is infinity (withdrawal), as in RIP. *)
-
-val port : int
-(** UDP port 520. *)
 
 val infinity_metric : int
 (** 16. *)
@@ -29,7 +26,7 @@ val encode :
   Packet.Frame.t
 (** Build an announcement packet (at most 16 routes per packet). *)
 
-val decode : Packet.Frame.t -> announcement list option
+val decode : Packet.Frame.t -> announcement list option [@@test_only]
 (** Parse; [None] if the frame is not a well-formed announcement. *)
 
 type stats = {
@@ -57,10 +54,6 @@ val apply : t -> via_port:int -> announcement -> unit
     so churn tests and benchmarks can drive the update path at a chosen
     rate without synthesizing wire frames. *)
 
-val last_change_ps : t -> int64
-(** Simulated time of the last actual routing-table write ([-1L] before
-    the first).  Refreshes and rejected entries don't count. *)
-
 val table_changes : t -> int
 (** Total routing-table writes (installs + withdrawals). *)
 
@@ -72,8 +65,8 @@ val quiet_ps : t -> int64
 val add_neighbor :
   t -> addr:Packet.Ipv4.addr -> via_port:int -> (int, string list) result
 (** Start accepting announcements from a configured neighbor: installs a
-    per-flow Pentium forwarder for (neighbor, {!port}) → (router_addr,
-    {!port}) — control traffic rides the same classify-and-divert
+    per-flow Pentium forwarder for (neighbor, 520) → (router_addr, 520)
+    — control traffic rides the same classify-and-divert
     machinery as everything else.  Returns the forwarder's fid. *)
 
 val best_metric : t -> Iproute.Prefix.t -> int option

@@ -32,13 +32,10 @@ val optimistic_upper_bound_mpps : t -> float
 (** All memory free, all six engines forwarding: 200 MHz / 280 cycles x 6 =
     4.29 Mpps. *)
 
-val input_rate_mpps : t -> contexts:int -> extra:Vrp.cost -> float
-(** Predicted input-stage rate with [contexts] contexts and [extra] VRP
-    work per packet (fixed-point on the token/engine/memory cycle). *)
-
 val vrp_budget :
   t -> contexts:int -> line_rate_pps:float -> hashes:int -> Vrp.budget
-(** Invert {!input_rate_mpps} over combo blocks (10 instructions + one
+(** Invert the predicted input-stage rate (a fixed point on the
+    token/engine/memory cycle) over combo blocks (10 instructions + one
     4-byte SRAM read, the paper's Figure 9 unit): the largest per-MP
     budget that still sustains [line_rate_pps].  State bytes = 4 x SRAM
     transfers (what load/store instructions can move); ISTORE slots are

@@ -40,7 +40,6 @@ let commit t =
     Sim.Engine.wait_in (engine t) d
   end
 
-let now_ps t = Int64.of_int (vnow t)
 let now_ps_i = vnow
 
 let exec t n =

@@ -48,31 +48,23 @@ val commit : t -> unit
     Must be called before suspending, acquiring shared resources, or
     acting on shared mutable state. *)
 
-val now_ps : t -> int64
-(** The context's virtual clock: engine time plus pending booked delay
-    (what arrival stamps should use under per-batch charging). *)
-
 val now_ps_i : t -> int
-(** {!now_ps} as a native int — the allocation-free form the per-packet
-    arrival stamp uses. *)
+(** The context's virtual clock in picoseconds: engine time plus pending
+    booked delay (what arrival stamps use under per-batch charging). *)
 
 val exec : t -> int -> unit
 (** Run register instructions on this context's processor. *)
 
-val exec_wait : t -> instr:int -> wait:int -> unit
-(** [exec_wait t ~instr ~wait] fuses [exec t instr] with a subsequent
-    [wait_cycles t wait] into a single event: the processor is occupied
-    for the instruction time only, the caller blocks for both.
-    Timing-identical to the two-call form under any contention. *)
-
 val exec_wait_serial : t -> instr:int -> wait:int -> unit
-(** {!exec_wait} for the token-held serial sections.  Under per-batch
+(** [exec_wait_serial t ~instr ~wait] runs [instr] instructions, then
+    blocks for [wait] cycles more with the processor free, for the
+    token-held serial sections.  Under per-batch
     charging the charge is accumulated as pure duration (instructions
     and busy time still accounted) without queueing on the core's busy
     horizon: sibling contexts book whole bursts there, and inheriting a
     burst-sized queue delay while holding the token would serialize the
-    whole ring behind it.  Identical to {!exec_wait} when per-batch
-    charging is off. *)
+    whole ring behind it.  With per-batch charging off it is one event,
+    timing-identical to [exec] followed by [wait_cycles]. *)
 
 val wait_cycles : t -> int -> unit
 (** Stall without occupying the processor's issue pipeline (e.g. a CSR

@@ -37,8 +37,6 @@ let create cm ~routes =
     s_hit = ref false;
   }
 
-let routes t = t.routes
-
 let is_ip_entry e = e.fwdr.Forwarder.name = "ip"
 
 let add t e =

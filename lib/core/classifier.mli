@@ -27,8 +27,6 @@ type t
 
 val create : Cost_model.t -> routes:Iproute.Table.t -> t
 
-val routes : t -> Iproute.Table.t
-
 (** {1 Table management (driven by {!Iface})} *)
 
 val add : t -> entry -> unit
@@ -39,7 +37,7 @@ val remove : t -> int -> entry option
 (** [remove t fid] unbinds and returns the entry. *)
 
 val find_fid : t -> int -> entry option
-val general_chain : t -> entry list
+val general_chain : t -> entry list [@@test_only]
 
 (** {1 Data-plane lookups} *)
 

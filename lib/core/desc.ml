@@ -17,8 +17,8 @@ type t = {
   mutable pooled : bool; (* on the free list (double-release guard) *)
 }
 
-let make ~buf ~len ~in_port ~out_port ?(fid = -1) ~arrival () =
-  { buf; len; in_port; out_port; fid; arrival; pooled = false }
+let make ~buf ~len ~in_port ~out_port ~arrival () =
+  { buf; len; in_port; out_port; fid = -1; arrival; pooled = false }
 
 (* Domain-local free list: descriptors are produced and consumed on the
    same domain (a cluster member's whole pipeline runs on one engine),

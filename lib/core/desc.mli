@@ -30,11 +30,11 @@ val make :
   len:int ->
   in_port:int ->
   out_port:int ->
-  ?fid:int ->
   arrival:int ->
   unit ->
   t
-(** A fresh, unpooled descriptor (tests and slow paths). *)
+(** A fresh, unpooled descriptor (tests and slow paths), with no
+    forwarder ([fid = -1]). *)
 
 val take :
   buf:Ixp.Buffer_pool.handle ->

@@ -215,7 +215,7 @@ let run ?telemetry cfg =
   (* Exceptional path: an SA-bound queue plus a StrongARM fiber that
      drains it at its own pace (section 4.7's second experiment). *)
   let sa_q = Squeue.create ~name:"sa.exceptional" ~capacity:8192 () in
-  let sa_done = Sim.Stats.Counter.create "sa.serviced" in
+  let sa_done = Sim.Stats.Counter.create () in
   (match telemetry with
   | Some reg when cfg.exceptional_share > 0. ->
       let s = Telemetry.Registry.scope reg "strongarm" in

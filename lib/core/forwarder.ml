@@ -24,14 +24,5 @@ let make ~name ~code ~state_bytes ?host_cycles action =
   in
   { name; code; state_bytes; host_cycles; action }
 
-let null =
-  {
-    name = "null";
-    code = [];
-    state_bytes = 0;
-    host_cycles = 0;
-    action = (fun ~state:_ _ ~in_port:_ -> Forward_routed);
-  }
-
 let cost t = Vrp.static_cost t.code
 let istore_slots t = Vrp.istore_slots t.code

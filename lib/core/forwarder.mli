@@ -38,8 +38,5 @@ val make :
   name:string -> code:Vrp.code -> state_bytes:int -> ?host_cycles:int ->
   action -> t
 
-val null : t
-(** The null forwarder of section 3: no code, no state, routes onward. *)
-
 val cost : t -> Vrp.cost
 val istore_slots : t -> int

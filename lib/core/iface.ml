@@ -55,7 +55,7 @@ let install_istore t (f : Forwarder.t) ~per_flow =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | st :: rest -> (
-        match Ixp.Istore.install st region ~name:f.Forwarder.name ~slots with
+        match Ixp.Istore.install st region ~slots with
         | Ok h -> go ((st, h) :: acc) rest
         | Error e ->
             (* Roll back the stores already written. *)
@@ -187,4 +187,3 @@ let installed t =
   List.map (fun b -> (b.fid, b.fwdr.Forwarder.name, b.where)) t.bindings
 
 let me_load t = t.me_load
-let pe_load t = t.pe_load

@@ -65,7 +65,6 @@ val setdata : t -> int -> Bytes.t -> (unit, string) result
 val find : t -> int -> Classifier.entry option
 (** [fid] dispatch for the StrongARM/Pentium loops. *)
 
-val installed : t -> (int * string * where) list
+val installed : t -> (int * string * where) list [@@test_only]
 
-val me_load : t -> Admission.me_load
-val pe_load : t -> Admission.pe_load
+val me_load : t -> Admission.me_load [@@test_only]

@@ -16,11 +16,11 @@ type stats = {
 let make_stats () =
   let c = Sim.Stats.Counter.create in
   {
-    mps_in = c "input.mps";
-    pkts_in = c "input.pkts";
-    enq_ok = c "input.enqueued";
-    enq_drop = c "input.queue_drops";
-    drop_by_process = c "input.process_drops";
+    mps_in = c ();
+    pkts_in = c ();
+    enq_ok = c ();
+    enq_drop = c ();
+    drop_by_process = c ();
     batch_mps = Sim.Stats.Histogram.create "input.batch_mps";
   }
 

@@ -9,9 +9,9 @@ type stats = {
 let make_stats () =
   let c = Sim.Stats.Counter.create in
   {
-    mps_out = c "output.mps";
-    pkts_out = c "output.pkts";
-    stale_bufs = c "output.stale_buffers";
+    mps_out = c ();
+    pkts_out = c ();
+    stale_bufs = c ();
   }
 
 let register_stats scope stats =

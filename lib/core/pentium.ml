@@ -16,7 +16,6 @@ type t = {
   stats : stats;
   mutable busy_ps : int64;
   mutable faults : Fault.Injector.t option;
-  mutable crashes : int;
 }
 
 let create chip cm ~from_sa ~returns ~lookup_fid () =
@@ -33,16 +32,14 @@ let create chip cm ~from_sa ~returns ~lookup_fid () =
     default_client = Psched.add_client sched ~name:"best-effort" ~share:1.0;
     stats =
       {
-        processed = Sim.Stats.Counter.create "pe.processed";
-        dropped = Sim.Stats.Counter.create "pe.dropped";
+        processed = Sim.Stats.Counter.create ();
+        dropped = Sim.Stats.Counter.create ();
       };
     busy_ps = 0L;
     faults = None;
-    crashes = 0;
   }
 
 let set_faults t inj = t.faults <- Some inj
-let crashes t = t.crashes
 
 let add_flow_client t ~fid ~name ~share =
   Hashtbl.replace t.clients fid (Psched.add_client t.sched ~name ~share)
@@ -147,7 +144,6 @@ let spawn t chip =
             (* Host crash-and-restart: packets already in the I2O queues
                and scheduler backlog survive in memory; service just
                pauses for the reboot. *)
-            t.crashes <- t.crashes + 1;
             Sim.Engine.wait_in t.chip.Ixp.Chip.engine
               (Int64.to_int
                  (Sim.Engine.of_seconds

@@ -30,9 +30,6 @@ val set_faults : t -> Fault.Injector.t -> unit
     scheduler-loop iteration the host stalls for [pe_restart_us];
     queued packets survive in memory. *)
 
-val crashes : t -> int
-(** Injected crashes taken so far. *)
-
 val add_flow_client : t -> fid:int -> name:string -> share:float -> unit
 (** Register a proportional-share client for an installed Pentium
     forwarder (driven by {!Iface}). *)
@@ -66,5 +63,5 @@ val spare_cycles_per_packet : t -> float
 (** [capacity/rate - busy/packets] over the run so far; Table 4's "Pentium
     (Cycles)" column. *)
 
-val served_by_fid : t -> (int * string * int) list
+val served_by_fid : t -> (int * string * int) list [@@test_only]
 (** Per-client dispatch counts (robustness experiments). *)

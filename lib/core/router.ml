@@ -146,8 +146,7 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
   in
   let n_all = total_ports config in
   let delivered =
-    Array.init n_all (fun i ->
-        Sim.Stats.Counter.create (Printf.sprintf "port%d.delivered" i))
+    Array.init n_all (fun _ -> Sim.Stats.Counter.create ())
   in
   let latency = Sim.Stats.Histogram.create "latency_ps" in
   (* Telemetry: every level registers its instruments once; the registry
@@ -844,12 +843,6 @@ let port_delivery_digests t =
   match !(t.delivery_digests) with
   | None -> invalid_arg "Router.port_delivery_digests: digest not enabled"
   | Some d -> Array.map Digest.to_hex d
-
-let delivery_digest t =
-  match !(t.delivery_digests) with
-  | None -> invalid_arg "Router.delivery_digest: digest not enabled"
-  | Some d ->
-      Digest.to_hex (Digest.string (String.concat "|" (Array.to_list d)))
 
 let check_invariants t = Fault.Invariant.check t.invariants
 

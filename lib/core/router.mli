@@ -5,8 +5,8 @@
     binding them.
 
     Queue ids: [0 .. n_ports-1] are the output-port queues; {!qid_sa_local}
-    is the StrongARM's exceptional/local queue; {!qid_sa_pe} selects a
-    Pentium-bound flow queue.
+    is the StrongARM's exceptional/local queue; the Pentium-bound flow
+    queues follow it, picked by flow hash.
 
     The built-in protocol processing is the paper's boot configuration:
     validate, classify (full classifier), run the installed per-flow and
@@ -183,6 +183,7 @@ val enable_delivery_digest : t -> unit
 
 val digest_fold :
   Bytes.t ref -> Digest.t -> time:int -> Packet.Frame.t -> Digest.t
+  [@@test_only]
 (** [digest_fold scratch prev ~time f] is one link of a delivery-digest
     chain: [Digest.string (prev ^ string_of_int time ^ "|" ^ bytes)]
     where [bytes] are [f]'s [len] bytes, computed in [scratch] (grown when
@@ -192,10 +193,6 @@ val digest_fold :
 val port_delivery_digests : t -> string array
 (** Per-port digests (hex).  Raises [Invalid_argument] unless
     {!enable_delivery_digest} was called. *)
-
-val delivery_digest : t -> string
-(** All ports folded into a single hex digest (also snapshotted as
-    [sim.delivery_digest] in telemetry when enabled). *)
 
 val run_for : t -> us:float -> unit
 (** Advance the simulation, then audit the invariant registry (every
@@ -212,8 +209,6 @@ val frame_escapable : Packet.Frame.t -> bool
     the cluster fabric can run the same audit on member egress. *)
 
 val qid_sa_local : t -> int
-val qid_sa_pe : t -> int -> int
-(** [qid_sa_pe t h] picks a Pentium-bound queue by flow hash [h]. *)
 
 val default_process :
   t -> Chip_ctx.t -> Packet.Frame.t -> in_port:int -> Input_loop.target

@@ -49,7 +49,6 @@ let create ?(name = "queue") ~capacity () =
   }
 
 let name q = q.name
-let capacity q = q.capacity
 
 let push q d =
   if q.len >= q.capacity then begin
@@ -92,12 +91,9 @@ let pop_nonempty q =
   q.dequeued <- q.dequeued + 1;
   d
 
-let peek q = if q.len = 0 then None else Some (Array.unsafe_get q.arr q.head)
 let length q = q.len
 let is_empty q = q.len = 0
 let mutex q = q.mutex
-let enqueued q = q.enqueued
-let dequeued q = q.dequeued
 let dropped q = q.dropped
 let peak_length q = q.peak
 

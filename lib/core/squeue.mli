@@ -14,7 +14,6 @@ val create : ?name:string -> capacity:int -> unit -> t
 (** [create ~capacity ()] is an empty circular queue. *)
 
 val name : t -> string
-val capacity : t -> int
 
 val push : t -> Desc.t -> bool
 (** [push q d] appends; false (and a drop count) when full. *)
@@ -25,7 +24,6 @@ val pop_nonempty : t -> Desc.t
 (** [pop] for callers that have already checked [length t > 0] —
     allocation-free.  @raise Invalid_argument on an empty queue. *)
 
-val peek : t -> Desc.t option
 val length : t -> int
 val is_empty : t -> bool
 
@@ -40,9 +38,7 @@ val add_waiter : t -> (unit -> unit) -> unit
 val mutex : t -> Sim.Mutex.t
 (** The hardware mutex protecting this queue under I.2/I.3. *)
 
-val enqueued : t -> int
-val dequeued : t -> int
-val dropped : t -> int
+val dropped : t -> int [@@test_only]
 
 val peak_length : t -> int
 (** High-water mark, for sizing and robustness reports. *)

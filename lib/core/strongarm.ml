@@ -15,13 +15,13 @@ type stats = {
 let make_stats () =
   let c = Sim.Stats.Counter.create in
   {
-    local_done = c "sa.local";
-    bridged = c "sa.bridged";
-    returned = c "sa.returned";
-    dropped = c "sa.dropped";
-    route_misses = c "sa.route_misses";
-    icmp_sent = c "sa.icmp_sent";
-    stale_bufs = c "sa.stale_buffers";
+    local_done = c ();
+    bridged = c ();
+    returned = c ();
+    dropped = c ();
+    route_misses = c ();
+    icmp_sent = c ();
+    stale_bufs = c ();
   }
 
 type t = {
@@ -44,7 +44,6 @@ type t = {
   mutable busy_ps : int; (* native-int ps; see [busy] *)
   mutable pe_rr : int; (* round-robin cursor over the Pentium-bound queues *)
   mutable faults : Fault.Injector.t option;
-  mutable crashes : int;
 }
 
 (* Pentium-bound flow queues, served round-robin. *)
@@ -61,25 +60,23 @@ let create chip cm ?(wakeup = Polling) ?(pe_buffers = 128) ?(full_copy = false)
       Array.init pe_flow_queues (fun i ->
           Squeue.create ~name:(Printf.sprintf "sa.pe%d" i) ~capacity:4096 ());
     to_pe =
-      Ixp.I2o.create chip.Ixp.Chip.pci ~name:"i2o.up" ~buffers:pe_buffers ();
-    returns = Sim.Mailbox.create ~name:"pe.returns" ();
+      Ixp.I2o.create chip.Ixp.Chip.pci ~buffers:pe_buffers ();
+    returns = Sim.Mailbox.create ();
     lookup_fid;
     routes;
     out_enqueue;
     read_buffer = (fun d -> Ixp.Buffer_pool.read chip.Ixp.Chip.buffers d.Desc.buf);
     full_copy;
     icmp_addr;
-    work_signal = Sim.Semaphore.create ~name:"sa.signal" 0;
+    work_signal = Sim.Semaphore.create 0;
     stats = make_stats ();
     spare_probe = 0;
     busy_ps = 0;
     pe_rr = 0;
     faults = None;
-    crashes = 0;
   }
 
 let set_faults t inj = t.faults <- Some inj
-let crashes t = t.crashes
 
 let register_telemetry scope t =
   let r = Telemetry.Scope.register_counter scope in
@@ -265,7 +262,6 @@ let spawn t chip =
             (* Crash-and-restart: the CPU goes dark for the reboot time.
                Queues live in SRAM and survive; in-flight state does not
                accumulate because the loop head is a quiescent point. *)
-            t.crashes <- t.crashes + 1;
             Sim.Engine.wait_in engine
               (Int64.to_int
                  (Sim.Engine.of_seconds

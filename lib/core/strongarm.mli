@@ -31,8 +31,6 @@ type stats = {
           slow-path service (section 3.2.3's loss mode) *)
 }
 
-val make_stats : unit -> stats
-
 type t = {
   cm : Cost_model.t;
   ctx : Chip_ctx.t;  (** CPU view: own core, shared memory channels *)
@@ -61,7 +59,6 @@ type t = {
                                 backpressure waits) *)
   mutable pe_rr : int;  (** round-robin cursor over [pe_qs] *)
   mutable faults : Fault.Injector.t option;
-  mutable crashes : int;  (** injected crash-and-restart events taken *)
 }
 
 val create :
@@ -85,16 +82,9 @@ val set_faults : t -> Fault.Injector.t -> unit
     service-loop iteration the CPU stalls for [sa_restart_us].  Queues
     are in SRAM and survive the reboot. *)
 
-val crashes : t -> int
-(** Injected crashes taken so far. *)
-
 val notify : t -> unit
 (** A MicroEngine context signalling that a packet was queued (one-cycle
     inter-thread signal; drives interrupt mode, a no-op under polling). *)
-
-val pci_bytes : t -> len:int -> int
-(** Bytes a [len]-byte packet puts on the PCI bus under the configured copy
-    policy (includes the 8-byte internal routing header). *)
 
 val busy_cycles : t -> float
 (** StrongARM cycles spent on packet work; its complement against the

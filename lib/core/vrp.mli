@@ -38,7 +38,7 @@ val zero_cost : cost
 val add_cost : cost -> cost -> cost
 val static_cost : code -> cost
 
-val sram_transfers : Ixp.Config.t -> cost -> int
+val sram_transfers : Ixp.Config.t -> cost -> int [@@test_only]
 (** Number of 4-byte SRAM operations the cost implies. *)
 
 val cycles_estimate : Ixp.Config.t -> cost -> int

@@ -1,6 +1,5 @@
 type cls = {
   rate_pps : float;
-  burst : float;
   mutable tokens : float;
   mutable last : int64;
   mutable low : int;
@@ -8,7 +7,10 @@ type cls = {
 
 type t = { classes : cls array }
 
-let create ~link_pps ~shares ?(burst = 16.) () =
+(* Token-bucket depth in packets. *)
+let burst = 16.
+
+let create ~link_pps ~shares () =
   if Array.length shares = 0 then invalid_arg "Wfq.create: no classes";
   if Array.exists (fun s -> s <= 0.) shares then
     invalid_arg "Wfq.create: non-positive share";
@@ -19,7 +21,6 @@ let create ~link_pps ~shares ?(burst = 16.) () =
         (fun s ->
           {
             rate_pps = link_pps *. s /. total;
-            burst;
             tokens = burst;
             last = 0L;
             low = 0;
@@ -27,13 +28,11 @@ let create ~link_pps ~shares ?(burst = 16.) () =
         shares;
   }
 
-let classes t = Array.length t.classes
-
 let pick t ~class_id ~now =
   let c = t.classes.(class_id) in
   let dt = Sim.Engine.seconds (Int64.sub now c.last) in
   c.last <- now;
-  c.tokens <- Float.min c.burst (c.tokens +. (dt *. c.rate_pps));
+  c.tokens <- Float.min burst (c.tokens +. (dt *. c.rate_pps));
   if c.tokens >= 1. then begin
     c.tokens <- c.tokens -. 1.;
     `High

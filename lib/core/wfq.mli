@@ -19,14 +19,10 @@
 
 type t
 
-val create :
-  link_pps:float -> shares:float array -> ?burst:float -> unit -> t
+val create : link_pps:float -> shares:float array -> unit -> t
 (** [create ~link_pps ~shares ()] serves [Array.length shares] classes on
     a link that drains [link_pps] packets per second.  Shares are
-    normalized internally.  [burst] is the token-bucket depth in packets
-    (default 16). *)
-
-val classes : t -> int
+    normalized internally.  Each class's token bucket holds 16 packets. *)
 
 val pick : t -> class_id:int -> now:int64 -> [ `High | `Low ]
 (** [pick t ~class_id ~now] charges one packet against the class's bucket
@@ -36,4 +32,4 @@ val vrp_code : Vrp.code
 (** The declared per-packet cost of running the selector in the VRP:
     what admission control charges for it. *)
 
-val demoted : t -> class_id:int -> int
+val demoted : t -> class_id:int -> int [@@test_only]

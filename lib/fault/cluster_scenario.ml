@@ -155,29 +155,6 @@ let to_spec t =
   | [] -> "none"
   | es -> String.concat ";" (List.map event_to_spec es)
 
-let pp ppf t = Format.pp_print_string ppf (to_spec t)
-
-let to_json t =
-  let open Telemetry.Json in
-  Obj
-    [
-      ("seed", Int (Int64.to_int t.seed));
-      ("spec", String (to_spec t));
-      ( "events",
-        List
-          (List.map
-             (fun e ->
-               Obj
-                 [
-                   ("kind", String (kind_name e.kind));
-                   ("member", Int e.member);
-                   ("start_us", Float e.start_us);
-                   ("dur_us", Float e.dur_us);
-                   ("param", Float e.param);
-                 ])
-             t.events) );
-    ]
-
 (* The canonical scenario matrix: one spec per damage kind plus a
    combined run, shared by the cluster fault-matrix bench, the
    parallel-vs-sequential identity sweep, and the test suite so they

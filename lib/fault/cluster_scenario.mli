@@ -54,8 +54,6 @@ val parse : string -> (t, string) result
 val to_spec : t -> string
 (** Inverse of [parse] (modulo whitespace); [zero] prints as ["none"]. *)
 
-val kind_name : kind -> string
-
 (** {1 Schedule queries}
 
     All pure: what damage is in force for [member]'s fabric link at
@@ -76,9 +74,6 @@ val crashed : t -> member:int -> at_us:float -> bool
 
 val member_active : t -> member:int -> at_us:float -> bool
 (** Any event (damage or crash) in force against [member] at [at_us]. *)
-
-val pp : Format.formatter -> t -> unit
-val to_json : t -> Telemetry.Json.t
 
 val matrix : (string * string) list
 (** The canonical [(spec, description)] scenario matrix (one entry per

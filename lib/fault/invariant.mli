@@ -25,7 +25,7 @@ val register : t -> string -> (unit -> string option) -> unit
 val check : t -> int
 (** Evaluate every invariant once; the number of {e new} violations. *)
 
-val checks : t -> int
+val checks : t -> int [@@test_only]
 (** Barriers run so far. *)
 
 val violations : t -> violation list

@@ -146,8 +146,6 @@ let to_spec t =
   in
   match fields with [] -> "none" | fs -> String.concat "," fs
 
-let pp ppf t = Format.pp_print_string ppf (to_spec t)
-
 let to_json t =
   let open Telemetry.Json in
   Obj

@@ -54,7 +54,5 @@ val to_spec : t -> string
     (to_spec s) = Ok s] for every parsed [s] (a spec carries no seed, so
     a parsed scenario has seed 0).  ["none"] for {!zero}.  This is what a failing run prints in its repro command. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_json : t -> Telemetry.Json.t
 (** Full record as JSON (seed included), for bench attachments. *)

@@ -8,6 +8,6 @@
 
 val forwarder : Router.Forwarder.t
 
-val last_ack : Bytes.t -> int32
-val dup_acks : Bytes.t -> int
-val total_acks : Bytes.t -> int
+val last_ack : Bytes.t -> int32 [@@test_only]
+val dup_acks : Bytes.t -> int [@@test_only]
+val total_acks : Bytes.t -> int [@@test_only]

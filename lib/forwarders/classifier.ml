@@ -269,10 +269,10 @@ let create ?(cache_capacity = 4096) () =
     c_count = 0;
     epoch = 1;
     cache_capacity;
-    hits = Sim.Stats.Counter.create "classifier.cache_hit";
-    misses = Sim.Stats.Counter.create "classifier.cache_miss";
-    flushes = Sim.Stats.Counter.create "classifier.cache_flush";
-    probe_count = Sim.Stats.Counter.create "classifier.probes";
+    hits = Sim.Stats.Counter.create ();
+    misses = Sim.Stats.Counter.create ();
+    flushes = Sim.Stats.Counter.create ();
+    probe_count = Sim.Stats.Counter.create ();
   }
 
 let compare_tuple a b =

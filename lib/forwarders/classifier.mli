@@ -75,7 +75,7 @@ val rule :
   ?proto:int ->
   ?dscp:int ->
   action ->
-  rule
+  rule [@@test_only]
 (** Constructor with every field defaulting to wildcard and [prio] to
     100.  Prefix addresses are canonicalized (host bits cleared). *)
 
@@ -128,7 +128,7 @@ val probes : t -> int
     pruning effectiveness measure ([probes / cache_misses] = average
     tuples touched per miss). *)
 
-val batch_memo_hits : t -> int
+val batch_memo_hits : t -> int [@@benchmark_only]
 (** Always 0: every lookup probes the flow cache, so every repeat of a
     flow counts in {!cache_hits}.  Stays only because the end-to-end
     benchmark harness reads it, and goes with that read in the next
@@ -140,7 +140,8 @@ val attach : t -> Telemetry.Scope.t -> unit
     scope. *)
 
 val forwarder :
-  ?max_probes:int -> cm:Router.Cost_model.t -> t -> Router.Forwarder.t
+  ?max_probes:(int[@test_only]) -> cm:Router.Cost_model.t -> t ->
+  Router.Forwarder.t
 (** A general (match-all) forwarder running {!lookup} on every
     packet.
     Declared VRP cost: the flow-cache probe ([mf_cache_instr] + one

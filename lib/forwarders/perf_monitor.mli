@@ -11,5 +11,5 @@ val forwarder : Router.Forwarder.t
 
 type snapshot = { packets : int; tcp : int; udp : int; bytes : int }
 
-val read : Bytes.t -> snapshot
+val read : Bytes.t -> snapshot [@@test_only]
 (** Decode a [getdata] buffer. *)

@@ -30,5 +30,3 @@ let set_range state ~slot ~lo ~hi =
     invalid_arg "Port_filter.set_range: range";
   Fstate.set_u16 state (4 * slot) lo;
   Fstate.set_u16 state ((4 * slot) + 2) hi
-
-let clear state = Bytes.fill state 0 (Bytes.length state) '\000'

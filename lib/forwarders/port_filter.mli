@@ -12,5 +12,3 @@ val forwarder : Router.Forwarder.t
 
 val set_range : Bytes.t -> slot:int -> lo:int -> hi:int -> unit
 (** Fill range [slot] (0..4) in a state buffer destined for [setdata]. *)
-
-val clear : Bytes.t -> unit

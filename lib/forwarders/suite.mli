@@ -4,10 +4,6 @@
 val table5 : (string * Router.Forwarder.t) list
 (** Every example data forwarder, in the paper's Table 5 order. *)
 
-val general_suite : Router.Forwarder.t list
-(** The general ([All]-key) forwarders that can run together on the
-    MicroEngines: SYN monitor, performance monitor, port filter. *)
-
 val full_budget_suite :
   budget:Router.Vrp.budget -> unit -> Router.Forwarder.t list
 (** A synthetic general-forwarder suite sized to "utilize the full VRP

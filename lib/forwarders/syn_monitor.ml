@@ -11,4 +11,3 @@ let forwarder =
     ~state_bytes:4 action
 
 let syn_count state = Fstate.get_u32 state 0
-let reset state = Fstate.set_u32 state 0 0

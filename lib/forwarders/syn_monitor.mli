@@ -12,6 +12,3 @@ val forwarder : Router.Forwarder.t
 
 val syn_count : Bytes.t -> int
 (** Read the counter from a [getdata] snapshot. *)
-
-val reset : Bytes.t -> unit
-(** Zero a buffer for [setdata] (the control side's periodic reset). *)

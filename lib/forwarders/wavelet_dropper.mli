@@ -12,9 +12,6 @@
 
 val forwarder : Router.Forwarder.t
 
-val layer_of_frame : Packet.Frame.t -> int
-(** The encoding's layer tag (first payload byte; 0 when absent). *)
-
 val set_cutoff : Bytes.t -> int -> unit
 val cutoff : Bytes.t -> int
 val forwarded : Bytes.t -> int

@@ -31,8 +31,6 @@ type t = {
   listeners : (int, conn list ref) Hashtbl.t;
 }
 
-let addr t = t.addr
-
 let seg conn ?(flags = Packet.Tcp.flag_ack) ?(payload = "") () =
   let frame_len = max 64 (54 + String.length payload) in
   Packet.Build.tcp ~frame_len ~src:conn.local_addr ~dst:conn.peer_addr
@@ -147,7 +145,6 @@ let send c data =
 
 let received c = Buffer.contents c.recv_buf
 let all_acked c = c.snd_una = iss + 1 + Buffer.length c.send_buf
-let local_port c = c.local_port
 let peer c = (c.peer_addr, c.peer_port)
 let retransmissions c = c.retx
 

@@ -21,44 +21,39 @@ val create :
   addr:Packet.Ipv4.addr ->
   send:(Packet.Frame.t -> bool) ->
   unit ->
-  t
+  t [@@test_only]
 (** [create engine ~addr ~send ()] attaches a host whose outbound frames
     go through [send] (typically [Router.inject r ~port:p]).  Wire the
     reverse direction with {!deliver} from the port's sink. *)
 
-val deliver : t -> Packet.Frame.t -> unit
+val deliver : t -> Packet.Frame.t -> unit [@@test_only]
 (** Hand the host a frame the network delivered (ignores frames not
     addressed to it). *)
 
-val addr : t -> Packet.Ipv4.addr
-
-val listen : t -> port:int -> unit
+val listen : t -> port:int -> unit [@@test_only]
 (** Accept connections to [port]. *)
 
 val connect : t -> dst:Packet.Ipv4.addr -> dst_port:int -> src_port:int -> conn
+  [@@test_only]
 (** Start an active open (SYN goes out on the next tick).  The returned
     endpoint becomes {!established} when the handshake completes. *)
 
-val accepted : t -> port:int -> conn list
+val accepted : t -> port:int -> conn list [@@test_only]
 (** Connections accepted on a listening port so far. *)
 
-val established : conn -> bool
+val established : conn -> bool [@@test_only]
 
-val send : conn -> string -> unit
+val send : conn -> string -> unit [@@test_only]
 (** Queue bytes for transmission (segmented to the MSS, retransmitted
     until acknowledged). *)
 
-val received : conn -> string
+val received : conn -> string [@@test_only]
 (** The in-order byte stream received so far. *)
 
-val all_acked : conn -> bool
+val all_acked : conn -> bool [@@test_only]
 (** Every byte queued by {!send} has been cumulatively acknowledged. *)
 
-val local_port : conn -> int
-val peer : conn -> Packet.Ipv4.addr * int
+val peer : conn -> Packet.Ipv4.addr * int [@@test_only]
 
-val retransmissions : conn -> int
+val retransmissions : conn -> int [@@test_only]
 (** Segments re-sent by the timer (loss-recovery witness). *)
-
-val mss : int
-(** Maximum segment payload (512 bytes). *)

@@ -2,8 +2,6 @@ type 'a t = Leaf | Node of { value : 'a option; zero : 'a t; one : 'a t }
 
 let empty = Leaf
 
-let is_empty = function Leaf -> true | Node _ -> false
-
 let node value zero one =
   match (value, zero, one) with
   | None, Leaf, Leaf -> Leaf

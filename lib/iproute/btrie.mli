@@ -7,7 +7,6 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 
 val add : 'a t -> Prefix.t -> 'a -> 'a t
 (** [add t p v] binds [p] to [v], replacing any previous binding. *)
@@ -15,17 +14,17 @@ val add : 'a t -> Prefix.t -> 'a -> 'a t
 val remove : 'a t -> Prefix.t -> 'a t
 (** [remove t p] drops the exact prefix [p] (no-op if absent). *)
 
-val find : 'a t -> Prefix.t -> 'a option
+val find : 'a t -> Prefix.t -> 'a option [@@test_only]
 (** Exact-prefix lookup. *)
 
 val lookup : 'a t -> Packet.Ipv4.addr -> (Prefix.t * 'a) option
 (** [lookup t a] is the longest prefix in [t] matching [a]. *)
 
-val bindings : 'a t -> (Prefix.t * 'a) list
+val bindings : 'a t -> (Prefix.t * 'a) list [@@test_only]
 (** All bindings, longest-prefix-last order unspecified. *)
 
-val size : 'a t -> int
+val size : 'a t -> int [@@test_only]
 (** Number of stored prefixes. *)
 
-val node_count : 'a t -> int
+val node_count : 'a t -> int [@@test_only]
 (** Number of trie nodes (memory-cost comparison against {!Poptrie}). *)

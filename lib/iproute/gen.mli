@@ -6,9 +6,6 @@
     optimizes for.  This generator reproduces that shape deterministically
     from a seed, for lookup benchmarks and stride-selection tests. *)
 
-val length_distribution : (int * float) list
-(** [(prefix_length, weight)] pairs approximating a backbone table. *)
-
 val table : rng:Sim.Rng.t -> n:int -> n_ports:int -> (Prefix.t * int) list
 (** [table ~rng ~n ~n_ports] is [n] distinct prefixes with next-hop port
     values in [0, n_ports), Internet-like length mix, plus a default
@@ -23,7 +20,7 @@ val bgp_table :
 (** [bgp_table ~rng ~n ~n_ports] is a BGP-table-shaped route set sized
     for millions of entries: ~[n]/512 short provider aggregates
     (/8–/12) with the bulk of the table punched into them as nested
-    more-specifics following {!length_distribution}, plus flat
+    more-specifics following {!table}'s backbone length mix, plus flat
     announcements and a default route at index 0.  Distinct prefixes,
     deterministic from [rng], O(n). *)
 

@@ -29,7 +29,7 @@ type 'a t
 val create : unit -> 'a t
 (** An empty table. *)
 
-val is_empty : 'a t -> bool
+val is_empty : 'a t -> bool [@@test_only]
 
 val add : 'a t -> Prefix.t -> 'a -> unit
 (** [add t p v] binds [p] to [v], replacing any previous binding.
@@ -39,7 +39,7 @@ val remove : 'a t -> Prefix.t -> unit
 (** Drop the exact prefix [p] (no-op if absent); nodes on the path
     left with no prefix, leaf or child are pruned. *)
 
-val find : 'a t -> Prefix.t -> 'a option
+val find : 'a t -> Prefix.t -> 'a option [@@test_only]
 (** Exact-prefix lookup. *)
 
 val lookup : 'a t -> Packet.Ipv4.addr -> (Prefix.t * 'a) option
@@ -66,5 +66,5 @@ val memory_words : 'a t -> int
     direct-pointing jump table, which exists only while some node sits
     at depth 18, i.e. while the table holds a prefix of /19 or longer. *)
 
-val depth : 'a t -> Packet.Ipv4.addr -> int
+val depth : 'a t -> Packet.Ipv4.addr -> int [@@test_only]
 (** Nodes inspected by [lookup] for this address (at most 6). *)

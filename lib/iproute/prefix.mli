@@ -23,19 +23,19 @@ val bits : t -> int
 
 val length : t -> int
 
-val matches : t -> Packet.Ipv4.addr -> bool
+val matches : t -> Packet.Ipv4.addr -> bool [@@test_only]
 (** [matches p a] is true iff [a] falls inside [p]. *)
 
 val default : t
 (** The 0.0.0.0/0 prefix. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
+val equal : t -> t -> bool [@@test_only]
+val compare : t -> t -> int [@@test_only]
 (** Shorter prefixes first; equal lengths by unsigned address. *)
 
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> t -> unit [@@test_only]
 
-val expand : t -> int -> t list
+val expand : t -> int -> t list [@@test_only]
 (** [expand p len] rewrites [p] as the list of [2^(len - length p)]
     prefixes of exactly [len] bits that cover it — the primitive of
     controlled prefix expansion.  Requires [len >= length p]. *)

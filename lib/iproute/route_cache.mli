@@ -7,7 +7,7 @@
 
 type 'a t
 
-val create : ?hash:(int -> int) -> slots:int -> unit -> 'a t
+val create : ?hash:((int -> int)[@test_only]) -> slots:int -> unit -> 'a t
 (** [create ~slots ()] is an empty cache of [slots] lines ([slots > 0]).
     Keys are the 32 address bits as a native int ([0 .. 2^32-1]).
     [hash] defaults to a multiplicative hash standing in for the IXP1200
@@ -30,6 +30,7 @@ val invalidate : 'a t -> unit
     costs O(slots); an empty one costs nothing. *)
 
 val invalidate_matching : 'a t -> (Packet.Ipv4.addr -> bool) -> unit
+  [@@test_only]
 (** Drop only the lines whose key satisfies the predicate — selective
     invalidation for a single-prefix table change.  Scans every line,
     O(slots) predicate calls, unless the cache is empty, when it returns
@@ -51,8 +52,8 @@ val scan_cost : 'a t -> int
     churn stays O(1) per change and that installing a table into a cold
     cache costs 0. *)
 
-val hits : 'a t -> int
-val misses : 'a t -> int
+val hits : 'a t -> int [@@test_only]
+val misses : 'a t -> int [@@test_only]
 
 val hit_rate : 'a t -> float
 (** Hits over total probes (0 if no probes yet). *)

@@ -54,7 +54,7 @@ val lookup_cached : t -> int -> hit:bool ref -> nexthop
 val size : t -> int
 (** Number of routes (O(1)). *)
 
-val bindings : t -> (Prefix.t * nexthop) list
+val bindings : t -> (Prefix.t * nexthop) list [@@test_only]
 (** Every installed route, order unspecified — the differential tests
     rebuild a reference {!Btrie} from this set mid-churn. *)
 

@@ -29,8 +29,8 @@ val handle_of : index:int -> generation:int -> handle
 (** [handle_of ~index ~generation] packs a handle (tests build synthetic
     handles with this; the pool itself is the only producer otherwise). *)
 
-val handle_index : handle -> int
-val handle_generation : handle -> int
+val handle_index : handle -> int [@@test_only]
+val handle_generation : handle -> int [@@test_only]
 
 val create_circular : count:int -> unit -> t
 (** The paper's allocator. *)
@@ -69,7 +69,7 @@ val free : t -> handle -> unit
     mode also returns the buffer to the free list; circular mode leaves
     the cursor alone.  A stale or repeated [free] does nothing. *)
 
-val overwrites : t -> int
+val overwrites : t -> int [@@test_only]
 (** Circular mode: {!alloc}s that reused a buffer written before,
     whether or not its packet was freed first (generation laps).  A
     packet overwritten while still un-transmitted shows up as a stale
@@ -78,10 +78,10 @@ val overwrites : t -> int
 val stale_reads : t -> int
 (** Packets lost to buffer reuse. *)
 
-val in_use : t -> int
+val in_use : t -> int [@@test_only]
 (** Stack mode: buffers currently allocated. *)
 
-val count : t -> int
+val count : t -> int [@@test_only]
 (** Total buffers in the pool. *)
 
 val set_release : t -> (Packet.Frame.t -> unit) -> unit

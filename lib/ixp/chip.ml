@@ -28,12 +28,12 @@ let create ?(cfg = Config.default) ?(ports = eval_board_ports)
     engine;
     me_clock;
     pentium_clock = Config.pentium_clock cfg;
-    dram = Mem.create engine me_clock ~name:"dram" cfg.dram;
-    sram = Mem.create engine me_clock ~name:"sram" cfg.sram;
-    scratch = Mem.create engine me_clock ~name:"scratch" cfg.scratch;
+    dram = Mem.create engine me_clock cfg.dram;
+    sram = Mem.create engine me_clock cfg.sram;
+    scratch = Mem.create engine me_clock cfg.scratch;
     mes =
-      Array.init cfg.n_microengines (fun id ->
-          Microengine.create engine me_clock ~id);
+      Array.init cfg.n_microengines (fun _ ->
+          Microengine.create engine me_clock);
     istores = Array.init cfg.n_microengines (fun _ -> Istore.create cfg);
     hash = Hash_unit.create engine me_clock ~cycles:cfg.hash_cycles;
     ports =
@@ -58,5 +58,3 @@ let set_faults t inj =
   Buffer_pool.set_faults t.buffers inj
 
 let context_me t ctx = t.mes.(ctx / t.cfg.contexts_per_me)
-
-let elapsed t = Sim.Engine.time t.engine

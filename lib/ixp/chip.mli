@@ -26,9 +26,6 @@ type t = {
 type port_spec = { mbps : float; sink : (Packet.Frame.t -> unit) option }
 (** How to instantiate one MAC port. *)
 
-val eval_board_ports : port_spec list
-(** The evaluation board's 8 x 100 Mbps + 2 x 1 Gbps ports, no sinks. *)
-
 val create :
   ?cfg:Config.t ->
   ?ports:port_spec list ->
@@ -46,6 +43,3 @@ val set_faults : t -> Fault.Injector.t -> unit
 val context_me : t -> int -> Microengine.t
 (** [context_me chip ctx] is the MicroEngine hosting global context number
     [ctx] (contexts are numbered ME-major: context 0..3 on ME 0, ...). *)
-
-val elapsed : t -> int64
-(** Engine time, for rate computations. *)

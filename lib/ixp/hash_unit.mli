@@ -29,8 +29,4 @@ val charge_booked : t -> int
 (** [charge_booked u] is the booked form of {!charge}: counts the use
     and returns the charge in picoseconds. *)
 
-val hash_free : t -> int64 -> int
-(** The same mixing function without the cycle charge (for code that
-    accounts costs in aggregate, e.g. the VRP interpreter). *)
-
-val uses : t -> int
+val uses : t -> int [@@test_only]

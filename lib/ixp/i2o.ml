@@ -1,18 +1,16 @@
 type 'a t = {
   pci : Pci.t;
-  name : string;
   free : unit Sim.Mailbox.t;
   full : 'a Sim.Mailbox.t;
-  mutable sent : int;
 }
 
-let create pci ~name ~buffers () =
+let create pci ~buffers () =
   if buffers <= 0 then invalid_arg "I2o.create: buffers";
-  let free = Sim.Mailbox.create ~name:(name ^ ".free") () in
+  let free = Sim.Mailbox.create () in
   for _ = 1 to buffers do
     Sim.Mailbox.put free ()
   done;
-  { pci; name; free = (free : unit Sim.Mailbox.t); full = Sim.Mailbox.create ~name:(name ^ ".full") (); sent = 0 }
+  { pci; free = (free : unit Sim.Mailbox.t); full = Sim.Mailbox.create () }
 
 (* Pull a free-buffer pointer: blocks when the pool is exhausted (consumer
    backpressure). *)
@@ -22,12 +20,7 @@ let send_acquired q ~producer_clock ~bytes v =
   Pci.pio_read q.pci ~clock:producer_clock;
   (* Hand the payload to the DMA engine; the full-queue pointer push rides
      behind the data, concurrently with the producer. *)
-  Pci.dma_async q.pci ~bytes ~on_done:(fun () -> Sim.Mailbox.put q.full v);
-  q.sent <- q.sent + 1
-
-let send q ~producer_clock ~bytes v =
-  acquire_free q;
-  send_acquired q ~producer_clock ~bytes v
+  Pci.dma_async q.pci ~bytes ~on_done:(fun () -> Sim.Mailbox.put q.full v)
 
 let recv q ~consumer_clock =
   let v = Sim.Mailbox.get q.full in
@@ -45,6 +38,3 @@ let try_recv q ~consumer_clock =
       Sim.Mailbox.put q.free ();
       Pci.pio_write q.pci ~clock:consumer_clock;
       Some v
-
-let backlog q = Sim.Mailbox.length q.full
-let sent q = q.sent

@@ -14,24 +14,23 @@
 
 type 'a t
 
-val create : Pci.t -> name:string -> buffers:int -> unit -> 'a t
+val create : Pci.t -> buffers:int -> unit -> 'a t
 (** [create pci ~buffers ()] is a logical queue backed by [buffers]
     Pentium-memory buffers, all initially free. *)
 
-val send :
-  'a t -> producer_clock:Sim.Engine.Clock.clock -> bytes:int -> 'a -> unit
-(** [send q ~producer_clock ~bytes v] (inside the producer fiber) pulls a
-    free pointer (blocking if the consumer is behind), pays the producer's
-    PIO + DMA setup, and returns; the payload lands on the full queue
-    asynchronously once [bytes] have crossed the bus. *)
+(** A producer fiber sends in two halves: {!acquire_free} pulls a free
+    pointer, then {!send_acquired} pays the producer's PIO + DMA setup and
+    returns; the payload lands on the full queue asynchronously once its
+    bytes have crossed the bus. *)
 
 val acquire_free : 'a t -> unit
-(** Blocking half of {!send}: wait for a free buffer without charging
-    anything (backpressure idle time, not busy time). *)
+(** Wait for a free buffer (blocking while the consumer is behind) without
+    charging anything: backpressure idle time, not busy time. *)
 
 val send_acquired :
   'a t -> producer_clock:Sim.Engine.Clock.clock -> bytes:int -> 'a -> unit
-(** Charged half of {!send}, after {!acquire_free} returned. *)
+(** [send_acquired q ~producer_clock ~bytes v], after {!acquire_free}
+    returned: the charged half of a send. *)
 
 val recv : 'a t -> consumer_clock:Sim.Engine.Clock.clock -> 'a
 (** [recv q ~consumer_clock] (inside the consumer fiber) blocks for the
@@ -41,8 +40,3 @@ val recv : 'a t -> consumer_clock:Sim.Engine.Clock.clock -> 'a
 val try_recv : 'a t -> consumer_clock:Sim.Engine.Clock.clock -> 'a option
 (** Non-blocking {!recv}: pays the PIO probe even when empty (that is what
     polling costs). *)
-
-val backlog : 'a t -> int
-(** Full buffers waiting for the consumer. *)
-
-val sent : 'a t -> int

@@ -1,6 +1,6 @@
 type region = Per_flow | General
 
-type block = { handle : int; name : string; slots : int; region : region }
+type block = { handle : int; slots : int; region : region }
 
 type t = {
   capacity : int;
@@ -23,7 +23,7 @@ let used t = List.fold_left (fun acc b -> acc + b.slots) 0 t.blocks
 
 let free_slots t = t.capacity - used t
 
-let install t region ~name ~slots =
+let install t region ~slots =
   if slots <= 0 then Error "istore: non-positive size"
   else if slots > free_slots t then
     Error
@@ -32,13 +32,11 @@ let install t region ~name ~slots =
   else begin
     let handle = t.next_handle in
     t.next_handle <- handle + 1;
-    t.blocks <- { handle; name; slots; region } :: t.blocks;
+    t.blocks <- { handle; slots; region } :: t.blocks;
     Ok handle
   end
 
 let remove t handle =
   t.blocks <- List.filter (fun b -> b.handle <> handle) t.blocks
-
-let installed t = List.map (fun b -> (b.handle, b.name, b.slots)) t.blocks
 
 let write_cost_cycles t ~slots = slots * t.write_cycles_per_instr

@@ -20,21 +20,16 @@ val create : Config.t -> t
 val capacity_vrp : t -> int
 (** Instruction slots available to extensions (650 by default). *)
 
-val used : t -> int
+val used : t -> int [@@test_only]
 (** Slots currently allocated to extensions. *)
 
-val free_slots : t -> int
-
-val install : t -> region -> name:string -> slots:int -> (int, string) result
-(** [install st region ~name ~slots] reserves [slots] instructions and
+val install : t -> region -> slots:int -> (int, string) result
+(** [install st region ~slots] reserves [slots] instructions and
     returns the offset handle, or [Error] if the store is full.  General
     forwarders stack from the end; per-flow forwarders from the start. *)
 
 val remove : t -> int -> unit
 (** [remove st handle] frees an installed block (no-op if unknown). *)
 
-val installed : t -> (int * string * int) list
-(** [(handle, name, slots)] of every extension, for diagnostics. *)
-
-val write_cost_cycles : t -> slots:int -> int
+val write_cost_cycles : t -> slots:int -> int [@@test_only]
 (** MicroEngine-disabled cycles needed to write [slots] instructions. *)

@@ -268,4 +268,3 @@ let tx_link_down t = t.tx_link_down
 let rx_dropped t = t.rx_dropped
 let rx_lost t = t.rx_lost
 let tx_frames t = t.tx_frames
-let occupancy t = t.r_len

@@ -83,7 +83,7 @@ val take_burst : t -> meta:int array -> frames:Packet.Frame.t array -> max:int -
 val tag_of_meta : int -> Packet.Mp.tag
 (** Decode a {!take_burst} meta word's MP tag. *)
 
-val index_of_meta : int -> int
+val index_of_meta : int -> int [@@test_only]
 (** Decode a {!take_burst} meta word's MP index within its frame. *)
 
 val park_rx : t -> (unit -> unit) -> unit
@@ -92,7 +92,7 @@ val park_rx : t -> (unit -> unit) -> unit
     waiter is woken per accepted frame.  Used with [Engine.suspend] so
     an idle input context sleeps instead of polling. *)
 
-val frame_time_ps : t -> bytes:int -> int64
+val frame_time_ps : t -> bytes:int -> int64 [@@test_only]
 (** Wire time of a [bytes]-byte frame including preamble and inter-frame
     gap (IEEE 802.3: 8 + 12 overhead bytes) — what a line-rate source
     waits between frames. *)
@@ -124,7 +124,7 @@ val rx_frames : t -> int
 val rx_dropped : t -> int
 (** Frames lost to port-memory overflow. *)
 
-val rx_lost : t -> int
+val rx_lost : t -> int [@@test_only]
 (** Frames lost to injected wire faults (never entered port memory). *)
 
 val rx_link_down : t -> int
@@ -133,11 +133,8 @@ val rx_link_down : t -> int
 val tx_link_down : t -> int
 (** Frames discarded at the PHY because the link was down. *)
 
-val tx_frames : t -> int
+val tx_frames : t -> int [@@test_only]
 (** Frames fully transmitted. *)
 
 val tx_gated : t -> int
 (** Transmit slots refused because the upstream gate was closed. *)
-
-val occupancy : t -> int
-(** MPs currently waiting in receive port memory. *)

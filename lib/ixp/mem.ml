@@ -12,11 +12,11 @@ type t = {
   mutable faults : Fault.Injector.t option;
 }
 
-let create engine clock ~name timing =
+let create engine clock timing =
   {
     clock;
     timing;
-    server = Sim.Server.create ~name engine;
+    server = Sim.Server.create engine;
     occupancy_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.occupancy_cycles;
     read_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.read_cycles;
     write_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.write_cycles;
@@ -90,4 +90,3 @@ let write_booked t ~now ~bytes = transfer_booked t ~now ~bytes ~latency_ps:t.wri
 
 let server t = t.server
 let ops_completed t = t.ops
-let timing t = t.timing

@@ -18,13 +18,8 @@
 
 type t
 
-val create :
-  Sim.Engine.t ->
-  Sim.Engine.Clock.clock ->
-  name:string ->
-  Config.mem_timing ->
-  t
-(** [create engine clock ~name timing] is an idle channel serving the
+val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> Config.mem_timing -> t
+(** [create engine clock timing] is an idle channel serving the
     fibers of [engine]. *)
 
 val set_faults : t -> Fault.Injector.t -> unit
@@ -52,7 +47,7 @@ val read_booked : t -> now:int -> bytes:int -> int
 val write_booked : t -> now:int -> bytes:int -> int
 (** Like {!read_booked} for writes. *)
 
-val read_ops : t -> bytes:int -> int
+val read_ops : t -> bytes:int -> int [@@test_only]
 (** Number of operations a [bytes]-sized access issues (cost accounting). *)
 
 val server : t -> Sim.Server.t
@@ -60,5 +55,3 @@ val server : t -> Sim.Server.t
 
 val ops_completed : t -> int
 (** Total operations served. *)
-
-val timing : t -> Config.mem_timing

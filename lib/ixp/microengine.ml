@@ -1,21 +1,12 @@
 type t = {
-  id : int;
   engine : Sim.Engine.t;
   clock : Sim.Engine.Clock.clock;
   core : Sim.Server.t;
   mutable instructions : int;
 }
 
-let create engine clock ~id =
-  {
-    id;
-    engine;
-    clock;
-    core = Sim.Server.create ~name:(Printf.sprintf "me%d" id) engine;
-    instructions = 0;
-  }
-
-let id t = t.id
+let create engine clock =
+  { engine; clock; core = Sim.Server.create engine; instructions = 0 }
 
 let exec t n =
   if n > 0 then begin

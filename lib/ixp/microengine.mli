@@ -10,11 +10,9 @@
 
 type t
 
-val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> id:int -> t
-(** [create engine clock ~id] is an idle core whose contexts are fibers
+val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> t
+(** [create engine clock] is an idle core whose contexts are fibers
     of [engine]. *)
-
-val id : t -> int
 
 val exec : t -> int -> unit
 (** [exec me n] (inside a context fiber) runs [n] register instructions. *)
@@ -50,4 +48,5 @@ val busy_time : t -> int64
 
 val register_telemetry : Telemetry.Scope.t -> t -> unit
 (** Register this engine's issued-instruction and busy-time gauges under
-    a telemetry scope (typically ["me"] labeled with {!id}). *)
+    a telemetry scope (typically ["me"] labeled with the engine's
+    index). *)

@@ -13,12 +13,6 @@ type t
 
 val create : Sim.Engine.t -> Config.t -> t
 
-val bus : t -> Sim.Server.t
-(** The raw bus, for utilization queries. *)
-
-val transfer_ps : t -> bytes:int -> int64
-(** Bus occupancy of a [bytes] data burst. *)
-
 val pio_read : t -> clock:Sim.Engine.Clock.clock -> unit
 (** [pio_read t ~clock] (inside a fiber) performs one blocking register
     read across PCI; [clock] identifies the issuing processor only for
@@ -32,15 +26,10 @@ val dma_async : t -> bytes:int -> on_done:(unit -> unit) -> unit
     (in a fresh fiber) when the data has crossed the bus.  The caller does
     not block — that concurrency is the point. *)
 
-val dma_blocking : t -> bytes:int -> unit
+val dma_blocking : t -> bytes:int -> unit [@@test_only]
 (** Wait for a DMA to complete (used where the protocol cannot overlap). *)
-
-val pio_reads : t -> int
 
 val pio_read_ps : t -> int64
 (** The processor-visible stall of one {!pio_read} (busy accounting). *)
 
 val pio_write_ps : t -> int64
-
-val dma_bytes : t -> int
-(** Total payload bytes DMAed. *)

@@ -24,11 +24,11 @@ let create () =
     ftn = Iproute.Btrie.empty;
     stats =
       {
-        swapped = Sim.Stats.Counter.create "mpls.swapped";
-        pushed = Sim.Stats.Counter.create "mpls.pushed";
-        popped = Sim.Stats.Counter.create "mpls.popped";
-        label_miss = Sim.Stats.Counter.create "mpls.label_miss";
-        ttl_expired = Sim.Stats.Counter.create "mpls.ttl_expired";
+        swapped = Sim.Stats.Counter.create ();
+        pushed = Sim.Stats.Counter.create ();
+        popped = Sim.Stats.Counter.create ();
+        label_miss = Sim.Stats.Counter.create ();
+        ttl_expired = Sim.Stats.Counter.create ();
       };
   }
 

@@ -45,9 +45,6 @@ val add_ilm : t -> label:int -> nhlfe -> unit
 val add_ftn : t -> Iproute.Prefix.t -> push_label:int -> out_port:int -> unit
 (** Bind a FEC: unlabelled packets matching the prefix enter the LSP. *)
 
-val lookup_ftn : t -> Packet.Ipv4.addr -> (int * int) option
-(** [(push_label, out_port)] for the longest matching FEC. *)
-
 (** {1 Data plane} *)
 
 val process :

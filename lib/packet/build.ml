@@ -35,8 +35,8 @@ let addr_i v = Int32.to_int v land 0xFFFFFFFF
 
 let l4_capacity ~frame_len = frame_len - Ipv4.offset - Ipv4.min_header_len
 
-let udp_i ?pool ?(frame_len = min_frame) ~src ~dst ~src_port ~dst_port
-    ?(ttl = 64) ?(tos = 0) ?(payload = "") () =
+let udp_gen pool ~frame_len ~src ~dst ~src_port ~dst_port ~ttl ~tos ~payload
+    =
   let l4_len = min (8 + String.length payload) (l4_capacity ~frame_len) in
   let f =
     base_frame_i ?pool ~frame_len ~src ~dst ~ttl ~tos ~proto:Ipv4.proto_udp
@@ -53,9 +53,14 @@ let udp_i ?pool ?(frame_len = min_frame) ~src ~dst ~src_port ~dst_port
   Udp.fill_cksum f;
   f
 
-let udp ?pool ?frame_len ~src ~dst ~src_port ~dst_port ?ttl ?tos ?payload () =
-  udp_i ?pool ?frame_len ~src:(addr_i src) ~dst:(addr_i dst) ~src_port
-    ~dst_port ?ttl ?tos ?payload ()
+let udp_i ?pool ?(frame_len = min_frame) ~src ~dst ~src_port ~dst_port () =
+  udp_gen pool ~frame_len ~src ~dst ~src_port ~dst_port ~ttl:64 ~tos:0
+    ~payload:""
+
+let udp ?pool ?(frame_len = min_frame) ~src ~dst ~src_port ~dst_port
+    ?(ttl = 64) ?(tos = 0) ?(payload = "") () =
+  udp_gen pool ~frame_len ~src:(addr_i src) ~dst:(addr_i dst) ~src_port
+    ~dst_port ~ttl ~tos ~payload
 
 let tcp ?pool ?(frame_len = min_frame) ~src ~dst ~src_port ~dst_port
     ?(ttl = 64) ?(tos = 0) ?(seq = 0l) ?(ack = 0l) ?(flags = Tcp.flag_ack)

@@ -31,9 +31,6 @@ val udp_i :
   dst:int ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
-  ?tos:int ->
-  ?payload:string ->
   unit ->
   Frame.t
 (** {!udp} with native-int addresses ([0 .. 2^32-1]): the
@@ -47,7 +44,7 @@ val tcp :
   dst:Ipv4.addr ->
   src_port:int ->
   dst_port:int ->
-  ?ttl:int ->
+  ?ttl:(int[@test_only]) ->
   ?tos:int ->
   ?seq:int32 ->
   ?ack:int32 ->

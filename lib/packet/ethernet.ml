@@ -26,7 +26,6 @@ let set_mac f off m =
 
 let get_dst f = get_mac f 0
 let set_dst f m = set_mac f 0 m
-let get_src f = get_mac f 6
 let set_src f m = set_mac f 6 m
 
 let get_ethertype f = Frame.get_u16 f 12

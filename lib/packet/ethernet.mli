@@ -13,7 +13,7 @@ val header_len : int
 val mac_of_string : string -> mac
 (** [mac_of_string "aa:bb:cc:dd:ee:ff"] parses colon notation. *)
 
-val pp_mac : Format.formatter -> mac -> unit
+val pp_mac : Format.formatter -> mac -> unit [@@test_only]
 (** Prints colon notation. *)
 
 val mac_of_port : int -> mac
@@ -22,7 +22,6 @@ val mac_of_port : int -> mac
 
 val get_dst : Frame.t -> mac
 val set_dst : Frame.t -> mac -> unit
-val get_src : Frame.t -> mac
 val set_src : Frame.t -> mac -> unit
 
 val get_ethertype : Frame.t -> int

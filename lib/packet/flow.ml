@@ -67,25 +67,6 @@ let equal_tuple a b =
   a.src_addr = b.src_addr && a.src_port = b.src_port && a.dst_addr = b.dst_addr
   && a.dst_port = b.dst_port
 
-let equal a b =
-  match (a, b) with
-  | All, All -> true
-  | Tuple x, Tuple y -> equal_tuple x y
-  | All, Tuple _ | Tuple _, All -> false
-
-let compare a b =
-  match (a, b) with
-  | All, All -> 0
-  | All, Tuple _ -> -1
-  | Tuple _, All -> 1
-  | Tuple x, Tuple y -> Stdlib.compare x y
-
-let pp ppf = function
-  | All -> Format.pp_print_string ppf "ALL"
-  | Tuple t ->
-      Format.fprintf ppf "%a:%d -> %a:%d" Ipv4.pp_addr t.src_addr t.src_port
-        Ipv4.pp_addr t.dst_addr t.dst_port
-
 let matches k f =
   match k with
   | All -> true

@@ -35,13 +35,10 @@ val five_of_frame : Frame.t -> five option
 (** [five_of_frame f] extracts the classifier key if [f] carries TCP or
     UDP with an intact header. *)
 
-val reverse : tuple -> tuple
+val reverse : tuple -> tuple [@@test_only]
 (** Swap the endpoint pair (the splicer's other connection half). *)
 
-val equal : t -> t -> bool
-val equal_tuple : tuple -> tuple -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
+val equal_tuple : tuple -> tuple -> bool [@@test_only]
 
-val matches : t -> Frame.t -> bool
+val matches : t -> Frame.t -> bool [@@test_only]
 (** [matches k f] is true if [k] is [All] or [f]'s 4-tuple equals [k]'s. *)

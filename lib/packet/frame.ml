@@ -41,8 +41,6 @@ let set_u32_i f off v =
   set_u16 f off ((v lsr 16) land 0xFFFF);
   set_u16 f (off + 2) (v land 0xFFFF)
 
-let blit_string s f off = Bytes.blit_string s 0 f.data off (String.length s)
-
 let prefix_copy f ~len =
   { data = Bytes.sub f.data 0 len; len; pool_slot = -1; pool_gen = 0 }
 

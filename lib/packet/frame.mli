@@ -49,8 +49,5 @@ val get_u32_i : t -> int -> int
 
 val set_u32_i : t -> int -> int -> unit
 
-val blit_string : string -> t -> int -> unit
-(** [blit_string s f off] copies [s] into the frame at [off]. *)
-
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@test_only]
 (** Byte equality over the live length. *)

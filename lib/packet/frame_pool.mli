@@ -9,7 +9,7 @@
 
 type t
 
-val create : ?debug:bool -> ?max_frames:int -> frame_bytes:int -> unit -> t
+val create : ?debug:(bool[@test_only]) -> ?max_frames:int -> frame_bytes:int -> unit -> t
 (** [create ~frame_bytes ()] is an empty pool minting frames with
     [frame_bytes] bytes of capacity on demand, at most [max_frames]
     (default 4096) of them.  [debug] (default [false]) turns bad
@@ -30,7 +30,7 @@ val give : t -> Frame.t -> unit
 val minted : t -> int
 (** Frames ever created by the pool. *)
 
-val outstanding : t -> int
+val outstanding : t -> int [@@test_only]
 (** Frames currently checked out. *)
 
 val misses : t -> int

@@ -5,24 +5,21 @@
     Time Exceeded / Destination Unreachable built here.  Echo is included
     for workloads and tests. *)
 
-val proto : int
-(** IP protocol 1. *)
+val type_echo_reply : int [@@test_only]
+val type_echo_request : int [@@test_only]
+val type_time_exceeded : int [@@test_only]
 
-val type_echo_reply : int
-val type_dest_unreachable : int
-val type_echo_request : int
-val type_time_exceeded : int
+val get_type : Frame.t -> int [@@test_only]
 
-val get_type : Frame.t -> int
-
-val checksum_ok : Frame.t -> bool
+val checksum_ok : Frame.t -> bool [@@test_only]
 (** Verify the ICMP checksum over the ICMP message. *)
 
 val echo_request :
   src:Ipv4.addr -> dst:Ipv4.addr -> id:int -> seq:int -> unit -> Frame.t
+  [@@test_only]
 (** A minimal valid echo request frame. *)
 
-val echo_reply_of : Frame.t -> Frame.t
+val echo_reply_of : Frame.t -> Frame.t [@@test_only]
 (** Turn a received echo request into its reply (addresses swapped, type
     rewritten, checksums fixed). *)
 
@@ -34,6 +31,6 @@ val time_exceeded : router:Ipv4.addr -> Frame.t -> Frame.t
 val dest_unreachable : router:Ipv4.addr -> code:int -> Frame.t -> Frame.t
 (** Destination Unreachable with the given code (0 = net unreachable). *)
 
-val quoted_src : Frame.t -> Ipv4.addr option
+val quoted_src : Frame.t -> Ipv4.addr option [@@test_only]
 (** For a received ICMP error: the source address of the quoted original
     packet (who the error is about). *)

@@ -18,8 +18,7 @@ val offset : int
 val min_header_len : int
 (** 20 bytes (no options). *)
 
-val get_version : Frame.t -> int
-val get_ihl : Frame.t -> int
+val get_ihl : Frame.t -> int [@@test_only]
 (** Header length in 32-bit words; > 5 means options are present. *)
 
 val header_len : Frame.t -> int
@@ -48,8 +47,6 @@ val get_ttl : Frame.t -> int
 val set_ttl : Frame.t -> int -> unit
 val get_proto : Frame.t -> int
 val set_proto : Frame.t -> int -> unit
-val get_cksum : Frame.t -> int
-val set_cksum : Frame.t -> int -> unit
 val get_src : Frame.t -> addr
 val set_src : Frame.t -> addr -> unit
 val get_dst : Frame.t -> addr

@@ -15,23 +15,17 @@ type entry = { label : int; tc : int; bos : bool; ttl : int }
 val ethertype : int
 (** 0x8847 (unicast). *)
 
-val entry_len : int
-(** 4 bytes per stack entry. *)
-
 val is_mpls : Frame.t -> bool
 (** Ethertype check. *)
 
-val read_entry : Frame.t -> int -> entry
+val read_entry : Frame.t -> int -> entry [@@test_only]
 (** [read_entry f depth] decodes the stack entry [depth] levels down
     (0 = top). *)
-
-val write_entry : Frame.t -> int -> entry -> unit
-(** Overwrite an entry in place. *)
 
 val top : Frame.t -> entry
 (** [read_entry f 0]. *)
 
-val stack_depth : Frame.t -> int
+val stack_depth : Frame.t -> int [@@test_only]
 (** Number of entries down to and including the bottom-of-stack bit.
     Raises [Invalid_argument] on a malformed (unterminated) stack. *)
 
@@ -48,6 +42,6 @@ val swap : Frame.t -> label:int -> unit
 (** Replace the top label, decrementing its TTL (the LSR transit
     operation). *)
 
-val payload_is_ipv4 : Frame.t -> bool
+val payload_is_ipv4 : Frame.t -> bool [@@test_only]
 (** After the bottom of stack, is the payload an IPv4 header?  (MPLS
     carries no explicit protocol field; this peeks the version nibble.) *)

@@ -13,7 +13,7 @@ val get_seq : Frame.t -> int32
 val set_seq : Frame.t -> int32 -> unit
 val get_ack : Frame.t -> int32
 val set_ack : Frame.t -> int32 -> unit
-val get_flags : Frame.t -> int
+val get_flags : Frame.t -> int [@@test_only]
 val set_flags : Frame.t -> int -> unit
 val get_cksum : Frame.t -> int
 val set_cksum : Frame.t -> int -> unit

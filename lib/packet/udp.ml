@@ -6,7 +6,6 @@ let get_dst_port f = Frame.get_u16 f (base f + 2)
 let set_dst_port f v = Frame.set_u16 f (base f + 2) v
 let get_len f = Frame.get_u16 f (base f + 4)
 let set_len f v = Frame.set_u16 f (base f + 4) v
-let get_cksum f = Frame.get_u16 f (base f + 6)
 let set_cksum f v = Frame.set_u16 f (base f + 6) v
 
 let fill_cksum f =

@@ -302,7 +302,6 @@ let ambient_lookups t = t.ambient
    the interrupted fiber can't steal credit from a span some other
    context opened in the meantime. *)
 let set_coalescing t on = t.coalescing <- on
-let coalescing t = t.coalescing
 
 let batch_begin t =
   t.span_ctr <- t.span_ctr + 1;

@@ -83,7 +83,7 @@ val run_until_idle : t -> unit
     {!Deadlock} if live fibers are still suspended when the queue drains
     (i.e. somebody is waiting on a waker that can no longer fire). *)
 
-val live_fibers : t -> int
+val live_fibers : t -> int [@@test_only]
 (** [live_fibers t] is the number of fibers that have started and not yet
     returned. *)
 
@@ -129,9 +129,6 @@ val set_coalescing : t -> bool -> unit
     disables the in-place wait fast path — both plain elision and batch
     absorption.  Disabled, the engine is fully event-granular. *)
 
-val coalescing : t -> bool
-(** [coalescing t] is the current coalescing setting. *)
-
 val batch_begin : t -> int
 (** [batch_begin t] opens a batch span and returns its id.  Call from a
     fiber about to process a burst of frames in one activation.  The
@@ -166,11 +163,11 @@ val batch_frames_total : t -> int
     exist only for the end-to-end benchmark harness; everything else
     passes the engine it holds. *)
 
-val now_i : unit -> int
+val now_i : unit -> int [@@benchmark_only]
 (** [now_i ()] is {!clock_i} of the engine running the calling fiber.
     Raises [Invalid_argument] outside any {!run}. *)
 
-val wait_i : int -> unit
+val wait_i : int -> unit [@@benchmark_only]
 (** [wait_i d] is {!wait_in} on the engine running the calling fiber.
     Raises [Invalid_argument] outside any {!run}. *)
 

@@ -9,10 +9,6 @@ type t
 val create : unit -> t
 (** A baseline capturing the calling domain's counters as of now. *)
 
-val rebase : t -> unit
-(** Reset the origin to the current counters (e.g. after a warm-up
-    window, so steady-state deltas exclude start-up allocation). *)
-
 val minor_words : t -> float
 (** Words allocated in the minor heap since the origin (exact). *)
 

@@ -6,8 +6,6 @@ let create () = { arr = [||]; len = 0 }
 
 let is_empty h = h.len = 0
 
-let size h = h.len
-
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow h entry =

@@ -13,9 +13,6 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 (** [is_empty h] is true iff [h] holds no events. *)
 
-val size : 'a t -> int
-(** [size h] is the number of queued events. *)
-
 val push : 'a t -> time:int64 -> seq:int -> 'a -> unit
 (** [push h ~time ~seq v] queues [v] at key [(time, seq)]. *)
 

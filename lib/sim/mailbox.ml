@@ -1,16 +1,9 @@
-type 'a t = {
-  items : 'a Queue.t;
-  ready : Semaphore.t;
-  mutable peak : int;
-}
+type 'a t = { items : 'a Queue.t; ready : Semaphore.t }
 
-let create ?(name = "mailbox") () =
-  { items = Queue.create (); ready = Semaphore.create ~name 0; peak = 0 }
+let create () = { items = Queue.create (); ready = Semaphore.create 0 }
 
 let put mb v =
   Queue.push v mb.items;
-  let len = Queue.length mb.items in
-  if len > mb.peak then mb.peak <- len;
   Semaphore.release mb.ready
 
 let get mb =
@@ -19,6 +12,3 @@ let get mb =
 
 let try_get mb =
   if Semaphore.try_acquire mb.ready then Some (Queue.pop mb.items) else None
-
-let length mb = Queue.length mb.items
-let peak_length mb = mb.peak

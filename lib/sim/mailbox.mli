@@ -8,7 +8,7 @@
 
 type 'a t
 
-val create : ?name:string -> unit -> 'a t
+val create : unit -> 'a t
 (** [create ()] is an empty mailbox. *)
 
 val put : 'a t -> 'a -> unit
@@ -19,9 +19,3 @@ val get : 'a t -> 'a
 
 val try_get : 'a t -> 'a option
 (** [try_get mb] dequeues without blocking. *)
-
-val length : 'a t -> int
-(** Number of values currently queued. *)
-
-val peak_length : 'a t -> int
-(** High-water mark of {!length} (backlog diagnostics). *)

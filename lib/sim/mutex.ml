@@ -22,15 +22,4 @@ let unlock m =
   | None -> m.locked <- false
   | Some w -> w ()
 
-let with_lock m f =
-  lock m;
-  match f () with
-  | v ->
-      unlock m;
-      v
-  | exception e ->
-      unlock m;
-      raise e
-
 let contended_acquires m = m.contended
-let locked m = m.locked

@@ -17,11 +17,5 @@ val lock : t -> unit
 val unlock : t -> unit
 (** [unlock m] releases [m], transferring it to the oldest waiter if any. *)
 
-val with_lock : t -> (unit -> 'a) -> 'a
-(** [with_lock m f] is [lock; f (); unlock], exception-safe. *)
-
 val contended_acquires : t -> int
 (** Number of {!lock} calls that had to block. *)
-
-val locked : t -> bool
-(** [locked m] is true while some fiber holds [m]. *)

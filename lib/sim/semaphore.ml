@@ -1,12 +1,8 @@
-type t = {
-  name : string;
-  mutable permits : int;
-  queue : Engine.waker Queue.t;
-}
+type t = { mutable permits : int; queue : Engine.waker Queue.t }
 
-let create ?(name = "sem") n =
+let create n =
   if n < 0 then invalid_arg "Semaphore.create: negative";
-  { name; permits = n; queue = Queue.create () }
+  { permits = n; queue = Queue.create () }
 
 let acquire s =
   if s.permits > 0 then s.permits <- s.permits - 1
@@ -23,6 +19,3 @@ let release s =
   match Queue.take_opt s.queue with
   | None -> s.permits <- s.permits + 1
   | Some w -> w ()
-
-let permits s = s.permits
-let waiters s = Queue.length s.queue

@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?name:string -> int -> t
+val create : int -> t
 (** [create n] is a semaphore with [n] initial permits ([n >= 0]). *)
 
 val acquire : t -> unit
@@ -17,9 +17,3 @@ val try_acquire : t -> bool
 
 val release : t -> unit
 (** [release s] adds a permit, waking the oldest blocked fiber if any. *)
-
-val permits : t -> int
-(** Current number of free permits. *)
-
-val waiters : t -> int
-(** Number of fibers currently blocked in {!acquire}. *)

@@ -3,25 +3,12 @@
    and every instruction burst lands here — and int64 fields would box
    on every update. *)
 type t = {
-  name : string;
   engine : Engine.t; (* the clock the busy horizon is packed from *)
   mutable busy_until : int;
   mutable busy_time : int;
-  mutable requests : int;
-  mutable queue_delay_total : int;
 }
 
-let create ?(name = "server") engine =
-  {
-    name;
-    engine;
-    busy_until = 0;
-    busy_time = 0;
-    requests = 0;
-    queue_delay_total = 0;
-  }
-
-let name s = s.name
+let create engine = { engine; busy_until = 0; busy_time = 0 }
 
 (* Book an access issued at virtual time [now] (engine time + delays the
    requester has already booked) without waiting: returns the delay the
@@ -44,19 +31,15 @@ let book_i s ~now ~occupancy ~latency =
   let qdelay = if base > now then base - now else 0 in
   s.busy_until <- base + occupancy;
   s.busy_time <- s.busy_time + occupancy;
-  s.requests <- s.requests + 1;
-  s.queue_delay_total <- s.queue_delay_total + qdelay;
   let visible = if latency > occupancy then latency else occupancy in
   qdelay + visible
 
-(* Stats-only booking: account the work in [busy_time]/[requests] without
+(* Stats-only booking: account the work in [busy_time] without
    advancing the busy horizon.  For short sections executed while holding
    a shared token or lock, where queueing the charge behind other
    requesters' batch-granularity bookings would stretch the hold by whole
    foreign bursts (a convoy the per-operation path never forms). *)
-let record_i s ~occupancy =
-  s.busy_time <- s.busy_time + occupancy;
-  s.requests <- s.requests + 1
+let record_i s ~occupancy = s.busy_time <- s.busy_time + occupancy
 
 let access_i s ~occupancy ~latency =
   let e = s.engine in
@@ -66,8 +49,6 @@ let access s ~occupancy ~latency =
   access_i s ~occupancy:(Int64.to_int occupancy) ~latency:(Int64.to_int latency)
 
 let busy_time s = Int64.of_int s.busy_time
-let requests s = s.requests
-let queue_delay_total s = Int64.of_int s.queue_delay_total
 
 let utilization s ~total =
   if total = 0L then 0.

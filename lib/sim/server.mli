@@ -11,12 +11,9 @@
 
 type t
 
-val create : ?name:string -> Engine.t -> t
-(** [create ~name engine] is an idle server whose requesters are fibers
+val create : Engine.t -> t
+(** [create engine] is an idle server whose requesters are fibers
     of [engine]. *)
-
-val name : t -> string
-(** [name s] is the server's diagnostic name. *)
 
 val access : t -> occupancy:int64 -> latency:int64 -> unit
 (** [access s ~occupancy ~latency] (inside a fiber) waits for the server to
@@ -53,12 +50,5 @@ val record_i : t -> occupancy:int -> unit
 val busy_time : t -> int64
 (** [busy_time s] is the cumulative occupancy served, for utilization. *)
 
-val requests : t -> int
-(** [requests s] counts completed {!access} calls. *)
-
-val queue_delay_total : t -> int64
-(** [queue_delay_total s] is the cumulative time requests spent waiting for
-    earlier requests to drain (contention). *)
-
-val utilization : t -> total:int64 -> float
+val utilization : t -> total:int64 -> float [@@test_only]
 (** [utilization s ~total] is [busy_time / total]. *)

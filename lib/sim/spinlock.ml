@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   engine : Engine.t;
   retry_ps : int;
   mutable locked : bool;
@@ -7,9 +6,8 @@ type t = {
   mutable acquisitions : int;
 }
 
-let create ?(name = "spinlock") ~engine ~retry_ps () =
+let create ~engine ~retry_ps () =
   {
-    name;
     engine;
     retry_ps = Int64.to_int retry_ps;
     locked = false;
@@ -30,7 +28,7 @@ let rec lock l ~attempt =
   end
 
 let unlock l ~attempt =
-  if not l.locked then invalid_arg (l.name ^ ": unlock of unlocked spinlock");
+  if not l.locked then invalid_arg "Spinlock.unlock: unlock of unlocked spinlock";
   attempt ();
   l.locked <- false
 

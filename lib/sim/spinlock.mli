@@ -12,7 +12,7 @@
 
 type t
 
-val create : ?name:string -> engine:Engine.t -> retry_ps:int64 -> unit -> t
+val create : engine:Engine.t -> retry_ps:int64 -> unit -> t
 (** [create ~engine ~retry_ps ()] is an unlocked spin lock whose failed
     attempts retry after [retry_ps] on [engine]. *)
 
@@ -22,8 +22,8 @@ val lock : t -> attempt:(unit -> unit) -> unit
 val unlock : t -> attempt:(unit -> unit) -> unit
 (** [unlock l ~attempt] releases, charging one memory access. *)
 
-val attempts : t -> int
+val attempts : t -> int [@@test_only]
 (** Total test-and-set operations issued (the memory-traffic witness). *)
 
-val acquisitions : t -> int
+val acquisitions : t -> int [@@test_only]
 (** Successful acquisitions. *)

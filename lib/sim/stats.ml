@@ -1,12 +1,9 @@
 module Counter = struct
-  type t = { name : string; mutable n : int }
+  type t = { mutable n : int }
 
-  let create name = { name; n = 0 }
+  let create () = { n = 0 }
   let incr c = c.n <- c.n + 1
-  let add c k = c.n <- c.n + k
   let value c = c.n
-  let name c = c.name
-  let reset c = c.n <- 0
 
   let rate c ~over =
     if over <= 0L then 0. else float_of_int c.n /. Engine.seconds over
@@ -47,7 +44,6 @@ module Histogram = struct
     h.sum_i <- h.sum_i + v;
     if v > h.max_i then h.max_i <- v
 
-  let observe h v = observe_i h (Int64.to_int v)
   let count h = h.count
 
   let mean h =

@@ -7,25 +7,16 @@
 module Counter : sig
   type t
 
-  val create : string -> t
-  (** [create name] is a zero counter. *)
+  val create : unit -> t
+  (** [create ()] is a zero counter. *)
 
   val incr : t -> unit
   (** Add one. *)
 
-  val add : t -> int -> unit
-  (** Add [n]. *)
-
   val value : t -> int
   (** Current value. *)
 
-  val name : t -> string
-  (** Diagnostic name. *)
-
-  val reset : t -> unit
-  (** Zero the counter. *)
-
-  val rate : t -> over:int64 -> float
+  val rate : t -> over:int64 -> float [@@test_only]
   (** [rate c ~over] is events per second over a window of [over]
       picoseconds. *)
 end
@@ -36,11 +27,9 @@ module Histogram : sig
       (latencies in picoseconds, queue depths, ...). *)
 
   val create : string -> t
-  val observe : t -> int64 -> unit
-
   val observe_i : t -> int -> unit
-  (** [observe_i h v] is {!observe} on a native-int sample — the
-      allocation-free form the per-packet paths use (an [int64]
+  (** [observe_i h v] records the native-int sample [v] — the
+      allocation-free form the per-packet paths need (an [int64]
       argument is a box per call). *)
 
   val count : t -> int

@@ -62,8 +62,6 @@ let create ?(name = "ring") ?(pass_ps = 0L) ~members engine =
     hold_time = 0;
   }
 
-let members t = t.n
-
 let join t idx =
   if idx < 0 || idx >= t.n then invalid_arg (t.name ^ ": slot out of range");
   if t.claimed.(idx) then invalid_arg (t.name ^ ": slot already claimed");
@@ -161,16 +159,6 @@ let release t idx =
     t.held <- false;
     t.available_at <- now
   end
-
-let with_token t idx f =
-  let _ = acquire t idx in
-  match f () with
-  | v ->
-      release t idx;
-      v
-  | exception e ->
-      release t idx;
-      raise e
 
 let rotations t = t.rotations
 let hold_time_total t = Int64.of_int t.hold_time

@@ -28,9 +28,6 @@ val create : ?name:string -> ?pass_ps:int64 -> members:int -> Engine.t -> t
     are fibers of [engine], with the token parked at slot 0, unheld.
     [pass_ps] is the signalling delay per hand-off. *)
 
-val members : t -> int
-(** Number of slots in the rotation. *)
-
 val join : t -> int -> unit
 (** [join ring idx] claims slot [idx] for the calling fiber.  Must be called
     once before the fiber's first {!acquire}.  Raises [Invalid_argument] if
@@ -45,10 +42,7 @@ val release : t -> int -> unit
 (** [release ring idx] hands the token to the nearest waiting slot in
     ring order after [idx], or parks it at [idx] when nobody waits. *)
 
-val with_token : t -> int -> (unit -> 'a) -> 'a
-(** [with_token ring idx f] is [acquire; f (); release], exception-safe. *)
-
-val rotations : t -> int
+val rotations : t -> int [@@test_only]
 (** Completed full rotations of the token (diagnostics). *)
 
 val hold_time_total : t -> int64

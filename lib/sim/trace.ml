@@ -4,23 +4,16 @@ type t = {
   ring : event option array;
   mutable next : int;
   mutable count : int;
-  mutable on : bool;
 }
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity";
-  { ring = Array.make capacity None; next = 0; count = 0; on = false }
-
-let enable t = t.on <- true
-let disable t = t.on <- false
-let enabled t = t.on
+  { ring = Array.make capacity None; next = 0; count = 0 }
 
 let record t ~at ~who ~what =
-  if t.on then begin
-    t.ring.(t.next) <- Some { at; who; what };
-    t.next <- (t.next + 1) mod Array.length t.ring;
-    t.count <- t.count + 1
-  end
+  t.ring.(t.next) <- Some { at; who; what };
+  t.next <- (t.next + 1) mod Array.length t.ring;
+  t.count <- t.count + 1
 
 let events t =
   let cap = Array.length t.ring in
@@ -42,10 +35,3 @@ let contains ~needle hay =
 
 let find t ~what_contains =
   List.filter (fun e -> contains ~needle:what_contains e.what) (events t)
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%12.3f us  %-20s %s@." (Int64.to_float e.at /. 1e6)
-        e.who e.what)
-    (events t)

@@ -107,7 +107,6 @@ let create () =
     popped_time = 0;
   }
 
-let size t = t.near + Heap.size t.far
 let is_empty t = t.near = 0 && Heap.is_empty t.far
 let far_hits t = t.far_hits
 

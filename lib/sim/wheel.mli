@@ -18,9 +18,6 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val size : 'a t -> int
-(** Number of queued events across both tiers. *)
-
 val far_hits : 'a t -> int
 (** Cumulative count of pushes that landed beyond the wheel horizon in
     the far-tier heap — each one pays a heap push/pop instead of an O(1)
@@ -42,7 +39,7 @@ val pop : 'a t -> 'a
 val popped_time : 'a t -> int
 (** Key time of the event the last {!pop} returned. *)
 
-val peek_time : 'a t -> int option
+val peek_time : 'a t -> int option [@@test_only]
 (** [peek_time t] is the key time of the next event without removing it. *)
 
 val min_time : 'a t -> int

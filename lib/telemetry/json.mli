@@ -31,7 +31,7 @@ val of_string : string -> (t, string) result
     become [Float]; bare integers become [Int] (or [Float] when they
     exceed native [int] range).  Errors carry a byte offset. *)
 
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@test_only]
 (** Structural equality ([Obj] field order is significant). *)
 
 val member : string -> t -> t option

@@ -14,7 +14,6 @@ type scope = {
 }
 
 and registry = {
-  mutable on : bool;
   mutable scopes : scope list; (* reversed creation order *)
   mutable clock : unit -> int64;
 }
@@ -49,7 +48,7 @@ module Scope = struct
   let counter s name =
     let rec find = function
       | [] ->
-          let c = Sim.Stats.Counter.create (s.path ^ "." ^ name) in
+          let c = Sim.Stats.Counter.create () in
           register s name (Counter c);
           c
       | (n, Counter c) :: _ when n = name -> c
@@ -59,50 +58,33 @@ module Scope = struct
 
   let register_counter s ~name c = register s name (Counter c)
 
-  let histogram s name =
-    let rec find = function
-      | [] ->
-          let h = Sim.Stats.Histogram.create (s.path ^ "." ^ name) in
-          register s name (Histogram h);
-          h
-      | (n, Histogram h) :: _ when n = name -> h
-      | _ :: rest -> find rest
-    in
-    find s.metrics
-
   let register_histogram s ~name h = register s name (Histogram h)
   let gauge s name f = register s name (Gauge f)
   let gauge_int s name f = register s name (Gauge_int f)
   let dynamic s name f = register s name (Dynamic f)
 
   let event_at s ~at what =
-    if s.reg.on then begin
-      let ring =
-        match s.ring with
-        | Some r -> r
-        | None ->
-            let r = Sim.Trace.create ~capacity:event_capacity () in
-            Sim.Trace.enable r;
-            s.ring <- Some r;
-            r
-      in
-      Sim.Trace.record ring ~at ~who:s.path ~what
-    end
+    let ring =
+      match s.ring with
+      | Some r -> r
+      | None ->
+          let r = Sim.Trace.create ~capacity:event_capacity () in
+          s.ring <- Some r;
+          r
+    in
+    Sim.Trace.record ring ~at ~who:s.path ~what
 
-  let event s what = if s.reg.on then event_at s ~at:(s.reg.clock ()) what
+  let event s what = event_at s ~at:(s.reg.clock ()) what
 
   let events s =
     match s.ring with None -> [] | Some r -> Sim.Trace.events r
 end
 
-let create ?(enabled = true) () =
-  let rec reg = { on = enabled; scopes = [ root ]; clock = (fun () -> 0L) }
+let create () =
+  let rec reg = { scopes = [ root ]; clock = (fun () -> 0L) }
   and root = { reg; path = ""; labels = []; metrics = []; ring = None } in
   reg
 
-let enabled t = t.on
-let enable t = t.on <- true
-let disable t = t.on <- false
 let set_clock t f = t.clock <- f
 
 let root t =
@@ -173,23 +155,23 @@ let scope_json s =
   in
   Json.Obj fields
 
-let snapshot ?at t =
-  let at = match at with Some a -> a | None -> t.clock () in
+let snapshot t =
+  let at = t.clock () in
   let scopes =
-    if not t.on then []
-    else
-      List.sort
-        (fun a b -> compare (a.path, a.labels) (b.path, b.labels))
-        (List.filter
-           (fun s -> s.metrics <> [] || s.ring <> None)
-           (List.rev t.scopes))
+    List.sort
+      (fun a b -> compare (a.path, a.labels) (b.path, b.labels))
+      (List.filter
+         (fun s -> s.metrics <> [] || s.ring <> None)
+         (List.rev t.scopes))
   in
   Json.Obj
     [
       ("schema", Json.String "npr-telemetry/1");
       ("at_ps", Json.Int (Int64.to_int at));
-      ("enabled", Json.Bool t.on);
+      (* Every registry records: the field stays for readers of the
+         npr-telemetry/1 schema. *)
+      ("enabled", Json.Bool true);
       ("scopes", Json.List (List.map scope_json scopes));
     ]
 
-let snapshot_string ?at t = Json.to_string (snapshot ?at t)
+let snapshot_string t = Json.to_string (snapshot t)

@@ -8,11 +8,7 @@
     register their existing instruments into a scope — registration is a
     one-time cost; the per-packet code keeps mutating the same records it
     always did.  Gauges and dynamics are closures evaluated only at
-    snapshot time, so an idle registry costs nothing per packet.
-
-    A registry created (or switched) disabled records no events and
-    snapshots to an empty scope list, so instrumentation can stay wired
-    in permanently (mirroring [Sim.Trace]'s opt-in design). *)
+    snapshot time, so an idle registry costs nothing per packet. *)
 
 type t
 (** A registry. *)
@@ -21,10 +17,10 @@ module Scope : sig
   type t
   (** One named, labeled scope within a registry. *)
 
-  val name : t -> string
+  val name : t -> string [@@test_only]
   (** Full dotted path from the root. *)
 
-  val labels : t -> (string * string) list
+  val labels : t -> (string * string) list [@@test_only]
 
   val sub : ?labels:(string * string) list -> t -> string -> t
   (** [sub scope name] is the child scope [scope.name]; [labels] are
@@ -38,10 +34,6 @@ module Scope : sig
 
   val register_counter : t -> name:string -> Sim.Stats.Counter.t -> unit
   (** Adopt an existing counter under [name]. *)
-
-  val histogram : t -> string -> Sim.Stats.Histogram.t
-  (** Like {!counter} for histograms; snapshots as
-      [{count, mean, p50, p99, max}]. *)
 
   val register_histogram : t -> name:string -> Sim.Stats.Histogram.t -> unit
 
@@ -64,32 +56,25 @@ module Scope : sig
       whose events happen on a clock of their own, like a cluster
       member's engine. *)
 
-  val events : t -> Sim.Trace.event list
+  val events : t -> Sim.Trace.event list [@@test_only]
   (** Events recorded so far (oldest first, bounded by the ring). *)
 end
 
-val create : ?enabled:bool -> unit -> t
-(** [create ()] is an enabled registry whose per-scope event rings hold
-    256 entries. *)
-
-val enabled : t -> bool
-val enable : t -> unit
-val disable : t -> unit
+val create : unit -> t
+(** [create ()] is a registry whose per-scope event rings hold 256
+    entries. *)
 
 val set_clock : t -> (unit -> int64) -> unit
 (** Timestamp source for events and snapshots — typically
     [fun () -> Sim.Engine.time engine], so telemetry runs on the
     deterministic simulated clock.  Defaults to a constant [0L]. *)
 
-val root : t -> Scope.t
-
 val scope : ?labels:(string * string) list -> t -> string -> Scope.t
 (** [scope t name] is [Scope.sub (root t) name]. *)
 
-val snapshot : ?at:int64 -> t -> Json.t
+val snapshot : t -> Json.t
 (** Serialize every non-empty scope: scopes sorted by (name, labels),
-    metrics sorted by name, so equal registry states yield equal JSON.
-    [at] overrides the clock timestamp. *)
+    metrics sorted by name, so equal registry states yield equal JSON. *)
 
-val snapshot_string : ?at:int64 -> t -> string
+val snapshot_string : t -> string [@@test_only]
 (** [Json.to_string (snapshot t)]. *)

@@ -378,4 +378,3 @@ let spawn t engine ~name ~offer =
     ~gen:(gen t) ~offer ()
 
 let flows_started t = t.n_flows
-let pkts t = t.n_pkts

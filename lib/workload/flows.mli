@@ -35,6 +35,7 @@ end
 
 val pareto_pkts :
   rng:Sim.Rng.t -> shape:float -> min_pkts:float -> max_pkts:int -> int
+  [@@test_only]
 (** A bounded-Pareto flow size in packets: at least [ceil min_pkts], tail
     index [shape] (smaller = heavier tail), capped at [max_pkts]. *)
 
@@ -69,7 +70,7 @@ val parse : string -> (config, string) result
     above for the integer keys ([hosts], [subnets], [maxpkts], [conc],
     [frame], [dscp]), and out-of-range parameters are errors. *)
 
-val to_spec : config -> string
+val to_spec : config -> string [@@test_only]
 (** Canonical spec string (non-default fields only, sorted);
     [parse (to_spec c) = Ok c].  What a repro command prints. *)
 
@@ -96,5 +97,4 @@ val spawn :
 (** Drive the generator through {!Source.spawn_with_gap} — the same
     fiber/stats shape as every other traffic source. *)
 
-val flows_started : t -> int
-val pkts : t -> int
+val flows_started : t -> int [@@test_only]

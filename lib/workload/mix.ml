@@ -14,8 +14,8 @@ let udp_uniform ?pool ~rng ~n_subnets ?(frame_len = Packet.Build.min_frame)
     ~dst_port:(Sim.Rng.int rng 10000)
     ()
 
-let udp_fixed ~dst ?(frame_len = Packet.Build.min_frame) () i =
-  Packet.Build.udp ~frame_len
+let udp_fixed ~dst () i =
+  Packet.Build.udp
     ~src:(subnet_addr ~subnet:250 ~host:i)
     ~dst ~src_port:4000 ~dst_port:5000 ()
 
@@ -28,33 +28,13 @@ let syn_flood ~rng ~dst ~dst_port i =
     ~seq:(Int32.of_int i)
     ~flags:Packet.Tcp.flag_syn ()
 
-let layered_video ~flow ~layers ?(frame_len = Packet.Build.min_frame) () i =
+let layered_video ~flow ~layers () i =
   let layer = i mod layers in
-  Packet.Build.udp ~frame_len ~src:flow.Packet.Flow.src_addr
+  Packet.Build.udp ~src:flow.Packet.Flow.src_addr
     ~dst:flow.Packet.Flow.dst_addr ~src_port:flow.Packet.Flow.src_port
     ~dst_port:flow.Packet.Flow.dst_port
     ~payload:(String.make 1 (Char.chr layer))
     ()
-
-let weighted ~rng gens =
-  if gens = [] then invalid_arg "Mix.weighted: empty generator list";
-  List.iter
-    (fun (w, _) ->
-      if w < 0.0 || Float.is_nan w then
-        invalid_arg "Mix.weighted: negative weight")
-    gens;
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 gens in
-  if total <= 0.0 then invalid_arg "Mix.weighted: weights sum to zero";
-  let gens = Array.of_list gens in
-  fun i ->
-    let u = Sim.Rng.float rng total in
-    let rec pick k acc =
-      if k = Array.length gens - 1 then snd gens.(k) i
-      else
-        let acc = acc +. fst gens.(k) in
-        if u < acc then snd gens.(k) i else pick (k + 1) acc
-    in
-    pick 0 0.0
 
 let with_options_share ~rng ~share base i =
   let f = base i in

@@ -17,29 +17,19 @@ val udp_uniform :
     subnets (spreads load over all output ports).  [pool] recycles frame
     storage through a {!Packet.Frame_pool}. *)
 
-val udp_fixed :
-  dst:Packet.Ipv4.addr -> ?frame_len:int -> unit -> int -> Packet.Frame.t
-(** Every frame to one destination (the port-contention workload). *)
+val udp_fixed : dst:Packet.Ipv4.addr -> unit -> int -> Packet.Frame.t
+(** Every frame, minimum-size, to one destination (the port-contention
+    workload). *)
 
 val syn_flood :
   rng:Sim.Rng.t -> dst:Packet.Ipv4.addr -> dst_port:int -> int -> Packet.Frame.t
 (** SYN packets from random spoofed sources — what the SYN monitor is for. *)
 
 val layered_video :
-  flow:Packet.Flow.tuple -> layers:int -> ?frame_len:int -> unit -> int ->
-  Packet.Frame.t
-(** The wavelet dropper's workload: UDP frames whose first payload byte
+  flow:Packet.Flow.tuple -> layers:int -> unit -> int -> Packet.Frame.t
+(** The wavelet dropper's workload: minimum-size UDP frames whose first
+    payload byte
     cycles through layer numbers [0 .. layers-1]. *)
-
-val weighted :
-  rng:Sim.Rng.t ->
-  (float * (int -> Packet.Frame.t)) list ->
-  int ->
-  Packet.Frame.t
-(** [weighted ~rng gens] picks a generator per frame with probability
-    proportional to its weight.  Raises [Invalid_argument] on an empty
-    list, any negative (or NaN) weight, or an all-zero weight vector —
-    a silent all-zero mix would generate from an arbitrary component. *)
 
 val with_options_share :
   rng:Sim.Rng.t -> share:float -> (int -> Packet.Frame.t) -> int ->

@@ -3,14 +3,10 @@ type stats = {
   accepted : Sim.Stats.Counter.t;
 }
 
-let make_stats name =
-  {
-    offered = Sim.Stats.Counter.create (name ^ ".offered");
-    accepted = Sim.Stats.Counter.create (name ^ ".accepted");
-  }
-
-let spawn_with_gap engine ~name ~next_gap ~gen ~offer ?stats () =
-  let stats = match stats with Some s -> s | None -> make_stats name in
+let spawn_with_gap engine ~name ~next_gap ~gen ~offer () =
+  let stats =
+    { offered = Sim.Stats.Counter.create (); accepted = Sim.Stats.Counter.create () }
+  in
   Sim.Engine.spawn engine name (fun () ->
       let rec emit i =
         (* Eliding-capable wait: at line rate this is the single most
@@ -24,17 +20,10 @@ let spawn_with_gap engine ~name ~next_gap ~gen ~offer ?stats () =
       emit 0);
   stats
 
-let spawn_constant engine ~name ~pps ~gen ~offer ?stats () =
+let spawn_constant engine ~name ~pps ~gen ~offer () =
   if pps <= 0. then invalid_arg "Source.spawn_constant: pps";
   let gap = Sim.Engine.of_seconds (1. /. pps) in
-  spawn_with_gap engine ~name ~next_gap:(fun () -> gap) ~gen ~offer ?stats ()
-
-let spawn_poisson engine ~name ~rng ~pps ~gen ~offer ?stats () =
-  if pps <= 0. then invalid_arg "Source.spawn_poisson: pps";
-  let next_gap () =
-    Sim.Engine.of_seconds (Sim.Rng.exponential rng ~mean:(1. /. pps))
-  in
-  spawn_with_gap engine ~name ~next_gap ~gen ~offer ?stats ()
+  spawn_with_gap engine ~name ~next_gap:(fun () -> gap) ~gen ~offer ()
 
 let line_rate_pps ~mbps ~frame_len =
   (* Preamble+SFD (8 bytes) and inter-frame gap (12 bytes). *)

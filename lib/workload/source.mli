@@ -4,14 +4,12 @@
     The paper's testbed drives each 100 Mbps port with a Kingston
     KNE100TX-based generator at 141 Kpps of minimum-sized packets — 95% of
     the 148.8 Kpps theoretical line rate; {!spawn_line_rate} reproduces
-    that shape, {!spawn_constant}/{!spawn_poisson} give controlled rates. *)
+    that shape, {!spawn_constant} gives a controlled rate. *)
 
 type stats = {
   offered : Sim.Stats.Counter.t;  (** frames generated *)
   accepted : Sim.Stats.Counter.t;  (** frames the port had room for *)
 }
-
-val make_stats : string -> stats
 
 val spawn_with_gap :
   Sim.Engine.t ->
@@ -19,7 +17,6 @@ val spawn_with_gap :
   next_gap:(unit -> int64) ->
   gen:(int -> Packet.Frame.t) ->
   offer:(Packet.Frame.t -> bool) ->
-  ?stats:stats ->
   unit ->
   stats
 (** The general source every other spawner reduces to: [next_gap ()] is
@@ -34,22 +31,9 @@ val spawn_constant :
   pps:float ->
   gen:(int -> Packet.Frame.t) ->
   offer:(Packet.Frame.t -> bool) ->
-  ?stats:stats ->
   unit ->
   stats
 (** Fixed inter-arrival source; [gen i] builds the [i]th frame. *)
-
-val spawn_poisson :
-  Sim.Engine.t ->
-  name:string ->
-  rng:Sim.Rng.t ->
-  pps:float ->
-  gen:(int -> Packet.Frame.t) ->
-  offer:(Packet.Frame.t -> bool) ->
-  ?stats:stats ->
-  unit ->
-  stats
-(** Exponential inter-arrivals at mean rate [pps]. *)
 
 val line_rate_pps : mbps:float -> frame_len:int -> float
 (** Theoretical maximum frame rate of a link (IEEE 802.3 framing overhead

@@ -21,4 +21,5 @@ let () =
       ("fuzz", Test_fuzz.tests);
       ("batch", Test_batch.tests);
       ("alloc", Test_alloc.tests);
+      ("cli", Test_cli.tests);
     ]

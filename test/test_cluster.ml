@@ -576,18 +576,8 @@ let lookahead_validated () =
     | (_ : Cluster.t) -> Alcotest.failf "%s: expected Invalid_argument" what
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "zero switch latency" (fun () ->
-      Cluster.create ~switch_latency_us:0. ());
-  expect_invalid "negative switch latency" (fun () ->
-      Cluster.create ~switch_latency_us:(-1.) ());
-  expect_invalid "NaN switch latency" (fun () ->
-      Cluster.create ~switch_latency_us:Float.nan ());
-  expect_invalid "sub-picosecond switch latency" (fun () ->
-      Cluster.create ~switch_latency_us:1e-7 ());
   expect_invalid "zero domains" (fun () -> Cluster.create ~domains:0 ());
-  expect_invalid "one member" (fun () -> Cluster.create ~members:1 ());
-  (* The smallest legal epoch: one picosecond. *)
-  ignore (Cluster.create ~switch_latency_us:1e-6 () : Cluster.t)
+  expect_invalid "one member" (fun () -> Cluster.create ~members:1 ())
 
 let tests =
   [

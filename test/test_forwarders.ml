@@ -54,9 +54,7 @@ let syn_monitor_counts () =
   ignore (run_action f ~state syn);
   ignore (run_action f ~state syn);
   ignore (run_action f ~state ack);
-  Alcotest.(check int) "2 SYNs" 2 (Forwarders.Syn_monitor.syn_count state);
-  Forwarders.Syn_monitor.reset state;
-  Alcotest.(check int) "reset" 0 (Forwarders.Syn_monitor.syn_count state)
+  Alcotest.(check int) "2 SYNs" 2 (Forwarders.Syn_monitor.syn_count state)
 
 let ack_monitor_detects_dups () =
   let f = Forwarders.Ack_monitor.forwarder in

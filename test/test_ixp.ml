@@ -110,13 +110,13 @@ let stack_pool_recycles () =
 let istore_accounting () =
   let st = Ixp.Istore.create Ixp.Config.default in
   Alcotest.(check int) "vrp capacity" 650 (Ixp.Istore.capacity_vrp st);
-  (match Ixp.Istore.install st Ixp.Istore.General ~name:"f1" ~slots:100 with
+  (match Ixp.Istore.install st Ixp.Istore.General ~slots:100 with
   | Ok h ->
       Alcotest.(check int) "used" 100 (Ixp.Istore.used st);
       Ixp.Istore.remove st h;
       Alcotest.(check int) "freed" 0 (Ixp.Istore.used st)
   | Error e -> Alcotest.fail e);
-  (match Ixp.Istore.install st Ixp.Istore.General ~name:"big" ~slots:651 with
+  (match Ixp.Istore.install st Ixp.Istore.General ~slots:651 with
   | Ok _ -> Alcotest.fail "should not fit"
   | Error _ -> ());
   Alcotest.(check int) "write cost 10 instr = 800 cycles" 800
@@ -228,13 +228,14 @@ let pci_bandwidth () =
 
 let i2o_roundtrip_and_backpressure () =
   let e, chip = mk_chip () in
-  let q = Ixp.I2o.create chip.Ixp.Chip.pci ~name:"t" ~buffers:2 () in
+  let q = Ixp.I2o.create chip.Ixp.Chip.pci ~buffers:2 () in
   let clock = chip.Ixp.Chip.me_clock in
   let received = ref [] in
   let sent = ref 0 in
   Sim.Engine.spawn e "producer" (fun () ->
       for i = 1 to 5 do
-        Ixp.I2o.send q ~producer_clock:clock ~bytes:64 i;
+        Ixp.I2o.acquire_free q;
+        Ixp.I2o.send_acquired q ~producer_clock:clock ~bytes:64 i;
         sent := i
       done);
   Sim.Engine.spawn e "consumer" (fun () ->

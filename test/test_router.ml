@@ -391,16 +391,16 @@ let wfq_profile_split () =
     (Router.Wfq.demoted w ~class_id:1)
 
 let wfq_idle_class_keeps_burst () =
-  let w = Router.Wfq.create ~link_pps:1000. ~shares:[| 1.; 1. |] ~burst:8. () in
+  let w = Router.Wfq.create ~link_pps:1000. ~shares:[| 1.; 1. |] () in
   (* After a long idle period a class may burst up to its bucket depth. *)
   let t0 = Sim.Engine.of_seconds 1.0 in
   let bursts = ref 0 in
-  for _ = 1 to 12 do
+  for _ = 1 to 20 do
     match Router.Wfq.pick w ~class_id:0 ~now:t0 with
     | `High -> incr bursts
     | `Low -> ()
   done;
-  Alcotest.(check int) "burst bounded by bucket depth" 8 !bursts
+  Alcotest.(check int) "burst bounded by bucket depth" 16 !bursts
 
 let wfq_within_budget () =
   Alcotest.(check bool) "selector fits the VRP budget" true

@@ -199,23 +199,6 @@ let qcheck_json_roundtrip =
       | Ok v' -> J.equal v v'
       | Error _ -> false)
 
-(* --- disabled registry ------------------------------------------------ *)
-
-let disabled_registry_records_nothing () =
-  let reg = Registry.create ~enabled:false () in
-  let s = Registry.scope reg "input" in
-  Sim.Stats.Counter.incr (Scope.counter s "pkts");
-  Scope.event s "drop";
-  Scope.event s "drop";
-  Alcotest.(check bool) "disabled" false (Registry.enabled reg);
-  Alcotest.(check int) "no events" 0 (List.length (Scope.events s));
-  Alcotest.check json "empty snapshot scopes" (J.List [])
-    (Option.get (J.member "scopes" (Registry.snapshot reg)));
-  (* Re-enabling picks the instrumentation back up without rewiring. *)
-  Registry.enable reg;
-  Scope.event s "drop";
-  Alcotest.(check int) "events after enable" 1 (List.length (Scope.events s))
-
 let tests =
   [
     Alcotest.test_case "scope paths and labels" `Quick scope_paths_and_labels;
@@ -233,6 +216,4 @@ let tests =
     Alcotest.test_case "json escapes and errors" `Quick
       json_parses_escapes_and_rejects_garbage;
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
-    Alcotest.test_case "disabled registry records nothing" `Quick
-      disabled_registry_records_nothing;
   ]

@@ -23,28 +23,6 @@ let constant_source_rate () =
   Sim.Engine.run e ~until:(Sim.Engine.of_seconds 1e-3);
   Alcotest.(check int) "1000 frames in 1 ms at 1 Mpps" 1000 !n
 
-let poisson_source_mean_rate () =
-  let e = Sim.Engine.create () in
-  let n = ref 0 in
-  ignore
-    (Workload.Source.spawn_poisson e ~name:"p" ~rng:(Sim.Rng.create 5L)
-       ~pps:500_000.
-       ~gen:(fun _ ->
-         Packet.Build.udp
-           ~src:(Packet.Ipv4.addr_of_string "1.1.1.1")
-           ~dst:(Packet.Ipv4.addr_of_string "2.2.2.2")
-           ~src_port:1 ~dst_port:2 ())
-       ~offer:(fun _ ->
-         incr n;
-         true)
-       ());
-  Sim.Engine.run e ~until:(Sim.Engine.of_seconds 10e-3);
-  (* 5000 expected; allow 10%. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "got %d" !n)
-    true
-    (!n > 4500 && !n < 5500)
-
 let uniform_mix_routes_everywhere () =
   let rng = Sim.Rng.create 11L in
   let gen = Workload.Mix.udp_uniform ~rng ~n_subnets:8 () in
@@ -241,44 +219,6 @@ let flows_spec_roundtrip () =
   check_err "flows:nope=3";
   check_err "flows:pps"
 
-(* Satellite: Mix.weighted must reject degenerate weight vectors instead
-   of silently generating from an arbitrary component. *)
-let weighted_mix_validation () =
-  let rng = Sim.Rng.create 3L in
-  let g _ =
-    Packet.Build.udp
-      ~src:(Packet.Ipv4.addr_of_string "1.1.1.1")
-      ~dst:(Packet.Ipv4.addr_of_string "2.2.2.2")
-      ~src_port:1 ~dst_port:2 ()
-  in
-  let raises l =
-    match Workload.Mix.weighted ~rng l with
-    | exception Invalid_argument _ -> true
-    | (_ : int -> Packet.Frame.t) -> false
-  in
-  Alcotest.(check bool) "all-zero rejected" true
-    (raises [ (0., g); (0., g) ]);
-  Alcotest.(check bool) "negative rejected" true
-    (raises [ (1., g); (-0.5, g) ]);
-  Alcotest.(check bool) "empty rejected" true (raises []);
-  let h _ =
-    Packet.Build.udp
-      ~src:(Packet.Ipv4.addr_of_string "3.3.3.3")
-      ~dst:(Packet.Ipv4.addr_of_string "4.4.4.4")
-      ~src_port:3 ~dst_port:4 ()
-  in
-  let gen = Workload.Mix.weighted ~rng [ (3., g); (1., h) ] in
-  let n_h = ref 0 in
-  for i = 0 to 999 do
-    let f = gen i in
-    if Packet.Ipv4.get_src f = Packet.Ipv4.addr_of_string "3.3.3.3" then
-      incr n_h
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "3:1 mix (got %d/1000 minor)" !n_h)
-    true
-    (!n_h > 180 && !n_h < 320)
-
 let tests =
   [
     Alcotest.test_case "line rate math" `Quick line_rate_math;
@@ -288,10 +228,7 @@ let tests =
     Alcotest.test_case "flows zero-draw when disabled" `Quick
       flows_zero_draw_when_disabled;
     Alcotest.test_case "flows spec roundtrip" `Quick flows_spec_roundtrip;
-    Alcotest.test_case "weighted mix validation" `Quick
-      weighted_mix_validation;
     Alcotest.test_case "constant source rate" `Quick constant_source_rate;
-    Alcotest.test_case "poisson source mean" `Quick poisson_source_mean_rate;
     Alcotest.test_case "uniform mix coverage" `Quick
       uniform_mix_routes_everywhere;
     Alcotest.test_case "syn flood shape" `Quick syn_flood_is_syns;
