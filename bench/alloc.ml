@@ -23,6 +23,11 @@
      default router, and from a 4-member cluster with frame pools — what
      every router pays before its first packet (the Poptrie jump table
      and the DRAM buffer pool dominated it once)
+   - retention: heap words a queued 4-member cluster still reaches after
+     a fixed run and a drain, over its size at create.  Pools, caches and
+     tables that fill are part of it; a container that keeps dispatched
+     events, frames or messages reachable shows here as growth (the
+     event queue's vacated slots did, until they were cleared)
 
    Unlike wall-clock pps, allocation counts are exact and repeatable —
    the spread rows exist for gate.py --refresh symmetry and sit near
@@ -150,6 +155,49 @@ let words_at_create v = float_of_int (Obj.reachable_words (Obj.repr v))
 
 let router_create_words () = words_at_create (Router.create ())
 
+(* The retention scenario: 4 members with 8 ports each and frame pools,
+   taildrop:256 fabric queues, 32 sources at 95% of the 64-byte line
+   rate for 20 ms, then 20 ms with every offer refused.  The sources
+   keep running (and keep handing their frames back to the pools), so
+   the drained cluster is the same shape as the loaded one. *)
+let retained_run_us = 20_000.
+let retained_drain_us = 20_000.
+
+let cluster_retained_words () =
+  let fabric_queue =
+    match Cluster.Fabric_queue.parse "taildrop:256" with
+    | Ok q -> q
+    | Error m -> failwith m
+  in
+  let c =
+    Cluster.create ~members:4 ~ports_per_member:8 ~frame_pool:true
+      ~fabric_queue ()
+  in
+  let at_create = Obj.reachable_words (Obj.repr c) in
+  let stopped = ref false in
+  let rng = Sim.Rng.create 42L in
+  for g = 0 to 31 do
+    let m, _ = Cluster.member_of_global_port c g in
+    let pool = Option.get (Cluster.frame_pool c m) in
+    let rng = Sim.Rng.split rng in
+    ignore
+      (Workload.Source.spawn_line_rate (Cluster.engine_of_global_port c g)
+         ~name:(Printf.sprintf "g%d" g)
+         ~mbps:100. ~frame_len:64
+         ~gen:
+           (Workload.Mix.udp_uniform ~pool ~rng ~n_subnets:32 ~frame_len:64 ())
+         ~offer:(fun f ->
+           let ok = (not !stopped) && Cluster.inject c ~global_port:g f in
+           if not ok then Packet.Frame_pool.give pool f;
+           ok)
+         ())
+  done;
+  Cluster.run_for c ~us:retained_run_us;
+  stopped := true;
+  Cluster.run_for c ~us:retained_drain_us;
+  Gc.full_major ();
+  float_of_int (Obj.reachable_words (Obj.repr c) - at_create)
+
 let cluster_create_words () =
   words_at_create (Cluster.create ~members:4 ~frame_pool:true ())
 
@@ -159,6 +207,10 @@ let cluster_create_words () =
    eager one would add 2^18 words and show here. *)
 let router_words_budget = 64_000.
 let cluster_words_budget = 320_000.
+
+(* Budget for the retention row, with headroom over the measured ~634k
+   (~743k while the event queue kept its vacated slots). *)
+let retained_words_budget = 1_000_000.
 
 (* Budget for the frames-minted row, with headroom over the measured
    ~258. *)
@@ -178,6 +230,7 @@ let run () =
   let w2, p2, e2, gcs2, minted = router_alloc () in
   let router_words = router_create_words () in
   let cluster_words = cluster_create_words () in
+  let retained_words = cluster_retained_words () in
   let w = Float.min w1 w2 and p = Float.min p1 p2 in
   let e = Float.min e1 e2 in
   let spread a b =
@@ -208,6 +261,8 @@ let run () =
     ~paper:router_words_budget ~measured:router_words;
   Report.row ~unit_:"words" ~name:"cluster words at create"
     ~paper:cluster_words_budget ~measured:cluster_words;
+  Report.row ~unit_:"words" ~name:"cluster words retained after drain"
+    ~paper:retained_words_budget ~measured:retained_words;
   Report.row ~unit_:"frac" ~name:"run spread (minor words)" ~paper:0.10
     ~measured:(spread w1 w2);
   Report.row ~unit_:"frac" ~name:"run spread (events)" ~paper:0.10

@@ -61,8 +61,25 @@ let float_where what ok =
 let positive = float_where "a positive number" (fun x -> x > 0. && x < infinity)
 let share = float_where "a share in 0..1" (fun x -> x >= 0. && x <= 1.)
 
+(* Simulated milliseconds: a run of no time measures nothing. *)
+let duration_ms ~default =
+  Arg.(value & opt positive default & info [ "d"; "duration" ] ~docv:"MS"
+         ~doc:"Simulated milliseconds to run (positive).")
+
 (* Ethernet frame lengths the generators can build. *)
 let frame_bytes = int_in ~max:Packet.Build.max_frame Packet.Build.min_frame
+
+(* One combination VRP block, and how many the VRP's instruction store
+   holds after the trailing jump. *)
+let vrp_block = [ Router.Vrp.Instr 10; Router.Vrp.Sram_read 4 ]
+
+let max_vrp_blocks =
+  let jump = Router.Vrp.istore_slots [] in
+  (Ixp.Istore.capacity_vrp (Ixp.Istore.create Ixp.Config.default) - jump)
+  / (Router.Vrp.istore_slots vrp_block - jump)
+
+(* A cluster names one global 10.N.0.0/16 subnet per external port. *)
+let max_global_ports = 256
 
 let subnet_routes r n_ports =
   for p = 0 to n_ports - 1 do
@@ -74,10 +91,7 @@ let subnet_routes r n_ports =
 (* --- run ------------------------------------------------------------- *)
 
 let run_cmd =
-  let duration =
-    Arg.(value & opt float 10.0 & info [ "d"; "duration" ] ~docv:"MS"
-           ~doc:"Simulated milliseconds to run.")
-  in
+  let duration = duration_ms ~default:10.0 in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
   in
@@ -284,8 +298,13 @@ let peak_cmd =
            ~doc:"All packets to one queue (I.3 / Figure 10).")
   in
   let blocks =
-    Arg.(value & opt int 0 & info [ "vrp-blocks" ] ~docv:"N"
-           ~doc:"Combination VRP blocks (10 instr + 4B SRAM) per packet.")
+    Arg.(value & opt (int_in ~max:max_vrp_blocks 0) 0
+         & info [ "vrp-blocks" ] ~docv:"N"
+             ~doc:
+               (Printf.sprintf
+                  "Combination VRP blocks (10 instr + 4B SRAM) per packet: \
+                   0..%d, as many as the VRP's instruction store holds."
+                  max_vrp_blocks))
   in
   let in_ctx =
     Arg.(value & opt (int_in 1) 16 & info [ "input-contexts" ] ~docv:"N"
@@ -297,11 +316,7 @@ let peak_cmd =
   in
   let run input_disc output_disc contention blocks in_ctx out_ctx metrics =
     let open Router.Fixed_infra in
-    let code =
-      List.concat
-        (List.init blocks (fun _ ->
-             [ Router.Vrp.Instr 10; Router.Vrp.Sram_read 4 ]))
-    in
+    let code = List.concat (List.init blocks (fun _ -> vrp_block)) in
     let telemetry = Telemetry.Registry.create () in
     let r =
       run ~telemetry
@@ -329,12 +344,12 @@ let peak_cmd =
 
 let budget_cmd =
   let pps =
-    Arg.(value & opt float 1.128e6 & info [ "pps" ] ~docv:"PPS"
-           ~doc:"Aggregate line rate in packets per second.")
+    Arg.(value & opt positive 1.128e6 & info [ "pps" ] ~docv:"PPS"
+           ~doc:"Aggregate line rate in packets per second (positive).")
   in
   let contexts =
-    Arg.(value & opt int 16 & info [ "contexts" ] ~docv:"N"
-           ~doc:"Input contexts.")
+    Arg.(value & opt (int_in 1) 16 & info [ "contexts" ] ~docv:"N"
+           ~doc:"Input contexts (at least 1).")
   in
   let run pps contexts =
     let b =
@@ -352,10 +367,7 @@ let budget_cmd =
 (* --- cluster --------------------------------------------------------- *)
 
 let cluster_cmd =
-  let duration =
-    Arg.(value & opt float 3.0 & info [ "d"; "duration" ] ~docv:"MS"
-           ~doc:"Simulated milliseconds to run.")
-  in
+  let duration = duration_ms ~default:3.0 in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
   in
@@ -364,8 +376,12 @@ let cluster_cmd =
            ~doc:"Pentium/IXP pairs behind the switch (at least 2).")
   in
   let ports_per_member =
-    Arg.(value & opt int 4 & info [ "ports-per-member" ] ~docv:"N"
-           ~doc:"External 100 Mbps ports per member.")
+    Arg.(value & opt (int_in 1) 4 & info [ "ports-per-member" ] ~docv:"N"
+           ~doc:
+             (Printf.sprintf
+                "External 100 Mbps ports per member (at least 1; at most %d \
+                 across all members, one global 10.N.0.0/16 subnet each)."
+                max_global_ports))
   in
   let frame_len =
     Arg.(value & opt frame_bytes 64 & info [ "frame" ] ~docv:"BYTES"
@@ -398,7 +414,7 @@ let cluster_cmd =
                  Queues exert backpressure into injection and the member \
                  egress path; 'none' bypasses queueing entirely.")
   in
-  let run duration seed members ports_per_member frame_len domains
+  let simulate duration seed members ports_per_member frame_len domains
       cluster_faults fabric_queue metrics =
     let faults =
       match Fault.Cluster_scenario.parse cluster_faults with
@@ -479,14 +495,29 @@ let cluster_cmd =
       exit 1
     end
   in
+  let run duration seed members ports_per_member frame_len domains
+      cluster_faults fabric_queue metrics =
+    if members * ports_per_member > max_global_ports then
+      `Error
+        ( true,
+          Printf.sprintf
+            "option '--ports-per-member': %d members x %d ports exceed the \
+             %d global subnets"
+            members ports_per_member max_global_ports )
+    else
+      `Ok
+        (simulate duration seed members ports_per_member frame_len domains
+           cluster_faults fabric_queue metrics)
+  in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:
          "Drive the section 6 multi-member cluster, optionally under a \
           cluster fault scenario, and audit the cluster invariants.")
     Term.(
-      const run $ duration $ seed $ members $ ports_per_member $ frame_len
-      $ domains $ cluster_faults $ fabric_queue_arg $ metrics_arg)
+      ret
+        (const run $ duration $ seed $ members $ ports_per_member $ frame_len
+        $ domains $ cluster_faults $ fabric_queue_arg $ metrics_arg))
 
 let () =
   let info =

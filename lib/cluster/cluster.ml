@@ -352,13 +352,22 @@ let uplink_tx t ~dst (port, f) =
     else settle t ~dst t.in_dropped_down
   end
 
+(* The egress port's finite queue admits the frame; the default bypass
+   queue hands it to {!uplink_tx} synchronously, reproducing the
+   pre-queueing fabric byte for byte. *)
+let enqueue_ingress t ~dst ~port f =
+  if
+    not
+      (Fabric_queue.offer t.in_queues.(dst) ~cls:(frame_class f)
+         ~len:(Packet.Frame.len f) (port, f))
+  then settle t ~dst t.in_q_dropped
+
 (* A frame arrives at the switch egress port towards [dst] after the
-   switch latency (plus any stall).  Runs as a fiber on the
-   destination's engine, so every counter it touches is
-   destination-sharded.  After the link-damage stage it enters the
-   egress port's finite queue; the default bypass queue hands it to
-   {!uplink_tx} synchronously, reproducing the pre-queueing fabric
-   byte for byte. *)
+   switch latency.  Runs as an engine callback on the destination's
+   engine, so every counter it touches is destination-sharded.  After
+   the link-damage stage, and a stall if one is in force (the rest then
+   runs as a second callback that much later), it enters the egress
+   port's queue. *)
 let deliver_fabric t ~dst ~port f =
   let at_us = member_now_us t dst in
   let h = t.health.(dst) in
@@ -381,14 +390,14 @@ let deliver_fabric t ~dst ~port f =
     let stall = Fault.Cluster_scenario.stall_us t.faults ~member:dst ~at_us in
     if stall > 0. then begin
       t.in_stalled.(dst) <- t.in_stalled.(dst) + 1;
-      Sim.Engine.wait_in t.engines.(dst)
-        (Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6)))
-    end;
-    if
-      not
-        (Fabric_queue.offer t.in_queues.(dst) ~cls:(frame_class f)
-           ~len:(Packet.Frame.len f) (port, f))
-    then settle t ~dst t.in_q_dropped
+      let e = t.engines.(dst) in
+      Sim.Engine.call_at e
+        ~at:
+          (Sim.Engine.clock_i e
+          + Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6)))
+        (fun () -> enqueue_ingress t ~dst ~port f)
+    end
+    else enqueue_ingress t ~dst ~port f
   end
 
 (* Drain everything sent to member [m] during the previous epoch and
@@ -417,16 +426,14 @@ let drain_inbox t m ~parity =
       in
       List.iter
         (fun msg ->
-          Sim.Engine.spawn_at t.engines.(m)
-            ~at:(Int64.of_int msg.arrival_ps)
-            "fabric-rx"
-            (fun () -> deliver_fabric t ~dst:m ~port:msg.dst_port msg.frame))
+          Sim.Engine.call_at t.engines.(m) ~at:msg.arrival_ps (fun () ->
+              deliver_fabric t ~dst:m ~port:msg.dst_port msg.frame))
         msgs
 
 (* The learning switch, egress side: a frame that cleared the member's
-   uplink queue goes onto the wire into the switch.  Runs inside the
-   sending member's fiber (the uplink queue's service completion — or
-   the sender's own fiber under bypass).  Damage draws use the sender's
+   uplink queue goes onto the wire into the switch.  Runs on the sending
+   member's engine: in the uplink queue's service-completion callback,
+   or in the sender's own fiber under bypass.  Damage draws use the sender's
    stream.  The fabric owns the frame it carries: the uplink MAC handed
    it over as a fresh unpooled [prefix_copy] (see {!send_fabric}), so
    the sender's recycling buffer pool can never reuse bytes the

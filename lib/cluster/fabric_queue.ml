@@ -131,7 +131,7 @@ let red_drop_prob ~min_th ~max_th ~max_p ~avg =
 
 (* --- the queue --------------------------------------------------------- *)
 
-type 'a item = { payload : 'a; cls : int; len : int; enq_ps : int }
+type 'a item = { payload : 'a; len : int; enq_ps : int }
 
 type 'a t = {
   engine : Sim.Engine.t;
@@ -256,25 +256,34 @@ let pick t =
       in
       go n
 
+(* The server is two engine callbacks, no fiber: [serve] puts the next
+   frame on the wire and schedules [complete] at the end of its service
+   time; [complete] hands it on and serves again.  Each is queued where
+   a server fiber would queue its start or its service wait, so the
+   order of events is the same as with one. *)
 let rec serve t =
   match pick t with
   | None -> t.busy <- false
   | Some it ->
       let g = t.gen in
-      Sim.Engine.wait_in t.engine (service_ps t ~len:it.len);
-      if t.gen <> g then begin
-        (* The link was cut (crash) while this frame was in service:
-           strand it, accounted as flushed. *)
-        t.n_flushed <- t.n_flushed + 1;
-        dec_occ t
-      end
-      else begin
-        dec_occ t;
-        t.n_serviced <- t.n_serviced + 1;
-        t.delay_ps <- t.delay_ps + (Sim.Engine.clock_i t.engine - it.enq_ps);
-        t.deliver it.payload
-      end;
-      serve t
+      Sim.Engine.call_at t.engine
+        ~at:(Sim.Engine.clock_i t.engine + service_ps t ~len:it.len)
+        (fun () -> complete t it g)
+
+and complete t it g =
+  if t.gen <> g then begin
+    (* The link was cut (crash) while this frame was in service:
+       strand it, accounted as flushed. *)
+    t.n_flushed <- t.n_flushed + 1;
+    dec_occ t
+  end
+  else begin
+    dec_occ t;
+    t.n_serviced <- t.n_serviced + 1;
+    t.delay_ps <- t.delay_ps + (Sim.Engine.clock_i t.engine - it.enq_ps);
+    t.deliver it.payload
+  end;
+  serve t
 
 let offer t ~cls ~len x =
   match t.cfg.disc with
@@ -300,7 +309,7 @@ let offer t ~cls ~len x =
       else begin
         let cls = min (max cls 0) (Array.length t.queues - 1) in
         Queue.push
-          { payload = x; cls; len; enq_ps = Sim.Engine.clock_i t.engine }
+          { payload = x; len; enq_ps = Sim.Engine.clock_i t.engine }
           t.queues.(cls);
         t.occ <- t.occ + 1;
         t.n_enqueued <- t.n_enqueued + 1;
@@ -311,7 +320,8 @@ let offer t ~cls ~len x =
         end;
         if not t.busy then begin
           t.busy <- true;
-          Sim.Engine.spawn t.engine "fabric-queue" (fun () -> serve t)
+          Sim.Engine.call_at t.engine ~at:(Sim.Engine.clock_i t.engine)
+            (fun () -> serve t)
         end;
         true
       end

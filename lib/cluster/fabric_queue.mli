@@ -5,7 +5,8 @@
     experiment needs.
 
     The queue drains at a configured link rate through one non-preemptive
-    server fiber on the owning member's engine, so queueing only ever
+    server on the owning member's engine, run as engine callbacks (no
+    fiber per frame or per busy period), so queueing only ever
     {e adds} latency on top of the fabric's minimum switch latency — the
     conservative-lookahead bound of the parallel scheduler survives any
     discipline.  All state is owned by one engine and every stochastic
@@ -62,8 +63,7 @@ val red_drop_prob : min_th:int -> max_th:int -> max_p:float -> avg:float -> floa
     1 at or above [max_th]. *)
 
 type 'a t
-(** A queue of ['a] payloads.  For non-[Bypass] configurations every
-    operation must run inside a fiber on the owning member's engine. *)
+(** A queue of ['a] payloads, served on the owning member's engine. *)
 
 val create :
   engine:Sim.Engine.t ->
@@ -72,10 +72,11 @@ val create :
   deliver:('a -> unit) ->
   unit ->
   'a t
-(** [engine] is the owning member's engine: the server fiber runs on it
-    and service times and sojourns are measured on its clock.  [deliver]
-    is called from the server fiber when a payload finishes its service
-    time (synchronously from {!offer} under [Bypass]). *)
+(** [engine] is the owning member's engine: the server runs on it and
+    service times and sojourns are measured on its clock.  [deliver] is
+    called from an engine callback, outside any fiber, when a payload
+    finishes its service time (synchronously from {!offer} under
+    [Bypass]); it must not wait. *)
 
 val offer : 'a t -> cls:int -> len:int -> 'a -> bool
 (** Admit a [len]-byte frame of class [cls] (clamped to the configured

@@ -11,7 +11,6 @@ type binding = {
 
 type t = {
   adm : Admission.t;
-  chip : Ixp.Chip.t;
   classifier : Classifier.t;
   istores : Ixp.Istore.t list;
   me_load : Admission.me_load;
@@ -26,7 +25,6 @@ type t = {
 let create ~chip ~classifier ~input_mes () =
   {
     adm = Admission.default chip.Ixp.Chip.cfg;
-    chip;
     classifier;
     istores = List.map (fun i -> chip.Ixp.Chip.istores.(i)) input_mes;
     me_load = Admission.empty_me_load ();
@@ -49,13 +47,12 @@ let level_of_where = function
   | SA -> Desc.Strongarm
   | PE -> Desc.Pentium
 
-let install_istore t (f : Forwarder.t) ~per_flow =
+let install_istore t (f : Forwarder.t) =
   let slots = Forwarder.istore_slots f in
-  let region = if per_flow then Ixp.Istore.Per_flow else Ixp.Istore.General in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | st :: rest -> (
-        match Ixp.Istore.install st region ~slots with
+        match Ixp.Istore.install st ~slots with
         | Ok h -> go ((st, h) :: acc) rest
         | Error e ->
             (* Roll back the stores already written. *)
@@ -72,7 +69,7 @@ let bind t ~key ~fwdr ~where ~expected_pps =
         match Admission.admit_me t.adm t.me_load fwdr ~per_flow with
         | Error es -> Error es
         | Ok () -> (
-            match install_istore t fwdr ~per_flow with
+            match install_istore t fwdr with
             | Error es ->
                 Admission.release_me t.adm t.me_load fwdr ~per_flow;
                 Error es

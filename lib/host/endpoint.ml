@@ -13,7 +13,7 @@ type conn = {
   mutable snd_una : int; (* oldest unacknowledged sequence number *)
   mutable snd_nxt : int;
   mutable rcv_nxt : int;
-  mutable send_buf : Buffer.t; (* bytes numbered from iss+1 *)
+  send_buf : Buffer.t; (* bytes numbered from iss+1 *)
   recv_buf : Buffer.t;
   ooo : (int, string) Hashtbl.t; (* out-of-order segments by seq *)
   mutable retx : int;

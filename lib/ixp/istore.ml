@@ -1,6 +1,4 @@
-type region = Per_flow | General
-
-type block = { handle : int; slots : int; region : region }
+type block = { handle : int; slots : int }
 
 type t = {
   capacity : int;
@@ -23,7 +21,7 @@ let used t = List.fold_left (fun acc b -> acc + b.slots) 0 t.blocks
 
 let free_slots t = t.capacity - used t
 
-let install t region ~slots =
+let install t ~slots =
   if slots <= 0 then Error "istore: non-positive size"
   else if slots > free_slots t then
     Error
@@ -32,7 +30,7 @@ let install t region ~slots =
   else begin
     let handle = t.next_handle in
     t.next_handle <- handle + 1;
-    t.blocks <- { handle; slots; region } :: t.blocks;
+    t.blocks <- { handle; slots } :: t.blocks;
     Ok handle
   end
 

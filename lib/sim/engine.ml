@@ -5,9 +5,12 @@
    picoseconds cover ~53 days of simulated time, vastly beyond any
    run. *)
 
+(* [Vacant] is never queued: it is what the run queue's unused slots
+   hold, an immediate that keeps nothing reachable (see {!Wheel}). *)
 type event =
   | Thunk of (unit -> unit)
   | Resume of (unit, unit) Effect.Deep.continuation
+  | Vacant
 
 type t = {
   mutable clock : int; (* ps *)
@@ -93,7 +96,7 @@ let create () =
     {
       clock = 0;
       seq = 0;
-      queue = Wheel.create ();
+      queue = Wheel.create ~vacant:Vacant;
       live = 0;
       limit = 0;
       elided = 0;
@@ -203,16 +206,17 @@ let rec exec_fiber t name fn =
 and spawn t name fn =
   schedule_event t ~at:t.clock (Thunk (fun () -> exec_fiber t name fn))
 
-let spawn_at t ~at name fn =
-  let at = Int64.to_int at in
+let call_at t ~at f =
   if at < t.clock then
     invalid_arg
-      (Fmt.str "Engine.spawn_at: %S at %d ps is before the clock (%d ps)" name
-         at t.clock);
-  schedule_event t ~at (Thunk (fun () -> exec_fiber t name fn))
+      (Fmt.str "Engine.call_at: %d ps is before the clock (%d ps)" at t.clock);
+  schedule_event t ~at (Thunk f)
 
 let dispatch ev =
-  match ev with Thunk f -> f () | Resume k -> Effect.Deep.continue k ()
+  match ev with
+  | Thunk f -> f ()
+  | Resume k -> Effect.Deep.continue k ()
+  | Vacant -> ()
 
 (* Ownership assertion: an engine is single-owner while it dispatches.
    Catches both a re-entrant [run] of the same engine (a fiber driving

@@ -54,13 +54,17 @@ val spawn : t -> string -> (unit -> unit) -> unit
 (** [spawn t name fn] registers fiber [fn], to start at the current
     simulated time.  [name] appears in crash reports. *)
 
-val spawn_at : t -> at:int64 -> string -> (unit -> unit) -> unit
-(** [spawn_at t ~at name fn] registers fiber [fn] to start at absolute
-    simulated time [at] (picoseconds).  Raises [Invalid_argument] if
-    [at] is before [t]'s clock.  This is how the cluster fabric hands a
-    frame arrival to a receiving member's engine: the sender computes
-    the arrival timestamp and the receiver's engine starts the delivery
-    fiber exactly then. *)
+val call_at : t -> at:int -> (unit -> unit) -> unit
+(** [call_at t ~at f] schedules the plain callback [f] at absolute
+    simulated time [at] (picoseconds): one queued event, no fiber and no
+    effect handler.  It takes its sequence number now, so it runs after
+    every event already queued for [at] and before any queued later.
+    [f] runs outside any fiber: it may read the clock, call wakers,
+    {!spawn} and [call_at], but must not {!wait_in}, {!park} or
+    {!suspend}, since there is no fiber to suspend.  Raises
+    [Invalid_argument] if [at] is before [t]'s clock.  This is how the
+    cluster fabric hands a frame arrival to a receiving member's engine,
+    and how a fabric queue's server completes a frame's service. *)
 
 val run : t -> until:int64 -> unit
 (** [run t ~until] executes queued events in order until the queue drains or

@@ -1,66 +1,100 @@
-type 'a entry = { time : int64; seq : int; value : 'a }
+(* Binary min-heap over parallel arrays: keys interleaved ([time] at
+   [2i], [seq] at [2i+1]) in one int array, values in their own, so a
+   push allocates nothing once the arrays have grown.
 
-type 'a t = { mutable arr : 'a entry array; mutable len : int }
+   A slot past [len] holds [vacant], never a value the heap has handed
+   out or moved away from: pop writes it into the slot it vacates, and
+   growth fills the spare slots with it.  A popped value is therefore
+   unreachable from the heap, whatever it captured. *)
 
-let create () = { arr = [||]; len = 0 }
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : 'a array;
+  mutable len : int;
+  vacant : 'a;
+}
 
+let create ~vacant = { keys = [||]; vals = [||]; len = 0; vacant }
 let is_empty h = h.len = 0
 
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Key of slot [i] strictly below the key [(time, seq)]. *)
+let below keys i time seq =
+  let ti = Array.unsafe_get keys (2 * i) in
+  ti < time || (ti = time && Array.unsafe_get keys ((2 * i) + 1) < seq)
 
-let grow h entry =
-  let cap = Array.length h.arr in
+let set h i time seq v =
+  Array.unsafe_set h.keys (2 * i) time;
+  Array.unsafe_set h.keys ((2 * i) + 1) seq;
+  Array.unsafe_set h.vals i v
+
+let move h ~src ~dst =
+  set h dst
+    (Array.unsafe_get h.keys (2 * src))
+    (Array.unsafe_get h.keys ((2 * src) + 1))
+    (Array.unsafe_get h.vals src)
+
+let grow h =
+  let cap = Array.length h.vals in
   if h.len = cap then begin
     let ncap = if cap = 0 then 64 else cap * 2 in
-    let narr = Array.make ncap entry in
-    Array.blit h.arr 0 narr 0 h.len;
-    h.arr <- narr
+    let nk = Array.make (2 * ncap) 0 and nv = Array.make ncap h.vacant in
+    Array.blit h.keys 0 nk 0 (2 * h.len);
+    Array.blit h.vals 0 nv 0 h.len;
+    h.keys <- nk;
+    h.vals <- nv
   end
 
-let push h ~time ~seq value =
-  let e = { time; seq; value } in
-  grow h e;
-  h.arr.(h.len) <- e;
-  h.len <- h.len + 1;
-  (* Sift the new entry up to its place. *)
+(* Sift a hole at [i] up past every parent above [(time, seq)], then
+   fill it. *)
+let push h ~time ~seq v =
+  grow h;
   let rec up i =
-    if i > 0 then begin
+    if i = 0 then 0
+    else
       let parent = (i - 1) / 2 in
-      if less h.arr.(i) h.arr.(parent) then begin
-        let tmp = h.arr.(i) in
-        h.arr.(i) <- h.arr.(parent);
-        h.arr.(parent) <- tmp;
+      if below h.keys parent time seq then i
+      else begin
+        move h ~src:parent ~dst:i;
         up parent
       end
-    end
   in
-  up (h.len - 1)
+  set h (up h.len) time seq v;
+  h.len <- h.len + 1
 
 let pop h =
   if h.len = 0 then None
   else begin
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.arr.(0) <- h.arr.(h.len);
+    let keys = h.keys in
+    let top = (keys.(0), keys.(1), h.vals.(0)) in
+    let last = h.len - 1 in
+    h.len <- last;
+    let time = keys.(2 * last) and seq = keys.((2 * last) + 1) in
+    let v = h.vals.(last) in
+    h.vals.(last) <- h.vacant;
+    if last > 0 then begin
+      (* Sift a hole from the root down, then drop the old last entry
+         into it. *)
       let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest = ref i in
-        if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest <> i then begin
-          let tmp = h.arr.(i) in
-          h.arr.(i) <- h.arr.(!smallest);
-          h.arr.(!smallest) <- tmp;
-          down !smallest
+        let l = (2 * i) + 1 in
+        if l >= last then i
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < last && below keys r keys.(2 * l) keys.((2 * l) + 1) then r
+            else l
+          in
+          if below keys c time seq then begin
+            move h ~src:c ~dst:i;
+            down c
+          end
+          else i
         end
       in
-      down 0
+      set h (down 0) time seq v
     end;
-    Some (top.time, top.seq, top.value)
+    Some top
   end
 
-let peek_time h = if h.len = 0 then None else Some h.arr.(0).time
+let min_time h = if h.len = 0 then max_int else Array.unsafe_get h.keys 0
 
-let peek h =
-  if h.len = 0 then None else Some (h.arr.(0).time, h.arr.(0).seq)
+let peek h = if h.len = 0 then None else Some (h.keys.(0), h.keys.(1))

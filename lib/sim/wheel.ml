@@ -23,7 +23,14 @@
    boxed anyway, so they keep their own array.  Buckets grow once to
    steady-state size and are never shrunk, so pushing and popping
    allocate nothing in steady state.  Times are native-int picoseconds
-   like the engine's clock; only the far heap boxes them. *)
+   like the engine's clock.
+
+   A slot past its bucket's length holds [vacant], never a value the
+   wheel has handed out: a pop writes it into the slot its swap-with-last
+   vacates, and growth fills the spare slots with it (the far heap keeps
+   the same rule).  Otherwise every bucket would keep its last dispatched
+   event reachable, with whatever closure, message or frame that event
+   captured, and each minor collection would promote it. *)
 
 let bucket_bits = 10
 let n_buckets = 1 lsl bucket_bits
@@ -60,64 +67,67 @@ let db_table =
 let ctz32 x =
   Array.unsafe_get db_table ((((x land -x) * db32) land 0xFFFFFFFF) lsr 27)
 
+(* [min_slot] values that name no wheel slot. *)
+let in_far = -1
+let stale = -2
+
 type 'a t = {
   b_key : int array array; (* per bucket: time at 2i, seq at 2i+1 *)
   b_val : 'a array array;
   b_len : int array;
   occ : int array; (* level-1 bitmap: bit [slot land 31] of word [slot lsr 5] *)
-  mutable occ_sum : int; (* level-2: bit [w] set iff occ.(w) <> 0 *)
-  mutable near : int; (* wheel-tier entries *)
-  mutable floor : int; (* every wheel entry has time >= floor *)
-  mutable cursor : int; (* slot index of floor *)
+  (* Level-2: bit [w] set iff occ.(w) <> 0, so [occ_sum = 0] iff the
+     wheel tier is empty. *)
+  mutable occ_sum : int;
+  (* Every wheel entry has time >= floor; the cursor, the slot of
+     [floor], is derived from it ([cursor]). *)
+  mutable floor : int;
   (* Cached queue-wide minimum, for the engine's wait-elision test and
-     the immediately following pop: valid iff [min_ok].  [min_slot] is
-     the wheel slot holding it and [min_idx] the index inside that
-     bucket, or [min_slot = -1] when the minimum lives in the far heap.
-     Pushes keep the cache current (a push appends, so its position is
-     known); any take invalidates it. *)
+     the immediately following pop: valid unless [min_slot = stale].
+     [min_slot] is the wheel slot holding it and [min_idx] the index
+     inside that bucket, or [min_slot = in_far] when the minimum lives in
+     the far heap.  Pushes keep the cache current (a push appends, so its
+     position is known); any take invalidates it. *)
   mutable cached_min : int;
   mutable min_slot : int;
   mutable min_idx : int;
-  mutable min_ok : bool;
-  (* Root time of [far] as a native int ([max_int] when empty), so the
-     per-pop tier comparison costs no [Int64] unboxing. *)
+  (* Root time of [far] ([max_int] when empty), so the per-pop tier
+     comparison reads a field instead of calling into the heap. *)
   mutable far_min : int;
   far : 'a Heap.t;
+  vacant : 'a; (* held by every unused slot *)
   mutable far_hits : int; (* pushes that overflowed the horizon *)
   mutable popped_time : int; (* key time of the last pop *)
 }
 
-let create () =
+let create ~vacant =
   {
     b_key = Array.make n_buckets [||];
     b_val = Array.make n_buckets [||];
     b_len = Array.make n_buckets 0;
     occ = Array.make occ_words 0;
     occ_sum = 0;
-    near = 0;
     floor = 0;
-    cursor = 0;
     cached_min = max_int;
-    min_slot = -1;
+    min_slot = in_far;
     min_idx = 0;
-    min_ok = true;
     far_min = max_int;
-    far = Heap.create ();
+    far = Heap.create ~vacant;
+    vacant;
     far_hits = 0;
     popped_time = 0;
   }
 
-let is_empty t = t.near = 0 && Heap.is_empty t.far
+let cursor t = (t.floor lsr res_bits) land slot_mask
+let is_empty t = t.occ_sum = 0 && Heap.is_empty t.far
 let far_hits t = t.far_hits
 
 let push t ~now ~time ~seq v =
   let ti = time in
-  if t.near = 0 then begin
-    (* Re-anchor the window at the caller's clock: every future push is
-       at or after it, so the whole horizon is usable again. *)
-    t.floor <- now;
-    t.cursor <- (now lsr res_bits) land slot_mask
-  end;
+  (* An empty wheel tier re-anchors the window at the caller's clock:
+     every future push is at or after it, so the whole horizon is usable
+     again. *)
+  if t.occ_sum = 0 then t.floor <- now;
   if ti - t.floor >= horizon then begin
     t.far_hits <- t.far_hits + 1;
     if ti < t.far_min then begin
@@ -125,12 +135,12 @@ let push t ~now ~time ~seq v =
       (* The far root changed; a same-time cached wheel entry still wins
          (its seq is smaller), so only a strict improvement re-points
          the cache at the heap. *)
-      if t.min_ok && ti < t.cached_min then begin
+      if t.min_slot <> stale && ti < t.cached_min then begin
         t.cached_min <- ti;
-        t.min_slot <- -1
+        t.min_slot <- in_far
       end
     end;
-    Heap.push t.far ~time:(Int64.of_int ti) ~seq v
+    Heap.push t.far ~time:ti ~seq v
   end
   else begin
     let slot = (ti lsr res_bits) land slot_mask in
@@ -138,7 +148,7 @@ let push t ~now ~time ~seq v =
     let cap = Array.length t.b_val.(slot) in
     if len = cap then begin
       let ncap = if cap = 0 then 4 else cap * 2 in
-      let nk = Array.make (2 * ncap) 0 and nv = Array.make ncap v in
+      let nk = Array.make (2 * ncap) 0 and nv = Array.make ncap t.vacant in
       Array.blit t.b_key.(slot) 0 nk 0 (2 * len);
       Array.blit t.b_val.(slot) 0 nv 0 len;
       t.b_key.(slot) <- nk;
@@ -152,11 +162,10 @@ let push t ~now ~time ~seq v =
     let w = slot lsr 5 in
     t.occ.(w) <- t.occ.(w) lor (1 lsl (slot land 31));
     t.occ_sum <- t.occ_sum lor (1 lsl w);
-    t.near <- t.near + 1;
     (* An earlier time strictly improves the minimum (a tie keeps the
        incumbent: equal time means the incumbent's seq is smaller,
        because seqs only grow). *)
-    if t.min_ok && ti < t.cached_min then begin
+    if t.min_slot <> stale && ti < t.cached_min then begin
       t.cached_min <- ti;
       t.min_slot <- slot;
       t.min_idx <- len
@@ -169,10 +178,12 @@ let push t ~now ~time ~seq v =
    actually taken.  A peek must not advance it — the clock (and hence
    future push times) may still lie between the cursor and the first
    occupied bucket, and a push behind an advanced cursor would be
-   missed for a whole revolution.  [t.near > 0] guarantees a set bit. *)
+   missed for a whole revolution.  [t.occ_sum <> 0] guarantees a set
+   bit. *)
 let first_bucket t =
-  let w = t.cursor lsr 5 in
-  let m = t.occ.(w) land (-1 lsl (t.cursor land 31)) in
+  let cursor = cursor t in
+  let w = cursor lsr 5 in
+  let m = t.occ.(w) land (-1 lsl (cursor land 31)) in
   if m <> 0 then (w * 32) + ctz32 m
   else begin
     (* Words strictly after the cursor's, then wrap to the earliest
@@ -206,10 +217,17 @@ let take_from_bucket t slot i =
   let v = Array.unsafe_get vals i in
   (* Swap-with-last removal; within-bucket order is irrelevant.  [i] and
      [len] are in bounds by construction ([i < b_len], [len = b_len-1]),
-     and this runs once per dispatched event. *)
-  Array.unsafe_set keys (2 * i) (Array.unsafe_get keys (2 * len));
-  Array.unsafe_set keys ((2 * i) + 1) (Array.unsafe_get keys ((2 * len) + 1));
-  Array.unsafe_set vals i (Array.unsafe_get vals len);
+     and this runs once per dispatched event.  The vacated last slot
+     gets [vacant], so the bucket reaches neither [v] nor a second copy
+     of the entry moved down.  A bucket usually holds one entry
+     ([i = len]), which then costs one value store, as before. *)
+  if i < len then begin
+    Array.unsafe_set keys (2 * i) (Array.unsafe_get keys (2 * len));
+    Array.unsafe_set keys ((2 * i) + 1)
+      (Array.unsafe_get keys ((2 * len) + 1));
+    Array.unsafe_set vals i (Array.unsafe_get vals len)
+  end;
+  Array.unsafe_set vals len t.vacant;
   t.b_len.(slot) <- len;
   if len = 0 then begin
     let w = slot lsr 5 in
@@ -217,10 +235,8 @@ let take_from_bucket t slot i =
     t.occ.(w) <- ow;
     if ow = 0 then t.occ_sum <- t.occ_sum land lnot (1 lsl w)
   end;
-  t.near <- t.near - 1;
   t.floor <- time;
-  t.cursor <- slot;
-  t.min_ok <- false;
+  t.min_slot <- stale;
   t.popped_time <- time;
   v
 
@@ -228,14 +244,10 @@ let pop_far t =
   match Heap.pop t.far with
   | None -> invalid_arg "Wheel.pop: empty queue"
   | Some (time, _, v) ->
-      t.min_ok <- false;
-      t.far_min <-
-        (match Heap.peek_time t.far with
-        | None -> max_int
-        | Some ht -> Int64.to_int ht);
-      t.floor <- Int64.to_int time;
-      t.cursor <- (t.floor lsr res_bits) land slot_mask;
-      t.popped_time <- t.floor;
+      t.min_slot <- stale;
+      t.far_min <- Heap.min_time t.far;
+      t.floor <- time;
+      t.popped_time <- time;
       v
 
 (* Far-vs-wheel tie: the far entry wins only on a strictly smaller seq,
@@ -251,9 +263,9 @@ let far_wins_tie t ws =
    scan. *)
 let recompute_min t =
   begin
-    (if t.near = 0 then begin
+    (if t.occ_sum = 0 then begin
        t.cached_min <- t.far_min;
-       t.min_slot <- -1
+       t.min_slot <- in_far
      end
      else begin
        let slot = first_bucket t in
@@ -265,7 +277,7 @@ let recompute_min t =
          || (t.far_min = wt && far_wins_tie t keys.((2 * i) + 1))
        then begin
          t.cached_min <- t.far_min;
-         t.min_slot <- -1
+         t.min_slot <- in_far
        end
        else begin
          t.cached_min <- wt;
@@ -273,13 +285,12 @@ let recompute_min t =
          t.min_idx <- i
        end
      end);
-    t.min_ok <- true;
     t.cached_min
   end
 
 (* Small enough for the classic (non-flambda) cross-module inliner, so
    the engine's per-wait probe is a load and a branch. *)
-let min_time t = if t.min_ok then t.cached_min else recompute_min t
+let min_time t = if t.min_slot <> stale then t.cached_min else recompute_min t
 
 let peek_time t =
   let m = min_time t in
@@ -291,7 +302,7 @@ let peek_time t =
    returned tuple, so a pop runs once per event without boxing. *)
 let pop t =
   if is_empty t then invalid_arg "Wheel.pop: empty queue";
-  if not t.min_ok then ignore (recompute_min t : int);
+  if t.min_slot = stale then ignore (recompute_min t : int);
   if t.min_slot >= 0 then take_from_bucket t t.min_slot t.min_idx
   else pop_far t
 

@@ -10,11 +10,17 @@
 
     The one contract beyond {!Heap}: [push] takes the current clock
     [~now], and no event may be scheduled in the past ([time >= now]),
-    which the engine guarantees by construction. *)
+    which the engine guarantees by construction.
+
+    The wheel holds on to nothing it has handed out: every slot it is
+    not using, in either tier, holds the [vacant] value given at
+    {!create}. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : vacant:'a -> 'a t
+(** [create ~vacant] is an empty queue whose unused slots hold [vacant]
+    (a constant: it should capture nothing). *)
 
 val is_empty : 'a t -> bool
 

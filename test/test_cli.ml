@@ -44,7 +44,26 @@ let out_of_range_is_usage_error () =
     ];
   List.iter
     (fun opt -> usage_error opt [ "peak"; opt; "0" ])
-    [ "--input-contexts"; "--output-contexts" ]
+    [ "--input-contexts"; "--output-contexts" ];
+  (* No extra "-d" here: these commands have none, or the value under
+     test is the duration itself. *)
+  List.iter
+    (fun argv -> usage_error (List.nth argv 1) argv)
+    [
+      [ "run"; "--duration"; "0" ];
+      [ "run"; "--duration"; "nan" ];
+      [ "cluster"; "--duration"; "0" ];
+      [ "cluster"; "--ports-per-member"; "0"; "-d"; "0.01" ];
+      (* 4 x 65 external ports need more than the 256 global subnets. *)
+      [ "cluster"; "--ports-per-member"; "65"; "--members"; "4"; "-d"; "0.01" ];
+      [ "budget"; "--pps"; "0" ];
+      [ "budget"; "--pps"; "inf" ];
+      [ "budget"; "--contexts"; "0" ];
+      [ "peak"; "--vrp-blocks"; "1000" ];
+    ];
+  (* A negative value must be glued on, or it reads as an option. *)
+  usage_error "--duration" [ "cluster"; "--duration=-1" ];
+  usage_error "--vrp-blocks" [ "peak"; "--vrp-blocks=-1" ]
 
 let in_range_runs () =
   let code, _ =

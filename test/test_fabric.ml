@@ -25,7 +25,7 @@ let drive ?(seed = 7L) ?(body = fun _ -> ()) config arrivals =
   Sim.Engine.spawn e "arrivals" (fun () ->
       List.iteri
         (fun i (gap, cls, len) ->
-          (* wait 0 would yield to the server fiber mid-batch; keep
+          (* wait 0 would yield to the queue's server mid-batch; keep
              same-instant offers atomic so t = 0 backlogs are real *)
           if gap > 0 then Sim.Engine.wait_in e gap;
           ignore (Fq.offer q ~cls ~len i : bool))

@@ -110,13 +110,13 @@ let stack_pool_recycles () =
 let istore_accounting () =
   let st = Ixp.Istore.create Ixp.Config.default in
   Alcotest.(check int) "vrp capacity" 650 (Ixp.Istore.capacity_vrp st);
-  (match Ixp.Istore.install st Ixp.Istore.General ~slots:100 with
+  (match Ixp.Istore.install st ~slots:100 with
   | Ok h ->
       Alcotest.(check int) "used" 100 (Ixp.Istore.used st);
       Ixp.Istore.remove st h;
       Alcotest.(check int) "freed" 0 (Ixp.Istore.used st)
   | Error e -> Alcotest.fail e);
-  (match Ixp.Istore.install st Ixp.Istore.General ~slots:651 with
+  (match Ixp.Istore.install st ~slots:651 with
   | Ok _ -> Alcotest.fail "should not fit"
   | Error _ -> ());
   Alcotest.(check int) "write cost 10 instr = 800 cycles" 800

@@ -4,11 +4,11 @@ let check = Alcotest.(check int)
 let check64 = Alcotest.(check int64)
 
 let heap_orders_by_time_then_seq () =
-  let h = Sim.Heap.create () in
-  Sim.Heap.push h ~time:5L ~seq:0 "a";
-  Sim.Heap.push h ~time:3L ~seq:1 "b";
-  Sim.Heap.push h ~time:3L ~seq:2 "c";
-  Sim.Heap.push h ~time:1L ~seq:3 "d";
+  let h = Sim.Heap.create ~vacant:"" in
+  Sim.Heap.push h ~time:5 ~seq:0 "a";
+  Sim.Heap.push h ~time:3 ~seq:1 "b";
+  Sim.Heap.push h ~time:3 ~seq:2 "c";
+  Sim.Heap.push h ~time:1 ~seq:3 "d";
   let order = ref [] in
   let rec drain () =
     match Sim.Heap.pop h with
@@ -25,16 +25,14 @@ let heap_qcheck =
   QCheck.Test.make ~name:"heap pops in nondecreasing key order" ~count:200
     QCheck.(list (pair (int_bound 1000) small_nat))
     (fun events ->
-      let h = Sim.Heap.create () in
-      List.iteri
-        (fun seq (t, _) -> Sim.Heap.push h ~time:(Int64.of_int t) ~seq ())
-        events;
+      let h = Sim.Heap.create ~vacant:() in
+      List.iteri (fun seq (t, _) -> Sim.Heap.push h ~time:t ~seq ()) events;
       let rec drain last ok =
         match Sim.Heap.pop h with
         | None -> ok
         | Some (t, _, ()) -> drain t (ok && t >= last)
       in
-      drain Int64.min_int true)
+      drain min_int true)
 
 let wait_advances_clock () =
   let e = Sim.Engine.create () in
@@ -498,8 +496,8 @@ let wheel_matches_heap =
     QCheck.(pair int64 (int_range 1 300))
     (fun (seed, nops) ->
       let rng = Sim.Rng.create seed in
-      let w = Sim.Wheel.create () in
-      let h = Sim.Heap.create () in
+      let w = Sim.Wheel.create ~vacant:(-1) in
+      let h = Sim.Heap.create ~vacant:(-1) in
       let now = ref 0 in
       let seq = ref 0 in
       let ok = ref true in
@@ -515,7 +513,7 @@ let wheel_matches_heap =
         | true, None -> false
         | false, Some (t', s', _) ->
             let t, s = pop_wheel () in
-            expect (Int64.of_int t = t' && s = s');
+            expect (t = t' && s = s');
             now := t;
             true
         | _ -> expect false; false
@@ -531,7 +529,7 @@ let wheel_matches_heap =
           in
           let t = !now + delta in
           Sim.Wheel.push w ~now:!now ~time:t ~seq:!seq !seq;
-          Sim.Heap.push h ~time:(Int64.of_int t) ~seq:!seq !seq;
+          Sim.Heap.push h ~time:t ~seq:!seq !seq;
           incr seq
         done
       in
@@ -548,25 +546,18 @@ let wheel_matches_heap =
               expect (t <= until);
               match Sim.Heap.pop h with
               | Some (t', s', _) ->
-                  expect (Int64.of_int t = t' && s = s');
+                  expect (t = t' && s = s');
                   now := t
               | None -> expect false
             end
-            else
-              match Sim.Heap.peek_time h with
-              | Some t' -> expect (t' > Int64.of_int until)
-              | None -> ())
+            else expect (Sim.Heap.min_time h > until))
         | _ ->
             (* Peeks must agree and must not disturb later pops. *)
             expect
-              (match (Sim.Wheel.peek_time w, Sim.Heap.peek_time h) with
-              | Some t, Some t' -> Int64.of_int t = t'
-              | None, None -> true
-              | _ -> false);
-            expect
-              (Sim.Wheel.min_time w = max_int
-              || Some (Int64.of_int (Sim.Wheel.min_time w))
-                 = Sim.Heap.peek_time h)
+              (match Sim.Wheel.peek_time w with
+              | Some t -> t = Sim.Heap.min_time h
+              | None -> Sim.Heap.is_empty h);
+            expect (Sim.Wheel.min_time w = Sim.Heap.min_time h)
       done;
       while pop_pair () do
         ()
@@ -581,7 +572,7 @@ let wheel_matches_heap =
    horizon, lands in the wheel.  F must pop first, and a same-time
    wheel entry pushed later must wait behind it. *)
 let wheel_far_tier_order () =
-  let w = Sim.Wheel.create () in
+  let w = Sim.Wheel.create ~vacant:"" in
   Sim.Wheel.push w ~now:0 ~time:8_000_000 ~seq:0 "a";
   Sim.Wheel.push w ~now:0 ~time:9_000_000 ~seq:1 "f";
   Alcotest.(check string) "near first" "a" (Sim.Wheel.pop w);
@@ -594,6 +585,104 @@ let wheel_far_tier_order () =
   Alcotest.(check int) "last key time" 10_000_000 (Sim.Wheel.popped_time w);
   Alcotest.check_raises "empty" (Invalid_argument "Wheel.pop: empty queue")
     (fun () -> ignore (Sim.Wheel.pop w : string))
+
+(* Nothing a queue has handed out stays reachable from it.  Each value
+   is registered in a weak array and pushed, everything is popped, and
+   after a full major collection every weak entry must be empty while
+   the queue itself is still alive.  The pushes and pops run in a frame
+   of their own, so only the queue could keep a value alive. *)
+let collected weak =
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then incr live
+  done;
+  !live
+
+let fresh weak i =
+  let v = Bytes.make 8 (Char.chr (97 + (i mod 26))) in
+  Weak.set weak i (Some v);
+  v
+
+let wheel_round_trip w times =
+  let weak = Weak.create (List.length times) in
+  (fun [@inline never] () ->
+    List.iteri
+      (fun i t -> Sim.Wheel.push w ~now:0 ~time:t ~seq:i (fresh weak i))
+      times;
+    List.iter (fun _ -> ignore (Sys.opaque_identity (Sim.Wheel.pop w))) times)
+    ();
+  weak
+
+let wheel_releases_popped_values () =
+  List.iter
+    (fun (what, times) ->
+      let w = Sim.Wheel.create ~vacant:Bytes.empty in
+      let weak = wheel_round_trip w times in
+      check (what ^ ": none reachable") 0 (collected weak);
+      Alcotest.(check bool) (what ^ ": queue still alive") true
+        (Sim.Wheel.is_empty (Sys.opaque_identity w)))
+    [
+      (* Two entries of one 8192 ps bucket: popping the first swaps the
+         second down, vacating the slot it left. *)
+      ("vacated slot", [ 100; 200 ]);
+      (* Five entries grow the bucket past its first four slots. *)
+      ("grown bucket", [ 1; 2; 3; 4; 5 ]);
+      (* Beyond the ~8.4 us horizon: the far heap. *)
+      ("far tier", [ 100_000_000; 200_000_000 ]);
+    ]
+
+let heap_releases_popped_values () =
+  let h = Sim.Heap.create ~vacant:Bytes.empty in
+  let weak = Weak.create 3 in
+  (fun [@inline never] () ->
+    for i = 0 to 2 do
+      Sim.Heap.push h ~time:(10 - i) ~seq:i (fresh weak i)
+    done;
+    for _ = 0 to 2 do
+      ignore (Sys.opaque_identity (Sim.Heap.pop h))
+    done)
+    ();
+  check "none reachable" 0 (collected weak);
+  Alcotest.(check bool) "heap still alive" true
+    (Sim.Heap.is_empty (Sys.opaque_identity h))
+
+let engine_releases_run_callback () =
+  let e = Sim.Engine.create () in
+  let weak = Weak.create 1 in
+  (fun [@inline never] () ->
+    let v = fresh weak 0 in
+    Sim.Engine.call_at e ~at:10 (fun () -> ignore (Sys.opaque_identity v)))
+    ();
+  Sim.Engine.run_until_idle e;
+  check "captured value unreachable" 0 (collected weak);
+  check "engine still alive" 10 (Sim.Engine.clock_i (Sys.opaque_identity e))
+
+let call_at_before_clock_raises () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.call_at e ~at:10 ignore;
+  Sim.Engine.run_until_idle e;
+  Alcotest.check_raises "before the clock"
+    (Invalid_argument "Engine.call_at: 5 ps is before the clock (10 ps)")
+    (fun () -> Sim.Engine.call_at e ~at:5 ignore);
+  (* At the clock itself is fine. *)
+  Sim.Engine.call_at e ~at:10 ignore;
+  Sim.Engine.run_until_idle e
+
+(* A callback and a fiber's [Resume] due at one instant run in the order
+   their sequence numbers were taken: "a" before the fiber's wait was
+   queued, "b" after. *)
+let callbacks_and_resumes_in_seq_order () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.Engine.spawn e "f" (fun () ->
+      Sim.Engine.wait_in e 100;
+      note "f" ());
+  Sim.Engine.call_at e ~at:100 (note "a");
+  Sim.Engine.spawn e "g" (fun () -> Sim.Engine.call_at e ~at:100 (note "b"));
+  Sim.Engine.run_until_idle e;
+  Alcotest.(check (list string)) "seq order" [ "a"; "f"; "b" ] (List.rev !log)
 
 (* Grant order on release against the reference scan: the token goes
    to the first waiting slot among [(idx + k) mod n], k = 1..n-1.
@@ -728,5 +817,15 @@ let tests =
       ambient_lookups_counted;
     Alcotest.test_case "wheel: far tier merges in key order" `Quick
       wheel_far_tier_order;
+    Alcotest.test_case "wheel: popped values are unreachable" `Quick
+      wheel_releases_popped_values;
+    Alcotest.test_case "heap: popped values are unreachable" `Quick
+      heap_releases_popped_values;
+    Alcotest.test_case "engine: a run callback is unreachable" `Quick
+      engine_releases_run_callback;
+    Alcotest.test_case "engine: call_at before the clock raises" `Quick
+      call_at_before_clock_raises;
+    Alcotest.test_case "engine: callbacks and resumes in seq order" `Quick
+      callbacks_and_resumes_in_seq_order;
   ]
   @ qsuite
