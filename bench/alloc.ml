@@ -28,6 +28,9 @@
      tables that fill are part of it; a container that keeps dispatched
      events, frames or messages reachable shows here as growth (the
      event queue's vacated slots did, until they were cleared)
+   - route loading: words [Gen.bgp_table] allocates per route of a
+     100k-route set, and words a router and its RIP daemon reach per
+     route once the daemon has installed that set
 
    Unlike wall-clock pps, allocation counts are exact and repeatable —
    the spread rows exist for gate.py --refresh symmetry and sit near
@@ -201,6 +204,38 @@ let cluster_retained_words () =
 let cluster_create_words () =
   words_at_create (Cluster.create ~members:4 ~frame_pool:true ())
 
+(* The route-loading rows: what a 100k-route set costs to draw, and what
+   a router holds once the RIP daemon has installed it.  Both are exact,
+   so a duplicate filter or RIB entry that goes back to boxed values
+   shows here as a rise. *)
+let routes_n = 100_000
+
+let load_routes () =
+  Iproute.Gen.bgp_table ~rng:(Sim.Rng.create 11L) ~n:routes_n ~n_ports:8
+
+(* Words [Gen.bgp_table] allocates per route, wherever they land: minor
+   plus major minus promoted counts each word once. *)
+let generation_words_per_route () =
+  let gc = Sim.Gc_stats.create () in
+  ignore (load_routes () : (Iproute.Prefix.t * int) array);
+  (Sim.Gc_stats.minor_words gc +. Sim.Gc_stats.major_words gc
+  -. Sim.Gc_stats.promoted_words gc)
+  /. float_of_int routes_n
+
+(* Words reachable from a default router and its RIP daemon after the
+   daemon has announced every route (metric 0, via its port): the FIB
+   and the RIB together, per route. *)
+let rip_loaded_words_per_route () =
+  let routes = load_routes () in
+  let r = Router.create () in
+  let rip = Control.Rip.create r in
+  Array.iter
+    (fun (prefix, port) ->
+      Control.Rip.apply rip ~via_port:port { Control.Rip.prefix; metric = 0 })
+    routes;
+  float_of_int (Obj.reachable_words (Obj.repr (r, rip)))
+  /. float_of_int routes_n
+
 (* Budgets for the construction rows (the paper column), in words,
    with headroom over the measured ~40.5k and ~186k.  A default router
    has an empty FIB, so it holds no Poptrie jump table; an accidental
@@ -215,6 +250,13 @@ let retained_words_budget = 1_000_000.
 (* Budget for the frames-minted row, with headroom over the measured
    ~258. *)
 let minted_budget = 1_024.
+
+(* Budgets for the route-loading rows, in words per route, with headroom
+   over the measured ~7.8 and ~12.6.  A [Hashtbl] duplicate filter and a
+   length draw that boxed a float per step cost ~33.6; a record per RIB
+   entry ~15.6. *)
+let generation_words_budget = 10.
+let rip_loaded_words_budget = 14.
 
 let run () =
   Report.section "Allocation budget (steady-state minor words per packet)";
@@ -231,6 +273,8 @@ let run () =
   let router_words = router_create_words () in
   let cluster_words = cluster_create_words () in
   let retained_words = cluster_retained_words () in
+  let generation_words = generation_words_per_route () in
+  let rip_loaded_words = rip_loaded_words_per_route () in
   let w = Float.min w1 w2 and p = Float.min p1 p2 in
   let e = Float.min e1 e2 in
   let spread a b =
@@ -263,6 +307,12 @@ let run () =
     ~paper:cluster_words_budget ~measured:cluster_words;
   Report.row ~unit_:"words" ~name:"cluster words retained after drain"
     ~paper:retained_words_budget ~measured:retained_words;
+  Report.row ~unit_:"w/route"
+    ~name:(Printf.sprintf "route-set generation words per route [n=%d]" routes_n)
+    ~paper:generation_words_budget ~measured:generation_words;
+  Report.row ~unit_:"w/route"
+    ~name:(Printf.sprintf "RIP-loaded router words per route [n=%d]" routes_n)
+    ~paper:rip_loaded_words_budget ~measured:rip_loaded_words;
   Report.row ~unit_:"frac" ~name:"run spread (minor words)" ~paper:0.10
     ~measured:(spread w1 w2);
   Report.row ~unit_:"frac" ~name:"run spread (events)" ~paper:0.10

@@ -8,9 +8,8 @@
    0's subnets, so member 0's switch egress queue — drained at 300 Mbps
    — sees offered loads of 0.4x to 1.6x its service rate as the
    per-port rate sweeps 10..40 Mbps.  Everything is simulated time, so
-   every number here is deterministic: the committed BENCH_fabric.json
-   gates regressions at 15% in CI even though the curves replay
-   exactly.  Any invariant violation during the sweep increments
+   every number here is deterministic, and CI requires a run to be
+   byte-identical to the committed BENCH_fabric.json.  Any invariant violation during the sweep increments
    [failures], which makes the harness exit nonzero.  The queued
    parallel-identity check lives in bench/equivalence.ml. *)
 

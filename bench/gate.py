@@ -9,8 +9,9 @@ only one of them fails.  Rows present in the baseline but missing from
 the current run (or vice versa) fail: a renamed row must be re-baselined
 deliberately, not silently dropped from the gate.
 
-Used by CI for the perf, cluster-perf and fabric-contention jobs so the
-threshold logic lives in one place instead of three inline scripts.
+Used by CI for the perf, cluster-perf, alloc, fib, classifier and
+equivalence jobs so the threshold logic lives in one place instead of
+inline scripts.
 
 A second mode, --refresh, validates a freshly measured file as a *new*
 committed baseline instead of comparing it to one: the experiment must

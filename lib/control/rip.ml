@@ -66,11 +66,16 @@ type stats = {
   rejected : Sim.Stats.Counter.t;
 }
 
-type rib_entry = { metric : int; via_port : int }
+(* A RIB entry is one immediate int: the metric (at most 15, since an
+   infinite one removes the entry) in the low 5 bits, the next-hop port
+   above.  A record would cost 3 more words per route. *)
+let entry ~metric ~via_port = (via_port lsl 5) lor metric
+let entry_metric e = e land 31
+let entry_port e = e asr 5
 
 type t = {
   router : Router.t;
-  rib : (Iproute.Prefix.t, rib_entry) Hashtbl.t;
+  rib : (Iproute.Prefix.t, int) Hashtbl.t;
   stats : stats;
   mutable last_change_ps : int64; (* -1 until the first table write *)
   mutable table_changes : int;
@@ -137,7 +142,7 @@ let apply t ~via_port { prefix; metric } =
   if metric >= infinity_metric then begin
     (* Withdrawal: only the current next hop may retract the route. *)
     match current with
-    | Some e when e.via_port = via_port ->
+    | Some e when entry_port e = via_port ->
         Hashtbl.remove t.rib prefix;
         Iproute.Table.remove t.router.Router.routes prefix;
         touch t;
@@ -150,17 +155,17 @@ let apply t ~via_port { prefix; metric } =
        refreshes would otherwise tax the data plane for nothing. *)
     let refresh =
       match current with
-      | Some e -> e.via_port = via_port && e.metric = metric
+      | Some e -> e = entry ~metric ~via_port
       | None -> false
     in
     let better =
       match current with
       | None -> true
-      | Some e -> metric < e.metric || e.via_port = via_port
+      | Some e -> metric < entry_metric e || entry_port e = via_port
     in
     if refresh then Sim.Stats.Counter.incr t.stats.rejected
     else if better then begin
-      Hashtbl.replace t.rib prefix { metric; via_port };
+      Hashtbl.replace t.rib prefix (entry ~metric ~via_port);
       Iproute.Table.add t.router.Router.routes prefix
         (Router.nexthop t.router via_port);
       touch t;
@@ -196,6 +201,6 @@ let add_neighbor t ~addr ~via_port =
     ~where:Router.Iface.PE ~expected_pps:2_000. ()
 
 let best_metric t prefix =
-  Option.map (fun e -> e.metric) (Hashtbl.find_opt t.rib prefix)
+  Option.map entry_metric (Hashtbl.find_opt t.rib prefix)
 
 let route_count t = Hashtbl.length t.rib

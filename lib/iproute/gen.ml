@@ -13,33 +13,80 @@ let length_distribution =
     (24, 0.54);
   ]
 
-let pick_length rng =
+(* The distribution as (length, cumulative weight) pairs, the weights
+   summed left to right from 0 as a running fold would: a draw compares
+   against stored floats and boxes none per step.  Built once per table,
+   so loading the module allocates nothing. *)
+let cumulative () =
+  let acc = ref 0. in
+  Array.of_list
+    (List.map
+       (fun (len, w) ->
+         acc := !acc +. w;
+         (len, !acc))
+       length_distribution)
+
+let pick_length rng cum =
   let x = Sim.Rng.float rng 1.0 in
-  let rec go acc = function
-    | [] -> 24
-    | (len, w) :: rest -> if x < acc +. w then len else go (acc +. w) rest
-  in
-  go 0. length_distribution
+  let i = ref 0 in
+  while !i < Array.length cum && x >= snd cum.(!i) do
+    incr i
+  done;
+  if !i = Array.length cum then 24 else fst cum.(!i)
+
+(* The prefixes drawn so far, to reject duplicates: open addressing
+   with linear probing over one flat int array of at least 2n slots (a
+   power of two), [-1] in a free slot.  A packed prefix is a
+   non-negative immediate, so a slot is one word and the array holds no
+   pointer: 16 MB at a million routes, where a [Hashtbl] of the same
+   prefixes cost about 48 MB of buckets and cells. *)
+module Seen = struct
+  type t = { slots : int array; shift : int }
+
+  let empty = -1
+
+  let create n =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * n do
+      incr bits
+    done;
+    { slots = Array.make (1 lsl !bits) empty; shift = Sys.int_size - !bits }
+
+  (* Multiplicative hashing: the top bits of the key times 2^63/phi. *)
+  let golden = 0x4F1BBCDCBFA53E0B
+
+  let rec probe slots key i =
+    let s = slots.(i) in
+    if s = key then false
+    else if s = empty then begin
+      slots.(i) <- key;
+      true
+    end
+    else probe slots key ((i + 1) land (Array.length slots - 1))
+
+  (* [add t p] adds [p] and is true, or is false if [p] was present. *)
+  let add t p =
+    let key = (Prefix.bits p lsl 6) lor Prefix.length p in
+    probe t.slots key ((key * golden) lsr t.shift)
+end
 
 let table ~rng ~n ~n_ports =
   if n <= 0 || n_ports <= 0 then invalid_arg "Gen.table";
-  let seen = Hashtbl.create (2 * n) in
+  let seen = Seen.create n in
+  let cum = cumulative () in
   let rec fresh () =
-    let p = Prefix.make (Sim.Rng.int32 rng) (pick_length rng) in
-    if Hashtbl.mem seen p then fresh ()
-    else begin
-      Hashtbl.replace seen p ();
-      p
-    end
+    let p = Prefix.make (Sim.Rng.int32 rng) (pick_length rng cum) in
+    if Seen.add seen p then p else fresh ()
   in
   (Prefix.default, 0)
   :: List.init (n - 1) (fun _ -> (fresh (), Sim.Rng.int rng n_ports))
 
 let bgp_table ~rng ~n ~n_ports =
   if n <= 0 || n_ports <= 0 then invalid_arg "Gen.bgp_table";
-  let seen = Hashtbl.create (2 * n) in
+  let seen = Seen.create n in
+  let cum = cumulative () in
   let out = Array.make n (Prefix.default, 0) in
-  Hashtbl.replace seen Prefix.default ();
+  ignore (Seen.add seen Prefix.default : bool);
   (* Provider aggregates: most announcements are more-specifics punched
      into a modest number of short blocks, which is what gives real
      tables their deep nesting (and a trie its shared paths). *)
@@ -50,8 +97,7 @@ let bgp_table ~rng ~n ~n_ports =
   in
   let idx = ref 1 in
   let emit p =
-    if not (Hashtbl.mem seen p) && !idx < n then begin
-      Hashtbl.replace seen p ();
+    if !idx < n && Seen.add seen p then begin
       out.(!idx) <- (p, Sim.Rng.int rng n_ports);
       incr idx;
       true
@@ -63,11 +109,12 @@ let bgp_table ~rng ~n ~n_ports =
   while !idx < n do
     let b = blocks.(Sim.Rng.int rng n_blocks) in
     let blen = Prefix.length b in
-    let len = pick_length rng in
+    let len = pick_length rng cum in
     let p =
       if len <= blen || !misses > 64 then
         (* flat announcement outside any aggregate; also the escape
-           hatch when a small table saturates its blocks *)
+           hatch should a table saturate its blocks (none does: no n
+           tried draws more than 8 duplicates in a row) *)
         Prefix.make (Sim.Rng.int32 rng) len
       else
         let bits = Sim.Rng.int rng (1 lsl (len - blen)) in

@@ -209,6 +209,132 @@ let rip_churn_fuzz () =
     "quiet_ps tracks time since last write" true
     (Control.Rip.quiet_ps daemon >= 40_000_000L)
 
+(* ---- The RIB against a record-based model ----
+
+   The daemon keeps one entry per prefix (metric and next-hop port).  The
+   model below keeps the same entry as a record and applies RIP's rules
+   as written: the metric grows by one per hop and caps at infinity; a
+   withdrawal counts only from the current next hop; a refresh (same
+   port, same metric) is rejected without a table write; a route is
+   replaced by a better metric or by its own next hop.  Nested and
+   disjoint prefixes make [Table.lookup] pick between entries. *)
+
+type model_entry = { m_metric : int; m_port : int }
+
+let model_prefixes =
+  Array.map pfx
+    [|
+      "10.0.0.0/8";
+      "10.1.0.0/16";
+      "10.1.2.0/24";
+      "10.1.2.128/25";
+      "10.1.2.130/32";
+      "192.168.0.0/16";
+    |]
+
+(* The first and last address under each prefix, and one address no
+   prefix covers. *)
+let model_addrs =
+  addr "172.16.0.1"
+  :: List.concat_map
+       (fun p ->
+         let a = Iproute.Prefix.addr p in
+         let host = (1 lsl (32 - Iproute.Prefix.length p)) - 1 in
+         [ a; Int32.logor a (Int32.of_int host) ])
+       (Array.to_list model_prefixes)
+
+(* An op is (kind, prefix, port, metric): kind 0-1 announces [metric]
+   via [port]; 2 refreshes the current entry (an announce otherwise); 3
+   withdraws via [port]; 4 withdraws via the current next hop. *)
+let rib_matches_model =
+  QCheck.Test.make ~name:"RIB = record model under announce/refresh/withdraw"
+    ~count:60
+    QCheck.(
+      list_of_size Gen.(1 -- 120)
+        (quad (int_range 0 4) (int_range 0 5) (int_range 0 7)
+           (int_range 0 16)))
+    (fun ops ->
+      let r, daemon = mk () in
+      let st = Control.Rip.stats daemon in
+      let model = Hashtbl.create 8 in
+      let installed = ref 0 and withdrawn = ref 0 and rejected = ref 0 in
+      let model_apply p ~via_port metric =
+        let metric = min Control.Rip.infinity_metric (metric + 1) in
+        let cur = Hashtbl.find_opt model p in
+        if metric >= Control.Rip.infinity_metric then
+          match cur with
+          | Some e when e.m_port = via_port ->
+              Hashtbl.remove model p;
+              incr withdrawn
+          | _ -> incr rejected
+        else
+          match cur with
+          | Some e when e.m_port = via_port && e.m_metric = metric ->
+              incr rejected
+          | Some e when metric >= e.m_metric && e.m_port <> via_port ->
+              incr rejected
+          | _ ->
+              Hashtbl.replace model p { m_metric = metric; m_port = via_port };
+              incr installed
+      in
+      let model_lookup a =
+        Hashtbl.fold
+          (fun p e best ->
+            if not (Iproute.Prefix.matches p a) then best
+            else
+              match best with
+              | Some (q, _)
+                when Iproute.Prefix.length q > Iproute.Prefix.length p ->
+                  best
+              | _ -> Some (p, e.m_port))
+          model None
+        |> Option.map snd
+      in
+      List.iteri
+        (fun i (kind, pi, port, metric) ->
+          let p = model_prefixes.(pi) in
+          let cur = Hashtbl.find_opt model p in
+          let via_port, metric =
+            match (kind, cur) with
+            | 2, Some e -> (e.m_port, e.m_metric - 1)
+            | 3, _ -> (port, Control.Rip.infinity_metric)
+            | 4, Some e -> (e.m_port, Control.Rip.infinity_metric)
+            | 4, None -> (port, Control.Rip.infinity_metric)
+            | _ -> (port, metric)
+          in
+          Control.Rip.apply daemon ~via_port { Control.Rip.prefix = p; metric };
+          model_apply p ~via_port metric;
+          let fail what =
+            QCheck.Test.fail_reportf "op %d (%d, %d, %d, %d): %s" i kind pi
+              port metric what
+          in
+          Array.iter
+            (fun q ->
+              let want =
+                Option.map (fun e -> e.m_metric) (Hashtbl.find_opt model q)
+              in
+              if Control.Rip.best_metric daemon q <> want then
+                fail "best_metric")
+            model_prefixes;
+          if Control.Rip.route_count daemon <> Hashtbl.length model then
+            fail "route_count";
+          if counter st.Control.Rip.routes_installed <> !installed then
+            fail "installed";
+          if counter st.Control.Rip.routes_withdrawn <> !withdrawn then
+            fail "withdrawn";
+          if counter st.Control.Rip.rejected <> !rejected then fail "rejected";
+          List.iter
+            (fun a ->
+              let got =
+                Option.map
+                  (fun nh -> nh.Iproute.Table.out_port)
+                  (Iproute.Table.lookup r.Router.routes a)
+              in
+              if got <> model_lookup a then fail "Table.lookup")
+            model_addrs)
+        ops;
+      true)
+
 let tests =
   [
     Alcotest.test_case "encode/decode roundtrip" `Quick encode_decode_roundtrip;
@@ -220,4 +346,5 @@ let tests =
     Alcotest.test_case "unconfigured neighbor ignored" `Quick
       unconfigured_neighbor_ignored;
     Alcotest.test_case "rip churn fuzz vs btrie oracle" `Quick rip_churn_fuzz;
+    QCheck_alcotest.to_alcotest rib_matches_model;
   ]

@@ -666,6 +666,46 @@ let bgp_table_shape () =
     true
     (announces > 200 && announces < 800)
 
+(* ---- The generator's output, pinned ----
+
+   Every benchmark table, FIB row and delivery digest is drawn from
+   [Gen]; a change to how it rejects duplicates must not change a single
+   route or RNG draw.  Each case hashes the routes in order, then the
+   generator's next RNG draw (which pins how many draws it consumed),
+   and compares with the digest the boxed-[Hashtbl] generator produced.
+
+   The third case is the densest table the generator makes: one /8-/12
+   block and 1021 routes drawn under it.  Even there at most a handful of
+   draws in a row are duplicates (8 over 1000 seeds at n = 1023, at most
+   8 over every n tried), so the [misses > 64] escape is never taken. *)
+
+let generator_digest routes rng =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (p, port) ->
+      Printf.bprintf b "%d/%d:%d;" (Iproute.Prefix.bits p)
+        (Iproute.Prefix.length p) port)
+    routes;
+  Printf.bprintf b "next=%Ld" (Sim.Rng.next rng);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let generator_output_pinned () =
+  let bgp ~seed ~n =
+    let rng = Sim.Rng.create seed in
+    let routes = Iproute.Gen.bgp_table ~rng ~n ~n_ports:8 in
+    generator_digest (Array.to_list routes) rng
+  in
+  let flat ~seed ~n =
+    let rng = Sim.Rng.create seed in
+    generator_digest (Iproute.Gen.table ~rng ~n ~n_ports:8) rng
+  in
+  Alcotest.(check string) "bgp_table n=20000"
+    "c1e22172b53aed7c62a54172c632705b" (bgp ~seed:23L ~n:20_000);
+  Alcotest.(check string) "table n=5000" "8fb99acf747b591673a7579f44dc31aa"
+    (flat ~seed:5L ~n:5_000);
+  Alcotest.(check string) "bgp_table n=1023 (one block)"
+    "aff2df4b9e9463697cb57b5a8c9f0b8c" (bgp ~seed:3L ~n:1023)
+
 (* ---- Route cache against a model that always flushes ----
 
    The cache skips invalidation while no line is occupied; the model
@@ -1100,6 +1140,7 @@ let tests =
     Alcotest.test_case "cold table install scans no cache line" `Quick
       cold_install_scan_cost;
     Alcotest.test_case "bgp table shape + determinism" `Quick bgp_table_shape;
+    Alcotest.test_case "generator output pinned" `Quick generator_output_pinned;
     Alcotest.test_case "poptrie vs btrie at one million routes" `Slow
       poptrie_million;
     Alcotest.test_case "generated table shape" `Quick generated_table_shape;
