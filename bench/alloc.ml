@@ -252,9 +252,10 @@ let retained_words_budget = 1_000_000.
 let minted_budget = 1_024.
 
 (* Budgets for the route-loading rows, in words per route, with headroom
-   over the measured ~7.8 and ~12.6.  A [Hashtbl] duplicate filter and a
+   over the measured ~7.8 and ~12.1.  A [Hashtbl] duplicate filter and a
    length draw that boxed a float per step cost ~33.6; a record per RIB
-   entry ~15.6. *)
+   entry ~15.6; a pointer per trie value instead of a 16-bit next-hop
+   index ~12.6. *)
 let generation_words_budget = 10.
 let rip_loaded_words_budget = 14.
 

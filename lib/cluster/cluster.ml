@@ -875,6 +875,9 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
     ?(faults = Fault.Cluster_scenario.zero) ?(frame_pool = false)
     ?(fabric_queue = Fabric_queue.bypass) () =
   if members < 2 then invalid_arg "Cluster.create: members < 2";
+  (* Global port g routes 10.g.0.0/16: g must fit the second octet. *)
+  if members * ports_per_member > 256 then
+    invalid_arg "Cluster.create: more than 256 global ports";
   ensure_minor_heap ();
   let named = Fault.Cluster_scenario.max_member faults in
   if named >= members then
@@ -926,9 +929,7 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
     (fun m r ->
       for g = 0 to (members * ports_per_member) - 1 do
         let owner = g / ports_per_member in
-        let prefix =
-          Iproute.Prefix.of_string (Printf.sprintf "10.%d.0.0/16" g)
-        in
+        let prefix = Iproute.Prefix.of_bits ((10 lsl 24) lor (g lsl 16)) 16 in
         if owner = m then
           Router.add_route r prefix ~port:(g mod ports_per_member)
         else

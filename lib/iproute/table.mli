@@ -1,5 +1,15 @@
-(** The router's routing table: next-hop entries in a {!Poptrie} with a
-    route cache in front.
+(** The router's routing table: a {!Poptrie} of next-hop indices, the
+    next-hop table they index, and a route cache in front.
+
+    The FIB is split the way network-processor data paths and Poptrie
+    itself split it: each route stores a 16-bit index, and a small
+    next-hop table maps the index back to its {!nexthop}.  {!add}
+    interns the record it is given (structurally equal next hops share
+    one index, which keeps its next hop for the table's life), so a
+    lookup answers a record equal to the one installed, not necessarily
+    the same block.  The table is built by the first {!add}, so a table
+    nobody has added to holds none, and it takes at most 65,536
+    distinct next hops.
 
     The control plane (OSPF on the Pentium, in the paper) updates the
     table; updates invalidate the cache.  The data plane calls
@@ -30,7 +40,9 @@ val add : t -> Prefix.t -> nexthop -> unit
 (** Insert/replace a route; invalidates the cache.  The invalidation
     costs nothing while the cache is empty, so loading a table before
     traffic costs the trie writes alone; against a warm cache it costs
-    O(slots), or the covered lines under [selective_invalidation]. *)
+    O(slots), or the covered lines under [selective_invalidation].
+    @raise Invalid_argument if the next hop would be the table's
+    65,537th distinct one. *)
 
 val remove : t -> Prefix.t -> unit
 (** Delete a route; invalidates the cache like {!add}. *)

@@ -577,12 +577,49 @@ let lookahead_validated () =
     | exception Invalid_argument _ -> ()
   in
   expect_invalid "zero domains" (fun () -> Cluster.create ~domains:0 ());
-  expect_invalid "one member" (fun () -> Cluster.create ~members:1 ())
+  expect_invalid "one member" (fun () -> Cluster.create ~members:1 ());
+  (* Global port g routes 10.g.0.0/16. *)
+  expect_invalid "257 global ports" (fun () ->
+      Cluster.create ~members:2 ~ports_per_member:129 ())
+
+(* Every member routes every global subnet: its own through
+   [Router.add_route], the others' to the owner's uplink MAC.  Both
+   lookup forms answer the next hop [create] installed. *)
+let uplink_nexthops_round_trip () =
+  let c = Cluster.create () in
+  let ppm = 8 in
+  Array.iteri
+    (fun m r ->
+      let routes = r.Router.routes in
+      for g = 0 to (4 * ppm) - 1 do
+        let owner = g / ppm in
+        let want =
+          if owner = m then Router.nexthop r (g mod ppm)
+          else
+            {
+              Iproute.Table.out_port = ppm + (g mod 2);
+              gateway_mac = 0x02000000C100 lor owner;
+            }
+        in
+        let a = addr (Printf.sprintf "10.%d.1.1" g) in
+        let what = Printf.sprintf "member %d, subnet %d" m g in
+        Alcotest.(check bool) (what ^ ": lookup") true
+          (Iproute.Table.lookup routes a = Some want);
+        let hit = ref false in
+        Alcotest.(check bool) (what ^ ": cached lookup") true
+          (Iproute.Table.lookup_cached routes
+             (Int32.to_int a land 0xFFFFFFFF)
+             ~hit
+          = want)
+      done)
+    c.Cluster.members
 
 let tests =
   [
     Alcotest.test_case "local stays local" `Quick local_forwarding_stays_local;
     Alcotest.test_case "cross-member forwarding" `Quick cross_member_forwarding;
+    Alcotest.test_case "uplink next hops round-trip" `Quick
+      uplink_nexthops_round_trip;
     Alcotest.test_case "all-to-all no loss" `Slow all_to_all_no_loss;
     Alcotest.test_case "internal link shrinks budget" `Quick
       internal_link_shrinks_budget;

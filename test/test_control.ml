@@ -335,6 +335,45 @@ let rib_matches_model =
         ops;
       true)
 
+(* The FIB keeps a 16-bit id per route, and the table maps it back:
+   next hops installed by [Router.add_route] (in range, and past the
+   port count, where the router builds a fresh record) and by the RIP
+   daemon come back equal to what was installed, on the full lookup and
+   on both probes of the cached one. *)
+let nexthops_round_trip () =
+  let r, daemon = mk () in
+  Router.add_route r (pfx "10.1.0.0/16") ~port:2;
+  Router.add_route r (pfx "10.2.0.0/16") ~port:99;
+  Control.Rip.apply daemon ~via_port:3
+    { Control.Rip.prefix = pfx "10.3.0.0/16"; metric = 1 };
+  let routes = r.Router.routes in
+  List.iter
+    (fun (a, port) ->
+      let want = Router.nexthop r port in
+      let a = addr a in
+      Alcotest.(check bool)
+        (Printf.sprintf "port %d: lookup" port)
+        true
+        (Iproute.Table.lookup routes a = Some want);
+      let hit = ref false in
+      for probe = 1 to 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "port %d: cached probe %d" port probe)
+          true
+          (Iproute.Table.lookup_cached routes
+             (Int32.to_int a land 0xFFFFFFFF)
+             ~hit
+          = want)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "port %d: cache hit" port) true !hit)
+    [ ("10.1.7.7", 2); ("10.2.7.7", 99); ("10.3.7.7", 3) ];
+  let hit = ref true in
+  Alcotest.(check bool) "a miss is no_route, physically" true
+    (Iproute.Table.lookup_cached routes
+       (Int32.to_int (addr "192.0.2.1") land 0xFFFFFFFF)
+       ~hit
+    == Iproute.Table.no_route)
+
 let tests =
   [
     Alcotest.test_case "encode/decode roundtrip" `Quick encode_decode_roundtrip;
@@ -346,5 +385,7 @@ let tests =
     Alcotest.test_case "unconfigured neighbor ignored" `Quick
       unconfigured_neighbor_ignored;
     Alcotest.test_case "rip churn fuzz vs btrie oracle" `Quick rip_churn_fuzz;
+    Alcotest.test_case "installed next hops round-trip" `Quick
+      nexthops_round_trip;
     QCheck_alcotest.to_alcotest rib_matches_model;
   ]
