@@ -33,11 +33,11 @@ let run_case ~use_wfq =
       ~src:(addr (Printf.sprintf "10.250.0.%d" (1 + cls)))
       ~dst:(addr "10.0.0.1") ~src_port:(1000 + cls) ~dst_port:2000 ()
   in
-  let mk_process cls ctx frm ~in_port =
+  let mk_process cls ctx _frm ~in_port =
     ignore in_port;
     (* Trivial classifier + the WFQ selector's VRP cost. *)
     Router.Chip_ctx.exec ctx cm.Router.Cost_model.classify_null_instr;
-    ignore (Router.Chip_ctx.hash ctx (Int64.of_int32 (Packet.Ipv4.get_dst frm)));
+    Router.Chip_ctx.hash_charge ctx;
     Router.Chip_ctx.sram_read ctx ~bytes:8;
     let qid =
       if use_wfq then begin

@@ -20,14 +20,18 @@ let make chip ~ctx_id =
 let make_cpu chip clock =
   { chip; host = Cpu clock; ctx_id = -1; defer = false; pending = 0 }
 
-(* Per-batch charging: with [defer] on, every charge below books its
-   server access at the context's *virtual* clock (engine time plus
-   delays already booked) and accumulates the delay instead of
-   suspending; [commit] pays the whole batch as one wait.  Charges that
+(* One charging rule.  Every unit books its cost at the context's
+   virtual clock (engine time plus delays already booked) and returns
+   the delay; [charge] adds it to [pending] and, unless [defer] is on,
+   pays it at once.  Per-operation charging is booking paid at once;
+   per-batch charging pays the whole batch as one wait at the next
+   [commit].  Work is counted after [charge], so a per-operation
+   context counts it only once the delay has elapsed.  A zero charge
+   never waits: [commit] waits only on positive [pending].  Charges that
    cannot be booked (fault-injected memory channels need their
-   one-by-one issue sequence) commit first, so the full ordering
-   degenerates to the classic per-operation path exactly when the fault
-   plane is watching. *)
+   one-by-one issue sequence) commit first and wait per unit, so the
+   full ordering degenerates to the classic per-operation path exactly
+   when the fault plane is watching. *)
 let set_defer t on = t.defer <- on
 
 let engine t = t.chip.Ixp.Chip.engine
@@ -40,24 +44,28 @@ let commit t =
     Sim.Engine.wait_in (engine t) d
   end
 
+let charge t d =
+  t.pending <- t.pending + d;
+  if not t.defer then commit t
+
 let now_ps_i = vnow
+
+let cycles_ps clock n =
+  if n > 0 then Sim.Engine.Clock.ps_of_cycles_i clock n else 0
 
 let exec t n =
   match t.host with
   | Me me ->
-      if t.defer then
-        t.pending <- t.pending + Ixp.Microengine.exec_booked me ~now:(vnow t) n
-      else Ixp.Microengine.exec me n
-  | Cpu clock -> Sim.Engine.Clock.wait_cycles (engine t) clock n
+      charge t (Ixp.Microengine.exec me ~now:(vnow t) n);
+      Ixp.Microengine.retire me n
+  | Cpu clock -> charge t (cycles_ps clock n)
 
 let exec_wait t ~instr ~wait =
   match t.host with
   | Me me ->
-      if t.defer then
-        t.pending <-
-          t.pending + Ixp.Microengine.exec_wait_booked me ~now:(vnow t) ~instr ~wait
-      else Ixp.Microengine.exec_wait me ~instr ~wait
-  | Cpu clock -> Sim.Engine.Clock.wait_cycles (engine t) clock (instr + wait)
+      charge t (Ixp.Microengine.exec_wait me ~now:(vnow t) ~instr ~wait);
+      Ixp.Microengine.retire me instr
+  | Cpu clock -> charge t (cycles_ps clock (instr + wait))
 
 (* Variant for charges made while holding the token (the input DMA / output
    FIFO serial sections): under per-batch charging these must not queue on
@@ -68,23 +76,24 @@ let exec_wait t ~instr ~wait =
 let exec_wait_serial t ~instr ~wait =
   match t.host with
   | Me me when t.defer ->
-      t.pending <- t.pending + Ixp.Microengine.exec_wait_light me ~instr ~wait
+      charge t (Ixp.Microengine.exec_wait_light me ~instr ~wait);
+      Ixp.Microengine.retire me instr
   | Me _ | Cpu _ -> exec_wait t ~instr ~wait
 
 let wait_cycles t n =
   let clock =
     match t.host with Me _ -> t.chip.Ixp.Chip.me_clock | Cpu clock -> clock
   in
-  if t.defer && n > 0 then
-    t.pending <- t.pending + Sim.Engine.Clock.ps_of_cycles_i clock n
-  else Sim.Engine.Clock.wait_cycles (engine t) clock n
+  charge t (cycles_ps clock n)
 
-let mem_op t m booked plain ~bytes =
-  if t.defer && Ixp.Mem.bookable m then
-    t.pending <- t.pending + booked m ~now:(vnow t) ~bytes
+let mem_op t m booked waiting ~bytes =
+  if Ixp.Mem.bookable m then begin
+    charge t (booked m ~now:(vnow t) ~bytes);
+    Ixp.Mem.complete m ~bytes
+  end
   else begin
     commit t;
-    plain m ~bytes
+    waiting m ~bytes
   end
 
 let sram_read t ~bytes =
@@ -105,15 +114,4 @@ let dram_read t ~bytes =
 let dram_write t ~bytes =
   mem_op t t.chip.Ixp.Chip.dram Ixp.Mem.write_booked Ixp.Mem.write ~bytes
 
-let hash t v =
-  if t.defer then begin
-    let d, h = Ixp.Hash_unit.hash_booked t.chip.Ixp.Chip.hash v in
-    t.pending <- t.pending + d;
-    h
-  end
-  else Ixp.Hash_unit.hash t.chip.Ixp.Chip.hash v
-
-let hash_charge t =
-  if t.defer then
-    t.pending <- t.pending + Ixp.Hash_unit.charge_booked t.chip.Ixp.Chip.hash
-  else Ixp.Hash_unit.charge t.chip.Ixp.Chip.hash
+let hash_charge t = charge t (Ixp.Hash_unit.charge t.chip.Ixp.Chip.hash)

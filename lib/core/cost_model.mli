@@ -90,10 +90,12 @@ type t = {
           input and output token serial sections (the DMA/CSR round
           trip, the FIFO slot activation) are charged once per burst
           rather than once per MP, which Table 2's per-transfer (not
-          per-MP) CSR cost permits; and a context's Table 2 charges
-          accumulate arithmetically ({!Sim.Server.book_i}) and are paid
-          as one wait at the next shared-state interaction (queue,
-          token, MAC, park), instead of one engine event per charge.
+          per-MP) CSR cost permits; and the loops turn on
+          {!Chip_ctx.set_defer}.  Every Table 2 charge is booked
+          ({!Sim.Server.book_i}) either way; with this on the booked
+          delays stay pending and are paid as one wait at the next
+          shared-state interaction (queue, token, MAC, park), with it
+          off each is paid at once, one engine event per charge.
           Per-batch charging resolves contention at batch rather than
           operation granularity — it pays the enqueue critical section
           before the mutex — so the calibration apparatus

@@ -253,11 +253,11 @@ let run ?telemetry cfg =
   in
   let classify_and_forward seq =
     let count = ref 0 in
-    fun ctx frm ~in_port ->
+    fun ctx _frm ~in_port ->
       ignore in_port;
       (* Trivial classifier: destination hash, route-cache hit assumed. *)
       Chip_ctx.exec ctx cm.Cost_model.classify_null_instr;
-      ignore (Chip_ctx.hash ctx (Int64.of_int32 (Packet.Ipv4.get_dst frm)));
+      Chip_ctx.hash_charge ctx;
       Chip_ctx.sram_read ctx
         ~bytes:(4 * cm.Cost_model.classify_null_sram_reads);
       (* Null forwarder plus any synthetic VRP blocks under test. *)

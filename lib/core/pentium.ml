@@ -102,12 +102,12 @@ let process t (p : Strongarm.payload) =
              StrongARM's return ring via a posted write. *)
           Ixp.Pci.dma_async t.chip.Ixp.Chip.pci ~bytes:p.bytes
             ~on_done:(fun () -> Sim.Mailbox.put t.returns p.desc);
-          Ixp.Pci.pio_write t.chip.Ixp.Chip.pci ~clock:t.clock
+          Ixp.Pci.pio_write t.chip.Ixp.Chip.pci
       | Forwarder.Forward_routed | Forwarder.Continue ->
           Sim.Stats.Counter.incr t.stats.processed;
           Ixp.Pci.dma_async t.chip.Ixp.Chip.pci ~bytes:p.bytes
             ~on_done:(fun () -> Sim.Mailbox.put t.returns p.desc);
-          Ixp.Pci.pio_write t.chip.Ixp.Chip.pci ~clock:t.clock
+          Ixp.Pci.pio_write t.chip.Ixp.Chip.pci
       | Forwarder.Divert _ ->
           (* Top of the hierarchy: nowhere further. *)
           drop ());
@@ -121,7 +121,7 @@ let spawn t chip =
       in
       let pci = t.chip.Ixp.Chip.pci in
       let recv_overhead =
-        Int64.add (Ixp.Pci.pio_read_ps pci) (Ixp.Pci.pio_write_ps pci)
+        Int64.of_int (Ixp.Pci.pio_read_ps pci + Ixp.Pci.pio_write_ps pci)
       in
       (* Drain a bounded batch from the full queue so the
          proportional-share scheduler arbitrates over a real backlog (not
@@ -130,8 +130,7 @@ let spawn t chip =
       let rec drain k =
         if k > 0 then
           match
-            busy t (fun () ->
-                Ixp.I2o.try_recv t.from_sa ~consumer_clock:t.clock)
+            busy t (fun () -> Ixp.I2o.try_recv t.from_sa)
           with
           | Some p ->
               ingest p;
@@ -153,7 +152,7 @@ let spawn t chip =
         (if Psched.backlog t.sched = 0 then begin
            (* Idle: block on the full queue.  Only the PIO stalls count as
               busy time, not the wait for a packet to arrive. *)
-           let p = Ixp.I2o.recv t.from_sa ~consumer_clock:t.clock in
+           let p = Ixp.I2o.recv t.from_sa in
            t.busy_ps <- Int64.add t.busy_ps recv_overhead;
            ingest p;
            drain 16

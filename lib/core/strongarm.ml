@@ -248,9 +248,7 @@ let bridge_up t desc =
              behind concurrently. *)
           Chip_ctx.exec t.ctx
             t.ctx.Chip_ctx.chip.Ixp.Chip.cfg.Ixp.Config.pci_dma_setup_cycles;
-          Ixp.I2o.send_acquired t.to_pe
-            ~producer_clock:t.ctx.Chip_ctx.chip.Ixp.Chip.me_clock ~bytes
-            { desc; frame; bytes });
+          Ixp.I2o.send_acquired t.to_pe ~bytes { desc; frame; bytes });
       Sim.Stats.Counter.incr t.stats.bridged
 
 let spawn t chip =

@@ -35,7 +35,7 @@ let create ?(cfg = Config.default) ?(ports = eval_board_ports)
       Array.init cfg.n_microengines (fun _ ->
           Microengine.create engine me_clock);
     istores = Array.init cfg.n_microengines (fun _ -> Istore.create cfg);
-    hash = Hash_unit.create engine me_clock ~cycles:cfg.hash_cycles;
+    hash = Hash_unit.create me_clock ~cycles:cfg.hash_cycles;
     ports =
       Array.of_list
         (List.mapi

@@ -16,25 +16,25 @@ let create pci ~buffers () =
    backpressure). *)
 let acquire_free q = Sim.Mailbox.get q.free
 
-let send_acquired q ~producer_clock ~bytes v =
-  Pci.pio_read q.pci ~clock:producer_clock;
+let send_acquired q ~bytes v =
+  Pci.pio_read q.pci;
   (* Hand the payload to the DMA engine; the full-queue pointer push rides
      behind the data, concurrently with the producer. *)
   Pci.dma_async q.pci ~bytes ~on_done:(fun () -> Sim.Mailbox.put q.full v)
 
-let recv q ~consumer_clock =
+let recv q =
   let v = Sim.Mailbox.get q.full in
-  Pci.pio_read q.pci ~clock:consumer_clock;
+  Pci.pio_read q.pci;
   (* Recycle the buffer with a posted write. *)
   Sim.Mailbox.put q.free ();
-  Pci.pio_write q.pci ~clock:consumer_clock;
+  Pci.pio_write q.pci;
   v
 
-let try_recv q ~consumer_clock =
-  Pci.pio_read q.pci ~clock:consumer_clock;
+let try_recv q =
+  Pci.pio_read q.pci;
   match Sim.Mailbox.try_get q.full with
   | None -> None
   | Some v ->
       Sim.Mailbox.put q.free ();
-      Pci.pio_write q.pci ~clock:consumer_clock;
+      Pci.pio_write q.pci;
       Some v

@@ -27,16 +27,15 @@ val acquire_free : 'a t -> unit
 (** Wait for a free buffer (blocking while the consumer is behind) without
     charging anything: backpressure idle time, not busy time. *)
 
-val send_acquired :
-  'a t -> producer_clock:Sim.Engine.Clock.clock -> bytes:int -> 'a -> unit
-(** [send_acquired q ~producer_clock ~bytes v], after {!acquire_free}
+val send_acquired : 'a t -> bytes:int -> 'a -> unit
+(** [send_acquired q ~bytes v], after {!acquire_free}
     returned: the charged half of a send. *)
 
-val recv : 'a t -> consumer_clock:Sim.Engine.Clock.clock -> 'a
-(** [recv q ~consumer_clock] (inside the consumer fiber) blocks for the
+val recv : 'a t -> 'a
+(** [recv q] (inside the consumer fiber) blocks for the
     next full buffer, pays the consumer's PIO read, recycles the buffer to
     the free queue (posted write), and returns the payload. *)
 
-val try_recv : 'a t -> consumer_clock:Sim.Engine.Clock.clock -> 'a option
+val try_recv : 'a t -> 'a option
 (** Non-blocking {!recv}: pays the PIO probe even when empty (that is what
     polling costs). *)

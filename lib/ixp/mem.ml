@@ -1,4 +1,5 @@
 type t = {
+  engine : Sim.Engine.t;
   clock : Sim.Engine.Clock.clock;
   timing : Config.mem_timing;
   server : Sim.Server.t;
@@ -14,6 +15,7 @@ type t = {
 
 let create engine clock timing =
   {
+    engine;
     clock;
     timing;
     server = Sim.Server.create engine;
@@ -29,24 +31,33 @@ let set_faults t inj = t.faults <- Some inj
 let read_ops t ~bytes =
   if bytes <= 0 then 0 else (bytes + t.timing.unit_bytes - 1) / t.timing.unit_bytes
 
+(* The zero-fault burst, booked as of virtual time [now]; callers must
+   check {!bookable}.  The unit operations pipeline back to back on the
+   bus (Table 2 charges [occupancy_cycles] of bus time per unit), so a
+   burst of [n] units occupies the channel for [n * occupancy] and the
+   last unit completes its fill latency one occupancy slot after the
+   previous one: total latency [latency + (n-1) * occupancy].  Queueing
+   behind a busy channel is identical to issuing the units one by one —
+   the server serializes on its busy horizon either way — so only the
+   event count changes, not the timing.  Returns the requester's delay;
+   counts nothing. *)
+let transfer_booked t ~now ~bytes ~latency_ps =
+  let n = read_ops t ~bytes in
+  if n = 0 then 0
+  else
+    Sim.Server.book_i t.server ~now
+      ~occupancy:(n * t.occupancy_ps)
+      ~latency:(latency_ps + ((n - 1) * t.occupancy_ps))
+
 let transfer t ~bytes ~latency_ps =
   let n = read_ops t ~bytes in
   match t.faults with
   | None ->
-      (* Zero-fault path: coalesce the whole logical transfer into ONE
-         channel access.  The unit operations pipeline back to back on
-         the bus (Table 2 charges [occupancy_cycles] of bus time per
-         unit), so a burst of [n] units occupies the channel for
-         [n * occupancy] and the last unit completes its fill latency
-         one occupancy slot after the previous one: total latency
-         [latency + (n-1) * occupancy].  Queueing behind a busy channel
-         is identical to issuing the units one by one — Server.access
-         serializes on [busy_until] either way — so only the event
-         count changes, not the timing. *)
+      (* Zero-fault path: the booked burst, paid at once. *)
       if n > 0 then begin
-        Sim.Server.access_i t.server
-          ~occupancy:(n * t.occupancy_ps)
-          ~latency:(latency_ps + ((n - 1) * t.occupancy_ps));
+        let e = t.engine in
+        Sim.Engine.wait_in e
+          (transfer_booked t ~now:(Sim.Engine.clock_i e) ~bytes ~latency_ps);
         t.ops <- t.ops + n
       end
   | Some inj ->
@@ -70,23 +81,10 @@ let transfer t ~bytes ~latency_ps =
 
 let read t ~bytes = transfer t ~bytes ~latency_ps:t.read_ps
 let write t ~bytes = transfer t ~bytes ~latency_ps:t.write_ps
-
 let bookable t = t.faults = None
-
-(* Booked form of the zero-fault burst: same horizon updates, no wait
-   (see {!Sim.Server.book_i}).  Callers must check {!bookable}. *)
-let transfer_booked t ~now ~bytes ~latency_ps =
-  let n = read_ops t ~bytes in
-  if n = 0 then 0
-  else begin
-    t.ops <- t.ops + n;
-    Sim.Server.book_i t.server ~now
-      ~occupancy:(n * t.occupancy_ps)
-      ~latency:(latency_ps + ((n - 1) * t.occupancy_ps))
-  end
-
 let read_booked t ~now ~bytes = transfer_booked t ~now ~bytes ~latency_ps:t.read_ps
 let write_booked t ~now ~bytes = transfer_booked t ~now ~bytes ~latency_ps:t.write_ps
+let complete t ~bytes = t.ops <- t.ops + read_ops t ~bytes
 
 let server t = t.server
 let ops_completed t = t.ops

@@ -7,12 +7,14 @@
     latency plus any queueing behind other contexts — the contention
     that the paper's design works so hard to avoid.
 
-    On the zero-fault path a multi-unit transfer is charged as one
+    On the zero-fault path a multi-unit transfer is booked as one
     pipelined burst: the channel is occupied for [n * occupancy] and the
-    requester blocks for [latency + (n-1) * occupancy] — unit fills
+    requester is delayed by [latency + (n-1) * occupancy] — unit fills
     stream back to back, as the IXP's burst-capable SDRAM/SRAM
-    interfaces do.  With an injector installed the units are issued one
-    by one so per-operation fault draws (drop/delay) keep their exact
+    interfaces do.  {!read_booked}/{!write_booked} return that delay for
+    the caller to pay; {!read}/{!write} pay it at once.  With an
+    injector installed the units are issued one by one, each waited
+    for, so per-operation fault draws (drop/delay) keep their exact
     seeded sequence.  A channel moves accounting, not payload, so there
     are no bit flips to inject here: byte damage enters at the MAC. *)
 
@@ -29,7 +31,9 @@ val set_faults : t -> Fault.Injector.t -> unit
 
 val read : t -> bytes:int -> unit
 (** [read ch ~bytes] (inside a fiber) performs [ceil (bytes/unit)] read
-    operations, blocking for their cumulative latency. *)
+    operations, blocking for their cumulative latency, and counts them
+    once they complete.  The waiting form: the only one a fault-injected
+    channel accepts. *)
 
 val write : t -> bytes:int -> unit
 (** Like {!read} for writes. *)
@@ -41,11 +45,17 @@ val bookable : t -> bool
 
 val read_booked : t -> now:int -> bytes:int -> int
 (** [read_booked ch ~now ~bytes] books the burst as of virtual time
-    [now] and returns the requester's delay instead of waiting.  Only
-    valid when {!bookable}. *)
+    [now] and returns the requester's delay instead of waiting.  It
+    counts nothing: the caller pays the delay and then calls
+    {!complete}.  Only valid when {!bookable}. *)
 
 val write_booked : t -> now:int -> bytes:int -> int
 (** Like {!read_booked} for writes. *)
+
+val complete : t -> bytes:int -> unit
+(** [complete ch ~bytes] counts a booked [bytes]-sized burst's operations
+    in {!ops_completed}: once its delay is paid under per-operation
+    charging, at booking under per-batch charging. *)
 
 val read_ops : t -> bytes:int -> int [@@test_only]
 (** Number of operations a [bytes]-sized access issues (cost accounting). *)

@@ -2,8 +2,8 @@ type t = {
   engine : Sim.Engine.t;
   bus : Sim.Server.t;
   ps_per_byte : float;
-  pio_read_ps : int64;
-  pio_write_ps : int64;
+  pio_read_ps : int;
+  pio_write_ps : int;
 }
 
 let create engine (cfg : Config.t) =
@@ -11,22 +11,20 @@ let create engine (cfg : Config.t) =
     engine;
     bus = Sim.Server.create engine;
     ps_per_byte = 1e12 /. (cfg.pci_mbytes_per_s *. 1e6);
-    pio_read_ps = Sim.Engine.ps_of_ns cfg.pci_pio_read_ns;
-    pio_write_ps = Sim.Engine.ps_of_ns cfg.pci_pio_write_ns;
+    pio_read_ps = Int64.to_int (Sim.Engine.ps_of_ns cfg.pci_pio_read_ns);
+    pio_write_ps = Int64.to_int (Sim.Engine.ps_of_ns cfg.pci_pio_write_ns);
   }
 
-let transfer_ps t ~bytes = Int64.of_float (float_of_int bytes *. t.ps_per_byte)
+let transfer_ps t ~bytes = int_of_float (float_of_int bytes *. t.ps_per_byte)
 
-let pio_read t ~clock =
-  ignore clock;
+let pio_read t =
   (* The processor stalls for the full round trip; the bus itself is only
      held for the small transaction. *)
-  Sim.Server.access t.bus ~occupancy:(transfer_ps t ~bytes:8)
+  Sim.Server.access_i t.bus ~occupancy:(transfer_ps t ~bytes:8)
     ~latency:t.pio_read_ps
 
-let pio_write t ~clock =
-  ignore clock;
-  Sim.Server.access t.bus ~occupancy:(transfer_ps t ~bytes:8)
+let pio_write t =
+  Sim.Server.access_i t.bus ~occupancy:(transfer_ps t ~bytes:8)
     ~latency:t.pio_write_ps
 
 (* DMA bursts occupy the bus in 256-byte chunks so that concurrent PIO
@@ -39,7 +37,7 @@ let dma_blocking t ~bytes =
     if remaining > 0 then begin
       let n = min dma_chunk remaining in
       let d = transfer_ps t ~bytes:n in
-      Sim.Server.access t.bus ~occupancy:d ~latency:d;
+      Sim.Server.access_i t.bus ~occupancy:d ~latency:d;
       go (remaining - n)
     end
   in

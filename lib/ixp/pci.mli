@@ -13,12 +13,11 @@ type t
 
 val create : Sim.Engine.t -> Config.t -> t
 
-val pio_read : t -> clock:Sim.Engine.Clock.clock -> unit
-(** [pio_read t ~clock] (inside a fiber) performs one blocking register
-    read across PCI; [clock] identifies the issuing processor only for
-    accounting symmetry. *)
+val pio_read : t -> unit
+(** [pio_read t] (inside a fiber) performs one blocking register read
+    across PCI. *)
 
-val pio_write : t -> clock:Sim.Engine.Clock.clock -> unit
+val pio_write : t -> unit
 (** A posted register write: cheaper, still occupies the bus briefly. *)
 
 val dma_async : t -> bytes:int -> on_done:(unit -> unit) -> unit
@@ -29,7 +28,8 @@ val dma_async : t -> bytes:int -> on_done:(unit -> unit) -> unit
 val dma_blocking : t -> bytes:int -> unit [@@test_only]
 (** Wait for a DMA to complete (used where the protocol cannot overlap). *)
 
-val pio_read_ps : t -> int64
-(** The processor-visible stall of one {!pio_read} (busy accounting). *)
+val pio_read_ps : t -> int
+(** The processor-visible stall of one {!pio_read} in picoseconds (busy
+    accounting). *)
 
-val pio_write_ps : t -> int64
+val pio_write_ps : t -> int

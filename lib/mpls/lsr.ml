@@ -44,9 +44,9 @@ let lookup_ftn t addr = Option.map snd (Iproute.Btrie.lookup t.ftn addr)
 (* Label lookup cost: one hardware hash of the label plus a 4-byte SRAM
    read of the NHLFE, and ~20 instructions — the virtual-circuit fast
    path. *)
-let charge_label_lookup ctx label =
+let charge_label_lookup ctx =
   Router.Chip_ctx.exec ctx 20;
-  ignore (Router.Chip_ctx.hash ctx (Int64.of_int label));
+  Router.Chip_ctx.hash_charge ctx;
   Router.Chip_ctx.sram_read ctx ~bytes:4
 
 let finish_labelled r ctx frame ~out_port =
@@ -63,7 +63,7 @@ let finish_labelled r ctx frame ~out_port =
 let rec process t r ctx frame ~in_port =
   if Packet.Mpls.is_mpls frame then begin
     let e = Packet.Mpls.top frame in
-    charge_label_lookup ctx e.Packet.Mpls.label;
+    charge_label_lookup ctx;
     match Hashtbl.find_opt t.ilm e.Packet.Mpls.label with
     | None ->
         Sim.Stats.Counter.incr t.stats.label_miss;
@@ -101,7 +101,7 @@ let rec process t r ctx frame ~in_port =
       else None
     with
     | Some (push_label, out_port) ->
-        charge_label_lookup ctx push_label;
+        charge_label_lookup ctx;
         Router.Chip_ctx.exec ctx 10;
         Packet.Mpls.push frame
           {

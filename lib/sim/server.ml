@@ -45,9 +45,6 @@ let access_i s ~occupancy ~latency =
   let e = s.engine in
   Engine.wait_in e (book_i s ~now:(Engine.clock_i e) ~occupancy ~latency)
 
-let access s ~occupancy ~latency =
-  access_i s ~occupancy:(Int64.to_int occupancy) ~latency:(Int64.to_int latency)
-
 let busy_time s = Int64.of_int s.busy_time
 
 let utilization s ~total =

@@ -15,23 +15,23 @@ val create : Engine.t -> t
 (** [create engine] is an idle server whose requesters are fibers
     of [engine]. *)
 
-val access : t -> occupancy:int64 -> latency:int64 -> unit
-(** [access s ~occupancy ~latency] (inside a fiber) waits for the server to
-    drain earlier requests, holds it for [occupancy], and returns after the
-    requester-visible [latency] has elapsed from service start.  The total
-    delay observed by the caller is [queueing + max latency occupancy]. *)
-
 val access_i : t -> occupancy:int -> latency:int -> unit
-(** {!access} on native-int picosecond durations — the allocation-free
-    form the per-operation memory path uses. *)
+(** [access_i s ~occupancy ~latency] (inside a fiber) waits for the server
+    to drain earlier requests, holds it for [occupancy], and returns after
+    the requester-visible [latency] has elapsed from service start; all
+    durations are native-int picoseconds.  The total delay observed by the
+    caller is [queueing + max latency occupancy]: {!book_i} at engine
+    time, paid at once. *)
 
 val book_i : t -> now:int -> occupancy:int -> latency:int -> int
 (** [book_i s ~now ~occupancy ~latency] records an access issued at
     virtual time [now] (engine time plus delays the requester has
     already booked) without waiting, returning the delay the requester
-    experiences ([queueing + max latency occupancy]).  The per-batch
-    charging path books each charge at its own virtual clock and pays
-    the accumulated total with one wait at the next shared-state
+    experiences ([queueing + max latency occupancy]).  Every router
+    charge on a zero-fault unit books here at the requester's virtual
+    clock: per-operation
+    charging pays each delay at once, per-batch charging pays the
+    accumulated total with one wait at the next shared-state
     interaction.  The busy horizon is packed by occupancy from engine
     time (later bookings backfill the requester's latency gaps), so the
     server stays work-conserving under batch-granularity booking;

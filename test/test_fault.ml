@@ -446,11 +446,10 @@ let wfq_fairness_under_stalled_class () =
       ~src:(addr (Printf.sprintf "10.250.0.%d" (1 + cls)))
       ~dst:(addr "10.0.0.1") ~src_port:(1000 + cls) ~dst_port:2000 ()
   in
-  let mk_process cls ctx frm ~in_port =
+  let mk_process cls ctx _frm ~in_port =
     ignore in_port;
     Router.Chip_ctx.exec ctx cm.Router.Cost_model.classify_null_instr;
-    ignore
-      (Router.Chip_ctx.hash ctx (Int64.of_int32 (Packet.Ipv4.get_dst frm)));
+    Router.Chip_ctx.hash_charge ctx;
     Router.Chip_ctx.sram_read ctx ~bytes:8;
     Router.Vrp.execute ctx Router.Wfq.vrp_code;
     let qid =

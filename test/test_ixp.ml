@@ -229,19 +229,18 @@ let pci_bandwidth () =
 let i2o_roundtrip_and_backpressure () =
   let e, chip = mk_chip () in
   let q = Ixp.I2o.create chip.Ixp.Chip.pci ~buffers:2 () in
-  let clock = chip.Ixp.Chip.me_clock in
   let received = ref [] in
   let sent = ref 0 in
   Sim.Engine.spawn e "producer" (fun () ->
       for i = 1 to 5 do
         Ixp.I2o.acquire_free q;
-        Ixp.I2o.send_acquired q ~producer_clock:clock ~bytes:64 i;
+        Ixp.I2o.send_acquired q ~bytes:64 i;
         sent := i
       done);
   Sim.Engine.spawn e "consumer" (fun () ->
       for _ = 1 to 5 do
         Sim.Engine.wait_in e 2_000_000;
-        received := Ixp.I2o.recv q ~consumer_clock:clock :: !received
+        received := Ixp.I2o.recv q :: !received
       done);
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !received);

@@ -65,6 +65,47 @@ let vrp_execute_charges =
       let est = Vrp.cycles_estimate Ixp.Config.default (Vrp.static_cost code) in
       Int64.to_int (Int64.div !elapsed 5000L) >= est)
 
+(* A charge's work is counted after [Chip_ctx.charge]: with per-batch
+   charging off, a probe fiber that looks mid-charge sees neither the
+   instructions nor the memory operation in flight, and sees both once
+   the charge has been paid; with it on, both are counted at booking. *)
+let work_counted_when_charged () =
+  let counts ~defer =
+    let e = Sim.Engine.create () in
+    let chip = Ixp.Chip.create e in
+    let ctx = Chip_ctx.make chip ~ctx_id:0 in
+    Chip_ctx.set_defer ctx defer;
+    let me = Ixp.Chip.context_me chip 0 in
+    let sram = chip.Ixp.Chip.sram in
+    let sample () =
+      (Ixp.Microengine.instructions me, Ixp.Mem.ops_completed sram)
+    in
+    let cycle = Sim.Engine.Clock.ps_of_cycles_i chip.Ixp.Chip.me_clock 1 in
+    let seen = ref [] in
+    Sim.Engine.spawn e "work" (fun () ->
+        Chip_ctx.exec ctx 100;
+        Chip_ctx.sram_read ctx ~bytes:4;
+        Chip_ctx.commit ctx);
+    Sim.Engine.spawn e "probe" (fun () ->
+        (* Mid-exec (cycle 50 of 100), then mid-read (cycle 10 of 22
+           after the exec). *)
+        Sim.Engine.wait_in e (50 * cycle);
+        let mid_exec = sample () in
+        Sim.Engine.wait_in e (60 * cycle);
+        seen := [ mid_exec; sample () ]);
+    Sim.Engine.run_until_idle e;
+    (!seen, sample ())
+  in
+  let counted = Alcotest.(pair int int) in
+  let mid, after = counts ~defer:false in
+  Alcotest.(check (list counted))
+    "per-operation: in-flight work uncounted" [ (0, 0); (100, 0) ] mid;
+  Alcotest.check counted "per-operation: counted once paid" (100, 1) after;
+  let mid, after = counts ~defer:true in
+  Alcotest.(check (list counted))
+    "per-batch: counted at booking" [ (100, 1); (100, 1) ] mid;
+  Alcotest.check counted "per-batch: after commit" (100, 1) after
+
 let squeue_fifo_and_capacity () =
   let q = Squeue.create ~capacity:2 () in
   let d i =
@@ -557,6 +598,8 @@ let tests =
     Alcotest.test_case "vrp static cost" `Quick vrp_static_cost;
     Alcotest.test_case "vrp istore slots" `Quick vrp_istore_slots;
     Alcotest.test_case "vrp budget check" `Quick vrp_budget_check;
+    Alcotest.test_case "per-operation work counted when it completes" `Quick
+      work_counted_when_charged;
     Alcotest.test_case "squeue fifo + capacity" `Quick squeue_fifo_and_capacity;
     Alcotest.test_case "psched proportional split" `Quick psched_proportional;
     Alcotest.test_case "psched no starvation" `Quick psched_no_starvation;

@@ -171,7 +171,7 @@ let server_serializes () =
     Sim.Engine.spawn e
       (Printf.sprintf "c%d" i)
       (fun () ->
-        Sim.Server.access s ~occupancy:100L ~latency:100L;
+        Sim.Server.access_i s ~occupancy:100 ~latency:100;
         done_at.(i) <- Sim.Engine.time e)
   done;
   Sim.Engine.run_until_idle e;
@@ -187,7 +187,7 @@ let server_latency_exceeds_occupancy () =
     Sim.Engine.spawn e
       (Printf.sprintf "c%d" i)
       (fun () ->
-        Sim.Server.access s ~occupancy:10L ~latency:100L;
+        Sim.Server.access_i s ~occupancy:10 ~latency:100;
         done_at.(i) <- Sim.Engine.time e)
   done;
   Sim.Engine.run_until_idle e;
@@ -471,13 +471,13 @@ let server_utilization_bound =
       let e = Sim.Engine.create () in
       let s = Sim.Server.create e in
       for i = 0 to nfibers - 1 do
-        let occ = Int64.of_int (1 + Sim.Rng.int rng 500) in
+        let occ = 1 + Sim.Rng.int rng 500 in
         Sim.Engine.spawn e
           (Printf.sprintf "c%d" i)
           (fun () ->
             for _ = 1 to 5 do
-              Sim.Server.access s ~occupancy:occ
-                ~latency:(Int64.add occ (Int64.of_int (Sim.Rng.int rng 100)))
+              Sim.Server.access_i s ~occupancy:occ
+                ~latency:(occ + Sim.Rng.int rng 100)
             done)
       done;
       Sim.Engine.run_until_idle e;
