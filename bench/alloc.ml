@@ -28,6 +28,8 @@
      tables that fill are part of it; a container that keeps dispatched
      events, frames or messages reachable shows here as growth (the
      event queue's vacated slots did, until they were cleared)
+   - crossings: minor words and scheduled events per fabric crossing
+     over the same queued cluster under load
    - route loading: words [Gen.bgp_table] allocates per route of a
      100k-route set, and words a router and its RIP daemon reach per
      route once the daemon has installed that set
@@ -158,15 +160,12 @@ let words_at_create v = float_of_int (Obj.reachable_words (Obj.repr v))
 
 let router_create_words () = words_at_create (Router.create ())
 
-(* The retention scenario: 4 members with 8 ports each and frame pools,
-   taildrop:256 fabric queues, 32 sources at 95% of the 64-byte line
-   rate for 20 ms, then 20 ms with every offer refused.  The sources
-   keep running (and keep handing their frames back to the pools), so
-   the drained cluster is the same shape as the loaded one. *)
-let retained_run_us = 20_000.
-let retained_drain_us = 20_000.
-
-let cluster_retained_words () =
+(* The queued cluster scenario: 4 members with 8 ports each and frame
+   pools, taildrop:256 fabric queues, 32 sources at 95% of the 64-byte
+   line rate.  Returns the cluster and a switch that makes every later
+   offer refused; the sources keep running (and keep handing their
+   frames back to the pools). *)
+let queued_cluster () =
   let fabric_queue =
     match Cluster.Fabric_queue.parse "taildrop:256" with
     | Ok q -> q
@@ -176,7 +175,6 @@ let cluster_retained_words () =
     Cluster.create ~members:4 ~ports_per_member:8 ~frame_pool:true
       ~fabric_queue ()
   in
-  let at_create = Obj.reachable_words (Obj.repr c) in
   let stopped = ref false in
   let rng = Sim.Rng.create 42L in
   for g = 0 to 31 do
@@ -195,11 +193,45 @@ let cluster_retained_words () =
            ok)
          ())
   done;
+  (c, stopped)
+
+(* The retention scenario: the queued cluster loaded for 20 ms, then
+   20 ms with every offer refused, so the drained cluster is the same
+   shape as the loaded one. *)
+let retained_run_us = 20_000.
+let retained_drain_us = 20_000.
+
+let cluster_retained_words () =
+  let c, stopped = queued_cluster () in
+  let at_create = Obj.reachable_words (Obj.repr c) in
   Cluster.run_for c ~us:retained_run_us;
   stopped := true;
   Cluster.run_for c ~us:retained_drain_us;
   Gc.full_major ();
   float_of_int (Obj.reachable_words (Obj.repr c) - at_create)
+
+(* The crossing rows: minor words and scheduled events per fabric
+   crossing over the loaded queued cluster, after a warm-up.  Both are
+   whole-cluster quotients (external traffic included), exact and
+   deterministic, so a rise in what a crossing costs — a lock, a sort,
+   a boxed result, an extra event per frame — shows as a rise here. *)
+let crossing_warmup_us = 2_000.
+let crossing_window_us = 20_000.
+
+let cluster_crossing_costs () =
+  let c, _ = queued_cluster () in
+  Cluster.run_for c ~us:crossing_warmup_us;
+  let events () =
+    Array.fold_left
+      (fun acc e -> acc + Sim.Engine.events_scheduled e)
+      0 c.Cluster.engines
+  in
+  let x0 = Cluster.fabric_frames c and ev0 = events () in
+  let gc = Sim.Gc_stats.create () in
+  Cluster.run_for c ~us:crossing_window_us;
+  let words = Sim.Gc_stats.minor_words gc in
+  let crossings = float_of_int (max 1 (Cluster.fabric_frames c - x0)) in
+  (words /. crossings, float_of_int (events () - ev0) /. crossings)
 
 let cluster_create_words () =
   words_at_create (Cluster.create ~members:4 ~frame_pool:true ())
@@ -247,6 +279,11 @@ let cluster_words_budget = 320_000.
    (~743k while the event queue kept its vacated slots). *)
 let retained_words_budget = 1_000_000.
 
+(* Budgets for the crossing rows, with headroom over the measured ~320
+   words and ~25.2 events per crossing. *)
+let crossing_words_budget = 400.
+let crossing_events_budget = 30.
+
 (* Budget for the frames-minted row, with headroom over the measured
    ~258. *)
 let minted_budget = 1_024.
@@ -276,6 +313,7 @@ let run () =
   let retained_words = cluster_retained_words () in
   let generation_words = generation_words_per_route () in
   let rip_loaded_words = rip_loaded_words_per_route () in
+  let crossing_words, crossing_events = cluster_crossing_costs () in
   let w = Float.min w1 w2 and p = Float.min p1 p2 in
   let e = Float.min e1 e2 in
   let spread a b =
@@ -308,6 +346,10 @@ let run () =
     ~paper:cluster_words_budget ~measured:cluster_words;
   Report.row ~unit_:"words" ~name:"cluster words retained after drain"
     ~paper:retained_words_budget ~measured:retained_words;
+  Report.row ~unit_:"w/crossing" ~name:"cluster minor words per fabric crossing"
+    ~paper:crossing_words_budget ~measured:crossing_words;
+  Report.row ~unit_:"ev/crossing" ~name:"cluster events per fabric crossing"
+    ~paper:crossing_events_budget ~measured:crossing_events;
   Report.row ~unit_:"w/route"
     ~name:(Printf.sprintf "route-set generation words per route [n=%d]" routes_n)
     ~paper:generation_words_budget ~measured:generation_words;

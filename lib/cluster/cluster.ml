@@ -28,98 +28,102 @@ type fabric_counts = {
   bp_refused : int;
 }
 
-(* A frame crossing the fabric, parked in the destination member's
-   mailbox until that member's next epoch begins.  [src_seq] is the
-   sender's monotonic fabric-send counter: together with [arrival_ps]
-   and [src] it gives every message a unique, execution-order-free key,
-   so the drain can sort arrivals into one canonical order no matter
-   which domain appended first. *)
-type fabric_msg = {
-  arrival_ps : int;
-  src : int;
-  src_seq : int;
-  dst_port : int;
-  frame : Packet.Frame.t;
+(* One fabric hop's link-damage stage: its deterministic stream and what
+   it did.  Each member owns two, so the draw order never depends on how
+   the engines interleave: [egress] draws on frames the member sends,
+   [ingress] on frames arriving for it. *)
+type hop = {
+  rng : Sim.Rng.t;
+  mutable dropped_link : int;
+  mutable corrupted : int;
+  mutable stalled : int;
 }
 
-(* Per-member mailbox, double-buffered by epoch parity: during an epoch
-   of parity [p] every sender appends to [pending.(p)], while the owner
-   drained [pending.(1-p)] (everything sent during the previous epoch)
-   at the epoch's start.  One barrier per epoch keeps the two buffers
-   disjointly owned; the mutex only orders concurrent appenders. *)
-type inbox = { ilock : Mutex.t; pending : fabric_msg list array }
+(* A frame crossing the fabric, parked in the destination member's
+   mailbox until that member's next epoch begins. *)
+type msg = { arrival_ps : int; dst_port : int; frame : Packet.Frame.t }
+
+(* Everything the cluster keeps about one member.  Member [m]'s domain is
+   the only writer of its record while an epoch runs: egress counters
+   sit in the sender's record, ingress counters in the receiver's.  The
+   one exception is the mailbox: [inbox.(p).(s)] is the list sender [s]
+   conses onto during epochs of parity [p] (only [s]'s domain writes it
+   then); the owner empties the other parity's lists at its next epoch
+   start, after the barrier. *)
+type member = {
+  egress : hop;
+  ingress : hop;
+  (* Control-plane churn: the member's stream (split after the queue
+     streams, so enabling churn never shifts an existing draw) and the
+     routing-table writes the churn driver performed — its "damage
+     injected" measure. *)
+  churn_rng : Sim.Rng.t;
+  mutable churn_writes : int;
+  (* Sending side. *)
+  mutable offered : int; (* frames out of the uplinks into the switch *)
+  mutable launched : int; (* ... that cleared the uplink queue onto the wire *)
+  mutable dropped_unknown : int;
+  mutable bp_refused : int; (* external injects refused by backpressure *)
+  (* Receiving side: with [ingress.dropped_link], every terminal outcome
+     of a launched frame, and the attempts on the uplink. *)
+  mutable dropped_down : int;
+  mutable attempts : int;
+  mutable delivered : int;
+  mutable refused : int;
+  mutable q_dropped : int; (* by the switch egress queue towards it *)
+  inbox : msg list array array;
+  mutable parity : int; (* parity of the epoch the member is in *)
+  health : member_health;
+  scope : Telemetry.Scope.t;
+  pool : Packet.Frame_pool.t option; (* [Some] under [~frame_pool] *)
+  mutable invalid_escapes : int;
+  mutable pending_violations : string list;
+}
+
+type state = {
+  faults : Fault.Cluster_scenario.t;
+  mutable clock_ps : int; (* cluster barrier clock *)
+  telemetry : Telemetry.Registry.t;
+  per_member : member array;
+}
 
 type t = {
   engines : Sim.Engine.t array;
   members : Router.t array;
-  switch_latency_us : float;
   domains : int;
-  faults : Fault.Cluster_scenario.t;
-  latency_ps : int; (* switch_latency_us = epoch length, integer ps *)
-  clock_ps : int ref; (* cluster barrier clock *)
   mutable epoch : int; (* epochs completed since create *)
-  (* Deterministic per-member damage streams: egress draws on the
-     sending side, ingress draws on the receiving side.  Never shared
-     across members, so the draw order is independent of event
-     interleaving between engines. *)
-  egress_rng : Sim.Rng.t array;
-  ingress_rng : Sim.Rng.t array;
-  (* Control-plane churn: per-member streams (split after the queue
-     streams, so enabling churn never shifts an existing draw) and a
-     member-sharded count of routing-table writes the churn driver
-     performed — its "damage injected" measure. *)
-  churn_rng : Sim.Rng.t array;
-  churn_writes : int array;
-  (* Fabric accounting, sharded by the member whose domain mutates it:
-     egress counters index the sender, ingress counters the receiver.
-     Cluster totals are sums, read only at barriers. *)
-  offered_by : int array;
-  launched_by : int array;
-  eg_dropped_link : int array;
-  eg_dropped_unknown : int array;
-  eg_corrupted : int array;
-  eg_stalled : int array;
-  settled_to : int array;
-  in_dropped_link : int array;
-  in_dropped_down : int array;
-  in_corrupted : int array;
-  in_stalled : int array;
-  attempts_to : int array;
-  delivered_to : int array;
-  refused_to : int array;
-  (* Finite fabric queues (PR 6): [eg_queues.(m)] sits between member
+  invariants : Fault.Invariant.t;
+  (* Finite fabric queues: [eg_queues.(m)] sits between member
      [m]'s uplinks and the switch (owned by [m]'s engine); [in_queues.(m)]
      is the switch egress port towards [m] (owned by [m]'s engine, where
      arrivals already run).  Mutable only because their deliver closures
-     need [t]; assigned once inside [create].  [in_q_dropped] counts
-     ingress-queue drops (settled, dst-sharded); [bp_refused] counts
-     external injects refused by egress backpressure (member-sharded). *)
-  fabric_queue : Fabric_queue.config;
+     need [t]; assigned once inside [create]. *)
   mutable eg_queues : (int * Packet.Frame.t) Fabric_queue.t array;
   mutable in_queues : (int * Packet.Frame.t) Fabric_queue.t array;
-  in_q_dropped : int array;
-  bp_refused : int array;
-  inboxes : inbox array;
-  send_seq : int array;
-  cur_parity : int array; (* per member: parity of the epoch it is in *)
-  health : member_health array;
-  invariants : Fault.Invariant.t;
-  telemetry : Telemetry.Registry.t;
-  member_scopes : Telemetry.Scope.t array;
-  frame_pools : Packet.Frame_pool.t array; (* [||] unless [~frame_pool] *)
-  invalid_escapes : int array;
-  pending_violations : string list array;
+  st : state;
 }
+
+(* The conservative bound: the fabric's minimum latency is the switch
+   latency (stalls only add), so it is also the epoch length — how far a
+   member may run ahead of its peers. *)
+let switch_latency_us = 2.
+
+(* The same in integer picoseconds. *)
+let latency_ps = Int64.to_int (Sim.Engine.of_seconds (switch_latency_us *. 1e-6))
+
+let member t m = t.st.per_member.(m)
 
 (* Locally-administered, distinct from the per-port scheme. *)
 let uplink_mac m = 0x02000000C100 lor (m land 0xFF)
 
+(* The member whose uplink owns [mac], or -1: an int, not an option, so
+   a crossing allocates nothing to ask. *)
 let member_of_uplink_mac mac =
   if mac land 0xFFFFFFFF00 = 0x02000000C100 land 0xFFFFFFFF00 then
-    Some (mac land 0xFF)
-  else None
+    mac land 0xFF
+  else -1
 
-let time t = Int64.of_int !(t.clock_ps)
+let time t = Int64.of_int t.st.clock_ps
 
 (* The cluster clock, as the barrier audits read it. *)
 let now_us t = Sim.Engine.seconds (time t) *. 1e6
@@ -132,13 +136,13 @@ let member_now_us t m =
 
 (* A scope event stamped with member [m]'s engine clock. *)
 let member_event t m what =
-  Telemetry.Scope.event_at t.member_scopes.(m)
+  Telemetry.Scope.event_at (member t m).scope
     ~at:(Sim.Engine.time t.engines.(m))
     what
 
 (* Long enough for anything launched before the damage ended to settle:
    both fabric hops plus slack. *)
-let grace_us t = (4. *. t.switch_latency_us) +. 100.
+let grace_us = (4. *. switch_latency_us) +. 100.
 
 let uplink_rx t m =
   let r = t.members.(m) in
@@ -156,7 +160,7 @@ let set_member_links t m up =
    nothing and accepts nothing — frames still queued inside it at the
    crash are lost at the dead MACs, counted per port as tx_link_down. *)
 let do_crash t m =
-  let h = t.health.(m) in
+  let h = (member t m).health in
   h.up <- false;
   h.crash_epochs <- h.crash_epochs + 1;
   h.uplink_rx_at_crash <- uplink_rx t m;
@@ -170,22 +174,24 @@ let do_crash t m =
   member_event t m "crash"
 
 let snapshot_quiet t m =
-  let h = t.health.(m) in
+  let mb = member t m in
+  let h = mb.health in
   h.quiet_since_us <- member_now_us t m;
-  h.attempts_at_quiet <- t.attempts_to.(m);
-  h.delivered_at_quiet <- t.delivered_to.(m);
-  h.refused_at_quiet <- t.refused_to.(m)
+  h.attempts_at_quiet <- mb.attempts;
+  h.delivered_at_quiet <- mb.delivered;
+  h.refused_at_quiet <- mb.refused
 
 let do_restart t m =
-  let h = t.health.(m) in
+  let mb = member t m in
+  let h = mb.health in
   let rx = uplink_rx t m in
   (* The uplink MACs must not have accepted anything while dead; audit at
      the rejoin so a one-shot crash window cannot dodge the barrier. *)
   if rx <> h.uplink_rx_at_crash then
-    t.pending_violations.(m) <-
+    mb.pending_violations <-
       Printf.sprintf "member %d's uplinks accepted %d frame(s) while crashed" m
         (rx - h.uplink_rx_at_crash)
-      :: t.pending_violations.(m);
+      :: mb.pending_violations;
   set_member_links t m true;
   h.up <- true;
   h.up_since_us <- member_now_us t m;
@@ -218,7 +224,7 @@ let spawn_drivers t =
               | Link_drop | Link_corrupt | Link_stall | Route_churn ->
                   if e.dur_us > 0. then [ (e.start_us +. e.dur_us, `Quiet) ]
                   else [])
-          t.faults.events
+          t.st.faults.events
       in
       let acts = List.stable_sort (fun (a, _) (b, _) -> compare a b) acts in
       if acts <> [] then
@@ -263,7 +269,8 @@ let spawn_churn_fibers t =
                 if e.dur_us <= 0. then max_int
                 else ps_of_us (e.start_us +. e.dur_us)
               in
-              let rng = t.churn_rng.(m) in
+              let mb = member t m in
+              let rng = mb.churn_rng in
               let routes = t.members.(m).Router.routes in
               let ppm = t.members.(m).Router.config.Router.n_ports in
               let installed = ref [] in
@@ -272,7 +279,7 @@ let spawn_churn_fibers t =
                    writes and no draws until it rejoins, so the stream
                    stays aligned with the deterministic health
                    schedule. *)
-                if t.health.(m).up then begin
+                if mb.health.up then begin
                   (match !installed with
                   | p :: rest when Sim.Rng.bool rng ->
                       Iproute.Table.remove routes p;
@@ -290,11 +297,11 @@ let spawn_churn_fibers t =
                           gateway_mac = Packet.Ethernet.mac_of_port 250;
                         };
                       installed := p :: !installed);
-                  t.churn_writes.(m) <- t.churn_writes.(m) + 1
+                  mb.churn_writes <- mb.churn_writes + 1
                 end;
                 Sim.Engine.wait_in engine period_ps
               done))
-        (churn_events t.faults ~member:m))
+        (churn_events t.st.faults ~member:m))
     t.engines
 
 let corrupt_copy rng f =
@@ -314,12 +321,37 @@ let corrupt_copy rng f =
    zero scenario never touches the RNG at all. *)
 let fires rng rate = rate > 0. && Sim.Rng.float rng 1.0 < rate
 
-(* Every terminal outcome on the receiving side increments [settled_to]
-   in the same step it books the cause, so fabric conservation holds at
-   any barrier, including one landing mid-stall or mid-queue. *)
-let settle t ~dst bucket =
-  bucket.(dst) <- bucket.(dst) + 1;
-  t.settled_to.(dst) <- t.settled_to.(dst) + 1
+(* What {!damage} returns for a frame the link dropped: compared by
+   address, so the zero-damage path allocates no option. *)
+let lost = Packet.Frame.alloc 0
+
+(* The link-damage stage both hops share: a drop draw, then a corrupt
+   draw, each only when its rate is positive.  Returns the frame to
+   carry on with (a damaged copy when corrupted), or {!lost}. *)
+let damage t hop ~member ~at_us f =
+  let faults = t.st.faults in
+  if fires hop.rng (Fault.Cluster_scenario.drop_rate faults ~member ~at_us)
+  then begin
+    hop.dropped_link <- hop.dropped_link + 1;
+    lost
+  end
+  else if
+    fires hop.rng (Fault.Cluster_scenario.corrupt_rate faults ~member ~at_us)
+  then begin
+    hop.corrupted <- hop.corrupted + 1;
+    corrupt_copy hop.rng f
+  end
+  else f
+
+(* The extra latency an injected stall adds to a frame on this hop, in
+   picoseconds (0 when none is in force); draws nothing. *)
+let stall_ps t hop ~member ~at_us =
+  let stall = Fault.Cluster_scenario.stall_us t.st.faults ~member ~at_us in
+  if stall > 0. then begin
+    hop.stalled <- hop.stalled + 1;
+    Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6))
+  end
+  else 0
 
 (* The service class a frame rides in on a per-class fabric queue: the
    classic IP-precedence bits (clamped to the configured class count by
@@ -333,23 +365,27 @@ let frame_class f =
 
 (* The switch egress port puts a frame on the destination member's
    uplink wire: the back half of the old delivery path, now also the
-   ingress queue's service completion.  Runs on [dst]'s engine. *)
+   ingress queue's service completion.  Runs on [dst]'s engine.  Each
+   terminal outcome bumps exactly one of the receiver's outcome counters, so
+   fabric conservation holds at any barrier, including one landing
+   mid-stall or mid-queue. *)
 let uplink_tx t ~dst (port, f) =
-  let h = t.health.(dst) in
-  if not h.up then settle t ~dst t.in_dropped_down
+  let d = member t dst in
+  let h = d.health in
+  if not h.up then d.dropped_down <- d.dropped_down + 1
   else begin
-    t.attempts_to.(dst) <- t.attempts_to.(dst) + 1;
+    d.attempts <- d.attempts + 1;
     if Router.inject t.members.(dst) ~port f then begin
       if h.awaiting_recovery then begin
         h.recovery_latency_us <- member_now_us t dst -. h.up_since_us;
         h.awaiting_recovery <- false
       end;
-      settle t ~dst t.delivered_to
+      d.delivered <- d.delivered + 1
     end
     else if
       Ixp.Mac_port.link_up t.members.(dst).Router.chip.Ixp.Chip.ports.(port)
-    then settle t ~dst t.refused_to
-    else settle t ~dst t.in_dropped_down
+    then d.refused <- d.refused + 1
+    else d.dropped_down <- d.dropped_down + 1
   end
 
 (* The egress port's finite queue admits the frame; the default bypass
@@ -360,134 +396,91 @@ let enqueue_ingress t ~dst ~port f =
     not
       (Fabric_queue.offer t.in_queues.(dst) ~cls:(frame_class f)
          ~len:(Packet.Frame.len f) (port, f))
-  then settle t ~dst t.in_q_dropped
+  then
+    let d = member t dst in
+    d.q_dropped <- d.q_dropped + 1
 
 (* A frame arrives at the switch egress port towards [dst] after the
    switch latency.  Runs as an engine callback on the destination's
-   engine, so every counter it touches is destination-sharded.  After
-   the link-damage stage, and a stall if one is in force (the rest then
-   runs as a second callback that much later), it enters the egress
-   port's queue. *)
+   engine, so every counter it touches is the receiver's.  After the
+   link-damage stage, and a stall if one is in force (the rest then runs
+   as a second callback that much later), it enters the egress port's
+   queue. *)
 let deliver_fabric t ~dst ~port f =
-  let at_us = member_now_us t dst in
-  let h = t.health.(dst) in
-  let rng = t.ingress_rng.(dst) in
-  if not h.up then settle t ~dst t.in_dropped_down
-  else if
-    fires rng (Fault.Cluster_scenario.drop_rate t.faults ~member:dst ~at_us)
-  then settle t ~dst t.in_dropped_link
+  let d = member t dst in
+  if not d.health.up then d.dropped_down <- d.dropped_down + 1
   else begin
-    let f =
-      if
-        fires rng
-          (Fault.Cluster_scenario.corrupt_rate t.faults ~member:dst ~at_us)
-      then begin
-        t.in_corrupted.(dst) <- t.in_corrupted.(dst) + 1;
-        corrupt_copy rng f
+    let at_us = member_now_us t dst in
+    let f = damage t d.ingress ~member:dst ~at_us f in
+    if f != lost then begin
+      let stall = stall_ps t d.ingress ~member:dst ~at_us in
+      if stall > 0 then begin
+        let e = t.engines.(dst) in
+        Sim.Engine.call_at e ~at:(Sim.Engine.clock_i e + stall) (fun () ->
+            enqueue_ingress t ~dst ~port f)
       end
-      else f
-    in
-    let stall = Fault.Cluster_scenario.stall_us t.faults ~member:dst ~at_us in
-    if stall > 0. then begin
-      t.in_stalled.(dst) <- t.in_stalled.(dst) + 1;
-      let e = t.engines.(dst) in
-      Sim.Engine.call_at e
-        ~at:
-          (Sim.Engine.clock_i e
-          + Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6)))
-        (fun () -> enqueue_ingress t ~dst ~port f)
+      else enqueue_ingress t ~dst ~port f
     end
-    else enqueue_ingress t ~dst ~port f
   end
 
+(* Schedule, in send order, what one sender parked for member [m]: its
+   list is consed newest-first, so walk it back to front (a mailbox
+   holds one epoch's frames — the recursion stays shallow). *)
+let rec schedule_from t m = function
+  | [] -> ()
+  | msg :: older ->
+      schedule_from t m older;
+      Sim.Engine.call_at t.engines.(m) ~at:msg.arrival_ps (fun () ->
+          deliver_fabric t ~dst:m ~port:msg.dst_port msg.frame)
+
 (* Drain everything sent to member [m] during the previous epoch and
-   schedule each arrival on [m]'s engine at its absolute timestamp.  The
-   sort gives a canonical order independent of which sender appended
-   first, so the receiver assigns the same event sequence numbers in
+   schedule each arrival on [m]'s engine at its absolute timestamp,
+   sender by sender and each sender's frames in send order.  The engine
+   runs same-time events in the order they were scheduled, so
+   same-instant arrivals run in sender order whichever domain sent
+   first: the receiver assigns the same event sequence numbers in
    sequential and parallel runs — the heart of the bit-for-bit
    identity. *)
 let drain_inbox t m ~parity =
-  let ib = t.inboxes.(m) in
-  Mutex.lock ib.ilock;
-  let msgs = ib.pending.(1 - parity) in
-  ib.pending.(1 - parity) <- [];
-  Mutex.unlock ib.ilock;
-  match msgs with
-  | [] -> ()
-  | msgs ->
-      let msgs =
-        List.stable_sort
-          (fun a b ->
-            if a.arrival_ps <> b.arrival_ps then
-              compare a.arrival_ps b.arrival_ps
-            else if a.src <> b.src then compare a.src b.src
-            else compare a.src_seq b.src_seq)
-          msgs
-      in
-      List.iter
-        (fun msg ->
-          Sim.Engine.call_at t.engines.(m) ~at:msg.arrival_ps (fun () ->
-              deliver_fabric t ~dst:m ~port:msg.dst_port msg.frame))
-        msgs
+  let from = (member t m).inbox.(1 - parity) in
+  for src = 0 to Array.length from - 1 do
+    match from.(src) with
+    | [] -> ()
+    | msgs ->
+        from.(src) <- [];
+        schedule_from t m msgs
+  done
 
 (* The learning switch, egress side: a frame that cleared the member's
    uplink queue goes onto the wire into the switch.  Runs on the sending
    member's engine: in the uplink queue's service-completion callback,
-   or in the sender's own fiber under bypass.  Damage draws use the sender's
-   stream.  The fabric owns the frame it carries: the uplink MAC handed
-   it over as a fresh unpooled [prefix_copy] (see {!send_fabric}), so
-   the sender's recycling buffer pool can never reuse bytes the
-   receiving domain still holds, and the receiver's recycler ignores
-   it.  The corrupt path damages a copy. *)
+   or in the sender's own fiber under bypass.  Damage draws use the
+   sender's stream.  The fabric owns the frame it carries: the uplink MAC
+   handed it over as a fresh unpooled [prefix_copy] (see {!send_fabric}),
+   so the sender's recycling buffer pool can never reuse bytes the
+   receiving domain still holds, and the receiver's recycler ignores it.
+   The corrupt path damages a copy. *)
 let launch_fabric t ~src (port, f) =
+  let s = member t src in
   let at_us = member_now_us t src in
-  let rng = t.egress_rng.(src) in
-  if fires rng (Fault.Cluster_scenario.drop_rate t.faults ~member:src ~at_us)
-  then t.eg_dropped_link.(src) <- t.eg_dropped_link.(src) + 1
-  else begin
-    let f =
-      if
-        fires rng
-          (Fault.Cluster_scenario.corrupt_rate t.faults ~member:src ~at_us)
-      then begin
-        t.eg_corrupted.(src) <- t.eg_corrupted.(src) + 1;
-        corrupt_copy rng f
-      end
-      else f
-    in
-    let unknown () =
-      t.eg_dropped_unknown.(src) <- t.eg_dropped_unknown.(src) + 1
-    in
-    match member_of_uplink_mac (Packet.Ethernet.get_dst f) with
-    | None -> unknown ()
-    | Some d when d >= Array.length t.members -> unknown ()
-    | Some d ->
-        t.launched_by.(src) <- t.launched_by.(src) + 1;
-        let stall =
-          Fault.Cluster_scenario.stall_us t.faults ~member:src ~at_us
-        in
-        let stall_ps =
-          if stall > 0. then begin
-            t.eg_stalled.(src) <- t.eg_stalled.(src) + 1;
-            Int64.to_int (Sim.Engine.of_seconds (stall *. 1e-6))
-          end
-          else 0
-        in
-        (* Integer arithmetic keeps the conservative bound exact:
-           arrival - send >= latency_ps, the epoch length. *)
-        let arrival =
-          Sim.Engine.clock_i t.engines.(src) + t.latency_ps + stall_ps
-        in
-        let seq = t.send_seq.(src) in
-        t.send_seq.(src) <- seq + 1;
-        let msg =
-          { arrival_ps = arrival; src; src_seq = seq; dst_port = port; frame = f }
-        in
-        let ib = t.inboxes.(d) in
-        Mutex.lock ib.ilock;
-        ib.pending.(t.cur_parity.(src)) <-
-          msg :: ib.pending.(t.cur_parity.(src));
-        Mutex.unlock ib.ilock
+  let f = damage t s.egress ~member:src ~at_us f in
+  if f != lost then begin
+    let d = member_of_uplink_mac (Packet.Ethernet.get_dst f) in
+    if d < 0 || d >= Array.length t.members then
+      s.dropped_unknown <- s.dropped_unknown + 1
+    else begin
+      s.launched <- s.launched + 1;
+      (* Integer arithmetic keeps the conservative bound exact:
+         arrival - send >= latency_ps, the epoch length. *)
+      let arrival =
+        Sim.Engine.clock_i t.engines.(src)
+        + latency_ps
+        + stall_ps t s.egress ~member:src ~at_us
+      in
+      let slots = (member t d).inbox.(s.parity) in
+      slots.(src) <-
+        { arrival_ps = arrival; dst_port = port; frame = f } :: slots.(src)
+    end
   end
 
 (* A frame leaving a member's uplink MAC first enters that uplink's
@@ -498,15 +491,15 @@ let launch_fabric t ~src (port, f) =
    {!launch_fabric} synchronously — the pre-queueing fabric, byte for
    byte. *)
 let send_fabric t ~src ~port f =
-  t.offered_by.(src) <- t.offered_by.(src) + 1;
+  let s = member t src in
+  s.offered <- s.offered + 1;
   ignore
     (Fabric_queue.offer t.eg_queues.(src) ~cls:(frame_class f)
        ~len:(Packet.Frame.len f) (port, f)
       : bool)
 
-let wire_switch t =
+let wire_switch t ~gated =
   let uplink_local = t.members.(0).Router.config.Router.n_ports in
-  let gated = not (Fabric_queue.is_bypass t.fabric_queue) in
   Array.iteri
     (fun m r ->
       List.iter
@@ -605,11 +598,11 @@ let ensure_minor_heap () =
    domain, so parallel and sequential runs execute the same per-member
    event sequences by construction — same metrics, same audits. *)
 let run_epochs t ~target_ps =
-  let start = !(t.clock_ps) in
+  let start = t.st.clock_ps in
   if target_ps > start then begin
     let members = Array.length t.members in
     let nd = t.domains in
-    let l = t.latency_ps in
+    let l = latency_ps in
     let n_epochs = (target_ps - start + l - 1) / l in
     let barrier = if nd > 1 then Some (Barrier.create nd) else None in
     let stop = Atomic.make false in
@@ -621,7 +614,7 @@ let run_epochs t ~target_ps =
       let m = ref did in
       while !m < members do
         drain_inbox t !m ~parity;
-        t.cur_parity.(!m) <- parity;
+        (member t !m).parity <- parity;
         Sim.Engine.run t.engines.(!m) ~until:(Int64.of_int e);
         m := !m + nd
       done
@@ -646,7 +639,7 @@ let run_epochs t ~target_ps =
     worker 0 ();
     List.iter Domain.join spawned;
     t.epoch <- t.epoch + n_epochs;
-    t.clock_ps := target_ps;
+    t.st.clock_ps <- target_ps;
     Array.iter
       (function
         | Some (ex, bt) -> Printexc.raise_with_backtrace ex bt | None -> ())
@@ -655,53 +648,76 @@ let run_epochs t ~target_ps =
 
 (* --- invariants and telemetry ------------------------------------------ *)
 
-let sum = Array.fold_left ( + ) 0
+(* [f] summed over every member's record, or over a queue array. *)
+let sum t f = Array.fold_left (fun acc mb -> acc + f mb) 0 t.st.per_member
 let qsum f qs = Array.fold_left (fun acc q -> acc + f q) 0 qs
 
-(* Queue drops on the egress side (tail, RED, crash-flushed) never reach
-   [launched_by]/[settled_to]; ingress-queue drops settle via
-   [in_q_dropped].  Frames sitting in either queue are "queued". *)
-let eg_queue_dropped t =
-  qsum Fabric_queue.dropped t.eg_queues + qsum Fabric_queue.flushed t.eg_queues
-
-let queued_frames t =
-  qsum Fabric_queue.occupancy t.eg_queues
-  + qsum Fabric_queue.occupancy t.in_queues
+(* The one place the fabric totals are summed; the conservation
+   invariant and the [fabric] gauges read them from here.  Queue drops
+   on the egress side (tail, RED, crash-flushed) happen before launch;
+   frames sitting in either queue are "queued". *)
+let fabric_counts t : fabric_counts =
+  let in_occ = qsum Fabric_queue.occupancy t.in_queues in
+  let delivered = sum t (fun mb -> mb.delivered) in
+  let in_dropped_link = sum t (fun mb -> mb.ingress.dropped_link) in
+  let dropped_down = sum t (fun mb -> mb.dropped_down) in
+  let rx_refused = sum t (fun mb -> mb.refused) in
+  let in_q_dropped = sum t (fun mb -> mb.q_dropped) in
+  {
+    offered = sum t (fun mb -> mb.offered);
+    delivered;
+    dropped_link = sum t (fun mb -> mb.egress.dropped_link) + in_dropped_link;
+    dropped_down;
+    dropped_unknown = sum t (fun mb -> mb.dropped_unknown);
+    dropped_queue =
+      qsum Fabric_queue.dropped t.eg_queues
+      + qsum Fabric_queue.flushed t.eg_queues
+      + in_q_dropped;
+    rx_refused;
+    corrupted = sum t (fun mb -> mb.egress.corrupted + mb.ingress.corrupted);
+    stalled = sum t (fun mb -> mb.egress.stalled + mb.ingress.stalled);
+    (* On the wire or paying an injected stall: launched but neither
+       settled on the receiving side nor parked in a switch egress
+       queue. *)
+    in_flight =
+      sum t (fun mb -> mb.launched)
+      - (delivered + in_dropped_link + dropped_down + rx_refused
+       + in_q_dropped)
+      - in_occ;
+    queued = qsum Fabric_queue.occupancy t.eg_queues + in_occ;
+    bp_refused = sum t (fun mb -> mb.bp_refused);
+  }
 
 let register_invariants t =
   let reg = Fault.Invariant.register t.invariants in
   reg "fabric-conservation" (fun () ->
-      let offered = sum t.offered_by in
-      let in_occ = qsum Fabric_queue.occupancy t.in_queues in
-      let eg_occ = qsum Fabric_queue.occupancy t.eg_queues in
-      (* On the wire or paying an injected stall: launched but neither
-         settled nor parked in a switch egress queue. *)
-      let in_flight = sum t.launched_by - sum t.settled_to - in_occ in
+      let c = fabric_counts t in
       let settled =
-        sum t.delivered_to
-        + (sum t.eg_dropped_link + sum t.in_dropped_link)
-        + sum t.in_dropped_down + sum t.eg_dropped_unknown + sum t.refused_to
-        + sum t.in_q_dropped + eg_queue_dropped t
+        c.delivered + c.dropped_link + c.dropped_down + c.dropped_unknown
+        + c.rx_refused + c.dropped_queue
       in
-      if settled + in_flight + eg_occ + in_occ <> offered then
+      if settled + c.in_flight + c.queued <> c.offered then
         Some
           (Printf.sprintf
              "fabric offered %d frames but %d settled + %d in flight + %d \
               queued"
-             offered settled in_flight (eg_occ + in_occ))
+             c.offered settled c.in_flight c.queued)
       else None);
   reg "no-escape-to-crashed" (fun () ->
       let msgs =
-        List.concat (Array.to_list (Array.map List.rev t.pending_violations))
+        Array.fold_right
+          (fun mb acc -> List.rev_append mb.pending_violations acc)
+          t.st.per_member []
       in
       if msgs <> [] then begin
-        Array.fill t.pending_violations 0 (Array.length t.pending_violations) [];
+        Array.iter (fun mb -> mb.pending_violations <- []) t.st.per_member;
         Some (String.concat "; " msgs)
       end
       else begin
         let bad = ref None in
         Array.iteri
-          (fun m h ->
+          (fun m mb ->
+            let h = mb.health in
             if (not h.up) && !bad = None then begin
               let rx = uplink_rx t m in
               if rx <> h.uplink_rx_at_crash then
@@ -712,21 +728,22 @@ let register_invariants t =
                        m
                        (rx - h.uplink_rx_at_crash))
             end)
-          t.health;
+          t.st.per_member;
         !bad
       end);
   reg "membership-state" (fun () ->
       let at_us = now_us t in
       let bad = ref None in
       Array.iteri
-        (fun m h ->
+        (fun m mb ->
+          let h = mb.health in
           (* A barrier can land exactly on a crash/restart edge, where
              float rounding of the picosecond clock puts [at_us] an
              epsilon on either side of the scheduled instant: only flag a
              member whose state disagrees with the schedule on BOTH sides
              of the edge. *)
           let crashed_at at_us =
-            Fault.Cluster_scenario.crashed t.faults ~member:m ~at_us
+            Fault.Cluster_scenario.crashed t.st.faults ~member:m ~at_us
           in
           let should = not (crashed_at at_us) in
           let unambiguous =
@@ -740,7 +757,7 @@ let register_invariants t =
                    (if h.up then "up" else "down")
                    (if should then "up" else "down")
                    at_us))
-        t.health;
+        t.st.per_member;
       !bad);
   (* Convergence: once a member is back up and its damage windows are
      over (plus a settling grace), fabric frames addressed to it must be
@@ -751,18 +768,19 @@ let register_invariants t =
       let at_us = now_us t in
       let bad = ref None in
       Array.iteri
-        (fun m h ->
+        (fun m mb ->
+          let h = mb.health in
           if
             !bad = None && h.up
             && not
-                 (Fault.Cluster_scenario.member_active t.faults ~member:m
+                 (Fault.Cluster_scenario.member_active t.st.faults ~member:m
                     ~at_us)
-            && at_us -. Float.max h.up_since_us h.quiet_since_us >= grace_us t
+            && at_us -. Float.max h.up_since_us h.quiet_since_us >= grace_us
           then begin
-            let attempts = t.attempts_to.(m) - h.attempts_at_quiet in
+            let attempts = mb.attempts - h.attempts_at_quiet in
             let progressed =
-              t.delivered_to.(m) - h.delivered_at_quiet
-              + (t.refused_to.(m) - h.refused_at_quiet)
+              mb.delivered - h.delivered_at_quiet
+              + (mb.refused - h.refused_at_quiet)
             in
             if attempts >= 20 && progressed = 0 then
               bad :=
@@ -772,12 +790,12 @@ let register_invariants t =
                       rejoin/quiet but none reached its uplink"
                      m attempts)
           end)
-        t.health;
+        t.st.per_member;
       !bad);
   reg "no-invalid-escape"
     (let seen = ref 0 in
      fun () ->
-       let n = sum t.invalid_escapes in
+       let n = sum t (fun mb -> mb.invalid_escapes) in
        if n > !seen then begin
          let fresh = n - !seen in
          seen := n;
@@ -788,20 +806,19 @@ let register_invariants t =
        else None)
 
 let register_telemetry t =
-  let fab = Telemetry.Registry.scope t.telemetry "fabric" in
+  let fab = Telemetry.Registry.scope t.st.telemetry "fabric" in
   let g name f = Telemetry.Scope.gauge_int fab name f in
-  g "frames" (fun () -> sum t.offered_by);
-  g "delivered" (fun () -> sum t.delivered_to);
-  g "dropped_link" (fun () -> sum t.eg_dropped_link + sum t.in_dropped_link);
-  g "dropped_down" (fun () -> sum t.in_dropped_down);
-  g "dropped_unknown" (fun () -> sum t.eg_dropped_unknown);
-  g "rx_refused" (fun () -> sum t.refused_to);
-  g "corrupted" (fun () -> sum t.eg_corrupted + sum t.in_corrupted);
-  g "stalled" (fun () -> sum t.eg_stalled + sum t.in_stalled);
-  g "in_flight" (fun () ->
-      sum t.launched_by - sum t.settled_to
-      - qsum Fabric_queue.occupancy t.in_queues);
-  g "queued" (fun () -> queued_frames t);
+  let count name f = g name (fun () -> f (fabric_counts t)) in
+  count "frames" (fun c -> c.offered);
+  count "delivered" (fun c -> c.delivered);
+  count "dropped_link" (fun c -> c.dropped_link);
+  count "dropped_down" (fun c -> c.dropped_down);
+  count "dropped_unknown" (fun c -> c.dropped_unknown);
+  count "rx_refused" (fun c -> c.rx_refused);
+  count "corrupted" (fun c -> c.corrupted);
+  count "stalled" (fun c -> c.stalled);
+  count "in_flight" (fun c -> c.in_flight);
+  count "queued" (fun c -> c.queued);
   g "queue_dropped_tail" (fun () ->
       qsum Fabric_queue.dropped_tail t.eg_queues
       + qsum Fabric_queue.dropped_tail t.in_queues);
@@ -817,7 +834,7 @@ let register_telemetry t =
   g "bp_pauses" (fun () ->
       qsum Fabric_queue.pauses t.eg_queues
       + qsum Fabric_queue.pauses t.in_queues);
-  g "bp_refused" (fun () -> sum t.bp_refused);
+  count "bp_refused" (fun c -> c.bp_refused);
   Telemetry.Scope.gauge fab "queue_delay_us_mean" (fun () ->
       let served =
         qsum Fabric_queue.serviced t.eg_queues
@@ -831,8 +848,9 @@ let register_telemetry t =
              + qsum Fabric_queue.delay_ps_total t.in_queues))
         *. 1e6 /. float_of_int served);
   Array.iteri
-    (fun m scope ->
-      let h = t.health.(m) in
+    (fun m mb ->
+      let scope = mb.scope in
+      let h = mb.health in
       let r = t.members.(m) in
       let n = r.Router.config.Router.n_ports in
       let ports = r.Router.chip.Ixp.Chip.ports in
@@ -840,12 +858,10 @@ let register_telemetry t =
       Telemetry.Scope.gauge_int scope "crash_epochs" (fun () -> h.crash_epochs);
       Telemetry.Scope.gauge scope "recovery_latency_us" (fun () ->
           h.recovery_latency_us);
-      Telemetry.Scope.gauge_int scope "fabric_attempts" (fun () ->
-          t.attempts_to.(m));
+      Telemetry.Scope.gauge_int scope "fabric_attempts" (fun () -> mb.attempts);
       Telemetry.Scope.gauge_int scope "fabric_delivered" (fun () ->
-          t.delivered_to.(m));
-      Telemetry.Scope.gauge_int scope "fabric_refused" (fun () ->
-          t.refused_to.(m));
+          mb.delivered);
+      Telemetry.Scope.gauge_int scope "fabric_refused" (fun () -> mb.refused);
       Telemetry.Scope.gauge_int scope "uplink_rx_link_down" (fun () ->
           Ixp.Mac_port.rx_link_down ports.(n)
           + Ixp.Mac_port.rx_link_down ports.(n + 1));
@@ -863,13 +879,12 @@ let register_telemetry t =
           Fabric_queue.hwm t.in_queues.(m));
       Telemetry.Scope.gauge_int scope "uplink_tx_gated" (fun () ->
           Ixp.Mac_port.tx_gated ports.(n) + Ixp.Mac_port.tx_gated ports.(n + 1));
-      Telemetry.Scope.gauge_int scope "bp_refused" (fun () ->
-          t.bp_refused.(m));
+      Telemetry.Scope.gauge_int scope "bp_refused" (fun () -> mb.bp_refused);
       Telemetry.Scope.gauge_int scope "route_churn_writes" (fun () ->
-          t.churn_writes.(m));
+          mb.churn_writes);
       Telemetry.Scope.gauge_int scope "route_count" (fun () ->
           Iproute.Table.size r.Router.routes))
-    t.member_scopes
+    t.st.per_member
 
 let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Router.default_config)
     ?(faults = Fault.Cluster_scenario.zero) ?(frame_pool = false)
@@ -887,13 +902,6 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
           %d members"
          named members);
   if domains < 1 then invalid_arg "Cluster.create: domains < 1";
-  (* The conservative bound: the fabric's minimum latency is the switch
-     latency (stalls only add), so it is also the epoch length — how far
-     a member may run ahead of its peers. *)
-  let switch_latency_us = 2. in
-  let latency_ps =
-    Int64.to_int (Sim.Engine.of_seconds (switch_latency_us *. 1e-6))
-  in
   let domains = min domains members in
   let engines = Array.init members (fun _ -> Sim.Engine.create ()) in
   (* Two 1 Gbps uplinks per member (the evaluation board's pair): cross
@@ -910,17 +918,18 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
   let rs =
     Array.init members (fun m -> Router.create ~config ~engine:engines.(m) ())
   in
-  let frame_pools =
-    if not frame_pool then [||]
-    else
-      Array.map
-        (fun r ->
+  let pools =
+    Array.map
+      (fun r ->
+        if not frame_pool then None
+        else begin
           let pool =
             Packet.Frame_pool.create ~max_frames:4096 ~frame_bytes:512 ()
           in
           Router.set_frame_pool r pool;
-          pool)
-        rs
+          Some pool
+        end)
+      rs
   in
   let uplink_local = ports_per_member in
   (* Routes: every member knows every global subnet; remote ones point at
@@ -940,9 +949,8 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
             }
       done)
     rs;
-  let clock_ps = ref 0 in
   let telemetry = Telemetry.Registry.create () in
-  let member_scopes =
+  let scopes =
     Array.init members (fun m ->
         Telemetry.Registry.scope telemetry "member"
           ~labels:[ ("id", string_of_int m) ])
@@ -951,75 +959,47 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
      fixed member order; creation draws nothing downstream, so the zero
      scenario still never consumes randomness. *)
   let master = Sim.Rng.create faults.Fault.Cluster_scenario.seed in
-  let egress_rng = Array.make members master in
-  let ingress_rng = Array.make members master in
-  for m = 0 to members - 1 do
-    egress_rng.(m) <- Sim.Rng.split master;
-    ingress_rng.(m) <- Sim.Rng.split master
-  done;
+  let hop () =
+    { rng = Sim.Rng.split master; dropped_link = 0; corrupted = 0; stalled = 0 }
+  in
+  let hops =
+    Array.init members (fun _ ->
+        let egress = hop () in
+        (egress, hop ()))
+  in
   (* Queue streams (RED's early-drop draws) split *after* the damage
      streams, in member order, so enabling queueing never shifts an
      existing stream — and the bypass queue never draws, so a cluster
      without queueing still consumes exactly the old randomness. *)
-  let eg_q_rng = Array.make members master in
-  let in_q_rng = Array.make members master in
-  for m = 0 to members - 1 do
-    eg_q_rng.(m) <- Sim.Rng.split master;
-    in_q_rng.(m) <- Sim.Rng.split master
-  done;
+  let q_rngs =
+    Array.init members (fun _ ->
+        let eg = Sim.Rng.split master in
+        (eg, Sim.Rng.split master))
+  in
   (* Churn streams split after the queue streams for the same reason:
      adding route churn to a scenario never shifts damage or RED
      draws. *)
-  let churn_rng = Array.make members master in
-  for m = 0 to members - 1 do
-    churn_rng.(m) <- Sim.Rng.split master
-  done;
-  let invariants =
-    Fault.Invariant.create
-      ~scope:(Telemetry.Registry.scope telemetry "invariant")
-      ~clock:(fun () -> Int64.of_int !clock_ps)
-      ()
-  in
-  let t =
-    {
-      engines;
-      members = rs;
-      switch_latency_us;
-      domains;
-      faults;
-      latency_ps;
-      clock_ps;
-      epoch = 0;
-      egress_rng;
-      ingress_rng;
-      churn_rng;
-      churn_writes = Array.make members 0;
-      offered_by = Array.make members 0;
-      launched_by = Array.make members 0;
-      eg_dropped_link = Array.make members 0;
-      eg_dropped_unknown = Array.make members 0;
-      eg_corrupted = Array.make members 0;
-      eg_stalled = Array.make members 0;
-      settled_to = Array.make members 0;
-      in_dropped_link = Array.make members 0;
-      in_dropped_down = Array.make members 0;
-      in_corrupted = Array.make members 0;
-      in_stalled = Array.make members 0;
-      attempts_to = Array.make members 0;
-      delivered_to = Array.make members 0;
-      refused_to = Array.make members 0;
-      fabric_queue;
-      eg_queues = [||];
-      in_queues = [||];
-      in_q_dropped = Array.make members 0;
-      bp_refused = Array.make members 0;
-      inboxes =
-        Array.init members (fun _ ->
-            { ilock = Mutex.create (); pending = Array.make 2 [] });
-      send_seq = Array.make members 0;
-      cur_parity = Array.make members 0;
-      health =
-        Array.init members (fun _ ->
+  let churn_rngs = Array.init members (fun _ -> Sim.Rng.split master) in
+  let per_member =
+    Array.init members (fun m ->
+        let egress, ingress = hops.(m) in
+        {
+          egress;
+          ingress;
+          churn_rng = churn_rngs.(m);
+          churn_writes = 0;
+          offered = 0;
+          launched = 0;
+          dropped_unknown = 0;
+          bp_refused = 0;
+          dropped_down = 0;
+          attempts = 0;
+          delivered = 0;
+          refused = 0;
+          q_dropped = 0;
+          inbox = Array.init 2 (fun _ -> Array.make members []);
+          parity = 0;
+          health =
             {
               up = true;
               crash_epochs = 0;
@@ -1031,13 +1011,30 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
               refused_at_quiet = 0;
               awaiting_recovery = false;
               recovery_latency_us = -1.;
-            });
+            };
+          scope = scopes.(m);
+          pool = pools.(m);
+          invalid_escapes = 0;
+          pending_violations = [];
+        })
+  in
+  let st = { faults; clock_ps = 0; telemetry; per_member } in
+  let invariants =
+    Fault.Invariant.create
+      ~scope:(Telemetry.Registry.scope telemetry "invariant")
+      ~clock:(fun () -> Int64.of_int st.clock_ps)
+      ()
+  in
+  let t =
+    {
+      engines;
+      members = rs;
+      domains;
+      epoch = 0;
       invariants;
-      telemetry;
-      member_scopes;
-      frame_pools;
-      invalid_escapes = Array.make members 0;
-      pending_violations = Array.make members [];
+      eg_queues = [||];
+      in_queues = [||];
+      st;
     }
   in
   (* The deliver closures need [t], so the queues are assigned right
@@ -1046,19 +1043,19 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
   t.eg_queues <-
     Array.init members (fun m ->
         Fabric_queue.create ~engine:engines.(m) ~cfg:fabric_queue
-          ~rng:eg_q_rng.(m)
+          ~rng:(fst q_rngs.(m))
           ~deliver:(fun item -> launch_fabric t ~src:m item)
           ());
   t.in_queues <-
     Array.init members (fun m ->
         Fabric_queue.create ~engine:engines.(m) ~cfg:fabric_queue
-          ~rng:in_q_rng.(m)
+          ~rng:(snd q_rngs.(m))
           ~deliver:(fun item -> uplink_tx t ~dst:m item)
           ());
   Telemetry.Registry.set_clock telemetry (fun () -> time t);
   register_telemetry t;
   register_invariants t;
-  wire_switch t;
+  wire_switch t ~gated:(not (Fabric_queue.is_bypass fabric_queue));
   (* Members run fault-free routers, so their own sinks do not audit
      escapes; under a cluster fault scenario the fabric can corrupt
      frames, so audit member egress here. *)
@@ -1068,7 +1065,8 @@ let create ?(members = 4) ?(ports_per_member = 8) ?(domains = 1) ?(config = Rout
         for p = 0 to ports_per_member - 1 do
           Router.connect r ~port:p (fun f ->
               if not (Router.frame_escapable f) then
-                t.invalid_escapes.(m) <- t.invalid_escapes.(m) + 1)
+                let mb = member t m in
+                mb.invalid_escapes <- mb.invalid_escapes + 1)
         done)
       rs;
   spawn_drivers t;
@@ -1093,7 +1091,8 @@ let inject t ~global_port f =
      input path.  Bypass queues never pause, so the default path is
      unchanged. *)
   if Fabric_queue.paused t.eg_queues.(m) then begin
-    t.bp_refused.(m) <- t.bp_refused.(m) + 1;
+    let mb = member t m in
+    mb.bp_refused <- mb.bp_refused + 1;
     false
   end
   else Router.inject t.members.(m) ~port:p f
@@ -1113,7 +1112,7 @@ let delivered_total t =
       acc + !sum)
     0 t.members
 
-let fabric_frames t = sum t.offered_by
+let fabric_frames t = (fabric_counts t).offered
 
 let internal_pps t =
   let secs = Sim.Engine.seconds (time t) in
@@ -1127,34 +1126,15 @@ let vrp_budget_with_internal_link t ~line_rate_pps =
   Router.Capacity.vrp_budget Router.Capacity.default ~contexts:16
     ~line_rate_pps:per_member ~hashes:3
 
-let fabric_counts t =
-  {
-    offered = sum t.offered_by;
-    delivered = sum t.delivered_to;
-    dropped_link = sum t.eg_dropped_link + sum t.in_dropped_link;
-    dropped_down = sum t.in_dropped_down;
-    dropped_unknown = sum t.eg_dropped_unknown;
-    dropped_queue = eg_queue_dropped t + sum t.in_q_dropped;
-    rx_refused = sum t.refused_to;
-    corrupted = sum t.eg_corrupted + sum t.in_corrupted;
-    stalled = sum t.eg_stalled + sum t.in_stalled;
-    in_flight =
-      sum t.launched_by - sum t.settled_to
-      - qsum Fabric_queue.occupancy t.in_queues;
-    queued = queued_frames t;
-    bp_refused = sum t.bp_refused;
-  }
-
-let member_up t m = t.health.(m).up
-let crash_epochs t m = t.health.(m).crash_epochs
-let route_churn_writes t = sum t.churn_writes
+let member_up t m = (member t m).health.up
+let crash_epochs t m = (member t m).health.crash_epochs
+let route_churn_writes t = sum t (fun mb -> mb.churn_writes)
 
 let recovery_latency_us t m =
-  let l = t.health.(m).recovery_latency_us in
+  let l = (member t m).health.recovery_latency_us in
   if l < 0. then None else Some l
 
-let frame_pool t m =
-  if Array.length t.frame_pools = 0 then None else Some t.frame_pools.(m)
+let frame_pool t m = (member t m).pool
 
 let check_invariants t =
   let fresh = Fault.Invariant.check t.invariants in
@@ -1178,7 +1158,7 @@ let invariants_ok t = violations t = []
 
 let run_for t ~us =
   let target =
-    !(t.clock_ps) + Int64.to_int (Sim.Engine.of_seconds (us *. 1e-6))
+    t.st.clock_ps + Int64.to_int (Sim.Engine.of_seconds (us *. 1e-6))
   in
   run_epochs t ~target_ps:target;
   (* Every pause is a barrier: the worker domains are joined, so the
@@ -1189,7 +1169,7 @@ let run_for t ~us =
 let telemetry_snapshot t =
   Telemetry.Json.Obj
     [
-      ("cluster", Telemetry.Registry.snapshot t.telemetry);
+      ("cluster", Telemetry.Registry.snapshot t.st.telemetry);
       ( "members",
         Telemetry.Json.List
           (Array.to_list (Array.map Router.telemetry_snapshot t.members)) );

@@ -17,12 +17,15 @@
 
     {b Parallel execution.}  Every member runs its own {!Sim.Engine};
     members interact only through the fabric, whose minimum latency
-    (the 2 us [switch_latency_us]) bounds how far one member may simulate ahead of
-    its peers.  {!run_for} therefore advances the cluster in {e epochs}
+    (the 2 us switch latency) bounds how far one member may simulate
+    ahead of its peers.  {!run_for} therefore advances the cluster in {e epochs}
     of that lookahead: frames sent during one epoch are parked in the
-    destination's mailbox and scheduled — in a canonical
-    [(arrival, sender, sender-sequence)] order — at the start of the
-    next, before the receiver can pass their timestamps.  With
+    destination's mailbox, one list per sender, and scheduled at the
+    start of the next, before the receiver can pass their timestamps.
+    The receiver schedules them sender by sender, each sender's in send
+    order, and the engine runs same-time events in the order they were
+    scheduled, so frames arriving at the same instant run in sender
+    order, then send order, whichever domain sent first.  With
     [~domains:n > 1] the per-epoch member work is spread across [n]
     OCaml domains with a barrier per epoch; with the default
     [~domains:1] the identical epoch machinery runs on one domain, so a
@@ -52,21 +55,6 @@
 
 module Fabric_queue = Fabric_queue
 
-type member_health = {
-  mutable up : bool;
-  mutable crash_epochs : int;
-  mutable up_since_us : float;
-  mutable quiet_since_us : float;
-  mutable uplink_rx_at_crash : int;
-  mutable attempts_at_quiet : int;
-  mutable delivered_at_quiet : int;
-  mutable refused_at_quiet : int;
-  mutable awaiting_recovery : bool;
-  mutable recovery_latency_us : float;
-      (** us from rejoin to the first fabric delivery; negative until
-          measured *)
-}
-
 type fabric_counts = {
   offered : int;  (** frames leaving any member's uplink into the switch *)
   delivered : int;  (** accepted by the destination member's uplink *)
@@ -86,70 +74,23 @@ type fabric_counts = {
           fabric frames — never part of [offered]) *)
 }
 
-type fabric_msg = {
-  arrival_ps : int;
-  src : int;
-  src_seq : int;
-  dst_port : int;
-  frame : Packet.Frame.t;
-}
-(** A frame in flight across the fabric, parked in the destination's
-    mailbox until its next epoch drains it. *)
-
-type inbox = { ilock : Mutex.t; pending : fabric_msg list array }
-(** Per-member mailbox, double-buffered by epoch parity: senders append
-    to the current epoch's buffer while the owner drains the previous
-    epoch's at each epoch start. *)
+type state
+(** Everything else the cluster keeps: one record per member (its two
+    link-damage stages and their streams, its fabric counters, its
+    mailbox, health and telemetry scope), the fault scenario, the
+    barrier clock and the cluster telemetry registry. *)
 
 type t = {
   engines : Sim.Engine.t array;  (** one engine per member *)
   members : Router.t array;
-  switch_latency_us : float;  (** fabric minimum latency = epoch length *)
   domains : int;  (** worker domains used by {!run_for} *)
-  faults : Fault.Cluster_scenario.t;
-  latency_ps : int;
-  clock_ps : int ref;  (** cluster barrier clock *)
-  mutable epoch : int;
-  egress_rng : Sim.Rng.t array;
-  ingress_rng : Sim.Rng.t array;
-  churn_rng : Sim.Rng.t array;
-      (** per-member route-churn streams, split after the queue streams *)
-  churn_writes : int array;
-      (** routing-table writes by the churn driver, member-sharded *)
-  offered_by : int array;  (** fabric accounting, sharded by acting member: *)
-  launched_by : int array;  (** egress counters index the sender, ... *)
-  eg_dropped_link : int array;
-  eg_dropped_unknown : int array;
-  eg_corrupted : int array;
-  eg_stalled : int array;
-  settled_to : int array;  (** ... ingress counters the receiver *)
-  in_dropped_link : int array;
-  in_dropped_down : int array;
-  in_corrupted : int array;
-  in_stalled : int array;
-  attempts_to : int array;
-  delivered_to : int array;
-  refused_to : int array;
-  fabric_queue : Fabric_queue.config;
-      (** the per-hop queue configuration (default bypass) *)
+  mutable epoch : int;  (** epochs completed since {!create} *)
+  invariants : Fault.Invariant.t;  (** the cluster-level audits *)
   mutable eg_queues : (int * Packet.Frame.t) Fabric_queue.t array;
       (** member [m]'s uplink queue into the switch (on [m]'s engine) *)
   mutable in_queues : (int * Packet.Frame.t) Fabric_queue.t array;
       (** the switch egress queue towards member [m] (on [m]'s engine) *)
-  in_q_dropped : int array;
-      (** ingress-queue drops, settled and dst-sharded *)
-  bp_refused : int array;
-      (** external injects refused by backpressure, member-sharded *)
-  inboxes : inbox array;
-  send_seq : int array;
-  cur_parity : int array;
-  health : member_health array;
-  invariants : Fault.Invariant.t;
-  telemetry : Telemetry.Registry.t;
-  member_scopes : Telemetry.Scope.t array;
-  frame_pools : Packet.Frame_pool.t array;
-  invalid_escapes : int array;
-  pending_violations : string list array;
+  st : state;
 }
 
 val create :
@@ -170,7 +111,11 @@ val create :
 
     [domains] (default 1, clamped to [members]) spreads each epoch's
     member work across that many OCaml domains.  Any value yields the
-    identical simulation; [> 1] only changes wall-clock time.  Every
+    identical simulation; [> 1] only changes wall-clock time.  The
+    canonical order of fabric arrivals is sender order, then each
+    sender's send order: a receiver schedules its mailbox that way, and
+    the engine's first-scheduled-first rule for same-time events does
+    the rest, so no domain's timing can reorder them.  Every
     simulating domain's minor arena is raised to a 4M-word floor (never
     lowered), so whole epochs run without a minor collection.
 

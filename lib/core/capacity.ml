@@ -13,8 +13,8 @@ let default =
     mem_op_overhead = 18;
   }
 
-let ops bytes unit_bytes =
-  if bytes <= 0 then 0 else (bytes + unit_bytes - 1) / unit_bytes
+let ops bytes (m : Ixp.Config.mem_timing) =
+  Ixp.Mem.ops ~unit_log2:(Ixp.Mem.unit_log2 m) ~bytes
 
 (* Uncontended memory latency of the baseline input+output path for one
    64-byte MP, per Table 2's operation counts. *)
@@ -69,23 +69,16 @@ let input_mem_cycles t (extra : Vrp.cost) =
     + (2 * scratch.Ixp.Config.read_cycles)
     + (4 * scratch.Ixp.Config.write_cycles)
   in
-  let unit = sram.Ixp.Config.unit_bytes in
   let per op cycles = op * (cycles + t.mem_op_overhead) in
   base
-  + per (ops extra.Vrp.sram_read_bytes unit) sram.Ixp.Config.read_cycles
-  + per (ops extra.Vrp.sram_write_bytes unit) sram.Ixp.Config.write_cycles
+  + per (ops extra.Vrp.sram_read_bytes sram) sram.Ixp.Config.read_cycles
+  + per (ops extra.Vrp.sram_write_bytes sram) sram.Ixp.Config.write_cycles
+  + per (ops extra.Vrp.scratch_read_bytes scratch) scratch.Ixp.Config.read_cycles
   + per
-      (ops extra.Vrp.scratch_read_bytes scratch.Ixp.Config.unit_bytes)
-      scratch.Ixp.Config.read_cycles
-  + per
-      (ops extra.Vrp.scratch_write_bytes scratch.Ixp.Config.unit_bytes)
+      (ops extra.Vrp.scratch_write_bytes scratch)
       scratch.Ixp.Config.write_cycles
-  + per
-      (ops extra.Vrp.dram_read_bytes dram.Ixp.Config.unit_bytes)
-      dram.Ixp.Config.read_cycles
-  + per
-      (ops extra.Vrp.dram_write_bytes dram.Ixp.Config.unit_bytes)
-      dram.Ixp.Config.write_cycles
+  + per (ops extra.Vrp.dram_read_bytes dram) dram.Ixp.Config.read_cycles
+  + per (ops extra.Vrp.dram_write_bytes dram) dram.Ixp.Config.write_cycles
   + (extra.Vrp.hashes * t.hw.Ixp.Config.hash_cycles)
 
 let input_rate_mpps t ~contexts ~extra =

@@ -58,12 +58,11 @@ let cost_of_op = function
 let static_cost code =
   List.fold_left (fun acc op -> add_cost acc (cost_of_op op)) zero_cost code
 
-let ops_for bytes unit_bytes =
-  if bytes <= 0 then 0 else (bytes + unit_bytes - 1) / unit_bytes
+let ops_for bytes (m : Ixp.Config.mem_timing) =
+  Ixp.Mem.ops ~unit_log2:(Ixp.Mem.unit_log2 m) ~bytes
 
 let sram_transfers (cfg : Ixp.Config.t) c =
-  ops_for c.sram_read_bytes cfg.sram.unit_bytes
-  + ops_for c.sram_write_bytes cfg.sram.unit_bytes
+  ops_for c.sram_read_bytes cfg.sram + ops_for c.sram_write_bytes cfg.sram
 
 let cycles_estimate (cfg : Ixp.Config.t) c =
   (* Memory bursts pipeline on the channel: the first unit pays full
@@ -75,8 +74,7 @@ let cycles_estimate (cfg : Ixp.Config.t) c =
     let burst first n =
       if n = 0 then 0 else first + ((n - 1) * t.occupancy_cycles)
     in
-    burst t.read_cycles (ops_for rb t.unit_bytes)
-    + burst t.write_cycles (ops_for wb t.unit_bytes)
+    burst t.read_cycles (ops_for rb t) + burst t.write_cycles (ops_for wb t)
   in
   c.instr
   + mem cfg.sram c.sram_read_bytes c.sram_write_bytes
@@ -159,9 +157,7 @@ let check b cost ~state_bytes ~slots =
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   if cost.instr > b.b_cycles then
     err "cycles: needs %d, budget %d" cost.instr b.b_cycles;
-  let xfers =
-    ops_for cost.sram_read_bytes 4 + ops_for cost.sram_write_bytes 4
-  in
+  let xfers = sram_transfers Ixp.Config.default cost in
   if xfers > b.b_sram_transfers then
     err "SRAM transfers: needs %d, budget %d" xfers b.b_sram_transfers;
   if cost.hashes > b.b_hashes then

@@ -1,8 +1,8 @@
 type t = {
   engine : Sim.Engine.t;
   clock : Sim.Engine.Clock.clock;
-  timing : Config.mem_timing;
   server : Sim.Server.t;
+  unit_log2 : int; (* log2 of the bytes each operation moves *)
   (* Per-operation costs in native-int picoseconds, computed once: the
      transfer loop issues one server access per unit operation and must
      not redo cycle conversion (or box an int64) per operation. *)
@@ -13,12 +13,25 @@ type t = {
   mutable faults : Fault.Injector.t option;
 }
 
+let unit_log2 (timing : Config.mem_timing) =
+  let u = timing.unit_bytes in
+  if u <= 0 || u land (u - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Ixp.Mem: unit_bytes %d is not a power of two" u);
+  let rec log2 k = if 1 lsl k = u then k else log2 (k + 1) in
+  log2 0
+
+(* Defined here, beside the booked charges that count with it twice per
+   charge: a call into another module would not be inlined. *)
+let ops ~unit_log2 ~bytes =
+  if bytes <= 0 then 0 else (bytes + (1 lsl unit_log2) - 1) lsr unit_log2
+
 let create engine clock timing =
   {
     engine;
     clock;
-    timing;
     server = Sim.Server.create engine;
+    unit_log2 = unit_log2 timing;
     occupancy_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.occupancy_cycles;
     read_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.read_cycles;
     write_ps = Sim.Engine.Clock.ps_of_cycles_i clock timing.write_cycles;
@@ -28,8 +41,7 @@ let create engine clock timing =
 
 let set_faults t inj = t.faults <- Some inj
 
-let read_ops t ~bytes =
-  if bytes <= 0 then 0 else (bytes + t.timing.unit_bytes - 1) / t.timing.unit_bytes
+let read_ops t ~bytes = ops ~unit_log2:t.unit_log2 ~bytes
 
 (* The zero-fault burst, booked as of virtual time [now]; callers must
    check {!bookable}.  The unit operations pipeline back to back on the

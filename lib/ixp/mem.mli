@@ -22,7 +22,18 @@ type t
 
 val create : Sim.Engine.t -> Sim.Engine.Clock.clock -> Config.mem_timing -> t
 (** [create engine clock timing] is an idle channel serving the
-    fibers of [engine]. *)
+    fibers of [engine].  Raises [Invalid_argument] unless
+    [timing.unit_bytes] is a power of two ({!unit_log2}). *)
+
+val unit_log2 : Config.mem_timing -> int
+(** [log2 unit_bytes].  Raises [Invalid_argument] unless [unit_bytes] is
+    a power of two (Table 3's are 32, 4 and 4). *)
+
+val ops : unit_log2:int -> bytes:int -> int
+(** The operations a [bytes]-sized access issues on a channel moving
+    [2^unit_log2] bytes per operation: [ceil (bytes / unit)], 0 when
+    [bytes <= 0].  The one ops-per-transfer count: the channels charge
+    with it, and so do the analytic [Capacity] and [Vrp] models. *)
 
 val set_faults : t -> Fault.Injector.t -> unit
 (** Enable fault injection on this channel: per-operation drops (the

@@ -614,9 +614,46 @@ let uplink_nexthops_round_trip () =
       done)
     c.Cluster.members
 
+(* Two frames from different members reach member 2's uplink at the same
+   instant.  The receiver schedules its arrivals sender by sender, and
+   the engine breaks same-time ties first-scheduled-first, so member 0's
+   frame leaves port 0 first, then member 1's behind it — identically on
+   one domain and on two. *)
+let same_instant_arrivals_in_sender_order () =
+  let emitted domains =
+    let c = Cluster.create ~members:3 ~domains () in
+    let out = ref [] in
+    let e2 = c.Cluster.engines.(2) in
+    Router.connect c.Cluster.members.(2) ~port:0 (fun g ->
+        out :=
+          (Format.asprintf "%a" Packet.Ipv4.pp_addr (Packet.Ipv4.get_src g),
+           Sim.Engine.clock_i e2)
+          :: !out);
+    let offer ~global_port src =
+      let f =
+        Packet.Build.udp ~src:(addr src) ~dst:(addr "10.16.0.1") ~src_port:1
+          ~dst_port:2 ()
+      in
+      Alcotest.(check bool) "inject" true (Cluster.inject c ~global_port f)
+    in
+    offer ~global_port:0 "10.250.0.1";
+    offer ~global_port:8 "10.251.0.1";
+    Cluster.run_for c ~us:100.;
+    List.rev !out
+  in
+  let want = [ ("10.250.0.1", 13_810_000); ("10.251.0.1", 15_050_000) ] in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "member 2 port 0 at domains=%d" domains)
+        want (emitted domains))
+    [ 1; 2 ]
+
 let tests =
   [
     Alcotest.test_case "local stays local" `Quick local_forwarding_stays_local;
+    Alcotest.test_case "same-instant fabric arrivals leave in sender order"
+      `Quick same_instant_arrivals_in_sender_order;
     Alcotest.test_case "cross-member forwarding" `Quick cross_member_forwarding;
     Alcotest.test_case "uplink next hops round-trip" `Quick
       uplink_nexthops_round_trip;

@@ -29,7 +29,20 @@ let mem_splits_large_transfers () =
   Alcotest.(check int) "64B DRAM = 2 ops" 2
     (Ixp.Mem.read_ops chip.Ixp.Chip.dram ~bytes:64);
   Alcotest.(check int) "20B SRAM = 5 ops" 5
-    (Ixp.Mem.read_ops chip.Ixp.Chip.sram ~bytes:20)
+    (Ixp.Mem.read_ops chip.Ixp.Chip.sram ~bytes:20);
+  Alcotest.(check int) "33B DRAM = 2 ops" 2
+    (Ixp.Mem.read_ops chip.Ixp.Chip.dram ~bytes:33);
+  Alcotest.(check int) "0B = 0 ops" 0
+    (Ixp.Mem.read_ops chip.Ixp.Chip.sram ~bytes:0);
+  (* The operation count is a shift, so a unit that is not a power of
+     two is refused at create. *)
+  let hw = Ixp.Config.default in
+  match
+    Ixp.Mem.create (Sim.Engine.create ()) (Ixp.Config.me_clock hw)
+      { hw.Ixp.Config.dram with Ixp.Config.unit_bytes = 24 }
+  with
+  | (_ : Ixp.Mem.t) -> Alcotest.fail "24-byte unit accepted"
+  | exception Invalid_argument _ -> ()
 
 let mem_contention_queues () =
   let e, chip = mk_chip () in
