@@ -59,10 +59,8 @@ let run_case ~use_wfq =
           Router.Input_loop.cm;
           enq = Router.Input_loop.enqueue_protected cm;
           process = mk_process cls;
-          process_rest_mp = (fun _ _ -> ());
-          queue_of = (fun ~ctx_id:_ qid -> queues.(qid));
+          queue_of = (fun qid -> queues.(qid));
           notify = None;
-          idle_backoff_cycles = 64;
           scope = None;
           recycle = None;
         }
@@ -92,11 +90,9 @@ let run_case ~use_wfq =
       queues;
       port_for = (fun _ -> Some port);
       on_tx =
-        Some
-          (fun desc _ ->
-            let cls = desc.Router.Desc.out_port in
-            delivered.(cls) <- delivered.(cls) + 1);
-      idle_backoff_cycles = 64;
+        (fun desc _ ->
+          let cls = desc.Router.Desc.out_port in
+          delivered.(cls) <- delivered.(cls) + 1);
       scope = None;
     }
   in

@@ -3,7 +3,6 @@ type host = Me of Ixp.Microengine.t | Cpu of Sim.Engine.Clock.clock
 type t = {
   chip : Ixp.Chip.t;
   host : host;
-  ctx_id : int;
   mutable defer : bool;
   mutable pending : int; (* booked-but-unpaid delay, picoseconds *)
 }
@@ -12,13 +11,12 @@ let make chip ~ctx_id =
   {
     chip;
     host = Me (Ixp.Chip.context_me chip ctx_id);
-    ctx_id;
     defer = false;
     pending = 0;
   }
 
 let make_cpu chip clock =
-  { chip; host = Cpu clock; ctx_id = -1; defer = false; pending = 0 }
+  { chip; host = Cpu clock; defer = false; pending = 0 }
 
 (* One charging rule.  Every unit books its cost at the context's
    virtual clock (engine time plus delays already booked) and returns

@@ -24,7 +24,6 @@ type host = Me of Ixp.Microengine.t | Cpu of Sim.Engine.Clock.clock
 type t = {
   chip : Ixp.Chip.t;
   host : host;
-  ctx_id : int;
   mutable defer : bool;
       (** per-batch charging on: charges stay in [pending] until the next
           {!commit} instead of being paid at once (see {!set_defer}) *)

@@ -4,7 +4,6 @@ type entry = {
   where : Desc.level;
   fwdr : Forwarder.t;
   state : Bytes.t;
-  mutable matches : int;
 }
 
 type t = {
@@ -96,9 +95,7 @@ let decide t frame =
          | None -> None
          | Some k -> (
              match Hashtbl.find_opt t.flows k with
-             | Some e ->
-                 e.matches <- e.matches + 1;
-                 Some e
+             | Some _ as e -> e
              | None -> None));
     t.s_general <- t.general;
     t.s_route <-

@@ -20,7 +20,6 @@ type entry = {
   where : Desc.level;
   fwdr : Forwarder.t;
   state : Bytes.t;  (** the flow's SRAM state block *)
-  mutable matches : int;
 }
 
 type t

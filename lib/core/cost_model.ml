@@ -27,7 +27,6 @@ type t = {
   sa_poll_instr : int;
   sa_dequeue_sram_bytes : int;
   sa_interrupt_cycles : int;
-  sa_enqueue_out_sram_bytes : int;
   sa_route_lookup_instr : int;
   sa_route_lookup_sram_bytes : int;
   pe_loop_instr : int;
@@ -74,7 +73,6 @@ let default =
     sa_poll_instr = 60;
     sa_dequeue_sram_bytes = 8;
     sa_interrupt_cycles = 700;
-    sa_enqueue_out_sram_bytes = 8;
     sa_route_lookup_instr = 170;
     sa_route_lookup_sram_bytes = 12;
     pe_loop_instr = 360;

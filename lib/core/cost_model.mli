@@ -53,7 +53,6 @@ type t = {
   sa_poll_instr : int;  (** polling loop per packet: dequeue + dispatch *)
   sa_dequeue_sram_bytes : int;
   sa_interrupt_cycles : int;  (** added per packet under interrupts *)
-  sa_enqueue_out_sram_bytes : int;
   sa_route_lookup_instr : int;
       (** full longest-prefix match on a route-cache miss; with its SRAM
           reads this reproduces the paper's "236 cycles per packet" *)

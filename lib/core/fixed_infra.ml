@@ -48,7 +48,6 @@ let default =
 type result = {
   in_mpps : float;
   out_mpps : float;
-  me_utilization : float array;
   sram_utilization : float;
   dram_utilization : float;
   input_token_hold : float;
@@ -64,28 +63,29 @@ type result = {
   latency_ns_mean : float;
 }
 
-(* Contexts are spread round-robin over a stage's MicroEngines so that
-   consecutive token holders sit on different engines (section 3.2.2), and
-   only the minimum number of engines is used (Figure 7's methodology). *)
-let ctx_ids ~me_base ~contexts_per_me ~n =
-  let n_me = (n + contexts_per_me - 1) / contexts_per_me in
-  List.init n (fun i -> ((me_base + (i mod n_me)) * contexts_per_me) + (i / n_me))
-
-let mes_used ~contexts_per_me ~n = (n + contexts_per_me - 1) / contexts_per_me
-
 let run ?telemetry cfg =
   let engine = Sim.Engine.create () in
+  (* A stage alone starts at MicroEngine 0; with both, output follows
+     input. *)
+  let input_ids, n_in =
+    Ixp.Config.place cfg.hw ~first_me:0 cfg.n_input_contexts
+  in
+  let out_first =
+    match cfg.stage with Both -> n_in | Input_only | Output_only -> 0
+  in
+  let output_ids, n_out =
+    Ixp.Config.place cfg.hw ~first_me:out_first cfg.n_output_contexts
+  in
+  let in_me_range, out_me_range =
+    match cfg.stage with
+    | Both -> ((0, n_in), (n_in, n_in + n_out))
+    | Input_only -> ((0, n_in), (0, 0))
+    | Output_only -> ((0, 0), (0, n_out))
+  in
   let hw =
     (* Make sure the chip has enough MicroEngines for the requested split
        (Figure 7 sweeps one stage alone up to all 6). *)
-    let need =
-      (match cfg.stage with
-      | Both ->
-          mes_used ~contexts_per_me:4 ~n:cfg.n_input_contexts
-          + mes_used ~contexts_per_me:4 ~n:cfg.n_output_contexts
-      | Input_only -> mes_used ~contexts_per_me:4 ~n:cfg.n_input_contexts
-      | Output_only -> mes_used ~contexts_per_me:4 ~n:cfg.n_output_contexts)
-    in
+    let need = max (snd in_me_range) (snd out_me_range) in
     if need > cfg.hw.Ixp.Config.n_microengines then
       { cfg.hw with Ixp.Config.n_microengines = need }
     else cfg.hw
@@ -117,14 +117,6 @@ let run ?telemetry cfg =
   (* Telemetry wiring: registration happens once, before fibers start;
      the hot loops keep mutating the same stats records as ever, and
      gauges read them only at snapshot time. *)
-  let in_me_range, out_me_range =
-    let n_in = mes_used ~contexts_per_me:4 ~n:cfg.n_input_contexts in
-    let n_out = mes_used ~contexts_per_me:4 ~n:cfg.n_output_contexts in
-    match cfg.stage with
-    | Both -> ((0, n_in), (n_in, n_in + n_out))
-    | Input_only -> ((0, n_in), (0, 0))
-    | Output_only -> ((0, 0), (0, n_out))
-  in
   let input_scope, output_scope =
     match telemetry with
     | None -> (None, None)
@@ -280,24 +272,19 @@ let run ?telemetry cfg =
         Input_loop.To_queue { qid = cfg.n_queues; out_port = qid; fid = -1 }
       else Input_loop.To_queue { qid; out_port = qid; fid = -1 }
   in
-  let input_ids =
-    ctx_ids ~me_base:0 ~contexts_per_me:4 ~n:cfg.n_input_contexts
-  in
   let run_input = cfg.stage = Both || cfg.stage = Input_only in
   if run_input then
-    List.iteri
+    Array.iteri
       (fun seq ctx_id ->
         let t =
           {
             Input_loop.cm;
             enq;
             process = classify_and_forward seq;
-            process_rest_mp = (fun _ _ -> ());
             queue_of =
-              (fun ~ctx_id:_ qid ->
+              (fun qid ->
                 if qid = cfg.n_queues then sa_q else queues.(qid));
             notify = None;
-            idle_backoff_cycles = 64;
             scope = input_scope;
             recycle = None;
           }
@@ -316,14 +303,6 @@ let run ?telemetry cfg =
   in
   let run_output = cfg.stage = Both || cfg.stage = Output_only in
   if run_output then begin
-    let out_me_base =
-      match cfg.stage with
-      | Both -> mes_used ~contexts_per_me:4 ~n:cfg.n_input_contexts
-      | Output_only | Input_only -> 0
-    in
-    let output_ids =
-      ctx_ids ~me_base:out_me_base ~contexts_per_me:4 ~n:cfg.n_output_contexts
-    in
     (* Assign queues to output contexts round-robin (static, section
        3.4.1). *)
     let queues_of j =
@@ -331,7 +310,7 @@ let run ?telemetry cfg =
       Array.iteri (fun i q -> if i mod cfg.n_output_contexts = j then mine := q :: !mine) queues;
       Array.of_list (List.rev !mine)
     in
-    List.iteri
+    Array.iteri
       (fun j ctx_id ->
         let qs = queues_of j in
         let qs = if Array.length qs = 0 then [| queues.(0) |] else qs in
@@ -346,11 +325,9 @@ let run ?telemetry cfg =
             queues = qs;
             port_for = (fun _ -> None);
             on_tx =
-              Some
-                (fun desc _ ->
-                  Sim.Stats.Histogram.observe_i latency
-                    (Sim.Engine.clock_i engine - desc.Desc.arrival));
-            idle_backoff_cycles = 64;
+              (fun desc _ ->
+                Sim.Stats.Histogram.observe_i latency
+                  (Sim.Engine.clock_i engine - desc.Desc.arrival));
             scope = output_scope;
           }
         in
@@ -401,7 +378,6 @@ let run ?telemetry cfg =
   let in0 = Sim.Stats.Counter.value istats.Input_loop.pkts_in in
   let sa0 = Sim.Stats.Counter.value sa_done in
   let out0 = Sim.Stats.Counter.value ostats.Output_loop.pkts_out in
-  let me_busy0 = Array.map Ixp.Microengine.busy_time chip.Ixp.Chip.mes in
   let sram_busy0 = Sim.Server.busy_time (Ixp.Mem.server chip.Ixp.Chip.sram) in
   let dram_busy0 = Sim.Server.busy_time (Ixp.Mem.server chip.Ixp.Chip.dram) in
   let ithold0 = Sim.Token_ring.hold_time_total input_ring in
@@ -417,10 +393,6 @@ let run ?telemetry cfg =
   {
     in_mpps = rate in0 (Sim.Stats.Counter.value istats.Input_loop.pkts_in);
     out_mpps = rate out0 (Sim.Stats.Counter.value ostats.Output_loop.pkts_out);
-    me_utilization =
-      Array.mapi
-        (fun i me -> frac me_busy0.(i) (Ixp.Microengine.busy_time me))
-        chip.Ixp.Chip.mes;
     sram_utilization =
       frac sram_busy0 (Sim.Server.busy_time (Ixp.Mem.server chip.Ixp.Chip.sram));
     dram_utilization =

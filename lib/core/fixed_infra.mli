@@ -51,7 +51,6 @@ val default : config
 type result = {
   in_mpps : float;  (** packets/s entering queues (input-stage rate) *)
   out_mpps : float;  (** packets/s leaving (output-stage rate) *)
-  me_utilization : float array;  (** per-MicroEngine issue occupancy *)
   sram_utilization : float;
   dram_utilization : float;
   input_token_hold : float;

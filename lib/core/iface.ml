@@ -109,7 +109,6 @@ let bind t ~key ~fwdr ~where ~expected_pps =
           where = level_of_where where;
           fwdr;
           state = Bytes.make fwdr.Forwarder.state_bytes '\000';
-          matches = 0;
         }
       in
       Classifier.add t.classifier entry;

@@ -37,10 +37,8 @@ type t = {
   cm : Cost_model.t;
   enq : Chip_ctx.t -> Squeue.t -> Desc.t -> bool;
   process : Chip_ctx.t -> Packet.Frame.t -> in_port:int -> target;
-  process_rest_mp : Chip_ctx.t -> Packet.Frame.t -> unit;
-  queue_of : ctx_id:int -> int -> Squeue.t;
+  queue_of : int -> Squeue.t;
   notify : (int -> unit) option;
-  idle_backoff_cycles : int;
   scope : Telemetry.Scope.t option;
   recycle : (Packet.Frame.t -> unit) option;
 }
@@ -173,7 +171,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
                   ~out_port ~fid
                   ~arrival:(Chip_ctx.now_ps_i ctx)
               in
-              let q = t.queue_of ~ctx_id qid in
+              let q = t.queue_of qid in
               if t.enq ctx q desc then begin
                 Sim.Stats.Counter.incr stats.enq_ok;
                 match t.notify with Some f -> f qid | None -> ()
@@ -186,7 +184,6 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
               end
             end))
     | Packet.Mp.Intermediate | Packet.Mp.Last ->
-        t.process_rest_mp ctx frame;
         Chip_ctx.dram_write ctx ~bytes:Packet.Mp.size
   in
   Sim.Engine.spawn chip.Chip.engine name (fun () ->
@@ -200,7 +197,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
           let w = Sim.Engine.cell_waker park_cell in
           Sim.Engine.on_park park_cell (fun () -> Mac_port.park_rx p w)
       | Replay _ -> ());
-      let rec loop backoff =
+      let rec loop () =
         (* Serialized section: token + port check + burst DMA
            programming, fused into one core access.  The previous
            burst's tail charges (a scratch write or two) ride in
@@ -233,20 +230,12 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
         in
         Sim.Token_ring.release ring slot;
         if n = 0 then begin
+          (* Only a port comes up empty (a replayed frame has at least
+             one MP): park until it accepts a frame, zero idle events
+             instead of a poll. *)
           Chip_ctx.exec ctx 4;
-          match source with
-          | Port _ ->
-              (* Park until the port accepts a frame: zero idle events
-                 instead of a poll every [idle_backoff_cycles]. *)
-              Chip_ctx.commit ctx;
-              Sim.Engine.park park_cell;
-              loop 1
-          | Replay _ ->
-              Chip_ctx.wait_cycles ctx backoff;
-              (* Deferred backoff must be paid here or the idle loop
-                 would spin without advancing time. *)
-              Chip_ctx.commit ctx;
-              loop (min (backoff * 2) t.idle_backoff_cycles)
+          Chip_ctx.commit ctx;
+          Sim.Engine.park park_cell
         end
         else begin
           Sim.Stats.Histogram.observe_i stats.batch_mps n;
@@ -257,8 +246,8 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
             process_mp (Batch.tag batch i) (Batch.frame batch i)
           done;
           Sim.Engine.batch_end engine span ~frames:!frames;
-          Batch.clear batch;
-          loop 1
-        end
+          Batch.clear batch
+        end;
+        loop ()
       in
-      loop 1)
+      loop ())

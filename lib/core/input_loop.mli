@@ -7,9 +7,9 @@
     forwarders — the VRP), write the MP to its DRAM buffer, and on the
     packet's first MP enqueue a descriptor on the destination queue.
 
-    The queueing discipline (Table 1, I.1-I.3) is selected by
-    [protected_queues]: private queues keep the tail pointer in registers
-    and skip synchronization; protected queues take the per-queue hardware
+    The queueing discipline (Table 1, I.1-I.3) is the [enq] function:
+    {!enqueue_private} keeps the tail pointer in registers and skips
+    synchronization; {!enqueue_protected} takes the per-queue hardware
     mutex around the head-pointer update. *)
 
 type source =
@@ -47,17 +47,10 @@ type t = {
   process : Chip_ctx.t -> Packet.Frame.t -> in_port:int -> target;
       (** protocol processing for a packet's first MP; charges its own
           hardware costs and returns the destination *)
-  process_rest_mp : Chip_ctx.t -> Packet.Frame.t -> unit;
-      (** extra VRP work applied to each subsequent MP *)
-  queue_of : ctx_id:int -> int -> Squeue.t;
-      (** resolve a [qid] to this context's concrete queue (private
-          disciplines map the same [qid] to per-context queues) *)
+  queue_of : int -> Squeue.t;  (** resolve a [qid] to its queue *)
   notify : (int -> unit) option;
       (** fired after a successful enqueue to [qid] (e.g. signal the
           StrongARM that an exceptional packet arrived) *)
-  idle_backoff_cycles : int;
-      (** polling gap when the port has nothing (simulation efficiency;
-          real contexts would spin on [port_rdy]) *)
   scope : Telemetry.Scope.t option;
       (** telemetry scope receiving one event per dropped packet (queue
           full, pool dry, protocol drop); [None] records nothing *)

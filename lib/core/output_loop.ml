@@ -25,8 +25,7 @@ type t = {
   discipline : discipline;
   queues : Squeue.t array;
   port_for : Desc.t -> Ixp.Mac_port.t option;
-  on_tx : (Desc.t -> Packet.Frame.t -> unit) option;
-  idle_backoff_cycles : int;
+  on_tx : Desc.t -> Packet.Frame.t -> unit;
   scope : Telemetry.Scope.t option;
 }
 
@@ -56,12 +55,17 @@ let idle_slot () =
     charged = false;
   }
 
-(* Dequeue bookkeeping shared by every discipline: select_queue charges are
-   paid by the caller; this pays the tail-pointer update and reads the
-   packet out of its DRAM buffer, filling [infl] in place.  [false] means
-   the circular allocator lapped this packet (a stale buffer) — the
-   descriptor goes straight back to the free list. *)
-let take_packet t ctx chip stats desc infl =
+(* A queue's head-pointer read, paid before its length is trusted. *)
+let head_read t ctx =
+  Chip_ctx.scratch_read ctx ~bytes:(4 * t.cm.Cost_model.dequeue_scratch_reads)
+
+(* Dequeue bookkeeping shared by every discipline: pops [q] (known
+   non-empty), pays the tail-pointer update and reads the packet out of
+   its DRAM buffer, filling [infl] in place.  [false] means the circular
+   allocator lapped this packet (a stale buffer) — the descriptor goes
+   straight back to the free list. *)
+let take_packet t ctx chip stats q infl =
+  let desc = Squeue.pop_nonempty q in
   let cm = t.cm in
   Chip_ctx.exec ctx cm.Cost_model.output_pkt_instr;
   Chip_ctx.sram_write ctx ~bytes:(4 * cm.Cost_model.dequeue_sram_writes);
@@ -116,28 +120,43 @@ let finish_mp t chip stats infl ~port =
     | None -> ());
     infl.active <- false;
     Sim.Stats.Counter.incr stats.pkts_out;
-    (match t.on_tx with
-    | Some f -> f infl.desc infl.frame
-    | None -> ());
+    t.on_tx infl.desc infl.frame;
     Ixp.Buffer_pool.free chip.Ixp.Chip.buffers infl.desc.Desc.buf;
     Desc.release infl.desc
   end
 
-(* Batched transmit loop.  One token acquisition (the serialized FIFO
-   slot-activation section) covers a whole burst of MPs — gated by
-   [Cost_model.per_burst]; off forces burst size 1, the classic
-   one-MP-per-rotation Figure 6 loop.  Wire pacing uses the MAC's exact
-   slot-free time ([tx_try_pace]) instead of exponential polling, and
-   an idle context parks on its queues' push waiters instead of
-   spinning. *)
+(* Loops, not [Array.exists], which builds a closure per call. *)
+let queued queues =
+  let any = ref false in
+  for i = 0 to Array.length queues - 1 do
+    if not (Squeue.is_empty queues.(i)) then any := true
+  done;
+  !any
+
+let any_active slots =
+  let any = ref false in
+  for i = 0 to Array.length slots - 1 do
+    if slots.(i).active then any := true
+  done;
+  !any
+
+(* The one transmit loop.  A context keeps one in-flight slot per owned
+   queue under O.3 and a single slot under O.1 and O.2; the discipline
+   only supplies [select], which fills an idle slot.  Everything else is
+   shared: one token acquisition (the serialized FIFO slot-activation
+   section) covers a burst of MPs — gated by [Cost_model.per_burst]; off
+   forces burst size 1, the classic one-MP-per-rotation Figure 6 loop —
+   wire pacing sleeps for the MAC's exact slot-free time
+   ([tx_try_pace]) instead of polling, and an idle context parks on its
+   queues' push waiters instead of spinning. *)
 let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
   let open Ixp in
   let ctx = Chip_ctx.make chip ~ctx_id in
   let cm = t.cm in
+  let engine = chip.Chip.engine in
   Chip_ctx.set_defer ctx cm.Cost_model.per_burst;
   let burst_mps = if cm.Cost_model.per_burst then max 1 burst_mps else 1 in
   Sim.Token_ring.join ring slot;
-  let batch = ref 0 in
   let name = Printf.sprintf "output.ctx%d" ctx_id in
   let serial_section () =
     (* The previous burst's tail charges ride in [pending] into this
@@ -152,14 +171,14 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
        already waited, so the token hold covers the full section. *)
     Sim.Token_ring.release ring slot
   in
-  (* Queue parking shared by both loop shapes.  Each owned queue gets at
-     most one registered wrapper at a time ([registered] tracks which);
-     wrappers route through [waker] so the engine's one-shot waker fires
-     exactly once however many queues push in the same instant, and a
-     wrapper left behind on queue B after a wake via queue A is a
-     harmless no-op that also clears B's registration.  Parking is the
-     idle path, so the suspend closure cost is irrelevant — but the
-     registration function is still built once, not per park. *)
+  (* Queue parking.  Each owned queue gets at most one registered
+     wrapper at a time ([registered] tracks which); wrappers route
+     through [waker] so the engine's one-shot waker fires exactly once
+     however many queues push in the same instant, and a wrapper left
+     behind on queue B after a wake via queue A is a harmless no-op that
+     also clears B's registration.  Parking is the idle path, so the
+     suspend closure cost is irrelevant — but the registration function
+     is still built once, not per park. *)
   let nq = Array.length t.queues in
   let registered = Array.make nq false in
   let waker = ref (fun () -> ()) in
@@ -181,11 +200,7 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
     (* Work may have arrived between the caller's empty check and
        this registration (memory charges suspend); never sleep past
        it. *)
-    let any = ref false in
-    for i = 0 to nq - 1 do
-      if not (Squeue.is_empty t.queues.(i)) then any := true
-    done;
-    if !any then begin
+    if queued t.queues then begin
       let w' = !waker in
       waker := (fun () -> ());
       w' ()
@@ -195,210 +210,156 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
      with the cell's permanent waker once, so an idle-park/wake cycle
      costs only the suspension (the suspend-based form built a fired
      ref, a waker, and a handler closure per park). *)
-  let park_cell = Sim.Engine.make_cell chip.Chip.engine in
+  let park_cell = Sim.Engine.make_cell engine in
   let park_waker = Sim.Engine.cell_waker park_cell in
   Sim.Engine.on_park park_cell (fun () -> park_register park_waker);
   let park () =
     Chip_ctx.commit ctx;
     Sim.Engine.park park_cell
   in
-  let single_queue_loop () =
-    let q = t.queues.(0) in
-    let infl = idle_slot () in
-    let frames = ref 0 in
-    let mps = ref 0 in
-    (* Select + dequeue: true when [infl] holds a packet.  The length
-       check sits between the scratch-read charge (which may suspend and
-       let a sibling context drain the queue) and the option-free pop —
-       nothing can intervene between the two. *)
-    let rec next_packet () =
-      let got =
-        match t.discipline with
-        | O1_batch ->
-            if !batch > 0 then begin
-              if Squeue.length q > 0 then begin
-                decr batch;
-                true
-              end
-              else begin
-                batch := 0;
-                false
-              end
-            end
-            else begin
-              Chip_ctx.scratch_read ctx ~bytes:4;
-              let ready = Squeue.length q in
-              if ready = 0 then false
-              else begin
-                batch := ready - 1;
-                true
-              end
-            end
-        | O2_single | O3_multi ->
-            Chip_ctx.scratch_read ctx ~bytes:4;
-            Squeue.length q > 0
-      in
-      got
-      && begin
-           let desc = Squeue.pop_nonempty q in
-           take_packet t ctx chip stats desc infl
-           || next_packet () (* stale buffer: try the next *)
-         end
-    in
-    let rec activation () =
-      serial_section ();
-      if infl.active || next_packet () then begin
-        let engine = chip.Chip.engine in
-        let span = Sim.Engine.batch_begin engine in
-        frames := 0;
-        mps := 0;
-        let rec step () =
-          if !mps >= burst_mps then
-            Sim.Engine.batch_end engine span ~frames:!frames
-          else if not infl.active then begin
-            if next_packet () then step ()
-            else Sim.Engine.batch_end engine span ~frames:!frames
-          end
-          else advance ()
-        and advance () =
-          if infl.next >= infl.total then begin
-            (* Zero-MP frame (never on real traffic): just retire it. *)
-            infl.active <- false;
-            incr frames;
-            step ()
-          end
-          else begin
-            charge_mp t ctx infl;
-            let port = t.port_for infl.desc in
-            let wait =
-              match port with
-              | None -> -1
-              | Some p ->
-                  Mac_port.tx_try_pace p ~last:(infl.next = infl.total - 1)
-            in
-            if wait < 0 then begin
-              let done_ = infl.next = infl.total - 1 in
-              finish_mp t chip stats infl ~port;
-              incr mps;
-              if done_ then incr frames;
-              step ()
-            end
-            else begin
-              (* Sleep exactly until the wire frees the slot. *)
-              Sim.Engine.wait_in chip.Chip.engine wait;
-              advance ()
-            end
-          end
-        in
-        step ();
-        activation ()
-      end
-      else begin
-        park ();
-        activation ()
-      end
-    in
-    activation ()
+  (* Slot [i] is filled from queue [i]; it is the packet in flight on
+     that queue, and a lower index has priority. *)
+  let slots =
+    Array.init
+      (match t.discipline with O3_multi -> nq | O1_batch | O2_single -> 1)
+      (fun _ -> idle_slot ())
   in
-  let multi_queue_loop () =
-    let n = Array.length t.queues in
-    let currents = Array.init n (fun _ -> idle_slot ()) in
-    let frames = ref 0 in
-    let mps = ref 0 in
-    let soonest = ref max_int in
-    let rec activation () =
-      serial_section ();
-      let engine = chip.Chip.engine in
-      let span = Sim.Engine.batch_begin engine in
-      frames := 0;
-      mps := 0;
-      let close () = Sim.Engine.batch_end engine span ~frames:!frames in
-      (* Advance the highest-priority in-flight packet whose wire has
-         room.  Int-coded result: -2 = sent an MP, -1 = nothing in
-         flight, otherwise the soonest ps until a blocked wire frees. *)
-      let try_advance () =
-        soonest := max_int;
-        let rec go i =
-          if i >= n then if !soonest = max_int then -1 else !soonest
-          else begin
-            let infl = currents.(i) in
-            if not infl.active then go (i + 1)
-            else begin
-              charge_mp t ctx infl;
-              let port = t.port_for infl.desc in
-              let wait =
-                match port with
-                | None -> -1
-                | Some p ->
-                    Mac_port.tx_try_pace p ~last:(infl.next = infl.total - 1)
-              in
-              if wait < 0 then begin
-                let done_ = infl.next = infl.total - 1 in
-                finish_mp t chip stats infl ~port;
-                incr mps;
-                if done_ then incr frames;
-                -2
-              end
-              else begin
-                if wait < !soonest then soonest := wait;
-                go (i + 1)
-              end
+  let n = Array.length slots in
+  let take i = take_packet t ctx chip stats t.queues.(i) slots.(i) in
+  (* The selectors.  Each returns [true] once it has dequeued a packet.
+     A queue's length is checked after the head-read charge (which may
+     suspend and let a sibling context drain the queue) and right before
+     the option-free pop — nothing can intervene between the two.  O.1
+     and O.2 return at once, uncharged, while their one slot is busy, and
+     step past a stale buffer to the next packet. *)
+  let select =
+    match t.discipline with
+    | O1_batch ->
+        (* One head read sizes a batch, drained before the next read
+           (section 3.4.3's batching). *)
+        let batch = ref 0 in
+        let rec select () =
+          (not slots.(0).active)
+          &&
+          if !batch > 0 then
+            if Squeue.length t.queues.(0) > 0 then begin
+              decr batch;
+              take 0 || select ()
             end
+            else begin
+              batch := 0;
+              false
+            end
+          else begin
+            head_read t ctx;
+            let ready = Squeue.length t.queues.(0) in
+            ready > 0
+            && begin
+                 batch := ready - 1;
+                 take 0 || select ()
+               end
           end
         in
-        go 0
-      in
-      (* Start a packet on an idle slot: one readiness bit-array read
-         summarizes every queue (section 3.4.3), then the chosen queue
-         pays its own head read. *)
-      let try_start () =
-        Chip_ctx.scratch_read ctx ~bytes:(4 * cm.Cost_model.o3_scratch_reads);
-        Chip_ctx.exec ctx cm.Cost_model.o3_select_instr;
+        select
+    | O2_single ->
+        (* A head read per packet. *)
+        let rec select () =
+          (not slots.(0).active)
+          && begin
+               head_read t ctx;
+               Squeue.length t.queues.(0) > 0 && (take 0 || select ())
+             end
+        in
+        select
+    | O3_multi ->
+        (* One readiness bit-array read summarizes every queue (section
+           3.4.3), then the first ready queue with an idle slot pays
+           its own head read.  A stale buffer still counts as a
+           selection. *)
         let rec scan i =
-          if i >= n then false
-          else if currents.(i).active || Squeue.is_empty t.queues.(i) then
+          i < n
+          &&
+          if slots.(i).active || Squeue.is_empty t.queues.(i) then
             scan (i + 1)
           else begin
-            Chip_ctx.scratch_read ctx ~bytes:4;
+            head_read t ctx;
             if Squeue.length t.queues.(i) > 0 then begin
-              let desc = Squeue.pop_nonempty t.queues.(i) in
-              ignore (take_packet t ctx chip stats desc currents.(i) : bool);
+              ignore (take i : bool);
               true
             end
             else scan (i + 1)
           end
         in
-        scan 0
-      in
-      let rec step () =
-        if !mps >= burst_mps then close ()
-        else begin
-          let r = try_advance () in
-          if r = -2 then step ()
-          else if r = -1 then begin
-            if try_start () then step () else close ()
-          end
-          else if try_start () then step ()
-          else begin
-            Sim.Engine.wait_in chip.Chip.engine r;
-            step ()
-          end
+        fun () ->
+          Chip_ctx.scratch_read ctx
+            ~bytes:(4 * cm.Cost_model.o3_scratch_reads);
+          Chip_ctx.exec ctx cm.Cost_model.o3_select_instr;
+          scan 0
+  in
+  let frames = ref 0 in
+  let mps = ref 0 in
+  (* Move one MP of the highest-priority in-flight packet whose wire has
+     room.  Int-coded result: -2 = sent an MP, -1 = nothing in flight,
+     otherwise the soonest ps until a blocked wire frees ([soonest]
+     carries it, -1 until a wire is found blocked). *)
+  let rec advance i soonest =
+    if i >= n then soonest
+    else begin
+      let infl = slots.(i) in
+      if not infl.active then advance (i + 1) soonest
+      else begin
+        charge_mp t ctx infl;
+        let port = t.port_for infl.desc in
+        let last = infl.next = infl.total - 1 in
+        let wait =
+          match port with
+          | None -> -1
+          | Some p -> Mac_port.tx_try_pace p ~last
+        in
+        if wait < 0 then begin
+          finish_mp t chip stats infl ~port;
+          incr mps;
+          if last then incr frames;
+          -2
         end
-      in
+        else
+          advance (i + 1)
+            (if soonest < 0 || wait < soonest then wait else soonest)
+      end
+    end
+  in
+  (* One burst: send while the budget lasts; when no wire has room,
+     start a packet on an idle slot, or sleep until the soonest wire
+     frees.  Ends when the budget is spent or nothing is in flight and
+     nothing can be selected. *)
+  let rec step () =
+    if !mps < burst_mps then begin
+      let r = advance 0 (-1) in
+      if r = -2 || select () then step ()
+      else if r >= 0 then begin
+        Sim.Engine.wait_in engine r;
+        step ()
+      end
+    end
+  in
+  (* Where a context decides to sleep is the one other thing the
+     disciplines do differently.  O.1 and O.2 sleep when the head read
+     that opens an activation finds nothing (the span opens only after
+     it); O.3 opens every activation's span at once and sleeps when a
+     burst leaves nothing in flight and its free readiness peek shows
+     nothing queued. *)
+  let indirect = t.discipline = O3_multi in
+  let rec activation () =
+    serial_section ();
+    if indirect || slots.(0).active || select () then begin
+      let span = Sim.Engine.batch_begin engine in
+      frames := 0;
+      mps := 0;
       step ();
-      let any_inflight = ref false in
-      for i = 0 to n - 1 do
-        if currents.(i).active then any_inflight := true
-      done;
-      let any_queued =
-        Array.exists (fun q -> not (Squeue.is_empty q)) t.queues
-      in
-      if (not !any_inflight) && not any_queued then park ();
-      activation ()
-    in
+      Sim.Engine.batch_end engine span ~frames:!frames;
+      if indirect && not (any_active slots || queued t.queues) then park ()
+    end
+    else park ();
     activation ()
   in
-  Sim.Engine.spawn chip.Chip.engine name (fun () ->
-      match t.discipline with
-      | O1_batch | O2_single -> single_queue_loop ()
-      | O3_multi -> multi_queue_loop ())
+  Sim.Engine.spawn engine name activation

@@ -1,18 +1,24 @@
 (** The output processing loop (paper Figure 6, sections 3.3-3.4.3).
 
     Each output context owns a statically-assigned set of queues and FIFO
-    slots.  Per iteration it takes the output token (the FIFO slots are
-    consumed strictly in order by the transmit DMA, so contexts must
-    serialize their slot activations), then either continues streaming the
-    MPs of the current packet (DRAM to FIFO, slot enable) or selects the
-    next packet from its queues.
+    slots, and keeps in-flight slots: packets it has dequeued and is
+    streaming to the wire MP by MP (DRAM to FIFO, slot enable).  Per
+    activation it takes the output token (the FIFO slots are consumed
+    strictly in order by the transmit DMA, so contexts must serialize
+    their slot activations), then moves MPs of its highest-priority
+    in-flight packet whose wire has room, and fills an idle slot from its
+    queues when none has.
 
-    Disciplines (Table 1):
-    - [O1_batch]: one queue; the head pointer is read once and every ready
-      packet is drained before re-reading (section 3.4.3's batching).
-    - [O2_single]: one queue; head pointer read per packet.
-    - [O3_multi]: multiple prioritized queues behind a readiness bit-array
-      (section 3.4.3's indirection). *)
+    One loop serves every discipline (Table 1); a discipline only says how
+    an idle slot is filled:
+    - [O1_batch]: one slot, from the first queue; the head pointer is read
+      once and every ready packet is drained before re-reading (section
+      3.4.3's batching).
+    - [O2_single]: one slot, from the first queue; head pointer read per
+      packet.
+    - [O3_multi]: one slot per queue, in priority order; a readiness
+      bit-array read finds the ready queues, then the chosen queue's head
+      pointer is read (section 3.4.3's indirection). *)
 
 type discipline = O1_batch | O2_single | O3_multi
 
@@ -37,9 +43,8 @@ type t = {
       (** transmit target per packet (a context may service several
           ports' queues); [None] omits device interaction (the peak-rate
           experiments of section 3.5.1) *)
-  on_tx : (Desc.t -> Packet.Frame.t -> unit) option;
+  on_tx : Desc.t -> Packet.Frame.t -> unit;
       (** observer invoked as each packet completes transmission *)
-  idle_backoff_cycles : int;
   scope : Telemetry.Scope.t option;
       (** telemetry scope receiving one event per stale buffer; [None]
           records nothing *)
@@ -54,9 +59,13 @@ val spawn_context :
   ctx_id:int ->
   stats:stats ->
   unit
-(** Start one output context as a fiber.  [burst_mps] (default 16)
-    bounds how many MPs one token acquisition may stream to the wire;
-    forced to 1 when [Cost_model.per_burst = false], which reproduces
-    the classic one-MP-per-rotation Figure 6 loop exactly.  Idle
-    contexts park on their queues' push waiters; wire pacing sleeps for
-    the MAC's exact slot-free time. *)
+(** Start one output context as a fiber; [ctx_id] selects the hosting
+    MicroEngine.  [burst_mps] (default 16) bounds how many MPs one token
+    acquisition may stream to the wire; forced to 1 when
+    [Cost_model.per_burst = false], which reproduces the classic
+    one-MP-per-rotation Figure 6 loop exactly.  While no wire has room,
+    the context fills an idle slot or sleeps for the soonest MAC's exact
+    slot-free time.  An idle context parks on its queues' push waiters:
+    under O.1 and O.2 when the head read that opens an activation finds
+    nothing, under O.3 when an activation ends with nothing in flight and
+    nothing queued. *)

@@ -98,8 +98,6 @@ let make_nexthop port =
     gateway_mac = Packet.Ethernet.mac_of_port (100 + port);
   }
 
-let mes_used ~n = (n + 3) / 4
-
 (* Writes the decimal digits of [n >= 0] at [pos]; returns the end. *)
 let write_decimal b pos n =
   let rec width n k = if n < 10 then k else width (n / 10) (k + 1) in
@@ -145,6 +143,23 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
     match engine with Some e -> e | None -> Sim.Engine.create ()
   in
   let n_all = total_ports config in
+  (* Input contexts fill the first MicroEngines, output contexts the
+     next ones ({!start}); at most one output context per port. *)
+  let _, n_in_me =
+    Ixp.Config.place config.hw ~first_me:0 config.n_input_contexts
+  in
+  let _, n_out_me =
+    Ixp.Config.place config.hw ~first_me:n_in_me
+      (min config.n_output_contexts n_all)
+  in
+  if n_in_me + n_out_me > config.hw.Ixp.Config.n_microengines then
+    invalid_arg
+      (Printf.sprintf
+         "Router.create: %d input and %d output contexts need %d + %d \
+          MicroEngines; the chip has %d x %d contexts"
+         config.n_input_contexts config.n_output_contexts n_in_me n_out_me
+         config.hw.Ixp.Config.n_microengines
+         config.hw.Ixp.Config.contexts_per_me);
   let delivered =
     Array.init n_all (fun _ -> Sim.Stats.Counter.create ())
   in
@@ -219,7 +234,6 @@ let create ?(config = default_config) ?(alloc_gauges = false) ?engine () =
       ~selective_invalidation:config.selective_invalidation ()
   in
   let classifier = Classifier.create config.cm ~routes in
-  let n_in_me = mes_used ~n:config.n_input_contexts in
   let iface =
     Iface.create ~chip ~classifier ~input_mes:(List.init n_in_me Fun.id) ()
   in
@@ -651,10 +665,12 @@ let start ?process t =
            cfg.hw.Ixp.Config.token_pass_cycles)
       ~members:cfg.n_input_contexts t.engine
   in
-  let n_in_me = mes_used ~n:cfg.n_input_contexts in
+  let input_ids, n_in_me =
+    Ixp.Config.place cfg.hw ~first_me:0 cfg.n_input_contexts
+  in
   let n_all = total_ports cfg in
   let n_pe_qs = Array.length t.sa.Strongarm.pe_qs in
-  let queue_of ~ctx_id:_ qid =
+  let queue_of qid =
     if qid >= 0 && qid < n_all then t.out_queues.(qid)
     else if qid > n_all && qid <= n_all + n_pe_qs then
       t.sa.Strongarm.pe_qs.(qid - n_all - 1)
@@ -669,10 +685,8 @@ let start ?process t =
       Input_loop.cm;
       enq = Input_loop.enqueue_protected cm;
       process;
-      process_rest_mp = (fun _ _ -> ());
       queue_of;
       notify = Some notify;
-      idle_backoff_cycles = 128;
       scope = Some t.input_scope;
       recycle =
         (match t.frame_pool with
@@ -728,7 +742,7 @@ let start ?process t =
     Array.of_list (List.rev !order)
   in
   for i = 0 to cfg.n_input_contexts - 1 do
-    let ctx_id = ((i mod n_in_me) * 4) + (i / n_in_me) in
+    let ctx_id = input_ids.(i) in
     let port = t.chip.Ixp.Chip.ports.(input_ports.(i mod Array.length input_ports)) in
     Input_loop.spawn_context ~burst_mps:cfg.batch_mps il t.chip
       ~ring:input_ring ~slot:i ~ctx_id ~source:(Input_loop.Port port)
@@ -769,9 +783,9 @@ let start ?process t =
        (* Reversed accumulation; re-reversed once at the use site. *)
        out_assignment.(!best) <- p :: out_assignment.(!best))
      ports_by_speed);
+  let output_ids, _ = Ixp.Config.place cfg.hw ~first_me:n_in_me n_out in
   for j = 0 to n_out - 1 do
-    let n_out_me = mes_used ~n:n_out in
-    let ctx_id = ((n_in_me + (j mod n_out_me)) * 4) + (j / n_out_me) in
+    let ctx_id = output_ids.(j) in
     let my_ports = List.rev out_assignment.(j) in
     match my_ports with
     | [] -> ()
@@ -790,11 +804,9 @@ let start ?process t =
             queues;
             port_for = (fun desc -> port_opts.(desc.Desc.out_port mod n_all));
             on_tx =
-              Some
-                (fun desc _ ->
-                  Sim.Stats.Histogram.observe_i t.latency
-                    (Sim.Engine.clock_i t.engine - desc.Desc.arrival));
-            idle_backoff_cycles = 128;
+              (fun desc _ ->
+                Sim.Stats.Histogram.observe_i t.latency
+                  (Sim.Engine.clock_i t.engine - desc.Desc.arrival));
             scope = Some t.output_scope;
           }
         in

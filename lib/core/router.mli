@@ -52,7 +52,7 @@ type config = {
   n_output_contexts : int;
   sa_wakeup : Strongarm.wakeup;
   queue_capacity : int;
-  route_engine : Iproute.Table.engine;
+  route_engine : Iproute.Table.engine; [@benchmark_only]
       (** read by nothing: {!Iproute.Table} has one engine.  Kept only
           because the end-to-end benchmark harness sets it; the next
           benchmark change deletes it with {!Iproute.Table.engine}. *)

@@ -40,7 +40,6 @@ type t = {
   icmp_addr : (int -> Packet.Ipv4.addr) option;
   work_signal : Sim.Semaphore.t;
   stats : stats;
-  mutable spare_probe : int;
   mutable busy_ps : int; (* native-int ps; see [busy] *)
   mutable pe_rr : int; (* round-robin cursor over the Pentium-bound queues *)
   mutable faults : Fault.Injector.t option;
@@ -70,7 +69,6 @@ let create chip cm ?(wakeup = Polling) ?(pe_buffers = 128) ?(full_copy = false)
     icmp_addr;
     work_signal = Sim.Semaphore.create 0;
     stats = make_stats ();
-    spare_probe = 0;
     busy_ps = 0;
     pe_rr = 0;
     faults = None;
@@ -310,7 +308,6 @@ let spawn t chip =
                     match t.wakeup with
                     | Polling ->
                         (* The paper's delay-loop spare-cycle probe. *)
-                        t.spare_probe <- t.spare_probe + backoff;
                         Chip_ctx.wait_cycles t.ctx backoff;
                         loop
                           (min (backoff * 2)

@@ -53,8 +53,6 @@ type t = {
           error generation *)
   work_signal : Sim.Semaphore.t;  (** interrupt-mode doorbell *)
   stats : stats;
-  mutable spare_probe : int;  (** delay-loop iterations when idle, the
-                                  paper's spare-cycle methodology *)
   mutable busy_ps : int;  (** time spent working, native-int ps (excludes idle and
                                 backpressure waits) *)
   mutable pe_rr : int;  (** round-robin cursor over [pe_qs] *)

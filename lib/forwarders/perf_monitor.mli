@@ -9,7 +9,12 @@
 
 val forwarder : Router.Forwarder.t
 
-type snapshot = { packets : int; tcp : int; udp : int; bytes : int }
+type snapshot = {
+  packets : int; [@test_only]
+  tcp : int; [@test_only]
+  udp : int; [@test_only]
+  bytes : int; [@test_only]
+}
 
 val read : Bytes.t -> snapshot [@@test_only]
 (** Decode a [getdata] buffer. *)

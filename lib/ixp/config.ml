@@ -13,11 +13,7 @@ type t = {
   dram : mem_timing;
   sram : mem_timing;
   scratch : mem_timing;
-  dram_bytes : int;
-  sram_bytes : int;
-  scratch_bytes : int;
   buffer_count : int;
-  buffer_bytes : int;
   istore_slots : int;
   istore_ri_slots : int;
   istore_write_cycles_per_instr : int;
@@ -42,11 +38,7 @@ let default =
     dram = { unit_bytes = 32; read_cycles = 52; write_cycles = 40; occupancy_cycles = 8 };
     sram = { unit_bytes = 4; read_cycles = 22; write_cycles = 22; occupancy_cycles = 2 };
     scratch = { unit_bytes = 4; read_cycles = 16; write_cycles = 20; occupancy_cycles = 1 };
-    dram_bytes = 32 * 1024 * 1024;
-    sram_bytes = 2 * 1024 * 1024;
-    scratch_bytes = 4 * 1024;
     buffer_count = 8192;
-    buffer_bytes = 2048;
     istore_slots = 1024;
     istore_ri_slots = 374; (* leaves the paper's 650 for the VRP *)
     istore_write_cycles_per_instr = 80;
@@ -58,6 +50,11 @@ let default =
     pci_dma_setup_cycles = 95;
     port_rx_slots = 512;
   }
+
+let place c ~first_me n =
+  let cpm = c.contexts_per_me in
+  let mes = (n + cpm - 1) / cpm in
+  (Array.init n (fun i -> ((first_me + (i mod mes)) * cpm) + (i / mes)), mes)
 
 let me_clock c = Sim.Engine.Clock.of_mhz c.me_mhz
 let pentium_clock c = Sim.Engine.Clock.of_mhz c.pentium_mhz

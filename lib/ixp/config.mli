@@ -20,11 +20,7 @@ type t = {
   dram : mem_timing;  (** 64-bit x 100 MHz, 32-byte transfers *)
   sram : mem_timing;  (** 32-bit x 100 MHz, 4-byte transfers *)
   scratch : mem_timing;  (** 4 KB on-chip, 4-byte transfers *)
-  dram_bytes : int;  (** 32 MB *)
-  sram_bytes : int;  (** 2 MB *)
-  scratch_bytes : int;  (** 4 KB *)
   buffer_count : int;  (** 8192 x 2 KB circular DRAM buffers *)
-  buffer_bytes : int;  (** 2048 *)
   istore_slots : int;  (** instructions per MicroEngine store *)
   istore_ri_slots : int;  (** slots consumed by the router infrastructure;
                               what remains (650) is the VRP's *)
@@ -40,6 +36,14 @@ type t = {
 
 val default : t
 (** The paper's evaluation system. *)
+
+val place : t -> first_me:int -> int -> int array * int
+(** [place c ~first_me n] places a stage of [n] contexts on the fewest
+    MicroEngines that hold them ([contexts_per_me] each), from engine
+    [first_me] on, round-robin so that consecutive token holders sit on
+    different engines (section 3.2.2; Figure 7's methodology).  Returns
+    each context's global id, in token order, and the number of engines
+    used. *)
 
 val me_clock : t -> Sim.Engine.Clock.clock
 val pentium_clock : t -> Sim.Engine.Clock.clock

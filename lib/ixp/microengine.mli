@@ -45,9 +45,6 @@ val retire : t -> int -> unit
 val instructions : t -> int
 (** Total instructions issued. *)
 
-val busy_time : t -> int64
-(** Core-occupied picoseconds, for utilization. *)
-
 val register_telemetry : Telemetry.Scope.t -> t -> unit
 (** Register this engine's issued-instruction and busy-time gauges under
     a telemetry scope (typically ["me"] labeled with the engine's

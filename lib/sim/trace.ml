@@ -1,4 +1,4 @@
-type event = { at : int64; who : string; what : string }
+type event = { at : int64; what : string }
 
 type t = {
   ring : event option array;
@@ -10,8 +10,8 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity";
   { ring = Array.make capacity None; next = 0; count = 0 }
 
-let record t ~at ~who ~what =
-  t.ring.(t.next) <- Some { at; who; what };
+let record t ~at ~what =
+  t.ring.(t.next) <- Some { at; what };
   t.next <- (t.next + 1) mod Array.length t.ring;
   t.count <- t.count + 1
 

@@ -6,13 +6,13 @@
 
 type t
 
-type event = { at : int64; who : string; what : string }
+type event = { at : int64; what : string }
 
 val create : ?capacity:int -> unit -> t
 (** [create ()] is an empty trace with room for [capacity] (default
     4096) events. *)
 
-val record : t -> at:int64 -> who:string -> what:string -> unit
+val record : t -> at:int64 -> what:string -> unit
 (** Record an event stamped [at] (simulated picoseconds). *)
 
 val events : t -> event list

@@ -72,7 +72,7 @@ module Scope = struct
           s.ring <- Some r;
           r
     in
-    Sim.Trace.record ring ~at ~who:s.path ~what
+    Sim.Trace.record ring ~at ~what
 
   let event s what = event_at s ~at:(s.reg.clock ()) what
 

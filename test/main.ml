@@ -20,6 +20,7 @@ let () =
       ("integration", Test_integration.tests);
       ("fuzz", Test_fuzz.tests);
       ("batch", Test_batch.tests);
+      ("loops", Test_loops.tests);
       ("alloc", Test_alloc.tests);
       ("cli", Test_cli.tests);
     ]

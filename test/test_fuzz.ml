@@ -181,7 +181,6 @@ let fuzz_classifier () =
         Router.Forwarder.make ~name:"watch" ~code:[] ~state_bytes:0
           (fun ~state:_ _ ~in_port:_ -> Router.Forwarder.Continue);
       state = Bytes.empty;
-      matches = 0;
     };
   cl
 

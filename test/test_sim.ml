@@ -446,7 +446,7 @@ let trace_ring_and_filter () =
   Sim.Engine.spawn e "f" (fun () ->
       for i = 1 to 6 do
         Sim.Engine.wait_in e 10;
-        Sim.Trace.record tr ~at:(Sim.Engine.time e) ~who:"f"
+        Sim.Trace.record tr ~at:(Sim.Engine.time e)
           ~what:(Printf.sprintf "step %d" i)
       done);
   Sim.Engine.run_until_idle e;

@@ -20,6 +20,17 @@
    all of them).  An optional argument only tests pass is tagged on its
    type: [?l:(int[@test_only]) -> ...].
 
+   Every field of a record type in a [lib/] [.mli] follows the same rule
+   with reads in place of callers, its own unit's code included: [r.f],
+   or a pattern that binds or tests [f].  Building a record, [{ r with f
+   = ... }] and [r.f <- e] write [f]; a read of [f] inside [e] (an
+   update from itself, [r.f <- r.f + 1]) is not a read either.  The tags
+   go on the field: [f : int [@test_only]]; a [[@benchmark_only]] field
+   needs a use of any kind in [benchmark/] and no read outside it.  A
+   field is keyed by its [.mli] declaration, which other units' reads
+   carry; its own unit's reads carry the [.ml] declaration, matched to the
+   [.mli] one by its qualified name.
+
    Usage: [export_check.exe [--report] [BUILD_DIR]], run from the
    repository root; [BUILD_DIR] defaults to [_build/default].  Exits 1
    and names each export that breaks the rule.  [--report] also prints
@@ -60,6 +71,56 @@ let rec optionals (t : core_type) =
       (l, tag_of arg.ctyp_attributes) :: optionals ret
   | Ttyp_arrow (_, _, ret) | Ttyp_poly (_, ret) -> optionals ret
   | _ -> []
+
+(* A record field: [reads] and [uses] (reads and writes) hold the top
+   directory of each unit that does so. *)
+type field = {
+  fname : string;  (** [Unit.type.field] *)
+  floc : Location.t;
+  ftag : tag;
+  reads : (string, unit) Hashtbl.t;
+  uses : (string, unit) Hashtbl.t;
+}
+
+(* The record fields a signature (or, for the [.ml] side, a structure)
+   declares, by qualified name. *)
+let record_fields prefix (td : type_declaration) =
+  match td.typ_kind with
+  | Ttype_record lds ->
+      List.map
+        (fun ld -> (prefix ^ td.typ_name.txt ^ "." ^ ld.ld_name.txt, ld))
+        lds
+  | _ -> []
+
+let rec sig_fields prefix (sg : signature) =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_type (_, tds) -> List.concat_map (record_fields prefix) tds
+      | Tsig_module
+          {
+            md_name = { txt = Some m; _ };
+            md_type = { mty_desc = Tmty_signature sg; _ };
+            _;
+          } ->
+          sig_fields (prefix ^ m ^ ".") sg
+      | _ -> [])
+    sg.sig_items
+
+let rec str_fields prefix (str : structure) =
+  List.concat_map
+    (fun item ->
+      match item.str_desc with
+      | Tstr_type (_, tds) -> List.concat_map (record_fields prefix) tds
+      | Tstr_module
+          {
+            mb_name = { txt = Some m; _ };
+            mb_expr = { mod_desc = Tmod_structure str; _ };
+            _;
+          } ->
+          str_fields (prefix ^ m ^ ".") str
+      | _ -> [])
+    str.str_items
 
 let rec exports prefix (sg : signature) =
   List.concat_map
@@ -118,10 +179,31 @@ let argument (app : expression) f arg =
    [None] at no location. *)
 let passed (e : expression) = e.exp_loc <> Location.none
 
-let scan_cmt tbl file =
+let module_name src =
+  String.capitalize_ascii (Filename.basename (unit_of src))
+
+let scan_cmt tbl fields by_name file =
   match Cmt_format.read_cmt file with
   | { cmt_annots = Implementation str; cmt_sourcefile = Some src; _ } ->
       let dir = top_dir src and u = unit_of src in
+      (* A [lib/] unit's own declarations: its reads carry these. *)
+      if dir = "lib" then
+        List.iter
+          (fun (name, ld) ->
+            Option.iter
+              (Hashtbl.replace fields ld.ld_loc)
+              (Hashtbl.find_opt by_name (u, name)))
+          (str_fields (module_name src ^ ".") str);
+      let field_use (lbl : Types.label_description) ~read =
+        match Hashtbl.find_opt fields lbl.lbl_loc with
+        | Some f ->
+            Hashtbl.replace f.uses dir ();
+            if read then Hashtbl.replace f.reads dir ()
+        | None -> ()
+      in
+      (* Fields being assigned: a read of one inside its own new value
+         is an update, not a read. *)
+      let assigning = ref [] in
       (* [labels] is [None] for a function used unapplied. *)
       let use (vd : Types.value_description) labels =
         match Hashtbl.find_opt tbl vd.val_loc with
@@ -153,10 +235,39 @@ let scan_cmt tbl file =
             in
             use vd (Some labels);
             applied := Some f
+        | Texp_field (_, _, lbl) ->
+            field_use lbl ~read:(not (List.mem lbl.lbl_loc !assigning))
+        | Texp_record { fields; _ } ->
+            Array.iter
+              (fun (lbl, def) ->
+                match def with
+                | Overridden _ -> field_use lbl ~read:false
+                | Kept _ -> ())
+              fields
         | _ -> ());
-        Tast_iterator.default_iterator.expr sub e
+        match e.exp_desc with
+        | Texp_setfield (r, _, lbl, v) ->
+            field_use lbl ~read:false;
+            sub.Tast_iterator.expr sub r;
+            assigning := lbl.lbl_loc :: !assigning;
+            sub.Tast_iterator.expr sub v;
+            assigning := List.tl !assigning
+        | _ -> Tast_iterator.default_iterator.expr sub e
       in
-      let it = { Tast_iterator.default_iterator with expr } in
+      let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+       fun sub p ->
+        (match p.pat_desc with
+        | Tpat_record (fs, _) ->
+            List.iter
+              (fun (_, lbl, (q : pattern)) ->
+                match q.pat_desc with
+                | Tpat_any -> ()
+                | _ -> field_use lbl ~read:true)
+              fs
+        | _ -> ());
+        Tast_iterator.default_iterator.pat sub p
+      in
+      let it = { Tast_iterator.default_iterator with expr; pat } in
       it.structure it str
   | _ -> ()
 
@@ -176,6 +287,23 @@ let verdict tag dirs =
       Some ("[@@benchmark_only] but called from " ^ from (outside "benchmark"))
   | _ -> None
 
+(* The same rule for a field, given the directories that read it and
+   those that use it at all. *)
+let field_verdict tag ~reads ~uses =
+  let outside d ds = List.filter (( <> ) d) ds in
+  let from ds = String.concat "/, " ds ^ "/" in
+  match tag with
+  | (Untagged | Test_only) when reads = [] -> Some "never read"
+  | Untagged when outside "test" reads = [] ->
+      Some "read only from test/: tag it [@test_only] or delete it"
+  | Test_only when outside "test" reads <> [] ->
+      Some ("[@test_only] but read from " ^ from (outside "test" reads))
+  | Benchmark_only when not (List.mem "benchmark" uses) ->
+      Some "[@benchmark_only] but not used in benchmark/"
+  | Benchmark_only when outside "benchmark" reads <> [] ->
+      Some ("[@benchmark_only] but read from " ^ from (outside "benchmark" reads))
+  | _ -> None
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let report = List.mem "--report" args in
@@ -189,16 +317,31 @@ let () =
     |> List.filter (fun f -> Filename.check_suffix f ext)
   in
   let tbl = Hashtbl.create 1024 in
+  let fields = Hashtbl.create 1024 and by_name = Hashtbl.create 1024 in
   List.iter
     (fun f ->
       match Cmt_format.read_cmt f with
       | { cmt_annots = Interface sg; cmt_sourcefile = Some src; _ } ->
-          let m = String.capitalize_ascii (Filename.basename (unit_of src)) in
+          let m = module_name src in
           List.iter
             (fun ex ->
               Hashtbl.replace tbl ex.loc
                 (ex, { callers = Hashtbl.create 4; passed = Hashtbl.create 4 }))
-            (exports (m ^ ".") sg)
+            (exports (m ^ ".") sg);
+          List.iter
+            (fun (fname, ld) ->
+              let f =
+                {
+                  fname;
+                  floc = ld.ld_loc;
+                  ftag = tag_of ld.ld_attributes;
+                  reads = Hashtbl.create 4;
+                  uses = Hashtbl.create 4;
+                }
+              in
+              Hashtbl.replace fields ld.ld_loc f;
+              Hashtbl.replace by_name (unit_of src, fname) f)
+            (sig_fields (m ^ ".") sg)
       | _ -> ())
     (cmts "lib" ".cmti");
   if Hashtbl.length tbl = 0 then (
@@ -206,7 +349,7 @@ let () =
       ("export_check: no lib/ .cmti under " ^ root
      ^ ": run `dune build @check` first");
     exit 2);
-  List.iter (fun d -> List.iter (scan_cmt tbl) (cmts d ".cmt")) dirs;
+  List.iter (fun d -> List.iter (scan_cmt tbl fields by_name) (cmts d ".cmt")) dirs;
   let all =
     Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) ->
@@ -217,14 +360,15 @@ let () =
   let count k =
     Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
   in
-  (* One value or optional argument: count its class and tag, and name it
-     if it breaks the rule. *)
-  let check ~kind ex what tag dirs =
+  (* One value, optional argument or field: count its class and tag, and
+     name it if it breaks the rule ([msg], from the directories that
+     call or read it, [dirs]). *)
+  let check ~kind ~unused ~used (loc : Location.t) what tag dirs msg =
     let dirs = List.sort_uniq compare dirs in
     let cls =
-      if dirs = [] then "uncalled"
+      if dirs = [] then unused
       else if List.for_all (( = ) "test") dirs then "test-only"
-      else "called"
+      else used
     in
     count (kind ^ " " ^ cls);
     (match tag with
@@ -236,15 +380,17 @@ let () =
     Option.iter
       (fun msg ->
         incr failures;
-        let p = ex.loc.loc_start in
+        let p = loc.loc_start in
         Printf.printf "File \"%s\", line %d: %s: %s\n" p.pos_fname p.pos_lnum
           what msg)
-      (verdict tag dirs)
+      msg
   in
+  let keys h = Hashtbl.fold (fun d () acc -> d :: acc) h [] in
   List.iter
     (fun (ex, uses) ->
-      check ~kind:"values" ex ex.name ex.tag
-        (Hashtbl.fold (fun d () acc -> d :: acc) uses.callers []);
+      let dirs = keys uses.callers in
+      check ~kind:"values" ~unused:"uncalled" ~used:"called" ex.loc ex.name
+        ex.tag dirs (verdict ex.tag dirs);
       List.iter
         (fun (l, t) ->
           let dirs =
@@ -252,15 +398,30 @@ let () =
               (fun (l', d) () acc -> if l' = l then d :: acc else acc)
               uses.passed []
           in
-          check ~kind:"optional arguments" ex (ex.name ^ " ?" ^ l)
-            (if t = Untagged then ex.tag else t)
-            dirs)
+          let tag = if t = Untagged then ex.tag else t in
+          check ~kind:"optional arguments" ~unused:"uncalled" ~used:"called"
+            ex.loc (ex.name ^ " ?" ^ l) tag dirs (verdict tag dirs))
         ex.opts)
     all;
+  (* Own-unit aliases share a field record: check each once. *)
+  let all_fields =
+    Hashtbl.fold (fun loc f acc -> if loc = f.floc then f :: acc else acc) fields []
+    |> List.sort (fun a b ->
+           let key f = (f.floc.loc_start.pos_fname, f.floc.loc_start.pos_cnum) in
+           compare (key a) (key b))
+  in
+  List.iter
+    (fun f ->
+      let reads = keys f.reads in
+      check ~kind:"fields" ~unused:"unread" ~used:"read" f.floc f.fname f.ftag
+        reads
+        (field_verdict f.ftag ~reads ~uses:(keys f.uses)))
+    all_fields;
   if report then (
-    Printf.printf "exported values: %d\noptional arguments: %d\n"
+    Printf.printf "exported values: %d\noptional arguments: %d\nfields: %d\n"
       (List.length all)
-      (List.fold_left (fun n (ex, _) -> n + List.length ex.opts) 0 all);
+      (List.fold_left (fun n (ex, _) -> n + List.length ex.opts) 0 all)
+      (List.length all_fields);
     Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
     |> List.sort compare
     |> List.iter (fun (k, n) -> Printf.printf "%s: %d\n" k n));
