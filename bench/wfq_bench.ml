@@ -57,7 +57,7 @@ let run_case ~use_wfq =
       let t =
         {
           Router.Input_loop.cm;
-          enq = Router.Input_loop.enqueue_protected cm;
+          enq = Router.Input_loop.Protected;
           process = mk_process cls;
           queue_of = (fun qid -> queues.(qid));
           notify = None;

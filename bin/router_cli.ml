@@ -319,16 +319,22 @@ let peak_cmd =
     let code = List.concat (List.init blocks (fun _ -> vrp_block)) in
     let telemetry = Telemetry.Registry.create () in
     let r =
-      run ~telemetry
-        {
-          default with
-          input_disc;
-          output_disc;
-          contention;
-          vrp_blocks = code;
-          n_input_contexts = in_ctx;
-          n_output_contexts = out_ctx;
-        }
+      match
+        run ~telemetry
+          {
+            default with
+            input_disc;
+            output_disc;
+            contention;
+            vrp_blocks = code;
+            n_input_contexts = in_ctx;
+            n_output_contexts = out_ctx;
+          }
+      with
+      | r -> r
+      | exception Invalid_argument msg ->
+          Format.eprintf "peak: %s@." msg;
+          exit 2
     in
     Format.printf "%a@." pp_result r;
     dump_metrics metrics (Telemetry.Registry.snapshot telemetry)

@@ -35,12 +35,22 @@ let set_defer t on = t.defer <- on
 let engine t = t.chip.Ixp.Chip.engine
 let vnow t = Sim.Engine.clock_i (engine t) + t.pending
 
+let commit_delay t =
+  let d = t.pending in
+  t.pending <- 0;
+  d
+
 let commit t =
-  if t.pending > 0 then begin
-    let d = t.pending in
-    t.pending <- 0;
-    Sim.Engine.wait_in (engine t) d
-  end
+  let d = commit_delay t in
+  if d > 0 then Sim.Engine.wait_in (engine t) d
+
+let charges_wait t =
+  let c = t.chip in
+  (not t.defer)
+  || not
+       (Ixp.Mem.bookable c.Ixp.Chip.sram
+       && Ixp.Mem.bookable c.Ixp.Chip.scratch
+       && Ixp.Mem.bookable c.Ixp.Chip.dram)
 
 let charge t d =
   t.pending <- t.pending + d;

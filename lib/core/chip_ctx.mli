@@ -59,6 +59,17 @@ val commit : t -> unit
     commit before suspending, acquiring shared resources, or acting on
     shared mutable state. *)
 
+val commit_delay : t -> int
+(** [commit_delay t] is {!commit} for a stepped context: it takes the
+    pending booked delay (clearing it) and returns it for the step to
+    wait out; [0] means go on at once, without yielding. *)
+
+val charges_wait : t -> bool
+(** [charges_wait t] says whether a charge on [t] can wait by itself:
+    with per-operation charging ([defer] off), or when one of the chip's
+    memory channels has faults armed.  A loop over such a context must
+    run on {!Sim.Engine.start_steps}' fiber driver. *)
+
 val now_ps_i : t -> int
 (** The context's virtual clock in picoseconds: engine time plus pending
     booked delay (what arrival stamps use under per-batch charging). *)

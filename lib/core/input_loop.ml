@@ -33,9 +33,14 @@ let register_stats scope stats =
   r ~name:"process_drops" stats.drop_by_process;
   Telemetry.Scope.register_histogram scope ~name:"batch_mps" stats.batch_mps
 
+type enqueue =
+  | Private
+  | Protected
+  | Custom of (Chip_ctx.t -> Squeue.t -> Desc.t -> bool)
+
 type t = {
   cm : Cost_model.t;
-  enq : Chip_ctx.t -> Squeue.t -> Desc.t -> bool;
+  enq : enqueue;
   process : Chip_ctx.t -> Packet.Frame.t -> in_port:int -> target;
   queue_of : int -> Squeue.t;
   notify : (int -> unit) option;
@@ -64,38 +69,62 @@ let enqueue_critical cm ctx =
   Chip_ctx.sram_write ctx ~bytes:(4 * cm.Cost_model.enqueue_sram_writes);
   Chip_ctx.scratch_write ctx ~bytes:(4 * cm.Cost_model.enqueue_scratch_writes)
 
-let enqueue_protected cm ctx q desc =
+(* The protected enqueue in two halves around its commit, so a stepped
+   context can wait out the commit and the mutex between them.  Per-batch
+   charging books the critical section's time *before* the lock: its
+   memory charges queue behind other contexts' whole-burst bookings, and
+   inheriting that queue delay while holding the mutex would convoy
+   every context enqueueing to this queue.  Per-operation charging pays
+   it inside the lock. *)
+let protected_before cm ctx =
   Chip_ctx.scratch_read ctx ~bytes:(4 * cm.Cost_model.mutex_scratch_reads);
-  if ctx.Chip_ctx.defer then begin
-    (* Per-batch charging pays the critical section's time *before* the
-       lock: its memory charges queue behind other contexts' whole-burst
-       bookings, and inheriting that queue delay while holding the mutex
-       would convoy every context enqueueing to this queue. *)
-    enqueue_critical cm ctx;
-    Chip_ctx.commit ctx;
-    Sim.Mutex.lock (Squeue.mutex q);
-    let ok = Squeue.push q desc in
-    Sim.Mutex.unlock (Squeue.mutex q);
-    Chip_ctx.scratch_write ctx ~bytes:(4 * cm.Cost_model.mutex_scratch_writes);
-    ok
-  end
-  else begin
-    Sim.Mutex.lock (Squeue.mutex q);
-    enqueue_critical cm ctx;
-    let ok = Squeue.push q desc in
-    Sim.Mutex.unlock (Squeue.mutex q);
-    Chip_ctx.scratch_write ctx ~bytes:(4 * cm.Cost_model.mutex_scratch_writes);
-    ok
-  end
+  if ctx.Chip_ctx.defer then enqueue_critical cm ctx
+
+(* Holding the queue's mutex: push, unlock, and the release write. *)
+let protected_locked cm ctx q desc =
+  if not ctx.Chip_ctx.defer then enqueue_critical cm ctx;
+  let ok = Squeue.push q desc in
+  Sim.Mutex.unlock (Squeue.mutex q);
+  Chip_ctx.scratch_write ctx ~bytes:(4 * cm.Cost_model.mutex_scratch_writes);
+  ok
+
+let enqueue_protected cm ctx q desc =
+  protected_before cm ctx;
+  Chip_ctx.commit ctx;
+  Sim.Mutex.lock (Squeue.mutex q);
+  protected_locked cm ctx q desc
 
 (* I.1: private queue — the tail pointer lives in a register; only the
-   entry itself and the readiness bit touch memory. *)
-let enqueue_private cm ctx q desc =
+   entry itself and the readiness bit touch memory.  The push follows
+   the commit. *)
+let private_before cm ctx =
   Chip_ctx.exec ctx cm.Cost_model.enqueue_instr;
   Chip_ctx.sram_write ctx ~bytes:(4 * cm.Cost_model.enqueue_sram_writes);
-  Chip_ctx.scratch_write ctx ~bytes:4;
-  Chip_ctx.commit ctx;
-  Squeue.push q desc
+  Chip_ctx.scratch_write ctx ~bytes:4
+
+(* The wait points of Figure 5's loop, where a context gives up its
+   MicroEngine ([ctx_arb]).  A step resumes the context at its [state]
+   and runs to the next one. *)
+type state =
+  | Request (* ask for the token *)
+  | Granted (* woken by the token's grant *)
+  | Arrived (* the token has reached this slot: the serial section *)
+  | Idle (* nothing received; the idle charge is paid: park on the port *)
+  | Lock (* the enqueue's charges are paid: take the queue mutex *)
+  | Locked (* holding the queue mutex: push *)
+  | Push (* the private enqueue's charges are paid: push *)
+
+(* A context's mutable state between steps: allocated once, so a step
+   allocates nothing of its own. *)
+type ctx_state = {
+  mutable state : state;
+  mutable n : int; (* MPs in the burst *)
+  mutable next : int; (* the burst's next MP *)
+  mutable frames : int; (* packet heads seen in the burst *)
+  mutable span : int; (* the burst's batch span *)
+  mutable qid : int; (* the enqueue in progress: its queue ... *)
+  mutable desc : Desc.t; (* ... and its descriptor *)
+}
 
 (* Batched receive loop (the Snabb link-burst structure): one serialized
    token section programs the receive DMA for a whole burst of MPs, then
@@ -105,7 +134,12 @@ let enqueue_private cm ctx q desc =
    the token + CSR serial section amortizes across the burst (gated by
    [Cost_model.per_burst] — off forces burst size 1, which IS the
    classic loop).  An idle context parks on its port's rx waiter list
-   instead of polling. *)
+   instead of polling.
+
+   The loop is one step function over [state]; the engine drives it
+   with callbacks when no charge can wait by itself, and in a fiber
+   otherwise (per-operation charging, a fault-armed memory channel, or
+   a [Custom] enqueue). *)
 let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
   let open Ixp in
   let ctx = Chip_ctx.make chip ~ctx_id in
@@ -134,6 +168,38 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
   let batch = Batch.create ~capacity:burst_mps in
   let in_port = match source with Replay _ -> 0 | Port p -> Mac_port.id p in
   let name = Printf.sprintf "input.ctx%d" ctx_id in
+  let engine = chip.Chip.engine in
+  let s =
+    {
+      state = Request;
+      n = 0;
+      next = 0;
+      frames = 0;
+      span = 0;
+      qid = 0;
+      desc =
+        Desc.make ~buf:(-1) ~len:0 ~in_port:(-1) ~out_port:(-1) ~arrival:0 ();
+    }
+  in
+  (* One park cell for every wait: each park installs the registrar of
+     what it waits on, all built here once. *)
+  let cell = Sim.Engine.make_cell engine in
+  let waker = Sim.Engine.cell_waker cell in
+  let on_token () = Sim.Token_ring.register ring slot waker in
+  let on_port =
+    match source with
+    | Port p -> fun () -> Mac_port.park_rx p waker
+    | Replay _ -> ignore
+  in
+  let on_mutex () =
+    Sim.Mutex.register (Squeue.mutex (t.queue_of s.qid)) waker
+  in
+  let park registrar =
+    Sim.Engine.on_park cell registrar;
+    Sim.Engine.parked
+  in
+  (* One MP up to its enqueue; [true] when a descriptor waits in [s] to
+     be enqueued. *)
   let process_mp tag frame =
     Sim.Stats.Counter.incr stats.mps_in;
     (* FIFO slot to transfer registers + loop bookkeeping, fused. *)
@@ -153,8 +219,9 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
         | Drop_it ->
             Sim.Stats.Counter.incr stats.drop_by_process;
             drop_event t "drop: protocol processing";
-            recycle_frame t frame
-        | To_queue { qid; out_port; fid } -> (
+            recycle_frame t frame;
+            false
+        | To_queue { qid; out_port; fid } ->
             (* A stack pool can run dry (the circular pool never does —
                it overwrites); an empty pool drops the packet, the
                backpressure the paper's design trades away for timing
@@ -163,91 +230,149 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~source ~stats =
             if buf < 0 then begin
               Sim.Stats.Counter.incr stats.enq_drop;
               drop_event t "drop: buffer pool dry";
-              recycle_frame t frame
+              recycle_frame t frame;
+              false
             end
             else begin
-              let desc =
+              s.qid <- qid;
+              s.desc <-
                 Desc.take ~buf ~len:(Packet.Frame.len frame) ~in_port
                   ~out_port ~fid
-                  ~arrival:(Chip_ctx.now_ps_i ctx)
-              in
-              let q = t.queue_of qid in
-              if t.enq ctx q desc then begin
-                Sim.Stats.Counter.incr stats.enq_ok;
-                match t.notify with Some f -> f qid | None -> ()
-              end
-              else begin
-                Buffer_pool.free chip.Chip.buffers buf;
-                Desc.release desc;
-                Sim.Stats.Counter.incr stats.enq_drop;
-                drop_event t ("drop: queue full " ^ Squeue.name q)
-              end
-            end))
+                  ~arrival:(Chip_ctx.now_ps_i ctx);
+              true
+            end)
     | Packet.Mp.Intermediate | Packet.Mp.Last ->
-        Chip_ctx.dram_write ctx ~bytes:Packet.Mp.size
+        Chip_ctx.dram_write ctx ~bytes:Packet.Mp.size;
+        false
   in
-  Sim.Engine.spawn chip.Chip.engine name (fun () ->
-      let engine = chip.Chip.engine in
-      (* Reusable park cell: the continuation slot and the registration
-         closure are built once, so an idle-park/wake cycle allocates
-         nothing (the suspend-based form built a waker per park). *)
-      let park_cell = Sim.Engine.make_cell engine in
-      (match source with
-      | Port p ->
-          let w = Sim.Engine.cell_waker park_cell in
-          Sim.Engine.on_park park_cell (fun () -> Mac_port.park_rx p w)
-      | Replay _ -> ());
-      let rec loop () =
-        (* Serialized section: token + port check + burst DMA
-           programming, fused into one core access.  The previous
-           burst's tail charges (a scratch write or two) ride in
-           [pending] into this burst and are paid at its enqueue
-           commit; the token hold itself is unaffected (the serial
-           charge is horizon-light and the release precedes any
-           commit). *)
-        ignore (Sim.Token_ring.acquire ring slot);
-        Chip_ctx.exec_wait_serial ctx ~instr:cm.Cost_model.input_serial_instr
-          ~wait:cm.Cost_model.input_serial_wait;
-        (* Under per-batch charging the serial section's time rides in
-           [pending] until the batch's next commit point (the enqueue, or
-           the next loop top): the rx ring is inspected one serial-window
-           early in engine time, but every timestamp downstream uses the
-           context's virtual clock.  Classic mode has already waited. *)
-        let n =
-          match source with
-          | Replay _ ->
-              Batch.clear batch;
-              let items = Array.length replay_items in
-              let take = min burst_mps items in
-              for _ = 1 to take do
-                let i = !replay_cursor in
-                replay_cursor := (i + 1) mod items;
-                let tag, index, f = replay_items.(i) in
-                Batch.push batch ~tag ~index f
-              done;
-              take
-          | Port p -> Batch.fill_from_port batch p ~max:burst_mps
-        in
-        Sim.Token_ring.release ring slot;
-        if n = 0 then begin
-          (* Only a port comes up empty (a replayed frame has at least
-             one MP): park until it accepts a frame, zero idle events
-             instead of a poll. *)
-          Chip_ctx.exec ctx 4;
-          Chip_ctx.commit ctx;
-          Sim.Engine.park park_cell
+  (* The enqueue's outcome. *)
+  let enqueued ok =
+    let qid = s.qid and desc = s.desc in
+    if ok then begin
+      Sim.Stats.Counter.incr stats.enq_ok;
+      match t.notify with Some f -> f qid | None -> ()
+    end
+    else begin
+      Buffer_pool.free chip.Chip.buffers desc.Desc.buf;
+      Desc.release desc;
+      Sim.Stats.Counter.incr stats.enq_drop;
+      drop_event t ("drop: queue full " ^ Squeue.name (t.queue_of qid))
+    end
+  in
+  let rec step () =
+    match s.state with
+    | Request ->
+        let d = Sim.Token_ring.request ring slot in
+        if d < 0 then begin
+          s.state <- Granted;
+          park on_token
         end
+        else arrive d
+    | Granted -> arrive (Sim.Token_ring.arrival ring)
+    | Arrived -> serial ()
+    | Idle ->
+        s.state <- Request;
+        park on_port
+    | Lock ->
+        if Sim.Mutex.try_lock (Squeue.mutex (t.queue_of s.qid)) then locked ()
         else begin
-          Sim.Stats.Histogram.observe_i stats.batch_mps n;
-          let span = Sim.Engine.batch_begin engine in
-          let frames = ref 0 in
-          for i = 0 to n - 1 do
-            if Batch.is_head batch i then incr frames;
-            process_mp (Batch.tag batch i) (Batch.frame batch i)
+          s.state <- Locked;
+          park on_mutex
+        end
+    | Locked -> locked ()
+    | Push ->
+        enqueued (Squeue.push (t.queue_of s.qid) s.desc);
+        burst ()
+  (* Pay what is booked, then go on at [s.state]: at once when nothing
+     is pending, so a zero charge never yields. *)
+  and commit () =
+    let d = Chip_ctx.commit_delay ctx in
+    if d > 0 then d else step ()
+  and arrive d =
+    if d > 0 then begin
+      s.state <- Arrived;
+      d
+    end
+    else serial ()
+  (* Serialized section: token + port check + burst DMA programming,
+     fused into one core access.  The previous burst's tail charges (a
+     scratch write or two) ride in [pending] into this burst and are paid
+     at its enqueue commit; the token hold itself is unaffected (the
+     serial charge is horizon-light and the release precedes any
+     commit). *)
+  and serial () =
+    Sim.Token_ring.hold ring;
+    Chip_ctx.exec_wait_serial ctx ~instr:cm.Cost_model.input_serial_instr
+      ~wait:cm.Cost_model.input_serial_wait;
+    (* Under per-batch charging the serial section's time rides in
+       [pending] until the batch's next commit point (the enqueue, or
+       the next loop top): the rx ring is inspected one serial-window
+       early in engine time, but every timestamp downstream uses the
+       context's virtual clock.  Classic mode has already waited. *)
+    let n =
+      match source with
+      | Replay _ ->
+          Batch.clear batch;
+          let items = Array.length replay_items in
+          let take = min burst_mps items in
+          for _ = 1 to take do
+            let i = !replay_cursor in
+            replay_cursor := (i + 1) mod items;
+            let tag, index, f = replay_items.(i) in
+            Batch.push batch ~tag ~index f
           done;
-          Sim.Engine.batch_end engine span ~frames:!frames;
-          Batch.clear batch
-        end;
-        loop ()
-      in
-      loop ())
+          take
+      | Port p -> Batch.fill_from_port batch p ~max:burst_mps
+    in
+    Sim.Token_ring.release ring slot;
+    if n = 0 then begin
+      (* Only a port comes up empty (a replayed frame has at least one
+         MP): park until it accepts a frame, zero idle events instead of
+         a poll. *)
+      Chip_ctx.exec ctx 4;
+      s.state <- Idle;
+      commit ()
+    end
+    else begin
+      Sim.Stats.Histogram.observe_i stats.batch_mps n;
+      s.span <- Sim.Engine.batch_begin engine;
+      s.frames <- 0;
+      s.n <- n;
+      s.next <- 0;
+      burst ()
+    end
+  and burst () =
+    let i = s.next in
+    if i < s.n then begin
+      s.next <- i + 1;
+      if Batch.is_head batch i then s.frames <- s.frames + 1;
+      if process_mp (Batch.tag batch i) (Batch.frame batch i) then
+        match t.enq with
+        | Protected ->
+            protected_before cm ctx;
+            s.state <- Lock;
+            commit ()
+        | Private ->
+            private_before cm ctx;
+            s.state <- Push;
+            commit ()
+        | Custom enq ->
+            enqueued (enq ctx (t.queue_of s.qid) s.desc);
+            burst ()
+      else burst ()
+    end
+    else begin
+      Sim.Engine.batch_end engine s.span ~frames:s.frames;
+      Batch.clear batch;
+      s.state <- Request;
+      step ()
+    end
+  and locked () =
+    enqueued (protected_locked cm ctx (t.queue_of s.qid) s.desc);
+    burst ()
+  in
+  let suspends =
+    Chip_ctx.charges_wait ctx
+    || match t.enq with Custom _ -> true | Private | Protected -> false
+  in
+  Sim.Engine.start_steps cell name ~suspends step

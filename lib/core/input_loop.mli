@@ -7,10 +7,14 @@
     forwarders — the VRP), write the MP to its DRAM buffer, and on the
     packet's first MP enqueue a descriptor on the destination queue.
 
-    The queueing discipline (Table 1, I.1-I.3) is the [enq] function:
-    {!enqueue_private} keeps the tail pointer in registers and skips
-    synchronization; {!enqueue_protected} takes the per-queue hardware
-    mutex around the head-pointer update. *)
+    The queueing discipline (Table 1, I.1-I.3) is [enq]: [Private] keeps
+    the tail pointer in registers and skips synchronization; [Protected]
+    takes the per-queue hardware mutex around the head-pointer update.
+
+    A context is a state machine whose states are the loop's wait points
+    (token request and grant, the booked-charge commit before the
+    enqueue, the queue mutex, parking on the port), stepped by the
+    engine ({!Sim.Engine.start_steps}). *)
 
 type source =
   | Replay of Packet.Frame.t
@@ -38,12 +42,19 @@ val register_stats : Telemetry.Scope.t -> stats -> unit
 (** Register every stage counter under a telemetry scope (typically
     ["input"]). *)
 
+type enqueue =
+  | Private  (** I.1: tail pointer in registers, no synchronization *)
+  | Protected
+      (** I.2/I.3: hardware-mutex protected head-pointer update; waits
+          under contention *)
+  | Custom of (Chip_ctx.t -> Squeue.t -> Desc.t -> bool)
+      (** another discipline-charged enqueue, such as the spinlock
+          ablation; it may wait by itself, so its contexts run as
+          fibers *)
+
 type t = {
   cm : Cost_model.t;
-  enq : Chip_ctx.t -> Squeue.t -> Desc.t -> bool;
-      (** the discipline-charged enqueue ({!enqueue_private},
-          {!enqueue_protected}, or a custom mechanism such as the
-          spinlock ablation) *)
+  enq : enqueue;  (** the discipline-charged enqueue *)
   process : Chip_ctx.t -> Packet.Frame.t -> in_port:int -> target;
       (** protocol processing for a packet's first MP; charges its own
           hardware costs and returns the destination *)
@@ -71,19 +82,19 @@ val spawn_context :
   source:source ->
   stats:stats ->
   unit
-(** Start one input context as a fiber.  [slot] is both the context's token
-    ring position and its FIFO slot; [ctx_id] selects the hosting
+(** Start one input context.  [slot] is both the context's token ring
+    position and its FIFO slot; [ctx_id] selects the hosting
     MicroEngine.  [burst_mps] (default 16, one transfer FIFO's worth)
     bounds how many MPs one token acquisition may drain; it is forced to
     1 when the cost model activates per MP ([Cost_model.per_burst =
     false]), which reproduces the classic one-MP-per-rotation loop
-    exactly. *)
-
-val enqueue_private : Cost_model.t -> Chip_ctx.t -> Squeue.t -> Desc.t -> bool
-(** I.1: tail pointer in registers, no synchronization. *)
+    exactly.  The context runs on engine callbacks, or as a fiber when
+    a charge can wait by itself ({!Chip_ctx.charges_wait}) or [enq] is
+    [Custom]. *)
 
 val enqueue_protected :
   Cost_model.t -> Chip_ctx.t -> Squeue.t -> Desc.t -> bool
-(** I.2/I.3: hardware-mutex protected head-pointer update; blocks under
-    contention.  Also used by the StrongARM to re-enqueue diverted packets
-    onto output queues. *)
+(** I.2/I.3 for a fiber: the [Protected] enqueue's two halves with the
+    commit and the mutex wait between them; blocks under contention.
+    The StrongARM uses it to re-enqueue diverted packets onto output
+    queues. *)

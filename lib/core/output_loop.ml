@@ -88,19 +88,6 @@ let take_packet t ctx chip stats q infl =
       Desc.release desc;
       false
 
-(* One MP's transmission is split around the wire-pacing check: the data
-   movement (DRAM buffer to output FIFO, then slot enable) is charged
-   once and committed *before* the MAC is asked for a slot, so the frame
-   hits the wire only after its bytes have really moved — and the pace
-   retry loop never recharges. *)
-let charge_mp t ctx inflight =
-  if not inflight.charged then begin
-    Chip_ctx.dram_read ctx ~bytes:Packet.Mp.size;
-    Chip_ctx.exec ctx t.cm.Cost_model.output_mp_instr;
-    inflight.charged <- true
-  end;
-  Chip_ctx.commit ctx
-
 (* Finish the already-charged MP whose transmit slot is reserved.  On
    the frame's final MP the packet retires: the frame goes to the wire
    and to [on_tx], then the DRAM buffer is freed — last, because freeing
@@ -140,6 +127,27 @@ let any_active slots =
   done;
   !any
 
+(* The wait points of Figure 6's loop, where a context gives up its
+   MicroEngine ([ctx_arb]).  A step resumes the context at its [state]
+   and runs to the next one. *)
+type state =
+  | Request (* ask for the token *)
+  | Granted (* woken by the token's grant *)
+  | Arrived (* the token has reached this slot: the serial section *)
+  | Parking (* the booked charges are paid: park on the queues *)
+  | Burst (* the wire pacing wait is over: move the next MP *)
+  | Paced (* the current MP's movement is paid: ask its wire for room *)
+
+(* A context's mutable state between steps: allocated once. *)
+type ctx_state = {
+  mutable state : state;
+  mutable span : int; (* the activation's batch span *)
+  mutable frames : int; (* frames finished in the activation *)
+  mutable mps : int; (* MPs sent in the activation *)
+  mutable slot : int; (* the in-flight slot being advanced *)
+  mutable soonest : int; (* ps until the soonest blocked wire frees, or -1 *)
+}
+
 (* The one transmit loop.  A context keeps one in-flight slot per owned
    queue under O.3 and a single slot under O.1 and O.2; the discipline
    only supplies [select], which fills an idle slot.  Everything else is
@@ -148,7 +156,11 @@ let any_active slots =
    forces burst size 1, the classic one-MP-per-rotation Figure 6 loop —
    wire pacing sleeps for the MAC's exact slot-free time
    ([tx_try_pace]) instead of polling, and an idle context parks on its
-   queues' push waiters instead of spinning. *)
+   queues' push waiters instead of spinning.
+
+   The loop is one step function over [state]; the engine drives it
+   with callbacks when no charge can wait by itself, and in a fiber
+   otherwise (per-operation charging, a fault-armed memory channel). *)
 let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
   let open Ixp in
   let ctx = Chip_ctx.make chip ~ctx_id in
@@ -158,27 +170,15 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
   let burst_mps = if cm.Cost_model.per_burst then max 1 burst_mps else 1 in
   Sim.Token_ring.join ring slot;
   let name = Printf.sprintf "output.ctx%d" ctx_id in
-  let serial_section () =
-    (* The previous burst's tail charges ride in [pending] into this
-       burst and are paid at the next MP's pre-pace commit; the token
-       hold is unaffected (the serial charge is horizon-light and the
-       release precedes any commit). *)
-    ignore (Sim.Token_ring.acquire ring slot);
-    Chip_ctx.exec_wait_serial ctx ~instr:cm.Cost_model.output_serial_instr
-      ~wait:cm.Cost_model.output_serial_wait;
-    (* Under per-batch charging the slot-activation time rides in
-       [pending] until the MP's pre-pace commit; classic mode has
-       already waited, so the token hold covers the full section. *)
-    Sim.Token_ring.release ring slot
+  let s =
+    { state = Request; span = 0; frames = 0; mps = 0; slot = 0; soonest = -1 }
   in
   (* Queue parking.  Each owned queue gets at most one registered
      wrapper at a time ([registered] tracks which); wrappers route
-     through [waker] so the engine's one-shot waker fires exactly once
-     however many queues push in the same instant, and a wrapper left
-     behind on queue B after a wake via queue A is a harmless no-op that
-     also clears B's registration.  Parking is the idle path, so the
-     suspend closure cost is irrelevant — but the registration function
-     is still built once, not per park. *)
+     through [waker] so the cell's waker fires exactly once however many
+     queues push in the same instant, and a wrapper left behind on queue
+     B after a wake via queue A is a harmless no-op that also clears B's
+     registration. *)
   let nq = Array.length t.queues in
   let registered = Array.make nq false in
   let waker = ref (fun () -> ()) in
@@ -206,16 +206,15 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
       w' ()
     end
   in
-  (* Reusable park cell: the registration closure wraps [park_register]
-     with the cell's permanent waker once, so an idle-park/wake cycle
-     costs only the suspension (the suspend-based form built a fired
-     ref, a waker, and a handler closure per park). *)
-  let park_cell = Sim.Engine.make_cell engine in
-  let park_waker = Sim.Engine.cell_waker park_cell in
-  Sim.Engine.on_park park_cell (fun () -> park_register park_waker);
-  let park () =
-    Chip_ctx.commit ctx;
-    Sim.Engine.park park_cell
+  (* One park cell for every wait: each park installs the registrar of
+     what it waits on, both built here once. *)
+  let cell = Sim.Engine.make_cell engine in
+  let cell_waker = Sim.Engine.cell_waker cell in
+  let on_token () = Sim.Token_ring.register ring slot cell_waker in
+  let on_queues () = park_register cell_waker in
+  let park registrar =
+    Sim.Engine.on_park cell registrar;
+    Sim.Engine.parked
   in
   (* Slot [i] is filled from queue [i]; it is the packet in flight on
      that queue, and a lower index has priority. *)
@@ -228,10 +227,10 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
   let take i = take_packet t ctx chip stats t.queues.(i) slots.(i) in
   (* The selectors.  Each returns [true] once it has dequeued a packet.
      A queue's length is checked after the head-read charge (which may
-     suspend and let a sibling context drain the queue) and right before
-     the option-free pop — nothing can intervene between the two.  O.1
-     and O.2 return at once, uncharged, while their one slot is busy, and
-     step past a stale buffer to the next packet. *)
+     suspend a fiber and let a sibling context drain the queue) and
+     right before the option-free pop — nothing can intervene between
+     the two.  O.1 and O.2 return at once, uncharged, while their one
+     slot is busy, and step past a stale buffer to the next packet. *)
   let select =
     match t.discipline with
     | O1_batch ->
@@ -296,70 +295,133 @@ let spawn_context ?(burst_mps = 16) t chip ~ring ~slot ~ctx_id ~stats =
           Chip_ctx.exec ctx cm.Cost_model.o3_select_instr;
           scan 0
   in
-  let frames = ref 0 in
-  let mps = ref 0 in
-  (* Move one MP of the highest-priority in-flight packet whose wire has
-     room.  Int-coded result: -2 = sent an MP, -1 = nothing in flight,
-     otherwise the soonest ps until a blocked wire frees ([soonest]
-     carries it, -1 until a wire is found blocked). *)
-  let rec advance i soonest =
-    if i >= n then soonest
-    else begin
-      let infl = slots.(i) in
-      if not infl.active then advance (i + 1) soonest
-      else begin
-        charge_mp t ctx infl;
-        let port = t.port_for infl.desc in
-        let last = infl.next = infl.total - 1 in
-        let wait =
-          match port with
-          | None -> -1
-          | Some p -> Mac_port.tx_try_pace p ~last
-        in
-        if wait < 0 then begin
-          finish_mp t chip stats infl ~port;
-          incr mps;
-          if last then incr frames;
-          -2
+  (* Where a context decides to sleep is the one thing besides [select]
+     the disciplines do differently.  O.1 and O.2 sleep when the head
+     read that opens an activation finds nothing (the span opens only
+     after it); O.3 opens every activation's span at once and sleeps
+     when a burst leaves nothing in flight and its free readiness peek
+     shows nothing queued. *)
+  let indirect = t.discipline = O3_multi in
+  let rec step () =
+    match s.state with
+    | Request ->
+        let d = Sim.Token_ring.request ring slot in
+        if d < 0 then begin
+          s.state <- Granted;
+          park on_token
         end
-        else
-          advance (i + 1)
-            (if soonest < 0 || wait < soonest then wait else soonest)
-      end
+        else arrive d
+    | Granted -> arrive (Sim.Token_ring.arrival ring)
+    | Arrived -> serial ()
+    | Parking ->
+        s.state <- Request;
+        park on_queues
+    | Burst -> burst ()
+    | Paced -> paced ()
+  (* Pay what is booked, then go on at [s.state]: at once when nothing
+     is pending, so a zero charge never yields. *)
+  and commit () =
+    let d = Chip_ctx.commit_delay ctx in
+    if d > 0 then d else step ()
+  and arrive d =
+    if d > 0 then begin
+      s.state <- Arrived;
+      d
     end
-  in
+    else serial ()
+  (* The serialized FIFO slot-activation section.  The previous burst's
+     tail charges ride in [pending] into this burst and are paid at the
+     next MP's pre-pace commit; the token hold is unaffected (the serial
+     charge is horizon-light and the release precedes any commit).
+     Under per-batch charging the slot-activation time rides in
+     [pending] until the MP's pre-pace commit; classic mode has already
+     waited, so the token hold covers the full section. *)
+  and serial () =
+    Sim.Token_ring.hold ring;
+    Chip_ctx.exec_wait_serial ctx ~instr:cm.Cost_model.output_serial_instr
+      ~wait:cm.Cost_model.output_serial_wait;
+    Sim.Token_ring.release ring slot;
+    if indirect || slots.(0).active || select () then begin
+      s.span <- Sim.Engine.batch_begin engine;
+      s.frames <- 0;
+      s.mps <- 0;
+      burst ()
+    end
+    else begin
+      s.state <- Parking;
+      commit ()
+    end
   (* One burst: send while the budget lasts; when no wire has room,
      start a packet on an idle slot, or sleep until the soonest wire
      frees.  Ends when the budget is spent or nothing is in flight and
      nothing can be selected. *)
-  let rec step () =
-    if !mps < burst_mps then begin
-      let r = advance 0 (-1) in
-      if r = -2 || select () then step ()
+  and burst () =
+    if s.mps < burst_mps then begin
+      s.slot <- 0;
+      s.soonest <- -1;
+      advance ()
+    end
+    else finish ()
+  (* Move one MP of the highest-priority in-flight packet whose wire has
+     room.  One MP's transmission is split around the wire-pacing check:
+     the data movement (DRAM buffer to output FIFO, then slot enable) is
+     charged once and committed *before* the MAC is asked for a slot, so
+     the frame hits the wire only after its bytes have really moved —
+     and a pace retry never recharges. *)
+  and advance () =
+    let i = s.slot in
+    if i >= n then begin
+      let r = s.soonest in
+      if select () then burst ()
       else if r >= 0 then begin
-        Sim.Engine.wait_in engine r;
-        step ()
+        s.state <- Burst;
+        r
+      end
+      else finish ()
+    end
+    else begin
+      let infl = slots.(i) in
+      if not infl.active then begin
+        s.slot <- i + 1;
+        advance ()
+      end
+      else begin
+        if not infl.charged then begin
+          Chip_ctx.dram_read ctx ~bytes:Packet.Mp.size;
+          Chip_ctx.exec ctx cm.Cost_model.output_mp_instr;
+          infl.charged <- true
+        end;
+        s.state <- Paced;
+        commit ()
       end
     end
-  in
-  (* Where a context decides to sleep is the one other thing the
-     disciplines do differently.  O.1 and O.2 sleep when the head read
-     that opens an activation finds nothing (the span opens only after
-     it); O.3 opens every activation's span at once and sleeps when a
-     burst leaves nothing in flight and its free readiness peek shows
-     nothing queued. *)
-  let indirect = t.discipline = O3_multi in
-  let rec activation () =
-    serial_section ();
-    if indirect || slots.(0).active || select () then begin
-      let span = Sim.Engine.batch_begin engine in
-      frames := 0;
-      mps := 0;
-      step ();
-      Sim.Engine.batch_end engine span ~frames:!frames;
-      if indirect && not (any_active slots || queued t.queues) then park ()
+  and paced () =
+    let infl = slots.(s.slot) in
+    let port = t.port_for infl.desc in
+    let last = infl.next = infl.total - 1 in
+    let wait =
+      match port with None -> -1 | Some p -> Mac_port.tx_try_pace p ~last
+    in
+    if wait < 0 then begin
+      finish_mp t chip stats infl ~port;
+      s.mps <- s.mps + 1;
+      if last then s.frames <- s.frames + 1;
+      burst ()
     end
-    else park ();
-    activation ()
+    else begin
+      if s.soonest < 0 || wait < s.soonest then s.soonest <- wait;
+      s.slot <- s.slot + 1;
+      advance ()
+    end
+  and finish () =
+    Sim.Engine.batch_end engine s.span ~frames:s.frames;
+    if indirect && not (any_active slots || queued t.queues) then begin
+      s.state <- Parking;
+      commit ()
+    end
+    else begin
+      s.state <- Request;
+      step ()
+    end
   in
-  Sim.Engine.spawn engine name activation
+  Sim.Engine.start_steps cell name ~suspends:(Chip_ctx.charges_wait ctx) step

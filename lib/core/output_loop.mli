@@ -59,8 +59,12 @@ val spawn_context :
   ctx_id:int ->
   stats:stats ->
   unit
-(** Start one output context as a fiber; [ctx_id] selects the hosting
-    MicroEngine.  [burst_mps] (default 16) bounds how many MPs one token
+(** Start one output context; [ctx_id] selects the hosting
+    MicroEngine.  The context is a state machine whose states are the
+    loop's wait points (token request and grant, the commit before an
+    MP asks its wire for room, wire pacing, parking on its queues),
+    stepped on engine callbacks, or in a fiber when a charge can wait by
+    itself ({!Chip_ctx.charges_wait}).  [burst_mps] (default 16) bounds how many MPs one token
     acquisition may stream to the wire; forced to 1 when
     [Cost_model.per_burst = false], which reproduces the classic
     one-MP-per-rotation Figure 6 loop exactly.  While no wire has room,

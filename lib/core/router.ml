@@ -683,7 +683,7 @@ let start ?process t =
   let il =
     {
       Input_loop.cm;
-      enq = Input_loop.enqueue_protected cm;
+      enq = Input_loop.Protected;
       process;
       queue_of;
       notify = Some notify;

@@ -182,9 +182,9 @@ let offer t f =
         | Some f -> offer_clean t f)
 
 (* Park a context until this port has receive work.  Fires immediately
-   when MPs are already queued, so the usual pattern
-   [Engine.suspend (fun w -> park_rx port w)] never misses work that
-   arrived between the caller's check and the suspension. *)
+   when MPs are already queued, so a context that parks with
+   [park_rx port w] as its registrar never misses work that arrived
+   between its check and the park. *)
 let park_rx t w =
   if t.r_len > 0 then w ()
   else begin

@@ -89,8 +89,8 @@ val index_of_meta : int -> int [@@test_only]
 val park_rx : t -> (unit -> unit) -> unit
 (** [park_rx p w] registers [w] to be called when this port next accepts
     a frame — or immediately, if MPs are already waiting.  One parked
-    waiter is woken per accepted frame.  Used with [Engine.suspend] so
-    an idle input context sleeps instead of polling. *)
+    waiter is woken per accepted frame.  An idle input context parks
+    with it as its registrar, so it sleeps instead of polling. *)
 
 val frame_time_ps : t -> bytes:int -> int64 [@@test_only]
 (** Wire time of a [bytes]-byte frame including preamble and inter-frame

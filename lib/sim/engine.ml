@@ -46,30 +46,30 @@ type t = {
      no payload block.  Initialized to a dummy self-cell at [create]. *)
   mutable park_arg : cell;
   mutable ambient : int; (* lookups of this engine through [current_key] *)
+  mutable resumes : int; (* fiber continuations dispatched *)
+  mutable callbacks : int; (* thunks dispatched: steps, spawns, [call_at] *)
 }
 
-(* A reusable park point: one cell per (fiber, resource) pair replaces
-   the per-suspension [fired] ref + waker closure + callback closure
-   that [Suspend] allocates.  [wake_fn] is the cell's permanent waker —
-   registrars hand it to waiter lists without minting a closure — and
-   [register] is installed once at wiring time; the handler calls it
-   after capturing the continuation, preserving [Suspend]'s
+(* A reusable park point: one cell per (context, resource) pair
+   replaces the per-suspension [fired] ref + waker closure + callback
+   closure that [Suspend] allocates.  [wake_fn] is the cell's permanent
+   waker — registrars hand it to waiter lists without minting a closure
+   — and [register] is the registrar the parker installed; it runs once
+   the park is recorded, preserving [Suspend]'s
    register-then-maybe-fire-immediately semantics exactly.
 
-   The parked continuation lives in a [k_slot] wrapper with an
-   [occupied] flag beside it, not in an option: the slot is allocated
-   at the cell's first park and mutated in place on every later one, so
-   a steady-state park/wake cycle writes two fields and boxes
+   [resume] is the event a wake schedules.  A fiber's park stores its
+   captured continuation there; a stepped context on the callback
+   driver stores its driver thunk once, at start, so its wakes and its
+   queued waits schedule the same preallocated event and box
    nothing. *)
 and cell = {
   mutable occupied : bool;
-  mutable pk : k_slot option; (* [Some] after the first park, then reused *)
+  mutable resume : event;
   pengine : t;
   wake_fn : unit -> unit;
   mutable register : unit -> unit;
 }
-
-and k_slot = { mutable kk : (unit, unit) Effect.Deep.continuation }
 
 type waker = unit -> unit
 
@@ -111,9 +111,11 @@ let create () =
       wait_arg = 0;
       park_arg = dummy;
       ambient = 0;
+      resumes = 0;
+      callbacks = 0;
     }
   and dummy =
-    { occupied = false; pk = None; pengine = t; wake_fn = ignore;
+    { occupied = false; resume = Vacant; pengine = t; wake_fn = ignore;
       register = ignore }
   in
   t
@@ -129,19 +131,28 @@ let schedule_event t ~at ev =
 let cell_wake c =
   if not c.occupied then invalid_arg "Engine: park cell woken while empty";
   c.occupied <- false;
-  match c.pk with
-  | Some s -> schedule_event c.pengine ~at:c.pengine.clock (Resume s.kk)
-  | None -> assert false (* occupied implies a slot *)
+  schedule_event c.pengine ~at:c.pengine.clock c.resume
 
 let make_cell t =
   let rec c =
-    { occupied = false; pk = None; pengine = t;
+    { occupied = false; resume = Vacant; pengine = t;
       wake_fn = (fun () -> cell_wake c); register = ignore }
   in
   c
 
 let on_park c f = c.register <- f
 let cell_waker c = c.wake_fn
+
+(* Record a park on [c] and run its registrar: the one path for a
+   fiber's park and a stepped context's.  A real suspension breaks any
+   open batch span — other contexts may interleave before this one
+   resumes, so the activation no longer covers the batch. *)
+let park_in t c name =
+  t.cur_span <- 0;
+  if c.occupied then
+    invalid_arg ("Engine: park cell already occupied (" ^ name ^ ")");
+  c.occupied <- true;
+  c.register ()
 
 (* Each fiber body runs under this handler; resuming a captured continuation
    re-enters the handler, so a fiber only needs wrapping once, at spawn. *)
@@ -163,13 +174,9 @@ let rec exec_fiber t name fn =
   in
   let some_wait0 = Some wait0_fn in
   let park0_fn (k : (unit, unit) continuation) =
-    t.cur_span <- 0;
     let c = t.park_arg in
-    if c.occupied then
-      invalid_arg ("Engine: park cell already occupied (" ^ name ^ ")");
-    (match c.pk with Some s -> s.kk <- k | None -> c.pk <- Some { kk = k });
-    c.occupied <- true;
-    c.register ()
+    c.resume <- Resume k;
+    park_in t c name
   in
   let some_park0 = Some park0_fn in
   match_with fn ()
@@ -212,10 +219,14 @@ let call_at t ~at f =
       (Fmt.str "Engine.call_at: %d ps is before the clock (%d ps)" at t.clock);
   schedule_event t ~at (Thunk f)
 
-let dispatch ev =
+let dispatch t ev =
   match ev with
-  | Thunk f -> f ()
-  | Resume k -> Effect.Deep.continue k ()
+  | Thunk f ->
+      t.callbacks <- t.callbacks + 1;
+      f ()
+  | Resume k ->
+      t.resumes <- t.resumes + 1;
+      Effect.Deep.continue k ()
   | Vacant -> ()
 
 (* Ownership assertion: an engine is single-owner while it dispatches.
@@ -264,7 +275,7 @@ let run t ~until =
           if Wheel.min_time q <= until then begin
             let ev = Wheel.pop q in
             t.clock <- Wheel.popped_time q;
-            dispatch ev;
+            dispatch t ev;
             loop ()
           end
           else t.clock <- until
@@ -280,12 +291,13 @@ let run_until_idle t =
           if t.live > 0 then
             raise
               (Deadlock
-                 (Fmt.str "%d fiber(s) suspended with no pending event" t.live))
+                 (Fmt.str "%d context(s) suspended with no pending event"
+                    t.live))
         end
         else begin
           let ev = Wheel.pop q in
           t.clock <- Wheel.popped_time q;
-          dispatch ev;
+          dispatch t ev;
           loop ()
         end
       in
@@ -296,6 +308,8 @@ let events_scheduled t = t.seq
 let elided_waits t = t.elided
 let far_hits t = Wheel.far_hits t.queue
 let ambient_lookups t = t.ambient
+let fiber_resumes t = t.resumes
+let callbacks_dispatched t = t.callbacks
 
 (* Activation coalescing control + batch-span accounting.  A span is
    opened by a context about to work through a burst of frames; it
@@ -337,24 +351,25 @@ let batch_frames_total t = t.batch_frames
    running, or interrupted by a nested run of another engine) the
    caller is a fiber of some other engine, or no fiber at all, and
    suspending it would resume it on its own engine's clock. *)
+let[@inline] elide t d =
+  t.coalescing
+  && (let target = t.clock + d in
+      target <= t.limit && Wheel.min_time t.queue > target)
+  && begin
+       (* Inside a batch span the wait is part of one coalesced
+          activation, not an independently elided event: keep the two
+          gauges disjoint so their sum stays meaningful. *)
+       if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
+       else t.elided <- t.elided + 1;
+       t.clock <- t.clock + d;
+       true
+     end
+
 let wait_in t d =
   if d < 0 then invalid_arg "Engine.wait_in: negative duration";
   if not t.dispatching then
     invalid_arg "Engine.wait_in: engine is not dispatching";
-  if
-    t.coalescing
-    &&
-    let target = t.clock + d in
-    target <= t.limit && Wheel.min_time t.queue > target
-  then begin
-    (* Inside a batch span the wait is part of one coalesced
-       activation, not an independently elided event: keep the two
-       gauges disjoint so their sum stays meaningful. *)
-    if t.cur_span <> 0 then t.absorbed <- t.absorbed + 1
-    else t.elided <- t.elided + 1;
-    t.clock <- t.clock + d
-  end
-  else begin
+  if not (elide t d) then begin
     (* Boxless suspension: duration via [wait_arg] + constant effect,
        handled by the fiber's preallocated [Wait0] arm. *)
     t.wait_arg <- d;
@@ -384,6 +399,63 @@ let park c =
     invalid_arg "Engine.park: cell's engine is not dispatching";
   t.park_arg <- c;
   Effect.perform Park0
+
+(* Stepped contexts.  A step runs a context from one wait point to the
+   next and returns the delay to its next one, or [parked] once it has
+   installed the registrar that enrolls its cell's waker.
+
+   The callback driver is [call_at] with [wait_in]'s elision: a delay
+   with nothing due first advances the clock in place and steps again
+   (counted as [wait_in] counts it), any other delay queues the cell's
+   preallocated driver event, taking its sequence number at the instant
+   a fiber's suspension would take its own.  A queued delay or a park
+   breaks the open batch span, as a real suspension does.  So the event
+   order, and every counter, is that of the same loop run as a fiber,
+   without a continuation to capture or resume.
+
+   The fiber driver runs the same step inside a fiber, for a context
+   whose step can itself wait (a charge paid per operation, a memory
+   channel with faults armed): it waits out each returned delay with
+   [wait_in] and parks on the cell. *)
+let parked = -1
+
+let step_died t name e =
+  let bt = Printexc.get_raw_backtrace () in
+  t.live <- t.live - 1;
+  Fmt.epr "sim: context %S died: %s@." name (Printexc.to_string e);
+  Printexc.raise_with_backtrace e bt
+
+let rec drive t c name step =
+  match step () with
+  | d when d >= 0 ->
+      if not t.dispatching then
+        invalid_arg "Engine: a step ran while its engine is not dispatching";
+      if elide t d then drive t c name step
+      else begin
+        t.cur_span <- 0;
+        schedule_event t ~at:(t.clock + d) c.resume
+      end
+  | _ -> park_in t c name
+  | exception e -> step_died t name e
+
+let start_steps c name ~suspends step =
+  let t = c.pengine in
+  if suspends then
+    spawn t name (fun () ->
+        let rec loop () =
+          let d = step () in
+          if d >= 0 then wait_in t d else park c;
+          loop ()
+        in
+        loop ())
+  else begin
+    c.resume <- Thunk (fun () -> drive t c name step);
+    schedule_event t ~at:t.clock
+      (Thunk
+         (fun () ->
+           t.live <- t.live + 1;
+           drive t c name step))
+  end
 
 module Clock = struct
   type clock = { ps : int }

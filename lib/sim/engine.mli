@@ -1,12 +1,17 @@
 (** Deterministic discrete-event simulation engine.
 
-    Fibers (simulated threads of control: MicroEngine contexts, the
-    StrongARM, the Pentium, traffic sources, ...) are OCaml functions run
-    under an effect handler.  A fiber advances simulated time with
+    Simulated threads of control come in two forms.  A {e stepped
+    context} (MicroEngine input and output contexts, traffic sources)
+    is a state machine: a step function runs it from one wait point to
+    the next and returns the delay to the next one, or {!parked}, and
+    the engine calls it again when that delay has passed or its park
+    cell is woken ({!start_steps}).  A {e fiber} (the StrongARM, the
+    Pentium, control-plane and test drivers, ...) is an OCaml function
+    run under an effect handler: it advances simulated time with
     {!wait_in}, parks itself on a resource with {!park} or {!suspend},
-    and reads the clock with {!clock_i}.  The engine interleaves fibers
-    in strict timestamp order with FIFO tie-breaking, so a run is a pure
-    function of its inputs.
+    and reads the clock with {!clock_i}.  The engine interleaves both
+    in strict timestamp order with FIFO tie-breaking, so a run is a
+    pure function of its inputs.
 
     {b One handle.}  Every fiber, device, loop and source reaches the
     engine through the handle it was built with: {!clock_i} and
@@ -84,12 +89,14 @@ val run : t -> until:int64 -> unit
 
 val run_until_idle : t -> unit
 (** [run_until_idle t] executes events until none remain.  Raises
-    {!Deadlock} if live fibers are still suspended when the queue drains
-    (i.e. somebody is waiting on a waker that can no longer fire). *)
+    {!Deadlock} if live fibers or stepped contexts are still suspended
+    when the queue drains (i.e. somebody is waiting on a waker that can
+    no longer fire). *)
 
 val live_fibers : t -> int [@@test_only]
 (** [live_fibers t] is the number of fibers that have started and not yet
-    returned. *)
+    returned, plus the stepped contexts started (a stepped context runs
+    for the life of the engine unless its step raises). *)
 
 val events_scheduled : t -> int
 (** [events_scheduled t] is the total number of events ever pushed onto
@@ -104,6 +111,16 @@ val elided_waits : t -> int
     {e outside} any batch span; waits absorbed inside a span are counted
     in {!absorbed_waits} instead.  [events_scheduled t + elided_waits t
     + absorbed_waits t] approximates the logical event count. *)
+
+val fiber_resumes : t -> int
+(** [fiber_resumes t] is the number of suspended fibers [t] has resumed:
+    each paid a continuation capture and resume. *)
+
+val callbacks_dispatched : t -> int
+(** [callbacks_dispatched t] is the number of callbacks [t] has
+    dispatched: stepped contexts' steps, fiber starts and {!call_at}
+    events.  With {!fiber_resumes} it splits the dispatched events by
+    kind. *)
 
 val ambient_lookups : t -> int
 (** [ambient_lookups t] counts the times {!now_i} or {!wait_i} found [t]
@@ -184,37 +201,83 @@ val suspend : (waker -> unit) -> unit
 (** {2 Reusable park cells}
 
     [suspend] allocates a one-shot flag and two closures per call; a
-    fiber that parks on the same resource over and over (an input
-    context on an empty ring, an output context on a full queue) can
-    instead wire a {!cell} once and {!park} on it for the life of the
-    run.  Semantics match [suspend] exactly: the continuation is
-    captured first, then the registrar runs — so a registrar that finds
-    the resource already ready may fire the waker immediately, and the
-    resulting event ordering is identical to the [suspend] form. *)
+    context that parks over and over (an input context on an empty
+    port, an output context on empty queues) instead wires a {!cell}
+    once and parks on it for the life of the run: a fiber with {!park},
+    a stepped context by returning {!parked}.  Semantics match
+    [suspend] exactly: the park is recorded first (a fiber's
+    continuation captured), then the registrar runs — so a registrar
+    that finds the resource already ready may fire the waker
+    immediately, and the resulting event ordering is identical to the
+    [suspend] form. *)
 
 type cell
-(** A reusable park point for one fiber on one resource. *)
+(** A reusable park point for one context. *)
 
 val make_cell : t -> cell
 (** [make_cell t] is a fresh, empty cell for engine [t]. *)
 
 val on_park : cell -> (unit -> unit) -> unit
 (** [on_park c f] installs [f] as the cell's registrar, called (inside
-    the scheduler, after continuation capture) each time the owning
-    fiber {!park}s.  Typically [f] enrolls {!cell_waker}[ c] with the
-    resource being waited on. *)
+    the scheduler, once the park is recorded) each time the owning
+    context parks.  Typically [f] enrolls {!cell_waker}[ c] with the
+    resource being waited on; a stepped context that parks on several
+    resources installs the one it needs before each park. *)
 
 val cell_waker : cell -> waker
 (** [cell_waker c] is the cell's permanent waker: calling it schedules
-    the parked fiber at the current instant.  Stable across parks, so
+    the parked context at the current instant.  Stable across parks, so
     waiter lists can hold it without a fresh closure per suspension.
     Raises [Invalid_argument] if the cell is empty (double wake). *)
 
-val park : cell -> unit
+val park : cell -> unit [@@test_only]
 (** [park c] parks the calling fiber on [c] (must be called by the same
     fiber each time, running on the cell's engine; a cell holds at most
     one continuation).  Raises [Invalid_argument] if the cell's engine
-    is not dispatching. *)
+    is not dispatching.  {!start_steps}' fiber driver is its one caller
+    in the library; tests call it to probe that guard. *)
+
+(** {1 Stepped contexts}
+
+    The IXP1200's contexts give up their MicroEngine at fixed points
+    ([ctx_arb], the paper's Figures 5 and 6), so a context is a state
+    machine, not a call stack.  A stepped context keeps its state in
+    its own records; its step function runs from one wait point to the
+    next and returns what the context waits for:
+
+    - a delay [d >= 0] in picoseconds, exactly as {!wait_in}[ t d]
+      would wait: when nothing is due inside the window the clock
+      advances in place and the step runs again at once (counted in
+      {!elided_waits} or {!absorbed_waits}), otherwise one event is
+      queued and any open batch span is broken;
+    - {!parked}, after installing (with {!on_park}) the registrar that
+      enrolls {!cell_waker} of its cell with whatever it waits on; the
+      registrar runs once the park is recorded, as for {!park}.
+
+    Two drivers run the same step function.  The callback driver
+    ([~suspends:false]) calls it from engine events: no fiber, no
+    continuation, one preallocated event per context.  It takes every
+    sequence number at the instant a fiber running the same loop would
+    take its own, so event order and every counter are those of the
+    fiber form.  The fiber driver ([~suspends:true]) calls it in a
+    fiber that waits out each delay with {!wait_in} and parks on the
+    cell; it serves contexts whose step can itself wait, such as a
+    {!wait_in} inside a charge paid per operation.
+
+    A step that raises reports its context's name on stderr and
+    re-raises, as a dying fiber does. *)
+
+val parked : int
+(** The step result meaning "parked on my cell" (negative, so never a
+    delay). *)
+
+val start_steps : cell -> string -> suspends:bool -> (unit -> int) -> unit
+(** [start_steps c name ~suspends step] starts a stepped context parking
+    on [c], to take its first step at the current simulated time.
+    [suspends] selects the driver: [false] for a step that never waits
+    by itself (it must not call {!wait_in}, {!park} or {!suspend}),
+    [true] for one that may.  [name] appears in crash reports.  A cell
+    serves one context. *)
 
 (** {1 Clocks} *)
 

@@ -8,13 +8,15 @@ type t = {
 let create ?(name = "mutex") () =
   { name; locked = false; waiters = Queue.create (); contended = 0 }
 
-let lock m =
-  if not m.locked then m.locked <- true
-  else begin
-    m.contended <- m.contended + 1;
-    (* The unlocker transfers ownership to us; the lock stays held. *)
-    Engine.suspend (fun w -> Queue.push w m.waiters)
-  end
+let try_lock m = (not m.locked) && (m.locked <- true; true)
+
+(* The unlocker transfers ownership to the waiter; the lock stays
+   held. *)
+let register m w =
+  m.contended <- m.contended + 1;
+  Queue.push w m.waiters
+
+let lock m = if not (try_lock m) then Engine.suspend (register m)
 
 let unlock m =
   if not m.locked then invalid_arg (m.name ^ ": unlock of unlocked mutex");

@@ -14,25 +14,22 @@
    original order among contending members.  A virtual position still
    advances exactly one slot per release so the [rotations] fairness
    witness keeps its original meaning. *)
-(* Contended acquires park on a per-slot {!Engine.cell} instead of
-   [Engine.suspend]: a slot belongs to exactly one fiber (see [join]),
-   so the cell, its permanent waker, and its registration closure are
-   built once at the slot's first contention and every later contended
-   acquire allocates nothing beyond the suspension itself.  [waiters]
-   holds the cells' stable wakers directly, with a physical-equality
+(* Nothing here suspends: a member asks with [request], and when the
+   token is held elsewhere it parks by its own means (a stepped
+   context's cell) with a registrar that calls [register].  [waiters]
+   holds the members' stable wakers directly, with a physical-equality
    sentinel instead of an option, so registration never boxes. *)
 let no_waiter : Engine.waker =
  fun () -> invalid_arg "Token_ring: sentinel waker fired"
 
 type t = {
   name : string;
-  engine : Engine.t; (* every member is a fiber of this engine *)
+  engine : Engine.t; (* every member is a context of this engine *)
   pass_ps : int;
   n : int;
   claimed : bool array;
   waiters : Engine.waker array; (* [no_waiter] = empty slot *)
   mutable n_waiting : int; (* slots of [waiters] not [no_waiter] *)
-  cells : Engine.cell option array;
   mutable pos : int; (* slot the token is parked at / travelling to *)
   mutable held : bool; (* true from grant (incl. in-flight) to release *)
   mutable available_at : int; (* pass-in-flight horizon *)
@@ -52,7 +49,6 @@ let create ?(name = "ring") ?(pass_ps = 0L) ~members engine =
     claimed = Array.make members false;
     waiters = Array.make members no_waiter;
     n_waiting = 0;
-    cells = Array.make members None;
     pos = 0;
     held = false;
     available_at = 0;
@@ -74,15 +70,15 @@ let hops t from_ to_ =
   let d = to_ - from_ in
   if d < 0 then d + t.n else d
 
-let take t =
-  (* The token may still be in flight toward this slot. *)
-  let now = Engine.clock_i t.engine in
-  if t.available_at > now then Engine.wait_in t.engine (t.available_at - now);
-  t.hold_start <- Engine.clock_i t.engine;
-  t.rotations
+(* The token may still be in flight toward its holder. *)
+let arrival t =
+  let d = t.available_at - Engine.clock_i t.engine in
+  if d > 0 then d else 0
 
-let acquire t idx =
-  if not t.claimed.(idx) then invalid_arg (t.name ^ ": acquire before join");
+let hold t = t.hold_start <- Engine.clock_i t.engine
+
+let request t idx =
+  if not t.claimed.(idx) then invalid_arg (t.name ^ ": request before join");
   if not t.held then begin
     (* Token at rest: claim it and send it travelling here. *)
     t.held <- true;
@@ -91,27 +87,15 @@ let acquire t idx =
     let now = Engine.clock_i t.engine in
     let base = if t.available_at > now then t.available_at else now in
     t.available_at <- base + (h * t.pass_ps);
-    take t
+    arrival t
   end
-  else begin
-    if t.waiters.(idx) != no_waiter then
-      invalid_arg (t.name ^ ": slot acquired twice concurrently");
-    let c =
-      match t.cells.(idx) with
-      | Some c -> c
-      | None ->
-          let c = Engine.make_cell t.engine in
-          let w = Engine.cell_waker c in
-          Engine.on_park c (fun () ->
-              t.waiters.(idx) <- w;
-              t.n_waiting <- t.n_waiting + 1);
-          t.cells.(idx) <- Some c;
-          c
-    in
-    Engine.park c;
-    (* Woken by a grant: [pos] and [available_at] already point here. *)
-    take t
-  end
+  else -1
+
+let register t idx w =
+  if t.waiters.(idx) != no_waiter then
+    invalid_arg (t.name ^ ": slot requested twice concurrently");
+  t.waiters.(idx) <- w;
+  t.n_waiting <- t.n_waiting + 1
 
 (* The first waiting slot in [s, stop), or -1.  An index, not an
    option or a tuple, and a top-level function, not a closure over the

@@ -25,18 +25,40 @@ type t
 
 val create : ?name:string -> ?pass_ps:int64 -> members:int -> Engine.t -> t
 (** [create ~members engine] is a ring of [members] slots, whose members
-    are fibers of [engine], with the token parked at slot 0, unheld.
+    are contexts of [engine], with the token parked at slot 0, unheld.
     [pass_ps] is the signalling delay per hand-off. *)
 
 val join : t -> int -> unit
-(** [join ring idx] claims slot [idx] for the calling fiber.  Must be called
-    once before the fiber's first {!acquire}.  Raises [Invalid_argument] if
-    the slot is taken or out of range. *)
+(** [join ring idx] claims slot [idx] for one member.  Must be called
+    once before the member's first {!request}.  Raises
+    [Invalid_argument] if the slot is taken or out of range. *)
 
-val acquire : t -> int -> int
-(** [acquire ring idx] (inside the fiber that joined slot [idx]) blocks
-    until the token reaches slot [idx], then holds it.  Returns the number
-    of complete rotations the token has made so far (a fairness witness). *)
+(** {1 Taking the token}
+
+    Nothing here suspends; a member waits by its own means.  It
+    {!request}s the token; if the token is held elsewhere it parks with
+    a registrar that calls {!register}, and once woken by the grant
+    reads the remaining flight with {!arrival}.  When that delay has
+    passed it calls {!hold}, and holds the token until {!release}. *)
+
+val request : t -> int -> int
+(** [request ring idx] asks for the token at slot [idx].  If the token
+    is at rest, claims it for [idx] and returns the picoseconds (>= 0)
+    until it arrives there.  If another slot holds it, returns [-1]:
+    the member must {!register} and wait for the grant. *)
+
+val register : t -> int -> Engine.waker -> unit
+(** [register ring idx w] enrolls slot [idx]'s waker after a refused
+    {!request}; [w] fires when a {!release} grants the token to [idx].
+    Raises [Invalid_argument] if [idx] is already enrolled. *)
+
+val arrival : t -> int
+(** [arrival ring] is the picoseconds (>= 0) until the granted token
+    reaches its holder. *)
+
+val hold : t -> unit
+(** [hold ring] marks the token arrived at its holder: the hold time
+    counts from now. *)
 
 val release : t -> int -> unit
 (** [release ring idx] hands the token to the nearest waiting slot in

@@ -3,21 +3,26 @@ type stats = {
   accepted : Sim.Stats.Counter.t;
 }
 
+(* A source is a stepped context that never parks: each step offers
+   the frame whose gap has just elapsed (none on the first) and returns
+   the next gap.  The callback driver elides the wait whenever no other
+   event falls inside the gap, so at line rate (the single most frequent
+   timer in the system) an uncontended source never touches the run
+   queue. *)
 let spawn_with_gap engine ~name ~next_gap ~gen ~offer () =
   let stats =
     { offered = Sim.Stats.Counter.create (); accepted = Sim.Stats.Counter.create () }
   in
-  Sim.Engine.spawn engine name (fun () ->
-      let rec emit i =
-        (* Eliding-capable wait: at line rate this is the single most
-           frequent timer in the system, and when no other event falls
-           inside the gap the source never needs the run queue. *)
-        Sim.Engine.wait_in engine (Int64.to_int (next_gap ()));
+  let i = ref (-1) in
+  Sim.Engine.start_steps (Sim.Engine.make_cell engine) name ~suspends:false
+    (fun () ->
+      let k = !i in
+      if k >= 0 then begin
         Sim.Stats.Counter.incr stats.offered;
-        if offer (gen i) then Sim.Stats.Counter.incr stats.accepted;
-        emit (i + 1)
-      in
-      emit 0);
+        if offer (gen k) then Sim.Stats.Counter.incr stats.accepted
+      end;
+      i := k + 1;
+      Int64.to_int (next_gap ()));
   stats
 
 let spawn_constant engine ~name ~pps ~gen ~offer () =

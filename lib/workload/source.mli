@@ -1,5 +1,6 @@
-(** Traffic sources: fibers that offer frames to a router port on a
-    schedule.
+(** Traffic sources: stepped contexts (see {!Sim.Engine.start_steps})
+    that offer frames to a router port on a schedule.  [gen] and [offer]
+    run inside an engine callback, so they must not wait.
 
     The paper's testbed drives each 100 Mbps port with a Kingston
     KNE100TX-based generator at 141 Kpps of minimum-sized packets — 95% of
@@ -22,8 +23,8 @@ val spawn_with_gap :
 (** The general source every other spawner reduces to: [next_gap ()] is
     the next inter-arrival gap in picoseconds (an arbitrary — e.g.
     Markov-modulated — arrival process), [gen i] builds the [i]th frame.
-    The wait is elision-capable, so an uncontended source never touches
-    the run queue. *)
+    The source runs on engine callbacks with {!Sim.Engine.wait_in}'s
+    elision, so an uncontended source never touches the run queue. *)
 
 val spawn_constant :
   Sim.Engine.t ->

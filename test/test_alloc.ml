@@ -25,13 +25,14 @@
 let seed = 42
 
 (* Matches the bench/alloc.ml ceiling: the local budget the CI baseline
-   ratio-gate sits on top of. *)
-let words_per_packet_budget = 90.
+   ratio-gate sits on top of.  Measured ~11 over this window. *)
+let words_per_packet_budget = 20.
 
 (* The same router with the delivery digest armed and every port's sink
    connected: each delivered frame adds the MAC's copy for the external
-   sink and the digest's 16-byte result, and nothing else. *)
-let digest_words_per_packet_budget = 100.
+   sink and the digest's 16-byte result, and nothing else.  Measured
+   ~35. *)
+let digest_words_per_packet_budget = 45.
 
 (* Every fiber holds its engine, so a run finds none through the
    domain-local key (the ambient pair kept only for the end-to-end

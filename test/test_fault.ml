@@ -464,7 +464,7 @@ let wfq_fairness_under_stalled_class () =
       let t =
         {
           Router.Input_loop.cm;
-          enq = Router.Input_loop.enqueue_protected cm;
+          enq = Router.Input_loop.Protected;
           process = mk_process cls;
           queue_of = (fun qid -> queues.(qid));
           notify = None;

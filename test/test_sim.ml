@@ -160,7 +160,7 @@ let deadlock_detected () =
   Sim.Engine.spawn e "stuck" (fun () ->
       Sim.Engine.suspend (fun _ -> ()));
   Alcotest.check_raises "deadlock"
-    (Sim.Engine.Deadlock "1 fiber(s) suspended with no pending event")
+    (Sim.Engine.Deadlock "1 context(s) suspended with no pending event")
     (fun () -> Sim.Engine.run_until_idle e)
 
 let server_serializes () =
@@ -195,10 +195,21 @@ let server_latency_exceeds_occupancy () =
   check64 "second starts at 10" 110L done_at.(1)
 
 
+(* Take the token at slot [i] from a fiber: request it, wait for the
+   grant if another slot holds it, then for its flight.  Returns the
+   rotations completed so far (a fairness witness). *)
+let acquire e ring i =
+  if Sim.Token_ring.request ring i < 0 then
+    Sim.Engine.suspend (Sim.Token_ring.register ring i);
+  let d = Sim.Token_ring.arrival ring in
+  if d > 0 then Sim.Engine.wait_in e d;
+  Sim.Token_ring.hold ring;
+  Sim.Token_ring.rotations ring
+
 (* Hold the token for [f]: what every ring member does around its serial
    section. *)
-let with_token ring i f =
-  ignore (Sim.Token_ring.acquire ring i : int);
+let with_token e ring i f =
+  ignore (acquire e ring i : int);
   f ();
   Sim.Token_ring.release ring i
 
@@ -212,7 +223,7 @@ let token_ring_strict_rotation () =
       (fun () ->
         Sim.Token_ring.join ring i;
         for _ = 1 to 3 do
-          with_token ring i (fun () ->
+          with_token e ring i (fun () ->
               order := i :: !order;
               Sim.Engine.wait_in e 7)
         done)
@@ -234,7 +245,7 @@ let token_ring_mutual_exclusion () =
       (fun () ->
         Sim.Token_ring.join ring i;
         for _ = 1 to 5 do
-          with_token ring i (fun () ->
+          with_token e ring i (fun () ->
               incr inside;
               if !inside > !max_inside then max_inside := !inside;
               Sim.Engine.wait_in e 3;
@@ -255,7 +266,7 @@ let token_ring_pass_delay () =
       (fun () ->
         Sim.Token_ring.join ring i;
         for _ = 1 to 2 do
-          with_token ring i (fun () ->
+          with_token e ring i (fun () ->
               times := Sim.Engine.time e :: !times)
         done)
   done;
@@ -280,7 +291,7 @@ let token_ring_on_demand () =
         Sim.Token_ring.join ring i;
         if i = 2 then
           for _ = 1 to 3 do
-            with_token ring i (fun () ->
+            with_token e ring i (fun () ->
                 times := Sim.Engine.time e :: !times)
           done)
   done;
@@ -300,13 +311,13 @@ let token_ring_contended_handoff () =
      granted at 12 + 10 = 22. *)
   Sim.Engine.spawn e "m1" (fun () ->
       Sim.Token_ring.join ring 1;
-      with_token ring 1 (fun () ->
+      with_token e ring 1 (fun () ->
           log := ("m1", Sim.Engine.time e) :: !log;
           Sim.Engine.wait_in e 7));
   Sim.Engine.spawn e "m3" (fun () ->
       Sim.Token_ring.join ring 3;
       Sim.Engine.wait_in e 1;
-      with_token ring 3 (fun () ->
+      with_token e ring 3 (fun () ->
           log := ("m3", Sim.Engine.time e) :: !log));
   Sim.Engine.run_until_idle e;
   Alcotest.(check (list (pair string int64)))
@@ -753,7 +764,7 @@ let ring_grants_match_reference =
             List.iter
               (fun at ->
                 wait_until at;
-                let rot = Sim.Token_ring.acquire ring i in
+                let rot = acquire e ring i in
                 got := (i, rot) :: !got;
                 let now = Sim.Engine.clock_i e in
                 match List.find_opt (fun r -> r > now) rels with
